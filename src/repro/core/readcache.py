@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import freeze
 
 #: Consistency-mode kinds (see the module docstring for the contract).
 SETTLED = "settled"
@@ -146,7 +146,7 @@ class ReadResult:
         # Each access hands out a private copy: the cached snapshot is
         # shared by every concurrent reader, so a caller mutating its
         # result must not corrupt what other readers are served.
-        return _freeze(self.snapshot.state)
+        return freeze(self.snapshot.state)
 
     @property
     def version(self) -> int:
@@ -165,11 +165,6 @@ class _Cell:
 
     def __init__(self) -> None:
         self.snapshot: "Optional[Snapshot]" = None
-
-
-def _freeze(value: Any) -> Any:
-    """Private deep copy via the canonical encoding (like engine states)."""
-    return from_canonical_bytes(canonical_bytes(value))
 
 
 class ReadCache:
@@ -203,7 +198,7 @@ class ReadCache:
             return current
         snapshot = Snapshot(
             object_name=object_name,
-            state=_freeze(state),
+            state=freeze(state),
             version=version,
             state_id=dict(state_id),
             settle_seq=(current.settle_seq + 1) if current is not None else 1,

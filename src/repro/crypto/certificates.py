@@ -144,29 +144,57 @@ class CertificateStore:
         self._roots: "dict[str, Verifier]" = {}
         self._certificates: "dict[str, Certificate]" = {}
         self._revoked: "dict[str, set[int]]" = {}
+        # subject -> verifier built from the key the issuer's signature
+        # was checked over.  Only that check is remembered: issuer trust,
+        # validity window and revocation are re-examined on every lookup.
+        self._checked: "dict[str, Verifier]" = {}
 
     def trust_authority(self, name: str, verifier: Verifier) -> None:
         """Register *verifier* as the trusted root for issuer *name*."""
         validate_party_id(name)
         self._roots[name] = verifier
+        for subject, certificate in self._certificates.items():
+            if certificate.issuer == name:
+                self._checked.pop(subject, None)
 
     def update_revocations(self, issuer: str, serials: "set[int]") -> None:
         self._revoked.setdefault(issuer, set()).update(serials)
 
     def add_certificate(self, certificate: Certificate) -> None:
         """Validate and store a certificate for later verifier lookups."""
-        self.check_certificate(certificate)
+        self._checked.pop(certificate.subject, None)
+        verifier = self._check_signature(certificate)
+        self._check_validity(certificate)
         self._certificates[certificate.subject] = certificate
+        self._checked[certificate.subject] = verifier
 
     def check_certificate(self, certificate: Certificate) -> None:
         """Raise :class:`CertificateError` unless the certificate is valid now."""
-        root = self._roots.get(certificate.issuer)
-        if root is None:
-            raise CertificateError(f"untrusted issuer: {certificate.issuer!r}")
+        self._check_signature(certificate)
+        self._check_validity(certificate)
+
+    def _check_signature(self, certificate: Certificate) -> Verifier:
+        """Check the issuer's signature; return the subject's verifier.
+
+        The verifier is built *before* the check, from the same key
+        dict the check then covers, so a caller mutating that dict
+        later cannot change the key signatures are verified under.
+        """
+        root = self._root_for(certificate)
+        verifier = certificate.verifier()
         if not root.verify(certificate.signed_payload(), certificate.signature):
             raise CertificateError(
                 f"certificate for {certificate.subject!r} has an invalid issuer signature"
             )
+        return verifier
+
+    def _root_for(self, certificate: Certificate) -> Verifier:
+        root = self._roots.get(certificate.issuer)
+        if root is None:
+            raise CertificateError(f"untrusted issuer: {certificate.issuer!r}")
+        return root
+
+    def _check_validity(self, certificate: Certificate) -> None:
         now = self._clock.now()
         if now < certificate.not_before:
             raise CertificateError(f"certificate for {certificate.subject!r} not yet valid")
@@ -184,8 +212,13 @@ class CertificateStore:
     def verifier_for(self, party_id: str) -> Verifier:
         """Resolve a (re-validated) verifier for *party_id*'s signatures."""
         certificate = self.certificate_for(party_id)
-        self.check_certificate(certificate)
-        return certificate.verifier()
+        verifier = self._checked.get(party_id)
+        if verifier is None:
+            verifier = self._checked[party_id] = self._check_signature(certificate)
+        else:
+            self._root_for(certificate)
+        self._check_validity(certificate)
+        return verifier
 
     def known_parties(self) -> "list[str]":
         return sorted(self._certificates)

@@ -11,7 +11,7 @@ import hashlib
 import hmac as _hmac
 from typing import Any
 
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import Fragment, canonical_bytes
 
 HASH_ALGORITHM = "sha256"
 DIGEST_SIZE = hashlib.new(HASH_ALGORITHM).digest_size
@@ -25,7 +25,14 @@ def secure_hash(data: bytes) -> bytes:
 
 
 def hash_value(value: Any) -> bytes:
-    """Hash any canonically encodable value (``H(x)`` in the paper)."""
+    """Hash any canonically encodable value (``H(x)`` in the paper).
+
+    A :class:`~repro.util.encoding.Fragment` hashes the bytes it already
+    holds, so a value encoded once can be hashed, signed and stored
+    without being walked again.
+    """
+    if type(value) is Fragment:
+        return secure_hash(value.data)
     return secure_hash(canonical_bytes(value))
 
 

@@ -87,7 +87,12 @@ class Verifier:
 
     def require(self, value: Any, signature: Signature, context: str = "") -> None:
         """Verify or raise :class:`SignatureError` with diagnostic context."""
-        if not self.verify(value, signature):
+        self.require_bytes(canonical_bytes(value), signature, context)
+
+    def require_bytes(self, data: bytes, signature: Signature,
+                      context: str = "") -> None:
+        """:meth:`require` over bytes the caller has already encoded."""
+        if not self.verify_bytes(data, signature):
             where = f" in {context}" if context else ""
             raise SignatureError(
                 f"signature by {signature.signer!r} failed verification{where}"

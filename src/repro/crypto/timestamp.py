@@ -96,7 +96,12 @@ class TimestampService:
         return self.stamp_digest(secure_hash(message))
 
     def stamp(self, value: Any) -> TimestampToken:
-        """Time-stamp any canonically encodable value."""
+        """Time-stamp any canonically encodable value.
+
+        Pass a :class:`~repro.util.encoding.Fragment` to have the value
+        encoded once for this digest and for whoever embeds it next
+        (``make_signed`` does, for ``signature.to_dict()``).
+        """
         return self.stamp_digest(hash_value(value))
 
 
@@ -105,7 +110,8 @@ def verify_timestamp(token: TimestampToken, value: Any,
     """Check a token against the value it allegedly stamps.
 
     Raises :class:`TimestampError` if the digest does not match *value* or
-    the service signature is invalid.
+    the service signature is invalid.  *value* may be a fragment the
+    caller has already encoded (``verify_signed`` passes the signature's).
     """
     if token.digest != hash_value(value):
         raise TimestampError("time-stamp digest does not match the stamped value")

@@ -63,11 +63,12 @@ from repro.protocol.messages import (
     propose_message,
     respond_message,
     responses_unanimous,
+    spliced,
     UPDATE_MODES,
     verify_auth_preimage,
 )
 from repro.protocol.validation import Decision, StateMerger, Validator
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import Fragment, freeze, from_canonical_bytes
 
 AUTH_BYTES = 32
 
@@ -78,13 +79,14 @@ OUTCOME_VALID = "valid"
 OUTCOME_INVALID = "invalid"
 
 
-def freeze(value: Any) -> Any:
-    """Deep-copy a state value via its canonical encoding.
+def _frozen(value: Any) -> "tuple[Any, Fragment]":
+    """:func:`freeze` that also keeps the encoding the copy came from.
 
-    Engines keep private copies of states so that application-side
-    mutation after a call cannot silently alter coordinated history.
+    A proposed body or state is hashed, journalled and sent right after
+    it is copied; the fragment lets all of those reuse this one encode.
     """
-    return from_canonical_bytes(canonical_bytes(value))
+    encoded = Fragment(value)
+    return from_canonical_bytes(encoded.data), encoded
 
 
 @dataclass
@@ -95,6 +97,7 @@ class RunState:
     role: str
     proposal: SignedPart
     body: Any
+    body_hash: bytes  # H(body) as sent (proposer) or as received (responder)
     new_sid: StateId
     new_state: Any
     mode: str
@@ -198,8 +201,9 @@ class StateCoordinationEngine(EngineBase):
 
     def propose_overwrite(self, new_state: Any) -> "tuple[str, Output]":
         """Initiate coordination of a full-state overwrite."""
-        new_state = freeze(new_state)
-        return self._propose(MODE_OVERWRITE, body=new_state, new_state=new_state)
+        new_state, encoded = _frozen(new_state)
+        return self._propose(MODE_OVERWRITE, new_state, new_state,
+                             encoded, encoded)
 
     def propose_update(self, update: Any) -> "tuple[str, Output]":
         """Initiate coordination of an incremental update.
@@ -209,9 +213,11 @@ class StateCoordinationEngine(EngineBase):
         can verify that applying the agreed update yields a consistent
         new state (section 4.3.1).
         """
-        update = freeze(update)
-        new_state = freeze(self.merger.apply(self.current_state, update))
-        return self._propose(MODE_UPDATE, body=update, new_state=new_state)
+        update, body_encoded = _frozen(update)
+        new_state, state_encoded = _frozen(
+            self.merger.apply(self.current_state, update))
+        return self._propose(MODE_UPDATE, update, new_state,
+                             body_encoded, state_encoded)
 
     def propose_update_batch(self, updates: "list[Any]") -> "tuple[str, Output]":
         """Initiate coordination of an ordered batch of updates.
@@ -226,13 +232,21 @@ class StateCoordinationEngine(EngineBase):
         """
         if not updates:
             raise ValueError("an update batch must contain at least one update")
-        body = [freeze(update) for update in updates]
-        new_state = self.current_state
+        frozen = [_frozen(update) for update in updates]
+        body = [update for update, _ in frozen]
+        new_state, state_encoded = self.current_state, None
         for update in body:
-            new_state = freeze(self.merger.apply(new_state, update))
-        return self._propose(MODE_UPDATE_BATCH, body=body, new_state=new_state)
+            new_state, state_encoded = _frozen(
+                self.merger.apply(new_state, update))
+        return self._propose(
+            MODE_UPDATE_BATCH, body, new_state,
+            Fragment([encoded for _, encoded in frozen]), state_encoded)
 
-    def _propose(self, mode: str, body: Any, new_state: Any) -> "tuple[str, Output]":
+    def _propose(self, mode: str, body: Any, new_state: Any,
+                 body_encoded: Fragment,
+                 state_encoded: Fragment) -> "tuple[str, Output]":
+        """Start a run; the fragments are the encodings *body* and
+        *new_state* were frozen through."""
         if self.busy:
             raise ConcurrencyError(
                 f"{self.party_id}: a coordination run is already active"
@@ -242,9 +256,11 @@ class StateCoordinationEngine(EngineBase):
                 f"{self.party_id}: a membership change is in progress"
             )
         output = Output()
-        new_sid, _nonce = new_state_id(self.highest_seq_seen, new_state, self.ctx.rng)
+        new_sid, _nonce = new_state_id(self.highest_seq_seen, state_encoded,
+                                       self.ctx.rng)
         auth = self.ctx.rng.random_bytes(AUTH_BYTES)
-        update_hash = hash_value(body) if mode in UPDATE_MODES else None
+        body_hash = hash_value(body_encoded)
+        update_hash = body_hash if mode in UPDATE_MODES else None
         proposal_payload = build_proposal(
             proposer=self.party_id,
             object_name=self.object_name,
@@ -264,6 +280,7 @@ class StateCoordinationEngine(EngineBase):
             role=ROLE_PROPOSER,
             proposal=proposal,
             body=body,
+            body_hash=body_hash,
             new_sid=new_sid,
             new_state=new_state,
             mode=mode,
@@ -294,18 +311,19 @@ class StateCoordinationEngine(EngineBase):
             "object": self.object_name,
             "auth": auth,
             "mode": mode,
-            "body": body,
-            "new_state": new_state,
-            "proposal": proposal.to_dict(),
+            "body": body_encoded,
+            "new_state": state_encoded,
+            "proposal": proposal.encoded,
         })
         self._log_evidence(
             "proposal-sent",
-            {"run_id": run_id, "proposal": proposal.to_dict(), "mode": mode},
+            {"run_id": run_id, "proposal": proposal.encoded, "mode": mode},
         )
         message = propose_message(proposal, body)
         self._trace_send(run_id, PHASE_M1, message, recipients)
+        stored = spliced(message, proposal=proposal, body=body_encoded)
         for recipient in recipients:
-            self._journal_sent(run_id, recipient, message)
+            self._journal_sent(run_id, recipient, stored)
             output.send(recipient, message)
         self._obs_message(run_id, PHASE_M1, SENT, message,
                           count=len(recipients))
@@ -390,17 +408,22 @@ class StateCoordinationEngine(EngineBase):
         if existing is not None:
             return self._replay_responder_messages(existing, output)
 
+        # One local encode of the received body serves its journal
+        # record, its hash and the private copy the run keeps.
         body = message.get("body")
-        self._journal_received(run_id, sender, message)
+        body_encoded = Fragment(body)
+        self._journal_received(
+            run_id, sender,
+            spliced(message, proposal=proposal, body=body_encoded))
         self._log_evidence(
             "proposal-received",
-            {"run_id": run_id, "proposal": proposal.to_dict(), "mode": mode},
+            {"run_id": run_id, "proposal": proposal.encoded, "mode": mode},
         )
 
+        body_hash = hash_value(body_encoded)
         decision, new_state = self._evaluate_proposal(
-            proposer, payload, new_sid, claimed_agreed, mode, body
+            proposer, payload, new_sid, claimed_agreed, mode, body, body_hash
         )
-        body_hash = hash_value(body)
         response_payload = build_response(
             responder=self.party_id,
             object_name=self.object_name,
@@ -418,7 +441,9 @@ class StateCoordinationEngine(EngineBase):
             run_id=run_id,
             role=ROLE_RESPONDER,
             proposal=proposal,
-            body=freeze(body) if body is not None else None,
+            body=(from_canonical_bytes(body_encoded.data)
+                  if body is not None else None),
+            body_hash=body_hash,
             new_sid=new_sid,
             new_state=new_state,
             mode=mode,
@@ -449,11 +474,11 @@ class StateCoordinationEngine(EngineBase):
             self._active_run_id = run_id
 
         self._log_evidence(
-            "response-sent", {"run_id": run_id, "response": response.to_dict()}
+            "response-sent", {"run_id": run_id, "response": response.encoded}
         )
         reply = respond_message(response)
         self._trace_send(run_id, PHASE_M2, reply, [proposer])
-        self._journal_sent(run_id, proposer, reply)
+        self._journal_sent(run_id, proposer, spliced(reply, response=response))
         output.send(proposer, reply)
         self._obs_message(run_id, PHASE_M2, SENT, reply)
         return output
@@ -469,10 +494,11 @@ class StateCoordinationEngine(EngineBase):
 
     def _evaluate_proposal(self, proposer: str, payload: dict, new_sid: StateId,
                            claimed_agreed: StateId, mode: str,
-                           body: Any) -> "tuple[Decision, Any]":
+                           body: Any, body_hash: bytes) -> "tuple[Decision, Any]":
         """Systematic checks (section 4.2 invariants) + application upcall.
 
         Returns the decision and, when computable, the resulting state.
+        *body_hash* is ``H(body)`` over the body as received.
         """
         diagnostics: "list[str]" = []
 
@@ -523,7 +549,7 @@ class StateCoordinationEngine(EngineBase):
         # against the state it actually transforms.
         batch_steps: "list[tuple[Any, Any, Any]]" = []
         if mode == MODE_OVERWRITE:
-            if not new_sid.matches_state(body):
+            if new_sid.state_hash != body_hash:
                 diagnostics.append("body hash does not match proposed state identifier")
             else:
                 new_state = freeze(body)
@@ -531,13 +557,14 @@ class StateCoordinationEngine(EngineBase):
             update_hash = payload.get("update_hash")
             if not isinstance(body, list) or not body:
                 diagnostics.append("batch body must be a non-empty list of updates")
-            elif hash_value(body) != update_hash:
+            elif body_hash != update_hash:
                 diagnostics.append("update hash does not match received batch")
             elif not contended:
                 state = self.current_state
                 for index, update in enumerate(body):
                     try:
-                        candidate = freeze(self.merger.apply(state, update))
+                        candidate, encoded = _frozen(
+                            self.merger.apply(state, update))
                     except Exception as exc:  # noqa: BLE001 - app merge may fail
                         diagnostics.append(
                             f"batch[{index}]: update could not be applied: {exc}"
@@ -546,7 +573,7 @@ class StateCoordinationEngine(EngineBase):
                     batch_steps.append((state, update, candidate))
                     state = candidate
                 else:
-                    if not new_sid.matches_state(state):
+                    if not new_sid.matches_state(encoded):
                         diagnostics.append(
                             "applying the batch does not yield the claimed new state"
                         )
@@ -554,16 +581,17 @@ class StateCoordinationEngine(EngineBase):
                         new_state = state
         elif mode == MODE_UPDATE:
             update_hash = payload.get("update_hash")
-            if hash_value(body) != update_hash:
+            if body_hash != update_hash:
                 diagnostics.append("update hash does not match received update")
             elif not contended:
                 try:
-                    candidate = freeze(self.merger.apply(self.current_state, body))
+                    candidate, encoded = _frozen(
+                        self.merger.apply(self.current_state, body))
                 except Exception as exc:  # noqa: BLE001 - app merge may fail
                     candidate = None
                     diagnostics.append(f"update could not be applied: {exc}")
                 if candidate is not None:
-                    if not new_sid.matches_state(candidate):
+                    if not new_sid.matches_state(encoded):
                         diagnostics.append(
                             "applying the update does not yield the claimed new state"
                         )
@@ -661,9 +689,10 @@ class StateCoordinationEngine(EngineBase):
                 )
             return output
 
-        self._journal_received(run_id, responder, message)
+        self._journal_received(run_id, responder,
+                               spliced(message, response=response))
         self._log_evidence(
-            "response-received", {"run_id": run_id, "response": response.to_dict()}
+            "response-received", {"run_id": run_id, "response": response.encoded}
         )
         run.responses[responder] = response
         run.last_activity = self.ctx.clock.now()
@@ -730,12 +759,11 @@ class StateCoordinationEngine(EngineBase):
         # Systematic cross-checks: every response must reference this exact
         # proposal and assert the body hash the proposer actually sent.
         expected_digest = run.proposal.digest()
-        expected_body_hash = hash_value(run.body)
         for part in responses:
             if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
                 unanimous = False
                 diagnostics.append(f"{part.signer}: response references a different proposal")
-            if bytes(part.payload.get("body_hash", b"")) != expected_body_hash:
+            if bytes(part.payload.get("body_hash", b"")) != run.body_hash:
                 unanimous = False
                 diagnostics.append(f"{part.signer}: body integrity assertion mismatch")
 
@@ -744,8 +772,9 @@ class StateCoordinationEngine(EngineBase):
         )
         run.commit = commit
         self._trace_send(run.run_id, PHASE_M3, commit, run.recipients)
+        stored = spliced(commit, proposal=run.proposal, responses=responses)
         for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, commit)
+            self._journal_sent(run.run_id, recipient, stored)
             output.send(recipient, commit)
         self._obs_message(run.run_id, PHASE_M3, SENT, commit,
                           count=len(run.recipients))
@@ -795,9 +824,13 @@ class StateCoordinationEngine(EngineBase):
                                "commit received for our own proposal", run_id)
             return output
 
-        self._journal_received(run_id, sender, message)
-
+        # Checking the bundle encodes each bundled part once, locally; the
+        # journal record splices those encodings.  It is still written
+        # before the commit is acted on (nothing settles above this line),
+        # and a bundle that failed its checks is journalled as received.
         valid, diagnostics, responses = self._check_commit_bundle(run, message, output)
+        self._journal_received(run_id, sender, spliced(
+            message, proposal=run.proposal, responses=responses))
         run.commit = message
         self._log_evidence(
             "commit-received",
@@ -875,9 +908,8 @@ class StateCoordinationEngine(EngineBase):
 
         # Cross-responder integrity: everyone must have received the same
         # body we did, or the proposer selectively sent different content.
-        own_body_hash = hash_value(run.body)
         for part in responses:
-            if bytes(part.payload.get("body_hash", b"")) != own_body_hash:
+            if bytes(part.payload.get("body_hash", b"")) != run.body_hash:
                 unanimous = False
                 detail = (
                     f"{part.signer} asserts a different body hash: "
@@ -940,8 +972,11 @@ class StateCoordinationEngine(EngineBase):
             "valid": valid,
             "diagnostics": list(diagnostics),
         }
-        self._log_evidence("authenticated-decision", evidence)
+        # The event keeps plain data; the log entry splices the parts.
+        self._log_evidence("authenticated-decision", spliced(
+            evidence, proposal=run.proposal, responses=responses))
         self._close_journal(run.run_id, run.outcome)
+        self._release(run.proposal, run.own_response, *run.responses.values())
 
         if valid:
             self.agreed_state = run.new_state
@@ -1109,6 +1144,7 @@ class StateCoordinationEngine(EngineBase):
             role=ROLE_PROPOSER,
             proposal=proposal,
             body=keys.get("body"),
+            body_hash=hash_value(keys.get("body")),
             new_sid=new_sid,
             new_state=keys.get("new_state"),
             mode=str(keys.get("mode", MODE_OVERWRITE)),
@@ -1166,6 +1202,11 @@ class StateCoordinationEngine(EngineBase):
     # ------------------------------------------------------------------
 
     def _state_run_id(self, new_sid: StateId) -> str:
+        # m2 and m3 nearly always belong to the run in progress, whose
+        # identifier (a hash of the same tuple) is already known.
+        run = self.active_run()
+        if run is not None and run.new_sid == new_sid:
+            return run.run_id
         return self._run_id("state", self.object_name, new_sid.to_dict())
 
     @staticmethod

@@ -118,6 +118,14 @@ class EngineBase:
         if self.ctx.journal.is_open(run_id):
             self.ctx.journal.close_run(run_id, outcome)
 
+    @staticmethod
+    def _release(*parts: "Optional[SignedPart]") -> None:
+        """Drop the encodings a settled run's parts retain: its evidence
+        is logged, and the run table keeps the parts for bookkeeping only."""
+        for part in parts:
+            if part is not None:
+                part.release()
+
     # ------------------------------------------------------------------
     # instrumentation
     # ------------------------------------------------------------------

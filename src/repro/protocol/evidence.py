@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.crypto.hashing import hash_value
 from repro.crypto.signature import Verifier
 from repro.errors import InconsistentMessageError, SignatureError, TimestampError
 from repro.protocol.messages import (
@@ -83,7 +82,7 @@ def verify_authenticated_decision(bundle: dict, resolver: VerifierResolver,
         except (KeyError, TypeError, ValueError):
             problems.append("malformed response in bundle")
 
-    expected_digest = hash_value(proposal.payload)
+    expected_digest = proposal.digest()
     responders: "list[str]" = []
     for part in responses:
         responder = str(part.payload.get("responder", ""))

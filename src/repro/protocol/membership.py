@@ -30,7 +30,7 @@ from repro.crypto.hashing import hash_value
 from repro.crypto.signature import Verifier
 from repro.errors import ConcurrencyError, MembershipError
 from repro.protocol.context import PartyContext
-from repro.protocol.coordination import StateCoordinationEngine, freeze
+from repro.protocol.coordination import StateCoordinationEngine
 from repro.protocol.engine_base import EngineBase
 from repro.protocol.events import (
     ConnectionDecided,
@@ -64,10 +64,12 @@ from repro.protocol.messages import (
     membership_commit_message,
     membership_message,
     responses_unanimous,
+    spliced,
     verify_auth_preimage,
     welcome_message,
 )
 from repro.protocol.validation import Decision, Validator
+from repro.util.encoding import freeze
 
 KIND_CONNECT = "connect"
 KIND_DISCONNECT = "disconnect"
@@ -179,8 +181,9 @@ class MembershipEngine(EngineBase):
         self._pending_departure = digest
         message = membership_message(DISCONNECT_REQUEST, request)
         self._departure_request = (sponsor, message)
-        self._journal_sent("disconnect-request:" + digest.hex(), sponsor, message)
-        self._log_evidence("disconnect-request-sent", {"request": request.to_dict()})
+        self._journal_sent("disconnect-request:" + digest.hex(), sponsor,
+                           spliced(message, part=request))
+        self._log_evidence("disconnect-request-sent", {"request": request.encoded})
         output.send(sponsor, message)
         return digest, output
 
@@ -216,8 +219,9 @@ class MembershipEngine(EngineBase):
             return digest, output
         output = Output()
         message = membership_message(EVICT_REQUEST, request)
-        self._journal_sent("evict-request:" + digest.hex(), sponsor, message)
-        self._log_evidence("evict-request-sent", {"request": request.to_dict()})
+        self._journal_sent("evict-request:" + digest.hex(), sponsor,
+                           spliced(message, part=request))
+        self._log_evidence("evict-request-sent", {"request": request.encoded})
         output.send(sponsor, message)
         return digest, output
 
@@ -307,7 +311,7 @@ class MembershipEngine(EngineBase):
             output.send(sender, self._reject_message(digest))
             return output
 
-        self._log_evidence("connect-request-received", {"request": request.to_dict()})
+        self._log_evidence("connect-request-received", {"request": request.encoded})
 
         if self.group.connect_sponsor() != self.party_id:
             # Not the legitimate sponsor: refuse (the subject can learn the
@@ -365,7 +369,7 @@ class MembershipEngine(EngineBase):
         if self.busy or self.state_engine.busy:
             return output  # request will be retried; sponsor is blocking
         self._log_evidence("disconnect-request-received",
-                           {"request": request.to_dict()})
+                           {"request": request.encoded})
         output.merge(self._sponsor_removal(
             KIND_DISCONNECT, [subject], request=request, voluntary=True,
             proposer=subject,
@@ -400,7 +404,7 @@ class MembershipEngine(EngineBase):
             return output
         if self.busy or self.state_engine.busy:
             return output
-        self._log_evidence("evict-request-received", {"request": request.to_dict()})
+        self._log_evidence("evict-request-received", {"request": request.encoded})
         decision = self._removal_decision(subjects, voluntary=False, proposer=proposer)
         if not decision.accepted:
             # Sponsor rejects the eviction outright; tell the proposer.
@@ -453,8 +457,9 @@ class MembershipEngine(EngineBase):
             request=request, auth=auth,
         )
         message = membership_message(CONNECT_PROPOSE, proposal)
+        stored = spliced(message, part=proposal)
         for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, message)
+            self._journal_sent(run.run_id, recipient, stored)
             output.send(recipient, message)
         if not run.recipients:
             self._complete_as_sponsor(run, output)
@@ -493,8 +498,9 @@ class MembershipEngine(EngineBase):
             request=request, auth=auth,
         )
         message = membership_message(DISCONNECT_PROPOSE, proposal)
+        stored = spliced(message, part=proposal)
         for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, message)
+            self._journal_sent(run.run_id, recipient, stored)
             output.send(recipient, message)
         if not run.recipients:
             self._complete_as_sponsor(run, output)
@@ -533,7 +539,7 @@ class MembershipEngine(EngineBase):
         self._note_group_seen(new_gid)
         self._log_evidence(
             f"{kind}-proposal-sent",
-            {"run_id": run_id, "proposal": proposal.to_dict()},
+            {"run_id": run_id, "proposal": proposal.encoded},
         )
         return run
 
@@ -579,10 +585,10 @@ class MembershipEngine(EngineBase):
                     reply_type, existing.own_response))
             return output
 
-        self._journal_received(run_id, sender, message)
+        self._journal_received(run_id, sender, spliced(message, part=proposal))
         self._log_evidence(
             f"{kind}-proposal-received",
-            {"run_id": run_id, "proposal": proposal.to_dict()},
+            {"run_id": run_id, "proposal": proposal.encoded},
         )
 
         voluntary = bool(payload.get("voluntary", False))
@@ -623,11 +629,11 @@ class MembershipEngine(EngineBase):
 
         self._log_evidence(
             f"{kind}-response-sent",
-            {"run_id": run_id, "response": response.to_dict()},
+            {"run_id": run_id, "response": response.encoded},
         )
         reply_type = CONNECT_RESPOND if kind == KIND_CONNECT else DISCONNECT_RESPOND
         reply = membership_message(reply_type, response)
-        self._journal_sent(run_id, sponsor, reply)
+        self._journal_sent(run_id, sponsor, spliced(reply, part=response))
         output.send(sponsor, reply)
         return output
 
@@ -794,10 +800,11 @@ class MembershipEngine(EngineBase):
                                    "two different signed membership responses",
                                    run.run_id)
             return output
-        self._journal_received(run.run_id, responder, message)
+        self._journal_received(run.run_id, responder,
+                               spliced(message, part=response))
         self._log_evidence(
             f"{run.kind}-response-received",
-            {"run_id": run.run_id, "response": response.to_dict()},
+            {"run_id": run.run_id, "response": response.encoded},
         )
         run.responses[responder] = response
         run.last_activity = self.ctx.clock.now()
@@ -827,8 +834,9 @@ class MembershipEngine(EngineBase):
             run.auth or b"", run.proposal, responses,
         )
         run.commit = commit
+        stored = spliced(commit, proposal=run.proposal, responses=responses)
         for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, commit)
+            self._journal_sent(run.run_id, recipient, stored)
             output.send(recipient, commit)
         self._log_evidence(
             f"{run.kind}-commit-sent",
@@ -905,7 +913,8 @@ class MembershipEngine(EngineBase):
             return output
         if run.role != ROLE_MEMBER:
             return output
-        self._journal_received(run_id, sender, message)
+        self._journal_received(run_id, sender,
+                               spliced(message, proposal=run.proposal))
         valid, diagnostics, responses = self._check_membership_commit(
             run, message, output
         )
@@ -992,7 +1001,7 @@ class MembershipEngine(EngineBase):
         if not self._verify_part(part, sender, "disconnect notice", output):
             return output
         self._log_evidence("disconnect-notice-received",
-                           {"notice": part.to_dict(),
+                           {"notice": part.encoded,
                             "commit": message.get("commit")})
         self._pending_departure = None
         output.emit(DisconnectionDecided(
@@ -1012,7 +1021,7 @@ class MembershipEngine(EngineBase):
         if part.payload.get("type") != "evict-reject":
             return output
         self._log_evidence("evict-request-rejected-notice",
-                           {"reject": part.to_dict()})
+                           {"reject": part.encoded})
         output.emit(RunCompleted(
             run_id=bytes(part.payload.get("request_digest", b"")).hex(),
             object_name=self.object_name,
@@ -1049,8 +1058,11 @@ class MembershipEngine(EngineBase):
             "valid": valid,
             "diagnostics": list(diagnostics),
         }
-        self._log_evidence("authenticated-decision", evidence)
+        self._log_evidence("authenticated-decision", spliced(
+            evidence, proposal=run.proposal, responses=responses))
         self._close_journal(run.run_id, run.outcome)
+        self._release(run.proposal, run.request, run.own_response,
+                      *run.responses.values())
         if valid:
             self.group.apply_change(run.new_members, run.new_gid)
             self.ctx.checkpoints.save(
@@ -1193,10 +1205,10 @@ class JoinClient(EngineBase):
         )
         self.request = self._signed(request_payload)
         self._log_evidence("connect-request-sent",
-                           {"request": self.request.to_dict()})
+                           {"request": self.request.encoded})
         message = membership_message(CONNECT_REQUEST, self.request)
         run_id = "connect-request:" + self.request.digest().hex()
-        self._journal_sent(run_id, sponsor, message)
+        self._journal_sent(run_id, sponsor, spliced(message, part=self.request))
         output.send(sponsor, message)
         return output
 
@@ -1237,7 +1249,7 @@ class JoinClient(EngineBase):
             return output
         if not self._verify_part(part, sender, "connect reject", output):
             return output
-        self._log_evidence("connect-rejected", {"reject": part.to_dict()})
+        self._log_evidence("connect-rejected", {"reject": part.encoded})
         self.outcome = ConnectionDecided(
             object_name=self.object_name, accepted=False,
             diagnostics=["request rejected"],
@@ -1277,7 +1289,7 @@ class JoinClient(EngineBase):
             output.emit(self.outcome)
             return output
         self._log_evidence("connect-welcome-received", {
-            "welcome": part.to_dict(),
+            "welcome": part.encoded,
             "commit": message.get("commit"),
         })
         self.welcome_members = members

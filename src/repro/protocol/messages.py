@@ -26,6 +26,7 @@ from repro.crypto.timestamp import TimestampService, TimestampToken, verify_time
 from repro.errors import InconsistentMessageError, TimestampError
 from repro.protocol.ids import GroupId, StateId
 from repro.protocol.validation import Decision
+from repro.util.encoding import Fragment, canonical_bytes
 
 # msg_type discriminators ------------------------------------------------
 
@@ -91,7 +92,13 @@ def extract_trace_context(message: dict) -> "Optional[dict]":
 
 @dataclass(frozen=True)
 class SignedPart:
-    """A signed, time-stamped protocol payload."""
+    """A signed, time-stamped protocol payload.
+
+    The part owns the canonical bytes of its payload and of its
+    ``to_dict()`` form: produced once, when it is signed or verified,
+    and read back by every later use (digest, journal records, evidence
+    entries, the m3 bundle).  See PROTOCOL.md, "encode-once rule".
+    """
 
     payload: dict
     signature: Signature
@@ -117,21 +124,53 @@ class SignedPart:
     def signer(self) -> str:
         return self.signature.signer
 
+    def seal(self, payload: "Fragment | None" = None,
+             signature: "Fragment | None" = None) -> "tuple[Fragment, ...]":
+        """Bind ``(payload, signature, whole)`` fragments to the part's
+        fields as they are *now*, dropping anything retained earlier.
+
+        Verification re-seals, so the bytes it checks are the bytes
+        later hashed and stored, and a payload dict changed behind the
+        part's back fails its signature instead of hiding behind them.
+        A caller that has already encoded the first two passes them in.
+        """
+        if payload is None:
+            payload = Fragment(self.payload)
+        if signature is None:
+            signature = Fragment(self.signature.to_dict())
+        whole = Fragment({
+            "payload": payload,
+            "signature": signature,
+            "timestamp": self.timestamp.to_dict() if self.timestamp else None,
+        })
+        sealed = (payload, signature, whole)
+        self.__dict__.pop("_digest_cache", None)
+        object.__setattr__(self, "_sealed", sealed)
+        return sealed
+
+    def release(self) -> None:
+        """Forget the retained encodings (a later use re-encodes);
+        engines call this once a run has settled and logged its evidence."""
+        self.__dict__.pop("_sealed", None)
+
+    def _sealed_now(self) -> "tuple[Fragment, ...]":
+        return self.__dict__.get("_sealed") or self.seal()
+
+    @property
+    def encoded(self) -> Fragment:
+        """``to_dict()`` as a fragment for records that embed the part."""
+        return self._sealed_now()[2]
+
     def digest(self) -> bytes:
         """Hash of the signed payload; links follow-up messages to it.
 
-        Memoised: the m1/m2/m3 hot path digests the same part many
-        times (proposal checks, response binding, evidence trails), and
-        ``hash_value`` re-canonicalises the whole payload on every
-        call.  The payload dict is treated as frozen once the part is
-        built — nothing in the protocol mutates a constructed
-        ``SignedPart`` — so the first result is cached on the instance.
-        The dataclass is frozen, hence the ``object.__setattr__``; a
-        race between threads only computes the same bytes twice.
+        Memoised (the hot path digests one part many times) over the
+        sealed payload bytes.  The dataclass is frozen, hence the
+        ``object.__setattr__``; racing threads compute the same bytes.
         """
         cached = self.__dict__.get("_digest_cache")
         if cached is None:
-            cached = hash_value(self.payload)
+            cached = hash_value(self._sealed_now()[0])
             object.__setattr__(self, "_digest_cache", cached)
         return cached
 
@@ -139,9 +178,13 @@ class SignedPart:
 def make_signed(payload: dict, signer: Signer,
                 tsa: "TimestampService | None") -> SignedPart:
     """Sign a payload and time-stamp the signature."""
-    signature = signer.sign(payload)
-    token = tsa.stamp(signature.to_dict()) if tsa is not None else None
-    return SignedPart(payload=payload, signature=signature, timestamp=token)
+    payload_encoded = Fragment(payload)
+    signature = signer.sign_bytes(payload_encoded.data)
+    signature_encoded = Fragment(signature.to_dict())
+    token = tsa.stamp(signature_encoded) if tsa is not None else None
+    part = SignedPart(payload=payload, signature=signature, timestamp=token)
+    part.seal(payload_encoded, signature_encoded)
+    return part
 
 
 def verify_signed(part: SignedPart, resolver: VerifierResolver,
@@ -153,7 +196,8 @@ def verify_signed(part: SignedPart, resolver: VerifierResolver,
     Checks (1) the claimed signer matches expectations, (2) the signature
     verifies under the *resolved* key for that party (never the key the
     message itself might carry), and (3) the time-stamp token covers the
-    signature and verifies under the trusted TSA key.
+    signature and verifies under the trusted TSA key.  What is checked
+    is one fresh local encoding of the part, which the part then keeps.
     """
     signer = part.signature.signer
     if expected_signer is not None and signer != expected_signer:
@@ -161,11 +205,35 @@ def verify_signed(part: SignedPart, resolver: VerifierResolver,
             f"{context}: signed by {signer!r}, expected {expected_signer!r}"
         )
     verifier = resolver(signer)
-    verifier.require(part.payload, part.signature, context or "signed part")
+    payload, signature, whole = part.seal()
+    canonical_bytes(whole)  # one pass encodes payload and signature as well
+    verifier.require_bytes(payload.data, part.signature, context or "signed part")
     if part.timestamp is not None:
         if tsa_verifier is None:
             raise TimestampError(f"{context}: no TSA verifier available")
-        verify_timestamp(part.timestamp, part.signature.to_dict(), tsa_verifier)
+        verify_timestamp(part.timestamp, signature, tsa_verifier)
+
+
+def spliced(message: dict, **parts: "SignedPart | list[SignedPart] | Fragment") -> dict:
+    """Storage form of *message*: a shallow copy whose named entries are
+    fragments, so journal and evidence records splice what is already
+    encoded.  The wire message stays plain data.  A part stands in only
+    if it serialises to exactly what the message holds under that key —
+    stored bytes never depend on whether splicing happened; a bare
+    fragment must be the caller's own encoding of that entry.
+    """
+    stored = dict(message)
+    for key, part in parts.items():
+        held = message.get(key)
+        if isinstance(part, Fragment):
+            if key in message:
+                stored[key] = part
+        elif isinstance(part, list):
+            if [item.to_dict() for item in part] == held:
+                stored[key] = [item.encoded for item in part]
+        elif part.to_dict() == held:
+            stored[key] = part.encoded
+    return stored
 
 
 # -------------------------------------------------------------------------

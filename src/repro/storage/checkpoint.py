@@ -12,6 +12,7 @@ participation.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -54,6 +55,8 @@ class CheckpointStore:
         self._store = store if store is not None else MemoryRecordStore()
         self._latest: "dict[str, Checkpoint]" = {}
         self._history_len: "dict[str, int]" = {}
+        # Objects on different shards checkpoint into this one store.
+        self._lock = threading.Lock()
         for record in self._store.scan():
             checkpoint = Checkpoint.from_dict(record)
             self._latest[checkpoint.object_name] = checkpoint
@@ -64,21 +67,22 @@ class CheckpointStore:
     def save(self, object_name: str, state_id: dict, state: Any) -> Checkpoint:
         """Checkpoint a newly agreed state."""
         sequence = int(state_id.get("seq", -1))
-        previous = self._latest.get(object_name)
-        if previous is not None and sequence <= previous.sequence:
-            raise CheckpointError(
-                f"checkpoint for {object_name!r} does not advance the sequence "
-                f"({sequence} <= {previous.sequence})"
-            )
         checkpoint = Checkpoint(
             object_name=object_name,
             state_id=dict(state_id),
             state=state,
             sequence=sequence,
         )
-        self._store.append(checkpoint.to_dict())
-        self._latest[object_name] = checkpoint
-        self._history_len[object_name] = self._history_len.get(object_name, 0) + 1
+        with self._lock:
+            previous = self._latest.get(object_name)
+            if previous is not None and sequence <= previous.sequence:
+                raise CheckpointError(
+                    f"checkpoint for {object_name!r} does not advance the sequence "
+                    f"({sequence} <= {previous.sequence})"
+                )
+            self._store.append(checkpoint.to_dict())
+            self._latest[object_name] = checkpoint
+            self._history_len[object_name] = self._history_len.get(object_name, 0) + 1
         return checkpoint
 
     def latest(self, object_name: str) -> "Optional[Checkpoint]":

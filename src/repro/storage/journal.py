@@ -10,6 +10,7 @@ participation.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Iterator, Optional
 
@@ -30,6 +31,9 @@ class MessageJournal:
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._open_runs: "set[str]" = set()
         self._closed_runs: "set[str]" = set()
+        # Shard workers of one party share the journal: an append and
+        # the open/closed bookkeeping that follows it move together.
+        self._lock = threading.Lock()
         for record in self._store.scan():
             self._apply(record)
 
@@ -53,28 +57,31 @@ class MessageJournal:
             "peer": peer,
             "message": message,
         }
-        if self._obs.enabled:
-            started = time.perf_counter()
-            self._store.append(record)
-            self._obs.journal_append(
-                self.owner, run_id, direction, self._store.last_append_size,
-                time.perf_counter() - started,
-            )
-        else:
-            self._store.append(record)
-        self._apply(record)
+        with self._lock:
+            if self._obs.enabled:
+                started = time.perf_counter()
+                self._store.append(record)
+                self._obs.journal_append(
+                    self.owner, run_id, direction, self._store.last_append_size,
+                    time.perf_counter() - started,
+                )
+            else:
+                self._store.append(record)
+            self._apply(record)
 
     def close_run(self, run_id: str, outcome: str) -> None:
         """Mark a protocol run finished (valid / invalid / aborted)."""
         record = {"event": "close", "run_id": run_id, "outcome": outcome}
-        self._store.append(record)
+        with self._lock:
+            self._store.append(record)
+            self._apply(record)
         if self._obs.enabled:
             self._obs.journal_closed(self.owner, run_id, outcome)
-        self._apply(record)
 
     def open_runs(self) -> "set[str]":
         """Runs with journalled messages but no close record."""
-        return set(self._open_runs)
+        with self._lock:
+            return set(self._open_runs)
 
     def is_open(self, run_id: str) -> bool:
         return run_id in self._open_runs

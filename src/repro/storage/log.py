@@ -10,6 +10,7 @@ it to an arbiter.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
@@ -18,6 +19,7 @@ from repro.crypto.hashing import hash_value
 from repro.errors import LogCorruptionError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.storage.backends import MemoryRecordStore, RecordStore
+from repro.util.encoding import Fragment
 
 GENESIS_HASH = b"\x00" * 32
 
@@ -52,7 +54,8 @@ class LogEntry:
         )
 
 
-def _chain_hash(index: int, prev_hash: bytes, kind: str, payload: dict) -> bytes:
+def _chain_hash(index: int, prev_hash: bytes, kind: str,
+                payload: "dict | Fragment") -> bytes:
     return hash_value(["log-entry", index, prev_hash, kind, payload])
 
 
@@ -66,6 +69,7 @@ class NonRepudiationLog:
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._head = GENESIS_HASH
         self._count = 0
+        self._lock = threading.Lock()
         self._replay_existing()
 
     def _replay_existing(self) -> None:
@@ -89,27 +93,34 @@ class NonRepudiationLog:
         return self._count
 
     def record(self, kind: str, payload: dict) -> LogEntry:
-        """Append an evidence record and return the chained entry."""
-        entry_hash = _chain_hash(self._count, self._head, kind, payload)
-        entry = LogEntry(
-            index=self._count,
-            prev_hash=self._head,
-            entry_hash=entry_hash,
-            kind=kind,
-            payload=payload,
-        )
-        record = entry.to_dict()
-        if self._obs.enabled:
-            started = time.perf_counter()
-            self._store.append(record)
-            self._obs.evidence_append(
-                self.owner, kind, self._store.last_append_size,
-                time.perf_counter() - started,
+        """Append an evidence record and return the chained entry.
+
+        The payload is encoded once: the chain hash fills the fragment
+        and the stored line splices it.  The whole step holds the lock,
+        because shard workers of one party share this log and the chain
+        only verifies if index, head and append move together.
+        """
+        encoded = Fragment(payload)
+        with self._lock:
+            entry = LogEntry(
+                index=self._count,
+                prev_hash=self._head,
+                entry_hash=_chain_hash(self._count, self._head, kind, encoded),
+                kind=kind,
+                payload=payload,
             )
-        else:
-            self._store.append(record)
-        self._head = entry_hash
-        self._count += 1
+            record = dict(entry.to_dict(), payload=encoded)
+            if self._obs.enabled:
+                started = time.perf_counter()
+                self._store.append(record)
+                self._obs.evidence_append(
+                    self.owner, kind, self._store.last_append_size,
+                    time.perf_counter() - started,
+                )
+            else:
+                self._store.append(record)
+            self._head = entry.entry_hash
+            self._count += 1
         return entry
 
     def entries(self, kind: "str | None" = None) -> "Iterator[LogEntry]":
@@ -132,25 +143,26 @@ class NonRepudiationLog:
         Raises :class:`LogCorruptionError` on the first broken link.  An
         arbiter runs this before trusting any evidence a party presents.
         """
-        head = GENESIS_HASH
-        count = 0
-        for record in self._store.scan():
-            entry = LogEntry.from_dict(record)
-            if entry.index != count:
-                raise LogCorruptionError(
-                    f"{self.owner}: entry index {entry.index} != expected {count}"
-                )
-            if entry.prev_hash != head:
-                raise LogCorruptionError(
-                    f"{self.owner}: broken prev-hash link at index {entry.index}"
-                )
-            expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
-            if entry.entry_hash != expected:
-                raise LogCorruptionError(
-                    f"{self.owner}: entry hash mismatch at index {entry.index}"
-                )
-            head = entry.entry_hash
-            count += 1
-        if count != self._count or head != self._head:
-            raise LogCorruptionError(f"{self.owner}: in-memory head disagrees with store")
-        return count
+        with self._lock:  # a concurrent append must not look like tampering
+            head = GENESIS_HASH
+            count = 0
+            for record in self._store.scan():
+                entry = LogEntry.from_dict(record)
+                if entry.index != count:
+                    raise LogCorruptionError(
+                        f"{self.owner}: entry index {entry.index} != expected {count}"
+                    )
+                if entry.prev_hash != head:
+                    raise LogCorruptionError(
+                        f"{self.owner}: broken prev-hash link at index {entry.index}"
+                    )
+                expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
+                if entry.entry_hash != expected:
+                    raise LogCorruptionError(
+                        f"{self.owner}: entry hash mismatch at index {entry.index}"
+                    )
+                head = entry.entry_hash
+                count += 1
+            if count != self._count or head != self._head:
+                raise LogCorruptionError(f"{self.owner}: in-memory head disagrees with store")
+            return count

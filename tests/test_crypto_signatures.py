@@ -220,6 +220,104 @@ class TestCertificates:
         assert c2.serial == c1.serial + 1
 
 
+class _CountingVerifier:
+    """A root verifier that counts the issuer-signature checks it does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.checks = 0
+
+    def verify(self, value, signature):
+        self.checks += 1
+        return self._inner.verify(value, signature)
+
+
+class TestCertificateVerificationMemo:
+    """Only "root R's signature over stored certificate C was checked" is
+    remembered; trust, validity window and revocation are looked at on
+    every lookup."""
+
+    def _store(self, clock=None, lifetime=365.0 * 86400.0):
+        ca = CertificateAuthority(
+            "RootCA", clock=clock,
+            keypair=generate_party_keypair("RootCA", bits=512, rng=RNG),
+        )
+        root = _CountingVerifier(ca.verifier)
+        store = CertificateStore(clock=clock)
+        store.trust_authority("RootCA", root)
+        cert = ca.issue("Alice", KEYPAIR.public_key, lifetime=lifetime)
+        store.add_certificate(cert)
+        return ca, root, store, cert
+
+    def test_issuer_signature_checked_once_and_verifier_reused(self):
+        _, root, store, _ = self._store()
+        assert root.checks == 1  # at add_certificate
+        first = store.verifier_for("Alice")
+        assert store.verifier_for("Alice") is first
+        assert root.checks == 1
+        assert first.verify({"m": 1}, KEYPAIR.signer().sign({"m": 1}))
+
+    def test_revocation_after_warm_memo_raises_on_next_resolve(self):
+        ca, root, store, cert = self._store()
+        store.verifier_for("Alice")
+        ca.revoke(cert.serial)
+        store.update_revocations("RootCA", ca.revocation_list())
+        with pytest.raises(CertificateError, match="revoked"):
+            store.verifier_for("Alice")
+        assert root.checks == 1  # refused without needing the signature
+
+    def test_clock_past_not_after_raises_with_warm_memo(self):
+        clock = VirtualClock()
+        _, _, store, _ = self._store(clock, lifetime=10.0)
+        store.verifier_for("Alice")
+        clock.advance(11.0)
+        with pytest.raises(CertificateError, match="expired"):
+            store.verifier_for("Alice")
+
+    def test_replacing_the_root_checks_the_signature_again(self):
+        ca, root, store, _ = self._store()
+        store.verifier_for("Alice")
+        replacement = _CountingVerifier(ca.verifier)
+        store.trust_authority("RootCA", replacement)
+        store.verifier_for("Alice")
+        assert (root.checks, replacement.checks) == (1, 1)
+        store.verifier_for("Alice")
+        assert replacement.checks == 1
+        # A root that did not sign the stored certificate no longer resolves it.
+        store.trust_authority("RootCA", _CountingVerifier(OTHER.verifier()))
+        with pytest.raises(CertificateError, match="invalid issuer signature"):
+            store.verifier_for("Alice")
+
+    def test_re_adding_a_certificate_checks_and_replaces_the_key(self):
+        ca, root, store, _ = self._store()
+        alice = store.verifier_for("Alice")
+        store.add_certificate(ca.issue("Alice", OTHER.public_key))
+        assert root.checks == 2
+        rekeyed = store.verifier_for("Alice")
+        assert rekeyed is not alice
+        signature = OTHER.signer().sign({"m": 1})
+        assert rekeyed.verify({"m": 1}, signature)
+        assert not alice.verify({"m": 1}, signature)
+
+    def test_untrusting_is_not_masked_by_the_memo(self):
+        _, _, store, _ = self._store()
+        store.verifier_for("Alice")
+        del store._roots["RootCA"]
+        with pytest.raises(CertificateError, match="untrusted"):
+            store.verifier_for("Alice")
+
+    def test_mutating_callers_key_dict_cannot_change_the_key_used(self):
+        _, root, store, cert = self._store()
+        signature = KEYPAIR.signer().sign({"m": 1})
+        cert.public_key.update(OTHER.public_key.to_dict())  # same dict object
+        verifier = store.verifier_for("Alice")
+        assert verifier.verify({"m": 1}, signature)
+        assert not verifier.verify({"m": 1}, OTHER.signer().sign({"m": 1}))
+        # A fresh check of the mutated certificate fails its signature.
+        with pytest.raises(CertificateError, match="invalid issuer signature"):
+            store.check_certificate(cert)
+
+
 class TestTimestamps:
     def test_stamp_and_verify(self):
         clock = VirtualClock(123.456)

@@ -3,6 +3,7 @@ and the clock/error-handling fixes that shipped with it."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core import (
     submit_transaction,
 )
 from repro.core.object import B2BObject
-from repro.core.runtime import SimRuntime
+from repro.core.runtime import SimRuntime, ThreadedRuntime
 from repro.errors import ConfigurationError, PipelineSaturatedError
 from repro.obs.live.flight import FlightRecorder
 from repro.obs.recording import RecordingInstrumentation
@@ -245,6 +246,57 @@ class TestShardedCommunity:
             assert counters.get(f"shards.settled.s{index}", 0) > 0
         report = render_snapshot(snapshot)
         assert "== shard scheduler ==" in report
+
+
+class TestShardWorkersShareOnePartyStores:
+    """Two shard workers of one party append to one evidence log, one
+    journal and one checkpoint store; each append must stay atomic."""
+
+    def test_evidence_chain_survives_concurrent_shards_over_sockets(self):
+        runtime = ThreadedRuntime()
+        community = Community(["Org1", "Org2", "Org3"], runtime=runtime,
+                              retransmit_interval=2.0, num_shards=2)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make the workers interleave for real
+        try:
+            names = community.names()
+            objects = [f"obj-{i}" for i in range(6)]
+            for object_name in objects:
+                community.found_object(
+                    object_name, {name: DictB2BObject() for name in names})
+            spread = community.node("Org1").shards.map.spread(objects)
+            assert len(spread) == 2 and len(objects) >= 4
+            # Each object has one proposer (no busy vetoes), proposers
+            # differ between objects, and every party responds on both
+            # of its shards at once.
+            tickets = []
+            for round_index in range(12):
+                for index, object_name in enumerate(objects):
+                    proposer = community.node(names[index % len(names)])
+                    tickets.append(proposer.submit_update(
+                        object_name, {f"k{round_index}": round_index}))
+            assert len(tickets) >= 60
+            for ticket in tickets:
+                assert ticket.wait_signal(30.0), "update did not settle"
+                assert ticket.valid
+            expected = {f"k{i}": i for i in range(12)}
+
+            def converged() -> bool:
+                return all(
+                    community.node(name).party.session(obj).state.agreed_state
+                    == expected for name in names for obj in objects)
+
+            assert runtime.wait_until(converged, timeout=30.0)
+            for name in names:
+                ctx = community.node(name).ctx
+                assert ctx.evidence.verify_chain() == len(ctx.evidence)
+                assert ctx.journal.open_runs() == set()
+                for object_name in objects:
+                    latest = ctx.checkpoints.latest(object_name)
+                    assert latest is not None and latest.state == expected
+        finally:
+            sys.setswitchinterval(switch_interval)
+            community.close()
 
 
 # ---------------------------------------------------------------------------
