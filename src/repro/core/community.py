@@ -288,6 +288,7 @@ class Community:
             raise ConfigurationError(f"unknown organisation {name!r}")
         old.endpoint.stop()
         old.shards.stop()
+        old.ctx.commit()
         node = OrganisationNode(
             old.ctx, self.runtime,
             certificate_resolver=old.party.certificate_resolver,
@@ -305,6 +306,8 @@ class Community:
         for node in self.nodes.values():
             node.shards.stop()
         self.runtime.close()
+        for node in self.nodes.values():
+            node.ctx.commit()
 
 
 class _SimNetworkClock(Clock):

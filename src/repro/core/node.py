@@ -62,6 +62,10 @@ class OrganisationNode:
                  shard_run_slots: "int | None" = None,
                  shard_max_depth: "int | None" = None) -> None:
         self.ctx = ctx
+        # This node is where a record's consequences leave the party
+        # (_process_output), so it owes the commit barrier there and may
+        # let appends queue until then.
+        ctx.adopt_stores()
         self.runtime = runtime
         self.certificate = certificate
         self.party = ProtocolParty(ctx, certificate_resolver=certificate_resolver)
@@ -154,6 +158,7 @@ class OrganisationNode:
                     **extra,
                 )
                 engine = self.party.session(object_name).state
+                self.ctx.commit()  # the genesis checkpoints
                 self.readcache.publish(object_name, engine.agreed_state,
                                        engine.agreed_sid.to_dict())
             self.controllers[object_name] = controller
@@ -561,6 +566,13 @@ class OrganisationNode:
         # shard locks transiently and listener callbacks (the gateway)
         # take the node lock, so arriving here with one held would
         # invert the node -> shard order.
+        #
+        # The write-ahead rule: every record the handlers appended is on
+        # disk before a message leaves, a ticket resolves or a snapshot
+        # is published.  An output with neither leaves its records
+        # queued for the next barrier.
+        if output.messages or output.events:
+            self.ctx.commit()
         for recipient, message in output.messages:
             if self.outbound_interceptor is not None:
                 for actual_recipient, actual in self.outbound_interceptor(

@@ -386,11 +386,14 @@ class Instrumentation:
                       seconds: float) -> None:
         """A key pair was generated after *attempts* prime draws."""
 
-    # -- storage (journal.py / log.py) -------------------------------------
+    # -- storage (journal.py / log.py / protocol/context.py) ---------------
 
     def journal_append(self, party: str, run_id: str, direction: str,
                        size: int, seconds: float) -> None:
-        """One message record was appended to the journal store."""
+        """One record was appended to the journal store: a message, or
+        a run's close record (*direction* ``"close"``).  *seconds*
+        covers encoding and, for a store outside a commit group, the
+        fsync; a party's barrier reports through :meth:`storage_sync`."""
 
     def journal_closed(self, party: str, run_id: str, outcome: str) -> None:
         """A run's journal was closed with *outcome*."""
@@ -398,6 +401,12 @@ class Instrumentation:
     def evidence_append(self, party: str, kind: str, size: int,
                         seconds: float) -> None:
         """One entry was appended to the non-repudiation log."""
+
+    def storage_sync(self, party: str, files: int, records: int,
+                     seconds: float) -> None:
+        """One commit barrier made *records* queued records durable by
+        writing and fsyncing *files* of the party's three stores.  A
+        barrier that found nothing queued is not reported."""
 
     # -- dispute resolution (dispute.py) -----------------------------------
 

@@ -51,6 +51,7 @@ class RecordingInstrumentation(Instrumentation):
         self._frame_instruments: "dict[tuple[str, str], tuple]" = {}
         self._journal_instruments: "tuple | None" = None
         self._evidence_instruments: "tuple | None" = None
+        self._sync_instruments: "tuple | None" = None
         self._sign_instruments: "tuple | None" = None
         self._verify_instruments: "tuple | None" = None
         self._causal_counter = None
@@ -496,6 +497,20 @@ class RecordingInstrumentation(Instrumentation):
         instruments[0].inc()
         instruments[1].inc(size)
         instruments[2].observe(seconds)
+
+    def storage_sync(self, party, files, records, seconds):
+        instruments = self._sync_instruments
+        if instruments is None:
+            instruments = self._sync_instruments = (
+                self.registry.counter("storage.syncs"),
+                self.registry.counter("storage.files_synced"),
+                self.registry.histogram("storage.sync_seconds"),
+                self.registry.histogram("storage.records_per_sync"),
+            )
+        instruments[0].inc()
+        instruments[1].inc(files)
+        instruments[2].observe(seconds)
+        instruments[3].observe(records)
 
     # -- dispute resolution ------------------------------------------------
 

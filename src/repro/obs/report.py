@@ -212,9 +212,20 @@ def _storage_section(snapshot: dict) -> str:
          _c(snapshot, "storage.evidence.bytes"),
          _ms(evidence["p95"])],
     ]
-    return "== storage ==\n" + format_table(
-        ["store", "appends", "bytes", "append p95 ms"], rows
-    )
+    table = format_table(["store", "appends", "bytes", "append p95 ms"], rows)
+    syncs = _c(snapshot, "storage.syncs")
+    if syncs:
+        # Appends to a party's stores only queue; the barrier is where
+        # the fsync wait is.
+        sync = _h(snapshot, "storage.sync_seconds")
+        table += "\n" + format_table(
+            ["commit barriers", "files synced", "records/barrier p50",
+             "barrier p50 ms", "barrier p95 ms"],
+            [[syncs, _c(snapshot, "storage.files_synced"),
+              _h(snapshot, "storage.records_per_sync")["p50"],
+              _ms(sync["p50"]), _ms(sync["p95"])]],
+        )
+    return "== storage ==\n" + table
 
 
 def _run_section(snapshot: dict) -> str:

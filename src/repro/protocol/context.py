@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -10,6 +11,7 @@ from repro.crypto.signature import Signer, Verifier
 from repro.crypto.timestamp import TimestampService
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.obs.trace import PartyTraceContext
+from repro.storage.backends import RecordStore
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.journal import MessageJournal
 from repro.storage.log import NonRepudiationLog
@@ -53,3 +55,42 @@ class PartyContext:
             self.checkpoints = CheckpointStore()
         if self.tsa is not None and self.tsa_verifier is None:
             self.tsa_verifier = self.tsa.verifier
+
+    def _stores(self) -> "tuple[RecordStore, RecordStore, RecordStore]":
+        return (self.evidence.store, self.checkpoints.store,
+                self.journal.store)
+
+    def adopt_stores(self) -> None:
+        """Form this party's commit group from its three stores.
+
+        From here on an append only queues its record and :meth:`commit`
+        is what makes it durable, so whoever adopts the stores owes a
+        ``commit`` before any consequence of a record leaves the party.
+        """
+        for store in self._stores():
+            store.deferred = True
+
+    def commit(self) -> None:
+        """The write-ahead barrier: make every record appended so far
+        durable, evidence first, then checkpoints, then the journal.
+
+        The journal goes last because it is what recovery reads first: a
+        run it shows closed is never looked at again, so the decision
+        evidence and the checkpoint that close implies must already be
+        on disk; a run it shows open is re-driven, which re-creates
+        whatever the crash cut off.  Handlers append in the same order,
+        and the extent of each file's sync is fixed last file first, so
+        a shard worker appending beside this commit cannot get a journal
+        record inside the barrier whose evidence or checkpoint is
+        outside it.
+        """
+        stores = self._stores()
+        extents = [len(store) for store in reversed(stores)][::-1]
+        started = time.perf_counter()
+        synced = [store.sync(extent)
+                  for store, extent in zip(stores, extents)]
+        if self.obs.enabled and any(synced):
+            self.obs.storage_sync(
+                self.party_id, sum(1 for count in synced if count),
+                sum(synced), time.perf_counter() - started,
+            )

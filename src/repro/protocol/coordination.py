@@ -660,6 +660,17 @@ class StateCoordinationEngine(EngineBase):
         run_id = self._state_run_id(new_sid)
         self._trace_receive(run_id, PHASE_M2, sender, message)
         run = self._runs.get(run_id)
+        commit = (self._journalled_commit(run_id, responder)
+                  if run is None else None)
+        if commit is not None:
+            # A run we closed before a restart: the responder evidently
+            # missed m3, which the journal still holds.
+            if self._verify_part(response, responder, "state response",
+                                 output, run_id):
+                self._trace_send(run_id, PHASE_M3, commit, [responder])
+                output.send(responder, commit)
+                self._obs_message(run_id, PHASE_M3, SENT, commit)
+            return output
         if run is None or run.role != ROLE_PROPOSER:
             # A response to a run we never proposed: either stale or forged.
             self._misbehaviour(output, responder, "unsolicited-response",
@@ -700,6 +711,17 @@ class StateCoordinationEngine(EngineBase):
         if set(run.responses) == set(run.recipients):
             self._complete_as_proposer(run, output)
         return output
+
+    def _journalled_commit(self, run_id: str,
+                           recipient: str) -> "Optional[dict]":
+        """The ``m3`` this party journalled as sent to *recipient*."""
+        if not self.ctx.journal.knows(run_id):
+            return None  # spare the scan for runs that were never ours
+        for record in self.ctx.journal.messages(run_id):
+            if (record["direction"] == SENT and record["peer"] == recipient
+                    and record["message"].get("msg_type") == COMMIT):
+                return record["message"]
+        return None
 
     def _aggregate_decisions(self, responses: "list[SignedPart]",
                              own_decision: "Decision | None" = None
@@ -975,7 +997,6 @@ class StateCoordinationEngine(EngineBase):
         # The event keeps plain data; the log entry splices the parts.
         self._log_evidence("authenticated-decision", spliced(
             evidence, proposal=run.proposal, responses=responses))
-        self._close_journal(run.run_id, run.outcome)
         self._release(run.proposal, run.own_response, *run.responses.values())
 
         if valid:
@@ -986,6 +1007,11 @@ class StateCoordinationEngine(EngineBase):
             self.ctx.checkpoints.save(
                 self.object_name, self.agreed_sid.to_dict(), self.agreed_state
             )
+        # The close is the run's last record: recovery never looks at a
+        # closed run again, so the decision evidence and the checkpoint
+        # go first (the order PartyContext.commit syncs the files in).
+        self._close_journal(run.run_id, run.outcome)
+        if valid:
             output.emit(StateInstalled(
                 object_name=self.object_name,
                 state_id=self.agreed_sid.to_dict(),
@@ -1076,11 +1102,25 @@ class StateCoordinationEngine(EngineBase):
           journalled proposal (decisions are recomputed; deterministic
           validators yield byte-identical responses, which peers
           de-duplicate).
+
+        The journal is the last file a commit barrier syncs, so a crash
+        inside a barrier can leave it behind the evidence log and the
+        checkpoints, never ahead of them:
+
+        * evidence of a proposal whose run the journal does not know was
+          cut off before anything was answered, and does not count as
+          seen;
+        * an open run whose state the checkpoint already holds was
+          decided and installed; it is closed from the decision evidence
+          (the proposer delivers ``m3`` first — it may never have left).
         """
         output = Output()
         self._recover_seen_proposals()
         for run_id in sorted(self.ctx.journal.open_runs()):
             if run_id in self._runs:
+                continue
+            if run_id == self._state_run_id(self.agreed_sid):
+                self._finish_installed_run(run_id, output)
                 continue
             messages = self.ctx.journal.messages(run_id)
             if not messages:
@@ -1112,9 +1152,35 @@ class StateCoordinationEngine(EngineBase):
                 break
         return output
 
+    def _finish_installed_run(self, run_id: str, output: Output) -> None:
+        """Close an open run whose new state is the checkpointed one."""
+        decision = self.ctx.evidence.find(
+            "authenticated-decision", run_id=run_id, valid=True)
+        if decision is None:
+            # Not reachable through a commit barrier (evidence is synced
+            # before the checkpoint); leave the run to the operator.
+            return
+        proposal = SignedPart.from_dict(decision.payload["proposal"])
+        if proposal.signer == self.party_id:
+            responses = [SignedPart.from_dict(raw)
+                         for raw in decision.payload["responses"]]
+            recipients = [part.signer for part in responses]
+            commit = commit_message(
+                self.object_name, self.agreed_sid,
+                bytes(decision.payload["auth"]), proposal, responses)
+            self._trace_send(run_id, PHASE_M3, commit, recipients)
+            for recipient in recipients:
+                self._journal_sent(run_id, recipient, commit)
+                output.send(recipient, commit)
+            self._obs_message(run_id, PHASE_M3, SENT, commit,
+                              count=len(recipients))
+        self._close_journal(run_id, OUTCOME_VALID)
+
     def _recover_seen_proposals(self) -> None:
         for kind in ("proposal-sent", "proposal-received"):
             for entry in self.ctx.evidence.entries(kind):
+                if not self.ctx.journal.knows(str(entry.payload.get("run_id"))):
+                    continue
                 proposal = entry.payload.get("proposal", {})
                 payload = proposal.get("payload", {}) if isinstance(
                     proposal, dict) else {}

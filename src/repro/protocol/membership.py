@@ -1060,7 +1060,6 @@ class MembershipEngine(EngineBase):
         }
         self._log_evidence("authenticated-decision", spliced(
             evidence, proposal=run.proposal, responses=responses))
-        self._close_journal(run.run_id, run.outcome)
         self._release(run.proposal, run.request, run.own_response,
                       *run.responses.values())
         if valid:
@@ -1072,6 +1071,9 @@ class MembershipEngine(EngineBase):
                  "gid": run.new_gid.to_dict(),
                  "sponsor_mode": self.group.sponsor_mode},
             )
+        # Closed last, as in StateCoordinationEngine._settle.
+        self._close_journal(run.run_id, run.outcome)
+        if valid:
             output.emit(MembershipChanged(
                 object_name=self.object_name,
                 change=run.kind,

@@ -2,31 +2,52 @@
 
 The storage substrate persists three kinds of records (evidence log
 entries, state checkpoints, journalled protocol messages).  All three sit
-on this minimal append/scan abstraction, with an in-memory backend for
-simulation and a crash-safe file backend (JSON-lines with fsync) for real
-deployments and recovery tests.
+on this minimal append/sync/scan abstraction, with an in-memory backend
+for simulation and a crash-safe file backend (JSON-lines with fsync) for
+real deployments and recovery tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import Iterator
+import threading
+from typing import Iterable, Iterator
 
 from repro.errors import StorageError
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
 
 
 class RecordStore:
-    """Append-only sequence of canonical-encodable records."""
+    """Append-only sequence of canonical-encodable records.
+
+    ``append`` hands a record to the store; ``sync`` is the durability
+    barrier: on return, every record appended before the call survives
+    a crash.  A store that is not :attr:`deferred` runs the barrier
+    itself at the end of each ``append``.
+    """
 
     #: Encoded size in bytes of the most recent append.  Stores encode
     #: every record anyway, so instrumentation reads this instead of
     #: re-serialising the record just to size it.
     last_append_size = 0
 
+    #: Set by the commit group that adopts the store (see
+    #: :meth:`repro.protocol.context.PartyContext.adopt_stores`): the
+    #: adopter calls ``sync`` before anything that depends on a record
+    #: becomes visible, so ``append`` need not.
+    deferred = False
+
     def append(self, record: dict) -> int:
         """Persist *record*, returning its zero-based index."""
         raise NotImplementedError
+
+    def sync(self, upto: "int | None" = None) -> int:
+        """Make the first *upto* records (default: all) durable.
+
+        Returns how many records this call made durable.
+        """
+        return 0
 
     def scan(self) -> "Iterator[dict]":
         """Iterate every record in append order."""
@@ -64,10 +85,16 @@ class MemoryRecordStore(RecordStore):
 class FileRecordStore(RecordStore):
     """Crash-safe JSON-lines file store.
 
-    Each record is one canonical-JSON line, flushed and fsync'd on append
-    (non-repudiation evidence must survive the crash-recovery model of
-    section 4.2).  On open, a trailing partial line from a mid-write crash
-    is detected and truncated away.
+    Each record is one canonical-JSON line.  ``append`` encodes and
+    queues the line; ``sync`` writes the queued lines and fsyncs the
+    file (non-repudiation evidence must survive the crash-recovery model
+    of section 4.2).  A standalone store syncs at the end of every
+    ``append``, so a record is durable when ``append`` returns; a store
+    adopted into a party's commit group is synced by that party's
+    barrier.  Nothing of a queued record reaches the file before its
+    barrier, so the order in which a party syncs its stores is the order
+    in which their records can reach the disk.  On open, a trailing
+    partial line from a mid-write crash is detected and truncated away.
     """
 
     def __init__(self, path: str, fsync: bool = True) -> None:
@@ -76,51 +103,99 @@ class FileRecordStore(RecordStore):
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._count = self._repair_and_count()
+        created = not os.path.exists(path)
+        #: Records in the file; the queue holds the ones after them.
+        self._written = 0 if created else self._repair_and_count()
+        self._queue: "list[bytes]" = []
         self._file = open(path, "ab")
+        if created and fsync:
+            # The file's records are only as durable as its directory
+            # entry.
+            _fsync_path(directory or ".")
+        # _lock guards the queue and the count; _sync_lock admits one
+        # writer, so a sync that finds the queue empty returns only
+        # after the sync that emptied it has reached the disk.
+        self._lock = threading.Lock()
+        self._sync_lock = threading.Lock()
 
     def _repair_and_count(self) -> int:
-        if not os.path.exists(self._path):
-            return 0
         with open(self._path, "rb") as handle:
             data = handle.read()
-        if not data:
-            return 0
-        if not data.endswith(b"\n"):
-            # A crash interrupted the final append; the record never became
-            # durable, so drop the partial line.
-            keep = data.rfind(b"\n") + 1
-            with open(self._path, "wb") as handle:
-                handle.write(data[:keep])
-            data = data[:keep]
+        if data and not data.endswith(b"\n"):
+            # A crash interrupted the final write; the record never became
+            # durable, so drop the partial line.  Truncating in place
+            # leaves every complete record untouched on disk whatever
+            # happens during the repair.
+            data = data[:data.rfind(b"\n") + 1]
+            os.truncate(self._path, len(data))
+            if self._fsync:
+                _fsync_path(self._path)
         return data.count(b"\n")
 
     def append(self, record: dict) -> int:
         line = canonical_bytes(record) + b"\n"
         self.last_append_size = len(line) - 1
-        self._file.write(line)
+        with self._lock:
+            self._queue.append(line)
+            index = self._written + len(self._queue) - 1
+        if not self.deferred:
+            self.sync()
+        return index
+
+    def sync(self, upto: "int | None" = None) -> int:
+        with self._sync_lock:
+            with self._lock:
+                count = len(self._queue)
+                if upto is not None:
+                    count = max(0, min(count, upto - self._written))
+                lines = self._queue[:count]
+            if not lines:
+                return 0
+            self._write(b"".join(lines))
+            with self._lock:
+                del self._queue[:count]
+                self._written += count
+            return count
+
+    def _write(self, data: bytes) -> None:
+        self._file.write(data)
         self._file.flush()
         if self._fsync:
             os.fsync(self._file.fileno())
-        index = self._count
-        self._count += 1
-        return index
 
     def scan(self) -> "Iterator[dict]":
-        self._file.flush()
+        with self._lock:
+            written, queued = self._written, list(self._queue)
+        # Only the first *written* lines: a sync running beside this
+        # scan may already have put queued lines into the file.
         with open(self._path, "rb") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield from_canonical_bytes(line)
-                except ValueError as exc:
-                    raise StorageError(f"corrupt record in {self._path}: {exc}") from exc
+            yield from self._decode(itertools.islice(handle, written))
+        yield from self._decode(queued)
+
+    def _decode(self, lines: "Iterable[bytes]") -> "Iterator[dict]":
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield from_canonical_bytes(line)
+            except ValueError as exc:
+                raise StorageError(f"corrupt record in {self._path}: {exc}") from exc
 
     def __len__(self) -> int:
-        return self._count
+        with self._lock:
+            return self._written + len(self._queue)
 
     def close(self) -> None:
         if not self._file.closed:
+            self.sync()
             self._file.close()
+
+
+def _fsync_path(path: str) -> None:
+    """fsync a file or directory by path."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

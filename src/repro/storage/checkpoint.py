@@ -64,6 +64,12 @@ class CheckpointStore:
                 self._history_len.get(checkpoint.object_name, 0) + 1
             )
 
+    @property
+    def store(self) -> RecordStore:
+        """The backend holding the records (a party syncs it in its
+        commit barrier)."""
+        return self._store
+
     def save(self, object_name: str, state_id: dict, state: Any) -> Checkpoint:
         """Checkpoint a newly agreed state."""
         sequence = int(state_id.get("seq", -1))

@@ -37,6 +37,12 @@ class MessageJournal:
         for record in self._store.scan():
             self._apply(record)
 
+    @property
+    def store(self) -> RecordStore:
+        """The backend holding the records (a party syncs it in its
+        commit barrier)."""
+        return self._store
+
     def _apply(self, record: dict) -> None:
         run_id = record["run_id"]
         if record["event"] == "close":
@@ -57,12 +63,16 @@ class MessageJournal:
             "peer": peer,
             "message": message,
         }
+        self._append(record, direction)
+
+    def _append(self, record: dict, direction: str) -> None:
         with self._lock:
             if self._obs.enabled:
                 started = time.perf_counter()
                 self._store.append(record)
                 self._obs.journal_append(
-                    self.owner, run_id, direction, self._store.last_append_size,
+                    self.owner, record["run_id"], direction,
+                    self._store.last_append_size,
                     time.perf_counter() - started,
                 )
             else:
@@ -72,9 +82,7 @@ class MessageJournal:
     def close_run(self, run_id: str, outcome: str) -> None:
         """Mark a protocol run finished (valid / invalid / aborted)."""
         record = {"event": "close", "run_id": run_id, "outcome": outcome}
-        with self._lock:
-            self._store.append(record)
-            self._apply(record)
+        self._append(record, "close")
         if self._obs.enabled:
             self._obs.journal_closed(self.owner, run_id, outcome)
 
@@ -85,6 +93,10 @@ class MessageJournal:
 
     def is_open(self, run_id: str) -> bool:
         return run_id in self._open_runs
+
+    def knows(self, run_id: str) -> bool:
+        """Whether any record of *run_id* was ever journalled."""
+        return run_id in self._open_runs or run_id in self._closed_runs
 
     def messages(self, run_id: str) -> "list[dict]":
         """All journalled message records for one run, in order."""

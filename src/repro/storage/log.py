@@ -85,6 +85,12 @@ class NonRepudiationLog:
             self._count += 1
 
     @property
+    def store(self) -> RecordStore:
+        """The backend holding the records (a party syncs it in its
+        commit barrier)."""
+        return self._store
+
+    @property
     def head(self) -> bytes:
         """Hash of the most recent entry (GENESIS_HASH when empty)."""
         return self._head

@@ -1,0 +1,663 @@
+"""Group commit: durability is a property of a party's barrier.
+
+``PartyContext.commit`` writes and fsyncs the party's evidence log,
+checkpoints and journal, in that order, and ``OrganisationNode`` runs it
+before a message leaves, an event is dispatched or a snapshot is
+published.  These tests pin that contract from both sides: nothing gets
+ahead of its records, and every file state a crash can leave between
+two barriers recovers.
+"""
+
+from __future__ import annotations
+
+import builtins
+import dataclasses
+import functools
+import os
+import stat
+import sys
+import threading
+
+import pytest
+
+import tests.test_shards as shard_tests
+from repro.core import Community, DictB2BObject, SimRuntime
+from repro.core.runtime import ThreadedRuntime
+from repro.obs.recording import RecordingInstrumentation
+from repro.obs.report import render_snapshot
+from repro.protocol.context import PartyContext
+from repro.protocol.coordination import MODE_UPDATE_BATCH
+from repro.protocol.events import RunCompleted
+from repro.storage import (
+    CheckpointStore,
+    FileRecordStore,
+    MemoryRecordStore,
+    MessageJournal,
+    NonRepudiationLog,
+    backends,
+)
+from repro.transport.inmemory import LinkProfile
+from tests.test_shards import PickyObject
+
+KINDS = ("evidence", "checkpoints", "journal")
+
+
+# ---------------------------------------------------------------------------
+# (a) the barrier contract
+# ---------------------------------------------------------------------------
+
+class RecordingStore(MemoryRecordStore):
+    """Remembers which thread appended each record and how far a sync
+    has reached, so a probe can ask what a thread still has queued."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.owners: "list[int]" = []
+        self.durable = 0
+        self.deepest_queue = 0
+
+    def append(self, record: dict) -> int:
+        index = super().append(record)
+        self.owners.append(threading.get_ident())
+        if not self.deferred:
+            self.durable = len(self)
+        self.deepest_queue = max(self.deepest_queue, len(self) - self.durable)
+        return index
+
+    def sync(self, upto: "int | None" = None) -> int:
+        extent = len(self) if upto is None else min(upto, len(self))
+        made = max(0, extent - self.durable)
+        self.durable += made
+        return made
+
+    def queued_by_this_thread(self) -> int:
+        return self.owners[self.durable:].count(threading.get_ident())
+
+
+class RecordingCommunity(Community):
+    def _record_store(self, name: str, kind: str) -> RecordingStore:
+        return RecordingStore()
+
+
+class BarrierProbe:
+    """Checks, at every point where a record's consequence becomes
+    visible, that the acting thread has nothing queued at its party."""
+
+    def __init__(self, community: Community) -> None:
+        self.violations: "list[str]" = []
+        self.seen = {"send": 0, "event": 0, "publish": 0}
+        for node in community.nodes.values():
+            self._watch(node)
+
+    def _watch(self, node) -> None:
+        stores = [getattr(node.ctx, kind).store for kind in KINDS]
+
+        def check(what: str, detail: str) -> None:
+            self.seen[what] += 1
+            queued = sum(store.queued_by_this_thread() for store in stores)
+            if queued:
+                self.violations.append(
+                    f"{node.party_id}: {what} {detail} with {queued} "
+                    f"records not yet synced")
+
+        send, publish = node.endpoint.send, node.readcache.publish
+
+        def checked_send(recipient, message):
+            check("send", f"{message.get('msg_type')} to {recipient}")
+            return send(recipient, message)
+
+        def checked_publish(object_name, *args, **kwargs):
+            check("publish", object_name)
+            return publish(object_name, *args, **kwargs)
+
+        node.endpoint.send = checked_send
+        node.readcache.publish = checked_publish
+        node.add_listener(lambda event: check("event", type(event).__name__))
+
+
+def _runtime(kind: str):
+    if kind == "sim":
+        return SimRuntime(seed=5, profile=LinkProfile(latency=0.005))
+    return ThreadedRuntime()
+
+
+@pytest.mark.parametrize("runtime_kind", ["sim", "sockets"])
+def test_nothing_becomes_visible_ahead_of_its_records(runtime_kind):
+    names = ["Org1", "Org2", "Org3", "Org4"]
+    founders = names[:3]
+    community = RecordingCommunity(names, runtime=_runtime(runtime_kind),
+                                   retransmit_interval=2.0, num_shards=2)
+    try:
+        probe = BarrierProbe(community)
+        for object_name in ("alpha", "beta"):
+            community.found_object(
+                object_name, {name: PickyObject() for name in founders})
+        node = community.node("Org1")
+
+        def settle(*tickets):
+            for ticket in tickets:
+                assert node.wait_for_pipeline(ticket, 30.0), "did not settle"
+
+            def quiet() -> bool:
+                engines = [community.node(name).party.session(obj).state
+                           for name in founders for obj in ("alpha", "beta")]
+                return (not any(engine.busy for engine in engines)
+                        and len({(e.object_name, e.agreed_sid.seq)
+                                 for e in engines}) == 2)
+
+            assert community.runtime.wait_until(quiet, 30.0)
+
+        # A valid run and a vetoed one.
+        valid = node.submit_update("alpha", {"n": 1})
+        settle(valid)
+        vetoed = node.submit_update("alpha", {"n": -1})
+        settle(vetoed)
+        assert valid.valid and vetoed.valid is False
+        # A burst: the first update is its own run, the rest are
+        # coalesced into update_batch runs behind it.
+        burst = [node.submit_update("alpha", {"n": 1}) for _ in range(6)]
+        settle(*burst)
+        assert all(ticket.valid for ticket in burst)
+        engine = node.party.session("alpha").state
+        assert any(run.mode == MODE_UPDATE_BATCH for run in engine.runs())
+        # A composite across both objects.
+        composite = node.submit_composite({"alpha": {"n": 2}, "beta": {"n": 3}})
+        settle(*composite.children.values())
+        assert composite.valid and not composite.partial
+        # A join.
+        community.node("Org4").connect("alpha", PickyObject(), via="Org1")
+        assert community.node("Org4").party.session("alpha").group.members \
+            == names
+
+        assert probe.violations == []
+        assert all(count > 0 for count in probe.seen.values()), probe.seen
+        # Appends really were deferred: some barrier covered a handler's
+        # worth of records, not one.
+        stores = [getattr(node.ctx, kind).store for kind in KINDS]
+        assert all(store.deferred for store in stores)
+        assert max(store.deepest_queue for store in stores) >= 2
+    finally:
+        community.close()
+    # Closing the community is the last barrier.
+    assert all(store.durable == len(store) for store in stores)
+
+
+class TestCommitOrder:
+    def _context(self, stores: dict) -> PartyContext:
+        ctx = PartyContext(
+            party_id="P", signer=None, resolver=None,
+            evidence=NonRepudiationLog("P", stores["evidence"]),
+            checkpoints=CheckpointStore(stores["checkpoints"]),
+            journal=MessageJournal("P", stores["journal"]),
+        )
+        ctx.adopt_stores()
+        return ctx
+
+    @staticmethod
+    def _one_settlement(ctx: PartyContext, seq: int) -> None:
+        """What one settling handler appends, in its order."""
+        run_id = f"run-{seq}"
+        ctx.journal.record_message(run_id, "received", "Q", {"n": seq})
+        ctx.evidence.record("authenticated-decision", {"run_id": run_id})
+        ctx.checkpoints.save("doc", {"seq": seq}, {"n": seq})
+        ctx.journal.close_run(run_id, "valid")
+
+    def test_files_are_synced_evidence_then_checkpoints_then_journal(self):
+        order = []
+
+        class Ordered(RecordingStore):
+            def __init__(self, kind: str) -> None:
+                super().__init__()
+                self.kind = kind
+
+            def sync(self, upto=None):
+                made = super().sync(upto)
+                if made:
+                    order.append(self.kind)
+                return made
+
+        ctx = self._context({kind: Ordered(kind) for kind in KINDS})
+        self._one_settlement(ctx, 1)
+        assert order == []  # adopted stores wait for the barrier
+        ctx.commit()
+        assert order == list(KINDS)
+        ctx.commit()
+        assert order == list(KINDS)  # nothing queued, nothing synced
+
+    def test_a_close_appended_beside_a_commit_waits_for_its_own_barrier(self):
+        """Another shard worker settles a run while this worker's commit
+        is between files: its close record must not become durable ahead
+        of the decision evidence the same handler appended."""
+        stores = {kind: RecordingStore() for kind in KINDS}
+        ctx = self._context(stores)
+        self._one_settlement(ctx, 1)
+        evidence_sync = stores["evidence"].sync
+
+        def sync_then_other_worker_settles(upto=None):
+            made = evidence_sync(upto)
+            self._one_settlement(ctx, 2)
+            return made
+
+        stores["evidence"].sync = sync_then_other_worker_settles
+        ctx.commit()
+        del stores["evidence"].sync
+        # Run 1 is durable everywhere; of run 2, whose evidence missed
+        # the barrier, nothing later than the evidence got in.
+        assert stores["evidence"].durable == 1
+        assert stores["checkpoints"].durable == 1
+        assert stores["journal"].durable == 2
+        ctx.commit()
+        assert all(store.durable == len(store) for store in stores.values())
+
+    def test_barrier_is_reported_to_observability(self, tmp_path):
+        obs = RecordingInstrumentation()
+        community = Community(["A", "B", "C"], runtime=SimRuntime(seed=3),
+                              storage_dir=str(tmp_path), obs=obs)
+        try:
+            community.found_object(
+                "doc", {name: DictB2BObject() for name in community.names()})
+            before = obs.registry.snapshot()["counters"]
+            ticket = community.node("A").submit_update("doc", {"k": 1})
+            community.settle(2.0)
+            assert ticket.valid
+            snapshot = obs.registry.snapshot()
+        finally:
+            community.close()
+        counters = snapshot["counters"]
+
+        def grew(name: str) -> int:
+            return counters.get(name, 0) - before.get(name, 0)
+
+        # Six barriers with records behind them: m1 and the last m2 at
+        # the proposer, m1 and m3 at each responder.
+        assert grew("storage.syncs") == 6
+        assert grew("storage.files_synced") == 15
+        # All 16 journal records of the run are counted, closes included.
+        assert grew("storage.journal.appends") == 16
+        assert grew("storage.journal.closed") == 3
+        assert grew("storage.evidence.appends") + 16 + 3 == 32
+        assert snapshot["histograms"]["storage.records_per_sync"]["count"] \
+            == counters["storage.syncs"]
+        assert "commit barriers" in render_snapshot(snapshot)
+
+
+# ---------------------------------------------------------------------------
+# (b) every crash state between two barriers recovers
+# ---------------------------------------------------------------------------
+
+class PowerCut(Exception):
+    """The victim's disk stopped taking writes."""
+
+
+class Power:
+    """How many more bytes the victim's stores may write."""
+
+    def __init__(self) -> None:
+        self.victim: "str | None" = None
+        self.budget: "int | None" = None
+        self.writes: "list[tuple[str, bytes]]" = []
+
+
+@pytest.fixture
+def power(monkeypatch):
+    power = Power()
+
+    class CuttableStore(FileRecordStore):
+        def _write(self, data: bytes) -> None:
+            party = os.path.basename(os.path.dirname(self._path))
+            if party != power.victim:
+                return super()._write(data)
+            power.writes.append((os.path.basename(self._path), data))
+            if power.budget is not None:
+                if power.budget <= len(data):
+                    # The cut may fall inside a line (a torn tail), on a
+                    # record boundary, or right after a file's last
+                    # byte — before the next file, or before the sends.
+                    super()._write(data[:power.budget])
+                    power.budget = 0
+                    raise PowerCut()
+                power.budget -= len(data)
+            super()._write(data)
+
+    monkeypatch.setattr(backends, "FileRecordStore", CuttableStore)
+    # The cut is simulated at the write; real fsyncs would only slow the
+    # sweep down.
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    return power
+
+
+class CrashSweep:
+    """One 3-party update, with one party losing power at a chosen byte
+    of everything it writes during that update."""
+
+    names = ["A", "B", "C"]
+
+    def __init__(self, root, power: Power, obs=None) -> None:
+        self.root, self.power, self.trials, self.obs = root, power, 0, obs
+
+    def _community(self) -> "tuple[Community, str]":
+        self.trials += 1
+        directory = str(self.root / f"trial-{self.trials}")
+        self.power.victim = self.power.budget = None
+        community = Community(
+            self.names, storage_dir=directory, obs=self.obs,
+            runtime=SimRuntime(seed=7, profile=LinkProfile(latency=0.005)))
+        community.found_object(
+            "doc", {name: DictB2BObject() for name in self.names})
+        ticket = community.node("A").submit_update("doc", {"k0": 0})
+        community.settle(2.0)
+        assert ticket.valid
+        return community, directory
+
+    def _update(self, community: Community):
+        ticket = community.node("A").submit_update("doc", {"k1": 1})
+        community.settle(2.0)
+        return ticket
+
+    def cut_points(self, victim: str) -> "list[tuple[int, str]]":
+        """Every byte count worth cutting at, from an undisturbed run:
+        before each line, inside it, and after the victim's last."""
+        community, _ = self._community()
+        self.power.victim, self.power.writes = victim, []
+        try:
+            assert self._update(community).valid
+        finally:
+            community.close()
+        points, offset = [], 0
+        for file_name, data in self.power.writes:
+            for line in data.splitlines(keepends=True):
+                points.append((offset, f"before a line of {file_name}"))
+                points.append((offset + len(line) // 2,
+                               f"inside a line of {file_name}"))
+                offset += len(line)
+        points.append((offset, "after the last write"))
+        return points
+
+    def crash_and_recover(self, victim: str, budget: int) -> "list[str]":
+        community, directory = self._community()
+        problems = []
+        try:
+            self.power.victim, self.power.budget = victim, budget
+            with pytest.raises(PowerCut):
+                self._update(community)
+            self.power.victim = self.power.budget = None
+
+            # The process is gone: what survives is what the files hold.
+            old = community.node(victim)
+            old.crash()
+
+            def reopen(kind: str) -> FileRecordStore:
+                return FileRecordStore(
+                    os.path.join(directory, victim, f"{kind}.jsonl"))
+
+            old.ctx = dataclasses.replace(
+                old.ctx,
+                evidence=NonRepudiationLog(victim, reopen("evidence")),
+                checkpoints=CheckpointStore(reopen("checkpoints")),
+                journal=MessageJournal(victim, reopen("journal")),
+            )
+            node = community.restart_node(victim)
+            community.runtime.network.recover(victim)
+            node.ctx.evidence.verify_chain()
+            node.restore_object("doc", DictB2BObject())
+            # The peers notice the victim is back and re-drive the runs
+            # they still have in flight.
+            for name in self.names:
+                if name != victim:
+                    community.node(name).recover()
+            community.settle(60.0)
+
+            engines = {name: community.node(name).party.session("doc").state
+                       for name in self.names}
+            versions = {name: (engine.agreed_sid.seq, engine.agreed_state)
+                        for name, engine in engines.items()}
+            if len({repr(version) for version in versions.values()}) != 1:
+                problems.append(f"agreed versions differ: {versions}")
+            for name, engine in engines.items():
+                ctx = community.node(name).ctx
+                if engine.busy or ctx.journal.open_runs():
+                    problems.append(f"{name} is left with an open run")
+                if community.node(name).misbehaviour_reports:
+                    problems.append(f"{name} accuses a peer: "
+                                    f"{community.node(name).misbehaviour_reports}")
+                if ctx.evidence.verify_chain() != len(ctx.evidence):
+                    problems.append(f"{name}: evidence chain length")
+                latest = ctx.checkpoints.require_latest("doc")
+                if latest.state != engine.agreed_state:
+                    problems.append(f"{name}: checkpoint is not the agreed state")
+        finally:
+            community.close()
+        return problems
+
+
+@pytest.mark.parametrize("victim", CrashSweep.names)
+def test_every_crash_state_between_barriers_recovers(victim, tmp_path, power):
+    sweep = CrashSweep(tmp_path, power)
+    points = sweep.cut_points(victim)
+    # Proposer: m1 barrier (1 evidence + 3 journal lines) and the
+    # settling barrier (4 + 1 + 5); responders: 2 + 2 and 2 + 1 + 2.
+    assert len(points) == 2 * (14 if victim == "A" else 9) + 1
+    failures = {}
+    for budget, where in points:
+        problems = sweep.crash_and_recover(victim, budget)
+        if problems:
+            failures[f"{budget} bytes ({where})"] = problems
+    assert failures == {}
+
+
+def test_checkpoint_ahead_of_an_open_journal_run_is_finished_not_redone(
+        tmp_path, power):
+    """The regression the sweep found: a proposer that crashed with the
+    decision evidence and the checkpoint on disk but the journal still
+    open used to close the run as stale, so m3 never left and both
+    responders stayed blocked on an accepted proposal.  Run with
+    observability on, so the recovery sends are stamped and counted."""
+    sweep = CrashSweep(tmp_path, power, obs=RecordingInstrumentation())
+    points = sweep.cut_points("A")
+    budget = next(offset for offset, where in reversed(points)
+                  if where == "before a line of checkpoints.jsonl")
+    checkpoint_line = len(power.writes[3][1])
+    assert power.writes[3][0] == "checkpoints.jsonl"
+    assert sweep.crash_and_recover("A", budget + checkpoint_line) == []
+
+
+# ---------------------------------------------------------------------------
+# (c) shard workers of one party commit the same file stores concurrently
+# ---------------------------------------------------------------------------
+
+def test_shard_workers_share_one_partys_file_stores(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        shard_tests, "Community",
+        functools.partial(Community, storage_dir=str(tmp_path)))
+    shard_tests.TestShardWorkersShareOnePartyStores() \
+        .test_evidence_chain_survives_concurrent_shards_over_sockets()
+    expected = {f"k{i}": i for i in range(12)}
+    for name in ("Org1", "Org2", "Org3"):
+        stores = {kind: FileRecordStore(str(tmp_path / name / f"{kind}.jsonl"))
+                  for kind in KINDS}
+        try:
+            log = NonRepudiationLog(name, stores["evidence"])
+            assert log.verify_chain() == len(stores["evidence"]) > 0
+            assert MessageJournal(name, stores["journal"]).open_runs() == set()
+            checkpoints = CheckpointStore(stores["checkpoints"])
+            for index in range(6):
+                assert checkpoints.require_latest(f"obj-{index}").state \
+                    == expected
+        finally:
+            for store in stores.values():
+                store.close()
+
+
+def test_concurrent_appends_and_syncs_lose_and_reorder_nothing(tmp_path):
+    store = FileRecordStore(str(tmp_path / "shared.jsonl"), fsync=False)
+    store.deferred = True
+    workers, per_worker = 8, 150
+    errors = []
+
+    def work(worker: int) -> None:
+        try:
+            for n in range(per_worker):
+                index = store.append({"worker": worker, "n": n})
+                store.sync()
+                # Durable on return from the barrier: a reader that
+                # shares nothing with this store sees the record.
+                with open(store._path, "rb") as handle:
+                    assert sum(1 for _ in handle) > index
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    records = list(store.scan())
+    store.close()
+    assert len(records) == len(store) == workers * per_worker
+    for worker in range(workers):
+        assert [r["n"] for r in records if r["worker"] == worker] \
+            == list(range(per_worker))
+
+
+# ---------------------------------------------------------------------------
+# (d) who fsyncs, and how often
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every ``os.fsync`` call, as ``"dir"`` or ``"file"``."""
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestStandaloneStore:
+    def test_durable_on_return_from_append(self, tmp_path, fsyncs):
+        path = str(tmp_path / "log.jsonl")
+        store = FileRecordStore(path)
+        del fsyncs[:]
+        for n in range(3):
+            assert store.append({"n": n}) == n
+            assert fsyncs == ["file"] * (n + 1)
+            second = FileRecordStore(path)
+            assert [r["n"] for r in second.scan()] == list(range(n + 1))
+            second.close()
+        assert store.sync() == 0
+        assert fsyncs == ["file"] * 3
+        store.close()
+
+    def test_adopted_store_waits_for_sync_but_reads_its_own_writes(
+            self, tmp_path, fsyncs):
+        path = str(tmp_path / "log.jsonl")
+        store = FileRecordStore(path)
+        store.append({"n": 0})
+        store.deferred = True
+        del fsyncs[:]
+        assert [store.append({"n": n}) for n in (1, 2, 3)] == [1, 2, 3]
+        assert fsyncs == [] and os.path.getsize(path) == len(b'{"n":0}\n')
+        assert len(store) == 4
+        assert [r["n"] for r in store.scan()] == [0, 1, 2, 3]
+        assert store.sync(upto=2) == 1
+        assert os.path.getsize(path) == 2 * len(b'{"n":0}\n')
+        assert store.sync() == 2 and store.sync() == 0
+        assert fsyncs == ["file", "file"]
+        assert [r["n"] for r in store.scan()] == [0, 1, 2, 3]
+        store.append({"n": 4})
+        store.close()  # closing never drops a queued record
+        assert [r["n"] for r in FileRecordStore(path).scan()] == [0, 1, 2, 3, 4]
+
+    def test_creating_the_file_fsyncs_its_directory_once(self, tmp_path, fsyncs):
+        path = str(tmp_path / "party" / "evidence.jsonl")
+        FileRecordStore(path).close()
+        assert fsyncs == ["dir"]
+        FileRecordStore(path).close()
+        assert fsyncs == ["dir"]  # an existing file's entry is already safe
+        FileRecordStore(str(tmp_path / "volatile.jsonl"), fsync=False).close()
+        assert fsyncs == ["dir"]
+
+    def test_torn_tail_is_truncated_in_place(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "log.jsonl")
+        store = FileRecordStore(path)
+        store.append({"n": 0})
+        store.append({"n": 1})
+        store.close()
+        complete = open(path, "rb").read()
+        with open(path, "ab") as handle:
+            handle.write(b'{"n":2,"torn')
+        inode = os.stat(path).st_ino
+        modes = []
+        real_open = builtins.open
+
+        def spying_open(file, mode="r", *args, **kwargs):
+            if file == path:
+                modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spying_open)
+        repaired = FileRecordStore(path)
+        monkeypatch.undo()
+        # The complete records are never rewritten, so no crash during
+        # the repair can lose them: the file is only ever shortened.
+        assert not any(set(mode) & set("w+x") for mode in modes), modes
+        assert os.stat(path).st_ino == inode
+        assert open(path, "rb").read() == complete
+        assert len(repaired) == 2
+        assert repaired.append({"n": 2}) == 2
+        repaired.close()
+        assert [r["n"] for r in FileRecordStore(path).scan()] == [0, 1, 2]
+
+
+def test_fifteen_fsyncs_per_settled_three_party_update(tmp_path, fsyncs):
+    names = ["A", "B", "C"]
+    runtime = ThreadedRuntime()
+    community = Community(names, runtime=runtime, storage_dir=str(tmp_path),
+                          retransmit_interval=5.0)
+    try:
+        community.found_object(
+            "doc", {name: DictB2BObject() for name in names})
+        assert fsyncs.count("dir") == 9  # three new files per party
+
+        # Listeners hear of a settlement after its barrier, so three
+        # more RunCompleted mean the update's last fsync has happened.
+        completed = []
+        for name in names:
+            community.node(name).add_listener(
+                lambda event: isinstance(event, RunCompleted)
+                and completed.append(event))
+
+        def update(n: int) -> None:
+            ticket = community.node(names[n % 3]).submit_update(
+                "doc", {f"k{n}": n})
+            assert ticket.wait_signal(30.0) and ticket.valid
+            assert runtime.wait_until(
+                lambda: len(completed) == 3 * (n + 1), 30.0)
+
+        update(0)
+        appended = {name: sum(len(getattr(community.node(name).ctx, kind).store)
+                              for kind in KINDS) for name in names}
+        del fsyncs[:]
+        for n in range(1, 6):
+            update(n)
+        # Per update: the proposer syncs 2 files behind m1 and 3 behind
+        # m3, each responder 2 behind m2 and 3 on m3; the proposer
+        # absorbs the first m2 without a barrier.  32 records, as before.
+        assert fsyncs == ["file"] * (15 * 5)
+        assert sum(len(getattr(community.node(name).ctx, kind).store)
+                   for name in names for kind in KINDS) \
+            - sum(appended.values()) == 32 * 5
+    finally:
+        community.close()

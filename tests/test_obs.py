@@ -181,6 +181,7 @@ class TestHooks:
         obs.journal_append("P", "r", "sent", 10, 0.001)
         obs.journal_closed("P", "r", "valid")
         obs.evidence_append("P", "kind", 10, 0.001)
+        obs.storage_sync("P", 3, 5, 0.002)
 
     def test_subclass_overrides_single_hook(self):
         seen = []
