@@ -10,7 +10,7 @@ handful of runs instead of k.
 This bench drives the same burst of updates through one organisation
 twice — serially (one coordination run per update) and through the
 pipeline (batched runs) — over the in-memory simulator for 2..5 parties
-and over pooled loopback TCP, and reports the speedup.  The comparison
+and over loopback TCP, and reports the speedup.  The comparison
 JSON is written to ``benchmarks/results/BENCH_pipeline_batching.json``
 so CI can track the batching win across commits.
 

@@ -80,7 +80,7 @@ class LedgerObject(B2BObject):
 
 def _build_community() -> Community:
     names = [f"Org{i + 1}" for i in range(PARTIES)]
-    runtime = ThreadedRuntime(TcpNetwork(reactor=True, codec="binary"))
+    runtime = ThreadedRuntime(TcpNetwork())
     community = Community(names, runtime=runtime,
                           retransmit_interval=0.5)
     community.found_object("ledger",

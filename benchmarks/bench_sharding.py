@@ -103,7 +103,7 @@ class CounterObject(B2BObject):
 def _build_community(num_shards: int, objects: "list[str]",
                      obj_cls=DictB2BObject) -> Community:
     names = [f"Org{i + 1}" for i in range(PARTIES)]
-    runtime = ThreadedRuntime(TcpNetwork(reactor=True, codec="binary"))
+    runtime = ThreadedRuntime(TcpNetwork())
     community = Community(names, runtime=runtime,
                           retransmit_interval=0.5,
                           num_shards=num_shards,

@@ -1,20 +1,13 @@
-"""Experiment C15 — binary wire codec and the selector reactor.
+"""Experiment C15 — binary wire codec.
 
 The m1/m2/m3 hot path used to serialise every envelope as a canonical
-JSON line (base64-inflated signature bytes, recursive dict walks) and
-spend one thread per peer connection.  This bench quantifies both halves
-of the ISSUE 8 tentpole on *representative traffic* — envelopes captured
-from a real 3-party coordination run, not synthetic dicts:
-
-* **codec micro-bench** — encode+decode throughput and frame size for
-  the binary codec vs the canonical-JSON encoder over the captured
-  m1/m2/m3 envelopes.  Expected: >=2x the round-trip throughput and
-  >=25% fewer bytes (signature values ride as raw bytes instead of
-  base64 text).
-* **transport macro-bench** — a 16-party fan-out workload over real
-  loopback sockets: the selector reactor (one event-loop thread) must
-  sustain at least the pooled mode's msgs/s while running strictly
-  fewer threads.
+JSON line (base64-inflated signature bytes, recursive dict walks).  This
+bench quantifies the codec on *representative traffic* — envelopes
+captured from a real 3-party coordination run, not synthetic dicts:
+encode+decode throughput and frame size for the binary codec vs the
+canonical-JSON encoder over the captured m1/m2/m3 envelopes.  Expected:
+>=2x the round-trip throughput and >=25% fewer bytes (signature values
+ride as raw bytes instead of base64 text).
 
 Writes ``benchmarks/results/BENCH_wire_codec.json`` for CI trend
 tracking; ``REPRO_BENCH_SMOKE=1`` shrinks the workload for the CI smoke
@@ -25,14 +18,11 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 
 from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.transport.base import Envelope, NetworkFilter
-from repro.transport.reliable import ReliableEndpoint
-from repro.transport.tcp import SelectorReactorNetwork, TcpNetwork
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
 from repro.wire import CODEC_BINARY, CODEC_JSON, EnvelopeEncoder, FrameDecoder
 
@@ -40,8 +30,6 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 CODEC_ITERATIONS = 40 if SMOKE else 400
 CODEC_REPEATS = 5
-FANOUT_PEERS = 16
-FANOUT_MESSAGES = 120 if SMOKE else 960
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
@@ -199,13 +187,16 @@ def test_c15_codec_throughput_and_size(report):
          f" ({1 - size_ratio:.1%} smaller)")
     report("C15", "binary wire codec vs canonical JSON lines", body)
 
-    _write_results("codec", {
-        "json_seed": seed_result,
-        "json": json_result,
-        "binary": binary_result,
-        "binary_speedup": speedup,
-        "binary_size_ratio": size_ratio,
-    })
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, "BENCH_wire_codec.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"experiment": "C15", "smoke": SMOKE, "codec": {
+            "json_seed": seed_result,
+            "json": json_result,
+            "binary": binary_result,
+            "binary_speedup": speedup,
+            "binary_size_ratio": size_ratio,
+        }}, handle, indent=2, sort_keys=True)
     # The tentpole's reason to exist: a wire path that is not clearly
     # faster *and* smaller on real traffic is not worth a second wire
     # format.  The smoke gate's 40-iteration windows wobble a few
@@ -216,120 +207,3 @@ def test_c15_codec_throughput_and_size(report):
     assert size_ratio <= 0.75, (
         f"binary frames only {1 - size_ratio:.1%} smaller than JSON"
     )
-
-
-def _measure_fanout(network_factory, label: str) -> dict:
-    """One sender fanning out to FANOUT_PEERS-1 receivers over TCP."""
-    network = network_factory()
-    try:
-        names = [f"P{i}" for i in range(FANOUT_PEERS)]
-        received = [0]
-        done = threading.Event()
-        lock = threading.Lock()
-        receivers_needed = (FANOUT_PEERS - 1)
-        per_peer = FANOUT_MESSAGES // receivers_needed
-        expected = per_peer * receivers_needed
-
-        def on_message(peer, payload):
-            with lock:
-                received[0] += 1
-                if received[0] >= expected:
-                    done.set()
-
-        endpoints = {}
-        for name in names:
-            endpoint = ReliableEndpoint(name, network,
-                                        retransmit_interval=0.5)
-            endpoint.on_message(on_message)
-            endpoints[name] = endpoint
-        sender = endpoints["P0"]
-        payload_pad = "x" * 64
-
-        peak_threads = threading.active_count()
-        start = time.perf_counter()
-        for round_index in range(per_peer):
-            # One shared payload dict per round: the broadcast shape the
-            # encode-once path recognises.
-            payload = {"round": round_index, "pad": payload_pad}
-            for name in names[1:]:
-                sender.send(name, payload)
-            peak_threads = max(peak_threads, threading.active_count())
-        assert done.wait(120.0), "fan-out workload did not complete"
-        elapsed = time.perf_counter() - start
-        peak_threads = max(peak_threads, threading.active_count())
-
-        deadline = time.monotonic() + 20.0
-        while sender.outstanding_count() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        for endpoint in endpoints.values():
-            endpoint.stop()
-        return {
-            "mode": label,
-            "peers": FANOUT_PEERS,
-            "messages": expected,
-            "seconds": elapsed,
-            "msgs_per_sec": expected / elapsed,
-            "peak_threads": peak_threads,
-            "retransmissions": sender.retransmissions,
-        }
-    finally:
-        network.close()
-
-
-def test_c15b_reactor_vs_pooled_fanout(report):
-    """One event-loop thread vs thread-per-peer at 16 parties."""
-    pooled = _measure_fanout(lambda: TcpNetwork(pooled=True),
-                             "pooled/json")
-    reactor = _measure_fanout(
-        lambda: SelectorReactorNetwork(codec="binary"), "reactor/binary")
-    ratio = reactor["msgs_per_sec"] / pooled["msgs_per_sec"]
-
-    rows = [
-        [r["mode"], r["peers"], r["messages"], r["msgs_per_sec"],
-         r["peak_threads"], r["retransmissions"]]
-        for r in (pooled, reactor)
-    ]
-    body = format_table(
-        ["mode", "peers", "messages", "msgs/sec", "peak threads",
-         "retransmissions"],
-        rows,
-    ) + (f"\n\nreactor/pooled throughput: {ratio:.2f}x with "
-         f"{pooled['peak_threads'] - reactor['peak_threads']} fewer "
-         f"threads")
-    report("C15b", "selector reactor vs pooled thread-per-peer", body)
-
-    _write_results("fanout", {
-        "pooled": pooled,
-        "reactor": reactor,
-        "reactor_throughput_ratio": ratio,
-    })
-    # The reactor's pitch: same throughput, constant thread count.  The
-    # pooled mode runs a writer per peer, a server thread per accepted
-    # connection, listener accept loops and a timer thread; the reactor
-    # runs exactly one loop.
-    assert reactor["peak_threads"] < pooled["peak_threads"], (
-        f"reactor used {reactor['peak_threads']} threads vs pooled "
-        f"{pooled['peak_threads']}"
-    )
-    floor = 0.6 if SMOKE else 0.9
-    assert ratio >= floor, (
-        f"reactor sustained only {ratio:.2f}x of pooled throughput"
-    )
-
-
-def _write_results(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_wire_codec.json`` (tests may run
-    individually, so the artifact is updated incrementally)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "BENCH_wire_codec.json")
-    merged = {"experiment": "C15", "smoke": SMOKE}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                merged.update(json.load(handle))
-        except (OSError, ValueError):
-            pass
-    merged["smoke"] = SMOKE
-    merged[section] = payload
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)

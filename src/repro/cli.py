@@ -219,8 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _run_forensic_game(seed: int, latency: float, drop: float,
                        duplicate: float, transport: str = "sim",
-                       tcp_mode: str = "pooled",
-                       wire_codec: str = "json",
+                       wire_codec: str = "binary",
                        export_dir: "str | None" = None,
                        trace_out: "str | None" = None):
     """Instrumented 3-party Tic-Tac-Toe run with the Figure 5 cheat.
@@ -264,8 +263,6 @@ def _run_forensic_game(seed: int, latency: float, drop: float,
     if transport == "tcp":
         runtime = ThreadedRuntime(network=TcpNetwork(
             obs=obs, drop_probability=drop, drop_seed=seed,
-            pooled=(tcp_mode == "pooled"),
-            reactor=(tcp_mode == "reactor"),
             codec=wire_codec,
         ))
         retransmit_interval = 0.03
@@ -485,7 +482,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     community, objects, rejected, obs, trace_paths = _run_forensic_game(
         seed=args.seed, latency=args.latency, drop=args.drop,
         duplicate=args.duplicate, transport=args.transport,
-        tcp_mode=args.tcp_mode, wire_codec=args.wire_codec,
+        wire_codec=args.wire_codec,
         export_dir=args.export_dir, trace_out=args.trace_out,
     )
     if args.pipeline_updates > 0:
@@ -507,7 +504,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
     game = objects["Witness"]
     board = game.board
-    transport_label = (f"tcp/{args.tcp_mode}/{args.wire_codec}"
+    transport_label = (f"tcp/{args.wire_codec}"
                        if args.transport == "tcp" else args.transport)
     print(f"3-party Tic-Tac-Toe over lossy links "
           f"(transport={transport_label} seed={args.seed} "
@@ -868,21 +865,12 @@ def build_parser() -> argparse.ArgumentParser:
                             default="sim",
                             help="sim: deterministic virtual time; "
                                  "tcp: real sockets with injected loss")
-    obs_report.add_argument("--tcp-mode",
-                            choices=["pooled", "per-message", "reactor"],
-                            default="pooled",
-                            help="pooled: persistent per-peer connections "
-                                 "with frame coalescing (default); "
-                                 "per-message: one short-lived connection "
-                                 "per frame (the original prototype); "
-                                 "reactor: one selector event-loop thread "
-                                 "owning all sockets and timers")
     obs_report.add_argument("--wire-codec", choices=["json", "binary"],
-                            default="json",
-                            help="frame codec for --transport tcp: json "
-                                 "(canonical JSON lines, the original "
-                                 "format) or binary (length-prefixed tag "
-                                 "codec; signatures stay canonical JSON)")
+                            default="binary",
+                            help="frame codec for --transport tcp: binary "
+                                 "(length-prefixed tag codec; signatures "
+                                 "stay canonical JSON) or json (canonical "
+                                 "JSON lines, the format a seed peer reads)")
     obs_report.add_argument("--export-dir", default=None,
                             help="write per-party traces, evidence logs and "
                                  "keys.json under this directory "

@@ -319,20 +319,20 @@ class Instrumentation:
 
     def connection_opened(self, party: str, peer: str,
                           reconnect: bool) -> None:
-        """The pooled TCP transport opened a connection to *peer*.
+        """The TCP transport opened a connection to *peer*.
 
         *reconnect* is True when a previous connection to the same peer
         existed and broke — i.e. this open is a transparent recovery.
         """
 
     def connection_reused(self, party: str, peer: str) -> None:
-        """A frame batch rode an already-open pooled connection."""
+        """A frame batch rode an already-open connection."""
 
     def connection_failed(self, party: str, peer: str) -> None:
-        """A pooled connect attempt failed; queued frames were dropped."""
+        """A connect attempt failed; queued frames were dropped."""
 
     def frames_coalesced(self, party: str, peer: str, frames: int) -> None:
-        """*frames* (> 1) back-to-back frames left in one ``sendall``."""
+        """*frames* (> 1) back-to-back frames left in one socket write."""
 
     def frame_encoded(self, codec: str, size: int, seconds: float) -> None:
         """One outbound envelope was framed (*size* on-wire bytes).
@@ -357,7 +357,7 @@ class Instrumentation:
         """A transport-driven callback raised and was contained.
 
         *kind* is ``"command"`` (a reactor command closure),
-        ``"timer"`` (a timer-wheel or reactor-heap callback) or
+        ``"timer"`` (a reactor-heap callback) or
         ``"dispatch"`` (the inbound envelope handler).  Like malformed
         frames, these are counted and flight-recorded rather than
         swallowed: a silently-dying handler is how a node wedges with no

@@ -10,7 +10,7 @@ from repro.transport.base import (
 from repro.transport.inmemory import LinkProfile, NetworkStats, SimNetwork
 from repro.transport.mom import BrokeredSimNetwork
 from repro.transport.reliable import ReliableEndpoint
-from repro.transport.tcp import SelectorReactorNetwork, TcpNetwork
+from repro.transport.tcp import TcpNetwork
 
 __all__ = [
     "Envelope",
@@ -23,6 +23,5 @@ __all__ = [
     "SimNetwork",
     "BrokeredSimNetwork",
     "ReliableEndpoint",
-    "SelectorReactorNetwork",
     "TcpNetwork",
 ]

@@ -113,7 +113,7 @@ class Network:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release transport resources (sockets, pooled connections,
+        """Release transport resources (sockets, open connections,
         worker threads).  No-op for networks that hold none; must be
         idempotent."""
 

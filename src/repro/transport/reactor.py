@@ -1,11 +1,7 @@
-"""Single-threaded selector reactor for the TCP transport.
+"""Single-threaded selector reactor: the socket engine of ``TcpNetwork``.
 
-The pooled transport (PR 3) spends one writer thread per peer, one
-serve thread per inbound connection, one accept thread per listener and
-a shared timer thread — fine for a handful of organisations, but the
-thread count caps how many peers one process can front.  The reactor
-replaces all of them with **one** event-loop thread owning every
-socket:
+**One** event-loop thread owns every socket, so the thread count stays
+constant however many peers one process fronts:
 
 * listeners, inbound connections and outbound channels are all
   non-blocking and multiplexed through one :mod:`selectors` selector;
@@ -17,13 +13,12 @@ socket:
   registration) post closures to a command queue and tap a self-pipe,
   never touching socket state from outside the loop.
 
-Semantics match the pooled mode: best-effort delivery, frames queued to
-a dead peer are dropped (the reliable layer retransmits), reconnects
-back off briefly, and a connection opens with the codec preamble of
-:mod:`repro.wire`.  Inbound envelopes are dispatched to the party
-handler *inline* on the loop thread — protocol handlers are sans-IO and
-non-blocking by construction, and any send they trigger is itself just
-a queue append.
+Delivery is best-effort: frames queued to a dead peer are dropped (the
+reliable layer retransmits), reconnects back off briefly, and a
+connection opens with the codec preamble of :mod:`repro.wire`.  Inbound
+envelopes are dispatched to the party handler *inline* on the loop
+thread — protocol handlers are sans-IO and non-blocking by
+construction, and any send they trigger is itself just a queue append.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import TransportError
+from repro.obs.hooks import Instrumentation
 from repro.transport.base import Envelope, TimerHandle
 from repro.wire import FrameDecoder, FrameError, FrameTooLargeError, WireError
 
@@ -52,6 +48,12 @@ _WRITE_CHUNK_FRAMES = 64
 _READ_BURSTS = 16
 
 _CONNECT_OK = (0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY)
+
+#: Minimum delay between reconnect attempts to a peer that refused the
+#: last connection.  Frames arriving inside the window are dropped
+#: immediately (best-effort); retransmission recovers once the peer is
+#: back.
+RECONNECT_BACKOFF = 0.05
 
 
 class _TimerEntry:
@@ -101,12 +103,17 @@ class _Inbound:
 
 
 class _Reactor:
-    """The event loop.  Owned by a :class:`~repro.transport.tcp.TcpNetwork`
-    constructed with ``reactor=True``; the thread starts lazily on the
-    first listener, frame or timer."""
+    """The event loop.  Owned by a :class:`~repro.transport.tcp.TcpNetwork`;
+    the thread starts lazily on the first listener, frame or timer."""
 
-    def __init__(self, network) -> None:
-        self._network = network
+    def __init__(self, obs: Instrumentation, preamble: bytes,
+                 connect_timeout: float, max_frame: int,
+                 address_of: "Callable[[str], tuple[str, int]]") -> None:
+        self._obs = obs
+        self._preamble = preamble
+        self._connect_timeout = connect_timeout
+        self._max_frame = max_frame
+        self._address_of = address_of
         self._selector = selectors.DefaultSelector()
         wake_r, wake_w = socket.socketpair()
         wake_r.setblocking(False)
@@ -208,7 +215,7 @@ class _Reactor:
                 try:
                     command()
                 except Exception:  # noqa: BLE001 - a bad command must not kill I/O
-                    self._network._obs.handler_error("", "command")
+                    self._obs.handler_error("", "command")
             now = time.monotonic()
             heap = self._heap
             while heap and heap[0][0] <= now:
@@ -218,7 +225,7 @@ class _Reactor:
                 try:
                     entry.callback()
                 except Exception:  # noqa: BLE001 - a timer bug must not kill the loop
-                    self._network._obs.handler_error("", "timer")
+                    self._obs.handler_error("", "timer")
             timeout: "Optional[float]" = None
             if heap:
                 timeout = max(0.0, heap[0][0] - time.monotonic())
@@ -273,7 +280,7 @@ class _Reactor:
             conn.setblocking(False)
             inbound = _Inbound(
                 conn, party_id,
-                FrameDecoder(max_frame=self._network.max_frame),
+                FrameDecoder(max_frame=self._max_frame),
             )
             self._inbound.add(inbound)
             self._selector.register(conn, selectors.EVENT_READ,
@@ -302,14 +309,14 @@ class _Reactor:
             except FrameError as exc:
                 reason = ("oversized" if isinstance(exc, FrameTooLargeError)
                           else "framing")
-                self._network._obs.malformed_frame(inbound.party, reason)
+                self._obs.malformed_frame(inbound.party, reason)
                 closed = True
                 break
         if closed:
             self._close_inbound(inbound)
 
     def _dispatch(self, inbound: _Inbound, frame: bytes) -> None:
-        obs = self._network._obs
+        obs = self._obs
         decoder = inbound.decoder
         started = time.perf_counter() if obs.enabled else 0.0
         try:
@@ -364,9 +371,8 @@ class _Reactor:
             self._want_write(channel, True)
 
     def _start_connect(self, channel: _Channel, sender: str) -> bool:
-        network = self._network
         try:
-            host, port = network.address_of(channel.recipient)
+            host, port = self._address_of(channel.recipient)
         except TransportError:
             self._note_connect_failure(channel, sender)
             return False
@@ -383,7 +389,7 @@ class _Reactor:
         self._want_write(channel, True)
         # Fold the connect timeout into the timer heap: if the peer has
         # not answered by then, treat the attempt as failed.
-        deadline = time.monotonic() + network._connect_timeout
+        deadline = time.monotonic() + self._connect_timeout
         entry = _TimerEntry(
             lambda: self._connect_deadline(channel, sock, sender))
         heapq.heappush(self._heap, (deadline, next(self._tie), entry))
@@ -409,24 +415,21 @@ class _Reactor:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
-            network = self._network
-            if network._obs.enabled:
-                network._obs.connection_opened(
+            if self._obs.enabled:
+                self._obs.connection_opened(
                     sender, channel.recipient,
                     reconnect=channel.ever_connected,
                 )
             channel.ever_connected = True
             # The codec preamble leads every connection.
-            preamble = network._encoder.preamble
-            if preamble:
-                channel.out += preamble
+            channel.out += self._preamble
         self._flush_channel(channel)
 
     def _flush_channel(self, channel: _Channel) -> None:
         sock = channel.sock
         if sock is None or channel.connecting:
             return
-        obs = self._network._obs
+        obs = self._obs
         while True:
             if not channel.out:
                 if not channel.pending:
@@ -483,22 +486,20 @@ class _Reactor:
             self._unregister(sock)
             _close(sock)
         channel.registered = False
-        channel.next_attempt = (time.monotonic()
-                                + self._network.reconnect_backoff)
-        if self._network._obs.enabled:
-            self._network._obs.connection_failed(sender, channel.recipient)
+        channel.next_attempt = time.monotonic() + RECONNECT_BACKOFF
+        if self._obs.enabled:
+            self._obs.connection_failed(sender, channel.recipient)
         if lost:
             self._report_frames(channel.recipient, lost, ok=False)
 
     def _note_connect_failure(self, channel: _Channel, sender: str) -> None:
-        channel.next_attempt = (time.monotonic()
-                                + self._network.reconnect_backoff)
-        if self._network._obs.enabled:
-            self._network._obs.connection_failed(sender, channel.recipient)
+        channel.next_attempt = time.monotonic() + RECONNECT_BACKOFF
+        if self._obs.enabled:
+            self._obs.connection_failed(sender, channel.recipient)
 
     def _report_frames(self, recipient: str,
                        frames: "list[tuple[str, int]]", ok: bool) -> None:
-        obs = self._network._obs
+        obs = self._obs
         if not obs.enabled:
             return
         for sender, size in frames:

@@ -3,43 +3,30 @@
 The original prototype used Java RMI between organisations; this module is
 the real-network counterpart of the simulated substrate: one listener
 socket per registered party.  Frames are produced by :mod:`repro.wire` —
-canonical-JSON lines by default, or the length-prefixed binary codec when
-constructed with ``codec="binary"`` (signatures and evidence stay on
-canonical JSON either way; the codec is framing only).
+the length-prefixed binary codec by default, or canonical-JSON lines when
+constructed with ``codec="json"``, the one framing a seed peer can read
+(signatures and evidence stay on canonical JSON either way; the codec is
+framing only, and the inbound codec is detected per connection).
 
-Three scheduling modes are supported:
+There is one socket engine: a :mod:`selectors` event-loop thread
+(:mod:`repro.transport.reactor`) owns every listener, inbound connection,
+outbound channel and retransmission timer, so the thread count is one
+however many peers a process fronts.  ``TcpNetwork`` itself is the address
+directory, the seeded drop injection, frame encoding and the synchronous
+listener bind.
 
-* **pooled** (default) — one long-lived connection per remote peer, owned
-  by a dedicated writer thread.  Senders enqueue frames; the writer drains
-  the whole queue and pushes it through a single ``sendall``, so
-  back-to-back sends (an m2/m3 fan-out, a retransmission burst) coalesce
-  into one syscall over one connection instead of paying a TCP handshake
-  per message.  A broken connection is detected on write, the affected
-  frames are dropped, and the next batch transparently reconnects (with a
-  short backoff so a dead peer is not hammered).
-* **reactor** (``reactor=True``, or :class:`SelectorReactorNetwork`) —
-  one :mod:`selectors` event-loop thread owns *every* socket: listeners,
-  inbound connections, outbound channels and the retransmission timers.
-  Same best-effort semantics as pooled, but thread count stays constant
-  as the community grows instead of scaling with peers and connections.
-* **per-message** — the original semantics: one short-lived connection per
-  frame.  Kept for comparison benchmarks and as a fallback.
-
-All modes are best-effort — connection failures drop frames and the
+Delivery is best-effort — connection failures drop frames and the
 reliable layer's retransmission recovers, exactly as over the simulated
 lossy network.
 """
 
 from __future__ import annotations
 
-import collections
-import heapq
-import itertools
 import random
 import socket
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import TransportError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
@@ -52,17 +39,7 @@ from repro.wire import (
     CODECS,
     MAX_FRAME,
     EnvelopeEncoder,
-    FrameDecoder,
-    FrameError,
-    FrameTooLargeError,
-    WireError,
 )
-
-#: Minimum delay between reconnect attempts to a peer that refused the
-#: last connection.  Frames arriving inside the window are dropped
-#: immediately (best-effort); retransmission recovers once the peer is
-#: back.
-RECONNECT_BACKOFF = 0.05
 
 
 class TcpNetwork(Network):
@@ -79,20 +56,21 @@ class TcpNetwork(Network):
                  obs: "Instrumentation | None" = None,
                  drop_probability: float = 0.0,
                  drop_seed: "int | None" = None,
-                 pooled: bool = True,
-                 codec: str = CODEC_JSON,
-                 reactor: bool = False,
+                 codec: str = CODEC_BINARY,
+                 reactor: bool = True,
                  max_frame: int = MAX_FRAME) -> None:
         if codec not in CODECS:
             raise ValueError(f"unknown wire codec {codec!r}")
+        # `reactor` selects nothing: it is accepted only because
+        # benchmarks/e2e/workloads.py (frozen by BENCHMARK.json) passes
+        # reactor=True; a benchmark-only follow-up deletes it.
+        if reactor is not True:
+            raise ValueError("the selector reactor is the only TCP transport")
         self._host = host
-        self._connect_timeout = connect_timeout
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._codec = codec
         self._encoder = EnvelopeEncoder(codec)
         self._max_frame = max_frame
-        self._reactor = _Reactor(self) if reactor else None
-        self._reactor_ports: "dict[str, int]" = {}
         # Optional fault injection: drop outbound data frames before they
         # reach the socket, so demos and tests can exercise the reliable
         # layer's retransmission over real sockets deterministically.
@@ -103,20 +81,18 @@ class TcpNetwork(Network):
         self._drop_seed = drop_seed
         self._drop_rngs: "dict[tuple[str, str], random.Random]" = {}
         self._drop_lock = threading.Lock()
-        self._pooled = pooled
         self._directory: "dict[str, tuple[str, int]]" = {}
-        self._listeners: "dict[str, _Listener]" = {}
-        self._channels: "dict[str, _PeerChannel]" = {}
+        self._local: "set[str]" = set()
         self._lock = threading.Lock()
         # Retransmission pacing and timeouts are interval arithmetic, so
         # the network clock must not step backwards under NTP corrections.
         self._clock = MonotonicClock()
-        self._timers = _TimerWheel(obs=self._obs)
+        self._reactor = _Reactor(
+            obs=self._obs, preamble=self._encoder.preamble,
+            connect_timeout=connect_timeout, max_frame=max_frame,
+            address_of=self.address_of,
+        )
         self._closed = False
-
-    @property
-    def pooled(self) -> bool:
-        return self._pooled
 
     @property
     def codec(self) -> str:
@@ -124,18 +100,9 @@ class TcpNetwork(Network):
         return self._codec
 
     @property
-    def reactor(self) -> bool:
-        """True when the selector reactor owns all socket work."""
-        return self._reactor is not None
-
-    @property
     def max_frame(self) -> int:
         """Upper bound accepted for one inbound frame, in bytes."""
         return self._max_frame
-
-    @property
-    def reconnect_backoff(self) -> float:
-        return RECONNECT_BACKOFF
 
     def add_remote_party(self, party_id: str, host: str, port: int) -> None:
         """Record the address of a party hosted by another process."""
@@ -154,38 +121,25 @@ class TcpNetwork(Network):
         """Start listening for *party_id*; ``port=0`` picks an ephemeral one.
 
         A fixed *port* lets a restarted process resume the address its
-        peers already hold, so their pooled connections can reconnect.
+        peers already hold, so their connections can reconnect.
         """
         with self._lock:
             if self._closed:
                 raise TransportError("network is closed")
-            if self._reactor is not None:
-                if party_id in self._reactor_ports:
-                    self._reactor.set_handler(party_id, handler)
-                    return
-                # Bind synchronously so the port is in the directory
-                # before register() returns; the reactor loop adopts the
-                # socket for accepting.
-                server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                server.bind((self._host, port))
-                server.listen(128)
-                server.setblocking(False)
-                actual_port = server.getsockname()[1]
-                self._reactor_ports[party_id] = actual_port
-                self._directory[party_id] = (self._host, actual_port)
-                self._reactor.add_listener(party_id, server, handler)
+            if party_id in self._local:
+                self._reactor.set_handler(party_id, handler)
                 return
-            existing = self._listeners.get(party_id)
-            if existing is not None:
-                existing.handler = handler
-                return
-            listener = _Listener(self._host, handler, port=port,
-                                 obs=self._obs, party_id=party_id,
-                                 max_frame=self._max_frame)
-            listener.start()
-            self._listeners[party_id] = listener
-            self._directory[party_id] = (self._host, listener.port)
+            # Bind synchronously so the port is in the directory before
+            # register() returns; the reactor loop adopts the socket for
+            # accepting.
+            server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            server.bind((self._host, port))
+            server.listen(128)
+            server.setblocking(False)
+            self._local.add(party_id)
+            self._directory[party_id] = (self._host, server.getsockname()[1])
+            self._reactor.add_listener(party_id, server, handler)
 
     # ------------------------------------------------------------------
     # sending
@@ -193,7 +147,7 @@ class TcpNetwork(Network):
 
     def send(self, envelope: Envelope) -> "int | None":
         try:
-            host, port = self.address_of(envelope.recipient)
+            self.address_of(envelope.recipient)
         except TransportError:
             return None  # unknown party: drop, retransmission may find it
         if self._should_drop(envelope):
@@ -202,33 +156,10 @@ class TcpNetwork(Network):
                                    0, ok=False)
             return None  # injected loss: the reliable layer retransmits
         frame = self._encode_frame(envelope)
+        self._reactor.enqueue(envelope.sender, envelope.recipient, frame)
         # Reported size excludes the newline terminator for JSON (the
         # historical accounting) and is the whole frame for binary.
-        size = len(frame) - 1 if self._codec == CODEC_JSON else len(frame)
-        if self._reactor is not None:
-            self._reactor.enqueue(envelope.sender, envelope.recipient, frame)
-            return size
-        if self._pooled:
-            try:
-                channel = self._channel_for(envelope.recipient)
-            except TransportError:
-                return None  # network closed concurrently: best-effort drop
-            channel.enqueue(envelope.sender, frame)
-            return size
-        try:
-            with socket.create_connection((host, port), timeout=self._connect_timeout) as conn:
-                # A per-message connection is fresh every time, so the
-                # codec preamble rides in front of every frame.
-                conn.sendall(self._encoder.preamble + frame)
-        except OSError:
-            if self._obs.enabled:
-                self._obs.raw_send(envelope.sender, envelope.recipient,
-                                   len(frame), ok=False)
-            return None  # best-effort: the reliable layer retransmits
-        if self._obs.enabled:
-            self._obs.raw_send(envelope.sender, envelope.recipient,
-                               len(frame), ok=True)
-        return size
+        return len(frame) - 1 if self._codec == CODEC_JSON else len(frame)
 
     def _encode_frame(self, envelope: Envelope) -> bytes:
         obs = self._obs
@@ -256,29 +187,15 @@ class TcpNetwork(Network):
                 self._drop_rngs[link] = rng
             return rng.random() < self._drop_probability
 
-    def _channel_for(self, recipient: str) -> "_PeerChannel":
-        with self._lock:
-            if self._closed:
-                raise TransportError("network is closed")
-            channel = self._channels.get(recipient)
-            if channel is None:
-                channel = _PeerChannel(self, recipient)
-                self._channels[recipient] = channel
-            return channel
-
     # ------------------------------------------------------------------
     # timers / lifecycle
     # ------------------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        # One shared timer heap instead of a threading.Timer (= one OS
-        # thread) per call: the reliable layer arms a retransmit timer on
-        # *every* send and cancels almost all of them, so arming must cost
-        # a heap push, not a thread spawn.  In reactor mode the heap is
-        # folded into the event loop itself — zero timer threads.
-        if self._reactor is not None:
-            return self._reactor.schedule(delay, callback)
-        return self._timers.schedule(delay, callback)
+        # The reliable layer arms a retransmit timer on *every* send and
+        # cancels almost all of them, so arming must cost a heap push on
+        # the reactor loop, not a thread spawn.
+        return self._reactor.schedule(delay, callback)
 
     def now(self) -> float:
         return self._clock.now()
@@ -286,378 +203,4 @@ class TcpNetwork(Network):
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            listeners = list(self._listeners.values())
-            self._listeners.clear()
-            channels = list(self._channels.values())
-            self._channels.clear()
-        self._timers.stop()
-        if self._reactor is not None:
-            self._reactor.stop()
-        for channel in channels:
-            channel.stop()
-        for listener in listeners:
-            listener.stop()
-
-
-class SelectorReactorNetwork(TcpNetwork):
-    """:class:`TcpNetwork` pinned to the selector-reactor mode.
-
-    A convenience facade for the hot path: one event-loop thread owns
-    every socket and timer, and frames default to the binary codec.
-    Pass ``codec="json"`` to keep reactor scheduling with legacy
-    framing (useful for interop benchmarking); the pooled and
-    per-message modes remain available on ``TcpNetwork`` itself.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", connect_timeout: float = 2.0,
-                 obs: "Instrumentation | None" = None,
-                 drop_probability: float = 0.0,
-                 drop_seed: "int | None" = None,
-                 codec: str = CODEC_BINARY,
-                 max_frame: int = MAX_FRAME) -> None:
-        super().__init__(
-            host=host,
-            connect_timeout=connect_timeout,
-            obs=obs,
-            drop_probability=drop_probability,
-            drop_seed=drop_seed,
-            pooled=True,
-            codec=codec,
-            reactor=True,
-            max_frame=max_frame,
-        )
-
-
-class _TimerWheel:
-    """Shared one-thread timer service backed by a heap.
-
-    ``schedule`` is a heap push; cancellation flips a flag and the entry
-    is discarded when it surfaces.  Due callbacks run on a short-lived
-    worker thread (not the dispatcher) so a callback that blocks — a
-    retransmission over a dead per-message connection sits in ``connect``
-    for its full timeout — cannot delay other timers, matching the old
-    one-thread-per-``threading.Timer`` semantics.
-    """
-
-    def __init__(self, obs=None) -> None:
-        self._obs = obs if obs is not None else NULL_INSTRUMENTATION
-        self._cond = threading.Condition()
-        self._heap: "list[tuple[float, int, _TimerEntry]]" = []
-        self._tie = itertools.count()
-        self._stopped = False
-        self._thread: "Optional[threading.Thread]" = None
-
-    def schedule(self, delay: float,
-                 callback: Callable[[], None]) -> TimerHandle:
-        entry = _TimerEntry(callback)
-        deadline = time.monotonic() + max(0.0, delay)
-        with self._cond:
-            if self._stopped:
-                return TimerHandle(lambda: None)
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._dispatch_loop, daemon=True,
-                    name="tcp-timers",
-                )
-                self._thread.start()
-            earlier = not self._heap or deadline < self._heap[0][0]
-            heapq.heappush(self._heap, (deadline, next(self._tie), entry))
-            if earlier:
-                self._cond.notify()
-        return TimerHandle(entry.cancel)
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._heap.clear()
-            self._cond.notify()
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            due: "list[_TimerEntry]" = []
-            with self._cond:
-                while True:
-                    if self._stopped:
-                        return
-                    now = time.monotonic()
-                    while self._heap and self._heap[0][0] <= now:
-                        entry = heapq.heappop(self._heap)[2]
-                        if not entry.cancelled:
-                            due.append(entry)
-                    if due:
-                        break
-                    if self._heap:
-                        self._cond.wait(self._heap[0][0] - now)
-                    else:
-                        self._cond.wait()
-            threading.Thread(target=self._fire, args=(due,),
-                             daemon=True).start()
-
-    def _fire(self, entries: "list[_TimerEntry]") -> None:
-        for entry in entries:
-            if entry.cancelled:
-                continue
-            try:
-                entry.callback()
-            except Exception:  # noqa: BLE001 - a timer bug must not kill the wheel
-                self._obs.handler_error("", "timer")
-
-
-class _TimerEntry:
-    __slots__ = ("callback", "cancelled")
-
-    def __init__(self, callback: Callable[[], None]) -> None:
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _PeerChannel:
-    """One pooled connection to a remote peer, fed by a writer thread.
-
-    Senders only touch the queue; all socket work (connect, batched
-    ``sendall``, teardown on error) happens on the writer thread, so a
-    slow or dead peer never blocks protocol threads.
-    """
-
-    def __init__(self, network: TcpNetwork, recipient: str) -> None:
-        self._network = network
-        self._recipient = recipient
-        self._queue: "collections.deque[tuple[str, bytes]]" = collections.deque()
-        self._cond = threading.Condition()
-        self._sock: "Optional[socket.socket]" = None
-        self._ever_connected = False
-        self._next_attempt = 0.0
-        self._stopped = False
-        self._thread = threading.Thread(
-            target=self._writer_loop, daemon=True,
-            name=f"tcp-writer-{recipient}",
-        )
-        self._thread.start()
-
-    def enqueue(self, sender: str, line: bytes) -> None:
-        with self._cond:
-            if self._stopped:
-                return
-            self._queue.append((sender, line))
-            self._cond.notify()
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._queue.clear()
-            self._cond.notify()
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._thread.join(timeout=1.0)
-
-    # -- writer thread --------------------------------------------------
-
-    def _writer_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stopped:
-                    self._cond.wait()
-                if self._stopped:
-                    return
-                batch = list(self._queue)
-                self._queue.clear()
-            self._flush(batch)
-
-    def _flush(self, batch: "list[tuple[str, bytes]]") -> None:
-        obs = self._network._obs
-        first_sender = batch[0][0]
-        if obs.enabled and len(batch) > 1:
-            obs.frames_coalesced(first_sender, self._recipient, len(batch))
-        sock = self._sock
-        prefix = b""
-        if sock is None:
-            sock = self._connect(first_sender)
-            if sock is None:
-                self._drop_batch(batch)
-                return
-            # Fresh connection: lead with the codec preamble (empty for
-            # JSON) in the same sendall as the first batch.
-            prefix = self._network._encoder.preamble
-        elif obs.enabled:
-            obs.connection_reused(first_sender, self._recipient)
-        try:
-            sock.sendall(prefix + b"".join(line for _, line in batch))
-        except OSError:
-            # Broken connection: this batch is lost (the reliable layer
-            # retransmits); the next batch triggers a reconnect.
-            self._teardown()
-            self._drop_batch(batch)
-            return
-        if obs.enabled:
-            for sender, line in batch:
-                obs.raw_send(sender, self._recipient, len(line), ok=True)
-
-    def _connect(self, sender: str) -> "Optional[socket.socket]":
-        network = self._network
-        now = network.now()
-        if now < self._next_attempt:
-            return None
-        try:
-            host, port = network.address_of(self._recipient)
-            sock = socket.create_connection(
-                (host, port), timeout=network._connect_timeout
-            )
-        except (TransportError, OSError):
-            self._next_attempt = network.now() + RECONNECT_BACKOFF
-            if network._obs.enabled:
-                network._obs.connection_failed(sender, self._recipient)
-            return None
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        if network._obs.enabled:
-            network._obs.connection_opened(sender, self._recipient,
-                                           reconnect=self._ever_connected)
-        self._ever_connected = True
-        return sock
-
-    def _teardown(self) -> None:
-        sock = self._sock
-        self._sock = None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _drop_batch(self, batch: "list[tuple[str, bytes]]") -> None:
-        if self._network._obs.enabled:
-            for sender, line in batch:
-                self._network._obs.raw_send(sender, self._recipient,
-                                            len(line), ok=False)
-
-
-class _Listener:
-    """Accept-loop thread delivering decoded envelopes to a handler."""
-
-    def __init__(self, host: str, handler: MessageHandler,
-                 port: int = 0,
-                 obs: "Instrumentation | None" = None,
-                 party_id: str = "",
-                 max_frame: int = MAX_FRAME) -> None:
-        self.handler = handler
-        self._obs = obs if obs is not None else NULL_INSTRUMENTATION
-        self._party = party_id
-        self._max_frame = max_frame
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((host, port))
-        self._server.listen(64)
-        self.port = self._server.getsockname()[1]
-        self._running = False
-        self._thread: "Optional[threading.Thread]" = None
-        # Live accepted connections: pooled peers hold theirs open
-        # indefinitely, so stop() must close them explicitly or they keep
-        # the port busy and a restarted listener cannot rebind it.
-        self._conns: "set[socket.socket]" = set()
-        self._conns_lock = threading.Lock()
-
-    def start(self) -> None:
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._running = False
-        # shutdown() before close(): merely closing the fd does not wake
-        # threads blocked in accept()/recv(), and their in-kernel
-        # reference would keep the port busy, so a restarted listener
-        # could not rebind it.
-        for sock in [self._server] + self._drain_conns():
-            for call in (lambda: sock.shutdown(socket.SHUT_RDWR),
-                         sock.close):
-                try:
-                    call()
-                except OSError:
-                    pass
-
-    def _drain_conns(self) -> "list[socket.socket]":
-        with self._conns_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        return conns
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            with self._conns_lock:
-                if not self._running:
-                    conn.close()
-                    continue
-                self._conns.add(conn)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder(max_frame=self._max_frame)
-        try:
-            with conn:
-                # Pooled peers hold their connection open indefinitely and
-                # may be idle between coordination runs, so reads must not
-                # time out; a vanished peer surfaces as EOF/ECONNRESET.
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    decoder.feed(chunk)
-                    try:
-                        while True:
-                            frame = decoder.next_frame()
-                            if frame is None:
-                                break
-                            self._dispatch(decoder, frame)
-                    except FrameError as exc:
-                        # Fatal framing violation (unknown preamble,
-                        # oversized frame): count it and drop the
-                        # connection rather than buffering garbage.
-                        reason = ("oversized"
-                                  if isinstance(exc, FrameTooLargeError)
-                                  else "framing")
-                        self._obs.malformed_frame(self._party, reason)
-                        return
-        except OSError:
-            return
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-
-    def _dispatch(self, decoder: FrameDecoder, frame: bytes) -> None:
-        # Intruders may inject garbage; a frame that fails to decode is
-        # counted and recorded (never silently swallowed) but does not
-        # kill an otherwise healthy connection.
-        obs = self._obs
-        started = time.perf_counter() if obs.enabled else 0.0
-        try:
-            data = decoder.decode(frame)
-        except WireError:
-            obs.malformed_frame(self._party, "decode")
-            return
-        if obs.enabled:
-            obs.frame_decoded(decoder.codec or CODEC_JSON, len(frame),
-                              time.perf_counter() - started)
-        try:
-            envelope = Envelope.from_dict(data)
-        except (ValueError, KeyError, TypeError, AttributeError):
-            obs.malformed_frame(self._party, "bad-envelope")
-            return
-        try:
-            self.handler(envelope)
-        except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
-            obs.handler_error(self._party, "dispatch")
-            return
+        self._reactor.stop()

@@ -77,48 +77,3 @@ def community3(make_community) -> Community:
 @pytest.fixture
 def community4(make_community) -> Community:
     return make_community(4, seed=4)
-
-
-# ---------------------------------------------------------------------------
-# Transport matrix options: run the socket-backed tests under any TCP
-# mode / wire codec combination (CI runs a reactor+binary leg).
-# ---------------------------------------------------------------------------
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--tcp-mode", default=None,
-        choices=["pooled", "per-message", "reactor"],
-        help="Default TcpNetwork socket mode for tests that do not pick one",
-    )
-    parser.addoption(
-        "--wire-codec", default=None, choices=["json", "binary"],
-        help="Default TcpNetwork wire codec for tests that do not pick one",
-    )
-
-
-@pytest.fixture(autouse=True)
-def _tcp_matrix(request, monkeypatch):
-    """Re-default TcpNetwork construction per the --tcp-mode/--wire-codec
-    options.  Explicit keyword arguments in a test always win — the
-    options only move the defaults, so mode-specific tests keep testing
-    their mode under any matrix leg."""
-    mode = request.config.getoption("--tcp-mode")
-    codec = request.config.getoption("--wire-codec")
-    if mode is None and codec is None:
-        yield
-        return
-    from repro.transport import tcp as tcp_module
-
-    original = tcp_module.TcpNetwork.__init__
-
-    def patched(self, *args, **kwargs):
-        if (mode is not None and "pooled" not in kwargs
-                and "reactor" not in kwargs):
-            kwargs["pooled"] = mode == "pooled"
-            kwargs["reactor"] = mode == "reactor"
-        if codec is not None and "codec" not in kwargs:
-            kwargs["codec"] = codec
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(tcp_module.TcpNetwork, "__init__", patched)
-    yield

@@ -205,6 +205,17 @@ class TestObsReportJson:
         out = capsys.readouterr().out
         assert "== protocol phases" in out
 
+    def test_tcp_transport_over_lossy_sockets(self, capsys):
+        argv = ["obs-report", "--transport", "tcp", "--drop", "0.1",
+                "--seed", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "transport=tcp/binary" in out.splitlines()[0]
+        assert "winner: X" in out
+        assert main(argv + ["--json"]) == 0
+        counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+        assert counters["transport.tcp.connections_opened"] > 0
+
 
 class TestGatewaySimCrash:
     def test_crash_scenario_reports_health_story(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ def test_repo_docs_are_clean(check_docs):
     """The committed documentation passes its own gate."""
     assert check_docs.check_links() == []
     assert check_docs.check_examples() == []
+    assert check_docs.check_artefact_references() == []
 
 
 def test_broken_link_reported(check_docs, tmp_path, monkeypatch):
@@ -73,3 +74,19 @@ def test_placeholder_examples_skipped(check_docs, tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
     monkeypatch.setattr(check_docs, "EXECUTABLE_DOCS", ("DOC.md",))
     assert check_docs.check_examples() == []
+
+
+def test_missing_artefact_reported(check_docs, tmp_path, monkeypatch):
+    (tmp_path / "benchmarks" / "results").mkdir(parents=True)
+    (tmp_path / "benchmarks" / "bench_kept.py").write_text("")
+    (tmp_path / "benchmarks" / "results" / "C1.txt").write_text("")
+    (tmp_path / "README.md").write_text(
+        "`benchmarks/bench_kept.py` writes `results/C1.txt`; "
+        "`benchmarks/bench_deleted.py` wrote `results/C99.txt`; "
+        "`benchmarks/results/<id>.txt` and `repro.core` are not paths\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    problems = check_docs.check_artefact_references()
+    assert len(problems) == 2
+    assert "benchmarks/bench_deleted.py" in problems[0]
+    assert "results/C99.txt" in problems[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core import Community, DictB2BObject, SimRuntime, ThreadedRuntime
@@ -148,6 +150,29 @@ class TestThreadedCommunity:
             runtime.settle(0.2)
             assert controller_c.members() == ["A", "B", "C"]
             assert c_obj.get_attribute("k") == 1
+        finally:
+            runtime.close()
+
+    def test_tcp_community_runs_on_one_transport_thread(self):
+        before = set(threading.enumerate())
+        runtime = ThreadedRuntime()
+        try:
+            names = ["A", "B", "C"]
+            community = Community(names, runtime=runtime,
+                                  retransmit_interval=0.2)
+            objects = {n: DictB2BObject() for n in names}
+            c = community.found_object("shared", objects)["A"]
+            c.enter(); c.overwrite()
+            objects["A"].set_attribute("k", 1)
+            c.leave()
+            assert runtime.wait_until(
+                lambda: all(o.get_attribute("k") == 1
+                            for o in objects.values()))
+            # Listeners, six connections and every retransmit timer:
+            # all on the reactor loop, whatever the party count.
+            started = [t.name for t in threading.enumerate()
+                       if t not in before]
+            assert started == ["tcp-reactor"]
         finally:
             runtime.close()
 

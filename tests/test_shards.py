@@ -460,37 +460,11 @@ class TestFlightClockBinding:
 
 
 class TestHandlerErrorAccounting:
-    def test_timer_wheel_counts_raising_callbacks(self):
-        from repro.transport.tcp import _TimerWheel
-
-        obs = RecordingInstrumentation()
-        wheel = _TimerWheel(obs=obs)
-        fired = threading.Event()
-
-        def boom():
-            fired.set()
-            raise RuntimeError("timer bug")
-
-        try:
-            wheel.schedule(0.0, boom)
-            assert fired.wait(2.0)
-            deadline = threading.Event()
-            for _ in range(40):
-                if obs.registry.snapshot()["counters"].get(
-                        "transport.tcp.handler_errors.timer"):
-                    break
-                deadline.wait(0.05)
-            counters = obs.registry.snapshot()["counters"]
-            assert counters.get("transport.tcp.handler_errors") == 1
-            assert counters.get("transport.tcp.handler_errors.timer") == 1
-        finally:
-            wheel.stop()
-
     def test_reactor_counts_command_and_timer_errors(self):
         from repro.transport.tcp import TcpNetwork
 
         obs = RecordingInstrumentation()
-        network = TcpNetwork(obs=obs, reactor=True)
+        network = TcpNetwork(obs=obs)
         try:
             reactor = network._reactor
             fired = threading.Event()

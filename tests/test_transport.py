@@ -257,6 +257,11 @@ class TestReliableEndpoint:
 
 
 class TestTcpNetwork:
+    def test_reactor_keyword_selects_nothing(self):
+        TcpNetwork(reactor=True).close()
+        with pytest.raises(ValueError):
+            TcpNetwork(reactor=False)
+
     def test_round_trip(self):
         network = TcpNetwork()
         try:

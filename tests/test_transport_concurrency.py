@@ -9,20 +9,24 @@ and retransmit timers drive the endpoints concurrently:
   one outcome (never a KeyError, never ack + failure both firing);
 * the duplicate-suppression window must stay bounded through a
   retransmission storm while still suppressing every duplicate;
-* pooled connections must survive a peer restart (transparent
-  reconnect).
+* an open connection must survive a peer restart (transparent
+  reconnect);
+* a seed peer's connection-per-line JSON traffic must still be read.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.obs import RecordingInstrumentation
 from repro.transport.base import Envelope, Network, TimerHandle
-from repro.transport.reliable import ReliableEndpoint, _DedupWindow
+from repro.transport.reliable import ACK, DATA, ReliableEndpoint, _DedupWindow
 from repro.transport.tcp import TcpNetwork
+from repro.util.encoding import canonical_bytes, from_canonical_bytes
 
 
 def _drop_pattern(network: TcpNetwork, link: "tuple[str, str]",
@@ -198,7 +202,7 @@ class TestDedupWindowBound:
 
 class TestTcpConcurrency:
     def test_multithreaded_send_ack_stress(self):
-        """Many sender threads over one pooled link: every message is
+        """Many sender threads over one link: every message is
         delivered exactly once and the outstanding map drains."""
         network = TcpNetwork()
         try:
@@ -236,9 +240,9 @@ class TestTcpConcurrency:
         finally:
             network.close()
 
-    def test_pooled_connection_survives_peer_restart(self):
+    def test_connection_survives_peer_restart(self):
         """Kill the receiving process's network and bring it back on the
-        same port: the sender's pooled channel must reconnect and the
+        same port: the sender's channel must reconnect and the
         reliable layer must deliver what was lost in between."""
         sender_net = TcpNetwork()
         receiver_net = TcpNetwork()
@@ -290,26 +294,53 @@ class TestTcpConcurrency:
             sender_net.close()
             receiver_net.close()
 
-    def test_per_message_mode_still_delivers(self):
-        network = TcpNetwork(pooled=False)
+    def test_seed_peer_connection_per_json_line_is_delivered_and_acked(self):
+        """The seed's sender opened one short-lived connection per
+        canonical-JSON line and sent no preamble; such a peer must still
+        be read, acked in the only framing it understands, and counted
+        under ``wire.json.*``."""
+        obs = RecordingInstrumentation()
+        network = TcpNetwork(obs=obs, codec="json")
         try:
-            done = threading.Event()
-            inbox = []
-            sender = ReliableEndpoint("A", network, retransmit_interval=0.2)
-            receiver = ReliableEndpoint("B", network, retransmit_interval=0.2)
-
-            def on_message(peer, payload):
-                inbox.append((peer, payload))
-                done.set()
-
-            receiver.on_message(on_message)
-            sender.send("B", {"hello": "legacy"})
-            assert done.wait(5.0)
-            assert inbox == [("A", {"hello": "legacy"})]
+            with socket.create_server(("127.0.0.1", 0)) as seed_listener:
+                seed_listener.settimeout(5.0)
+                inbox = []
+                receiver = ReliableEndpoint("B", network,
+                                            retransmit_interval=0.2)
+                receiver.on_message(
+                    lambda peer, payload: inbox.append((peer, payload)))
+                network.add_remote_party("A", *seed_listener.getsockname())
+                msg_ids = [f"A/seed/{i}" for i in range(3)]
+                for i, msg_id in enumerate(msg_ids):
+                    envelope = Envelope("A", "B",
+                                        {"type": DATA, "data": {"i": i}},
+                                        msg_id=msg_id)
+                    with socket.create_connection(network.address_of("B"),
+                                                  timeout=2.0) as conn:
+                        conn.sendall(canonical_bytes(envelope.to_dict())
+                                     + b"\n")
+                acks = b""
+                conn, _ = seed_listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    while acks.count(b"\n") < len(msg_ids):
+                        chunk = conn.recv(65536)
+                        assert chunk, "ack connection closed early"
+                        acks += chunk
+            assert sorted(inbox, key=lambda item: item[1]["i"]) == [
+                ("A", {"i": i}) for i in range(3)]
+            assert acks.startswith(b"{")  # no preamble in front of JSON
+            acked = [Envelope.from_dict(from_canonical_bytes(line))
+                     for line in acks.splitlines()]
+            assert all(e.payload["type"] == ACK for e in acked)
+            assert sorted(e.payload["ack_of"] for e in acked) == msg_ids
+            counters = obs.registry.snapshot()["counters"]
+            assert counters["wire.json.frames_in"] == 3
+            assert counters["wire.json.frames_out"] == 3
         finally:
             network.close()
 
-    def test_reliable_delivery_under_injected_loss_pooled(self):
+    def test_reliable_delivery_under_injected_loss(self):
         network = TcpNetwork(drop_probability=0.3, drop_seed=5)
         try:
             inbox = []
@@ -335,33 +366,48 @@ class TestTcpConcurrency:
 
 class TestPoolMetrics:
     def test_connection_and_coalescing_metrics(self):
-        from repro.obs import RecordingInstrumentation
-
         obs = RecordingInstrumentation()
         network = TcpNetwork(obs=obs)
         try:
-            done = threading.Event()
-            count = [0]
+            received = []
             sender = ReliableEndpoint("A", network, retransmit_interval=0.5,
                                       obs=obs)
             receiver = ReliableEndpoint("B", network, retransmit_interval=0.5,
                                         obs=obs)
+            receiver.on_message(lambda peer, payload: received.append(payload))
 
-            def on_message(peer, payload):
-                count[0] += 1
-                if count[0] >= 50:
-                    done.set()
+            def settle(total):
+                deadline = time.monotonic() + 10.0
+                while ((len(received) < total or sender.outstanding_count())
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                assert len(received) == total
+                assert sender.outstanding_count() == 0
 
-            receiver.on_message(on_message)
+            # Hold the reactor loop inside a timer callback while the
+            # first burst is enqueued: the loop then meets all 50 frames
+            # in one pass, the first starts the connect and the other 49
+            # queue behind it, so one flush must coalesce them.
+            held = threading.Event()
+            release = threading.Event()
+            network.schedule(0.0, lambda: (held.set(), release.wait(10.0)))
+            assert held.wait(5.0)
             for i in range(50):
                 sender.send("B", {"i": i})
-            assert done.wait(10.0)
-            snapshot = obs.registry.snapshot()
-            counters = snapshot["counters"]
-            # One persistent connection each way — never one per message.
-            opened = counters["transport.tcp.connections_opened"]
-            assert 1 <= opened <= 4
-            assert counters.get("transport.tcp.connections_reused", 0) >= 1
-            assert counters.get("transport.tcp.frames_coalesced", 0) >= 2
+            release.set()
+            settle(50)
+            counters = obs.registry.snapshot()["counters"]
+            assert counters["transport.tcp.frames_coalesced"] >= 2
+            # One connection each way — never one per message.
+            assert counters["transport.tcp.connections_opened"] == 2
+
+            # A second wave, sent once the first is fully acked, rides
+            # the connections that are already open.
+            for i in range(50, 60):
+                sender.send("B", {"i": i})
+            settle(60)
+            counters = obs.registry.snapshot()["counters"]
+            assert counters["transport.tcp.connections_opened"] == 2
+            assert counters["transport.tcp.connections_reused"] >= 1
         finally:
             network.close()

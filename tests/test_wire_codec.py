@@ -1,4 +1,4 @@
-"""The wire layer: binary codec, framing, interop, reactor transport."""
+"""The wire layer: binary codec, framing, interop, socket transport."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.obs import RecordingInstrumentation
 from repro.transport.base import Envelope
 from repro.transport.reliable import ReliableEndpoint
-from repro.transport.tcp import SelectorReactorNetwork, TcpNetwork
+from repro.transport.tcp import TcpNetwork
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
 from repro.wire import (
     CODEC_BINARY,
@@ -124,8 +124,27 @@ class TestFraming:
 
     def test_json_frame_is_byte_identical_to_canonical_line(self):
         envelope = self._envelope()
-        frame = EnvelopeEncoder(CODEC_JSON).encode(envelope)
-        assert frame == canonical_bytes(envelope.to_dict()) + b"\n"
+        line = canonical_bytes(envelope.to_dict()) + b"\n"
+        assert EnvelopeEncoder(CODEC_JSON).encode(envelope) == line
+        # ... and that line, with nothing in front of it, is what
+        # TcpNetwork(codec="json") writes to a seed peer's socket.
+        network = TcpNetwork(codec="json")
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as seed_listener:
+                seed_listener.settimeout(5.0)
+                network.add_remote_party("B", *seed_listener.getsockname())
+                assert network.send(envelope) == len(line) - 1
+                conn, _ = seed_listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    received = b""
+                    while len(received) < len(line):
+                        chunk = conn.recv(65536)
+                        assert chunk, "connection closed early"
+                        received += chunk
+            assert received == line
+        finally:
+            network.close()
 
     @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
     def test_encode_decode_round_trip(self, codec):
@@ -242,7 +261,7 @@ class TestMixedCodecInterop:
 class TestReactorTransport:
     @pytest.mark.parametrize("codec", ["json", "binary"])
     def test_round_trip_and_acks(self, codec):
-        network = SelectorReactorNetwork(codec=codec)
+        network = TcpNetwork(codec=codec)
         inbox = []
         try:
             a = _endpoint("A", network, [])
@@ -259,7 +278,7 @@ class TestReactorTransport:
             network.close()
 
     def test_single_thread_owns_many_peers(self):
-        network = SelectorReactorNetwork()
+        network = TcpNetwork()
         inboxes = {name: [] for name in "ABCDEFGH"}
         endpoints = {}
         try:
@@ -271,19 +290,17 @@ class TestReactorTransport:
                 sender.send(name, {"hello": name})
             assert _await(lambda: all(len(inboxes[n]) == 1 for n in "BCDEFGH"))
             # 8 parties, 7 live connections, retransmit timers armed —
-            # and exactly ONE new thread: the reactor loop.  The pooled
-            # mode would have spawned listeners, writers and servers.
+            # and exactly ONE new thread: the reactor loop.
             assert threading.active_count() <= before + 1
             names = {thread.name for thread in threading.enumerate()}
             assert "tcp-reactor" in names
-            assert not any(name.startswith("tcp-writer") for name in names)
             for endpoint in endpoints.values():
                 endpoint.stop()
         finally:
             network.close()
 
     def test_timers_fire_and_cancel(self):
-        network = SelectorReactorNetwork()
+        network = TcpNetwork()
         fired = []
         try:
             network.schedule(0.02, lambda: fired.append("a"))
@@ -296,7 +313,7 @@ class TestReactorTransport:
             network.close()
 
     def test_retransmission_recovers_injected_drops(self):
-        network = SelectorReactorNetwork(drop_probability=0.4, drop_seed=7)
+        network = TcpNetwork(drop_probability=0.4, drop_seed=7)
         inbox = []
         try:
             a = _endpoint("A", network, [], interval=0.03)
@@ -311,7 +328,7 @@ class TestReactorTransport:
             network.close()
 
     def test_send_to_unknown_party_is_dropped(self):
-        network = SelectorReactorNetwork()
+        network = TcpNetwork()
         try:
             assert network.send(Envelope("A", "nobody", {"x": 1})) is None
         finally:
@@ -330,9 +347,10 @@ class TestMalformedFrameAccounting:
             # process what it read before EOF tears it down.
             time.sleep(0.05)
 
+    # Inbound accounting does not depend on the codec the network sends.
     @pytest.mark.parametrize("factory", [
-        lambda obs: TcpNetwork(obs=obs),
-        lambda obs: SelectorReactorNetwork(obs=obs),
+        lambda obs: TcpNetwork(obs=obs, codec="json"),
+        lambda obs: TcpNetwork(obs=obs, codec="binary"),
     ])
     def test_garbage_is_counted_not_swallowed(self, factory):
         obs = RecordingInstrumentation()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Two checks, both stdlib-only:
+Four checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -12,17 +12,23 @@ Two checks, both stdlib-only:
    ``sys.path``.  Blocks containing ``...`` placeholders are skipped
    as illustrative.  An example that raises fails the check — so the
    documented API cannot silently drift from the implementation.
-   ``--tcp-mode {pooled,reactor}`` exports ``REPRO_DOCS_TCP_MODE`` so
-   examples that honour it (``docs/READS.md``) run over real TCP
-   sockets in that mode instead of the simulator.
+   ``--tcp`` exports ``REPRO_DOCS_TCP=1`` so examples that honour it
+   (``docs/READS.md``) run over real TCP sockets instead of the
+   simulator.
 3. **Experiment-count consistency** — the experiment count stated in
    ``README.md`` must equal the number of experiment rows in the
    ``EXPERIMENTS.md`` table, so the docs cannot rot as benches land.
+4. **Artefact references** — every back-ticked repo path (``.py``,
+   ``.json``, ``.txt``, ``.md`` under ``benchmarks/``, ``results/``,
+   ``tools/``, ``examples/``, ``tests/`` or ``src/``) quoted in
+   ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or ``docs/*.md``
+   must exist, so deleting a bench or a result cannot leave a pointer
+   behind.
 
 Run from the repository root (CI's ``docs-check`` job does):
 
     PYTHONPATH=src python tools/check_docs.py
-    PYTHONPATH=src python tools/check_docs.py --tcp-mode reactor
+    PYTHONPATH=src python tools/check_docs.py --tcp
 """
 
 from __future__ import annotations
@@ -48,6 +54,13 @@ EXECUTABLE_DOCS = ("README.md", os.path.join("docs", "API.md"),
 #: README phrasing that must track the EXPERIMENTS.md table.
 EXPERIMENT_COUNT_RE = re.compile(r"(\d+) experiments")
 EXPERIMENT_ROW_RE = re.compile(r"^\| [FC]\d")
+
+#: Back-ticked repo paths that must exist (``results/`` is shorthand for
+#: ``benchmarks/results/``); ``<id>``, ``*`` and ``{a,b}`` patterns are
+#: placeholders, not files.
+ARTEFACT_RE = re.compile(
+    r"`((?:benchmarks|results|tools|examples|tests|src)/"
+    r"[^`\s<>*{}]*\.(?:py|json|txt|md))`")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
@@ -166,24 +179,53 @@ def check_experiment_count() -> "list[str]":
     return problems
 
 
+def check_artefact_references() -> "list[str]":
+    """Back-ticked repo paths in the top-level docs must exist."""
+    docs_dir = os.path.join(REPO_ROOT, "docs")
+    paths = [os.path.join(REPO_ROOT, name)
+             for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    if os.path.isdir(docs_dir):
+        paths += [os.path.join(docs_dir, name)
+                  for name in sorted(os.listdir(docs_dir))
+                  if name.endswith(".md")]
+    problems = []
+    for path in paths:
+        if not os.path.exists(path):
+            continue
+        rel_path = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                for target in ARTEFACT_RE.findall(line):
+                    resolved = (os.path.join("benchmarks", target)
+                                if target.startswith("results/") else target)
+                    if not os.path.exists(os.path.join(REPO_ROOT, resolved)):
+                        problems.append(
+                            f"{rel_path}:{number}: missing artefact -> "
+                            f"{target}"
+                        )
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--tcp-mode", choices=("pooled", "reactor"), default=None,
-        help="run REPRO_DOCS_TCP_MODE-aware examples over real TCP "
-             "sockets in this transport mode (default: simulator)")
+        "--tcp", action="store_true",
+        help="run REPRO_DOCS_TCP-aware examples over real TCP sockets "
+             "(default: simulator)")
     options = parser.parse_args()
-    if options.tcp_mode:
-        os.environ["REPRO_DOCS_TCP_MODE"] = options.tcp_mode
+    if options.tcp:
+        os.environ["REPRO_DOCS_TCP"] = "1"
     problems = check_links()
     problems += check_examples()
     problems += check_experiment_count()
+    problems += check_artefact_references()
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"\ndocs-check: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("docs-check: all markdown links resolve and all examples run")
+    print("docs-check: all markdown links and artefact references resolve "
+          "and all examples run")
     return 0
 
 
