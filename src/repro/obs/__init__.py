@@ -1,16 +1,23 @@
 """``repro.obs`` — structured tracing and metrics for the middleware.
 
-The subsystem has six parts:
+The subsystem has seven parts:
 
+* :mod:`repro.obs.catalogue` — every observable event described once
+  as data (hook, layer, parameters, metrics, trace record, flight
+  kind); the hook interface, the recorder and the tables in
+  ``docs/OBSERVABILITY.md`` are all derived from it, so adding an event
+  is one entry plus one call site;
 * :mod:`repro.obs.metrics` — counters, gauges and streaming histograms
   in a :class:`MetricsRegistry` (the one statistics implementation);
 * :mod:`repro.obs.trace` — a :class:`Tracer` emitting typed span/event
   records to in-memory collectors or JSON-lines files, plus the
   cross-party :class:`TraceContext` / Lamport-clock machinery;
 * :mod:`repro.obs.hooks` — the :class:`Instrumentation` hook interface
-  threaded through protocol, transport, crypto and storage, with
-  :data:`NULL_INSTRUMENTATION` as the zero-overhead default and
-  :class:`RecordingInstrumentation` as the recording implementation;
+  threaded through protocol, transport, crypto and storage (a no-op
+  method per catalogue entry), with :data:`NULL_INSTRUMENTATION` as the
+  zero-overhead default;
+* :mod:`repro.obs.recording` — :class:`RecordingInstrumentation`, the
+  generic recorder that interprets the catalogue;
 * :mod:`repro.obs.merge` — offline merging of per-party trace files
   into one Lamport-ordered causal timeline with anomaly detection;
 * :mod:`repro.obs.audit` — evidence forensics behind ``repro audit``;
@@ -19,7 +26,7 @@ The subsystem has six parts:
   aggregate node health state, and a bounded flight recorder for
   crash-time event dumps.
 
-See ``docs/OBSERVABILITY.md`` for the hook and metric catalogue.
+See ``docs/OBSERVABILITY.md`` for the rendered hook and metric catalogue.
 """
 
 from repro.obs.hooks import (

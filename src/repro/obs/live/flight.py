@@ -13,8 +13,9 @@ The recorder is fed from the existing :class:`~repro.obs.hooks.
 Instrumentation` hook sites via :class:`~repro.obs.recording.
 RecordingInstrumentation` (``flight=`` argument or the ``flight``
 attribute): no new call sites in the protocol/transport/gateway layers,
-just a second destination for events that already flow.  Event kinds are
-catalogued in ``docs/OBSERVABILITY.md``.
+just a second destination for events that already flow.  Which events
+reach the ring, and under which kind, is the ``flight`` field of their
+:mod:`repro.obs.catalogue` entry (rendered in ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

@@ -417,9 +417,7 @@ class _Reactor:
                 pass
             if self._obs.enabled:
                 self._obs.connection_opened(
-                    sender, channel.recipient,
-                    reconnect=channel.ever_connected,
-                )
+                    sender, channel.recipient, channel.ever_connected)
             channel.ever_connected = True
             # The codec preamble leads every connection.
             channel.out += self._preamble
@@ -503,7 +501,7 @@ class _Reactor:
         if not obs.enabled:
             return
         for sender, size in frames:
-            obs.raw_send(sender, recipient, size, ok=ok)
+            obs.raw_send(sender, recipient, size, ok)
 
     def _want_write(self, channel: _Channel, want: bool) -> None:
         sock = channel.sock

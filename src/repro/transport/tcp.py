@@ -153,7 +153,7 @@ class TcpNetwork(Network):
         if self._should_drop(envelope):
             if self._obs.enabled:
                 self._obs.raw_send(envelope.sender, envelope.recipient,
-                                   0, ok=False)
+                                   0, False)
             return None  # injected loss: the reliable layer retransmits
         frame = self._encode_frame(envelope)
         self._reactor.enqueue(envelope.sender, envelope.recipient, frame)

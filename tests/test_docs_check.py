@@ -24,6 +24,7 @@ def test_repo_docs_are_clean(check_docs):
     assert check_docs.check_links() == []
     assert check_docs.check_examples() == []
     assert check_docs.check_artefact_references() == []
+    assert check_docs.check_catalogue_sections() == []
 
 
 def test_broken_link_reported(check_docs, tmp_path, monkeypatch):
@@ -90,3 +91,37 @@ def test_missing_artefact_reported(check_docs, tmp_path, monkeypatch):
     assert len(problems) == 2
     assert "benchmarks/bench_deleted.py" in problems[0]
     assert "results/C99.txt" in problems[1]
+
+
+def test_drifted_catalogue_sections_reported(check_docs, tmp_path,
+                                             monkeypatch):
+    """A hand-edited row, a missing row and a lost marker all fail."""
+    with open(os.path.join(check_docs.REPO_ROOT, "docs",
+                           "OBSERVABILITY.md"), encoding="utf-8") as handle:
+        committed = handle.read()
+    (tmp_path / "docs").mkdir()
+    target = tmp_path / "docs" / "OBSERVABILITY.md"
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+
+    target.write_text(committed, encoding="utf-8")
+    assert check_docs.check_catalogue_sections() == []
+
+    edited = committed.replace("| `shards.settled` | counter | 1 |",
+                               "| `shards.dispatched` | counter | 1 |")
+    assert edited != committed
+    target.write_text(edited, encoding="utf-8")
+    (problem,) = check_docs.check_catalogue_sections()
+    assert "render_obs_docs.py" in problem
+    assert "-| `shards.dispatched` | counter" in problem
+    assert "+| `shards.settled` | counter" in problem
+
+    dropped = "".join(line for line in committed.splitlines(keepends=True)
+                      if "`handler_error(party, site)`" not in line)
+    target.write_text(dropped, encoding="utf-8")
+    (problem,) = check_docs.check_catalogue_sections()
+    assert "+| transport | `handler_error(party, site)`" in problem
+
+    target.write_text(committed.replace("<!-- /catalogue:metrics -->", ""),
+                      encoding="utf-8")
+    (problem,) = check_docs.check_catalogue_sections()
+    assert "catalogue:metrics" in problem

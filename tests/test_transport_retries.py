@@ -53,7 +53,7 @@ class TestRetryExhaustion:
         network.run(max_time=10.0)
         (event,) = obs.collector.named("transport.retry_exhausted")
         assert event.attrs["attempts"] == 2
-        assert event.attrs["recipient"] == "B"
+        assert event.attrs["peer"] == "B"
 
 
 class TestDuplicateHandling:

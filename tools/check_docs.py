@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Four checks, all stdlib-only:
+Five checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -24,6 +24,11 @@ Four checks, all stdlib-only:
    ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or ``docs/*.md``
    must exist, so deleting a bench or a result cannot leave a pointer
    behind.
+5. **Event catalogue sections** — the hook and metric tables of
+   ``docs/OBSERVABILITY.md`` must be exactly what
+   ``repro.obs.catalogue`` renders now, so an event added, changed or
+   removed without re-running ``tools/render_obs_docs.py`` (or a table
+   edited by hand) fails the build.
 
 Run from the repository root (CI's ``docs-check`` job does):
 
@@ -34,6 +39,7 @@ Run from the repository root (CI's ``docs-check`` job does):
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import re
 import sys
@@ -130,11 +136,15 @@ def python_blocks(text: str) -> "list[tuple[int, str]]":
     return blocks
 
 
-def check_examples() -> "list[str]":
-    problems = []
+def _src_on_path() -> None:
     src_dir = os.path.join(REPO_ROOT, "src")
     if src_dir not in sys.path:
         sys.path.insert(0, src_dir)
+
+
+def check_examples() -> "list[str]":
+    problems = []
+    _src_on_path()
     for rel in EXECUTABLE_DOCS:
         path = os.path.join(REPO_ROOT, rel)
         if not os.path.exists(path):
@@ -206,6 +216,27 @@ def check_artefact_references() -> "list[str]":
     return problems
 
 
+def check_catalogue_sections() -> "list[str]":
+    """docs/OBSERVABILITY.md's rendered tables must match the catalogue."""
+    _src_on_path()
+    from repro.obs.catalogue import render_docs
+
+    rel = os.path.join("docs", "OBSERVABILITY.md")
+    with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        rendered = render_docs(text)
+    except ValueError as exc:
+        return [f"{rel}: {exc}"]
+    if rendered == text:
+        return []
+    diff = "\n".join(difflib.unified_diff(
+        text.splitlines(), rendered.splitlines(), rel,
+        "repro.obs.catalogue", lineterm="", n=0))
+    return [f"{rel}: catalogue sections are stale — run "
+            f"tools/render_obs_docs.py\n{diff}"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -219,13 +250,14 @@ def main() -> int:
     problems += check_examples()
     problems += check_experiment_count()
     problems += check_artefact_references()
+    problems += check_catalogue_sections()
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"\ndocs-check: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("docs-check: all markdown links and artefact references resolve "
-          "and all examples run")
+    print("docs-check: all markdown links and artefact references resolve, "
+          "all examples run and the event catalogue sections are current")
     return 0
 
 
