@@ -175,7 +175,7 @@ def test_c16_shard_scaleout(report):
     # The tentpole claim: >=2x aggregate settled updates/s at 8 shards
     # vs 1 on the 64-object 3-party workload.  Smoke runs keep the
     # workload too short for stable wall-clock ratios, so the floor is
-    # asserted only on full runs (matching C15's precedent).
+    # asserted only on full runs.
     if not SMOKE:
         speedup = results[-1]["speedup"]
         assert speedup >= 2.0, (

@@ -17,27 +17,36 @@ simply stop cooperating); eviction can.  A rejected connection looks
 identical to the subject whether the sponsor rejected it immediately or a
 member vetoed it (section 4.5.3).
 
-Member-side handling lives in :class:`MembershipEngine`; the
-not-yet-member side of a connection lives in :class:`JoinClient`.
+The sponsor's run is the state-coordination protocol with the sponsor in
+the proposer's seat: :class:`MembershipEngine` runs it on the machine of
+:mod:`repro.protocol.engine_base` and holds what is particular to
+membership — the request intake, sponsor legitimacy and the validity
+rule, the group-view change, and the welcome / reject / notice that
+follows ``m3``.  The not-yet-member side of a connection lives in
+:class:`JoinClient`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.crypto.hashing import hash_value
 from repro.crypto.signature import Verifier
 from repro.errors import ConcurrencyError, MembershipError
+from repro.obs.hooks import PHASE_M1, PHASE_M2, PHASE_M3
 from repro.protocol.context import PartyContext
 from repro.protocol.coordination import StateCoordinationEngine
-from repro.protocol.engine_base import EngineBase
+from repro.protocol.engine_base import (
+    AUTH_BYTES,
+    EngineBase,
+    EnginePlumbing,
+    Run,
+)
 from repro.protocol.events import (
     ConnectionDecided,
     DisconnectionDecided,
     MembershipChanged,
     Output,
-    RunBlocked,
     RunCompleted,
 )
 from repro.protocol.ids import GroupId, StateId, new_group_id
@@ -64,8 +73,6 @@ from repro.protocol.messages import (
     membership_commit_message,
     membership_message,
     responses_unanimous,
-    spliced,
-    verify_auth_preimage,
     welcome_message,
 )
 from repro.protocol.validation import Decision, Validator
@@ -78,46 +85,41 @@ KIND_EVICT = "evict"
 ROLE_SPONSOR = "sponsor"
 ROLE_MEMBER = "member"
 
+#: A membership run's record is the machine's :class:`Run` (``new_gid``,
+#: ``new_members`` and ``sponsor`` are its ``new_id``, ``new_state`` and
+#: ``initiator``).
+MembershipRun = Run
+
 CertificateResolver = Callable[[str, "dict | None"], Verifier]
 
-
-@dataclass
-class MembershipRun:
-    """Book-keeping for one membership protocol run at one party."""
-
-    run_id: str
-    kind: str
-    role: str
-    proposal: SignedPart
-    new_gid: GroupId
-    new_members: "list[str]"
-    subjects: "list[str]"
-    recipients: "list[str]"
-    request: "Optional[SignedPart]" = None
-    auth: "Optional[bytes]" = None  # sponsor only
-    responses: "dict[str, SignedPart]" = field(default_factory=dict)
-    own_response: "Optional[SignedPart]" = None
-    commit: "Optional[dict]" = None
-    outcome: "Optional[str]" = None
-    final_message: "Optional[tuple[str, dict]]" = None  # welcome/reject/notice
-    diagnostics: "list[str]" = field(default_factory=list)
-    started_at: float = 0.0
-    last_activity: float = 0.0
-
-    @property
-    def sponsor(self) -> str:
-        return str(self.proposal.payload["sponsor"])
-
-    def waiting_on(self) -> "list[str]":
-        if self.outcome is not None:
-            return []
-        if self.role == ROLE_SPONSOR:
-            return [p for p in self.recipients if p not in self.responses]
-        return [self.sponsor]
+# (m1, m2, m3) wire types: connection has its own, both removals share.
+_CONNECT_TYPES = (CONNECT_PROPOSE, CONNECT_RESPOND, CONNECT_COMMIT)
+_REMOVAL_TYPES = (DISCONNECT_PROPOSE, DISCONNECT_RESPOND, DISCONNECT_COMMIT)
 
 
 class MembershipEngine(EngineBase):
     """Member-side connection/disconnection/eviction coordination."""
+
+    _LABEL = "membership"
+    _INITIATOR = ROLE_SPONSOR
+    _RESPONDER = ROLE_MEMBER
+    _M1_KEY = _M2_KEY = "part"
+    _ID_KEY = "new_gid"
+    _ID_TYPE = GroupId
+    _PHASES = {
+        CONNECT_PROPOSE: PHASE_M1, DISCONNECT_PROPOSE: PHASE_M1,
+        CONNECT_RESPOND: PHASE_M2, DISCONNECT_RESPOND: PHASE_M2,
+        CONNECT_COMMIT: PHASE_M3, DISCONNECT_COMMIT: PHASE_M3,
+    }
+    #: Handlers of the messages that are not a step of a run.
+    _OTHER = {
+        CONNECT_REQUEST: "_on_connect_request",
+        DISCONNECT_REQUEST: "_on_disconnect_request",
+        EVICT_REQUEST: "_on_evict_request",
+        DISCONNECT_NOTICE: "_on_disconnect_notice",
+        CONNECT_REJECT: "_on_reject_notice",
+        SPONSOR_QUERY: "_on_sponsor_query",
+    }
 
     def __init__(self, ctx: PartyContext,
                  state_engine: StateCoordinationEngine,
@@ -128,32 +130,10 @@ class MembershipEngine(EngineBase):
         self.group = state_engine.group
         self.validator = validator or state_engine.validator
         self._certificate_resolver = certificate_resolver
-        self._runs: "dict[str, MembershipRun]" = {}
-        self._active_run_id: "Optional[str]" = None
-        self._request_to_run: "dict[bytes, str]" = {}
-        self._seen_group_keys: "set[bytes]" = {
-            hash_value(["gid-key", self.group.group_id.seq,
-                        self.group.group_id.rand_hash])
-        }
         # Set while this party awaits the outcome of its own voluntary
         # disconnection request.
         self._pending_departure: "Optional[bytes]" = None
         self._departure_request: "Optional[tuple[str, dict]]" = None
-
-    # ------------------------------------------------------------------
-    # public queries
-    # ------------------------------------------------------------------
-
-    @property
-    def party_id(self) -> str:
-        return self.ctx.party_id
-
-    @property
-    def busy(self) -> bool:
-        return self._active_run_id is not None
-
-    def runs(self) -> "list[MembershipRun]":
-        return list(self._runs.values())
 
     # ------------------------------------------------------------------
     # initiating requests
@@ -177,15 +157,10 @@ class MembershipEngine(EngineBase):
             "voluntary": True,
         }
         request = self._signed(request_payload)
-        digest = request.digest()
-        self._pending_departure = digest
-        message = membership_message(DISCONNECT_REQUEST, request)
-        self._departure_request = (sponsor, message)
-        self._journal_sent("disconnect-request:" + digest.hex(), sponsor,
-                           spliced(message, part=request))
-        self._log_evidence("disconnect-request-sent", {"request": request.encoded})
-        output.send(sponsor, message)
-        return digest, output
+        self._pending_departure = request.digest()
+        self._departure_request = (sponsor, self._send_request(
+            KIND_DISCONNECT, DISCONNECT_REQUEST, sponsor, request, output))
+        return self._pending_departure, output
 
     def request_eviction(self, subjects: "list[str]") -> "tuple[bytes, Output]":
         """Propose eviction of one or more members (section 4.5.4).
@@ -218,47 +193,18 @@ class MembershipEngine(EngineBase):
             )
             return digest, output
         output = Output()
-        message = membership_message(EVICT_REQUEST, request)
-        self._journal_sent("evict-request:" + digest.hex(), sponsor,
-                           spliced(message, part=request))
-        self._log_evidence("evict-request-sent", {"request": request.encoded})
-        output.send(sponsor, message)
+        self._send_request(KIND_EVICT, EVICT_REQUEST, sponsor, request, output)
         return digest, output
 
     # ------------------------------------------------------------------
-    # message dispatch
+    # messages outside a run
     # ------------------------------------------------------------------
 
-    def handle(self, sender: str, message: dict) -> Output:
-        msg_type = message.get("msg_type")
-        if msg_type == CONNECT_REQUEST:
-            return self._on_connect_request(sender, message)
-        if msg_type == CONNECT_PROPOSE:
-            return self._on_propose(sender, message, KIND_CONNECT)
-        if msg_type == CONNECT_RESPOND:
-            return self._on_respond(sender, message)
-        if msg_type == CONNECT_COMMIT:
-            return self._on_commit(sender, message)
-        if msg_type == DISCONNECT_REQUEST:
-            return self._on_disconnect_request(sender, message)
-        if msg_type == EVICT_REQUEST:
-            return self._on_evict_request(sender, message)
-        if msg_type == DISCONNECT_PROPOSE:
-            return self._on_propose(sender, message, None)
-        if msg_type == DISCONNECT_RESPOND:
-            return self._on_respond(sender, message)
-        if msg_type == DISCONNECT_COMMIT:
-            return self._on_commit(sender, message)
-        if msg_type == DISCONNECT_NOTICE:
-            return self._on_disconnect_notice(sender, message)
-        if msg_type == CONNECT_REJECT:
-            return self._on_reject_notice(sender, message)
-        if msg_type == SPONSOR_QUERY:
-            return self._on_sponsor_query(sender, message)
-        output = Output()
-        self._misbehaviour(output, sender, "unknown-message",
-                           f"unrecognised membership msg_type {msg_type!r}")
-        return output
+    def _on_other(self, sender: str, message: dict) -> Output:
+        handler = self._OTHER.get(message.get("msg_type"))
+        if handler is None:
+            return super()._on_other(sender, message)
+        return getattr(self, handler)(sender, message)
 
     def _on_sponsor_query(self, sender: str, message: dict) -> Output:
         """Tell a prospective member who the legitimate sponsor is.
@@ -280,23 +226,47 @@ class MembershipEngine(EngineBase):
     # sponsor side: requests
     # ------------------------------------------------------------------
 
-    def _on_connect_request(self, sender: str, message: dict) -> Output:
-        output = Output()
+    def _answered_before(self, kind: str, digest: bytes,
+                         output: Output) -> bool:
+        """Re-send the welcome or notice of a run this sponsor settled
+        validly and no longer holds (a restart, or retired since): the
+        change is installed, so the subject evidently missed it."""
+        def asked_by(logged: dict) -> bool:
+            request = logged["proposal"]["payload"].get("request") or {}
+            return (logged["valid"] and logged["kind"] == kind
+                    and hash_value(request.get("payload")) == digest)
+
+        run = self._settled_run(asked_by)
+        if run is None or run.role != ROLE_SPONSOR:
+            return False
+        self._epilogue(run, True, output)
+        return True
+
+    def _new_request(self, sender: str, message: dict,
+                     output: Output) -> "Optional[SignedPart]":
+        """The signed request *message* carries, unless it is malformed
+        or already has its run here — a duplicate is answered with that
+        run's final message, if there is one yet."""
         request = self._parse_part(message, "part")
         if request is None:
             self._misbehaviour(output, sender, "malformed-message",
-                               "unparseable connect request")
+                               f"unparseable {message.get('msg_type')}")
+            return None
+        run = self._runs.get(self._by_digest.get(request.digest(), ""))
+        if run is None:
+            return request
+        if run.final_message is not None:
+            output.send(*run.final_message)
+        return None
+
+    def _on_connect_request(self, sender: str, message: dict) -> Output:
+        output = Output()
+        request = self._new_request(sender, message, output)
+        if request is None:
             return output
         payload = request.payload
         subject = str(payload.get("subject", ""))
         digest = request.digest()
-
-        known_run_id = self._request_to_run.get(digest)
-        if known_run_id is not None:
-            run = self._runs.get(known_run_id)
-            if run is not None and run.final_message is not None:
-                output.send(*run.final_message)
-            return output
 
         # Verify the subject's signature using the certificate carried in
         # the request (the subject is not yet in anyone's resolver).
@@ -313,17 +283,17 @@ class MembershipEngine(EngineBase):
 
         self._log_evidence("connect-request-received", {"request": request.encoded})
 
-        if self.group.connect_sponsor() != self.party_id:
-            # Not the legitimate sponsor: refuse (the subject can learn the
-            # correct sponsor from any member).
-            output.send(subject, self._reject_message(digest))
+        # Refuse when the subject is a member already (unless it is the
+        # welcome it is still asking for), when this party is not the
+        # legitimate sponsor (the subject can learn the correct one from
+        # any member), and — section 4.5.1 — while any other coordination
+        # request is pending decision.
+        if (subject in self.group
+                and self._answered_before(KIND_CONNECT, digest, output)):
             return output
-        if subject in self.group:
-            output.send(subject, self._reject_message(digest))
-            return output
-        if self.busy or self.state_engine.busy:
-            # Sponsor blocks new coordination requests pending decision on
-            # any active request (section 4.5.1).
+        if (subject in self.group
+                or self.group.connect_sponsor() != self.party_id
+                or self.busy or self.state_engine.busy):
             output.send(subject, self._reject_message(digest))
             return output
 
@@ -342,20 +312,11 @@ class MembershipEngine(EngineBase):
 
     def _on_disconnect_request(self, sender: str, message: dict) -> Output:
         output = Output()
-        request = self._parse_part(message, "part")
+        request = self._new_request(sender, message, output)
         if request is None:
-            self._misbehaviour(output, sender, "malformed-message",
-                               "unparseable disconnect request")
             return output
-        payload = request.payload
-        subject = str(payload.get("subject", ""))
+        subject = str(request.payload.get("subject", ""))
         digest = request.digest()
-        known_run_id = self._request_to_run.get(digest)
-        if known_run_id is not None:
-            run = self._runs.get(known_run_id)
-            if run is not None and run.final_message is not None:
-                output.send(*run.final_message)
-            return output
         if subject != sender:
             self._misbehaviour(output, sender, "impersonation",
                                f"disconnect request for {subject!r} sent by {sender!r}")
@@ -363,6 +324,7 @@ class MembershipEngine(EngineBase):
         if not self._verify_part(request, subject, "disconnect request", output):
             return output
         if subject not in self.group:
+            self._answered_before(KIND_DISCONNECT, digest, output)
             return output
         if self.group.disconnect_sponsor(subject) != self.party_id:
             return output  # not our responsibility; subject should retry
@@ -378,18 +340,13 @@ class MembershipEngine(EngineBase):
 
     def _on_evict_request(self, sender: str, message: dict) -> Output:
         output = Output()
-        request = self._parse_part(message, "part")
+        request = self._new_request(sender, message, output)
         if request is None:
-            self._misbehaviour(output, sender, "malformed-message",
-                               "unparseable evict request")
             return output
         payload = request.payload
         proposer = str(payload.get("proposer", ""))
         subjects = [str(s) for s in payload.get("subjects", [])]
         digest = request.digest()
-        known_run_id = self._request_to_run.get(digest)
-        if known_run_id is not None:
-            return output
         if proposer != sender:
             self._misbehaviour(output, sender, "impersonation",
                                f"evict request by {proposer!r} sent by {sender!r}")
@@ -413,13 +370,8 @@ class MembershipEngine(EngineBase):
                 {"proposer": proposer, "subjects": subjects,
                  "reason": list(decision.diagnostics)},
             )
-            reject = self._signed({
-                "type": "evict-reject",
-                "sponsor": self.party_id,
-                "object": self.object_name,
-                "request_digest": digest,
-                "result": "rej",
-            })
+            reject = self._signed(dict(build_connect_reject(
+                self.party_id, self.object_name, digest), type="evict-reject"))
             output.send(proposer, membership_message(CONNECT_REJECT, reject))
             return output
         output.merge(self._sponsor_removal(
@@ -433,52 +385,30 @@ class MembershipEngine(EngineBase):
     # ------------------------------------------------------------------
 
     def _sponsor_connect(self, subject: str, request: SignedPart) -> Output:
-        output = Output()
-        new_members = self.group.membership_after_connect(subject)
-        new_gid, _nonce = new_group_id(
-            self.group.group_id.seq, new_members, self.ctx.rng
-        )
-        auth = self.ctx.rng.random_bytes(32)
-        proposal_payload = build_membership_proposal(
-            kind=KIND_CONNECT,
-            sponsor=self.party_id,
-            object_name=self.object_name,
-            old_gid=self.group.group_id,
-            new_gid=new_gid,
-            new_members=new_members,
-            subjects=[subject],
-            agreed_sid=self.state_engine.agreed_sid,
-            auth_commitment=hash_value(auth),
-            request=request,
-        )
-        proposal = self._signed(proposal_payload)
-        run = self._start_sponsor_run(
-            KIND_CONNECT, proposal, new_gid, new_members, [subject],
-            request=request, auth=auth,
-        )
-        message = membership_message(CONNECT_PROPOSE, proposal)
-        stored = spliced(message, part=proposal)
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, stored)
-            output.send(recipient, message)
-        if not run.recipients:
-            self._complete_as_sponsor(run, output)
-        return output
+        return self._sponsor(KIND_CONNECT, [subject],
+                             self.group.membership_after_connect(subject),
+                             request)
 
     def _sponsor_removal(self, kind: str, subjects: "list[str]",
                          request: "SignedPart | None", voluntary: bool,
                          proposer: str) -> Output:
-        output = Output()
         if self.busy:
             raise ConcurrencyError(
                 f"{self.party_id}: a membership run is already active"
             )
-        new_members = self.group.membership_after_removal(subjects)
+        return self._sponsor(kind, subjects,
+                             self.group.membership_after_removal(subjects),
+                             request, voluntary=voluntary, proposer=proposer)
+
+    def _sponsor(self, kind: str, subjects: "list[str]",
+                 new_members: "list[str]", request: "SignedPart | None",
+                 **removal: Any) -> Output:
+        """Start the run that puts a membership change to the members."""
         new_gid, _nonce = new_group_id(
             self.group.group_id.seq, new_members, self.ctx.rng
         )
-        auth = self.ctx.rng.random_bytes(32)
-        proposal_payload = build_membership_proposal(
+        auth = self.ctx.rng.random_bytes(AUTH_BYTES)
+        proposal = self._signed(build_membership_proposal(
             kind=kind,
             sponsor=self.party_id,
             object_name=self.object_name,
@@ -489,160 +419,147 @@ class MembershipEngine(EngineBase):
             agreed_sid=self.state_engine.agreed_sid,
             auth_commitment=hash_value(auth),
             request=request,
-            voluntary=voluntary,
-            proposer=proposer,
-        )
-        proposal = self._signed(proposal_payload)
-        run = self._start_sponsor_run(
-            kind, proposal, new_gid, new_members, subjects,
-            request=request, auth=auth,
-        )
-        message = membership_message(DISCONNECT_PROPOSE, proposal)
-        stored = spliced(message, part=proposal)
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, stored)
-            output.send(recipient, message)
-        if not run.recipients:
-            self._complete_as_sponsor(run, output)
-        return output
-
-    def _start_sponsor_run(self, kind: str, proposal: SignedPart,
-                           new_gid: GroupId, new_members: "list[str]",
-                           subjects: "list[str]",
-                           request: "SignedPart | None",
-                           auth: bytes) -> MembershipRun:
-        run_id = self._membership_run_id(new_gid)
-        if kind == KIND_CONNECT:
-            recipients = self.group.recipients_excluding(self.party_id)
-        else:
-            recipients = self.group.recipients_excluding(self.party_id, *subjects)
-        now = self.ctx.clock.now()
-        run = MembershipRun(
-            run_id=run_id,
-            kind=kind,
-            role=ROLE_SPONSOR,
-            proposal=proposal,
-            new_gid=new_gid,
-            new_members=new_members,
-            subjects=subjects,
-            recipients=recipients,
-            request=request,
-            auth=auth,
-            started_at=now,
-            last_activity=now,
-        )
-        self._runs[run_id] = run
-        self._active_run_id = run_id
-        self.state_engine.membership_change_active = True
-        if request is not None:
-            self._request_to_run[request.digest()] = run_id
-        self._note_group_seen(new_gid)
-        self._log_evidence(
-            f"{kind}-proposal-sent",
-            {"run_id": run_id, "proposal": proposal.encoded},
-        )
-        return run
+            **removal,
+        ))
+        run = self._new_run(
+            ROLE_SPONSOR, proposal, new_gid, kind=kind, new_state=new_members,
+            subjects=subjects, request=request, auth=auth)
+        # The request itself travels (and is journalled) inside the
+        # signed proposal.
+        return self._start_run(run, {"kind": kind, "subjects": subjects})
 
     # ------------------------------------------------------------------
-    # member side: proposals
+    # policy hooks of the run machine
     # ------------------------------------------------------------------
 
-    def _on_propose(self, sender: str, message: dict,
-                    forced_kind: "str | None") -> Output:
-        output = Output()
-        proposal = self._parse_part(message, "part")
-        if proposal is None:
-            self._misbehaviour(output, sender, "malformed-message",
-                               "unparseable membership proposal")
-            return output
-        payload = proposal.payload
-        sponsor = str(payload.get("sponsor", ""))
-        kind = forced_kind or str(payload.get("kind", ""))
-        if sponsor != sender:
-            self._misbehaviour(output, sender, "impersonation",
-                               f"proposal sponsored by {sponsor!r} sent by {sender!r}")
-            return output
-        if not self._verify_part(proposal, sponsor, f"{kind} proposal", output):
-            return output
-        try:
-            new_gid = GroupId.from_dict(payload["new_gid"])
-            old_gid = GroupId.from_dict(payload["old_gid"])
-            claimed_agreed = StateId.from_dict(payload["agreed_sid"])
-            new_members = [str(m) for m in payload["new_members"]]
-            subjects = [str(s) for s in payload["subjects"]]
-        except (KeyError, TypeError, ValueError):
-            self._misbehaviour(output, sponsor, "malformed-message",
-                               "membership proposal missing fields")
-            return output
+    def _installed_id(self) -> GroupId:
+        return self.group.group_id
 
-        run_id = self._membership_run_id(new_gid)
-        existing = self._runs.get(run_id)
-        if existing is not None:
-            if existing.own_response is not None and existing.outcome is None:
-                reply_type = (CONNECT_RESPOND if existing.kind == KIND_CONNECT
-                              else DISCONNECT_RESPOND)
-                output.send(sponsor, membership_message(
-                    reply_type, existing.own_response))
-            return output
+    def _describe(self, run: Run, source: dict) -> None:
+        payload = run.proposal.payload
+        run.kind = str(payload["kind"])
+        if run.kind not in (KIND_CONNECT, KIND_DISCONNECT, KIND_EVICT):
+            raise ValueError(f"unknown membership change {run.kind!r}")
+        GroupId.from_dict(payload["old_gid"])
+        StateId.from_dict(payload["agreed_sid"])
+        run.new_state = [str(m) for m in payload["new_members"]]
+        run.subjects = [str(s) for s in payload["subjects"]]
+        run.request = self._parse_part(payload, "request")
 
-        self._journal_received(run_id, sender, spliced(message, part=proposal))
-        self._log_evidence(
-            f"{kind}-proposal-received",
-            {"run_id": run_id, "proposal": proposal.encoded},
-        )
+    def _tag(self, run: Run, name: str) -> str:
+        return f"{run.kind}-{name}"
 
-        voluntary = bool(payload.get("voluntary", False))
-        decision = self._evaluate_membership_proposal(
-            kind, sponsor, payload, new_gid, old_gid, claimed_agreed,
-            new_members, subjects, voluntary,
-        )
-        response_payload = build_membership_response(
-            kind=kind,
+    def _response_payload(self, run: Run, decision: Decision) -> dict:
+        return build_membership_response(
+            kind=run.kind,
             responder=self.party_id,
             object_name=self.object_name,
-            proposal_digest=proposal.digest(),
+            proposal_digest=run.proposal.digest(),
             decision=decision,
             gid=self.group.group_id,
             agreed_sid=self.state_engine.agreed_sid,
             current_sid=self.state_engine.current_sid,
         )
-        response = self._signed(response_payload)
-        now = self.ctx.clock.now()
-        run = MembershipRun(
-            run_id=run_id,
-            kind=kind,
-            role=ROLE_MEMBER,
-            proposal=proposal,
-            new_gid=new_gid,
-            new_members=new_members,
-            subjects=subjects,
-            recipients=[],
-            own_response=response,
-            started_at=now,
-            last_activity=now,
-        )
-        self._runs[run_id] = run
-        self._note_group_seen(new_gid)
-        if decision.accepted or voluntary:
-            self._active_run_id = run_id
-            self.state_engine.membership_change_active = True
 
-        self._log_evidence(
-            f"{kind}-response-sent",
-            {"run_id": run_id, "response": response.encoded},
-        )
-        reply_type = CONNECT_RESPOND if kind == KIND_CONNECT else DISCONNECT_RESPOND
-        reply = membership_message(reply_type, response)
-        self._journal_sent(run_id, sponsor, spliced(reply, part=response))
-        output.send(sponsor, reply)
-        return output
+    def _response_run_id(self, payload: dict) -> str:
+        # A membership response names its proposal only by digest.
+        return self._by_digest.get(bytes(payload.get("proposal_digest", b"")), "")
 
-    def _evaluate_membership_proposal(self, kind: str, sponsor: str,
-                                      payload: dict, new_gid: GroupId,
-                                      old_gid: GroupId, claimed_agreed: StateId,
-                                      new_members: "list[str]",
-                                      subjects: "list[str]",
-                                      voluntary: bool) -> Decision:
+    @staticmethod
+    def _types(run: Run) -> "tuple[str, str, str]":
+        return _CONNECT_TYPES if run.kind == KIND_CONNECT else _REMOVAL_TYPES
+
+    def _m1_message(self, run: Run) -> dict:
+        return membership_message(self._types(run)[0], run.proposal)
+
+    def _m2_message(self, run: Run) -> dict:
+        return membership_message(self._types(run)[1], run.own_response)
+
+    def _m3_message(self, run: Run, responses: "list[SignedPart]") -> dict:
+        return membership_commit_message(
+            self._types(run)[2], run.kind, self.object_name, run.new_id,
+            run.auth or b"", run.proposal, responses,
+        )
+
+    def _set_active(self, run_id: "Optional[str]") -> None:
+        super()._set_active(run_id)
+        # New state proposals are rejected while the group is changing.
+        self.state_engine.membership_change_active = run_id is not None
+
+    def _goes_busy(self, run: Run) -> bool:
+        return (run.own_decision.accepted
+                or bool(run.proposal.payload.get("voluntary", False)))
+
+    def _aggregate_decisions(self, responses: "list[SignedPart]",
+                             own_decision: "Decision | None" = None
+                             ) -> "tuple[bool, list[str]]":
+        unanimous, diagnostics = responses_unanimous(responses)
+        return unanimous or self._may_install_despite_own_veto(), diagnostics
+
+    def _may_install_despite_own_veto(self) -> bool:
+        # Voluntary disconnection cannot be vetoed (section 4.5.4): the
+        # responses of the run being decided are receipts, not votes.
+        return self._deciding.kind == KIND_DISCONNECT
+
+    def _install(self, run: Run) -> None:
+        self.group.apply_change(run.new_state, run.new_id)
+        self.ctx.checkpoints.save(
+            f"{self.object_name}::group",
+            run.new_id.to_dict(),
+            {"members": list(run.new_state),
+             "gid": run.new_id.to_dict(),
+             "sponsor_mode": self.group.sponsor_mode},
+        )
+
+    def _announce(self, run: Run, valid: bool, output: Output) -> None:
+        if valid:
+            output.emit(MembershipChanged(
+                object_name=self.object_name,
+                change=run.kind,
+                subjects=list(run.subjects),
+                members=list(run.new_state),
+                group_id=run.new_id.to_dict(),
+                run_id=run.run_id,
+            ))
+
+    def _epilogue(self, run: Run, valid: bool, output: Output) -> None:
+        """The final message to the subject: welcome or rejection for a
+        connection, notice for a voluntary disconnection."""
+        if run.kind == KIND_EVICT:
+            return
+        if run.kind == KIND_DISCONNECT:
+            notice = self._signed({
+                "type": "disconnect-notice",
+                "sponsor": self.party_id,
+                "object": self.object_name,
+                "new_gid": run.new_id.to_dict(),
+                "subjects": list(run.subjects),
+            })
+            final = membership_message(
+                DISCONNECT_NOTICE, notice, extra={"commit": run.commit})
+        elif valid:
+            welcome = self._signed({
+                "type": "connect-welcome",
+                "sponsor": self.party_id,
+                "object": self.object_name,
+                "members": list(run.new_state),
+                "new_gid": run.new_id.to_dict(),
+                "agreed_sid": self.state_engine.agreed_sid.to_dict(),
+            })
+            final = welcome_message(welcome, self.state_engine.agreed_state,
+                                    run.commit or {})
+        else:
+            final = self._reject_message(
+                run.request.digest() if run.request else b"")
+        run.final_message = (run.subjects[0], final)
+        output.send(*run.final_message)
+
+    def _evaluate(self, run: Run) -> Decision:
+        payload = run.proposal.payload
+        kind, sponsor, subjects = run.kind, run.initiator, run.subjects
+        new_gid, new_members = run.new_id, run.new_state
+        old_gid = GroupId.from_dict(payload["old_gid"])
+        voluntary = bool(payload.get("voluntary", False))
         diagnostics: "list[str]" = []
         if sponsor not in self.group:
             diagnostics.append(f"sponsor {sponsor!r} is not a member")
@@ -654,7 +571,7 @@ class MembershipEngine(EngineBase):
                 )
         if old_gid != self.group.group_id:
             diagnostics.append("inconsistent group identifier")
-        if claimed_agreed != self.state_engine.agreed_sid:
+        if StateId.from_dict(payload["agreed_sid"]) != self.state_engine.agreed_sid:
             diagnostics.append("inconsistent agreed state identifier")
         if self.busy:
             diagnostics.append("busy: concurrent membership run active")
@@ -675,22 +592,7 @@ class MembershipEngine(EngineBase):
                     diagnostics.append(f"{subjects[0]!r} is already a member")
                 elif new_members != expected:
                     diagnostics.append("proposed membership list is inconsistent")
-            request = payload.get("request")
-            if not request:
-                diagnostics.append("connection proposal lacks the subject's request")
-            else:
-                try:
-                    request_part = SignedPart.from_dict(request)
-                    subject = str(request_part.payload.get("subject", ""))
-                    verifier = self._resolve_verifier(
-                        subject, request_part.payload.get("certificate")
-                    )
-                    verifier.require(request_part.payload, request_part.signature,
-                                     "embedded connect request")
-                    if subjects and subject != subjects[0]:
-                        diagnostics.append("request subject differs from proposal subject")
-                except Exception as exc:  # noqa: BLE001
-                    diagnostics.append(f"embedded request unverifiable: {exc}")
+            self._check_request(run, "connection proposal", diagnostics)
         else:
             try:
                 expected_members = self.group.membership_after_removal(subjects)
@@ -700,23 +602,7 @@ class MembershipEngine(EngineBase):
             if expected_members is not None and new_members != expected_members:
                 diagnostics.append("proposed membership list is inconsistent")
             if voluntary:
-                request = payload.get("request")
-                if not request:
-                    diagnostics.append("voluntary disconnection lacks the subject's request")
-                else:
-                    try:
-                        request_part = SignedPart.from_dict(request)
-                        subject = str(request_part.payload.get("subject", ""))
-                        self.ctx.resolver(subject).require(
-                            request_part.payload, request_part.signature,
-                            "embedded disconnect request",
-                        )
-                        if subjects != [subject]:
-                            diagnostics.append(
-                                "request subject differs from proposal subject"
-                            )
-                    except Exception as exc:  # noqa: BLE001
-                        diagnostics.append(f"embedded request unverifiable: {exc}")
+                self._check_request(run, "voluntary disconnection", diagnostics)
 
         if diagnostics:
             return Decision.reject(*diagnostics)
@@ -737,6 +623,30 @@ class MembershipEngine(EngineBase):
             return Decision.accept()
         return decision
 
+    def _check_request(self, run: Run, what: str,
+                       diagnostics: "list[str]") -> None:
+        """The subject's own signed request, embedded in the proposal: a
+        joiner's verifies under the certificate it carries, a member's
+        under the key this party already trusts."""
+        request = run.proposal.payload.get("request")
+        if not request:
+            diagnostics.append(f"{what} lacks the subject's request")
+            return
+        try:
+            part = SignedPart.from_dict(request)
+            subject = str(part.payload.get("subject", ""))
+            if run.kind == KIND_CONNECT:
+                verifier = self._resolve_verifier(
+                    subject, part.payload.get("certificate"))
+            else:
+                verifier = self.ctx.resolver(subject)
+            verifier.require(part.payload, part.signature,
+                             f"embedded {run.kind} request")
+            if run.subjects != [subject]:
+                diagnostics.append("request subject differs from proposal subject")
+        except Exception as exc:  # noqa: BLE001 - any failure is a veto
+            diagnostics.append(f"embedded request unverifiable: {exc}")
+
     def _removal_decision(self, subjects: "list[str]", voluntary: bool,
                           proposer: str) -> Decision:
         diagnostics: "list[str]" = []
@@ -756,238 +666,6 @@ class MembershipEngine(EngineBase):
         if kind == KIND_DISCONNECT and len(subjects) == 1:
             return self.group.disconnect_sponsor(subjects[0])
         return self.group.eviction_sponsor(subjects)
-
-    # ------------------------------------------------------------------
-    # sponsor side: responses and commit
-    # ------------------------------------------------------------------
-
-    def _on_respond(self, sender: str, message: dict) -> Output:
-        output = Output()
-        response = self._parse_part(message, "part")
-        if response is None:
-            self._misbehaviour(output, sender, "malformed-message",
-                               "unparseable membership response")
-            return output
-        payload = response.payload
-        responder = str(payload.get("responder", ""))
-        if responder != sender:
-            self._misbehaviour(output, sender, "impersonation",
-                               f"response by {responder!r} sent by {sender!r}")
-            return output
-        run = self._find_run_by_proposal_digest(
-            bytes(payload.get("proposal_digest", b""))
-        )
-        if run is None or run.role != ROLE_SPONSOR:
-            self._misbehaviour(output, responder, "unsolicited-response",
-                               "no sponsor run matches this response")
-            return output
-        if run.outcome is not None:
-            if run.commit is not None:
-                output.send(responder, run.commit)
-            return output
-        if responder not in run.recipients:
-            self._misbehaviour(output, responder, "unsolicited-response",
-                               "responder not a recipient of this proposal",
-                               run.run_id)
-            return output
-        if not self._verify_part(response, responder, f"{run.kind} response",
-                                 output, run.run_id):
-            return output
-        previous = run.responses.get(responder)
-        if previous is not None:
-            if previous.payload != payload:
-                self._misbehaviour(output, responder, "equivocation",
-                                   "two different signed membership responses",
-                                   run.run_id)
-            return output
-        self._journal_received(run.run_id, responder,
-                               spliced(message, part=response))
-        self._log_evidence(
-            f"{run.kind}-response-received",
-            {"run_id": run.run_id, "response": response.encoded},
-        )
-        run.responses[responder] = response
-        run.last_activity = self.ctx.clock.now()
-        if set(run.responses) == set(run.recipients):
-            self._complete_as_sponsor(run, output)
-        return output
-
-    def _complete_as_sponsor(self, run: MembershipRun, output: Output) -> None:
-        responses = [run.responses[p] for p in run.recipients]
-        unanimous, diagnostics = responses_unanimous(responses)
-        expected_digest = run.proposal.digest()
-        for part in responses:
-            if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
-                unanimous = False
-                diagnostics.append(
-                    f"{part.signer}: response references a different proposal"
-                )
-        if run.kind == KIND_DISCONNECT:
-            # Voluntary disconnection cannot be vetoed; responses are
-            # receipts only.
-            unanimous = True
-
-        commit_type = (CONNECT_COMMIT if run.kind == KIND_CONNECT
-                       else DISCONNECT_COMMIT)
-        commit = membership_commit_message(
-            commit_type, run.kind, self.object_name, run.new_gid,
-            run.auth or b"", run.proposal, responses,
-        )
-        run.commit = commit
-        stored = spliced(commit, proposal=run.proposal, responses=responses)
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, stored)
-            output.send(recipient, commit)
-        self._log_evidence(
-            f"{run.kind}-commit-sent",
-            {"run_id": run.run_id, "valid": unanimous, "diagnostics": diagnostics},
-        )
-        self._settle(run, unanimous, diagnostics, output, responses)
-
-        # Final message to the subject.
-        if run.kind == KIND_CONNECT:
-            subject = run.subjects[0]
-            if unanimous:
-                final = self._build_welcome(run, responses)
-            else:
-                final = self._reject_message(
-                    run.request.digest() if run.request else b""
-                )
-            run.final_message = (subject, final)
-            output.send(subject, final)
-        elif run.kind == KIND_DISCONNECT:
-            subject = run.subjects[0]
-            notice_part = self._signed({
-                "type": "disconnect-notice",
-                "sponsor": self.party_id,
-                "object": self.object_name,
-                "new_gid": run.new_gid.to_dict(),
-                "subjects": list(run.subjects),
-            })
-            final = membership_message(
-                DISCONNECT_NOTICE, notice_part, extra={"commit": run.commit}
-            )
-            run.final_message = (subject, final)
-            output.send(subject, final)
-
-    def _build_welcome(self, run: MembershipRun,
-                       responses: "list[SignedPart]") -> dict:
-        welcome_payload = {
-            "type": "connect-welcome",
-            "sponsor": self.party_id,
-            "object": self.object_name,
-            "members": list(run.new_members),
-            "new_gid": run.new_gid.to_dict(),
-            "agreed_sid": self.state_engine.agreed_sid.to_dict(),
-        }
-        part = self._signed(welcome_payload)
-        return welcome_message(part, self.state_engine.agreed_state,
-                               run.commit or {})
-
-    # ------------------------------------------------------------------
-    # member side: commit
-    # ------------------------------------------------------------------
-
-    def _on_commit(self, sender: str, message: dict) -> Output:
-        output = Output()
-        try:
-            new_gid = GroupId.from_dict(message["new_gid"])
-        except (KeyError, TypeError, ValueError):
-            self._misbehaviour(output, sender, "malformed-message",
-                               "membership commit missing group identifier")
-            return output
-        run_id = self._membership_run_id(new_gid)
-        run = self._runs.get(run_id)
-        if run is None:
-            proposal = self._parse_part(message, "proposal")
-            if proposal is not None and self._verify_part(
-                    proposal, None, "membership commit proposal", output, run_id):
-                self._misbehaviour(
-                    output, str(proposal.payload.get("sponsor", sender)),
-                    "selective-send",
-                    "membership commit for a proposal we were never sent",
-                    run_id,
-                )
-            return output
-        if run.outcome is not None:
-            return output
-        if run.role != ROLE_MEMBER:
-            return output
-        self._journal_received(run_id, sender,
-                               spliced(message, proposal=run.proposal))
-        valid, diagnostics, responses = self._check_membership_commit(
-            run, message, output
-        )
-        run.commit = message
-        self._log_evidence(
-            f"{run.kind}-commit-received",
-            {"run_id": run_id, "valid": valid, "diagnostics": diagnostics},
-        )
-        self._settle(run, valid, diagnostics, output, responses)
-        return output
-
-    def _check_membership_commit(self, run: MembershipRun, message: dict,
-                                 output: Output) -> "tuple[bool, list[str], list[SignedPart]]":
-        diagnostics: "list[str]" = []
-        sponsor = run.sponsor
-        embedded = self._parse_part(message, "proposal")
-        if embedded is None or embedded.payload != run.proposal.payload:
-            diagnostics.append("commit embeds a different proposal than we received")
-            self._misbehaviour(output, sponsor, "inconsistent-message",
-                               "membership commit/proposal mismatch", run.run_id)
-            return False, diagnostics, []
-        auth = bytes(message.get("auth", b""))
-        commitment = bytes(run.proposal.payload.get("auth_commitment", b""))
-        if not verify_auth_preimage(auth, commitment):
-            diagnostics.append("authenticator does not match the committed hash")
-            self._misbehaviour(output, sponsor, "forged-commit",
-                               "invalid membership authenticator", run.run_id)
-            return False, diagnostics, []
-        responses: "list[SignedPart]" = []
-        for raw in message.get("responses", []):
-            try:
-                responses.append(SignedPart.from_dict(raw))
-            except (KeyError, TypeError, ValueError):
-                diagnostics.append("malformed response in membership commit")
-                return False, diagnostics, []
-        if run.kind == KIND_CONNECT:
-            expected = set(self.group.recipients_excluding(sponsor))
-        else:
-            expected = set(self.group.recipients_excluding(sponsor, *run.subjects))
-        seen: "set[str]" = set()
-        expected_digest = run.proposal.digest()
-        for part in responses:
-            responder = str(part.payload.get("responder", ""))
-            if responder == self.party_id:
-                if run.own_response is None or part.payload != run.own_response.payload:
-                    diagnostics.append("our own membership response was altered")
-                    self._misbehaviour(output, sponsor, "evidence-tampering",
-                                       "bundle alters our signed response", run.run_id)
-                    return False, diagnostics, responses
-            if not self._verify_part(part, responder, "bundled membership response",
-                                     output, run.run_id):
-                diagnostics.append(f"invalid signature on response by {responder!r}")
-                return False, diagnostics, responses
-            if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
-                diagnostics.append(
-                    f"{responder}: response references a different proposal"
-                )
-            seen.add(responder)
-        if seen != expected:
-            missing = sorted(expected - seen)
-            extra = sorted(seen - expected)
-            if missing:
-                diagnostics.append(f"bundle lacks responses from {missing}")
-            if extra:
-                diagnostics.append(f"bundle has responses from non-recipients {extra}")
-            self._misbehaviour(output, sponsor, "incomplete-bundle",
-                               "; ".join(diagnostics), run.run_id)
-            return False, diagnostics, responses
-        unanimous, veto_diags = responses_unanimous(responses)
-        diagnostics.extend(veto_diags)
-        if run.kind == KIND_DISCONNECT:
-            unanimous = True  # receipts, not votes
-        return unanimous, diagnostics, responses
 
     # ------------------------------------------------------------------
     # subject side: final notices
@@ -1033,118 +711,14 @@ class MembershipEngine(EngineBase):
         return output
 
     # ------------------------------------------------------------------
-    # settlement
+    # progress / internals
     # ------------------------------------------------------------------
-
-    def _settle(self, run: MembershipRun, valid: bool,
-                diagnostics: "list[str]", output: Output,
-                responses: "list[SignedPart]") -> None:
-        run.outcome = "valid" if valid else "invalid"
-        run.diagnostics = diagnostics
-        if self._active_run_id == run.run_id:
-            self._active_run_id = None
-            self.state_engine.membership_change_active = False
-        evidence = {
-            "type": "authenticated-decision",
-            "object": self.object_name,
-            "run_id": run.run_id,
-            "kind": run.kind,
-            "new_gid": run.new_gid.to_dict(),
-            "auth": run.auth if run.auth is not None else bytes(
-                (run.commit or {}).get("auth", b"")
-            ),
-            "proposal": run.proposal.to_dict(),
-            "responses": [part.to_dict() for part in responses],
-            "valid": valid,
-            "diagnostics": list(diagnostics),
-        }
-        self._log_evidence("authenticated-decision", spliced(
-            evidence, proposal=run.proposal, responses=responses))
-        self._release(run.proposal, run.request, run.own_response,
-                      *run.responses.values())
-        if valid:
-            self.group.apply_change(run.new_members, run.new_gid)
-            self.ctx.checkpoints.save(
-                f"{self.object_name}::group",
-                run.new_gid.to_dict(),
-                {"members": list(run.new_members),
-                 "gid": run.new_gid.to_dict(),
-                 "sponsor_mode": self.group.sponsor_mode},
-            )
-        # Closed last, as in StateCoordinationEngine._settle.
-        self._close_journal(run.run_id, run.outcome)
-        if valid:
-            output.emit(MembershipChanged(
-                object_name=self.object_name,
-                change=run.kind,
-                subjects=list(run.subjects),
-                members=list(run.new_members),
-                group_id=run.new_gid.to_dict(),
-                run_id=run.run_id,
-            ))
-        output.emit(RunCompleted(
-            run_id=run.run_id,
-            object_name=self.object_name,
-            kind=run.kind,
-            valid=valid,
-            role=run.role,
-            diagnostics=list(diagnostics),
-            evidence=evidence,
-        ))
-
-    # ------------------------------------------------------------------
-    # progress / recovery
-    # ------------------------------------------------------------------
-
-    def check_progress(self, timeout: float) -> Output:
-        output = Output()
-        now = self.ctx.clock.now()
-        for run in self._runs.values():
-            if run.outcome is None and now - run.last_activity > timeout:
-                output.emit(RunBlocked(
-                    run_id=run.run_id,
-                    object_name=self.object_name,
-                    kind=run.kind,
-                    waiting_on=run.waiting_on(),
-                    age=now - run.last_activity,
-                ))
-        return output
 
     def resend_outstanding(self) -> Output:
-        output = Output()
+        output = super().resend_outstanding()
         if self._pending_departure is not None and self._departure_request is not None:
             output.send(*self._departure_request)
-        for run in self._runs.values():
-            if run.outcome is not None:
-                continue
-            if run.role == ROLE_SPONSOR:
-                msg_type = (CONNECT_PROPOSE if run.kind == KIND_CONNECT
-                            else DISCONNECT_PROPOSE)
-                message = membership_message(msg_type, run.proposal)
-                for recipient in run.waiting_on():
-                    output.send(recipient, message)
-            elif run.own_response is not None:
-                reply_type = (CONNECT_RESPOND if run.kind == KIND_CONNECT
-                              else DISCONNECT_RESPOND)
-                output.send(run.sponsor, membership_message(
-                    reply_type, run.own_response))
         return output
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _membership_run_id(self, new_gid: GroupId) -> str:
-        return self._run_id("membership", self.object_name, new_gid.to_dict())
-
-    def _note_group_seen(self, gid: GroupId) -> None:
-        self._seen_group_keys.add(hash_value(["gid-key", gid.seq, gid.rand_hash]))
-
-    def _find_run_by_proposal_digest(self, digest: bytes) -> "Optional[MembershipRun]":
-        for run in self._runs.values():
-            if run.proposal.digest() == digest:
-                return run
-        return None
 
     def _resolve_verifier(self, party_id: str,
                           certificate: "dict | None") -> Verifier:
@@ -1159,7 +733,7 @@ class MembershipEngine(EngineBase):
         return membership_message(CONNECT_REJECT, self._signed(reject_payload))
 
 
-class JoinClient(EngineBase):
+class JoinClient(EnginePlumbing):
     """The subject side of a connection request (not yet a member).
 
     Sends the signed request to the sponsor and interprets the welcome or
@@ -1206,12 +780,8 @@ class JoinClient(EngineBase):
             certificate=self.certificate,
         )
         self.request = self._signed(request_payload)
-        self._log_evidence("connect-request-sent",
-                           {"request": self.request.encoded})
-        message = membership_message(CONNECT_REQUEST, self.request)
-        run_id = "connect-request:" + self.request.digest().hex()
-        self._journal_sent(run_id, sponsor, spliced(message, part=self.request))
-        output.send(sponsor, message)
+        self._send_request(KIND_CONNECT, CONNECT_REQUEST, sponsor,
+                           self.request, output)
         return output
 
     def resend_request(self) -> Output:
@@ -1235,7 +805,7 @@ class JoinClient(EngineBase):
         """Follow up a sponsor discovery with the real request."""
         if self.request is not None or self.outcome is not None:
             return Output()  # already requested or settled
-        if sender != getattr(self, "_discovery_peer", None):
+        if sender != self._discovery_peer:
             return Output()  # unsolicited advice: ignore
         sponsor = str(message.get("sponsor", ""))
         if not sponsor:

@@ -24,32 +24,15 @@ from repro.protocol.membership import (
     MembershipEngine,
 )
 from repro.protocol.messages import (
-    COMMIT,
-    CONNECT_COMMIT,
-    CONNECT_PROPOSE,
     CONNECT_REJECT,
-    CONNECT_REQUEST,
-    CONNECT_RESPOND,
     CONNECT_WELCOME,
-    DISCONNECT_COMMIT,
-    DISCONNECT_NOTICE,
-    DISCONNECT_PROPOSE,
-    DISCONNECT_REQUEST,
-    DISCONNECT_RESPOND,
-    EVICT_REQUEST,
-    PROPOSE,
-    RESPOND,
     SPONSOR_INFO,
-    SPONSOR_QUERY,
 )
 from repro.protocol.validation import StateMerger, Validator
 
-_STATE_TYPES = {PROPOSE, RESPOND, COMMIT}
-_MEMBER_TYPES = {
-    CONNECT_REQUEST, CONNECT_PROPOSE, CONNECT_RESPOND, CONNECT_COMMIT,
-    DISCONNECT_REQUEST, DISCONNECT_PROPOSE, DISCONNECT_RESPOND,
-    DISCONNECT_COMMIT, DISCONNECT_NOTICE, EVICT_REQUEST, SPONSOR_QUERY,
-}
+# What each engine handles is the engine's to say.
+_STATE_TYPES = set(StateCoordinationEngine._PHASES)
+_MEMBER_TYPES = set(MembershipEngine._PHASES) | set(MembershipEngine._OTHER)
 _JOIN_TYPES = {CONNECT_WELCOME, CONNECT_REJECT, SPONSOR_INFO}
 
 
@@ -133,13 +116,18 @@ class ProtocolParty:
             self.ctx, group, initial_state, validator=validator, merger=merger,
             reject_null_transitions=reject_null_transitions,
         )
+        session = self._open_session(state, validator)
+        self._checkpoint_group(object_name, group)
+        return session
+
+    def _open_session(self, state: StateCoordinationEngine,
+                      validator: "Validator | None") -> ObjectSession:
         membership = MembershipEngine(
             self.ctx, state, validator=validator,
             certificate_resolver=self.certificate_resolver,
         )
         session = ObjectSession(state=state, membership=membership)
-        self.sessions[object_name] = session
-        self._checkpoint_group(object_name, group)
+        self.sessions[state.object_name] = session
         return session
 
     def _checkpoint_group(self, object_name: str, group: GroupView) -> None:
@@ -183,13 +171,9 @@ class ProtocolParty:
             reject_null_transitions=reject_null_transitions,
             initial_sid=StateId.from_dict(state_ckpt.state_id),
         )
-        membership = MembershipEngine(
-            self.ctx, state, validator=validator,
-            certificate_resolver=self.certificate_resolver,
-        )
-        session = ObjectSession(state=state, membership=membership)
-        self.sessions[object_name] = session
+        session = self._open_session(state, validator)
         output = state.recover_runs()
+        output.merge(session.membership.recover_runs())
         return session, output
 
     def join_object(self, object_name: str, sponsor: "str | None" = None,
@@ -247,7 +231,10 @@ class ProtocolParty:
             return session.state.handle(sender, message)
         if msg_type in _JOIN_TYPES and object_name in self._pending_joins:
             return self._handle_join_message(object_name, sender, message)
-        if msg_type in _MEMBER_TYPES or msg_type in _JOIN_TYPES:
+        # Of the join types only the reject doubles as a member's message
+        # (a sponsor refusing an eviction request); a welcome or sponsor
+        # info with no join pending is a late duplicate.
+        if msg_type in _MEMBER_TYPES:
             if session is None or session.detached:
                 return Output()
             output = session.membership.handle(sender, message)
@@ -281,12 +268,7 @@ class ProtocolParty:
             validator=pending.validator, merger=pending.merger,
             initial_sid=client.welcome_sid,
         )
-        membership = MembershipEngine(
-            self.ctx, state, validator=pending.validator,
-            certificate_resolver=self.certificate_resolver,
-        )
-        self.sessions[object_name] = ObjectSession(state=state,
-                                                   membership=membership)
+        self._open_session(state, pending.validator)
         self._checkpoint_group(object_name, group)
 
     def _absorb_departure(self, session: ObjectSession, output: Output) -> None:

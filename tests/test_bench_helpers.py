@@ -119,3 +119,37 @@ class TestHarness:
                                          counter_states(1))
             delta = counter.delta(community.runtime.network)
             assert delta["delivered"] == 2 * protocol_message_count(n)
+
+
+def test_every_e2e_ledger_wrap_point_resolves():
+    """``benchmarks/e2e/tracing.py`` wraps methods where a class body
+    defines them (``vars(cls)[attr]``) and module functions where a
+    ``repro`` module global *is* the function.  A target that matches
+    nothing makes its ledger row vanish without an error, so moving a
+    wrapped method into a base class must fail here instead."""
+    import importlib
+    import importlib.util
+    import os
+    import sys
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "benchmarks", "e2e", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_e2e_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    assert len(tracing.TARGETS) >= 20
+    for name, target, _info in tracing.TARGETS:
+        module_name, _, attr_path = target.partition(":")
+        module = importlib.import_module(module_name)
+        if "." in attr_path:
+            class_name, _, attr = attr_path.partition(".")
+            owners = list(tracing._implementations(
+                getattr(module, class_name), attr))
+            assert owners, f"{name}: no class body defines {target}"
+        else:
+            original = getattr(module, attr_path)
+            holders = [other for other in list(sys.modules.values())
+                       if getattr(other, "__name__", "").startswith("repro")
+                       and vars(other).get(attr_path) is original]
+            assert holders, f"{name}: no module global is {target}"

@@ -46,6 +46,10 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 #: Chain head of ``data/parent_evidence_OrgA.jsonl`` as the parent printed it.
 PARENT_FILE_HEAD = "1ded0e5bc7b46f6d060536d4dd9558eb55e8e527858c84ad6314ae23f21cbca4"
 
+#: PR 16 re-pinned the ``journal`` digests of OrgC and OrgD, and nothing
+#: else: sponsor runs now journal a ``run-keys`` record (so a restarted
+#: sponsor can resume them); with those records left out, both journals
+#: still hash to the values the parent of PR 12 printed.
 GOLDEN = {
     "value": (
         b'{"bytes":{"__b64__":"AAH/"},"empty":[{},[],"",{"__b64__":""}],'
@@ -77,14 +81,14 @@ GOLDEN = {
             "entries": 37,
             "evidence": "a22547bdd18e76db88b6404eda8f193700ae8e2561031a0ff944a22d5b230cd1",
             "head": "50d5f6cc2e0c9d07d338dbd92ec2f43c329c609b2e921e862b1b43dff1755333",
-            "journal": "a630c1fdde76af0c4420692f9917a6c6c3d1bfd4e3b1d50f3e5274fb038cf929"
+            "journal": "d561c0281dd734d63e012ba0dba905a585f653957a0ef8b93a18f39b4865f92d"
         },
         "OrgD": {
             "checkpoints": "d4fd0cfa1a8f4b535da571d967218c618eeb33a046b6a6f5f0b3a80bff01b0f7",
             "entries": 10,
             "evidence": "e5f065727402148ccbd4b28ca2a242c0c4a3fc5a564ae6fe35fa5bf3728d076a",
             "head": "9f59408b52e9e053948fe10b95a9f444ac305c51f7a604adc5160c4607f40a2d",
-            "journal": "785ac86dcc6478277182c8e14f8e5db6c47c8ec088cfb4b0604fe1f785088a4e"
+            "journal": "d6d7b546f068525e2315e5d7d6fb1b2c87d54bc7f01718486aa8d84900df0572"
         }
     },
 }

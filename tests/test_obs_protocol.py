@@ -101,6 +101,66 @@ class TestRunMetrics:
         assert "reliable transport" in report
 
 
+class TestMembershipRunsAreObserved:
+    """Membership runs go through the same machine as state runs, so
+    they fire the same events — with roles sponsor / member."""
+
+    @pytest.mark.parametrize("n_members", [2, 3, 4])
+    def test_join_is_three_broadcasts_and_one_causal_dag(self, n_members):
+        from repro.core import DictB2BObject
+        from repro.obs.merge import merge_traces
+        from repro.protocol.messages import TRACE_CTX
+
+        obs = RecordingInstrumentation(collect=True)
+        community = build_community(n_members + 1, seed=31, obs=obs)
+        members = community.names()[:n_members]
+        joiner, sponsor = community.names()[-1], members[-1]
+        found_dict_object(community, members=members)
+        carried = []
+        for name in members:
+            node = community.node(name)
+            node.outbound_interceptor = (
+                lambda to, message: carried.append(message) or [(to, message)])
+        registry = obs.registry
+        assert registry.counter_value("protocol.messages.sent") == 0
+
+        community.node(joiner).connect("shared", DictB2BObject(), sponsor)
+        community.settle()
+        # 3(n-1) protocol messages, the paper's formula; request and
+        # welcome are not steps of the run.
+        for phase in ("m1", "m2", "m3"):
+            assert registry.counter_value(
+                f"protocol.{phase}.sent") == n_members - 1
+            assert registry.histogram(
+                f"protocol.{phase}.handle_seconds").count == n_members - 1
+        assert (registry.counter_value("protocol.messages.sent")
+                == registry.counter_value("protocol.messages.received")
+                == protocol_message_count(n_members))
+        assert registry.counter_value("protocol.runs.started.sponsor") == 1
+        assert (registry.counter_value("protocol.runs.started.member")
+                == registry.counter_value("protocol.validation.accepted")
+                == n_members - 1)
+        assert registry.counter_value("protocol.runs.valid") == n_members
+        started = obs.collector.named("run.started")
+        assert {record.attrs["mode"] for record in started} == {"connect"}
+        # m1, m2 and m3 carry the unsigned causal context.
+        steps = [m for m in carried if m["msg_type"] in (
+            "connect_propose", "connect_respond", "connect_commit")]
+        assert len(steps) == protocol_message_count(n_members)
+        assert all(TRACE_CTX in message for message in steps)
+
+        per_party: "dict[str, list[dict]]" = {}
+        for record in obs.collector.records:
+            per_party.setdefault(record.party, []).append(record.to_dict())
+        merged = merge_traces(per_party.values())
+        (run,) = merged.runs.values()
+        assert run.proposer == sponsor  # the DAG's root sent m1
+        assert run.participants == sorted(members)
+        assert run.unresolved_parents == [] and run.anomalies == []
+        assert len(run.edges) == protocol_message_count(n_members)
+        assert run.outcomes == dict.fromkeys(members, "valid")
+
+
 class TestDefaultIsNoop:
     def test_community_defaults_to_null_instrumentation(self):
         community = build_community(2, seed=5)

@@ -115,6 +115,42 @@ class TestSeenWindow:
             assert len(state._seen_proposal_keys) <= 3
             assert len(state._seen_proposal_order) <= 3
 
+    def test_settled_runs_are_bounded_and_old_duplicates_still_answered(
+            self, monkeypatch):
+        """The run table keeps open runs plus ``seen_window`` settled
+        ones; a duplicate for an evicted run is answered from the journal
+        and the decision evidence exactly as for a retained run."""
+        from repro.protocol.engine_base import EngineBase
+        monkeypatch.setattr(EngineBase, "seen_window", 3)
+        harness = make_harness(2, initial={"v": 0})
+        p1, p2 = harness.party("P1"), harness.party("P2")
+        history = []
+        for i in range(9):
+            run_id, output = engine(harness, "P1").propose_update({"k": i})
+            (_, m1), = output.messages
+            (_, m2), = p2.handle("P1", m1).messages
+            (_, m3), = p1.handle("P2", m2).messages
+            assert not p2.handle("P1", m3).messages
+            history.append((run_id, m2, m3))
+        for name in harness.names:
+            assert engine(harness, name).agreed_sid.seq == 9
+            assert len(engine(harness, name).runs()) <= 3
+        evicted, retained = history[0], history[-1]
+        assert engine(harness, "P1").run(evicted[0]) is None
+        assert engine(harness, "P1").run(retained[0]) is not None
+        for run_id, m2, m3 in (evicted, retained):
+            again = p1.handle("P2", m2)  # a late m2: m3 is re-issued
+            assert again.messages == [("P2", m3)] and not again.events
+            late = p2.handle("P1", m3)  # a late m3: nothing to do
+            assert not late.messages and not late.events
+        # An m2 for a run that never was is still unsolicited.
+        forged = engine(harness, "P2")._signed(dict(
+            evicted[1]["response"]["payload"],
+            new_sid=dict(evicted[1]["response"]["payload"]["new_sid"], seq=77)))
+        stray = p1.handle("P2", {"msg_type": "respond",
+                                 "response": forged.to_dict()})
+        assert [e.kind for e in stray.events] == ["unsolicited-response"]
+
     def test_recent_replay_still_caught_after_eviction(self):
         harness = make_harness(2, initial={"v": 0})
         for name in harness.names:

@@ -290,3 +290,113 @@ class TestStorageDirCommunity:
         node.restore_object("ledger", replica)
         assert replica.get_attribute("k") == 7
         assert node.ctx.evidence.verify_chain() > 0
+
+
+class TestDuplicateAfterRestart:
+    """A duplicate that reaches a party which settled the run and then
+    restarted is a duplicate, not misbehaviour: the run is gone from the
+    run table, but the journal still knows it was closed."""
+
+    @staticmethod
+    def _restart(community, name):
+        node = community.restart_node(name)
+        node.restore_object("ledger", DictB2BObject())
+        return node
+
+    def test_duplicate_state_commit_is_no_selective_send(self):
+        from repro.faults import MessageRecorder
+        community, controllers, objects = build(seed=40)
+        recorder = MessageRecorder(community.node("A"), msg_type="commit")
+        write(community, controllers, objects, "A", k=1)
+        assert [to for to, _ in recorder.recorded] == ["B", "C"]
+        node = self._restart(community, "B")
+        recorder.replay(0)
+        community.settle(1.0)
+        assert node.misbehaviour_reports == []
+        assert node.party.session("ledger").state.agreed_state == {"k": 1}
+        # The same duplicate at C's live engine is ignored, as before.
+        recorder.replay(1)
+        community.settle(1.0)
+        assert community.node("C").misbehaviour_reports == []
+
+    def test_duplicate_connect_commit_is_no_selective_send(self):
+        from repro.faults import MessageRecorder
+        community, controllers, objects = build(seed=43)
+        write(community, controllers, objects, "A", k=1)
+        community.add_organisation("D")
+        recorder = MessageRecorder(community.node("C"),
+                                   msg_type="connect_commit")
+        community.node("D").connect("ledger", DictB2BObject(), "C")
+        community.settle(1.0)
+        assert [to for to, _ in recorder.recorded] == ["A", "B"]
+        node = self._restart(community, "B")
+        assert node.party.session("ledger").group.members == ["A", "B", "C", "D"]
+        recorder.replay(1)
+        community.settle(1.0)
+        assert node.misbehaviour_reports == []
+        assert not node.party.session("ledger").membership.busy
+
+
+class TestSponsorRestartMidJoin:
+    """Membership runs resume from the journal like state runs do."""
+
+    def _blocked_join(self, seed):
+        community, controllers, objects = build(seed=seed)
+        write(community, controllers, objects, "A", k=1)
+        community.add_organisation("D")
+        # B is down: the sponsor's run collects A's response and blocks.
+        community.runtime.network.crash("B")
+        joined = DictB2BObject()
+        ticket = community.node("D").propagate_connect("ledger", joined, "C")
+        community.settle(1.0)
+        assert not ticket.done
+        return community, controllers, objects, joined, ticket
+
+    def _assert_quiescent(self, community, members):
+        for name in members:
+            node = community.node(name)
+            session = node.party.session("ledger")
+            assert session.group.members == members, name
+            assert not session.membership.busy, name
+            assert not session.state.busy, name
+            assert not session.state.membership_change_active, name
+            assert not [run for run in node.ctx.journal.open_runs()
+                        if "-request:" not in run], name  # not a run
+            assert node.misbehaviour_reports == [], name
+
+    def test_sponsor_restart_resumes_the_join(self):
+        community, controllers, objects, joined, ticket = self._blocked_join(50)
+        sponsor = community.restart_node("C")
+        sponsor.restore_object("ledger", DictB2BObject())
+        membership = sponsor.party.session("ledger").membership
+        state = sponsor.party.session("ledger").state
+        (run,) = membership.runs()
+        assert membership.busy and state.membership_change_active
+        assert run.role == "sponsor" and run.kind == "connect"
+        assert run.auth is not None and run.subjects == ["D"]
+        assert "A" in run.responses and run.waiting_on() == ["B"]
+
+        community.runtime.network.recover("B")
+        community.node("B").recover()
+        community.settle(5.0)
+        assert ticket.done and ticket.valid
+        assert joined.attributes() == {"k": 1}
+        self._assert_quiescent(community, ["A", "B", "C", "D"])
+        # The object takes updates again, from old and new members.
+        later = community.node("D").submit_update("ledger", {"after": "join"})
+        community.settle(5.0)
+        assert later.done and later.valid
+        assert objects["A"].get_attribute("after") == "join"
+
+    def test_member_restart_mid_join_answers_again(self):
+        community, controllers, objects, joined, ticket = self._blocked_join(51)
+        member = community.restart_node("A")
+        member.restore_object("ledger", DictB2BObject())
+        session = member.party.session("ledger")
+        assert session.membership.busy
+        assert session.state.membership_change_active
+        community.runtime.network.recover("B")
+        community.node("B").recover()
+        community.settle(5.0)
+        assert ticket.done and ticket.valid
+        self._assert_quiescent(community, ["A", "B", "C", "D"])
