@@ -3,7 +3,7 @@
 The paper's middleware coordinates a handful of organisations; the
 population *behind* each organisation is orders of magnitude larger.
 ``repro.gateway`` is the front door that makes that population safe to
-admit: token-bucket rate limiting, a bounded load-leveling queue,
+admit: token-bucket rate limiting, one bounded write queue per object,
 idempotency keys and a per-object circuit breaker.
 
 This bench drives a closed-loop simulated client population (10^5
@@ -63,7 +63,7 @@ def phase_throughput(seed: int) -> dict:
     """Headline: the full population, one request each, no rejections."""
     obs = RecordingInstrumentation()
     community, gateway, name = build_gateway_community(
-        seed=seed, obs=obs, max_inflight=512, queue_capacity=4096,
+        seed=seed, obs=obs, queue_capacity=4096,
         pipeline_options={"max_batch": 256})
     try:
         config = LoadSimConfig(clients=CLIENTS, requests_per_client=1,
@@ -87,6 +87,7 @@ def phase_throughput(seed: int) -> dict:
             "wall_s": wall,
             "updates_per_wall_s": stats.settled_valid / wall,
             "latency_s": latency,
+            "rejected": gateway.stats()["rejected"],
         }
     finally:
         community.close()
@@ -99,7 +100,7 @@ def phase_hot_clients(seed: int) -> dict:
     hot_factor = 20
     community, gateway, name = build_gateway_community(
         seed=seed, rate=20.0, burst=2.0,
-        max_inflight=256, pipeline_options={"max_batch": 128})
+        pipeline_options={"max_batch": 128})
     try:
         config = LoadSimConfig(clients=clients, requests_per_client=2,
                                arrival_window=0.5, hot_clients=hot,
@@ -121,6 +122,7 @@ def phase_hot_clients(seed: int) -> dict:
             "settled_valid": stats.settled_valid,
             "rate_limited_attempts": rate_limited,
             "elapsed_virtual_s": stats.elapsed,
+            "rejected": gateway.stats()["rejected"],
         }
     finally:
         community.close()
@@ -130,7 +132,7 @@ def phase_circuit_breaker(seed: int) -> dict:
     """A crash degrades settlement; the breaker opens, probes, closes."""
     clients = max(100, CLIENTS // 500)
     community, gateway, name = build_gateway_community(
-        seed=seed, max_inflight=128, queue_capacity=512,
+        seed=seed, queue_capacity=512,
         breaker={"failure_threshold": 3, "window": 10,
                  "latency_threshold": 0.5, "reset_timeout": 2.0,
                  "probes": 2},
@@ -160,6 +162,7 @@ def phase_circuit_breaker(seed: int) -> dict:
             "gave_up": stats.gave_up,
             "breaker_transitions": states,
             "elapsed_virtual_s": stats.elapsed,
+            "rejected": gateway.stats()["rejected"],
         }
     finally:
         community.close()
@@ -169,7 +172,7 @@ def phase_idempotent_retries(seed: int) -> dict:
     """Aggressive duplicate submission: zero double applications."""
     clients = max(50, CLIENTS // 1000)
     community, gateway, name = build_gateway_community(
-        seed=seed, max_inflight=256, pipeline_options={"max_batch": 128})
+        seed=seed, pipeline_options={"max_batch": 128})
     try:
         tickets = []
         for index in range(clients):

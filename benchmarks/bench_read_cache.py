@@ -20,7 +20,7 @@ consistency mode and reports reads/s.  Two invariants are asserted in
 
 The >=5x cached-vs-settled read-throughput floor on the 90/10 mix is
 asserted only in full runs — smoke workloads are too short for stable
-wall-clock ratios (C16 precedent).  Writes
+wall-clock ratios.  Writes
 ``benchmarks/results/BENCH_read_cache.json`` for CI trend tracking.
 """
 

@@ -410,7 +410,6 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
         orgs=args.parties, seed=args.seed, obs=obs,
         rate=args.rate, burst=args.burst,
         queue_capacity=args.queue_capacity,
-        max_inflight=args.max_inflight,
         breaker=breaker_options,
         pipeline_options={"max_batch": args.max_batch},
     )
@@ -820,7 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(tokens/s; default: no rate limit)")
     gateway_sim.add_argument("--burst", type=float, default=16.0)
     gateway_sim.add_argument("--queue-capacity", type=int, default=4096)
-    gateway_sim.add_argument("--max-inflight", type=int, default=512)
     gateway_sim.add_argument("--max-batch", type=int, default=256,
                              help="pipeline batch bound behind the gateway")
     gateway_sim.add_argument("--arrival-window", type=float, default=2.0,

@@ -54,13 +54,7 @@ from repro.core.readcache import (
     settled,
 )
 from repro.core.runtime import Runtime, SimRuntime, ThreadedRuntime
-from repro.core.shards import (
-    DepthBudget,
-    Shard,
-    ShardMap,
-    ShardPipelineGroup,
-    ShardScheduler,
-)
+from repro.core.shards import Shard, ShardMap, ShardScheduler
 from repro.core.wrapper import CoordinatedProxy, WrappedB2BObject, wrap_object
 
 __all__ = [
@@ -96,10 +90,8 @@ __all__ = [
     "Runtime",
     "SimRuntime",
     "ThreadedRuntime",
-    "DepthBudget",
     "Shard",
     "ShardMap",
-    "ShardPipelineGroup",
     "ShardScheduler",
     "CoordinatedProxy",
     "WrappedB2BObject",

@@ -49,10 +49,7 @@ class Community:
                  clock: "Clock | None" = None,
                  storage_dir: "str | None" = None,
                  obs: "Instrumentation | None" = None,
-                 num_shards: int = 1,
-                 shard_workers: "bool | None" = None,
-                 shard_run_slots: "int | None" = None,
-                 shard_max_depth: "int | None" = None) -> None:
+                 num_shards: int = 1) -> None:
         if len(set(names)) != len(names):
             raise ConfigurationError("organisation names must be unique")
         self.obs = obs if obs is not None else NULL_INSTRUMENTATION
@@ -74,12 +71,7 @@ class Community:
             flight.bind_clock(self.clock)
         # Every node runs the same shard topology so composite
         # transactions and tests can reason about placement globally.
-        self._shard_options = {
-            "num_shards": num_shards,
-            "shard_workers": shard_workers,
-            "shard_run_slots": shard_run_slots,
-            "shard_max_depth": shard_max_depth,
-        }
+        self._num_shards = num_shards
         self._rng = DeterministicRandomSource(f"community:{seed}")
         self._key_bits = key_bits
         self.ca = CertificateAuthority(
@@ -169,7 +161,7 @@ class Community:
             certificate_resolver=certificate_resolver,
             certificate=certificate.to_dict(),
             retransmit_interval=self._retransmit_interval,
-            **self._shard_options,
+            num_shards=self._num_shards,
         )
         self.nodes[name] = node
         return node
@@ -294,7 +286,7 @@ class Community:
             certificate_resolver=old.party.certificate_resolver,
             certificate=old.certificate,
             retransmit_interval=self._retransmit_interval,
-            **self._shard_options,
+            num_shards=self._num_shards,
         )
         self.nodes[name] = node
         return node

@@ -198,9 +198,7 @@ def submit_transaction(node: Any, updates: "dict[str, Any]",
                 ticket.diagnostics = diagnostics
                 return ticket
         for name in names:
-            pipe = node.shards.shard_for(name).pipelines.pipeline(
-                name, lambda name=name: node.party.session(name).state)
-            child_ticket, output = pipe.submit(updates[name])
+            child_ticket, output = node.pipeline(name).submit(updates[name])
             ticket.children[name] = child_ticket
             outputs.append(output)
     finally:

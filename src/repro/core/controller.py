@@ -18,8 +18,6 @@ initiation and control of information sharing:
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.modes import ASYNCHRONOUS, SYNCHRONOUS, validate_mode
@@ -42,6 +40,7 @@ from repro.protocol.events import (
     StateInstalled,
     StateRolledBack,
 )
+from repro.protocol.pipeline import CoordinationTicket, is_transient_rejection
 from repro.protocol.validation import Decision, StateMerger, Validator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,32 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 EXAMINE = "examine"
 OVERWRITE = "overwrite"
 UPDATE = "update"
-
-
-@dataclass
-class CoordinationTicket:
-    """Handle on one in-flight coordination (state change or membership)."""
-
-    key: str
-    object_name: str
-    kind: str  # "state" | "connect" | "disconnect" | "evict"
-    done: bool = False
-    valid: "Optional[bool]" = None
-    diagnostics: "list[str]" = field(default_factory=list)
-    event: "Optional[Event]" = None
-    _signal: threading.Event = field(default_factory=threading.Event, repr=False)
-
-    def resolve(self, valid: bool, diagnostics: "list[str]",
-                event: "Optional[Event]" = None) -> None:
-        self.valid = valid
-        self.diagnostics = list(diagnostics)
-        self.event = event
-        self.done = True
-        self._signal.set()
-
-    def wait_signal(self, timeout: "float | None") -> bool:
-        """Real-time wait used by the threaded runtime."""
-        return self._signal.wait(timeout)
 
 
 class ObjectValidatorAdapter(Validator):
@@ -298,11 +271,8 @@ class B2BObjectController:
                 self.coord_commit(ticket)
                 return ticket
             except ValidationFailed as exc:
-                transient = exc.diagnostics and all(
-                    "busy:" in diag or "invariant-1:" in diag
-                    for diag in exc.diagnostics
-                )
-                if not transient or attempts >= self.max_transient_retries:
+                if (not is_transient_rejection(exc.diagnostics)
+                        or attempts >= self.max_transient_retries):
                     raise
                 attempts += 1
                 # Let in-flight commits reach the momentarily busy

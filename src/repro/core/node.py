@@ -16,7 +16,6 @@ from typing import Any, Callable, Optional
 
 from repro.core.controller import (
     B2BObjectController,
-    CoordinationTicket,
     ObjectMergerAdapter,
     ObjectValidatorAdapter,
 )
@@ -24,7 +23,7 @@ from repro.core.modes import SYNCHRONOUS
 from repro.core.object import B2BObject
 from repro.core.readcache import ReadCache, ReadMode, ReadResult
 from repro.core.runtime import Runtime, SimRuntime, ThreadedRuntime
-from repro.core.shards import ShardMap, ShardScheduler
+from repro.core.shards import ShardScheduler
 from repro.errors import NotConnectedError, ProtocolBlocked
 from repro.protocol.context import PartyContext
 from repro.protocol.events import (
@@ -41,7 +40,7 @@ from repro.protocol.events import (
 from repro.protocol.group import ROTATING
 from repro.protocol.membership import CertificateResolver
 from repro.protocol.party import ProtocolParty, extract_object_name
-from repro.protocol.pipeline import PipelineTicket, ProposalPipeline
+from repro.protocol.pipeline import ProposalPipeline, Ticket
 from repro.transport.base import TimerHandle
 from repro.transport.reliable import ReliableEndpoint
 
@@ -56,11 +55,7 @@ class OrganisationNode:
                  certificate: "dict | None" = None,
                  retransmit_interval: float = 0.05,
                  default_timeout: "float | None" = None,
-                 num_shards: int = 1,
-                 shard_map: "ShardMap | None" = None,
-                 shard_workers: "bool | None" = None,
-                 shard_run_slots: "int | None" = None,
-                 shard_max_depth: "int | None" = None) -> None:
+                 num_shards: int = 1) -> None:
         self.ctx = ctx
         # This node is where a record's consequences leave the party
         # (_process_output), so it owes the commit barrier there and may
@@ -84,22 +79,18 @@ class OrganisationNode:
         self.default_timeout = default_timeout
         # The simulation runtime is single-threaded virtual time: shard
         # worker threads would race its event queue, so routing stays
-        # inline there and workers default on only for real (threaded)
-        # runtimes that actually shard.
-        total_shards = (shard_map.num_shards if shard_map is not None
-                        else num_shards)
-        if shard_workers is None:
-            shard_workers = (total_shards > 1
-                             and not isinstance(runtime, SimRuntime))
-        if isinstance(runtime, SimRuntime):
-            shard_workers = False
+        # inline there and workers run only on real (threaded) runtimes
+        # that actually shard.
         self.shards = ShardScheduler(
-            num_shards=num_shards, shard_map=shard_map,
-            workers=shard_workers, run_slots=shard_run_slots,
-            shared_max_depth=shard_max_depth, name=ctx.party_id,
+            num_shards=num_shards,
+            workers=num_shards > 1 and not isinstance(runtime, SimRuntime),
+            name=ctx.party_id,
+            on_error=lambda: ctx.obs.handler_error(ctx.party_id, "shard"),
         )
         self.readcache = ReadCache(self)
-        self._tickets: "dict[str, CoordinationTicket]" = {}
+        #: Unresolved tickets of the runs and membership requests this
+        #: node tracks by key; an entry leaves when it resolves.
+        self._tickets: "dict[str, Ticket]" = {}
         self._pipeline_timers: "dict[str, TimerHandle]" = {}
         self._gateway: "Optional[Any]" = None
         self._live: "Optional[Any]" = None
@@ -233,7 +224,7 @@ class OrganisationNode:
     # ------------------------------------------------------------------
 
     def propagate_new_state(self, object_name: str,
-                            new_state: Any) -> CoordinationTicket:
+                            new_state: Any) -> Ticket:
         self._await_quiescent(object_name)
         shard = self.shards.shard_for(object_name)
         with shard.lock:
@@ -243,7 +234,7 @@ class OrganisationNode:
         self._process_output(output)
         return ticket
 
-    def propagate_update(self, object_name: str, update: Any) -> CoordinationTicket:
+    def propagate_update(self, object_name: str, update: Any) -> Ticket:
         self._await_quiescent(object_name)
         shard = self.shards.shard_for(object_name)
         with shard.lock:
@@ -265,29 +256,30 @@ class OrganisationNode:
         """
         shard = self.shards.shard_for(object_name)
         with shard.lock:
-            return shard.pipelines.pipeline(
-                object_name,
-                lambda: self.party.session(object_name).state,
-                **options,
-            )
+            pipe = shard.pipelines.get(object_name)
+            if pipe is None:
+                pipe = shard.pipelines[object_name] = ProposalPipeline(
+                    self.party.session(object_name).state, **options)
+            return pipe
 
-    def submit_update(self, object_name: str, update: Any) -> PipelineTicket:
-        """Queue *update* through the proposal pipeline.
+    def submit_update(self, object_name: str, update: Any,
+                      ticket: "Optional[Ticket]" = None) -> Ticket:
+        """Queue *update* in the object's write pipeline.
 
         Unlike :meth:`propagate_update` this never blocks and never
         raises for concurrency: while a run is in flight the update
         queues, and once the engine is free every queued update is
         coalesced into one batched proposal.  Benign busy vetoes retry
-        automatically; the ticket resolves invalid only for genuine
-        policy vetoes (or retry exhaustion).
+        automatically; the ticket (*ticket* itself when the caller
+        brings one) resolves invalid only for genuine policy vetoes (or
+        retry exhaustion).  Raises
+        :class:`~repro.errors.NotConnectedError` for an object this node
+        does not share and
+        :class:`~repro.errors.PipelineSaturatedError` at the queue bound.
         """
         shard = self.shards.shard_for(object_name)
         with shard.lock:
-            pipe = shard.pipelines.pipeline(
-                object_name,
-                lambda: self.party.session(object_name).state,
-            )
-            ticket, output = pipe.submit(update)
+            ticket, output = self.pipeline(object_name).submit(update, ticket)
         self._process_output(output)
         self._schedule_pipeline_retry(object_name)
         return ticket
@@ -346,35 +338,31 @@ class OrganisationNode:
             live = self._live
         return live.health if live is not None else "healthy"
 
-    def wait_for_pipeline(self, ticket: PipelineTicket,
-                          timeout: "float | None" = None) -> bool:
-        """Block until a pipeline ticket resolves (or *timeout* passes)."""
-        timeout = timeout if timeout is not None else self.default_timeout
-        return self.runtime.wait_until(lambda: ticket.done, timeout)
+    def _poll_pipeline(self, object_name: str) -> None:
+        """Let the object's pipeline propose if it can; if only its
+        backoff stands in the way, arm the timer that polls it again."""
+        shard = self.shards.shard_for(object_name)
+        with shard.lock:
+            output = shard.pipelines[object_name].poll()
+        self._process_output(output)
+        self._schedule_pipeline_retry(object_name)
 
     def _schedule_pipeline_retry(self, object_name: str) -> None:
         """Arm a timer for the pipeline's next backoff wake-up, if any."""
         shard = self.shards.shard_for(object_name)
-        pipe = shard.pipelines.get(object_name)
-        if pipe is None:
-            return
         with self._registry_lock:
             if object_name in self._pipeline_timers:
                 return
         with shard.lock:
-            delay = pipe.retry_delay()
+            delay = shard.pipelines[object_name].retry_delay()
         if delay is None:
             return
 
         def fire() -> None:
             with self._registry_lock:
                 self._pipeline_timers.pop(object_name, None)
-            if self._crashed:
-                return
-            with shard.lock:
-                output = pipe.poll()
-            self._process_output(output)
-            self._schedule_pipeline_retry(object_name)
+            if not self._crashed:
+                self._poll_pipeline(object_name)
 
         handle = self.runtime.network.schedule(max(delay, 1e-9), fire)
         with self._registry_lock:
@@ -387,7 +375,7 @@ class OrganisationNode:
                           sponsor: "str | None" = None,
                           mode: str = SYNCHRONOUS,
                           sponsor_mode: str = ROTATING,
-                          via: "str | None" = None) -> CoordinationTicket:
+                          via: "str | None" = None) -> Ticket:
         shard = self.shards.shard_for(object_name)
         with self._lock:
             with shard.lock:
@@ -405,7 +393,7 @@ class OrganisationNode:
         self._process_output(output)
         return ticket
 
-    def propagate_disconnect(self, object_name: str) -> CoordinationTicket:
+    def propagate_disconnect(self, object_name: str) -> Ticket:
         self._await_quiescent(object_name)
         shard = self.shards.shard_for(object_name)
         with shard.lock:
@@ -416,7 +404,7 @@ class OrganisationNode:
         return ticket
 
     def propagate_eviction(self, object_name: str,
-                           subjects: "list[str]") -> CoordinationTicket:
+                           subjects: "list[str]") -> Ticket:
         self._await_quiescent(object_name)
         shard = self.shards.shard_for(object_name)
         with shard.lock:
@@ -448,10 +436,13 @@ class OrganisationNode:
     # waiting
     # ------------------------------------------------------------------
 
-    def wait_for_ticket(self, ticket: CoordinationTicket,
+    def wait_for_ticket(self, ticket: Ticket,
                         timeout: "float | None" = None) -> bool:
+        """Block until *ticket* resolves (or *timeout* passes)."""
         timeout = timeout if timeout is not None else self.default_timeout
         return self.runtime.wait_until(lambda: ticket.done, timeout)
+
+    wait_for_pipeline = wait_for_ticket
 
     def _await_quiescent(self, object_name: str) -> None:
         """Wait for the local replica to have no run in flight.
@@ -517,6 +508,11 @@ class OrganisationNode:
                 self.readcache.publish(object_name, engine.agreed_state,
                                        engine.agreed_sid.to_dict())
         self._process_output(output)
+        # crash() cancelled the backoff timers and no event will name a
+        # pipeline whose retry was pending, so wake each one here.
+        for shard in self.shards.shards:
+            for object_name in list(shard.pipelines):
+                self._poll_pipeline(object_name)
 
     def check_progress(self, timeout: "float | None" = None) -> "list[Event]":
         """Surface blocked runs (evidence for dispute resolution)."""
@@ -530,8 +526,8 @@ class OrganisationNode:
     # internals
     # ------------------------------------------------------------------
 
-    def _track(self, key: str, object_name: str, kind: str) -> CoordinationTicket:
-        ticket = CoordinationTicket(key=key, object_name=object_name, kind=kind)
+    def _track(self, key: str, object_name: str, kind: str) -> Ticket:
+        ticket = Ticket(object_name=object_name, kind=kind, key=key)
         with self._registry_lock:
             self._tickets[key] = ticket
         return ticket
@@ -604,17 +600,28 @@ class OrganisationNode:
         if controller is not None:
             with shard.lock:
                 controller.on_event(event)
-        if object_name:
+        pipe = shard.pipelines.get(object_name)
+        if pipe is not None:
+            # Every event that can free this object's engine — its own
+            # run, another proposer's, a membership change — names the
+            # object, so its one pipeline is the only one to wake.
             with shard.lock:
-                outputs = shard.pipelines.on_event(event, object_name)
-            for pipeline_output in outputs:
-                self._process_output(pipeline_output)
-            if shard.pipelines.get(object_name) is not None:
-                self._schedule_pipeline_retry(object_name)
-            if (isinstance(event, RunCompleted) and event.kind == "state"
-                    and self.ctx.obs.enabled):
-                self.ctx.obs.shard_settled(self.party_id, shard.index,
-                                           object_name, event.valid)
+                settled = pipe.settle(event)
+                output = pipe.poll()
+            self._process_output(output)
+            self._schedule_pipeline_retry(object_name)
+            if settled:
+                # on_done callbacks run here: one at a time under the
+                # node lock, on the settling thread, no shard lock held
+                # — they may submit again.
+                with self._lock:
+                    for ticket in settled:
+                        ticket.resolve(event.valid, event.diagnostics,
+                                       run_id=event.run_id)
+        if (object_name and isinstance(event, RunCompleted)
+                and event.kind == "state" and self.ctx.obs.enabled):
+            self.ctx.obs.shard_settled(self.party_id, shard.index,
+                                       object_name, event.valid)
         for listener in self.listeners:
             listener(event)
 
@@ -639,32 +646,31 @@ class OrganisationNode:
                                    engine.agreed_sid.to_dict())
 
     def _resolve_tickets(self, event: Event) -> None:
-        lookup = self._ticket_for
+        resolve = self._resolve_ticket
         if isinstance(event, RunCompleted):
-            ticket = lookup(event.run_id)
-            if ticket is not None and not ticket.done:
-                ticket.resolve(event.valid, event.diagnostics, event)
+            resolve(event.run_id, event.valid, event.diagnostics, event)
             if event.kind == "evict":
-                evict_ticket = lookup(f"evict:{event.object_name}")
-                if evict_ticket is not None and not evict_ticket.done:
-                    evict_ticket.resolve(event.valid, event.diagnostics, event)
+                resolve(f"evict:{event.object_name}", event.valid,
+                        event.diagnostics, event)
         elif isinstance(event, MembershipChanged) and event.change == "evict":
-            ticket = lookup(f"evict:{event.object_name}")
-            if ticket is not None and not ticket.done:
-                ticket.resolve(True, [], event)
+            resolve(f"evict:{event.object_name}", True, [], event)
         elif isinstance(event, ConnectionDecided):
-            ticket = lookup(f"join:{event.object_name}")
-            if ticket is not None and not ticket.done:
-                ticket.resolve(event.accepted, event.diagnostics, event)
-                if not event.accepted:
-                    with self._lock:
-                        self._join_objects.pop(event.object_name, None)
-                        self._join_modes.pop(event.object_name, None)
+            resolved = resolve(f"join:{event.object_name}", event.accepted,
+                               event.diagnostics, event)
+            if resolved and not event.accepted:
+                with self._lock:
+                    self._join_objects.pop(event.object_name, None)
+                    self._join_modes.pop(event.object_name, None)
         elif isinstance(event, DisconnectionDecided):
-            ticket = lookup(f"leave:{event.object_name}")
-            if ticket is not None and not ticket.done:
-                ticket.resolve(True, [], event)
+            resolve(f"leave:{event.object_name}", True, [], event)
 
-    def _ticket_for(self, key: str) -> "Optional[CoordinationTicket]":
+    def _resolve_ticket(self, key: str, valid: bool,
+                        diagnostics: "list[str]", event: Event) -> bool:
+        """Resolve and forget the ticket tracked under *key*, if any (its
+        holder keeps it; the registry only needs unresolved ones)."""
         with self._registry_lock:
-            return self._tickets.get(key)
+            ticket = self._tickets.pop(key, None)
+        if ticket is None:
+            return False
+        ticket.resolve(valid, diagnostics, event)
+        return True

@@ -7,28 +7,26 @@ a node at one coordination step at a time however many independent
 B2BObjects it hosts.  This module partitions that responsibility:
 
 * :class:`ShardMap` — a deterministic consistent-hash ring (blake2b over
-  object names, virtual nodes for smoothness) with explicit per-object
-  overrides, so every party of a community routes a given object to the
-  same shard index without coordination.
+  object names, virtual nodes for smoothness), so every party of a
+  community routes a given object to the same shard index without
+  coordination.
 * :class:`Shard` — one partition: a re-entrant lock guarding its
-  objects' engines, an optional dedicated worker thread draining an
-  inbound-message queue, and the shard's pipeline group.
-* :class:`ShardPipelineGroup` — the shard's proposal pipelines behind a
-  shared :class:`DepthBudget` (one ``max_depth`` for the whole shard)
-  and an optional ``run_slots`` gate bounding concurrent in-flight runs;
-  settlements poll sibling pipelines round-robin so one hot object
-  cannot monopolise the shard.
+  objects' engines and write pipelines (one
+  :class:`~repro.protocol.pipeline.ProposalPipeline` per object — the
+  object's only write queue), and an optional dedicated worker thread
+  draining an inbound-message queue.
 * :class:`ShardScheduler` — the per-node bundle: routing, lifecycle,
   canonical all-shard lock acquisition for cross-shard operations.
 
 Lock order (must hold everywhere): ``node._lock`` → ``shard.lock`` (in
 ascending shard-index order when several are held) → the node's registry
-lock.  Event listeners and the gateway are never invoked while a shard
-lock is held.
+lock.  Event listeners and ticket ``on_done`` callbacks are never
+invoked while a shard lock is held.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import hashlib
 import struct
@@ -36,7 +34,6 @@ import threading
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.protocol.events import Event, Output
 from repro.protocol.pipeline import ProposalPipeline
 
 #: Ring positions per shard: enough for <2% imbalance at 8 shards
@@ -55,43 +52,24 @@ class ShardMap:
     """Deterministic object-name → shard-index mapping.
 
     Consistent hashing keeps the mapping stable as names come and go and
-    identical at every party; :meth:`assign` pins individual objects to
-    an explicit shard (e.g. to co-locate a composite with a hot child).
+    identical at every party.
     """
 
-    def __init__(self, num_shards: int,
-                 overrides: "Optional[dict[str, int]]" = None,
-                 virtual_nodes: int = VIRTUAL_NODES) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1")
         self.num_shards = num_shards
-        self._overrides: "dict[str, int]" = {}
         ring: "list[tuple[int, int]]" = []
         for shard in range(num_shards):
-            for replica in range(virtual_nodes):
+            for replica in range(VIRTUAL_NODES):
                 ring.append((_hash64(f"shard:{shard}:vn:{replica}"), shard))
         ring.sort()
         self._ring_keys = [key for key, _ in ring]
         self._ring_shards = [shard for _, shard in ring]
-        for name, shard in (overrides or {}).items():
-            self.assign(name, shard)
-
-    def assign(self, object_name: str, shard: int) -> None:
-        """Pin *object_name* to an explicit shard index."""
-        if not 0 <= shard < self.num_shards:
-            raise ConfigurationError(
-                f"shard {shard} out of range (num_shards={self.num_shards})"
-            )
-        self._overrides[object_name] = shard
 
     def shard_of(self, object_name: str) -> int:
-        override = self._overrides.get(object_name)
-        if override is not None:
-            return override
         if self.num_shards == 1:
             return 0
-        import bisect
-
         point = _hash64(object_name)
         index = bisect.bisect_right(self._ring_keys, point)
         if index == len(self._ring_keys):
@@ -106,123 +84,17 @@ class ShardMap:
         return groups
 
 
-class DepthBudget:
-    """Shared queue-depth allowance across one shard's pipelines.
-
-    Mutated only under the owning shard's lock, so no lock of its own.
-    Units are acquired at submission and released when the carrying
-    update's ticket resolves (busy-retry re-queues keep their units).
-    """
-
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ConfigurationError("shared max_depth must be at least 1")
-        self.limit = limit
-        self.used = 0
-
-    def try_acquire(self) -> bool:
-        if self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
-
-    def release(self, count: int = 1) -> None:
-        self.used = max(0, self.used - count)
-
-
-class ShardPipelineGroup:
-    """One shard's proposal pipelines with shared budget and run slots."""
-
-    def __init__(self, shard_index: int,
-                 run_slots: "Optional[int]" = None,
-                 shared_max_depth: "Optional[int]" = None) -> None:
-        if run_slots is not None and run_slots < 1:
-            raise ConfigurationError("run_slots must be at least 1 (or None)")
-        self.shard_index = shard_index
-        self.run_slots = run_slots
-        self.budget = (DepthBudget(shared_max_depth)
-                       if shared_max_depth is not None else None)
-        self._pipelines: "dict[str, ProposalPipeline]" = {}
-        #: Round-robin poll order; rotated on every settlement so the
-        #: freed run slot goes to the next waiting object, not back to
-        #: the one that just settled.
-        self._rotation: "collections.deque[str]" = collections.deque()
-
-    def get(self, object_name: str) -> "Optional[ProposalPipeline]":
-        return self._pipelines.get(object_name)
-
-    def names(self) -> "list[str]":
-        return list(self._pipelines)
-
-    @property
-    def inflight_runs(self) -> int:
-        return sum(1 for pipe in self._pipelines.values()
-                   if pipe.inflight_run_id is not None)
-
-    @property
-    def queued(self) -> int:
-        return sum(pipe.depth for pipe in self._pipelines.values())
-
-    def _gate(self) -> bool:
-        return (self.run_slots is None
-                or self.inflight_runs < self.run_slots)
-
-    def pipeline(self, object_name: str,
-                 engine_factory: "Callable[[], Any]",
-                 **options: Any) -> ProposalPipeline:
-        """The object's pipeline, created on first use.
-
-        The group's shared budget and run-slot gate are injected unless
-        the caller overrides them explicitly in *options*.
-        """
-        pipe = self._pipelines.get(object_name)
-        if pipe is None:
-            options.setdefault("budget", self.budget)
-            options.setdefault("gate", self._gate)
-            pipe = ProposalPipeline(engine_factory(), **options)
-            self._pipelines[object_name] = pipe
-            self._rotation.append(object_name)
-        return pipe
-
-    def on_event(self, event: Event, object_name: str) -> "list[Output]":
-        """Feed a settlement to the target pipeline, then poll siblings.
-
-        The target absorbs the event *without* immediately re-proposing;
-        the round-robin poll that follows decides which queued pipeline
-        takes the freed engine/run slot, so a hot object with a deep
-        queue interleaves fairly with its shard neighbours.
-        """
-        target = self._pipelines.get(object_name)
-        if target is None:
-            return []
-        target.absorb(event)
-        return self.poll_round()
-
-    def poll_round(self) -> "list[Output]":
-        """Poll every pipeline once, in rotated (fair) order."""
-        if not self._rotation:
-            return []
-        self._rotation.rotate(-1)
-        outputs: "list[Output]" = []
-        for name in self._rotation:
-            output = self._pipelines[name].poll()
-            if output.messages or output.events:
-                outputs.append(output)
-        return outputs
-
-
 class Shard:
     """One partition of a node's coordination responsibility."""
 
     def __init__(self, index: int,
-                 run_slots: "Optional[int]" = None,
-                 shared_max_depth: "Optional[int]" = None) -> None:
+                 on_error: "Optional[Callable[[], None]]" = None) -> None:
         self.index = index
         self.lock = threading.RLock()
-        self.pipelines = ShardPipelineGroup(
-            index, run_slots=run_slots, shared_max_depth=shared_max_depth)
+        #: Object name → its write pipeline, created on first use by
+        #: :meth:`OrganisationNode.pipeline` under :attr:`lock`.
+        self.pipelines: "dict[str, ProposalPipeline]" = {}
+        self._on_error = on_error
         self._queue: "Optional[collections.deque[Callable[[], None]]]" = None
         self._ready: "Optional[threading.Condition]" = None
         self._worker: "Optional[threading.Thread]" = None
@@ -274,7 +146,8 @@ class Shard:
             try:
                 work()
             except Exception:  # noqa: BLE001 - shard work must not kill the drain
-                pass
+                if self._on_error is not None:
+                    self._on_error()
 
     def stop(self) -> None:
         ready = self._ready
@@ -291,20 +164,13 @@ class ShardScheduler:
     """A node's set of shards plus the routing map over them."""
 
     def __init__(self, num_shards: int = 1,
-                 shard_map: "Optional[ShardMap]" = None,
                  workers: bool = False,
-                 run_slots: "Optional[int]" = None,
-                 shared_max_depth: "Optional[int]" = None,
-                 name: str = "") -> None:
-        if shard_map is not None:
-            self.map = shard_map
-        else:
-            self.map = ShardMap(num_shards)
-        self.shards = [
-            Shard(index, run_slots=run_slots,
-                  shared_max_depth=shared_max_depth)
-            for index in range(self.map.num_shards)
-        ]
+                 name: str = "",
+                 on_error: "Optional[Callable[[], None]]" = None) -> None:
+        """*on_error* is called (on the worker thread) whenever work
+        handed to a shard worker raises; the worker keeps draining."""
+        self.map = ShardMap(num_shards)
+        self.shards = [Shard(index, on_error) for index in range(num_shards)]
         self.workers = workers
         if workers:
             for shard in self.shards:
@@ -318,10 +184,6 @@ class ShardScheduler:
         if object_name is None or len(self.shards) == 1:
             return self.shards[0]
         return self.shards[self.map.shard_of(object_name)]
-
-    def assign(self, object_name: str, shard: int) -> None:
-        """Pin *object_name* to an explicit shard (before first use)."""
-        self.map.assign(object_name, shard)
 
     def shards_for(self, names: "list[str]") -> "list[Shard]":
         """Distinct shards covering *names*, in canonical (index) order."""

@@ -167,7 +167,7 @@ class RateLimitedError(GatewayError):
 
 
 class GatewayOverloadedError(GatewayError):
-    """The admission queue is full; the request was shed (load leveling)."""
+    """The object's write queue is full; the request was shed."""
 
 
 class CircuitOpenError(GatewayError):

@@ -2,7 +2,7 @@
 
 Admission control between a large, bursty client population and one
 organisation's coordination middleware: per-client token-bucket rate
-limiting, a bounded load-leveling admission queue, idempotency keys for
+limiting, one bounded write queue per object, idempotency keys for
 exactly-once retries, and a per-object circuit breaker that fails fast
 while the community is unhealthy.  :mod:`repro.gateway.loadsim` drives
 10^5+ simulated clients through all of it over virtual time.
@@ -22,12 +22,10 @@ from repro.gateway.loadsim import (
     run_crash_scenario,
     run_load_sim,
 )
-from repro.gateway.queue import AdmissionQueue
 from repro.gateway.ratelimit import RateLimiter, TokenBucket
 from repro.gateway.session import ClientSession
 
 __all__ = [
-    "AdmissionQueue",
     "CircuitBreaker",
     "CLOSED",
     "ClientSession",

@@ -5,18 +5,19 @@ in *organisations* — a handful of mutually suspicious parties running a
 unanimous protocol.  The population pushing updates at one organisation
 is a different animal: many clients, bursty, retry-happy, and unaware of
 each other.  :class:`Gateway` is the boundary between the two worlds.
-It accepts client submissions and routes them into the node's
-:class:`~repro.protocol.pipeline.ProposalPipeline` through four guards:
+It decides *whether* a client write is admitted — four guards — and
+hands an admitted write straight to the object's
+:class:`~repro.protocol.pipeline.ProposalPipeline`, the one queue it
+waits in, under the one ticket the client holds:
 
 * **Rate limiting** — a per-client token bucket
   (:mod:`repro.gateway.ratelimit`); a flooding client is answered with
   :class:`~repro.errors.RateLimitedError` and an exact retry delay,
   without starving well-behaved clients.
-* **Load leveling** — admitted requests wait in a bounded
-  :class:`~repro.gateway.queue.AdmissionQueue` and at most
-  ``max_inflight`` occupy the pipeline at once; a full queue *sheds*
-  with :class:`~repro.errors.GatewayOverloadedError` rather than
-  buffering without bound.
+* **Load leveling** — ``queue_capacity`` is the bound (``max_depth``)
+  of each object's pipeline queue; a full queue *sheds* with
+  :class:`~repro.errors.GatewayOverloadedError` rather than buffering
+  without bound.
 * **Idempotency** — requests carry a per-client idempotency key
   (:mod:`repro.gateway.idempotency`); a retry of a pending request
   joins the original ticket, and a retry of a settled one replays the
@@ -27,20 +28,18 @@ It accepts client submissions and routes them into the node's
   fails fast with :class:`~repro.errors.CircuitOpenError` and recovers
   via half-open probe requests.
 
-Threading: the gateway shares the node's re-entrant lock.  Settlement
-events arrive from :meth:`OrganisationNode._dispatch_event` with that
-lock held, and the gateway's admission path takes it too — sharing one
-lock makes the lock order trivially consistent (no gateway-then-node vs
+Threading: the gateway shares the node's re-entrant lock.  The node
+resolves settled tickets with that lock held (and no shard lock), and
+the gateway's admission path takes it too — sharing one lock makes the
+lock order trivially consistent (no gateway-then-node vs
 node-then-gateway deadlock) and keeps admission atomic with respect to
 settlement.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import (
     CircuitOpenError,
@@ -50,98 +49,51 @@ from repro.errors import (
 )
 from repro.gateway.breaker import CircuitBreaker
 from repro.gateway.idempotency import IdempotencyCache
-from repro.gateway.queue import AdmissionQueue
 from repro.gateway.ratelimit import RateLimiter
 from repro.gateway.session import ClientSession
-from repro.protocol.events import Event, RunCompleted
+from repro.protocol.events import Event
+from repro.protocol.pipeline import Ticket
+
+#: What a shed client is told to wait: about one settlement round, after
+#: which the full queue has given a batch to a run.
+SHED_RETRY_AFTER = 0.05
 
 
 @dataclass
-class GatewayTicket:
-    """Handle on one client submission, resolved when it settles."""
+class GatewayTicket(Ticket):
+    """One client submission: the ticket the client holds *is* the entry
+    the object's pipeline queues (``key`` is the idempotency key)."""
 
-    client_id: str
-    object_name: str
-    key: str
-    update: Any
-    submitted_at: float
-    done: bool = False
-    valid: "Optional[bool]" = None
-    diagnostics: "list[str]" = field(default_factory=list)
-    run_id: "Optional[str]" = None
+    client_id: str = ""
+    update: Any = None
+    submitted_at: float = 0.0
     #: Admission→settlement seconds on the protocol clock.
     latency: "Optional[float]" = None
     #: True when this handle was served from the idempotency cache.
     replayed: bool = False
     _probe: bool = field(default=False, repr=False)
-    _pipeline_ticket: Any = field(default=None, repr=False)
-    _callbacks: "list[Callable[[GatewayTicket], None]]" = field(
-        default_factory=list, repr=False)
-    _signal: threading.Event = field(default_factory=threading.Event,
-                                     repr=False)
-
-    def on_done(self, callback: "Callable[[GatewayTicket], None]") -> None:
-        """Run *callback(ticket)* at settlement (immediately if settled)."""
-        if self.done:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
+    #: The admitting gateway; None on a replayed view.
+    _gateway: Any = field(default=None, repr=False)
 
     def resolve(self, valid: bool, diagnostics: "list[str]",
-                run_id: "Optional[str]", latency: float) -> None:
-        self.valid = valid
-        self.diagnostics = list(diagnostics)
-        self.run_id = run_id
-        self.latency = latency
-        self.done = True
-        self._signal.set()
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def wait_signal(self, timeout: "float | None") -> bool:
-        """Real-time wait used by the threaded runtime."""
-        return self._signal.wait(timeout)
+                event: "Optional[Event]" = None,
+                run_id: "Optional[str]" = None) -> None:
+        # The gateway's books (latency, breaker, idempotency window) are
+        # closed before the ticket reads done and callbacks run.
+        if self._gateway is not None:
+            self._gateway._settled(self, valid)
+        super().resolve(valid, diagnostics, event, run_id)
 
     def replay_view(self) -> "GatewayTicket":
         """A settled copy marked ``replayed`` (original outcome intact)."""
         view = GatewayTicket(
-            client_id=self.client_id, object_name=self.object_name,
-            key=self.key, update=self.update,
+            object_name=self.object_name, key=self.key,
+            client_id=self.client_id, update=self.update,
             submitted_at=self.submitted_at, replayed=True,
+            latency=self.latency if self.latency is not None else 0.0,
         )
-        view.resolve(bool(self.valid), self.diagnostics, self.run_id,
-                     self.latency if self.latency is not None else 0.0)
+        view.resolve(bool(self.valid), self.diagnostics, run_id=self.run_id)
         return view
-
-
-class _ObjectLane:
-    """Per-object admission state: queue, breaker, inflight entries."""
-
-    __slots__ = ("queue", "breaker", "inflight", "draining")
-
-    def __init__(self, queue: AdmissionQueue, breaker: CircuitBreaker) -> None:
-        self.queue = queue
-        self.breaker = breaker
-        self.inflight: "list[GatewayTicket]" = []
-        self.draining = False
-
-
-class _ShardDispatch:
-    """Per-shard fan-out state: the lanes routed to one shard.
-
-    Dispatch walks the rotation round-robin so a hot object's backlog
-    cannot starve its shard siblings of pipeline slots, and a saturated
-    pipeline on one lane never blocks dispatch to the others.  With a
-    single lane per shard this degrades to the legacy per-object drain.
-    """
-
-    __slots__ = ("rotation", "inflight", "draining")
-
-    def __init__(self) -> None:
-        self.rotation: "deque[str]" = deque()
-        self.inflight = 0
-        self.draining = False
 
 
 class Gateway:
@@ -149,34 +101,25 @@ class Gateway:
 
     def __init__(self, node: Any,
                  queue_capacity: int = 1024,
-                 max_inflight: int = 256,
                  rate: "Optional[float]" = None,
                  burst: float = 16.0,
                  breaker: "Optional[dict]" = None,
                  idempotency_capacity: int = 4096,
-                 shed_retry_after: float = 0.05,
-                 pipeline_options: "Optional[dict]" = None,
-                 shard_inflight: "Optional[int]" = None) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if shard_inflight is not None and shard_inflight < 1:
-            raise ValueError("shard_inflight must be at least 1")
+                 pipeline_options: "Optional[dict]" = None) -> None:
+        if queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1")
         self.node = node
+        #: Writes that may wait per object; it becomes the ``max_depth``
+        #: of every pipeline this gateway fronts (over any ``max_depth``
+        #: in *pipeline_options*).
         self.queue_capacity = queue_capacity
-        self.max_inflight = max_inflight
-        # Optional cap on inflight entries per *shard* (across all its
-        # lanes); None keeps the legacy per-object bound only.
-        self.shard_inflight = shard_inflight
-        self.shed_retry_after = shed_retry_after
         self.breaker_options = dict(breaker or {})
         self.pipeline_options = dict(pipeline_options or {})
         clock = node.ctx.clock
         self.limiter: "Optional[RateLimiter]" = (
             RateLimiter(rate, burst, clock) if rate is not None else None)
         self.idempotency = IdempotencyCache(idempotency_capacity)
-        self._lanes: "dict[str, _ObjectLane]" = {}
-        self._shard_dispatch: "dict[int, _ShardDispatch]" = {}
-        self._lane_shard: "dict[str, int]" = {}
+        self._breakers: "dict[str, CircuitBreaker]" = {}
         # Share the node's re-entrant lock (see module docstring).
         self._lock = node._lock
         self._session_serial = 0
@@ -190,7 +133,6 @@ class Gateway:
         self.stats_rejected: "dict[str, int]" = {
             "rate_limited": 0, "overloaded": 0, "circuit_open": 0,
         }
-        node.add_listener(self._on_event)
 
     # ------------------------------------------------------------------
     # client-facing API
@@ -225,21 +167,21 @@ class Gateway:
                 if obs.enabled:
                     obs.gateway_replayed(party, object_name, client_id)
                 return existing.replay_view() if existing.done else existing
-            lane = self._lane(object_name)
-            admitted, probe = lane.breaker.allow()
+            breaker = self._breaker(object_name)
+            admitted, probe = breaker.allow()
             if not admitted:
                 self._reject(obs, party, object_name, client_id,
-                             "circuit_open", lane.breaker.retry_after())
+                             "circuit_open", breaker.retry_after())
                 raise CircuitOpenError(
                     f"circuit for {object_name!r} is "
-                    f"{lane.breaker.state}; failing fast",
-                    retry_after=lane.breaker.retry_after(),
+                    f"{breaker.state}; failing fast",
+                    retry_after=breaker.retry_after(),
                 )
             if self.limiter is not None:
                 ok, retry_after = self.limiter.admit(client_id)
                 if not ok:
                     if probe:
-                        lane.breaker.release_probe()
+                        breaker.release_probe()
                     self._reject(obs, party, object_name, client_id,
                                  "rate_limited", retry_after)
                     raise RateLimitedError(
@@ -247,26 +189,35 @@ class Gateway:
                         retry_after=retry_after,
                     )
             ticket = GatewayTicket(
-                client_id=client_id, object_name=object_name, key=key,
+                object_name=object_name, key=key, client_id=client_id,
                 update=update, submitted_at=self.node.ctx.clock.now(),
+                _probe=probe, _gateway=self,
             )
-            ticket._probe = probe
-            if not lane.queue.offer(ticket):
+            try:
+                self.node.submit_update(object_name, update, ticket)
+            except PipelineSaturatedError as exc:
                 if probe:
-                    lane.breaker.release_probe()
+                    breaker.release_probe()
                 self._reject(obs, party, object_name, client_id,
-                             "overloaded", self.shed_retry_after)
+                             "overloaded", SHED_RETRY_AFTER)
                 raise GatewayOverloadedError(
-                    f"gateway admission queue for {object_name!r} is full "
-                    f"({lane.queue.depth} waiting)",
-                    retry_after=self.shed_retry_after,
-                )
+                    f"write queue for {object_name!r} is full "
+                    f"({self.queue_capacity} waiting)",
+                    retry_after=SHED_RETRY_AFTER,
+                ) from exc
+            except Exception:
+                # Not admitted: nothing is recorded, so the key stays
+                # free and the caller's retry meets the same error.
+                if probe:
+                    breaker.release_probe()
+                raise
             self.stats_admitted += 1
             if obs.enabled:
                 obs.gateway_admitted(party, object_name, client_id)
-                obs.gateway_queue_depth(party, object_name, lane.queue.depth)
-            self.idempotency.note_pending(client_id, key, ticket)
-            self._drain_shard(self._dispatch_for(object_name))
+                obs.gateway_queue_depth(party, object_name,
+                                        self.queue_depth(object_name))
+            if not ticket.done:
+                self.idempotency.note_pending(client_id, key, ticket)
             return ticket
 
     def read(self, client_id: str, object_name: str,
@@ -318,23 +269,12 @@ class Gateway:
 
     def breaker(self, object_name: str) -> CircuitBreaker:
         with self._lock:
-            return self._lane(object_name).breaker
+            return self._breaker(object_name)
 
     def queue_depth(self, object_name: str) -> int:
-        with self._lock:
-            lane = self._lanes.get(object_name)
-            return lane.queue.depth if lane else 0
-
-    def inflight_count(self, object_name: str) -> int:
-        with self._lock:
-            lane = self._lanes.get(object_name)
-            return len(lane.inflight) if lane else 0
-
-    def shard_inflight_count(self, shard_index: int) -> int:
-        """Inflight entries across every lane routed to one shard."""
-        with self._lock:
-            dispatch = self._shard_dispatch.get(shard_index)
-            return dispatch.inflight if dispatch else 0
+        """Writes waiting in the object's pipeline queue."""
+        pipe = self.node.shards.pipeline_for(object_name)
+        return pipe.depth if pipe is not None else 0
 
     def stats(self) -> dict:
         """Cumulative admission tallies (also available via repro.obs)."""
@@ -346,17 +286,21 @@ class Gateway:
                 "settled_valid": self.stats_settled_valid,
                 "settled_invalid": self.stats_settled_invalid,
                 "rejected": dict(self.stats_rejected),
-                "breakers": {name: lane.breaker.state
-                             for name, lane in self._lanes.items()},
+                "breakers": {name: breaker.state
+                             for name, breaker in self._breakers.items()},
             }
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _lane(self, object_name: str) -> _ObjectLane:
-        lane = self._lanes.get(object_name)
-        if lane is None:
+    def _breaker(self, object_name: str) -> CircuitBreaker:
+        breaker = self._breakers.get(object_name)
+        if breaker is None:
+            # The gateway's first sight of the object: bound its queue
+            # (NotConnectedError here if this node does not share it).
+            pipe = self.node.pipeline(object_name, **self.pipeline_options)
+            pipe.max_depth = self.queue_capacity
             obs = self.node.ctx.obs
             party = self.node.party_id
 
@@ -365,24 +309,10 @@ class Gateway:
                     obs.breaker_transition(party, object_name,
                                            old_state, new_state)
 
-            lane = _ObjectLane(
-                AdmissionQueue(self.queue_capacity),
-                CircuitBreaker(self.node.ctx.clock,
-                               on_transition=announce,
-                               **self.breaker_options),
-            )
-            self._lanes[object_name] = lane
-            index = self.node.shards.shard_for(object_name).index
-            self._lane_shard[object_name] = index
-            dispatch = self._shard_dispatch.get(index)
-            if dispatch is None:
-                dispatch = self._shard_dispatch[index] = _ShardDispatch()
-            dispatch.rotation.append(object_name)
-        return lane
-
-    def _dispatch_for(self, object_name: str) -> _ShardDispatch:
-        self._lane(object_name)
-        return self._shard_dispatch[self._lane_shard[object_name]]
+            breaker = self._breakers[object_name] = CircuitBreaker(
+                self.node.ctx.clock, on_transition=announce,
+                **self.breaker_options)
+        return breaker
 
     def _reject(self, obs: Any, party: str, object_name: str,
                 client_id: str, reason: str, retry_after: float) -> None:
@@ -391,99 +321,18 @@ class Gateway:
             obs.gateway_rejected(party, object_name, client_id, reason,
                                  retry_after)
 
-    def _drain_shard(self, dispatch: _ShardDispatch) -> None:
-        """Dispatch queued entries from a shard's lanes, round-robin.
-
-        Called under the shared lock from both admission and settlement;
-        the ``draining`` latch stops re-entrant dispatch when the node
-        processes pipeline output synchronously.  Each pass over the
-        rotation moves at most one entry per lane, so a deep backlog on
-        one object interleaves with its shard siblings instead of
-        monopolising the pipeline; a lane whose pipeline reports
-        saturation is parked for this drain (its entry stays at the
-        queue head) without blocking the others.
-        """
-        if dispatch.draining:
-            return
-        dispatch.draining = True
-        try:
-            parked: "set[str]" = set()
-            progress = True
-            while progress:
-                progress = False
-                for _ in range(len(dispatch.rotation)):
-                    if (self.shard_inflight is not None
-                            and dispatch.inflight >= self.shard_inflight):
-                        return
-                    object_name = dispatch.rotation[0]
-                    dispatch.rotation.rotate(-1)
-                    lane = self._lanes[object_name]
-                    if (object_name in parked
-                            or len(lane.queue) == 0
-                            or len(lane.inflight) >= self.max_inflight):
-                        continue
-                    entry = lane.queue.take()
-                    if self.pipeline_options:
-                        self.node.pipeline(object_name,
-                                           **self.pipeline_options)
-                    try:
-                        pipeline_ticket = self.node.submit_update(
-                            object_name, entry.update)
-                    except PipelineSaturatedError:
-                        # Pipeline backpressure: the entry was admitted,
-                        # so keep it at the head and retry on next
-                        # settlement; siblings keep draining.
-                        lane.queue.push_back(entry)
-                        parked.add(object_name)
-                        continue
-                    entry._pipeline_ticket = pipeline_ticket
-                    lane.inflight.append(entry)
-                    dispatch.inflight += 1
-                    progress = True
-        finally:
-            dispatch.draining = False
-
-    def _on_event(self, event: Event) -> None:
-        """Node listener: finalize settled entries, then refill.
-
-        Runs with the shared lock already held (the node dispatches
-        events under it); taking it again is a re-entrant no-op.
-        """
-        if not (isinstance(event, RunCompleted) and event.kind == "state"):
-            return
-        with self._lock:
-            lane = self._lanes.get(event.object_name)
-            if lane is None:
-                return
-            still_inflight = []
-            settled = []
-            for entry in lane.inflight:
-                ticket = entry._pipeline_ticket
-                if ticket is not None and ticket.done:
-                    settled.append(entry)
-                else:
-                    still_inflight.append(entry)
-            lane.inflight = still_inflight
-            for entry in settled:
-                self._finalize(lane, entry)
-            if settled:
-                dispatch = self._dispatch_for(event.object_name)
-                dispatch.inflight = max(0, dispatch.inflight - len(settled))
-                self._drain_shard(dispatch)
-
-    def _finalize(self, lane: _ObjectLane, entry: GatewayTicket) -> None:
-        pipeline_ticket = entry._pipeline_ticket
-        valid = bool(pipeline_ticket.valid)
-        latency = self.node.ctx.clock.now() - entry.submitted_at
-        lane.breaker.record(valid, latency, probe=entry._probe)
-        self.idempotency.complete(entry.client_id, entry.key, entry)
+    def _settled(self, ticket: GatewayTicket, valid: bool) -> None:
+        """Close the books on *ticket* as it resolves (node lock held)."""
+        ticket.latency = latency = (self.node.ctx.clock.now()
+                                    - ticket.submitted_at)
+        self._breakers[ticket.object_name].record(valid, latency,
+                                                  probe=ticket._probe)
+        self.idempotency.complete(ticket.client_id, ticket.key, ticket)
         if valid:
             self.stats_settled_valid += 1
         else:
             self.stats_settled_invalid += 1
         obs = self.node.ctx.obs
         if obs.enabled:
-            obs.gateway_settled(self.node.party_id, entry.object_name,
+            obs.gateway_settled(self.node.party_id, ticket.object_name,
                                 valid, latency)
-        entry.resolve(valid, pipeline_ticket.diagnostics,
-                      pipeline_ticket.run_id, latency)

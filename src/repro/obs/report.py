@@ -168,6 +168,8 @@ def _transport_section(snapshot: dict) -> str:
          _c(snapshot, "transport.tcp.handler_errors.timer")],
         ["handler errors (dispatch)",
          _c(snapshot, "transport.tcp.handler_errors.dispatch")],
+        ["handler errors (shard)",
+         _c(snapshot, "transport.tcp.handler_errors.shard")],
     ]
     text = "== reliable transport ==\n" + format_table(["counter", "value"], rows)
     if any(value for _, value in pool_rows):

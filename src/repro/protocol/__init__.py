@@ -56,6 +56,7 @@ from repro.protocol.party import ObjectSession, ProtocolParty, extract_object_na
 from repro.protocol.pipeline import (
     PipelineTicket,
     ProposalPipeline,
+    Ticket,
     is_transient_rejection,
 )
 from repro.protocol.validation import (
@@ -111,6 +112,7 @@ __all__ = [
     "extract_object_name",
     "PipelineTicket",
     "ProposalPipeline",
+    "Ticket",
     "is_transient_rejection",
     "ACCEPT",
     "REJECT",

@@ -12,9 +12,9 @@ benign vetoes leak to the application as failures.
 both problems without touching the protocol's evidence semantics:
 
 * **Queueing** — :meth:`submit` never raises for concurrency.  While a
-  run is in flight the update waits in a local queue; the caller gets a
-  :class:`PipelineTicket` that resolves when its update is agreed (or
-  genuinely vetoed).
+  run is in flight the update waits in the object's one bounded FIFO;
+  the caller gets a :class:`Ticket` that resolves when its update is
+  agreed (or genuinely vetoed).
 * **Batching** — when the engine becomes free, every queued update is
   coalesced into a *single* batched proposal
   (:meth:`~repro.protocol.coordination.StateCoordinationEngine.propose_update_batch`):
@@ -29,18 +29,21 @@ both problems without touching the protocol's evidence semantics:
   (``pipeline_busy_retry``), never through the application.
 
 Like the engines, the pipeline is sans-IO and single-threaded by
-contract: callers (the :class:`~repro.core.node.OrganisationNode` holds
-its node lock) invoke :meth:`submit` / :meth:`on_event` / :meth:`poll`
+contract: callers invoke :meth:`submit` / :meth:`on_event` / :meth:`poll`
 and must transmit the returned :class:`Output`.  Backoff wake-ups are
 the caller's job too — :meth:`retry_delay` says when to call
-:meth:`poll` again.
+:meth:`poll` again.  A caller that guards the pipeline with a lock (the
+:class:`~repro.core.node.OrganisationNode` holds the object's shard
+lock) feeds events through :meth:`settle` + :meth:`poll` instead of
+:meth:`on_event` and resolves the returned tickets after releasing it,
+because resolving a ticket runs its ``on_done`` callbacks.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import PipelineSaturatedError
 from repro.protocol.coordination import StateCoordinationEngine
@@ -51,7 +54,7 @@ from repro.protocol.events import Event, Output, RunCompleted
 #: a membership change); ``invariant-1:`` — a replica had not yet
 #: installed the previous commit when the proposal arrived.  Both clear
 #: on their own once in-flight traffic settles, so retrying the same
-#: update is sound.  (The same rule the synchronous controller applies.)
+#: update is sound.  (The synchronous controller applies this rule too.)
 TRANSIENT_MARKERS = ("busy:", "invariant-1:")
 
 
@@ -64,29 +67,62 @@ def is_transient_rejection(diagnostics: "list[str]") -> bool:
 
 
 @dataclass
-class PipelineTicket:
-    """Handle on one submitted update, resolved when it settles."""
+class Ticket:
+    """Handle on one coordination a caller started, resolved when it settles.
+
+    The one ticket class: a queued update (``kind="state"``), a
+    synchronous controller's run and a membership request (``connect`` /
+    ``disconnect`` / ``evict``) are all waited for through it.  ``key``
+    is whatever the holder files it under — the node's registry key for
+    runs it tracks, the client's idempotency key at the gateway.
+    """
 
     object_name: str
+    kind: str = "state"
+    key: str = ""
     done: bool = False
     valid: "Optional[bool]" = None
     diagnostics: "list[str]" = field(default_factory=list)
-    #: Id of the run that settled this update (set on resolution).
+    #: Id of the run that settled this ticket (set on resolution).
     run_id: "Optional[str]" = None
+    #: The event that settled it, for the runs and requests a node
+    #: tracks by key.  A queued update gets the ``run_id`` only: its
+    #: ticket may sit in a gateway's replay window long after the run,
+    #: and must not pin the run's evidence there.
+    event: "Optional[Event]" = None
+    _callbacks: "list[Callable[[Any], None]]" = field(default_factory=list,
+                                                      repr=False)
     _signal: threading.Event = field(default_factory=threading.Event,
                                      repr=False)
 
+    def on_done(self, callback: "Callable[[Any], None]") -> None:
+        """Run *callback(ticket)* at settlement (immediately if settled)."""
+        if self.done:
+            callback(self)
+        else:
+            self._callbacks.append(callback)
+
     def resolve(self, valid: bool, diagnostics: "list[str]",
+                event: "Optional[Event]" = None,
                 run_id: "Optional[str]" = None) -> None:
         self.valid = valid
         self.diagnostics = list(diagnostics)
-        self.run_id = run_id
+        self.event = event
+        self.run_id = (run_id if run_id is not None
+                       else getattr(event, "run_id", None))
         self.done = True
         self._signal.set()
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def wait_signal(self, timeout: "float | None") -> bool:
         """Real-time wait used by the threaded runtime."""
         return self._signal.wait(timeout)
+
+
+#: The names the ticket went by while each layer had its own.
+PipelineTicket = CoordinationTicket = Ticket
 
 
 class ProposalPipeline:
@@ -97,9 +133,7 @@ class ProposalPipeline:
                  max_busy_retries: int = 20,
                  base_retry_delay: float = 0.05,
                  max_retry_delay: float = 1.0,
-                 max_depth: "Optional[int]" = None,
-                 budget: "Optional[Any]" = None,
-                 gate: "Optional[Any]" = None) -> None:
+                 max_depth: "Optional[int]" = None) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if max_depth is not None and max_depth < 1:
@@ -109,21 +143,16 @@ class ProposalPipeline:
         self.max_busy_retries = max_busy_retries
         self.base_retry_delay = base_retry_delay
         self.max_retry_delay = max_retry_delay
-        #: Bound on the local queue; None means unbounded.  A busy-retry
+        #: Bound on the queue; None means unbounded.  A busy-retry
         #: re-queue may transiently exceed it (the entries were already
         #: admitted); only new submissions are rejected at the bound.
+        #: The gateway sets it to its ``queue_capacity``.
         self.max_depth = max_depth
-        #: Shard-shared depth allowance (a DepthBudget): units acquired
-        #: per submission, released when the update's ticket resolves.
-        self.budget = budget
-        #: Shard run-slot gate: a callable that returns False while the
-        #: shard is at its concurrent in-flight run bound; the proposal
-        #: waits queued and a sibling's settlement re-polls it.
-        self.gate = gate
-        #: Updates awaiting a run, oldest first.
-        self._queue: "list[tuple[Any, PipelineTicket]]" = []
+        #: The object's write queue: (update, ticket) awaiting a run,
+        #: oldest first.
+        self._queue: "list[tuple[Any, Ticket]]" = []
         #: The (run_id, entries) of the run this pipeline has in flight.
-        self._inflight: "Optional[tuple[str, list[tuple[Any, PipelineTicket]]]]" = None
+        self._inflight: "Optional[tuple[str, list[tuple[Any, Ticket]]]]" = None
         #: Consecutive busy retries of the entries currently at the head.
         self._attempts = 0
         #: Total busy retries over the pipeline's lifetime.
@@ -167,13 +196,15 @@ class ProposalPipeline:
     # submission and draining
     # ------------------------------------------------------------------
 
-    def submit(self, update: Any) -> "tuple[PipelineTicket, Output]":
+    def submit(self, update: Any,
+               ticket: "Optional[Ticket]" = None) -> "tuple[Ticket, Output]":
         """Queue one update; propose immediately if the engine is free.
 
         Never raises for concurrency: contention queues the update and
-        the returned ticket resolves when a run carrying it settles.
-        Raises :class:`~repro.errors.PipelineSaturatedError` when the
-        local queue is at ``max_depth`` — explicit backpressure for
+        the returned ticket (*ticket* itself when the caller brings its
+        own, e.g. the gateway's) resolves when a run carrying it
+        settles.  Raises :class:`~repro.errors.PipelineSaturatedError`
+        when the queue is at ``max_depth`` — explicit backpressure for
         flooding callers; the update is *not* queued.
         """
         if (self.max_depth is not None
@@ -187,59 +218,44 @@ class ProposalPipeline:
                 f"({len(self._queue)} updates queued, max_depth="
                 f"{self.max_depth})"
             )
-        if self.budget is not None and not self.budget.try_acquire():
-            obs = self.engine.ctx.obs
-            if obs.enabled:
-                obs.pipeline_saturated(self.engine.party_id,
-                                       self.object_name, len(self._queue))
-            raise PipelineSaturatedError(
-                f"shard pipeline budget for {self.object_name!r} is "
-                f"exhausted ({self.budget.used} updates admitted, shared "
-                f"max_depth={self.budget.limit})"
-            )
-        ticket = PipelineTicket(object_name=self.object_name)
+        if ticket is None:
+            ticket = Ticket(object_name=self.object_name)
         self._queue.append((update, ticket))
         self._observe_depth()
         return ticket, self._maybe_propose()
 
     def poll(self) -> Output:
-        """Timed wake-up: issue the next proposal if backoff expired."""
+        """Issue the next proposal if nothing stands in its way."""
         return self._maybe_propose()
 
     def on_event(self, event: Event) -> Output:
-        """Feed one engine event; drains the queue on any settlement."""
-        self.absorb(event)
-        return self._maybe_propose()
+        """Feed one engine event: settle the batch it decides, resolve
+        its tickets, propose the next batch."""
+        settled = self.settle(event)
+        output = self._maybe_propose()
+        for ticket in settled:
+            ticket.resolve(event.valid, event.diagnostics,
+                           run_id=event.run_id)
+        return output
 
-    def absorb(self, event: Event) -> None:
-        """Settle the in-flight batch on its event, *without* proposing.
+    def settle(self, event: Event) -> "list[Ticket]":
+        """Close the in-flight batch if *event* completes its run.
 
-        Used by the shard pipeline group, which settles first and then
-        polls its pipelines in fair rotation so the freed run slot is
-        not automatically retaken by the object that just settled.
+        Returns the tickets the event decides, still unresolved: the
+        caller resolves each with ``(event.valid, event.diagnostics,
+        run_id=event.run_id)`` once it holds no lock a callback must not
+        run under.  Empty when the event is not this batch's, or when a
+        benign veto put the batch back at the head of the queue to be
+        retried.
         """
-        if (isinstance(event, RunCompleted) and event.kind == "state"
+        if not (isinstance(event, RunCompleted) and event.kind == "state"
                 and event.object_name == self.object_name
                 and self._inflight is not None
                 and event.run_id == self._inflight[0]):
-            self._settle_inflight(event)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _settle_inflight(self, event: RunCompleted) -> None:
-        run_id, entries = self._inflight  # type: ignore[misc]
+            return []
+        entries = self._inflight[1]
         self._inflight = None
-        if event.valid:
-            self._attempts = 0
-            self._not_before = 0.0
-            if self.budget is not None:
-                self.budget.release(len(entries))
-            for _, ticket in entries:
-                ticket.resolve(True, [], run_id)
-            return
-        if (is_transient_rejection(event.diagnostics)
+        if (not event.valid and is_transient_rejection(event.diagnostics)
                 and self._attempts < self.max_busy_retries):
             # Benign contention: put the batch back at the head of the
             # queue and back off before re-proposing.  The updates stay
@@ -255,13 +271,14 @@ class ProposalPipeline:
                 obs.pipeline_busy_retry(self.engine.party_id,
                                         self.object_name, self._attempts)
             self._observe_depth()
-            return
+            return []
         self._attempts = 0
         self._not_before = 0.0
-        if self.budget is not None:
-            self.budget.release(len(entries))
-        for _, ticket in entries:
-            ticket.resolve(False, event.diagnostics, run_id)
+        return [ticket for _, ticket in entries]
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
 
     def _backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with deterministic jitter in [0.5, 1.0)."""
@@ -273,8 +290,7 @@ class ProposalPipeline:
     def _maybe_propose(self) -> Output:
         if (not self._queue or self._inflight is not None
                 or self.engine.busy or self.engine.membership_change_active
-                or self.engine.ctx.clock.now() < self._not_before
-                or (self.gate is not None and not self.gate())):
+                or self.engine.ctx.clock.now() < self._not_before):
             return Output()
         entries = self._queue[:self.max_batch]
         del self._queue[:len(entries)]

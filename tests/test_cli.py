@@ -222,7 +222,7 @@ class TestGatewaySimCrash:
         dump = str(tmp_path / "flight.jsonl")
         assert main(["gateway-sim", "--clients", "60", "--requests", "2",
                      "--seed", "7", "--queue-capacity", "256",
-                     "--max-inflight", "64", "--max-batch", "64",
+                     "--max-batch", "64",
                      "--arrival-window", "3.0",
                      "--crash-org", "Org2", "--crash-at", "1.0",
                      "--recover-at", "4.0", "--watchdog", "0.5",

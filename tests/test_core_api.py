@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.core import (
@@ -339,3 +341,69 @@ class TestComposite:
             {"a": {"x": 1}, "b": {}}, {"a": {"y": 2}}
         )
         assert merged == {"a": {"x": 1, "y": 2}, "b": {}}
+
+
+class TestTicketRegistry:
+    def test_resolved_tickets_leave_the_registry(self, make_community):
+        """Every synchronous ``leave()`` tracks a ticket by run id; the
+        node forgets it once resolved instead of pinning the ticket and
+        its ``RunCompleted`` event for the life of the node."""
+        community = make_community(["A", "B", "C"])
+        objects = {"A": DictB2BObject(), "B": DictB2BObject()}
+        controllers = community.found_object("shared", objects)
+        node = community.node("A")
+        controller = controllers["A"]
+        for index in range(200):
+            controller.enter()
+            controller.update()
+            objects["A"].set_attribute("k", index)
+            controller.leave()
+        community.settle()
+        assert objects["B"].get_attribute("k") == 199
+        assert node._tickets == {}
+        # Membership tickets resolve through the same registry.
+        joiner = community.node("C")
+        join = joiner.propagate_connect("shared", DictB2BObject(), "B")
+        assert joiner.wait_for_ticket(join) and join.valid
+        assert join.kind == "connect" and joiner._tickets == {}
+        community.settle()
+        leave = joiner.propagate_disconnect("shared")
+        assert joiner.wait_for_ticket(leave) and leave.valid
+        community.settle()
+        evict = node.propagate_eviction("shared", ["B"])
+        assert node.wait_for_ticket(evict) and evict.valid
+        assert controller.members() == ["A"]
+        assert node._tickets == {} and joiner._tickets == {}
+
+
+class TestOptionRatchet:
+    """The constructor options of the write path, pinned.  Adding a knob
+    means editing this list and saying which two callers need different
+    values; a value the code can derive is not an option."""
+
+    PINNED = {
+        "repro.gateway.gateway:Gateway": (
+            "node", "queue_capacity", "rate", "burst", "breaker",
+            "idempotency_capacity", "pipeline_options"),
+        "repro.protocol.pipeline:ProposalPipeline": (
+            "engine", "max_batch", "max_busy_retries", "base_retry_delay",
+            "max_retry_delay", "max_depth"),
+        "repro.core.node:OrganisationNode": (
+            "ctx", "runtime", "certificate_resolver", "certificate",
+            "retransmit_interval", "default_timeout", "num_shards"),
+        "repro.core.community:Community": (
+            "names", "runtime", "seed", "key_bits", "retransmit_interval",
+            "clock", "storage_dir", "obs", "num_shards"),
+        # workers is derived by the node; name and on_error are wiring.
+        "repro.core.shards:ShardScheduler": (
+            "num_shards", "workers", "name", "on_error"),
+        "repro.core.shards:ShardMap": ("num_shards",),
+    }
+
+    @pytest.mark.parametrize("target", sorted(PINNED))
+    def test_constructor_parameters(self, target):
+        module_name, _, class_name = target.partition(":")
+        cls = getattr(__import__(module_name, fromlist=[class_name]),
+                      class_name)
+        parameters = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        assert parameters == self.PINNED[target]

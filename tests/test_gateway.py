@@ -17,6 +17,7 @@ from repro.crypto.prng import DeterministicRandomSource
 from repro.errors import (
     CircuitOpenError,
     GatewayOverloadedError,
+    NotConnectedError,
     PipelineSaturatedError,
     RateLimitedError,
 )
@@ -25,8 +26,8 @@ from repro.gateway import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    AdmissionQueue,
     CircuitBreaker,
+    CounterObject,
     IdempotencyCache,
     LoadSimConfig,
     RateLimiter,
@@ -103,28 +104,8 @@ class TestRateLimiter:
 
 
 # ---------------------------------------------------------------------------
-# unit: admission queue / idempotency cache
+# unit: idempotency cache
 # ---------------------------------------------------------------------------
-
-class TestAdmissionQueue:
-    def test_fifo_and_shedding(self):
-        queue = AdmissionQueue(capacity=2)
-        assert queue.offer("a") and queue.offer("b")
-        assert not queue.offer("c")  # full: shed
-        assert queue.take() == "a"
-        assert queue.offer("c")
-        assert queue.take() == "b" and queue.take() == "c"
-        assert queue.take() is None
-
-    def test_push_back_goes_to_head(self):
-        queue = AdmissionQueue(capacity=1)
-        queue.offer("a")
-        taken = queue.take()
-        queue.push_back(taken)
-        queue.push_back("earlier")  # re-queues may exceed capacity
-        assert queue.take() == "earlier"
-        assert queue.take() == "a"
-
 
 class TestIdempotencyCache:
     def test_pending_then_completed(self):
@@ -318,7 +299,7 @@ class TestGatewayIntegration:
 
     def test_full_queue_sheds_with_overload_error(self):
         community, gateway, name = build_gateway_community(
-            seed=14, queue_capacity=1, max_inflight=1)
+            seed=14, queue_capacity=1)
         session = gateway.session("alice")
         first = session.submit(name, {"client": "alice", "n": 1})
         session.submit(name, {"client": "alice", "n": 1})  # queued
@@ -345,16 +326,112 @@ class TestGatewayIntegration:
         community.settle()
         community.close()
 
-    def test_gateway_requeues_on_pipeline_saturation(self):
+    def test_shed_write_retried_after_retry_after_settles_once(self):
+        """The gateway does not hide pipeline back-pressure behind a
+        second queue: a write that meets a full queue is shed, and the
+        client's retry after ``retry_after`` settles it exactly once."""
         community, gateway, name = build_gateway_community(
-            seed=16, queue_capacity=16, max_inflight=16,
-            pipeline_options={"max_depth": 1, "max_batch": 1})
+            seed=16, queue_capacity=1, pipeline_options={"max_batch": 1})
+        session = gateway.session("alice")
+        update = {"client": "alice", "n": 1}
+        tickets = [session.submit(name, update) for _ in range(2)]
+        with pytest.raises(GatewayOverloadedError) as shed:
+            session.submit(name, update, key="third")
+        assert shed.value.retry_after > 0.0
+        assert gateway.idempotency.pending_count == 2  # the key stays free
+        for _ in range(200):
+            community.settle(shed.value.retry_after)
+            try:
+                tickets.append(session.submit(name, update, key="third"))
+                break
+            except GatewayOverloadedError:
+                continue
+        community.settle()
+        assert len(tickets) == 3 and all(ticket.valid for ticket in tickets)
+        assert not tickets[2].replayed
+        assert session.retry(tickets[2]).replayed
+        assert counter_state(community, name)["applied"] == 3
+        community.close()
+
+    def test_write_is_one_ticket_in_one_queue(self):
+        """The ticket the client holds *is* the pipeline's entry."""
+        community, gateway, name = build_gateway_community(seed=19)
         session = gateway.session("alice")
         tickets = [session.submit(name, {"client": "alice", "n": 1})
-                   for _ in range(6)]
+                   for _ in range(3)]
+        pipe = community.node("Org1").shards.pipeline_for(name)
+        run_id, inflight = pipe._inflight
+        assert [t for _, t in inflight] == [tickets[0]]
+        assert inflight[0][1] is tickets[0]
+        assert [t for _, t in pipe._queue] == tickets[1:]
+        assert all(queued is held for (_, queued), held
+                   in zip(pipe._queue, tickets[1:]))
+        assert gateway.queue_depth(name) == pipe.depth == 2
         community.settle()
-        assert all(ticket.valid for ticket in tickets)
-        assert counter_state(community, name)["applied"] == 6
+        assert all(t.done and t.valid for t in tickets)
+        assert tickets[0].run_id == run_id
+        # Kept in the replay window, so it must not pin the run's evidence.
+        assert tickets[0].event is None
+        community.close()
+
+    def test_bound_holds_however_the_pipeline_came_to_exist(self):
+        """A pipeline created by ``node.submit_update`` before the
+        gateway existed still sheds at the gateway's bound."""
+        community = Community(["Org1", "Org2"], seed=22)
+        community.found_object(
+            "shared", {org: CounterObject() for org in community.names()})
+        node = community.node("Org1")
+        node.submit_update("shared", {"n": 1})  # in flight, unbounded pipe
+        assert node.shards.pipeline_for("shared").max_depth is None
+        session = node.gateway(queue_capacity=2).session("alice")
+        session.submit("shared", {"n": 1})
+        session.submit("shared", {"n": 1})
+        with pytest.raises(GatewayOverloadedError):
+            session.submit("shared", {"n": 1})  # the third waiting write
+        community.settle()
+        assert counter_state(community, "shared")["applied"] == 3
+        community.close()
+
+    def test_write_to_unshared_object_leaves_no_trace(self):
+        """A write to an object this node does not share fails before
+        anything is recorded, so its key is not wedged as pending."""
+        community, gateway, name = build_gateway_community(seed=23)
+        session = gateway.session("alice")
+        with pytest.raises(NotConnectedError):
+            session.submit("nope", {"client": "alice", "n": 1}, key="k1")
+        assert gateway.stats()["admitted"] == 0
+        assert gateway.idempotency.pending_count == 0
+        # The documented retry meets the same error, not a dead ticket.
+        with pytest.raises(NotConnectedError):
+            session.submit("nope", {"client": "alice", "n": 1}, key="k1")
+        community.close()
+
+    def test_failed_hand_off_releases_the_half_open_probe(self):
+        """A write the pipeline refuses for any reason gives back the
+        breaker's probe slot and records nothing."""
+        community, gateway, name = build_gateway_community(
+            seed=24, breaker={"failure_threshold": 1, "window": 2,
+                              "reset_timeout": 1.0, "probes": 1})
+        session = gateway.session("alice")
+        breaker = gateway.breaker(name)
+        breaker.record(False, 0.0)
+        community.settle(1.5)
+        assert breaker.state == HALF_OPEN
+        node = community.node("Org1")
+        real_submit = node.submit_update
+
+        def refuse(*args, **kwargs):
+            raise NotConnectedError("left the group")
+
+        node.submit_update = refuse
+        with pytest.raises(NotConnectedError):
+            session.submit(name, {"client": "alice", "n": 1}, key="k1")
+        node.submit_update = real_submit
+        assert gateway.idempotency.pending_count == 0
+        assert gateway.stats()["admitted"] == 0
+        probe = session.submit(name, {"client": "alice", "n": 1}, key="k1")
+        assert gateway.wait(probe, 30.0) and probe.valid
+        assert breaker.state == CLOSED
         community.close()
 
     def test_breaker_opens_and_recovers_under_crash(self):
@@ -463,7 +540,7 @@ class TestAppGatewayClients:
 class TestLoadSim:
     def test_closed_loop_population_settles_every_update(self):
         community, gateway, name = build_gateway_community(
-            seed=30, max_inflight=256, pipeline_options={"max_batch": 128})
+            seed=30, pipeline_options={"max_batch": 128})
         config = LoadSimConfig(clients=400, requests_per_client=1,
                                arrival_window=1.0, seed=30)
         stats = run_load_sim(community, gateway, name, config)
@@ -478,7 +555,7 @@ class TestLoadSim:
     def test_hot_clients_are_capped_but_everyone_finishes(self):
         community, gateway, name = build_gateway_community(
             seed=31, rate=20.0, burst=2.0,
-            max_inflight=256, pipeline_options={"max_batch": 128})
+            pipeline_options={"max_batch": 128})
         config = LoadSimConfig(clients=60, requests_per_client=2,
                                arrival_window=0.2, hot_clients=2,
                                hot_factor=20, seed=31)

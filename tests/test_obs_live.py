@@ -467,7 +467,7 @@ class TestCrashScenario:
         watchdog = 0.5
         community, gateway, object_name = build_gateway_community(
             orgs=2, seed=7, obs=RecordingInstrumentation(),
-            queue_capacity=256, max_inflight=64,
+            queue_capacity=256,
             breaker=dict(CRASH_BREAKER_OPTIONS),
             pipeline_options={"max_batch": 64})
         stats, live = run_crash_scenario(

@@ -1,5 +1,6 @@
-"""The shard scheduler: routing, budgets, workers, cross-shard atomicity,
-and the clock/error-handling fixes that shipped with it."""
+"""The shard scheduler: routing, workers, cross-shard atomicity, the one
+write queue per object (wake-ups, callback discipline), and the
+clock/error-handling fixes that shipped with it."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import pytest
 
 from repro.core import (
     Community,
-    DepthBudget,
     DictB2BObject,
     ShardMap,
     ShardScheduler,
@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.object import B2BObject
 from repro.core.runtime import SimRuntime, ThreadedRuntime
-from repro.errors import ConfigurationError, PipelineSaturatedError
+from repro.errors import ConfigurationError
 from repro.obs.live.flight import FlightRecorder
 from repro.obs.recording import RecordingInstrumentation
 from repro.obs.report import render_snapshot
@@ -64,7 +64,7 @@ class PickyObject(CounterObject):
 
 
 # ---------------------------------------------------------------------------
-# unit: consistent-hash map / budget / scheduler
+# unit: consistent-hash map / scheduler
 # ---------------------------------------------------------------------------
 
 class TestShardMap:
@@ -85,12 +85,6 @@ class TestShardMap:
         shard_map = ShardMap(1)
         assert {shard_map.shard_of(f"o{i}") for i in range(20)} == {0}
 
-    def test_override_pins_and_validates(self):
-        shard_map = ShardMap(4, overrides={"pinned": 3})
-        assert shard_map.shard_of("pinned") == 3
-        with pytest.raises(ConfigurationError):
-            shard_map.assign("bad", 4)
-
     def test_consistent_hashing_limits_movement(self):
         names = [f"obj-{i}" for i in range(400)]
         small, large = ShardMap(4), ShardMap(5)
@@ -103,21 +97,6 @@ class TestShardMap:
     def test_rejects_zero_shards(self):
         with pytest.raises(ConfigurationError):
             ShardMap(0)
-
-
-class TestDepthBudget:
-    def test_acquire_release_cycle(self):
-        budget = DepthBudget(2)
-        assert budget.try_acquire()
-        assert budget.try_acquire()
-        assert not budget.try_acquire()
-        budget.release()
-        assert budget.try_acquire()
-
-    def test_release_never_goes_negative(self):
-        budget = DepthBudget(1)
-        budget.release(5)
-        assert budget.used == 0
 
 
 class TestShardScheduler:
@@ -190,24 +169,20 @@ class TestShardedCommunity:
                 assert state == {"k": object_name}
 
     def test_simruntime_never_starts_workers(self):
-        community = sharded_community(2, seed=12, num_shards=4,
-                                      shard_workers=True)
-        assert not community.node("Org1").shards.workers
+        community = sharded_community(2, seed=12, num_shards=4)
+        shards = community.node("Org1").shards
+        assert not shards.workers
+        assert not any(shard.worker_running for shard in shards.shards)
 
-    def test_shared_depth_budget_saturates_the_shard(self):
-        community = sharded_community(2, seed=13, num_shards=1,
-                                      shard_max_depth=2)
-        names = community.names()
-        community.found_object(
-            "hot", {name: DictB2BObject() for name in names})
-        node = community.node("Org1")
-        # Budget units are held from submission to settlement, so two
-        # admitted updates exhaust the shared allowance of 2.
-        for index in range(2):
-            node.submit_update("hot", {f"k{index}": index})
-        with pytest.raises(PipelineSaturatedError, match="shard pipeline"):
-            node.submit_update("hot", {"overflow": True})
-        community.settle()
+    def test_threaded_runtime_starts_a_worker_per_shard(self):
+        community = Community(["Org1", "Org2"], runtime=ThreadedRuntime(),
+                              num_shards=2)
+        try:
+            shards = community.node("Org1").shards
+            assert shards.workers
+            assert all(shard.worker_running for shard in shards.shards)
+        finally:
+            community.close()
 
     def test_restart_node_keeps_shard_topology(self, tmp_path):
         community = sharded_community(2, seed=14, num_shards=4,
@@ -294,6 +269,141 @@ class TestShardWorkersShareOnePartyStores:
                 for object_name in objects:
                     latest = ctx.checkpoints.latest(object_name)
                     assert latest is not None and latest.state == expected
+        finally:
+            sys.setswitchinterval(switch_interval)
+            community.close()
+
+
+# ---------------------------------------------------------------------------
+# the one write queue per object: wake-ups and callback discipline
+# ---------------------------------------------------------------------------
+
+class TestNoLostWakeUp:
+    """A settlement wakes only the pipeline it names, so every reason a
+    pipeline can sit queued-but-idle must bring its own wake-up."""
+
+    @pytest.mark.parametrize("reason", [
+        "own-run", "responder", "membership", "backoff", "crash-recover"])
+    def test_queued_but_idle_pipeline_always_wakes(self, reason):
+        community = sharded_community(3, seed=41, num_shards=2)
+        names = community.names()
+        objects = [f"obj-{i}" for i in range(4)]
+        founders = names[:2] if reason == "membership" else names
+        for object_name in objects:
+            community.found_object(
+                object_name, {name: CounterObject() for name in founders})
+        node, peer = community.node("Org1"), community.node("Org2")
+        assert len(node.shards.map.spread(objects)) == 2
+        hot = objects[0]
+        engine = node.party.session(hot).state
+        wait = community.runtime.wait_until
+        # Sibling traffic on both shards; nothing below leans on it.
+        tickets = [node.submit_update(name, {"n": 1}) for name in objects[1:]]
+        if reason == "own-run":
+            tickets.append(node.submit_update(hot, {"n": 1}))
+        elif reason == "responder":
+            tickets.append(peer.submit_update(hot, {"n": 1}))
+            assert wait(lambda: engine.busy, 5.0)
+        elif reason == "membership":
+            tickets.append(community.node("Org3").propagate_connect(
+                hot, CounterObject(), "Org2"))
+            assert wait(lambda: engine.membership_change_active, 5.0)
+        else:
+            # Simultaneous proposals veto each other as busy.  The peer
+            # retries within 50 ms and settles; this node's backoff is
+            # made long enough to still be pending once all is quiet.
+            pipe = node.pipeline(hot, base_retry_delay=4.0,
+                                 max_retry_delay=4.0)
+            tickets.append(peer.submit_update(hot, {"n": 1}))
+            tickets.append(node.submit_update(hot, {"n": 1}))
+            assert wait(lambda: all(t.done for t in tickets[:-1])
+                        and not engine.busy, 1.0)  # peer's commit is in
+            assert pipe.busy_retries == 1 and pipe.retry_delay() > 1.0
+        tickets.append(node.submit_update(hot, {"n": 1}))
+        pipe = node.shards.pipeline_for(hot)
+        assert pipe.depth >= 1  # queued ...
+        if reason != "own-run":
+            assert pipe.inflight_run_id is None  # ... but idle
+        if reason == "crash-recover":
+            node.crash()  # cancels the pending backoff timer
+            community.settle(5.0)  # the backoff runs out meanwhile
+            node.recover()
+        community.settle()  # nothing else drives it
+        assert all(ticket.done and ticket.valid for ticket in tickets)
+        for name in founders:
+            shards = community.node(name).shards
+            for object_name in objects:
+                queue = shards.pipeline_for(object_name)
+                assert queue is None or (
+                    queue.depth == 0 and queue.inflight_run_id is None)
+        assert node._pipeline_timers == {}
+        expected = {"applied": 3 if reason in ("backoff", "crash-recover")
+                    else 2 if reason != "membership" else 1}
+        state = node.controllers[hot].b2b_object.get_state()
+        assert state["applied"] == expected["applied"]
+
+
+class TestCallbackDiscipline:
+    def test_on_done_callbacks_are_serial_and_outside_shard_locks(self):
+        """A closed-loop client that resubmits from inside ``on_done``:
+        callbacks run one at a time under the node lock, never under a
+        shard lock, and nothing deadlocks."""
+        community = Community(["Org1", "Org2"], runtime=ThreadedRuntime(),
+                              retransmit_interval=2.0, num_shards=2)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            objects = [f"obj-{i}" for i in range(8)]
+            for object_name in objects:
+                community.found_object(
+                    object_name,
+                    {name: CounterObject() for name in community.names()})
+            node = community.node("Org1")
+            assert len(node.shards.map.spread(objects)) == 2
+            session = node.gateway().session("loop")
+            total, window = 200, 16
+            loop = {"submitted": 0, "settled": 0, "active": False}
+            errors: "list[BaseException]" = []
+            finished = threading.Event()
+
+            def submit_next():
+                index = loop["submitted"]
+                loop["submitted"] = index + 1
+                session.submit(objects[index % len(objects)],
+                               {"n": 1}).on_done(on_done)
+
+            def on_done(ticket):
+                try:
+                    assert not loop["active"], "callbacks overlapped"
+                    loop["active"] = True
+                    assert node._lock._is_owned()
+                    assert not any(shard.lock._is_owned()
+                                   for shard in node.shards.shards)
+                    assert ticket.valid
+                    settled = loop["settled"]  # read ... (not atomic)
+                    threading.Event().wait(0.0002)
+                    loop["settled"] = settled + 1  # ... modify-write
+                    if loop["submitted"] < total:
+                        submit_next()
+                    loop["active"] = False
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                if errors or loop["settled"] == total:
+                    finished.set()
+
+            with node._lock:  # serialise the first window with callbacks
+                for _ in range(window):
+                    submit_next()
+            assert finished.wait(120.0), loop
+            assert not errors, errors
+            assert loop == {"submitted": total, "settled": total,
+                            "active": False}
+            applied = sum(
+                node.controllers[name].b2b_object.get_state()["applied"]
+                for name in objects)
+            assert applied == total
+            assert node.gateway().stats()["rejected"] == {
+                "rate_limited": 0, "overloaded": 0, "circuit_open": 0}
         finally:
             sys.setswitchinterval(switch_interval)
             community.close()
@@ -488,6 +598,31 @@ class TestHandlerErrorAccounting:
             assert counters.get("transport.tcp.handler_errors") == 2
         finally:
             network.close()
+
+    def test_shard_worker_error_is_counted_and_the_worker_keeps_draining(
+            self):
+        flight = FlightRecorder(capacity=16)
+        obs = RecordingInstrumentation(flight=flight)
+        community = Community(["Org1", "Org2"], runtime=ThreadedRuntime(),
+                              num_shards=2, obs=obs)
+        try:
+            shard = community.node("Org1").shards.shards[1]
+            drained = threading.Event()
+
+            def boom():
+                raise RuntimeError("bug")
+
+            shard.submit(boom)
+            shard.submit(drained.set)
+            assert drained.wait(2.0)  # the worker survived the exception
+            assert shard.worker_running
+            counters = obs.registry.snapshot()["counters"]
+            assert counters.get("transport.tcp.handler_errors.shard") == 1
+            events = [event for event in flight.events()
+                      if event["kind"] == "handler_error"]
+            assert [event["site"] for event in events] == ["shard"]
+        finally:
+            community.close()
 
     def test_handler_errors_reach_flight_ring_and_report(self):
         flight = FlightRecorder(capacity=16)
