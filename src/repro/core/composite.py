@@ -12,9 +12,11 @@ on different shards.  :func:`submit_transaction` keeps such a
 transaction all-or-nothing at admission: every involved shard's lock is
 acquired in canonical order, every child update is validated against the
 locked agreed state (one rejection aborts the whole transaction before
-anything is proposed), and only then is each accepted child handed to
-its shard's pipeline — still under the held locks, so no concurrent
-submission can slip between the checks and the proposals.  Benign busy
+anything is queued), and only then is each accepted child queued in its
+object's pipeline — still under the held locks, so no concurrent
+submission can slip between the checks and the queueing; the node then
+turns them into runs by its one rule
+(:meth:`~repro.core.node.OrganisationNode._start_runs`).  Benign busy
 vetoes from concurrent per-child traffic are retried by the pipelines;
 a genuine remote policy veto after admission surfaces through
 :attr:`CompositeTicket.partial` rather than being silently absorbed.
@@ -173,8 +175,8 @@ def submit_transaction(node: Any, updates: "dict[str, Any]",
     Children are admitted all-or-nothing: shard locks are taken in
     canonical (shard index, then name) order, each update is validated
     against the locked agreed state, and any rejection aborts the whole
-    transaction with nothing proposed.  Accepted children enter their
-    shards' pipelines while the locks are still held, then settle as
+    transaction with nothing queued.  Accepted children enter their
+    objects' pipelines while the locks are still held, then settle as
     ordinary (busy-retried) runs.
     """
     if not updates:
@@ -183,7 +185,6 @@ def submit_transaction(node: Any, updates: "dict[str, Any]",
         updates, key=lambda name: (node.shards.shard_for(name).index, name))
     shards = node.shards.shards_for(names)
     ticket = CompositeTicket(object_names=names)
-    outputs: "list[Any]" = []
     acquired: "list[threading.RLock]" = []
     try:
         for shard in shards:
@@ -198,18 +199,13 @@ def submit_transaction(node: Any, updates: "dict[str, Any]",
                 ticket.diagnostics = diagnostics
                 return ticket
         for name in names:
-            child_ticket, output = node.pipeline(name).submit(updates[name])
-            ticket.children[name] = child_ticket
-            outputs.append(output)
+            ticket.children[name] = node.pipeline(name).enqueue(updates[name])
     finally:
         for lock in reversed(acquired):
             lock.release()
-    # Transmit and dispatch only after every shard lock is released —
-    # the node's lock-order contract for _process_output.
-    for output in outputs:
-        node._process_output(output)
-    for name in names:
-        node._schedule_pipeline_retry(name)
+        # Propose only after every shard lock is released — the node's
+        # lock-order contract for _process_output.
+        node._wake_pipelines(*ticket.children)
     return ticket
 
 

@@ -92,6 +92,13 @@ class OrganisationNode:
         #: node tracks by key; an entry leaves when it resolves.
         self._tickets: "dict[str, Ticket]" = {}
         self._pipeline_timers: "dict[str, TimerHandle]" = {}
+        #: Objects whose pipeline was woken and has not been polled
+        #: since, oldest first (a dict for its order and its lookup).
+        self._ready: "dict[str, None]" = {}
+        #: Runs this node's pipelines have in flight.
+        self._own_runs = 0
+        #: An idle callback is out and has not come back.
+        self._idle_requested = False
         self._gateway: "Optional[Any]" = None
         self._live: "Optional[Any]" = None
         # Control-plane lock (object registration, joins, lazy gateway/
@@ -267,10 +274,12 @@ class OrganisationNode:
         """Queue *update* in the object's write pipeline.
 
         Unlike :meth:`propagate_update` this never blocks and never
-        raises for concurrency: while a run is in flight the update
-        queues, and once the engine is free every queued update is
-        coalesced into one batched proposal.  Benign busy vetoes retry
-        automatically; the ticket (*ticket* itself when the caller
+        raises for concurrency: the update queues, and is proposed here
+        and now only if none of this node's runs is in flight —
+        otherwise once the node has finished what it started
+        (:meth:`_start_runs`), coalesced with everything queued for the
+        object meanwhile into one batched proposal.  Benign busy vetoes
+        retry automatically; the ticket (*ticket* itself when the caller
         brings one) resolves invalid only for genuine policy vetoes (or
         retry exhaustion).  Raises
         :class:`~repro.errors.NotConnectedError` for an object this node
@@ -279,9 +288,8 @@ class OrganisationNode:
         """
         shard = self.shards.shard_for(object_name)
         with shard.lock:
-            ticket, output = self.pipeline(object_name).submit(update, ticket)
-        self._process_output(output)
-        self._schedule_pipeline_retry(object_name)
+            ticket = self.pipeline(object_name).enqueue(update, ticket)
+        self._wake_pipelines(object_name)
         return ticket
 
     def submit_composite(self, updates: "dict[str, Any]") -> "Any":
@@ -338,14 +346,82 @@ class OrganisationNode:
             live = self._live
         return live.health if live is not None else "healthy"
 
-    def _poll_pipeline(self, object_name: str) -> None:
-        """Let the object's pipeline propose if it can; if only its
-        backoff stands in the way, arm the timer that polls it again."""
+    def _wake_pipelines(self, *object_names: str) -> None:
+        """Every reason a pipeline may have a batch to propose — a write
+        queued, an event that frees its engine, its backoff run out,
+        recovery — arrives here: the pipeline joins the ready FIFO."""
+        with self._registry_lock:
+            for object_name in object_names:
+                self._ready.setdefault(object_name)
+        self._start_runs()
+
+    def _start_runs(self, idle: bool = False) -> None:
+        """Finish before you start: the rule for *when* a queued write
+        becomes a run.
+
+        While none of this node's runs is in flight, ready pipelines are
+        polled oldest first, on the caller's thread, until one proposes
+        — the floor, which alone drains every queue.  Beyond that one
+        run the rest wait until the node has nothing inbound left to
+        handle (*idle*: :meth:`~repro.transport.base.Network.when_idle`,
+        or with shard workers the end of the oldest one's shard queue),
+        and what is queued for them meanwhile rides in their next batch.
+        """
+        while True:
+            with self._registry_lock:
+                if idle:
+                    self._idle_requested = False
+                    names = list(self._ready)
+                elif not self._ready:
+                    return
+                elif not self._own_runs:
+                    names = [next(iter(self._ready))]
+                elif self._idle_requested:
+                    return
+                else:
+                    # At most one idle callback is out at a time.
+                    self._idle_requested = True
+                    oldest = next(iter(self._ready))
+                    break
+                for name in names:
+                    del self._ready[name]
+                # Counted before the poll, so that a concurrent submit
+                # sees the floor taken; what does not start is given back.
+                self._own_runs += len(names)
+            idle = False
+            started = 0
+            try:
+                for name in names:
+                    started += self._poll_pipeline(name)
+            finally:
+                with self._registry_lock:
+                    self._own_runs -= len(names) - started
+        if self.shards.workers:
+            self.shards.shard_for(oldest).submit(self._on_idle)
+        else:
+            self.runtime.network.when_idle(self._on_idle)
+
+    def _on_idle(self) -> None:
+        self._start_runs(idle=True)
+
+    def _poll_pipeline(self, object_name: str) -> bool:
+        """Let the object's pipeline propose if it can, and say whether
+        it did; if only its backoff stands in the way, arm the timer
+        that wakes it again."""
         shard = self.shards.shard_for(object_name)
         with shard.lock:
-            output = shard.pipelines[object_name].poll()
+            pipe = shard.pipelines[object_name]
+            was_free = pipe.inflight_run_id is None
+            output = pipe.poll()
+            started = was_free and pipe.inflight_run_id is not None
+            failed = pipe.take_failed()
         self._process_output(output)
         self._schedule_pipeline_retry(object_name)
+        if failed:
+            with self._lock:  # as for settled tickets in _dispatch_event
+                for ticket, diagnostics in failed:
+                    ticket.resolve(False, diagnostics)
+        return started
 
     def _schedule_pipeline_retry(self, object_name: str) -> None:
         """Arm a timer for the pipeline's next backoff wake-up, if any."""
@@ -362,7 +438,7 @@ class OrganisationNode:
             with self._registry_lock:
                 self._pipeline_timers.pop(object_name, None)
             if not self._crashed:
-                self._poll_pipeline(object_name)
+                self._wake_pipelines(object_name)
 
         handle = self.runtime.network.schedule(max(delay, 1e-9), fire)
         with self._registry_lock:
@@ -481,6 +557,7 @@ class OrganisationNode:
             for handle in self._pipeline_timers.values():
                 handle.cancel()
             self._pipeline_timers.clear()
+            self._ready.clear()
         self.endpoint.stop()
         network = self.runtime.network
         crash = getattr(network, "crash", None)
@@ -508,11 +585,11 @@ class OrganisationNode:
                 self.readcache.publish(object_name, engine.agreed_state,
                                        engine.agreed_sid.to_dict())
         self._process_output(output)
-        # crash() cancelled the backoff timers and no event will name a
-        # pipeline whose retry was pending, so wake each one here.
-        for shard in self.shards.shards:
-            for object_name in list(shard.pipelines):
-                self._poll_pipeline(object_name)
+        # crash() cancelled the backoff timers and emptied the ready
+        # FIFO, and no event will name a pipeline that was waiting on
+        # either, so wake each one here.
+        self._wake_pipelines(*(object_name for shard in self.shards.shards
+                               for object_name in list(shard.pipelines)))
 
     def check_progress(self, timeout: "float | None" = None) -> "list[Event]":
         """Surface blocked runs (evidence for dispute resolution)."""
@@ -606,10 +683,17 @@ class OrganisationNode:
             # run, another proposer's, a membership change — names the
             # object, so its one pipeline is the only one to wake.
             with shard.lock:
+                was_inflight = pipe.inflight_run_id is not None
                 settled = pipe.settle(event)
-                output = pipe.poll()
-            self._process_output(output)
-            self._schedule_pipeline_retry(object_name)
+                closed = was_inflight and pipe.inflight_run_id is None
+                waiting = pipe.depth > 0
+            if closed or waiting:
+                with self._registry_lock:
+                    if closed:
+                        self._own_runs -= 1
+                    if waiting:
+                        self._ready.setdefault(object_name)
+                self._start_runs()
             if settled:
                 # on_done callbacks run here: one at a time under the
                 # node lock, on the settling thread, no shard lock held

@@ -293,8 +293,9 @@ _event("malformed_frame", "transport", "party reason",
        count("transport.tcp.malformed_frames.{reason}"), flight=True)
 _event("handler_error", "transport", "party site",
        "a transport-driven callback raised and was contained (`site` = "
-       "`command` closure / `timer` callback / inbound `dispatch` on the "
-       "reactor thread / `shard`: the same handler on a shard worker): a "
+       "`command` closure / `timer` callback / inbound `dispatch` / "
+       "`idle`: a `when_idle` callback, all on the reactor thread / "
+       "`shard`: the same handler on a shard worker): a "
        "silently dying handler is how a node wedges with no trace",
        count("transport.tcp.handler_errors"),
        count("transport.tcp.handler_errors.{site}"), flight=True)

@@ -168,6 +168,8 @@ def _transport_section(snapshot: dict) -> str:
          _c(snapshot, "transport.tcp.handler_errors.timer")],
         ["handler errors (dispatch)",
          _c(snapshot, "transport.tcp.handler_errors.dispatch")],
+        ["handler errors (idle)",
+         _c(snapshot, "transport.tcp.handler_errors.idle")],
         ["handler errors (shard)",
          _c(snapshot, "transport.tcp.handler_errors.shard")],
     ]

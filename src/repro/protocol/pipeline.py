@@ -32,11 +32,14 @@ Like the engines, the pipeline is sans-IO and single-threaded by
 contract: callers invoke :meth:`submit` / :meth:`on_event` / :meth:`poll`
 and must transmit the returned :class:`Output`.  Backoff wake-ups are
 the caller's job too — :meth:`retry_delay` says when to call
-:meth:`poll` again.  A caller that guards the pipeline with a lock (the
+:meth:`poll` again.  A caller that guards the pipeline with a lock and
+decides for itself *when* a queued write becomes a run (the
 :class:`~repro.core.node.OrganisationNode` holds the object's shard
-lock) feeds events through :meth:`settle` + :meth:`poll` instead of
-:meth:`on_event` and resolves the returned tickets after releasing it,
-because resolving a ticket runs its ``on_done`` callbacks.
+lock) uses the three halves instead — :meth:`enqueue` queues without
+proposing, :meth:`poll` proposes, :meth:`settle` closes a batch — and
+resolves the tickets :meth:`settle` and :meth:`take_failed` return
+after releasing the lock, because resolving a ticket runs its
+``on_done`` callbacks.
 """
 
 from __future__ import annotations
@@ -159,6 +162,10 @@ class ProposalPipeline:
         self.busy_retries = 0
         #: Earliest time the next proposal may be issued (backoff).
         self._not_before = 0.0
+        #: Tickets of batches the engine could not even propose (the
+        #: application's merge raised), each with its diagnostics, until
+        #: :meth:`take_failed` hands them to whoever resolves tickets.
+        self._failed: "list[tuple[Ticket, list[str]]]" = []
 
     # ------------------------------------------------------------------
     # public queries
@@ -198,7 +205,18 @@ class ProposalPipeline:
 
     def submit(self, update: Any,
                ticket: "Optional[Ticket]" = None) -> "tuple[Ticket, Output]":
-        """Queue one update; propose immediately if the engine is free.
+        """Queue one update; propose immediately if the engine is free
+        (:meth:`enqueue` + :meth:`poll`, resolving what could not be
+        proposed)."""
+        ticket = self.enqueue(update, ticket)
+        output = self._maybe_propose()
+        self._resolve_failed()
+        return ticket, output
+
+    def enqueue(self, update: Any,
+                ticket: "Optional[Ticket]" = None) -> Ticket:
+        """Queue one update without proposing: :meth:`submit`'s
+        queue-only form, for a caller that polls when it sees fit.
 
         Never raises for concurrency: contention queues the update and
         the returned ticket (*ticket* itself when the caller brings its
@@ -222,11 +240,21 @@ class ProposalPipeline:
             ticket = Ticket(object_name=self.object_name)
         self._queue.append((update, ticket))
         self._observe_depth()
-        return ticket, self._maybe_propose()
+        return ticket
 
     def poll(self) -> Output:
-        """Issue the next proposal if nothing stands in its way."""
+        """Issue the next proposal if nothing stands in its way.
+
+        A batch whose merge raises is not proposed; its tickets wait in
+        :meth:`take_failed`."""
         return self._maybe_propose()
+
+    def take_failed(self) -> "list[tuple[Ticket, list[str]]]":
+        """The tickets of batches that could not be proposed, each with
+        the ``merge-failed:`` diagnostics to resolve it invalid with —
+        handed over once, unresolved, like :meth:`settle`'s."""
+        failed, self._failed = self._failed, []
+        return failed
 
     def on_event(self, event: Event) -> Output:
         """Feed one engine event: settle the batch it decides, resolve
@@ -236,6 +264,7 @@ class ProposalPipeline:
         for ticket in settled:
             ticket.resolve(event.valid, event.diagnostics,
                            run_id=event.run_id)
+        self._resolve_failed()
         return output
 
     def settle(self, event: Event) -> "list[Ticket]":
@@ -288,20 +317,40 @@ class ProposalPipeline:
         return delay * jitter
 
     def _maybe_propose(self) -> Output:
-        if (not self._queue or self._inflight is not None
-                or self.engine.busy or self.engine.membership_change_active
-                or self.engine.ctx.clock.now() < self._not_before):
-            return Output()
-        entries = self._queue[:self.max_batch]
-        del self._queue[:len(entries)]
-        updates = [update for update, _ in entries]
-        if len(updates) == 1:
-            run_id, output = self.engine.propose_update(updates[0])
-        else:
-            run_id, output = self.engine.propose_update_batch(updates)
-        self._inflight = (run_id, entries)
-        self._observe_depth()
-        return output
+        engine = self.engine
+        while (self._queue and self._inflight is None and not engine.busy
+               and not engine.membership_change_active
+               and engine.ctx.clock.now() >= self._not_before):
+            entries = self._queue[:self.max_batch]
+            del self._queue[:len(entries)]
+            updates = [update for update, _ in entries]
+            try:
+                if len(updates) == 1:
+                    run_id, output = engine.propose_update(updates[0])
+                else:
+                    run_id, output = engine.propose_update_batch(updates)
+            except Exception as exc:  # noqa: BLE001 - app merge may fail
+                if engine.busy:
+                    # The run was started: not the application's failure.
+                    self._queue[:0] = entries
+                    raise
+                # The engine folds the updates through the application's
+                # merge before it starts a run, so nothing was signed or
+                # sent.  A batch is one state transition: like one a
+                # responder cannot apply, it fails as a whole.
+                diagnostics = [f"merge-failed: {type(exc).__name__}: {exc}"]
+                self._failed.extend(
+                    (ticket, diagnostics) for _, ticket in entries)
+                self._observe_depth()
+                continue
+            self._inflight = (run_id, entries)
+            self._observe_depth()
+            return output
+        return Output()
+
+    def _resolve_failed(self) -> None:
+        for ticket, diagnostics in self.take_failed():
+            ticket.resolve(False, diagnostics)
 
     def _observe_depth(self) -> None:
         obs = self.engine.ctx.obs

@@ -112,6 +112,17 @@ class Network:
     def now(self) -> float:
         raise NotImplementedError
 
+    def when_idle(self, callback: Callable[[], None]) -> None:
+        """Run *callback* once, as soon as no inbound work is waiting.
+
+        A node asks this before it starts a coordination run it could
+        also start later: whatever arrives while it is busy finishing
+        what it started then rides in that run's batch.  A network whose
+        parties spend none of its time computing (virtual time) is never
+        busy, so the base implementation runs the callback at once.
+        """
+        callback()
+
     def close(self) -> None:
         """Release transport resources (sockets, open connections,
         worker threads).  No-op for networks that hold none; must be

@@ -235,21 +235,18 @@ class SimNetwork(Network):
         for _ in range(max_events):
             if until is not None and until():
                 return self._clock.now()
-            if not self._queue:
+            # A cancelled timer at the head says nothing about when the
+            # next event is due: drop it before reading the horizon.
+            while self._queue and self._queue[0].cancelled:
+                heapq.heappop(self._queue)
+            if not self._queue or (max_time is not None
+                                   and self._queue[0].time > max_time):
                 # Idle: virtual time still passes up to the horizon, so
                 # timeout/deadline logic observes elapsed time.
                 if max_time is not None:
                     self._clock.advance_to(max_time)
                 return self._clock.now()
-            next_time = self._queue[0].time
-            if max_time is not None and next_time > max_time:
-                self._clock.advance_to(max_time)
-                return self._clock.now()
-            if not self.step():
-                # Only cancelled events remained; treat as idle.
-                if max_time is not None:
-                    self._clock.advance_to(max_time)
-                return self._clock.now()
+            self.step()
         raise RuntimeError(f"simulation exceeded {max_events} events")
 
     def pending_events(self) -> int:

@@ -11,7 +11,11 @@ constant however many peers one process fronts:
   timeout, so timers need no thread of their own;
 * cross-thread entry points (``enqueue``, ``schedule``, listener
   registration) post closures to a command queue and tap a self-pipe,
-  never touching socket state from outside the loop.
+  never touching socket state from outside the loop (a post made *on*
+  the loop thread skips the tap: the loop re-checks the queue before it
+  blocks);
+* ``when_idle`` callbacks run once a turn of the loop found nothing to
+  do — no posted command, no due timer, no ready socket.
 
 Delivery is best-effort: frames queued to a dead peer are dropped (the
 reliable layer retransmits), reconnects back off briefly, and a
@@ -125,6 +129,8 @@ class _Reactor:
         # handle; every socket/heap structure is loop-thread-only.
         self._lock = threading.Lock()
         self._commands: "collections.deque[Callable[[], None]]" = collections.deque()
+        #: One-shot callbacks awaiting a turn that finds nothing to do.
+        self._idle: "list[Callable[[], None]]" = []
         self._handlers: "dict[str, Callable[[Envelope], None]]" = {}
         self._heap: "list[tuple[float, int, _TimerEntry]]" = []
         self._tie = itertools.count()
@@ -132,6 +138,7 @@ class _Reactor:
         self._listen_socks: "dict[str, socket.socket]" = {}
         self._inbound: "set[_Inbound]" = set()
         self._thread: "Optional[threading.Thread]" = None
+        self._loop_ident: "Optional[int]" = None
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -162,6 +169,12 @@ class _Reactor:
             self._heap, (deadline, next(self._tie), entry)))
         return TimerHandle(entry.cancel)
 
+    def when_idle(self, callback: Callable[[], None]) -> None:
+        """Run *callback* once, on the loop thread, after a turn of the
+        loop that found no posted command, no due timer and no ready
+        socket (its own wake pipe aside)."""
+        self._post(callback, idle=True)
+
     def stop(self) -> None:
         with self._lock:
             if self._stopped:
@@ -182,17 +195,22 @@ class _Reactor:
     # posting machinery
     # ------------------------------------------------------------------
 
-    def _post(self, command: Callable[[], None]) -> None:
+    def _post(self, command: Callable[[], None], idle: bool = False) -> None:
         with self._lock:
             if self._stopped:
                 return
-            self._commands.append(command)
+            (self._idle if idle else self._commands).append(command)
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._loop, daemon=True, name="tcp-reactor",
                 )
                 self._thread.start()
-        self._wake()
+        # The loop looks at both queues again before it blocks, so a
+        # post from one of its own handlers (every send a handler makes)
+        # needs no wake-up: that would be a second system call per frame
+        # and one more turn of the loop to drain the pipe.
+        if threading.get_ident() != self._loop_ident:
+            self._wake()
 
     def _wake(self) -> None:
         try:
@@ -205,6 +223,7 @@ class _Reactor:
     # ------------------------------------------------------------------
 
     def _loop(self) -> None:
+        self._loop_ident = threading.get_ident()
         while True:
             with self._lock:
                 if self._stopped:
@@ -216,12 +235,14 @@ class _Reactor:
                     command()
                 except Exception:  # noqa: BLE001 - a bad command must not kill I/O
                     self._obs.handler_error("", "command")
+            busy = bool(commands)  # did this turn find anything to do?
             now = time.monotonic()
             heap = self._heap
             while heap and heap[0][0] <= now:
                 entry = heapq.heappop(heap)[2]
                 if entry.cancelled:
                     continue
+                busy = True
                 try:
                     entry.callback()
                 except Exception:  # noqa: BLE001 - a timer bug must not kill the loop
@@ -230,8 +251,10 @@ class _Reactor:
             if heap:
                 timeout = max(0.0, heap[0][0] - time.monotonic())
             with self._lock:
-                if self._commands:
-                    timeout = 0.0  # work arrived while callbacks ran
+                if self._commands or self._idle:
+                    # Work arrived while callbacks ran, or someone waits
+                    # to hear that none is left: look, do not block.
+                    timeout = 0.0
             try:
                 events = self._selector.select(timeout)
             except OSError:
@@ -240,13 +263,30 @@ class _Reactor:
                 kind, data = key.data
                 if kind == "wake":
                     self._drain_wake()
-                elif kind == "listener":
+                    continue
+                busy = True
+                if kind == "listener":
                     self._accept(key.fileobj, data)
                 elif kind == "in":
                     self._readable(data)
                 elif kind == "out":
                     self._channel_event(data)
+            if not busy and self._idle:
+                self._run_idle()
         self._teardown_all()
+
+    def _run_idle(self) -> None:
+        with self._lock:
+            if self._commands or self._stopped or (
+                    self._heap and self._heap[0][0] <= time.monotonic()):
+                return  # not idle after all; the next turn decides
+            callbacks = list(self._idle)
+            self._idle.clear()
+        for callback in callbacks:
+            try:
+                callback()
+            except Exception:  # noqa: BLE001 - a bad callback must not kill the loop
+                self._obs.handler_error("", "idle")
 
     def _drain_wake(self) -> None:
         try:

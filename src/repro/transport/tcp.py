@@ -200,6 +200,12 @@ class TcpNetwork(Network):
     def now(self) -> float:
         return self._clock.now()
 
+    def when_idle(self, callback: Callable[[], None]) -> None:
+        # On the loop thread, once a poll finds no posted command, no
+        # due timer and no ready socket: everything received so far has
+        # been handled.
+        self._reactor.when_idle(callback)
+
     def close(self) -> None:
         with self._lock:
             self._closed = True

@@ -374,6 +374,32 @@ class TestGatewayIntegration:
         assert tickets[0].event is None
         community.close()
 
+    def test_unmergeable_write_fails_its_batch_and_frees_its_keys(self):
+        """A write the object's merge cannot apply resolves invalid with
+        ``merge-failed:`` -- alone, or with the batch it was taken into
+        -- instead of vanishing with its idempotency key pending."""
+        community, gateway, name = build_gateway_community(seed=24)
+        session = gateway.session("alice")
+        alone = session.submit(name, {"n": "NaN"})
+        assert alone.done and alone.valid is False  # proposed inline
+        first = session.submit(name, {"n": 1})
+        bad = session.submit(name, {"n": "NaN"}, key="bad")
+        innocent = session.submit(name, {"n": 2}, key="innocent")
+        assert gateway.idempotency.pending_count == 3
+        community.settle()
+        assert first.done and first.valid
+        for ticket in (alone, bad, innocent):
+            assert ticket.done and ticket.valid is False
+            assert ticket.diagnostics[0].startswith("merge-failed: ValueError")
+        assert gateway.idempotency.pending_count == 0
+        assert gateway.stats()["settled_invalid"] == 3
+        assert session.submit(name, {"n": 2}, key="innocent").replayed
+        again = session.submit(name, {"n": 2})
+        community.settle()
+        assert again.valid
+        assert counter_state(community, name) == {"applied": 2, "total": 3}
+        community.close()
+
     def test_bound_holds_however_the_pipeline_came_to_exist(self):
         """A pipeline created by ``node.submit_update`` before the
         gateway existed still sheds at the gateway's bound."""

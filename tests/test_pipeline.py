@@ -241,6 +241,53 @@ class TestPipelineCoalescing:
         assert engine(harness, "P2").agreed_sid.seq == 3
 
 
+    def test_batch_whose_merge_raises_fails_as_a_whole_and_wedges_nothing(
+            self):
+        """The engine folds a batch through the merger before it starts
+        a run; an update it cannot apply must not take the batch's
+        tickets with it unresolved."""
+        harness = make_harness(2, initial={"v": 0})
+        pipe = ProposalPipeline(engine(harness, "P1"))
+        first, output = pipe.submit({"k": 0})
+        bad, _ = pipe.submit("not a dict")  # the default merger raises
+        innocent, _ = pipe.submit({"k": 2})
+        harness.pump("P1", output)
+        follow_up = pipe.on_event(
+            completed_run(harness, "P1", pipe.inflight_run_id))
+        assert first.done and first.valid
+        for ticket in (bad, innocent):
+            assert ticket.done and ticket.valid is False
+            assert ticket.run_id is None
+            assert ticket.diagnostics[0].startswith("merge-failed: TypeError")
+        assert not follow_up.messages
+        assert pipe.depth == 0 and pipe.inflight_run_id is None
+        assert not engine(harness, "P1").busy
+        # Nothing is wedged: the next write goes through.
+        again, output = pipe.submit({"k": 3})
+        harness.pump("P1", output)
+        pipe.on_event(completed_run(harness, "P1", pipe.inflight_run_id))
+        assert again.valid
+        assert engine(harness, "P2").agreed_state == {"v": 0, "k": 3}
+
+    def test_enqueue_and_poll_leave_tickets_to_the_caller(self):
+        """The queue-only form: nothing is proposed until ``poll``, and
+        what ``poll`` could not propose comes back unresolved, once."""
+        harness = make_harness(2, initial={"v": 0})
+        pipe = ProposalPipeline(engine(harness, "P1"))
+        bad = pipe.enqueue("not a dict")
+        assert pipe.depth == 1 and pipe.inflight_run_id is None
+        assert not pipe.poll().messages
+        (ticket, diagnostics), = pipe.take_failed()
+        assert ticket is bad and not bad.done
+        assert diagnostics[0].startswith("merge-failed:")
+        assert pipe.take_failed() == [] and pipe.depth == 0
+        good = pipe.enqueue({"k": 1})
+        assert pipe.inflight_run_id is None
+        harness.pump("P1", pipe.poll())
+        pipe.on_event(completed_run(harness, "P1", pipe.inflight_run_id))
+        assert good.valid
+
+
 class TestBusyRetry:
     def test_benign_busy_veto_retries_without_misbehaviour(self):
         """The satellite scenario: a responder that is mid-run vetoes

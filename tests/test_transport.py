@@ -149,6 +149,18 @@ class TestSimNetwork:
         network.run(max_time=42.0)
         assert network.now() == 42.0
 
+    def test_run_stops_at_the_horizon_behind_a_cancelled_head(self):
+        """A cancelled timer due before ``max_time`` must not let the
+        live event behind it run past the horizon."""
+        network = SimNetwork(seed=1)
+        fired = []
+        network.schedule(0.1, lambda: fired.append("cancelled")).cancel()
+        network.schedule(0.5, lambda: fired.append("late"))
+        assert network.run(max_time=0.2) == 0.2
+        assert fired == [] and network.now() == 0.2
+        network.run()
+        assert fired == ["late"] and network.now() == 0.5
+
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ConfigurationError):
             LinkProfile(drop_probability=1.5).validate()
@@ -279,6 +291,43 @@ class TestTcpNetwork:
             sender.send("B", {"hello": "tcp"})
             assert done.wait(5.0)
             assert inbox == [("A", {"hello": "tcp"})]
+        finally:
+            network.close()
+
+    def test_handler_side_send_is_one_socket_send(self, monkeypatch):
+        """A frame sent from a handler (on the loop thread) costs its
+        own ``send`` and no byte on the reactor's wake pipe."""
+        import socket
+        import threading
+
+        sends = []
+
+        class CountingSocket(socket.socket):
+            def send(self, *args):
+                sends.append(threading.current_thread().name)
+                return super().send(*args)
+
+        monkeypatch.setattr(socket, "socket", CountingSocket)
+        network = TcpNetwork()
+        try:
+            rounds, done = 20, threading.Semaphore(0)
+            network.register("A", lambda envelope: done.release())
+            network.register("B", lambda envelope: network.send(
+                Envelope("B", "A", {"pong": envelope.payload["ping"]})))
+
+            def round_trip(index):
+                network.send(Envelope("A", "B", {"ping": index}))
+                assert done.acquire(timeout=5.0)
+
+            round_trip(-1)  # both connections are open after this
+            del sends[:]
+            for index in range(rounds):
+                round_trip(index)
+            # Per round trip: this thread taps the wake pipe once, the
+            # loop sends the ping and the handler's pong -- and nothing
+            # else (the parent tapped the pipe for the pong as well).
+            assert sends.count("tcp-reactor") == 2 * rounds
+            assert len(sends) == 3 * rounds
         finally:
             network.close()
 
