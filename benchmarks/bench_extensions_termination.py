@@ -71,7 +71,7 @@ def scenario_majority(seed):
     ticket = propose(community, controllers, objects)
     community.settle(DEADLINE)
     engine = community.node("Org1").party.session("shared").state
-    output = engine.force_completion(ticket.key)
+    output = engine.force_completion(ticket.run_id)
     community.node("Org1")._process_output(output)
     community.settle(1.0)
     return {

@@ -1,7 +1,7 @@
 """Experiment C14 — cost of the live telemetry plane.
 
 Observability is only free if nobody pays for it on the hot path.  This
-bench drives the C12 pipelined-burst workload (one proposer, batched
+bench drives a pipelined burst (the retired C12's: one proposer, batched
 coordination runs, 3 parties over the in-memory simulator) three times:
 
 * ``off`` — the no-op :class:`Instrumentation` (hooks compiled to

@@ -64,20 +64,15 @@ class TrustedAgent:
 
     def __init__(self, node: OrganisationNode, inner_object: str,
                  outer_object: str,
-                 policy: "DisclosurePolicy | None" = None,
-                 retry_interval: float = 0.05) -> None:
+                 policy: "DisclosurePolicy | None" = None) -> None:
         self.node = node
         self.inner_object = inner_object
         self.outer_object = outer_object
         self.policy = policy or DisclosurePolicy()
         self._out_relay = StateRelay(
-            node, inner_object, outer_object,
-            transform=self._outbound, retry_interval=retry_interval,
-        )
+            node, inner_object, outer_object, transform=self._outbound)
         self._in_relay = StateRelay(
-            node, outer_object, inner_object,
-            transform=self._inbound, retry_interval=retry_interval,
-        )
+            node, outer_object, inner_object, transform=self._inbound)
 
     def _outbound(self, inner_state: Any) -> "Optional[Any]":
         disclosed = self.policy.outbound(inner_state)

@@ -21,8 +21,8 @@ from repro.core.node import OrganisationNode
 class ValidatingTTP:
     """Relays validated state between per-principal shared objects."""
 
-    def __init__(self, node: OrganisationNode, side_objects: "list[str]",
-                 retry_interval: float = 0.05) -> None:
+    def __init__(self, node: OrganisationNode,
+                 side_objects: "list[str]") -> None:
         if len(side_objects) < 2:
             raise ValueError("a TTP needs at least two sides to mediate")
         self.node = node
@@ -31,9 +31,7 @@ class ValidatingTTP:
         for source in self.side_objects:
             for target in self.side_objects:
                 if source != target:
-                    self.relays.append(StateRelay(
-                        node, source, target, retry_interval=retry_interval,
-                    ))
+                    self.relays.append(StateRelay(node, source, target))
 
     @property
     def relayed(self) -> int:

@@ -40,7 +40,7 @@ from repro.protocol.events import (
     StateInstalled,
     StateRolledBack,
 )
-from repro.protocol.pipeline import CoordinationTicket, is_transient_rejection
+from repro.protocol.pipeline import CoordinationTicket
 from repro.protocol.validation import Decision, StateMerger, Validator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -209,7 +209,10 @@ class B2BObjectController:
     def leave(self) -> "Optional[CoordinationTicket]":
         """End the current scope; the outermost writing leave coordinates.
 
-        Returns a ticket for deferred/asynchronous modes, None for pure
+        The change queues in the object's write pipeline
+        (:meth:`~repro.core.node.OrganisationNode.submit_update`), which
+        retries benign ``busy:`` vetoes itself.  Returns a ticket for
+        deferred/asynchronous modes (without blocking), None for pure
         reads.  In synchronous mode the call blocks and raises
         :class:`ValidationFailed` if the change is vetoed.
         """
@@ -221,14 +224,16 @@ class B2BObjectController:
         self._scope_mode = None
         self._scope_read = None
         if access == OVERWRITE:
-            return self._coordinate_state(self.b2b_object.get_state())
+            return self.sync_coord()
         if access == UPDATE:
-            return self._coordinate_update(self.b2b_object.get_update())
+            return self._complete(self.node.propagate_update(
+                self.object_name, self.b2b_object.get_update()))
         return None
 
     def sync_coord(self) -> "Optional[CoordinationTicket]":
         """Explicitly coordinate the object's current state (syncCoord)."""
-        return self._coordinate_state(self.b2b_object.get_state())
+        return self._complete(self.node.propagate_new_state(
+            self.object_name, self.b2b_object.get_state()))
 
     def _require_scope(self) -> None:
         if self._depth <= 0:
@@ -244,43 +249,6 @@ class B2BObjectController:
     # ------------------------------------------------------------------
     # coordination initiation
     # ------------------------------------------------------------------
-
-    #: Synchronous-mode retry policy for *transient* rejections — a
-    #: responder that was momentarily busy or had not yet installed the
-    #: previous commit.  Genuine policy vetoes are never retried.
-    max_transient_retries = 20
-    transient_retry_delay = 0.25
-
-    def _coordinate_state(self, new_state: Any) -> "Optional[CoordinationTicket]":
-        return self._coordinate(
-            lambda: self.node.propagate_new_state(self.object_name, new_state)
-        )
-
-    def _coordinate_update(self, update: Any) -> "Optional[CoordinationTicket]":
-        return self._coordinate(
-            lambda: self.node.propagate_update(self.object_name, update)
-        )
-
-    def _coordinate(self, start) -> "Optional[CoordinationTicket]":
-        if self.mode != SYNCHRONOUS:
-            return start()
-        attempts = 0
-        while True:
-            ticket = start()
-            try:
-                self.coord_commit(ticket)
-                return ticket
-            except ValidationFailed as exc:
-                if (not is_transient_rejection(exc.diagnostics)
-                        or attempts >= self.max_transient_retries):
-                    raise
-                attempts += 1
-                # Let in-flight commits reach the momentarily busy
-                # replicas before retrying the same change.
-                self.node.runtime.wait_until(
-                    lambda: False, self.transient_retry_delay
-                )
-                self.node._await_quiescent(self.object_name)
 
     def _complete(self, ticket: CoordinationTicket) -> "Optional[CoordinationTicket]":
         if self.mode == SYNCHRONOUS:
@@ -298,9 +266,11 @@ class B2BObjectController:
         timeout = timeout if timeout is not None else self.timeout
         self.node.wait_for_ticket(ticket, timeout)
         if not ticket.done:
+            where = (f"run {ticket.run_id[:12]}" if ticket.run_id
+                     else ticket.key or "still queued")
             raise ProtocolBlocked(
                 f"coordination of {self.object_name!r} did not complete "
-                f"within {timeout}s (ticket {ticket.key[:12]})"
+                f"within {timeout}s ({where})"
             )
         if not ticket.valid:
             raise ValidationFailed(

@@ -40,7 +40,7 @@ from repro.protocol.events import (
 from repro.protocol.group import ROTATING
 from repro.protocol.membership import CertificateResolver
 from repro.protocol.party import ProtocolParty, extract_object_name
-from repro.protocol.pipeline import ProposalPipeline, Ticket
+from repro.protocol.pipeline import Overwrite, ProposalPipeline, Ticket
 from repro.transport.base import TimerHandle
 from repro.transport.reliable import ReliableEndpoint
 
@@ -88,8 +88,8 @@ class OrganisationNode:
             on_error=lambda: ctx.obs.handler_error(ctx.party_id, "shard"),
         )
         self.readcache = ReadCache(self)
-        #: Unresolved tickets of the runs and membership requests this
-        #: node tracks by key; an entry leaves when it resolves.
+        #: Unresolved tickets of the membership requests this node
+        #: tracks by key; an entry leaves when it resolves.
         self._tickets: "dict[str, Ticket]" = {}
         self._pipeline_timers: "dict[str, TimerHandle]" = {}
         #: Objects whose pipeline was woken and has not been polled
@@ -227,32 +227,8 @@ class OrganisationNode:
         return self.controllers[object_name]
 
     # ------------------------------------------------------------------
-    # B2BCoordinatorLocal propagation interface (section 5)
-    # ------------------------------------------------------------------
-
-    def propagate_new_state(self, object_name: str,
-                            new_state: Any) -> Ticket:
-        self._await_quiescent(object_name)
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
-            session = self.party.session(object_name)
-            run_id, output = session.state.propose_overwrite(new_state)
-            ticket = self._track(run_id, object_name, "state")
-        self._process_output(output)
-        return ticket
-
-    def propagate_update(self, object_name: str, update: Any) -> Ticket:
-        self._await_quiescent(object_name)
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
-            session = self.party.session(object_name)
-            run_id, output = session.state.propose_update(update)
-            ticket = self._track(run_id, object_name, "state")
-        self._process_output(output)
-        return ticket
-
-    # ------------------------------------------------------------------
-    # proposal pipeline (batched coordination rounds)
+    # B2BCoordinatorLocal propagation interface (section 5): every state
+    # change reaches its engine through the object's one write queue
     # ------------------------------------------------------------------
 
     def pipeline(self, object_name: str, **options: Any) -> ProposalPipeline:
@@ -273,7 +249,8 @@ class OrganisationNode:
                       ticket: "Optional[Ticket]" = None) -> Ticket:
         """Queue *update* in the object's write pipeline.
 
-        Unlike :meth:`propagate_update` this never blocks and never
+        The paper's ``propagateUpdate`` (a controller's updating
+        ``leave()`` calls it under that name): it never blocks and never
         raises for concurrency: the update queues, and is proposed here
         and now only if none of this node's runs is in flight —
         otherwise once the node has finished what it started
@@ -291,6 +268,14 @@ class OrganisationNode:
             ticket = self.pipeline(object_name).enqueue(update, ticket)
         self._wake_pipelines(object_name)
         return ticket
+
+    propagate_update = submit_update
+
+    def propagate_new_state(self, object_name: str,
+                            new_state: Any) -> Ticket:
+        """Queue a full-state overwrite by the same door: it keeps its
+        place in the FIFO and is proposed alone, never coalesced."""
+        return self.submit_update(object_name, Overwrite(new_state))
 
     def submit_composite(self, updates: "dict[str, Any]") -> "Any":
         """Submit one all-or-nothing transaction across several objects.
@@ -514,21 +499,25 @@ class OrganisationNode:
 
     def wait_for_ticket(self, ticket: Ticket,
                         timeout: "float | None" = None) -> bool:
-        """Block until *ticket* resolves (or *timeout* passes)."""
+        """Block until *ticket* resolves (or *timeout* passes): on the
+        simulator by running it, on a real runtime on the ticket's own
+        signal.  Callbacks never run on the waiting thread."""
         timeout = timeout if timeout is not None else self.default_timeout
-        return self.runtime.wait_until(lambda: ticket.done, timeout)
+        if isinstance(self.runtime, SimRuntime):
+            return self.runtime.wait_until(lambda: ticket.done, timeout)
+        return ticket.wait_signal(timeout)
 
     wait_for_pipeline = wait_for_ticket
 
     def _await_quiescent(self, object_name: str) -> None:
         """Wait for the local replica to have no run in flight.
 
-        A replica that accepted a proposal must see its ``m3`` before it
-        can take part in another run; waiting here (outside the node
-        lock, so inbound traffic keeps flowing) turns the engine's hard
-        ConcurrencyError into the natural "wait your turn" behaviour an
-        application expects.  If the run never settles (a misbehaving
-        proposer), the subsequent propose still raises.
+        Guards the settled read (``enter()`` / ``examine``), which must
+        not see a pre-applied proposal, and membership requests, which
+        the engine refuses mid-run; writes do not come here, they queue.
+        Waits outside the node lock, so inbound traffic keeps flowing.
+        If the run never settles (a misbehaving proposer), a membership
+        request still raises.
         """
         try:
             session = self.party.session(object_name)
@@ -660,11 +649,13 @@ class OrganisationNode:
         if isinstance(event, MisbehaviourEvent):
             with self._registry_lock:
                 self.misbehaviour_reports.append(event)
-        self._resolve_tickets(event)
         object_name = getattr(event, "object_name", None)
         if isinstance(event, ConnectionDecided) and event.accepted:
+            # Before the join ticket resolves: its waiter wakes on the
+            # ticket's signal and reads the controller at once.
             with self._lock:
                 self._finish_join(event)
+        self._resolve_tickets(event)
         shard = self.shards.shard_for(object_name)
         if isinstance(event, (StateInstalled, StateRolledBack)):
             # Every settlement (a rollback re-settles on the prior agreed
@@ -731,11 +722,9 @@ class OrganisationNode:
 
     def _resolve_tickets(self, event: Event) -> None:
         resolve = self._resolve_ticket
-        if isinstance(event, RunCompleted):
-            resolve(event.run_id, event.valid, event.diagnostics, event)
-            if event.kind == "evict":
-                resolve(f"evict:{event.object_name}", event.valid,
-                        event.diagnostics, event)
+        if isinstance(event, RunCompleted) and event.kind == "evict":
+            resolve(f"evict:{event.object_name}", event.valid,
+                    event.diagnostics, event)
         elif isinstance(event, MembershipChanged) and event.change == "evict":
             resolve(f"evict:{event.object_name}", True, [], event)
         elif isinstance(event, ConnectionDecided):

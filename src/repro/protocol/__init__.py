@@ -54,6 +54,7 @@ from repro.protocol.ids import (
 from repro.protocol.membership import JoinClient, MembershipEngine, MembershipRun
 from repro.protocol.party import ObjectSession, ProtocolParty, extract_object_name
 from repro.protocol.pipeline import (
+    Overwrite,
     PipelineTicket,
     ProposalPipeline,
     Ticket,
@@ -110,6 +111,7 @@ __all__ = [
     "ObjectSession",
     "ProtocolParty",
     "extract_object_name",
+    "Overwrite",
     "PipelineTicket",
     "ProposalPipeline",
     "Ticket",

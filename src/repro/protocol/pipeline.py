@@ -12,15 +12,21 @@ benign vetoes leak to the application as failures.
 both problems without touching the protocol's evidence semantics:
 
 * **Queueing** — :meth:`submit` never raises for concurrency.  While a
-  run is in flight the update waits in the object's one bounded FIFO;
-  the caller gets a :class:`Ticket` that resolves when its update is
-  agreed (or genuinely vetoed).
-* **Batching** — when the engine becomes free, every queued update is
-  coalesced into a *single* batched proposal
+  run is in flight the write waits in the object's one bounded FIFO;
+  the caller gets a :class:`Ticket` that resolves when its write is
+  agreed (or genuinely vetoed).  It is the only caller of the engine's
+  ``propose_*`` under ``src/repro``: a controller's ``leave()``, the
+  relay agents and the gateway all queue here.
+* **Batching** — when the engine becomes free, the run of updates at the
+  head of the queue is coalesced into a *single* batched proposal
   (:meth:`~repro.protocol.coordination.StateCoordinationEngine.propose_update_batch`):
   one run, one state identifier, one signature per phase, regardless of
   how many updates it carries.  The 3(n-1) message cost and the RSA
-  signing cost are amortised over the whole batch.
+  signing cost are amortised over the whole batch.  A full-state
+  overwrite is a queued write like any other but is never coalesced: it
+  is proposed alone by ``propose_overwrite`` when it reaches the head,
+  the updates queued before and after it batch on either side of it,
+  and FIFO order holds across the two modes.
 * **Busy retry** — a run vetoed *solely* for benign contention ("busy"
   or the invariant-1 lag that follows a commit still in flight) is
   retried automatically with jittered exponential backoff instead of
@@ -57,7 +63,7 @@ from repro.protocol.events import Event, Output, RunCompleted
 #: a membership change); ``invariant-1:`` — a replica had not yet
 #: installed the previous commit when the proposal arrived.  Both clear
 #: on their own once in-flight traffic settles, so retrying the same
-#: update is sound.  (The synchronous controller applies this rule too.)
+#: write is sound.
 TRANSIENT_MARKERS = ("busy:", "invariant-1:")
 
 
@@ -73,11 +79,12 @@ def is_transient_rejection(diagnostics: "list[str]") -> bool:
 class Ticket:
     """Handle on one coordination a caller started, resolved when it settles.
 
-    The one ticket class: a queued update (``kind="state"``), a
-    synchronous controller's run and a membership request (``connect`` /
-    ``disconnect`` / ``evict``) are all waited for through it.  ``key``
-    is whatever the holder files it under — the node's registry key for
-    runs it tracks, the client's idempotency key at the gateway.
+    The one ticket class: a queued write (``kind="state"`` — a
+    controller's ``leave()``, ``submit_update``, a gateway submission)
+    and a membership request (``connect`` / ``disconnect`` / ``evict``)
+    are all waited for through it.  ``key`` is whatever the holder files
+    it under — the node's registry key for a membership request, the
+    client's idempotency key at the gateway — and empty otherwise.
     """
 
     object_name: str
@@ -86,10 +93,13 @@ class Ticket:
     done: bool = False
     valid: "Optional[bool]" = None
     diagnostics: "list[str]" = field(default_factory=list)
-    #: Id of the run that settled this ticket (set on resolution).
+    #: Id of the run that carries this write, set when the run starts
+    #: (and again if a busy veto re-queues the write into another run),
+    #: so an unsettled write can be traced or forced to completion; for
+    #: a membership request, the run that settled it.
     run_id: "Optional[str]" = None
-    #: The event that settled it, for the runs and requests a node
-    #: tracks by key.  A queued update gets the ``run_id`` only: its
+    #: The event that settled it, for the membership requests a node
+    #: tracks by key.  A queued write gets the ``run_id`` only: its
     #: ticket may sit in a gateway's replay window long after the run,
     #: and must not pin the run's evidence there.
     event: "Optional[Event]" = None
@@ -128,8 +138,17 @@ class Ticket:
 PipelineTicket = CoordinationTicket = Ticket
 
 
+@dataclass(frozen=True)
+class Overwrite:
+    """A queued write that replaces the object's whole state: queue
+    ``Overwrite(new_state)`` where an update would go.  It keeps its
+    place in the FIFO and is proposed alone, by ``propose_overwrite``."""
+
+    new_state: Any
+
+
 class ProposalPipeline:
-    """Queue, coalesce and retry local updates for one shared object."""
+    """Queue, coalesce and retry local writes for one shared object."""
 
     def __init__(self, engine: StateCoordinationEngine,
                  max_batch: int = 64,
@@ -151,8 +170,8 @@ class ProposalPipeline:
         #: admitted); only new submissions are rejected at the bound.
         #: The gateway sets it to its ``queue_capacity``.
         self.max_depth = max_depth
-        #: The object's write queue: (update, ticket) awaiting a run,
-        #: oldest first.
+        #: The object's write queue: (update or :class:`Overwrite`,
+        #: ticket) awaiting a run, oldest first.
         self._queue: "list[tuple[Any, Ticket]]" = []
         #: The (run_id, entries) of the run this pipeline has in flight.
         self._inflight: "Optional[tuple[str, list[tuple[Any, Ticket]]]]" = None
@@ -160,8 +179,10 @@ class ProposalPipeline:
         self._attempts = 0
         #: Total busy retries over the pipeline's lifetime.
         self.busy_retries = 0
-        #: Earliest time the next proposal may be issued (backoff).
-        self._not_before = 0.0
+        #: Earliest time the next proposal may be issued; None while no
+        #: backoff is pending (not a point in time: a party's clock may
+        #: read below any we could pick).
+        self._not_before: "Optional[float]" = None
         #: Tickets of batches the engine could not even propose (the
         #: application's merge raised), each with its diagnostics, until
         #: :meth:`take_failed` hands them to whoever resolves tickets.
@@ -194,10 +215,11 @@ class ProposalPipeline:
         """
         if not self._queue or self._inflight is not None:
             return None
-        if self.engine.busy or self.engine.membership_change_active:
+        if (self._not_before is None or self.engine.busy
+                or self.engine.membership_change_active):
             return None
         remaining = self._not_before - self.engine.ctx.clock.now()
-        return max(remaining, 0.0) if remaining > 0.0 else None
+        return remaining if remaining > 0.0 else None
 
     # ------------------------------------------------------------------
     # submission and draining
@@ -205,7 +227,7 @@ class ProposalPipeline:
 
     def submit(self, update: Any,
                ticket: "Optional[Ticket]" = None) -> "tuple[Ticket, Output]":
-        """Queue one update; propose immediately if the engine is free
+        """Queue one write; propose immediately if the engine is free
         (:meth:`enqueue` + :meth:`poll`, resolving what could not be
         proposed)."""
         ticket = self.enqueue(update, ticket)
@@ -215,10 +237,13 @@ class ProposalPipeline:
 
     def enqueue(self, update: Any,
                 ticket: "Optional[Ticket]" = None) -> Ticket:
-        """Queue one update without proposing: :meth:`submit`'s
+        """Queue one write without proposing: :meth:`submit`'s
         queue-only form, for a caller that polls when it sees fit.
 
-        Never raises for concurrency: contention queues the update and
+        An update batches with its neighbours in the queue; an
+        :class:`Overwrite` is proposed alone, in its turn.
+
+        Never raises for concurrency: contention queues the write and
         the returned ticket (*ticket* itself when the caller brings its
         own, e.g. the gateway's) resolves when a run carrying it
         settles.  Raises :class:`~repro.errors.PipelineSaturatedError`
@@ -302,7 +327,7 @@ class ProposalPipeline:
             self._observe_depth()
             return []
         self._attempts = 0
-        self._not_before = 0.0
+        self._not_before = None
         return [ticket for _, ticket in entries]
 
     # ------------------------------------------------------------------
@@ -320,33 +345,55 @@ class ProposalPipeline:
         engine = self.engine
         while (self._queue and self._inflight is None and not engine.busy
                and not engine.membership_change_active
-               and engine.ctx.clock.now() >= self._not_before):
-            entries = self._queue[:self.max_batch]
-            del self._queue[:len(entries)]
-            updates = [update for update, _ in entries]
+               and (self._not_before is None
+                    or engine.ctx.clock.now() >= self._not_before)):
+            entries = self._take_head()
+            first = entries[0][0]
             try:
-                if len(updates) == 1:
-                    run_id, output = engine.propose_update(updates[0])
+                if isinstance(first, Overwrite):
+                    run_id, output = engine.propose_overwrite(
+                        first.new_state)
+                elif len(entries) == 1:
+                    run_id, output = engine.propose_update(first)
                 else:
-                    run_id, output = engine.propose_update_batch(updates)
+                    run_id, output = engine.propose_update_batch(
+                        [update for update, _ in entries])
             except Exception as exc:  # noqa: BLE001 - app merge may fail
                 if engine.busy:
                     # The run was started: not the application's failure.
                     self._queue[:0] = entries
                     raise
-                # The engine folds the updates through the application's
-                # merge before it starts a run, so nothing was signed or
-                # sent.  A batch is one state transition: like one a
-                # responder cannot apply, it fails as a whole.
+                # The engine freezes the write and folds updates through
+                # the application's merge before it starts a run, so
+                # nothing was signed or sent.  A batch is one state
+                # transition: like one a responder cannot apply, it
+                # fails as a whole.
                 diagnostics = [f"merge-failed: {type(exc).__name__}: {exc}"]
                 self._failed.extend(
                     (ticket, diagnostics) for _, ticket in entries)
                 self._observe_depth()
                 continue
             self._inflight = (run_id, entries)
+            for _, ticket in entries:
+                ticket.run_id = run_id
             self._observe_depth()
             return output
         return Output()
+
+    def _take_head(self) -> "list[tuple[Any, Ticket]]":
+        """Dequeue what the next run carries: the overwrite at the head
+        alone, else the updates up to the next overwrite (``max_batch``
+        at most)."""
+        queue = self._queue
+        count = 1
+        if not isinstance(queue[0][0], Overwrite):
+            limit = min(len(queue), self.max_batch)
+            while (count < limit
+                   and not isinstance(queue[count][0], Overwrite)):
+                count += 1
+        entries = queue[:count]
+        del queue[:count]
+        return entries
 
     def _resolve_failed(self) -> None:
         for ticket, diagnostics in self.take_failed():

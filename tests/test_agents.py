@@ -13,6 +13,7 @@ from repro.agents import (
 )
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.errors import ValidationFailed
+from repro.protocol.events import RunCompleted
 from repro.protocol.validation import Decision
 
 
@@ -50,6 +51,47 @@ class TestStateRelay:
         community.settle(2.0)
         assert right["B"].attributes() == {}
         assert relay.withheld == 1 and relay.relayed == 0
+
+
+    def test_relay_queues_behind_a_busy_target_with_no_timer(self):
+        """The target is mid-run when the source settles: the relayed
+        state waits in the target's write queue, not on a relay timer."""
+        community = make_community(["A", "Hub", "B"], seed=3)
+        left = {n: DictB2BObject() for n in ["A", "Hub"]}
+        right = {n: DictB2BObject() for n in ["Hub", "B"]}
+        community.found_object("left", left)
+        community.found_object("right", right)
+        hub, network = community.node("Hub"), community.runtime.network
+        relay = StateRelay(hub, "left", "right")
+        source = hub.party.session("left").state
+        target = hub.party.session("right").state
+        scheduled, schedule = [], network.schedule
+        network.schedule = (
+            lambda delay, callback:
+            scheduled.append(callback) or schedule(delay, callback))
+        marks = []
+
+        def mark(event):
+            if (isinstance(event, RunCompleted)
+                    and event.object_name == "left"):
+                pipe = hub.shards.pipeline_for("right")
+                marks.append((relay.relayed, pipe.depth if pipe else 0,
+                              target.busy, len(scheduled)))
+
+        hub.listeners.insert(0, mark)  # before the relay's listener ...
+        hub.add_listener(mark)         # ... and after it
+        # B's run on "right" reaches the Hub one hop after A's on "left",
+        # so "left" settles there while "right" is still mid-run.
+        community.node("A").submit_update("left", {"x": 1})
+        assert community.runtime.wait_until(lambda: source.busy, 5.0)
+        community.node("B").submit_update("right", {"theirs": 2})
+        assert community.runtime.wait_until(lambda: len(marks) == 2, 5.0)
+        timers = marks[0][3]
+        assert marks == [(0, 0, True, timers), (1, 1, True, timers)]
+        assert hub._pipeline_timers == {}
+        community.settle(2.0)
+        assert relay.relayed == 1
+        assert right["B"].attributes() == {"x": 1}
 
 
 class TestValidatingTTP:

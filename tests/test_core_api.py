@@ -3,21 +3,36 @@
 from __future__ import annotations
 
 import inspect
+import pathlib
+import re
+import threading
+import time
 
 import pytest
 
+import repro
 from repro.core import (
     ASYNCHRONOUS,
     DEFERRED_SYNCHRONOUS,
     SYNCHRONOUS,
+    Community,
     CompositeB2BObject,
     DictB2BObject,
+    ThreadedRuntime,
     wrap_object,
 )
-from repro.core.controller import CoordinationTicket
+from repro.core.controller import B2BObjectController, CoordinationTicket
 from repro.core.modes import validate_mode
-from repro.errors import ConfigurationError, ProtocolError, ValidationFailed
+from repro.errors import (
+    ConfigurationError,
+    PipelineSaturatedError,
+    ProtocolBlocked,
+    ProtocolError,
+    ValidationFailed,
+)
+from repro.faults.byzantine import SelectiveCommit, SuppressCommits
 from repro.protocol.events import RunCompleted
+from repro.protocol.pipeline import is_transient_rejection
 from repro.protocol.validation import Decision
 
 
@@ -191,6 +206,174 @@ class TestModes:
         community2.settle()
         assert ticket.done and ticket.valid
         assert any(isinstance(e, RunCompleted) for e in received)
+
+    def test_two_deferred_writers_at_one_instant_both_settle(
+            self, make_community):
+        """Both propose, veto each other ``busy:`` and retry in the
+        queue; neither veto reaches the application."""
+        community = make_community(3, seed=5)
+        controllers, objects = found_dict(community,
+                                          mode=DEFERRED_SYNCHRONOUS)
+        started = community.runtime.now()
+        tickets = []
+        for name in ("Org1", "Org2"):
+            controller = controllers[name]
+            controller.enter(); controller.update()
+            objects[name].set_attribute(name, 1)
+            tickets.append(controller.leave())
+        assert community.runtime.now() == started
+        community.settle()
+        assert [(t.valid, t.diagnostics) for t in tickets] == [(True, [])] * 2
+        for name in community.names():
+            assert objects[name].attributes() == {"Org1": 1, "Org2": 1}
+
+    def test_asynchronous_leave_does_not_wait_for_a_busy_engine(
+            self, community3):
+        controllers, objects = found_dict(community3)
+        received = []
+        c1 = controllers["Org1"]
+        c1.mode = ASYNCHRONOUS
+        objects["Org1"].coord_callback = received.append
+        c1.enter(); c1.update()
+        objects["Org1"].set_attribute("mine", 1)
+        community3.node("Org2").submit_update("shared", {"theirs": 2})
+        engine = community3.node("Org1").party.session("shared").state
+        assert community3.runtime.wait_until(lambda: engine.busy, 5.0)
+        now = community3.runtime.now()
+        ticket = c1.leave()  # Org1 is mid-run as a responder
+        assert community3.runtime.now() == now and not ticket.done
+        assert ticket.run_id is None  # queued: no run carries it yet
+        community3.settle()
+        assert ticket.done and ticket.valid
+        mine = [e for e in received if isinstance(e, RunCompleted)
+                and e.role == "proposer"]
+        assert [(e.run_id, e.valid) for e in mine] == [(ticket.run_id, True)]
+        assert objects["Org3"].attributes() == {"mine": 1, "theirs": 2}
+
+
+class TestOneWritePath:
+    """A controller's write queues where ``submit_update`` does."""
+
+    def test_two_synchronous_writers_over_tcp(self):
+        """2 x 50 ``leave()`` to one object: no ``ConcurrencyError`` or
+        ``busy:`` veto reaches a caller, and nobody sleeps a fixed delay
+        (25 s and a leaked error before controllers used the queue)."""
+        community = Community(["Org1", "Org2", "Org3"],
+                              runtime=ThreadedRuntime())
+        try:
+            controllers, objects = found_dict(community)
+            errors = []
+
+            def writer(name):
+                controller = controllers[name]
+                try:
+                    for index in range(50):
+                        controller.enter(); controller.update()
+                        objects[name].set_attribute(f"{name}-{index}", index)
+                        controller.leave()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=writer, args=(name,))
+                       for name in ("Org1", "Org2")]
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            elapsed = time.monotonic() - started
+            assert not errors, errors
+            assert not any(thread.is_alive() for thread in threads)
+            assert elapsed < 10.0, elapsed
+            assert community.runtime.wait_until(
+                lambda: all(len(objects[name].attributes()) == 100
+                            for name in community.names()), 5.0)
+            assert (objects["Org1"].attributes()
+                    == objects["Org2"].attributes()
+                    == objects["Org3"].attributes())
+        finally:
+            community.close()
+
+    def test_synchronous_leave_waits_on_the_tickets_signal(self,
+                                                           monkeypatch):
+        community = Community(["Org1", "Org2", "Org3"],
+                              runtime=ThreadedRuntime())
+        try:
+            controllers, objects = found_dict(community)
+            monkeypatch.setattr(ThreadedRuntime, "POLL_INTERVAL", 5.0)
+            controller = controllers["Org1"]
+            started = time.monotonic()
+            controller.enter(); controller.update()
+            objects["Org1"].set_attribute("k", 1)
+            controller.leave()
+            assert time.monotonic() - started < 2.0
+            assert controller.agreed_state() == {"k": 1}
+        finally:
+            community.close()
+
+    def test_one_queue_bound_whoever_writes(self, community2):
+        controllers, objects = found_dict(community2,
+                                          mode=DEFERRED_SYNCHRONOUS)
+        node = community2.node("Org1")
+        controller = controllers["Org1"]
+        controller.enter(); controller.update()
+        objects["Org1"].set_attribute("k", 1)
+        session = node.gateway(queue_capacity=2).session("client")
+        for index in range(3):  # one in flight, two queued: at the bound
+            session.submit("shared", {f"g{index}": index})
+        pipe = node.shards.pipeline_for("shared")
+        assert pipe.depth == pipe.max_depth == 2
+        with pytest.raises(PipelineSaturatedError):
+            controller.leave()
+        assert pipe.depth == 2
+        community2.settle()
+        assert "k" not in controllers["Org2"].agreed_state()
+
+    def test_exhausted_busy_retries_raise_validation_failed(self,
+                                                            community3):
+        """Org1 withholds its m3 from Org2 only, which stays busy for
+        good; Org3 is free, so its write is proposed, vetoed ``busy:``
+        by Org2 and retried until the pipeline's attempts are spent."""
+        controllers, objects = found_dict(community3)
+        SelectiveCommit(community3.node("Org1"), excluded=["Org2"])
+        community3.node("Org1").submit_update("shared", {"stuck": 1})
+        community3.settle(1.0)
+        assert community3.node("Org2").party.session("shared").state.busy
+        controller = controllers["Org3"]
+        controller.enter(); controller.update()
+        objects["Org3"].set_attribute("k", 1)
+        with pytest.raises(ValidationFailed) as excinfo:
+            controller.leave()
+        assert excinfo.value.diagnostics[0] == (
+            "Org2: busy: concurrent coordination run active")
+        assert is_transient_rejection(excinfo.value.diagnostics)
+        pipe = community3.node("Org3").shards.pipeline_for("shared")
+        assert pipe.busy_retries == pipe.max_busy_retries == 20
+        assert pipe.depth == 0 and pipe.inflight_run_id is None
+        assert community3.node("Org3")._own_runs == 0
+
+    def test_blocked_write_says_where_it_is(self, community3):
+        controllers, objects = found_dict(community3,
+                                          mode=DEFERRED_SYNCHRONOUS)
+        SuppressCommits(community3.node("Org1"))
+
+        def write(name):
+            controller = controllers[name]
+            controller.enter(); controller.update()
+            objects[name].set_attribute(name, 1)
+            return controller, controller.leave()
+
+        controller, ticket = write("Org1")
+        community3.settle(1.0)  # Org2 and Org3 now wait for m3 for good
+        queued_controller, queued = write("Org2")
+        assert ticket.run_id and queued.run_id is None
+        with pytest.raises(ProtocolBlocked, match="still queued"):
+            queued_controller.coord_commit(queued, timeout=1.0)
+        controller.coord_commit(ticket)  # its proposer counts it settled
+        controller, ticket = write("Org1")  # in flight: vetoed, retried
+        with pytest.raises(ProtocolBlocked,
+                           match=f"run {ticket.run_id[:12]}"):
+            controller.coord_commit(ticket, timeout=0.001)
 
 
 class TestWrapper:
@@ -398,6 +581,14 @@ class TestOptionRatchet:
         "repro.core.shards:ShardScheduler": (
             "num_shards", "workers", "name", "on_error"),
         "repro.core.shards:ShardMap": ("num_shards",),
+        # No retry settings: a write is retried by the queue it waits in.
+        "repro.core.controller:B2BObjectController": (
+            "node", "object_name", "b2b_object", "mode", "timeout"),
+        "repro.agents.relay:StateRelay": (
+            "node", "source", "target", "transform"),
+        "repro.agents.trusted_agent:TrustedAgent": (
+            "node", "inner_object", "outer_object", "policy"),
+        "repro.agents.ttp:ValidatingTTP": ("node", "side_objects"),
     }
 
     @pytest.mark.parametrize("target", sorted(PINNED))
@@ -407,3 +598,17 @@ class TestOptionRatchet:
                       class_name)
         parameters = tuple(inspect.signature(cls.__init__).parameters)[1:]
         assert parameters == self.PINNED[target]
+
+    def test_the_controller_has_no_retry_policy_of_its_own(self):
+        assert not hasattr(B2BObjectController, "max_transient_retries")
+        assert not hasattr(B2BObjectController, "transient_retry_delay")
+
+    def test_only_the_pipeline_proposes(self):
+        """One write path: nothing else under ``src/repro`` starts a
+        state run."""
+        root = pathlib.Path(repro.__file__).parent
+        call = re.compile(r"\.propose_(update|update_batch|overwrite)\(")
+        callers = {path.relative_to(root).as_posix()
+                   for path in root.rglob("*.py")
+                   if call.search(path.read_text(encoding="utf-8"))}
+        assert callers == {"protocol/pipeline.py"}

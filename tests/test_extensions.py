@@ -100,7 +100,7 @@ class TestMajorityVoting:
         community.settle(1.0)
         assert not ticket.done
         engine1 = community.node("Org1").party.session("shared").state
-        output = engine1.force_completion(ticket.key)
+        output = engine1.force_completion(ticket.run_id)
         community.node("Org1")._process_output(output)
         community.settle(1.0)
         assert ticket.done and ticket.valid  # 4/5 accepts > 0.5 quorum
@@ -115,7 +115,7 @@ class TestMajorityVoting:
         ticket = write(controllers, objects, "Org1", x=1)
         community.settle(1.0)
         engine1 = community.node("Org1").party.session("shared").state
-        output = engine1.force_completion(ticket.key)
+        output = engine1.force_completion(ticket.run_id)
         community.node("Org1")._process_output(output)
         assert ticket.done and ticket.valid is False
         assert engine1.agreed_state == {}
@@ -145,7 +145,7 @@ class TestDeadlineTTP:
         ticket = write(controllers, objects, "Org1", x=1)
         community.settle(1.0)
         engine1 = community.node("Org1").party.session("shared").state
-        evidence = gather_run_evidence(engine1, ticket.key)
+        evidence = gather_run_evidence(engine1, ticket.run_id)
         ttp = TerminationTTP(resolver=community.resolver)
         token = ttp.resolve(evidence, community.names())
         assert token.payload["resolution"] == "commit"
@@ -167,7 +167,7 @@ class TestDeadlineTTP:
         ticket = write(controllers, objects, "Org1", x=1)
         community.settle(1.0)
         engine1 = community.node("Org1").party.session("shared").state
-        evidence = gather_run_evidence(engine1, ticket.key)
+        evidence = gather_run_evidence(engine1, ticket.run_id)
         ttp = TerminationTTP(resolver=community.resolver)
         token = ttp.resolve(evidence, community.names())
         assert token.payload["resolution"] == "abort"
@@ -180,7 +180,7 @@ class TestDeadlineTTP:
         ticket = write(controllers, objects, "Org1", x=1)
         community.settle(1.0)
         engine1 = community.node("Org1").party.session("shared").state
-        evidence = gather_run_evidence(engine1, ticket.key)
+        evidence = gather_run_evidence(engine1, ticket.run_id)
         ttp = TerminationTTP(resolver=community.resolver)
         with pytest.raises(DisputeError, match="membership"):
             ttp.resolve(evidence, ["Org1", "Org2"])  # pretend Org3 is gone
@@ -192,7 +192,7 @@ class TestDeadlineTTP:
         ticket = write(controllers, objects, "Org1", x=1)
         community.settle(1.0)
         engine1 = community.node("Org1").party.session("shared").state
-        evidence = gather_run_evidence(engine1, ticket.key)
+        evidence = gather_run_evidence(engine1, ticket.run_id)
         ttp = TerminationTTP(resolver=community.resolver)
         impostor = TerminationTTP(name="Impostor", resolver=community.resolver)
         token = impostor.resolve(evidence, community.names())

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core import Community, DictB2BObject, SimRuntime, ThreadedRuntime
+from repro.core.node import OrganisationNode
 from repro.errors import ConfigurationError, NotConnectedError, ValidationFailed
 from repro.protocol.events import MembershipChanged
 from repro.protocol.validation import CallbackValidator, Decision
@@ -150,6 +152,30 @@ class TestThreadedCommunity:
             runtime.settle(0.2)
             assert controller_c.members() == ["A", "B", "C"]
             assert c_obj.get_attribute("k") == 1
+        finally:
+            runtime.close()
+
+    def test_join_ticket_resolves_after_the_controller_is_installed(
+            self, monkeypatch):
+        """``connect()`` wakes on the join ticket's signal and reads the
+        new controller at once, so the node installs it first."""
+        finish = OrganisationNode._finish_join
+
+        def slow_finish(node, event):
+            time.sleep(0.05)
+            finish(node, event)
+
+        monkeypatch.setattr(OrganisationNode, "_finish_join", slow_finish)
+        runtime = ThreadedRuntime()
+        try:
+            community = Community(["A", "B"], runtime=runtime,
+                                  retransmit_interval=0.2)
+            community.found_object(
+                "shared", {n: DictB2BObject() for n in ["A", "B"]})
+            community.add_organisation("C")
+            controller = community.node("C").connect(
+                "shared", DictB2BObject(), "B")
+            assert controller.is_connected()
         finally:
             runtime.close()
 

@@ -8,8 +8,13 @@ from repro.core import Community, DictB2BObject
 from repro.obs.recording import RecordingInstrumentation
 from repro.protocol.coordination import OUTCOME_INVALID
 from repro.protocol.events import MisbehaviourEvent, RunCompleted
-from repro.protocol.pipeline import ProposalPipeline, is_transient_rejection
+from repro.protocol.pipeline import (
+    Overwrite,
+    ProposalPipeline,
+    is_transient_rejection,
+)
 from repro.protocol.validation import CallbackValidator, Decision
+from repro.util.clocks import OffsetClock
 
 from tests.engine_helpers import EngineHarness, found
 
@@ -288,7 +293,88 @@ class TestPipelineCoalescing:
         assert good.valid
 
 
+def drain(harness, pipe, output, name="P1"):
+    """Pump *output* and every follow-up proposal until the pipeline has
+    nothing in flight; returns the ids of the runs that carried them."""
+    runs = []
+    while pipe.inflight_run_id is not None:
+        runs.append(pipe.inflight_run_id)
+        harness.pump(name, output)
+        output = pipe.on_event(completed_run(harness, name, runs[-1]))
+    return runs
+
+
+def proposed_modes(harness, name="P1"):
+    return {entry.payload["run_id"]: entry.payload["mode"]
+            for entry in harness.party(name).ctx.evidence.entries(
+                "proposal-sent")}
+
+
+class TestOverwriteInTheQueue:
+    def test_overwrite_keeps_its_place_and_rides_alone(self):
+        """With a run in flight queue U1, U2, O, U3: three further runs,
+        ``update_batch``, ``overwrite``, ``update``, FIFO across modes."""
+        harness = make_harness(2, initial={"v": 0})
+        pipe = ProposalPipeline(engine(harness, "P1"))
+        first, output = pipe.submit({"k": 0})
+        u1, u2, o, u3 = (pipe.enqueue(write) for write in (
+            {"a": 1}, {"b": 2}, Overwrite({"v": 7}), {"c": 3}))
+        assert pipe.depth == 4
+        assert first.run_id == pipe.inflight_run_id  # known before it settles
+        assert u1.run_id is None and not first.done
+        runs = drain(harness, pipe, output)
+        modes = proposed_modes(harness)
+        assert [modes[run_id] for run_id in runs] == [
+            "update", "update_batch", "overwrite", "update"]
+        assert [t.run_id for t in (first, u1, u2, o, u3)] == [
+            runs[0], runs[1], runs[1], runs[2], runs[3]]
+        assert all(t.done and t.valid for t in (first, u1, u2, o, u3))
+        for name in harness.names:
+            # The overwrite replaced what U1 and U2 built; U3 came after.
+            assert engine(harness, name).agreed_state == {"v": 7, "c": 3}
+
+    def test_busy_vetoed_overwrite_goes_back_to_the_head(self):
+        harness = make_harness(2, initial={"v": 0})
+        proposer, responder = engine(harness, "P1"), engine(harness, "P2")
+        pipe = ProposalPipeline(proposer)
+        _, held = responder.propose_overwrite({"v": 100})  # P2 is mid-run
+        ticket, output = pipe.submit(Overwrite({"v": 1}))
+        later = pipe.enqueue({"k": 2})
+        vetoed = ticket.run_id
+        harness.pump("P1", output)
+        assert not pipe.on_event(
+            completed_run(harness, "P1", vetoed)).messages
+        assert not ticket.done and pipe.busy_retries == 1
+        assert [write for write, _ in pipe._queue] == [
+            Overwrite({"v": 1}), {"k": 2}]
+        harness.pump("P2", held)
+        harness.clock.advance(pipe.retry_delay() + 1e-9)
+        runs = drain(harness, pipe, pipe.poll())
+        assert ticket.run_id == runs[0] != vetoed  # re-set by the retry
+        modes = proposed_modes(harness)
+        assert [modes[run_id] for run_id in runs] == ["overwrite", "update"]
+        assert ticket.valid and later.valid
+        assert responder.agreed_state == {"v": 1, "k": 2}
+
+
 class TestBusyRetry:
+    def test_no_backoff_is_not_a_point_in_time(self):
+        """A party whose clock reads below zero proposes at once: "no
+        backoff pending" used to be ``now() >= 0.0``."""
+        harness = make_harness(2, initial={"v": 0})
+        proposer = engine(harness, "P1")
+        proposer.ctx.clock = OffsetClock(harness.clock, -3600.0)
+        pipe = ProposalPipeline(proposer)
+        ticket, output = pipe.submit({"k": 1})
+        assert pipe.inflight_run_id is not None and pipe.retry_delay() is None
+        drain(harness, pipe, output)
+        assert ticket.valid
+        # ... and after a settled run, not only before the first.
+        again, output = pipe.submit({"k": 2})
+        assert output.messages
+        drain(harness, pipe, output)
+        assert again.valid
+
     def test_benign_busy_veto_retries_without_misbehaviour(self):
         """The satellite scenario: a responder that is mid-run vetoes
         with ``busy:``; the pipeline retries once the responder's run
@@ -430,6 +516,29 @@ class TestAppsAdoptPipeline:
 
 
 class TestNodePipeline:
+    def test_skewed_node_proposes_and_backs_off_in_its_own_time(self):
+        """Org2's clock reads an hour below virtual time: its writes are
+        proposed at once, and a busy veto backs off for tens of
+        milliseconds, not until its clock reaches zero."""
+        community = Community(["Org1", "Org2"], seed=40)
+        try:
+            node1, node2 = community.node("Org1"), community.node("Org2")
+            node2.ctx.clock = OffsetClock(community.clock, -3600.0)
+            community.found_object(
+                "shared", {name: DictB2BObject() for name in community.names()})
+            started = community.runtime.now()
+            # Both propose at one instant and veto each other as busy.
+            tickets = [node2.submit_update("shared", {"two": 1}),
+                       node1.submit_update("shared", {"one": 1})]
+            assert tickets[0].run_id is not None
+            assert community.runtime.wait_until(
+                lambda: all(ticket.done for ticket in tickets), 30.0)
+            assert all(ticket.valid for ticket in tickets)
+            assert node2.pipeline("shared").busy_retries >= 1
+            assert community.runtime.now() - started < 5.0
+        finally:
+            community.close()
+
     def test_concurrent_proposers_converge_with_metrics(self):
         obs = RecordingInstrumentation()
         names = ["OrgA", "OrgB", "OrgC"]

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core import Community
+from repro.core import DEFERRED_SYNCHRONOUS, Community
 from repro.core.runtime import SimRuntime, ThreadedRuntime
 from repro.obs.recording import RecordingInstrumentation
 from repro.protocol.events import RunCompleted
@@ -150,6 +150,34 @@ class TestTheRule:
             community.settle()
             assert ticket.done and ticket.valid
         assert network.idle_calls == 0
+
+    def test_controller_writes_enter_by_the_same_door(self):
+        """A deferred ``leave()`` and a ``submit_update`` queued behind
+        one run ride in one batch, and the controller's write is counted
+        like any other: the O(1) own-run count holds at every event."""
+        community, network = held_community(3, ["A", "B"], seed=56)
+        node = community.node("Org1")
+        controller = node.controllers["B"]
+        controller.mode = DEFERRED_SYNCHRONOUS
+        controller.b2b_object.get_update = lambda: {"n": 10}
+        proposals = spy_on_proposals(node)
+        controller.enter(); controller.update()
+        first = node.submit_update("A", {"n": 1})  # the floor
+        queued = [controller.leave(), node.submit_update("B", {"n": 30})]
+        assert [name for name, _ in proposals] == ["A"]
+        assert own_runs(node) == node._own_runs == 1
+        assert list(node._ready) == ["B"]
+        assert node.shards.pipeline_for("B").depth == 2
+
+        def watch():
+            assert node._own_runs == own_runs(node)
+            return all(ticket.done for ticket in [first] + queued)
+
+        assert community.runtime.wait_until(watch, 60.0)
+        assert proposals[1:] == [("B", [{"n": 10}, {"n": 30}])]
+        assert all(ticket.valid for ticket in [first] + queued)
+        assert queued[0].run_id == queued[1].run_id
+        assert applied(node, "B") == 2 and node._own_runs == 0
 
     def test_composite_children_enter_by_the_same_door(self):
         community, network = held_community(2, ["A", "B", "C"], seed=55,
