@@ -16,6 +16,19 @@ from repro.bench.harness import build_community
 from repro.bench.metrics import format_table
 from repro.bench.workload import large_state
 from repro.core import DictB2BObject
+from repro.obs.hooks import approx_size
+from repro.transport.base import NetworkFilter
+
+
+class WireBytes(NetworkFilter):
+    """Sizes every envelope the simulated network is asked to send."""
+
+    def __init__(self):
+        self.total = 0
+
+    def on_send(self, envelope):
+        self.total += approx_size(envelope.to_dict())
+        return envelope
 
 
 def coordinate(state_bytes, use_update, seed=0):
@@ -23,9 +36,9 @@ def coordinate(state_bytes, use_update, seed=0):
     base = large_state(state_bytes)
     objects = {n: DictB2BObject(base) for n in community.names()}
     controllers = community.found_object("big", objects)
-    network = community.runtime.network
+    wire = WireBytes()
+    community.runtime.network.add_filter(wire)
     controller = controllers["Org1"]
-    before = network.stats.bytes_sent
     controller.enter()
     if use_update:
         controller.update()
@@ -36,7 +49,7 @@ def coordinate(state_bytes, use_update, seed=0):
     community.settle(2.0)
     assert objects["Org2"].get_attribute("delta") == 1
     assert objects["Org2"].attributes() == objects["Org1"].attributes()
-    return network.stats.bytes_sent - before
+    return wire.total
 
 
 def test_c5_update_vs_overwrite(benchmark, report):

@@ -14,14 +14,16 @@ from typing import Any
 from repro.util.encoding import Fragment, canonical_bytes
 
 HASH_ALGORITHM = "sha256"
-DIGEST_SIZE = hashlib.new(HASH_ALGORITHM).digest_size
+# The named constructor: ``hashlib.new`` looks the name up on every call.
+_hasher = getattr(hashlib, HASH_ALGORITHM)
+DIGEST_SIZE = _hasher().digest_size
 
 
 def secure_hash(data: bytes) -> bytes:
     """Hash raw bytes with the middleware hash function."""
     if not isinstance(data, bytes):
         raise TypeError(f"secure_hash expects bytes, got {type(data).__name__}")
-    return hashlib.new(HASH_ALGORITHM, data).digest()
+    return _hasher(data).digest()
 
 
 def hash_value(value: Any) -> bytes:

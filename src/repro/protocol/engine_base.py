@@ -74,7 +74,7 @@ class Run:
     run_id: str
     role: str
     kind: str  # "state" | "connect" | "disconnect" | "evict"
-    proposal: SignedPart
+    proposal: "Optional[SignedPart]"  # None at a responder once retired
     new_id: Any  # StateId of the proposed state / GroupId of the new group
     new_state: Any = None  # what new_id names: the state / the member list
     recipients: "list[str]" = field(default_factory=list)
@@ -410,7 +410,14 @@ class EngineBase(EnginePlumbing):
                                      run.mode or run.kind)
 
     def _retire(self, run: Run) -> None:
-        """Keep a settled run for duplicates, evicting the oldest."""
+        """Keep of a settled run what a duplicate may ask for — its
+        identity and outcome, and the message to send again: ``m3`` (and
+        the final message) at the initiator, our ``m2`` at a responder —
+        evicting the oldest.  The window holds thousands of runs per
+        engine; everything else is in the evidence log."""
+        run.body = run.new_state = None
+        if run.role == self._RESPONDER:
+            run.proposal = run.request = run.commit = None
         self._settled.append(run.run_id)
         while len(self._settled) > self.seen_window:
             old = self._runs.pop(self._settled.popleft(), None)
@@ -723,7 +730,6 @@ class EngineBase(EnginePlumbing):
             {"run_id": run.run_id, "valid": valid, "diagnostics": diagnostics},
         )
         self._settle(run, valid, diagnostics, output, responses)
-        self._epilogue(run, valid, output)
 
     # ------------------------------------------------------------------
     # m3: responder side
@@ -774,11 +780,13 @@ class EngineBase(EnginePlumbing):
                                "commit received for our own proposal", run_id)
             return output
 
-        # Checking the bundle encodes each bundled part once, locally; the
-        # journal record splices those encodings.  It is still written
-        # before the commit is acted on (nothing settles above this line),
-        # and a bundle that failed its checks is journalled as received.
-        valid, diagnostics, responses = self._check_commit_bundle(run, message, output)
+        # Checking the bundle encodes each bundled part once, locally (a
+        # part this run already holds not at all); the journal record
+        # splices those encodings.  It is still written before the commit
+        # is acted on (nothing settles above this line), and a bundle
+        # that failed its checks is journalled as received.
+        valid, diagnostics, responses = self._check_commit_bundle(
+            run, message, proposal, output)
         self._journal_received(run_id, sender, spliced(
             message, proposal=run.proposal, responses=responses))
         run.commit = message
@@ -790,14 +798,21 @@ class EngineBase(EnginePlumbing):
         return output
 
     def _check_commit_bundle(self, run: Run, message: dict,
-                             output: Output) -> "tuple[bool, list[str], list[SignedPart]]":
-        """Verify an ``m3`` evidence bundle against our own run state."""
+                             embedded: SignedPart, output: Output
+                             ) -> "tuple[bool, list[str], list[SignedPart]]":
+        """Verify an ``m3`` evidence bundle (*embedded* is its parsed
+        proposal) against our own run state.
+
+        Verify-once rule: a bundled part equal in payload, signature and
+        time-stamp token to one this run holds — the proposal verified at
+        ``m1``, the response we signed — is that part, and the held
+        object stands in for it, checked and encoded already.
+        """
         self._deciding = run
         diagnostics: "list[str]" = []
         initiator = run.initiator
 
-        embedded = self._parse_part(message, "proposal")
-        if embedded is None or embedded.payload != run.proposal.payload:
+        if embedded.payload != run.proposal.payload:
             diagnostics.append("commit embeds a different proposal than we received")
             self._misbehaviour(output, initiator, "inconsistent-message",
                                "commit/proposal mismatch", run.run_id)
@@ -811,12 +826,14 @@ class EngineBase(EnginePlumbing):
                                "invalid authenticator preimage", run.run_id)
             return False, diagnostics, []
 
+        own = run.own_response
         try:
             responses = [SignedPart.from_dict(raw)
                          for raw in message.get("responses", [])]
         except _MALFORMED:
             diagnostics.append("malformed response in commit bundle")
             return False, diagnostics, []
+        responses = [own if part == own else part for part in responses]
 
         expected_responders = set(self.group.recipients_excluding(
             initiator, *run.subjects))
@@ -825,13 +842,13 @@ class EngineBase(EnginePlumbing):
         for part in responses:
             responder = str(part.payload.get("responder", ""))
             if responder == self.party_id:
-                if run.own_response is None or part.payload != run.own_response.payload:
+                if own is None or part.payload != own.payload:
                     diagnostics.append("our own response was altered in the bundle")
                     self._misbehaviour(output, initiator, "evidence-tampering",
                                        "bundle alters our signed response", run.run_id)
                     return False, diagnostics, responses
-            if not self._verify_part(part, responder, "bundled response",
-                                     output, run.run_id):
+            if part is not own and not self._verify_part(
+                    part, responder, "bundled response", output, run.run_id):
                 diagnostics.append(f"invalid signature on response by {responder!r}")
                 return False, diagnostics, responses
             if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
@@ -949,6 +966,8 @@ class EngineBase(EnginePlumbing):
             diagnostics=list(diagnostics),
             evidence=evidence,
         ))
+        if run.commit is not None and run.role == self._INITIATOR:
+            self._epilogue(run, valid, output)  # m3 has left
         self._retire(run)
 
     # ------------------------------------------------------------------

@@ -105,11 +105,19 @@ class SignedPart:
     timestamp: "Optional[TimestampToken]"
 
     def to_dict(self) -> dict:
-        return {
-            "payload": self.payload,
-            "signature": self.signature.to_dict(),
-            "timestamp": self.timestamp.to_dict() if self.timestamp else None,
-        }
+        """The part as plain data — one dict per part, built on first
+        use and shared by every message and record that carries the
+        part (read-only, as the payload inside it always was), so
+        :func:`spliced` can tell by identity an entry built from it."""
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            wire = {
+                "payload": self.payload,
+                "signature": self.signature.to_dict(),
+                "timestamp": self.timestamp.to_dict() if self.timestamp else None,
+            }
+            object.__setattr__(self, "_wire", wire)
+        return wire
 
     @staticmethod
     def from_dict(data: dict) -> "SignedPart":
@@ -218,9 +226,11 @@ def spliced(message: dict, **parts: "SignedPart | list[SignedPart] | Fragment") 
     """Storage form of *message*: a shallow copy whose named entries are
     fragments, so journal and evidence records splice what is already
     encoded.  The wire message stays plain data.  A part stands in only
-    if it serialises to exactly what the message holds under that key —
-    stored bytes never depend on whether splicing happened; a bare
-    fragment must be the caller's own encoding of that entry.
+    if the entry under that key equals its ``to_dict()`` — is that very
+    dict, when the message was built from the part, which ``==`` settles
+    by identity — so stored bytes never depend on whether splicing
+    happened; a bare fragment must be the caller's own encoding of that
+    entry.
     """
     stored = dict(message)
     for key, part in parts.items():

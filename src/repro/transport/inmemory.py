@@ -70,7 +70,6 @@ class NetworkStats:
         self.duplicated = 0
         self.partition_blocked = 0
         self.crash_blocked = 0
-        self.bytes_sent = 0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
@@ -116,10 +115,8 @@ class SimNetwork(Network):
 
         return TimerHandle(cancel)
 
-    def send(self, envelope: Envelope) -> int:
-        size = _approx_size(envelope)
+    def send(self, envelope: Envelope) -> None:
         self.stats.sent += 1
-        self.stats.bytes_sent += size
         envelopes = [envelope]
         for net_filter in self._filters:
             passed: "list[Envelope]" = []
@@ -128,7 +125,6 @@ class SimNetwork(Network):
             envelopes = passed
         for env in envelopes:
             self._transmit(env)
-        return size
 
     # ------------------------------------------------------------------
     # Fault injection / topology control
@@ -251,9 +247,3 @@ class SimNetwork(Network):
 
     def pending_events(self) -> int:
         return sum(1 for event in self._queue if not event.cancelled)
-
-
-def _approx_size(envelope: Envelope) -> int:
-    from repro.obs.hooks import approx_size
-
-    return approx_size(envelope.to_dict())

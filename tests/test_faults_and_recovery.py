@@ -91,9 +91,12 @@ class TestByzantineSafety:
         # ...Org3 can show the run is still active.
         engine3 = community.node("Org3").party.session("shared").state
         assert engine3.busy and engine3.agreed_state == {}
-        # Any honest party that received m3 can relay it (section 4.4):
-        run = community.node("Org2").party.session("shared").state.runs()[0]
-        output = community.node("Org3").party.handle("Org2", run.commit)
+        # Any honest party that received m3 can relay it (section 4.4),
+        # from its journal: a settled run keeps only what it may re-send.
+        (commit,) = [record["message"] for record in
+                     community.node("Org2").ctx.journal.all_records()
+                     if record.get("message", {}).get("msg_type") == "commit"]
+        output = community.node("Org3").party.handle("Org2", commit)
         community.node("Org3")._process_output(output)
         community.settle(0.5)
         assert engine3.agreed_state == {"x": 1}

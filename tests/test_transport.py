@@ -58,11 +58,7 @@ class TestSimNetwork:
             for i in range(50):
                 network.send(Envelope("A", "B", {"i": i}))
             network.run()
-            stats = network.stats.snapshot()
-            # msg ids come from a process-global counter, so byte sizes
-            # vary run to run; the event sequence itself must not.
-            stats.pop("bytes_sent")
-            return received, stats
+            return received, network.stats.snapshot()
 
         assert run(7) == run(7)
         assert run(7)[0] != run(8)[0]  # which messages survive differs
