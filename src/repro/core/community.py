@@ -10,6 +10,7 @@ an order object" in a few lines.
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 from repro.core.controller import B2BObjectController
@@ -30,8 +31,11 @@ from repro.errors import ConfigurationError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.protocol.context import PartyContext
 from repro.protocol.group import ROTATING
-from repro.storage.checkpoint import CheckpointStore
-from repro.storage.journal import MessageJournal
+from repro.storage.backends import (
+    MemoryRecordStore,
+    RecordStore,
+    open_party_store,
+)
 from repro.storage.log import NonRepudiationLog
 from repro.util.clocks import Clock, SystemClock
 
@@ -87,9 +91,10 @@ class Community:
         self._stores: "dict[str, CertificateStore]" = {}
         self._retransmit_interval = retransmit_interval
         # When set, every organisation's evidence log, journal and
-        # checkpoints live in crash-safe files under
-        # ``storage_dir/<org>/`` — the durable-deployment configuration
-        # the restart machinery (restart_node / restore_object) expects.
+        # checkpoints live in one crash-safe file,
+        # ``storage_dir/<org>/log.jsonl`` — the durable-deployment
+        # configuration the restart machinery (restart_node /
+        # restore_object) expects.
         self.storage_dir = storage_dir
         for name in names:
             self.add_organisation(name)
@@ -133,11 +138,9 @@ class Community:
             tsa=self.tsa,
             rng=self._rng.fork(f"rng:{name}"),
             clock=self.clock,
-            evidence=NonRepudiationLog(name, self._record_store(name, "evidence"),
+            # The context puts its journal and checkpoints on this store.
+            evidence=NonRepudiationLog(name, self._record_store(name),
                                        obs=self.obs),
-            journal=MessageJournal(name, self._record_store(name, "journal"),
-                                   obs=self.obs),
-            checkpoints=CheckpointStore(self._record_store(name, "checkpoints")),
             obs=self.obs,
         )
 
@@ -254,17 +257,12 @@ class Community:
         self.obs.keygen_timing(self._key_bits, 1, time.perf_counter() - started)
         return keypair
 
-    def _record_store(self, name: str, kind: str):
-        """Store backend for one organisation's durable records."""
+    def _record_store(self, name: str) -> RecordStore:
+        """The one store behind an organisation's evidence log, journal
+        and checkpoints."""
         if self.storage_dir is None:
-            return None  # context defaults to in-memory stores
-        import os
-
-        from repro.storage.backends import FileRecordStore
-
-        return FileRecordStore(
-            os.path.join(self.storage_dir, name, f"{kind}.jsonl")
-        )
+            return MemoryRecordStore()
+        return open_party_store(os.path.join(self.storage_dir, name))
 
     def restart_node(self, name: str) -> OrganisationNode:
         """Simulate a full process restart of one organisation.

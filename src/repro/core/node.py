@@ -60,7 +60,7 @@ class OrganisationNode:
         # This node is where a record's consequences leave the party
         # (_process_output), so it owes the commit barrier there and may
         # let appends queue until then.
-        ctx.adopt_stores()
+        ctx.adopt_store()
         self.runtime = runtime
         self.certificate = certificate
         self.party = ProtocolParty(ctx, certificate_resolver=certificate_resolver)

@@ -338,7 +338,7 @@ _event("evidence_append", "storage", "party kind size seconds",
        observe("storage.evidence.append_seconds", "seconds"))
 _event("storage_sync", "storage", "party files records seconds",
        "one commit barrier (`PartyContext.commit`) wrote and fsynced "
-       "`files` of the party's three stores, making `records` queued "
+       "the party's record file (`files` is 1), making `records` queued "
        "records durable; a barrier that finds nothing queued is not "
        "reported",
        count("storage.syncs"), count("storage.files_synced", by="files"),

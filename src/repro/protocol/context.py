@@ -9,9 +9,10 @@ from typing import Callable, Optional
 from repro.crypto.prng import RandomSource, SystemRandomSource
 from repro.crypto.signature import Signer, Verifier
 from repro.crypto.timestamp import TimestampService
+from repro.errors import ConfigurationError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.obs.trace import PartyTraceContext
-from repro.storage.backends import RecordStore
+from repro.storage.backends import MemoryRecordStore
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.journal import MessageJournal
 from repro.storage.log import NonRepudiationLog
@@ -28,7 +29,8 @@ class PartyContext:
     membership) of one party, so they see one evidence log, one journal
     and one checkpoint store — matching Figure 3, where certificate
     management, non-repudiation and check-pointing are per-organisation
-    middleware services.
+    middleware services.  The three are views of one record store: a
+    view that is not given is built over the store of one that is.
     """
 
     party_id: str
@@ -47,50 +49,47 @@ class PartyContext:
     def __post_init__(self) -> None:
         if self.trace is None:
             self.trace = PartyTraceContext(self.party_id)
+        given = [view.store for view in
+                 (self.evidence, self.journal, self.checkpoints)
+                 if view is not None]
+        store = given[0] if given else MemoryRecordStore()
         if self.evidence is None:
-            self.evidence = NonRepudiationLog(self.party_id, obs=self.obs)
+            self.evidence = NonRepudiationLog(self.party_id, store,
+                                              obs=self.obs)
         if self.journal is None:
-            self.journal = MessageJournal(self.party_id, obs=self.obs)
+            self.journal = MessageJournal(self.party_id, store, obs=self.obs)
         if self.checkpoints is None:
-            self.checkpoints = CheckpointStore()
+            self.checkpoints = CheckpointStore(store)
+        if not (self.evidence.store is self.journal.store
+                is self.checkpoints.store):
+            raise ConfigurationError(
+                f"{self.party_id}: evidence log, journal and checkpoints "
+                f"must share one record store")
         if self.tsa is not None and self.tsa_verifier is None:
             self.tsa_verifier = self.tsa.verifier
 
-    def _stores(self) -> "tuple[RecordStore, RecordStore, RecordStore]":
-        return (self.evidence.store, self.checkpoints.store,
-                self.journal.store)
-
-    def adopt_stores(self) -> None:
-        """Form this party's commit group from its three stores.
+    def adopt_store(self) -> None:
+        """Take over the durability of this party's record store.
 
         From here on an append only queues its record and :meth:`commit`
-        is what makes it durable, so whoever adopts the stores owes a
+        is what makes it durable, so whoever adopts the store owes a
         ``commit`` before any consequence of a record leaves the party.
         """
-        for store in self._stores():
-            store.deferred = True
+        self.evidence.store.deferred = True
 
     def commit(self) -> None:
-        """The write-ahead barrier: make every record appended so far
-        durable, evidence first, then checkpoints, then the journal.
+        """The write-ahead barrier: one ``sync`` of the party's store
+        makes every record appended so far durable.
 
-        The journal goes last because it is what recovery reads first: a
-        run it shows closed is never looked at again, so the decision
-        evidence and the checkpoint that close implies must already be
-        on disk; a run it shows open is re-driven, which re-creates
-        whatever the crash cut off.  Handlers append in the same order,
-        and the extent of each file's sync is fixed last file first, so
-        a shard worker appending beside this commit cannot get a journal
-        record inside the barrier whose evidence or checkpoint is
-        outside it.
+        The records sit in one file in the order the handlers appended
+        them (a run's decision evidence, then its checkpoint, then the
+        journal close), so a crash leaves a byte prefix of that order:
+        a run the journal shows closed has its decision and checkpoint
+        before the close, and a run it shows open is re-driven, which
+        re-creates whatever the crash cut off.
         """
-        stores = self._stores()
-        extents = [len(store) for store in reversed(stores)][::-1]
         started = time.perf_counter()
-        synced = [store.sync(extent)
-                  for store, extent in zip(stores, extents)]
-        if self.obs.enabled and any(synced):
-            self.obs.storage_sync(
-                self.party_id, sum(1 for count in synced if count),
-                sum(synced), time.perf_counter() - started,
-            )
+        synced = self.evidence.store.sync()
+        if synced and self.obs.enabled:
+            self.obs.storage_sync(self.party_id, 1, synced,
+                                  time.perf_counter() - started)

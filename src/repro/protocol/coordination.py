@@ -488,9 +488,7 @@ class StateCoordinationEngine(EngineBase):
     def _recover_seen(self) -> None:
         for kind in ("proposal-sent", "proposal-received"):
             for entry in self.ctx.evidence.entries(kind):
-                run_id = str(entry.payload.get("run_id"))
-                if (not self.ctx.journal.knows(run_id)
-                        or self.ctx.journal.is_open(run_id)):
+                if self.ctx.journal.is_open(str(entry.payload.get("run_id"))):
                     continue
                 proposal = entry.payload.get("proposal", {})
                 payload = proposal.get("payload", {}) if isinstance(

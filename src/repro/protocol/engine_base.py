@@ -196,7 +196,8 @@ class EnginePlumbing:
 
     def _send_request(self, kind: str, msg_type: str, sponsor: str,
                       request: SignedPart, output: Output) -> dict:
-        """Journal, log and queue a signed request to a sponsor."""
+        """Journal, log and queue a signed request to a sponsor; the
+        journal entry is open until :meth:`_close_request`."""
         message = membership_message(msg_type, request)
         self._journal_sent(f"{kind}-request:{request.digest().hex()}",
                            sponsor, spliced(message, part=request))
@@ -204,6 +205,10 @@ class EnginePlumbing:
                            {"request": request.encoded})
         output.send(sponsor, message)
         return message
+
+    def _close_request(self, kind: str, digest: bytes, outcome: str) -> None:
+        """The request this party sent a sponsor was decided or refused."""
+        self._close_journal(f"{kind}-request:{digest.hex()}", outcome)
 
     @staticmethod
     def _parse_part(message: dict, key: str) -> "Optional[SignedPart]":
@@ -954,7 +959,7 @@ class EngineBase(EnginePlumbing):
             self._install(run)
         # The close is the run's last record: recovery never looks at a
         # closed run again, so the decision evidence and the checkpoint
-        # go first (the order PartyContext.commit syncs the files in).
+        # go first (a crash leaves a prefix of this order).
         self._close_journal(run.run_id, run.outcome)
         self._announce(run, valid, output)
         output.emit(RunCompleted(
@@ -1030,17 +1035,14 @@ class EngineBase(EnginePlumbing):
           validators yield byte-identical responses, which peers
           de-duplicate).
 
-        The journal is the last file a commit barrier syncs, so a crash
-        inside a barrier can leave it behind the evidence log and the
-        checkpoints, never ahead of them:
-
-        * evidence of a proposal whose run the journal does not know was
-          cut off before anything was answered, and does not count as
-          seen;
-        * an open run whose proposal the checkpoint already holds was
-          decided and installed; it is closed from the decision evidence
-          (the initiator delivers ``m3`` and its epilogue first — they
-          may never have left).
+        A crash leaves a byte prefix of the party's one record file.  A
+        handler journals a message before logging the evidence of it
+        and settles in the order decision evidence, checkpoint, journal
+        close, so an open run whose evidence line was cut off is
+        re-driven like any other, and an open run whose proposal the
+        checkpoint already holds lost only its close: it is closed from
+        the decision evidence (the initiator delivers ``m3`` and its
+        epilogue first — they never left).
         """
         output = Output()
         self._recover_seen()
@@ -1111,8 +1113,8 @@ class EngineBase(EnginePlumbing):
         run = self._settled_run(
             lambda logged: logged["run_id"] == run_id and logged["valid"])
         if run is None:
-            # Not reachable through a commit barrier (evidence is synced
-            # before the checkpoint); leave the run to the operator.
+            # Not a prefix of what a handler appends (the decision
+            # precedes the checkpoint); leave the run to the operator.
             return
         if run.role == self._INITIATOR:
             self._send(run, PHASE_M3, run.commit, run.recipients, output,

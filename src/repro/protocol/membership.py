@@ -38,6 +38,8 @@ from repro.protocol.context import PartyContext
 from repro.protocol.coordination import StateCoordinationEngine
 from repro.protocol.engine_base import (
     AUTH_BYTES,
+    OUTCOME_INVALID,
+    OUTCOME_VALID,
     EngineBase,
     EnginePlumbing,
     Run,
@@ -512,6 +514,10 @@ class MembershipEngine(EngineBase):
         )
 
     def _announce(self, run: Run, valid: bool, output: Output) -> None:
+        if run.request is not None and run.request.signer == self.party_id:
+            # Our eviction request, decided (a joiner or leaver is no
+            # recipient of its run: it hears by welcome or notice).
+            self._close_request(run.kind, run.request.digest(), run.outcome)
         if valid:
             output.emit(MembershipChanged(
                 object_name=self.object_name,
@@ -681,6 +687,8 @@ class MembershipEngine(EngineBase):
         self._log_evidence("disconnect-notice-received",
                            {"notice": part.encoded,
                             "commit": message.get("commit")})
+        self._close_request(KIND_DISCONNECT, self._pending_departure,
+                            OUTCOME_VALID)
         self._pending_departure = None
         output.emit(DisconnectionDecided(
             object_name=self.object_name,
@@ -700,8 +708,10 @@ class MembershipEngine(EngineBase):
             return output
         self._log_evidence("evict-request-rejected-notice",
                            {"reject": part.encoded})
+        digest = bytes(part.payload.get("request_digest", b""))
+        self._close_request(KIND_EVICT, digest, OUTCOME_INVALID)
         output.emit(RunCompleted(
-            run_id=bytes(part.payload.get("request_digest", b"")).hex(),
+            run_id=digest.hex(),
             object_name=self.object_name,
             kind=KIND_EVICT,
             valid=False,
@@ -822,12 +832,19 @@ class JoinClient(EnginePlumbing):
         if not self._verify_part(part, sender, "connect reject", output):
             return output
         self._log_evidence("connect-rejected", {"reject": part.encoded})
-        self.outcome = ConnectionDecided(
+        self._decided(ConnectionDecided(
             object_name=self.object_name, accepted=False,
             diagnostics=["request rejected"],
-        )
-        output.emit(self.outcome)
+        ), output)
         return output
+
+    def _decided(self, outcome: ConnectionDecided, output: Output) -> None:
+        if self.request is not None:
+            self._close_request(
+                KIND_CONNECT, self.request.digest(),
+                OUTCOME_VALID if outcome.accepted else OUTCOME_INVALID)
+        self.outcome = outcome
+        output.emit(outcome)
 
     def _on_welcome(self, sender: str, message: dict) -> Output:
         output = Output()
@@ -854,11 +871,10 @@ class JoinClient(EnginePlumbing):
         if diagnostics:
             self._misbehaviour(output, sender, "invalid-welcome",
                                "; ".join(diagnostics))
-            self.outcome = ConnectionDecided(
+            self._decided(ConnectionDecided(
                 object_name=self.object_name, accepted=False,
                 diagnostics=diagnostics,
-            )
-            output.emit(self.outcome)
+            ), output)
             return output
         self._log_evidence("connect-welcome-received", {
             "welcome": part.encoded,
@@ -868,13 +884,12 @@ class JoinClient(EnginePlumbing):
         self.welcome_gid = new_gid
         self.welcome_sid = agreed_sid
         self.welcome_state = freeze(agreed_state)
-        self.outcome = ConnectionDecided(
+        self._decided(ConnectionDecided(
             object_name=self.object_name,
             accepted=True,
             members=members,
             state=freeze(agreed_state),
-        )
-        output.emit(self.outcome)
+        ), output)
         return output
 
     def _verify_welcome(self, sponsor: str, message: dict,

@@ -1,10 +1,11 @@
 """Record storage backends.
 
 The storage substrate persists three kinds of records (evidence log
-entries, state checkpoints, journalled protocol messages).  All three sit
-on this minimal append/sync/scan abstraction, with an in-memory backend
-for simulation and a crash-safe file backend (JSON-lines with fsync) for
-real deployments and recovery tests.
+entries, state checkpoints, journalled protocol messages).  A party
+keeps all three in one store, in append order, behind this minimal
+append/sync/scan abstraction, with an in-memory backend for simulation
+and a crash-safe file backend (JSON-lines with fsync) for real
+deployments and recovery tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import threading
 from typing import Iterable, Iterator
 
-from repro.errors import StorageError
+from repro.errors import ConfigurationError, StorageError
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
 
 
@@ -32,8 +33,8 @@ class RecordStore:
     #: re-serialising the record just to size it.
     last_append_size = 0
 
-    #: Set by the commit group that adopts the store (see
-    #: :meth:`repro.protocol.context.PartyContext.adopt_stores`): the
+    #: Set by the party that adopts the store (see
+    #: :meth:`repro.protocol.context.PartyContext.adopt_store`): the
     #: adopter calls ``sync`` before anything that depends on a record
     #: becomes visible, so ``append`` need not.
     deferred = False
@@ -42,8 +43,8 @@ class RecordStore:
         """Persist *record*, returning its zero-based index."""
         raise NotImplementedError
 
-    def sync(self, upto: "int | None" = None) -> int:
-        """Make the first *upto* records (default: all) durable.
+    def sync(self) -> int:
+        """Make every record appended so far durable.
 
         Returns how many records this call made durable.
         """
@@ -52,6 +53,12 @@ class RecordStore:
     def scan(self) -> "Iterator[dict]":
         """Iterate every record in append order."""
         raise NotImplementedError
+
+    def records(self, key: str) -> "Iterator[dict]":
+        """The records of one kind, in append order: a record's kind is
+        what its top-level keys say (``entry_hash``: evidence, ``event``:
+        journal, ``state_id``: checkpoint), not a stored tag."""
+        return (record for record in self.scan() if key in record)
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -90,11 +97,11 @@ class FileRecordStore(RecordStore):
     file (non-repudiation evidence must survive the crash-recovery model
     of section 4.2).  A standalone store syncs at the end of every
     ``append``, so a record is durable when ``append`` returns; a store
-    adopted into a party's commit group is synced by that party's
-    barrier.  Nothing of a queued record reaches the file before its
-    barrier, so the order in which a party syncs its stores is the order
-    in which their records can reach the disk.  On open, a trailing
-    partial line from a mid-write crash is detected and truncated away.
+    adopted by a party is synced by that party's barrier.  Records
+    reach the file in append order and only at a barrier, so whatever a
+    crash leaves is a byte prefix of what was appended.  On open, a
+    trailing partial line from a mid-write crash is detected and
+    truncated away.
     """
 
     def __init__(self, path: str, fsync: bool = True) -> None:
@@ -142,20 +149,17 @@ class FileRecordStore(RecordStore):
             self.sync()
         return index
 
-    def sync(self, upto: "int | None" = None) -> int:
+    def sync(self) -> int:
         with self._sync_lock:
             with self._lock:
-                count = len(self._queue)
-                if upto is not None:
-                    count = max(0, min(count, upto - self._written))
-                lines = self._queue[:count]
+                lines = list(self._queue)
             if not lines:
                 return 0
             self._write(b"".join(lines))
             with self._lock:
-                del self._queue[:count]
-                self._written += count
-            return count
+                del self._queue[:len(lines)]
+                self._written += len(lines)
+            return len(lines)
 
     def _write(self, data: bytes) -> None:
         self._file.write(data)
@@ -190,6 +194,34 @@ class FileRecordStore(RecordStore):
         if not self._file.closed:
             self.sync()
             self._file.close()
+
+
+#: A party's one record file, and the three-file layout's names.
+PARTY_LOG = "log.jsonl"
+VIEW_NAMES = ("evidence.jsonl", "journal.jsonl", "checkpoints.jsonl")
+
+
+def open_party_store(directory: str) -> FileRecordStore:
+    """The one record file of the party that owns *directory*.
+
+    :data:`VIEW_NAMES` are relative symlinks to it, so a tool pointed at
+    ``<org>/evidence.jsonl`` opens the party's file.  A directory in the
+    three-file layout (the names are regular files) still reads that
+    way, and is refused here: appends to ``log.jsonl`` would not
+    continue those files.
+    """
+    os.makedirs(directory, exist_ok=True)
+    for name in VIEW_NAMES:
+        path = os.path.join(directory, name)
+        if os.path.islink(path):
+            continue
+        if os.path.exists(path):
+            raise ConfigurationError(
+                f"{directory} holds the three-file layout ({name} is a "
+                f"regular file): readable (repro audit), not appendable")
+        os.symlink(PARTY_LOG, path)
+    # Creating the file fsyncs the directory, symlinks included.
+    return FileRecordStore(os.path.join(directory, PARTY_LOG))
 
 
 def _fsync_path(path: str) -> None:

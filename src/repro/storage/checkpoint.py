@@ -57,7 +57,7 @@ class CheckpointStore:
         self._history_len: "dict[str, int]" = {}
         # Objects on different shards checkpoint into this one store.
         self._lock = threading.Lock()
-        for record in self._store.scan():
+        for record in self._store.records("state_id"):
             checkpoint = Checkpoint.from_dict(record)
             self._latest[checkpoint.object_name] = checkpoint
             self._history_len[checkpoint.object_name] = (
@@ -66,8 +66,7 @@ class CheckpointStore:
 
     @property
     def store(self) -> RecordStore:
-        """The backend holding the records (a party syncs it in its
-        commit barrier)."""
+        """The party's one record store (all three views append to it)."""
         return self._store
 
     def save(self, object_name: str, state_id: dict, state: Any) -> Checkpoint:
@@ -104,7 +103,7 @@ class CheckpointStore:
         """All checkpoints for one object, oldest first."""
         return [
             Checkpoint.from_dict(record)
-            for record in self._store.scan()
+            for record in self._store.records("state_id")
             if record["object_name"] == object_name
         ]
 

@@ -34,13 +34,12 @@ class MessageJournal:
         # Shard workers of one party share the journal: an append and
         # the open/closed bookkeeping that follows it move together.
         self._lock = threading.Lock()
-        for record in self._store.scan():
+        for record in self.all_records():
             self._apply(record)
 
     @property
     def store(self) -> RecordStore:
-        """The backend holding the records (a party syncs it in its
-        commit barrier)."""
+        """The party's one record store (all three views append to it)."""
         return self._store
 
     def _apply(self, record: dict) -> None:
@@ -101,17 +100,17 @@ class MessageJournal:
     def messages(self, run_id: str) -> "list[dict]":
         """All journalled message records for one run, in order."""
         return [
-            record for record in self._store.scan()
+            record for record in self.all_records()
             if record["run_id"] == run_id and record["event"] == "message"
         ]
 
     def outcome(self, run_id: str) -> "Optional[str]":
         """The recorded outcome of a closed run, if any."""
         result = None
-        for record in self._store.scan():
+        for record in self.all_records():
             if record["run_id"] == run_id and record["event"] == "close":
                 result = record["outcome"]
         return result
 
     def all_records(self) -> "Iterator[dict]":
-        return self._store.scan()
+        return self._store.records("event")

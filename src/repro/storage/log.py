@@ -67,27 +67,33 @@ class NonRepudiationLog:
         self.owner = owner
         self._store = store if store is not None else MemoryRecordStore()
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
-        self._head = GENESIS_HASH
-        self._count = 0
         self._lock = threading.Lock()
-        self._replay_existing()
+        # Recovery path: a pre-existing store is verified as it is read.
+        self._head, self._count = self._walk()
 
-    def _replay_existing(self) -> None:
-        """Rebuild chain head from a pre-existing store (recovery path)."""
-        for record in self._store.scan():
-            entry = LogEntry.from_dict(record)
-            expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
-            if entry.entry_hash != expected or entry.prev_hash != self._head:
+    def _walk(self) -> "tuple[bytes, int]":
+        """Verify every link from genesis; returns (head, entry count)."""
+        head, count = GENESIS_HASH, 0
+        for entry in self.entries():
+            if entry.index != count:
                 raise LogCorruptionError(
-                    f"{self.owner}: log chain broken at index {entry.index}"
+                    f"{self.owner}: entry index {entry.index} != expected {count}"
                 )
-            self._head = entry.entry_hash
-            self._count += 1
+            if entry.prev_hash != head:
+                raise LogCorruptionError(
+                    f"{self.owner}: broken prev-hash link at index {entry.index}"
+                )
+            expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
+            if entry.entry_hash != expected:
+                raise LogCorruptionError(
+                    f"{self.owner}: entry hash mismatch at index {entry.index}"
+                )
+            head, count = entry.entry_hash, count + 1
+        return head, count
 
     @property
     def store(self) -> RecordStore:
-        """The backend holding the records (a party syncs it in its
-        commit barrier)."""
+        """The party's one record store (all three views append to it)."""
         return self._store
 
     @property
@@ -131,7 +137,7 @@ class NonRepudiationLog:
 
     def entries(self, kind: "str | None" = None) -> "Iterator[LogEntry]":
         """Iterate entries in order, optionally filtered by kind."""
-        for record in self._store.scan():
+        for record in self._store.records("entry_hash"):
             entry = LogEntry.from_dict(record)
             if kind is None or entry.kind == kind:
                 yield entry
@@ -150,25 +156,7 @@ class NonRepudiationLog:
         arbiter runs this before trusting any evidence a party presents.
         """
         with self._lock:  # a concurrent append must not look like tampering
-            head = GENESIS_HASH
-            count = 0
-            for record in self._store.scan():
-                entry = LogEntry.from_dict(record)
-                if entry.index != count:
-                    raise LogCorruptionError(
-                        f"{self.owner}: entry index {entry.index} != expected {count}"
-                    )
-                if entry.prev_hash != head:
-                    raise LogCorruptionError(
-                        f"{self.owner}: broken prev-hash link at index {entry.index}"
-                    )
-                expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
-                if entry.entry_hash != expected:
-                    raise LogCorruptionError(
-                        f"{self.owner}: entry hash mismatch at index {entry.index}"
-                    )
-                head = entry.entry_hash
-                count += 1
+            head, count = self._walk()
             if count != self._count or head != self._head:
                 raise LogCorruptionError(f"{self.owner}: in-memory head disagrees with store")
             return count

@@ -61,14 +61,15 @@ RECONNECT_BACKOFF = 0.05
 
 
 class _TimerEntry:
-    __slots__ = ("callback", "cancelled")
+    __slots__ = ("callback",)
 
     def __init__(self, callback: Callable[[], None]) -> None:
-        self.callback = callback
-        self.cancelled = False
+        self.callback: "Optional[Callable[[], None]]" = callback
 
     def cancel(self) -> None:
-        self.cancelled = True
+        # Frees what the callback holds (a retransmit timer: its whole
+        # message) now, not at the deadline.
+        self.callback = None
 
 
 class _Channel:
@@ -239,12 +240,12 @@ class _Reactor:
             now = time.monotonic()
             heap = self._heap
             while heap and heap[0][0] <= now:
-                entry = heapq.heappop(heap)[2]
-                if entry.cancelled:
+                callback = heapq.heappop(heap)[2].callback
+                if callback is None:  # cancelled
                     continue
                 busy = True
                 try:
-                    entry.callback()
+                    callback()
                 except Exception:  # noqa: BLE001 - a timer bug must not kill the loop
                     self._obs.handler_error("", "timer")
             timeout: "Optional[float]" = None

@@ -399,6 +399,10 @@ def decode_value(data: bytes) -> Any:
         raise BinaryCodecError("truncated value") from exc
     except UnicodeDecodeError as exc:
         raise BinaryCodecError(f"invalid UTF-8: {exc}") from exc
+    finally:
+        # The closures name each other: empty the cells, or each frame
+        # (buffer included) waits for the cycle collector.
+        varint_rest = read_dict = read = None
     # An over-long str/bytes length silently yields a short slice and a
     # cursor past the end; this check (or the IndexError above) is what
     # rejects that buffer, so it must stay exact, not `<=`.

@@ -177,9 +177,12 @@ class TestArbiter:
         harness = make_harness()
         run_id, _ = run_and_get_bundle(harness)
         log = harness.party("P1").ctx.evidence
-        record = from_canonical_bytes(log._store._records[0])
+        records = log._store._records
+        first = next(index for index, blob in enumerate(records)
+                     if "entry_hash" in from_canonical_bytes(blob))
+        record = from_canonical_bytes(records[first])
         record["payload"]["tampered"] = True
-        log._store._records[0] = canonical_bytes(record)
+        records[first] = canonical_bytes(record)
         arbiter = self._arbiter(harness)
         arbiter.submit("P1", log)
         ruling = arbiter.rule_on_state_validity("obj", run_id, "P1")

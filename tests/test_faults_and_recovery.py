@@ -340,25 +340,21 @@ class TestRecoveryFromDurableState:
         from tests.engine_helpers import _keypair
 
         def build_ctx():
+            store = FileRecordStore(str(tmp_path / "log.jsonl"))
             return PartyContext(
                 party_id="A",
                 signer=_keypair("A").signer(),
                 resolver=lambda pid: _keypair(pid).verifier(),
-                evidence=NonRepudiationLog(
-                    "A", FileRecordStore(str(tmp_path / "ev.jsonl"))),
-                journal=MessageJournal(
-                    "A", FileRecordStore(str(tmp_path / "jr.jsonl"))),
-                checkpoints=CheckpointStore(
-                    FileRecordStore(str(tmp_path / "ck.jsonl"))),
+                evidence=NonRepudiationLog("A", store),
+                journal=MessageJournal("A", store),
+                checkpoints=CheckpointStore(store),
             )
 
         ctx = build_ctx()
         ctx.evidence.record("proposal-sent", {"run_id": "r1"})
         ctx.journal.record_message("r1", "sent", "B", {"m": 1})
         ctx.checkpoints.save("obj", {"seq": 1, "rh": b"", "sh": b""}, {"v": 1})
-        ctx.evidence._store.close()
-        ctx.journal._store.close()
-        ctx.checkpoints._store.close()
+        ctx.evidence.store.close()
 
         recovered = build_ctx()
         assert recovered.evidence.verify_chain() == 1

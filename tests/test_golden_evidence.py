@@ -12,6 +12,7 @@ moves at least one of these digests.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 
@@ -24,7 +25,8 @@ from repro.crypto.prng import DeterministicRandomSource
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signature import KeyPair, generate_party_keypair
 from repro.crypto.timestamp import TimestampService
-from repro.errors import ValidationFailed
+from repro.cli import main as cli_main
+from repro.errors import ConfigurationError, ValidationFailed
 from repro.protocol.ids import initial_group_id, initial_state_id, new_state_id
 from repro.protocol.messages import (
     MODE_UPDATE,
@@ -37,6 +39,7 @@ from repro.protocol.messages import (
 )
 from repro.protocol.validation import CallbackValidator, Decision
 from repro.storage.backends import FileRecordStore
+from repro.storage.journal import MessageJournal
 from repro.storage.log import NonRepudiationLog
 from repro.transport.inmemory import LinkProfile
 from repro.util.clocks import VirtualClock
@@ -215,8 +218,13 @@ def deterministic_run(monkeypatch) -> "dict[str, dict]":
             "head": ctx.evidence.head.hex(),
             "evidence": _sha(b"\n".join(
                 canonical_bytes(e.to_dict()) for e in ctx.evidence.entries())),
+            # PR 24 closes a request's journal entry once the request is
+            # decided (OrgD's join and departure, OrgA's eviction): new
+            # records, left out here so the journal pins stay the ones
+            # the parent printed for everything else.
             "journal": _sha(b"\n".join(
-                canonical_bytes(r) for r in ctx.journal.all_records())),
+                canonical_bytes(r) for r in ctx.journal.all_records()
+                if not (r["event"] == "close" and "-request:" in r["run_id"]))),
             "checkpoints": _sha(b"\n".join(
                 canonical_bytes(c.to_dict())
                 for c in ctx.checkpoints.history("doc"))),
@@ -262,7 +270,7 @@ def test_golden_run_evidence(monkeypatch):
 def test_parent_written_evidence_file_replays_and_extends(tmp_path):
     path = tmp_path / "evidence.jsonl"
     shutil.copy(os.path.join(DATA, "parent_evidence_OrgA.jsonl"), path)
-    log = NonRepudiationLog("OrgA", FileRecordStore(str(path)))  # _replay_existing
+    log = NonRepudiationLog("OrgA", FileRecordStore(str(path)))  # verified as it is read
     assert log.verify_chain() == len(log) == 8
     assert log.head.hex() == PARENT_FILE_HEAD
     log.record("audit", {"note": "appended by the current code"})
@@ -274,10 +282,53 @@ def test_files_written_now_are_byte_identical_to_the_parents(monkeypatch, tmp_pa
     """The other direction: what this code stores is exactly what the
     parent commit stored, so the parent replays it too."""
     durable_two_party_run(monkeypatch, str(tmp_path))
-    for kind in ("evidence", "journal"):
+    written = (tmp_path / "OrgA" / "log.jsonl").read_bytes()
+    lines = written.splitlines(keepends=True)
+    # The party's one file holds the lines of each parent file, in the
+    # parent's order, under the parent's names.
+    for kind, key in (("evidence", "entry_hash"), ("journal", "event")):
         with open(os.path.join(DATA, f"parent_{kind}_OrgA.jsonl"), "rb") as handle:
             expected = handle.read()
-        assert (tmp_path / "OrgA" / f"{kind}.jsonl").read_bytes() == expected
+        assert b"".join(line for line in lines
+                        if key in json.loads(line)) == expected
+        assert (tmp_path / "OrgA" / f"{kind}.jsonl").read_bytes() == written
+    assert all(len({"entry_hash", "event", "state_id"} & set(json.loads(line)))
+               == 1 for line in lines)
+
+
+def test_the_parents_three_file_directory_reads_but_is_not_written(
+        monkeypatch, tmp_path, capsys):
+    """A directory the parent commit wrote is recognised by looking at
+    it: its files verify through the same views (``repro audit``
+    included), and no party opens it for appending."""
+    monkeypatch.setattr(community_module, "generate_party_keypair",
+                        generate_party_keypair)
+    keys = tmp_path / "keys.json"
+    keys.write_text(json.dumps(
+        Community(["OrgA", "OrgB"], seed="fixture").public_keys()))
+    directory = tmp_path / "stores" / "OrgA"
+    directory.mkdir(parents=True)
+    for kind in ("evidence", "journal"):
+        shutil.copy(os.path.join(DATA, f"parent_{kind}_OrgA.jsonl"),
+                    directory / f"{kind}.jsonl")
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    log = NonRepudiationLog(
+        "OrgA", FileRecordStore(str(directory / "evidence.jsonl")))
+    assert log.verify_chain() == 8 and log.head.hex() == PARENT_FILE_HEAD
+    journal = MessageJournal(
+        "OrgA", FileRecordStore(str(directory / "journal.jsonl")))
+    assert journal.open_runs() == set() and len(list(journal.all_records()))
+    assert cli_main(["audit", "--keys", str(keys), "--log",
+                     f"OrgA={directory / 'evidence.jsonl'}"]) == 0
+    report = capsys.readouterr().out
+    assert "log intact" in report and "MISBEHAVING" not in report
+
+    with pytest.raises(ConfigurationError, match="three-file layout"):
+        Community(["OrgA", "OrgB"], seed="fixture",
+                  storage_dir=str(tmp_path / "stores"))
+    assert {path.name: path.read_bytes()
+            for path in directory.iterdir()} == before
 
 
 if __name__ == "__main__":  # prints the values to pin

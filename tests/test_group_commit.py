@@ -1,11 +1,11 @@
 """Group commit: durability is a property of a party's barrier.
 
-``PartyContext.commit`` writes and fsyncs the party's evidence log,
-checkpoints and journal, in that order, and ``OrganisationNode`` runs it
-before a message leaves, an event is dispatched or a snapshot is
-published.  These tests pin that contract from both sides: nothing gets
-ahead of its records, and every file state a crash can leave between
-two barriers recovers.
+``PartyContext.commit`` writes and fsyncs the party's one record file
+(evidence, checkpoints and journal records in the order the handlers
+appended them), and ``OrganisationNode`` runs it before a message
+leaves, an event is dispatched or a snapshot is published.  These tests
+pin that contract from both sides: nothing gets ahead of its records,
+and every byte prefix of the file a crash can leave recovers.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 import tests.test_shards as shard_tests
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.core.runtime import ThreadedRuntime
+from repro.errors import ConfigurationError
 from repro.obs.recording import RecordingInstrumentation
 from repro.obs.report import render_snapshot
 from repro.protocol.context import PartyContext
@@ -64,9 +65,8 @@ class RecordingStore(MemoryRecordStore):
         self.deepest_queue = max(self.deepest_queue, len(self) - self.durable)
         return index
 
-    def sync(self, upto: "int | None" = None) -> int:
-        extent = len(self) if upto is None else min(upto, len(self))
-        made = max(0, extent - self.durable)
+    def sync(self) -> int:
+        made = len(self) - self.durable
         self.durable += made
         return made
 
@@ -75,7 +75,7 @@ class RecordingStore(MemoryRecordStore):
 
 
 class RecordingCommunity(Community):
-    def _record_store(self, name: str, kind: str) -> RecordingStore:
+    def _record_store(self, name: str) -> RecordingStore:
         return RecordingStore()
 
 
@@ -90,11 +90,11 @@ class BarrierProbe:
             self._watch(node)
 
     def _watch(self, node) -> None:
-        stores = [getattr(node.ctx, kind).store for kind in KINDS]
+        store = node.ctx.evidence.store
 
         def check(what: str, detail: str) -> None:
             self.seen[what] += 1
-            queued = sum(store.queued_by_this_thread() for store in stores)
+            queued = store.queued_by_this_thread()
             if queued:
                 self.violations.append(
                     f"{node.party_id}: {what} {detail} with {queued} "
@@ -173,24 +173,24 @@ def test_nothing_becomes_visible_ahead_of_its_records(runtime_kind):
         assert all(count > 0 for count in probe.seen.values()), probe.seen
         # Appends really were deferred: some barrier covered a handler's
         # worth of records, not one.
-        stores = [getattr(node.ctx, kind).store for kind in KINDS]
+        stores = [community.node(name).ctx.evidence.store for name in names]
         assert all(store.deferred for store in stores)
         assert max(store.deepest_queue for store in stores) >= 2
     finally:
         community.close()
     # Closing the community is the last barrier.
-    assert all(store.durable == len(store) for store in stores)
+    assert all(store.durable == len(store) > 0 for store in stores)
 
 
 class TestCommitOrder:
-    def _context(self, stores: dict) -> PartyContext:
+    def _context(self, store) -> PartyContext:
         ctx = PartyContext(
             party_id="P", signer=None, resolver=None,
-            evidence=NonRepudiationLog("P", stores["evidence"]),
-            checkpoints=CheckpointStore(stores["checkpoints"]),
-            journal=MessageJournal("P", stores["journal"]),
+            evidence=NonRepudiationLog("P", store),
+            checkpoints=CheckpointStore(store),
+            journal=MessageJournal("P", store),
         )
-        ctx.adopt_stores()
+        ctx.adopt_store()
         return ctx
 
     @staticmethod
@@ -202,52 +202,70 @@ class TestCommitOrder:
         ctx.checkpoints.save("doc", {"seq": seq}, {"n": seq})
         ctx.journal.close_run(run_id, "valid")
 
-    def test_files_are_synced_evidence_then_checkpoints_then_journal(self):
-        order = []
+    @staticmethod
+    def _kinds(store) -> "list[str]":
+        return [next(kind for kind, key in
+                     zip(KINDS, ("entry_hash", "state_id", "event"))
+                     if key in record) for record in store.scan()]
 
-        class Ordered(RecordingStore):
-            def __init__(self, kind: str) -> None:
-                super().__init__()
-                self.kind = kind
-
-            def sync(self, upto=None):
-                made = super().sync(upto)
-                if made:
-                    order.append(self.kind)
-                return made
-
-        ctx = self._context({kind: Ordered(kind) for kind in KINDS})
+    def test_a_barrier_is_one_sync_of_the_partys_one_store(self):
+        store = RecordingStore()
+        syncs = []
+        sync = store.sync
+        store.sync = lambda: syncs.append(sync()) or syncs[-1]
+        ctx = self._context(store)
         self._one_settlement(ctx, 1)
-        assert order == []  # adopted stores wait for the barrier
+        assert syncs == [] and store.durable == 0  # waits for the barrier
         ctx.commit()
-        assert order == list(KINDS)
+        assert syncs == [4]
+        # One file, in the handler's order: the close is the last record.
+        assert self._kinds(store) == [
+            "journal", "evidence", "checkpoints", "journal"]
         ctx.commit()
-        assert order == list(KINDS)  # nothing queued, nothing synced
+        assert syncs == [4, 0]  # nothing queued, nothing written
+        # Each view sees its own records and nobody else's.
+        assert len(ctx.evidence) == ctx.evidence.verify_chain() == 1
+        assert len(list(ctx.journal.all_records())) == 2
+        assert ctx.checkpoints.history_length("doc") == 1
 
-    def test_a_close_appended_beside_a_commit_waits_for_its_own_barrier(self):
+    def test_views_of_one_party_must_share_their_store(self):
+        with pytest.raises(ConfigurationError, match="one record store"):
+            PartyContext(
+                party_id="P", signer=None, resolver=None,
+                evidence=NonRepudiationLog("P", MemoryRecordStore()),
+                journal=MessageJournal("P", MemoryRecordStore()),
+            )
+
+    def test_a_close_appended_beside_a_commit_waits_for_its_own_barrier(
+            self, tmp_path):
         """Another shard worker settles a run while this worker's commit
-        is between files: its close record must not become durable ahead
-        of the decision evidence the same handler appended."""
-        stores = {kind: RecordingStore() for kind in KINDS}
-        ctx = self._context(stores)
+        is writing: nothing of that run gets into this barrier, and its
+        close reaches the file behind its own decision evidence."""
+        store = FileRecordStore(str(tmp_path / "log.jsonl"), fsync=False)
+        ctx = self._context(store)
         self._one_settlement(ctx, 1)
-        evidence_sync = stores["evidence"].sync
+        write = store._write
 
-        def sync_then_other_worker_settles(upto=None):
-            made = evidence_sync(upto)
+        def write_while_another_worker_settles(data: bytes) -> None:
             self._one_settlement(ctx, 2)
-            return made
+            write(data)
 
-        stores["evidence"].sync = sync_then_other_worker_settles
+        store._write = write_while_another_worker_settles
         ctx.commit()
-        del stores["evidence"].sync
-        # Run 1 is durable everywhere; of run 2, whose evidence missed
-        # the barrier, nothing later than the evidence got in.
-        assert stores["evidence"].durable == 1
-        assert stores["checkpoints"].durable == 1
-        assert stores["journal"].durable == 2
+        del store._write
+
+        def on_disk() -> "list[str]":
+            reopened = FileRecordStore(store._path, fsync=False)
+            try:
+                return self._kinds(reopened)
+            finally:
+                reopened.close()
+
+        one = ["journal", "evidence", "checkpoints", "journal"]
+        assert on_disk() == one and len(store) == 8
         ctx.commit()
-        assert all(store.durable == len(store) for store in stores.values())
+        assert on_disk() == one + one
+        store.close()
 
     def test_barrier_is_reported_to_observability(self, tmp_path):
         obs = RecordingInstrumentation()
@@ -271,7 +289,7 @@ class TestCommitOrder:
         # Six barriers with records behind them: m1 and the last m2 at
         # the proposer, m1 and m3 at each responder.
         assert grew("storage.syncs") == 6
-        assert grew("storage.files_synced") == 15
+        assert grew("storage.files_synced") == 6  # one file per barrier
         # All 16 journal records of the run are counted, closes included.
         assert grew("storage.journal.appends") == 16
         assert grew("storage.journal.closed") == 3
@@ -282,7 +300,7 @@ class TestCommitOrder:
 
 
 # ---------------------------------------------------------------------------
-# (b) every crash state between two barriers recovers
+# (b) every byte prefix of the one file recovers
 # ---------------------------------------------------------------------------
 
 class PowerCut(Exception):
@@ -290,12 +308,13 @@ class PowerCut(Exception):
 
 
 class Power:
-    """How many more bytes the victim's stores may write."""
+    """How many more bytes the victim's file may take."""
 
     def __init__(self) -> None:
         self.victim: "str | None" = None
         self.budget: "int | None" = None
-        self.writes: "list[tuple[str, bytes]]" = []
+        #: What each of the victim's barriers wrote.
+        self.writes: "list[bytes]" = []
 
 
 @pytest.fixture
@@ -307,12 +326,12 @@ def power(monkeypatch):
             party = os.path.basename(os.path.dirname(self._path))
             if party != power.victim:
                 return super()._write(data)
-            power.writes.append((os.path.basename(self._path), data))
+            power.writes.append(data)
             if power.budget is not None:
                 if power.budget <= len(data):
                     # The cut may fall inside a line (a torn tail), on a
-                    # record boundary, or right after a file's last
-                    # byte — before the next file, or before the sends.
+                    # record boundary, or right after the barrier's last
+                    # byte — before the sends.
                     super()._write(data[:power.budget])
                     power.budget = 0
                     raise PowerCut()
@@ -328,7 +347,14 @@ def power(monkeypatch):
 
 class CrashSweep:
     """One 3-party update, with one party losing power at a chosen byte
-    of everything it writes during that update."""
+    of what it writes during that update.
+
+    A cut at any byte leaves the victim's file a prefix of its barriers'
+    writes, and re-opening truncates a torn last line, so the disks a
+    cut can leave are one per line boundary, reached cleanly or through
+    a repair (``test_a_cut_at_any_byte_reopens_as_its_whole_lines``
+    walks every byte).  The sweep restarts the victim from each.
+    """
 
     names = ["A", "B", "C"]
 
@@ -363,24 +389,26 @@ class CrashSweep:
         """Further problems with the recovered *survivors*."""
         return []
 
-    def cut_points(self, victim: str) -> "list[tuple[int, str]]":
-        """Every byte count worth cutting at, from an undisturbed run:
-        before each line, inside it, and after the victim's last."""
+    def barrier_writes(self, victim: str) -> "list[bytes]":
+        """What each of the victim's barriers writes in an undisturbed
+        run."""
         community, _ = self._community()
         self.power.victim, self.power.writes = victim, []
         try:
             assert self._update(community).valid
         finally:
             community.close()
+        return list(self.power.writes)
+
+    def cut_points(self, victim: str) -> "list[int]":
+        """A byte count for every disk a cut can leave: before each
+        line, inside it, and after the victim's last."""
         points, offset = [], 0
-        for file_name, data in self.power.writes:
-            for line in data.splitlines(keepends=True):
-                points.append((offset, f"before a line of {file_name}"))
-                points.append((offset + len(line) // 2,
-                               f"inside a line of {file_name}"))
-                offset += len(line)
-        points.append((offset, "after the last write"))
-        return points
+        for line in b"".join(self.barrier_writes(victim)).splitlines(
+                keepends=True):
+            points += [offset, offset + len(line) // 2]
+            offset += len(line)
+        return points + [offset]
 
     def crash_and_recover(self, victim: str, budget: int) -> "list[str]":
         community, directory = self._community()
@@ -391,19 +419,15 @@ class CrashSweep:
                 self._update(community)
             self.power.victim = self.power.budget = None
 
-            # The process is gone: what survives is what the files hold.
+            # The process is gone: what survives is what the file holds.
             old = community.node(victim)
             old.crash()
-
-            def reopen(kind: str) -> FileRecordStore:
-                return FileRecordStore(
-                    os.path.join(directory, victim, f"{kind}.jsonl"))
-
+            store = backends.open_party_store(os.path.join(directory, victim))
             old.ctx = dataclasses.replace(
                 old.ctx,
-                evidence=NonRepudiationLog(victim, reopen("evidence")),
-                checkpoints=CheckpointStore(reopen("checkpoints")),
-                journal=MessageJournal(victim, reopen("journal")),
+                evidence=NonRepudiationLog(victim, store),
+                checkpoints=CheckpointStore(store),
+                journal=MessageJournal(victim, store),
             )
             node = community.restart_node(victim)
             community.runtime.network.recover(victim)
@@ -425,11 +449,7 @@ class CrashSweep:
                 problems.append(f"agreed versions differ: {versions}")
             for name, engine in engines.items():
                 ctx = community.node(name).ctx
-                # (A request to a sponsor is journalled under a
-                # "<kind>-request:<digest>" id that nothing ever closes;
-                # it is not a run.)
-                if engine.busy or [run for run in ctx.journal.open_runs()
-                                   if "-request:" not in run]:
+                if engine.busy or ctx.journal.open_runs():
                     problems.append(f"{name} is left with an open run")
                 if community.node(name).misbehaviour_reports:
                     problems.append(f"{name} accuses a peer: "
@@ -444,20 +464,43 @@ class CrashSweep:
             community.close()
         return problems
 
+    def failures(self, victim: str, lines: int) -> "dict[str, list[str]]":
+        """Problems per cut point; the victim writes *lines* lines."""
+        points = self.cut_points(victim)
+        assert len(points) == 2 * lines + 1
+        return {f"{budget} bytes": problems for budget in points
+                if (problems := self.crash_and_recover(victim, budget))}
+
 
 @pytest.mark.parametrize("victim", CrashSweep.names)
 def test_every_crash_state_between_barriers_recovers(victim, tmp_path, power):
-    sweep = CrashSweep(tmp_path, power)
-    points = sweep.cut_points(victim)
-    # Proposer: m1 barrier (1 evidence + 3 journal lines) and the
-    # settling barrier (4 + 1 + 5); responders: 2 + 2 and 2 + 1 + 2.
-    assert len(points) == 2 * (14 if victim == "A" else 9) + 1
-    failures = {}
-    for budget, where in points:
-        problems = sweep.crash_and_recover(victim, budget)
-        if problems:
-            failures[f"{budget} bytes ({where})"] = problems
-    assert failures == {}
+    # Proposer: m1 barrier (run-keys, proposal-sent, an m1 per peer) and
+    # the settling barrier (4 evidence + 1 checkpoint + 5 journal lines);
+    # responders: 2 + 2 and 2 + 1 + 2.
+    lines = 14 if victim == "A" else 9
+    assert CrashSweep(tmp_path, power).failures(victim, lines) == {}
+
+
+def test_a_cut_at_any_byte_reopens_as_its_whole_lines(tmp_path, power):
+    """Every byte offset of every barrier's write: the file re-opens as
+    the whole lines before the cut, so the sweeps' cut points are all
+    the disks there are."""
+    writes = CrashSweep(tmp_path, power).barrier_writes("A")
+    assert len(writes) == 2 and sum(map(len, writes)) > 5000
+    path = str(tmp_path / "cut.jsonl")
+    for data in writes:
+        # The file holds the whole lines of the last cut; an O_APPEND
+        # handle grows it to the next one.
+        with open(path, "wb"), open(path, "ab", buffering=0) as disk:
+            for cut in range(len(data) + 1):
+                disk.write(data[os.path.getsize(path):cut])
+                assert os.path.getsize(path) == cut
+                FileRecordStore(path, fsync=False).close()
+                whole = data.rfind(b"\n", 0, cut) + 1
+                assert os.path.getsize(path) == whole
+                if whole == cut:
+                    with open(path, "rb") as handle:
+                        assert handle.read() == data[:cut]
 
 
 def test_checkpoint_ahead_of_an_open_journal_run_is_finished_not_redone(
@@ -468,12 +511,15 @@ def test_checkpoint_ahead_of_an_open_journal_run_is_finished_not_redone(
     responders stayed blocked on an accepted proposal.  Run with
     observability on, so the recovery sends are stamped and counted."""
     sweep = CrashSweep(tmp_path, power, obs=RecordingInstrumentation())
-    points = sweep.cut_points("A")
-    budget = next(offset for offset, where in reversed(points)
-                  if where == "before a line of checkpoints.jsonl")
-    checkpoint_line = len(power.writes[3][1])
-    assert power.writes[3][0] == "checkpoints.jsonl"
-    assert sweep.crash_and_recover("A", budget + checkpoint_line) == []
+    m1_barrier, settling = sweep.barrier_writes("A")
+    budget = len(m1_barrier)
+    for line in settling.splitlines(keepends=True):
+        budget += len(line)
+        if b'"state_id"' in line and b'"entry_hash"' not in line:
+            break
+    else:
+        pytest.fail("the settling barrier wrote no checkpoint")
+    assert sweep.crash_and_recover("A", budget) == []
 
 
 class MembershipSweep(CrashSweep):
@@ -530,8 +576,6 @@ class EvictionSweep(MembershipSweep):
 @pytest.mark.parametrize("sweep_cls", [JoinSweep, EvictionSweep])
 def test_every_crash_state_of_a_membership_run_recovers(
         sweep_cls, victim, tmp_path, power):
-    sweep = sweep_cls(tmp_path, power)
-    points = sweep.cut_points(victim)
     joining = sweep_cls is JoinSweep
     if victim == "C":
         # Sponsor: the m1 barrier (request-received when there is a
@@ -540,13 +584,7 @@ def test_every_crash_state_of_a_membership_run_recovers(
         lines = (2 + 3) + (4 + 1 + 5) if joining else (1 + 2) + (3 + 1 + 3)
     else:
         lines = (2 + 2) + (2 + 1 + 2)
-    assert len(points) == 2 * lines + 1
-    failures = {}
-    for budget, where in points:
-        problems = sweep.crash_and_recover(victim, budget)
-        if problems:
-            failures[f"{budget} bytes ({where})"] = problems
-    assert failures == {}
+    assert sweep_cls(tmp_path, power).failures(victim, lines) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +599,14 @@ def test_shard_workers_share_one_partys_file_stores(tmp_path, monkeypatch):
         .test_evidence_chain_survives_concurrent_shards_over_sockets()
     expected = {f"k{i}": i for i in range(12)}
     for name in ("Org1", "Org2", "Org3"):
+        # Each of the three-file layout's names opens the party's file.
+        assert os.listdir(tmp_path / name).count("log.jsonl") == 1
         stores = {kind: FileRecordStore(str(tmp_path / name / f"{kind}.jsonl"))
                   for kind in KINDS}
         try:
             log = NonRepudiationLog(name, stores["evidence"])
-            assert log.verify_chain() == len(stores["evidence"]) > 0
+            assert log.verify_chain() == len(log) > 0
+            assert len(stores["evidence"]) > len(log)
             assert MessageJournal(name, stores["journal"]).open_runs() == set()
             checkpoints = CheckpointStore(stores["checkpoints"])
             for index in range(6):
@@ -659,10 +700,9 @@ class TestStandaloneStore:
         assert fsyncs == [] and os.path.getsize(path) == len(b'{"n":0}\n')
         assert len(store) == 4
         assert [r["n"] for r in store.scan()] == [0, 1, 2, 3]
-        assert store.sync(upto=2) == 1
-        assert os.path.getsize(path) == 2 * len(b'{"n":0}\n')
-        assert store.sync() == 2 and store.sync() == 0
-        assert fsyncs == ["file", "file"]
+        assert store.sync() == 3 and store.sync() == 0
+        assert os.path.getsize(path) == 4 * len(b'{"n":0}\n')
+        assert fsyncs == ["file"]
         assert [r["n"] for r in store.scan()] == [0, 1, 2, 3]
         store.append({"n": 4})
         store.close()  # closing never drops a queued record
@@ -709,18 +749,26 @@ class TestStandaloneStore:
         assert [r["n"] for r in FileRecordStore(path).scan()] == [0, 1, 2]
 
 
-def test_fifteen_fsyncs_per_settled_three_party_update(tmp_path, fsyncs):
-    names = ["A", "B", "C"]
+@pytest.mark.parametrize("parties", [3, 5])
+def test_two_fsyncs_per_party_per_settled_update(parties, tmp_path, fsyncs):
+    names = [f"P{n}" for n in range(parties)]
     runtime = ThreadedRuntime()
     community = Community(names, runtime=runtime, storage_dir=str(tmp_path),
                           retransmit_interval=5.0)
     try:
         community.found_object(
             "doc", {name: DictB2BObject() for name in names})
-        assert fsyncs.count("dir") == 9  # three new files per party
+        assert fsyncs.count("dir") == parties  # one new file per party
+        for name in names:
+            entries = {entry.name: entry for entry in os.scandir(tmp_path / name)}
+            assert sorted(entries) == sorted(
+                ["log.jsonl", *(f"{kind}.jsonl" for kind in KINDS)])
+            assert all(os.readlink(entry.path) == "log.jsonl"
+                       for entry in entries.values() if entry.is_symlink())
+            assert not entries["log.jsonl"].is_symlink()
 
-        # Listeners hear of a settlement after its barrier, so three
-        # more RunCompleted mean the update's last fsync has happened.
+        # Listeners hear of a settlement after its barrier, so one more
+        # RunCompleted per party means the update's last fsync has happened.
         completed = []
         for name in names:
             community.node(name).add_listener(
@@ -728,24 +776,26 @@ def test_fifteen_fsyncs_per_settled_three_party_update(tmp_path, fsyncs):
                 and completed.append(event))
 
         def update(n: int) -> None:
-            ticket = community.node(names[n % 3]).submit_update(
+            ticket = community.node(names[n % parties]).submit_update(
                 "doc", {f"k{n}": n})
             assert ticket.wait_signal(30.0) and ticket.valid
             assert runtime.wait_until(
-                lambda: len(completed) == 3 * (n + 1), 30.0)
+                lambda: len(completed) == parties * (n + 1), 30.0)
+
+        def appended() -> int:
+            return sum(len(community.node(name).ctx.evidence.store)
+                       for name in names)
 
         update(0)
-        appended = {name: sum(len(getattr(community.node(name).ctx, kind).store)
-                              for kind in KINDS) for name in names}
+        before = appended()
         del fsyncs[:]
         for n in range(1, 6):
             update(n)
-        # Per update: the proposer syncs 2 files behind m1 and 3 behind
-        # m3, each responder 2 behind m2 and 3 on m3; the proposer
-        # absorbs the first m2 without a barrier.  32 records, as before.
-        assert fsyncs == ["file"] * (15 * 5)
-        assert sum(len(getattr(community.node(name).ctx, kind).store)
-                   for name in names for kind in KINDS) \
-            - sum(appended.values()) == 32 * 5
+        # Per update the proposer's one file is synced behind m1 and
+        # behind m3, each responder's behind m2 and on m3; the proposer
+        # absorbs every m2 but the last without a barrier.
+        assert fsyncs == ["file"] * (2 * parties * 5)
+        if parties == 3:
+            assert appended() - before == 32 * 5  # records, as before
     finally:
         community.close()

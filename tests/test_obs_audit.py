@@ -151,9 +151,13 @@ class TestCorruptEvidence:
         tampered_path = str(tmp_path / "evidence.jsonl")
         with open(artifacts["evidence"]["Witness"], encoding="utf-8") as src:
             lines = src.readlines()
-        record = json.loads(lines[1])
+        # The file holds the party's journal and checkpoints too: an
+        # evidence line is one that carries an entry hash.
+        second = [index for index, line in enumerate(lines)
+                  if "entry_hash" in json.loads(line)][1]
+        record = json.loads(lines[second])
         record["payload"]["run_id"] = "0" * 64  # rewrite one signed entry
-        lines[1] = json.dumps(record, sort_keys=True) + "\n"
+        lines[second] = json.dumps(record, sort_keys=True) + "\n"
         with open(tampered_path, "w", encoding="utf-8") as dst:
             dst.writelines(lines)
 

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.errors import CheckpointError, MembershipError
 from repro.protocol.validation import CallbackValidator, Decision
+from repro.storage.journal import MessageJournal
 
 
 def build(names=("A", "B", "C"), seed=0, mode=DEFERRED_SYNCHRONOUS):
@@ -220,22 +221,23 @@ class TestInFlightResponderRestart:
 
 class TestFileBackedRestart:
     def test_restart_from_disk_stores(self, tmp_path):
-        """End-to-end durability: all three stores on disk, node rebuilt
-        from files only."""
+        """End-to-end durability: the party's records on disk, node
+        rebuilt from the file only."""
         from repro.storage.backends import FileRecordStore
         from repro.storage.checkpoint import CheckpointStore
         from repro.storage.journal import MessageJournal
         from repro.storage.log import NonRepudiationLog
 
         community = Community(["A", "B"], runtime=SimRuntime(seed=30))
-        # rewire A's context onto file-backed stores before any activity
         ctx = community.node("A").ctx
-        ctx.evidence = NonRepudiationLog(
-            "A", FileRecordStore(str(tmp_path / "ev.jsonl")))
-        ctx.journal = MessageJournal(
-            "A", FileRecordStore(str(tmp_path / "jr.jsonl")))
-        ctx.checkpoints = CheckpointStore(
-            FileRecordStore(str(tmp_path / "ck.jsonl")))
+
+        def rewire() -> None:
+            store = FileRecordStore(str(tmp_path / "log.jsonl"))
+            ctx.evidence = NonRepudiationLog("A", store)
+            ctx.journal = MessageJournal("A", store)
+            ctx.checkpoints = CheckpointStore(store)
+
+        rewire()  # onto a file-backed store before any activity
 
         objects = {name: DictB2BObject() for name in community.names()}
         controllers = community.found_object("ledger", objects)
@@ -246,16 +248,9 @@ class TestFileBackedRestart:
         controller.leave()
         community.settle(1.0)
 
-        # "power cycle": close files, rebuild stores from disk
-        ctx.evidence._store.close()
-        ctx.journal._store.close()
-        ctx.checkpoints._store.close()
-        ctx.evidence = NonRepudiationLog(
-            "A", FileRecordStore(str(tmp_path / "ev.jsonl")))
-        ctx.journal = MessageJournal(
-            "A", FileRecordStore(str(tmp_path / "jr.jsonl")))
-        ctx.checkpoints = CheckpointStore(
-            FileRecordStore(str(tmp_path / "ck.jsonl")))
+        # "power cycle": close the file, rebuild the views from disk
+        ctx.evidence.store.close()
+        rewire()
 
         node = community.restart_node("A")
         replica = DictB2BObject()
@@ -360,8 +355,7 @@ class TestSponsorRestartMidJoin:
             assert not session.membership.busy, name
             assert not session.state.busy, name
             assert not session.state.membership_change_active, name
-            assert not [run for run in node.ctx.journal.open_runs()
-                        if "-request:" not in run], name  # not a run
+            assert node.ctx.journal.open_runs() == set(), name
             assert node.misbehaviour_reports == [], name
 
     def test_sponsor_restart_resumes_the_join(self):
@@ -400,3 +394,64 @@ class TestSponsorRestartMidJoin:
         community.settle(5.0)
         assert ticket.done and ticket.valid
         self._assert_quiescent(community, ["A", "B", "C", "D"])
+
+
+class TestRequestEntriesAreClosed:
+    """A request to a sponsor is journalled under
+    ``<kind>-request:<digest>``; the entry closes when the request is
+    decided or refused, so ``open_runs`` does not grow with requests."""
+
+    class Policy(DictB2BObject):
+        def validate_connect(self, subject, members):
+            return (Decision.reject("no E") if subject == "E"
+                    else Decision.accept())
+
+        def validate_disconnect(self, subject, voluntary, proposer):
+            return (Decision.reject("C stays") if subject == "C"
+                    else Decision.accept())
+
+    def test_join_eviction_and_leave_requests_close(self):
+        names = ["A", "B", "C"]
+        community = Community(names, runtime=SimRuntime(seed=70))
+        community.found_object(
+            "ledger", {name: self.Policy() for name in names})
+
+        def settled(ticket, valid: bool) -> None:
+            community.settle(5.0)
+            assert ticket.done and ticket.valid is valid, ticket.diagnostics
+
+        community.add_organisation("D")
+        settled(community.node("D").propagate_connect(
+            "ledger", self.Policy(), "C"), True)
+        community.add_organisation("E")
+        settled(community.node("E").propagate_connect(
+            "ledger", self.Policy(), "D"), False)
+        # D, the newest member, sponsors what A asks for: an eviction it
+        # refuses outright, one the group agrees to, and A's departure.
+        settled(community.node("A").propagate_eviction("ledger", ["C"]), False)
+        settled(community.node("A").propagate_eviction("ledger", ["B"]), True)
+        settled(community.node("A").propagate_disconnect("ledger"), True)
+        assert community.node("D").party.session("ledger").group.members \
+            == ["C", "D"]
+
+        requests = {"A": ["evict-request:", "evict-request:",
+                          "disconnect-request:"],
+                    "D": ["connect-request:"], "E": ["connect-request:"]}
+        for name, kinds in requests.items():
+            journal = community.node(name).ctx.journal
+            records = [record for record in journal.all_records()
+                       if "-request:" in record["run_id"]]
+            assert sorted(record["run_id"].split(":")[0] + ":"
+                          for record in records
+                          if record["event"] == "message") == sorted(kinds)
+            assert sum(record["event"] == "close"
+                       for record in records) == len(kinds), name
+            assert journal.open_runs() == set(), name
+            # ... and for a journal that re-scans the records, as a
+            # restarted process does.
+            assert MessageJournal(name, journal.store).open_runs() == set()
+
+        node = community.restart_node("D")
+        node.restore_object("ledger", self.Policy())
+        assert node.ctx.journal.open_runs() == set()
+        settled(node.submit_update("ledger", {"after": "restart"}), True)

@@ -411,3 +411,35 @@ class TestPoolMetrics:
             assert counters["transport.tcp.connections_reused"] >= 1
         finally:
             network.close()
+
+
+def test_settled_updates_leave_nothing_for_the_cycle_collector():
+    """An acknowledged frame's retransmit timer lets go of its message
+    when it is cancelled, and a decoded frame's reader closures do not
+    outlive the call: with the collector off, 200 settled updates over
+    real sockets leave no unreachable cycle behind."""
+    import gc
+
+    from repro.core import Community, DictB2BObject
+    from repro.core.runtime import ThreadedRuntime
+
+    names = ["A", "B", "C"]
+    retransmit = 0.3
+    community = Community(names, runtime=ThreadedRuntime(TcpNetwork()),
+                          retransmit_interval=retransmit)
+    try:
+        community.found_object(
+            "doc", {name: DictB2BObject() for name in names})
+        gc.collect()
+        gc.disable()
+        for n in range(200):
+            ticket = community.node("A").submit_update("doc", {f"k{n % 7}": n})
+            assert ticket.wait_signal(30.0) and ticket.valid
+        assert community.runtime.wait_until(
+            lambda: all(community.node(name).party.session("doc")
+                        .state.agreed_sid.seq == 200 for name in names), 30.0)
+        time.sleep(2 * retransmit)  # every cancelled timer is past its deadline
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        community.close()
