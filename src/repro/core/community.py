@@ -10,6 +10,7 @@ an order object" in a few lines.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Optional
 
@@ -29,14 +30,13 @@ from repro.crypto.signature import (
 from repro.crypto.timestamp import TimestampService
 from repro.errors import ConfigurationError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
-from repro.protocol.context import PartyContext
+from repro.protocol.context import PartyContext, open_views
 from repro.protocol.group import ROTATING
 from repro.storage.backends import (
     MemoryRecordStore,
     RecordStore,
     open_party_store,
 )
-from repro.storage.log import NonRepudiationLog
 from repro.util.clocks import Clock, SystemClock
 
 DEFAULT_KEY_BITS = 512
@@ -138,10 +138,8 @@ class Community:
             tsa=self.tsa,
             rng=self._rng.fork(f"rng:{name}"),
             clock=self.clock,
-            # The context puts its journal and checkpoints on this store.
-            evidence=NonRepudiationLog(name, self._record_store(name),
-                                       obs=self.obs),
             obs=self.obs,
+            **open_views(name, self._record_store(name), self.obs),
         )
 
         def certificate_resolver(party_id: str,
@@ -268,8 +266,9 @@ class Community:
         """Simulate a full process restart of one organisation.
 
         The old node's endpoint is stopped and a fresh node is built over
-        the *same* durable context (evidence log, journal, checkpoints,
-        keys).  The caller then re-registers each shared object with
+        the *same* durable store and keys, its evidence log, journal and
+        checkpoints re-opened from the records as a new process would.
+        The caller then re-registers each shared object with
         :meth:`OrganisationNode.restore_object`, which resumes in-flight
         runs from the journal.
         """
@@ -279,8 +278,10 @@ class Community:
         old.endpoint.stop()
         old.shards.stop()
         old.ctx.commit()
+        ctx = dataclasses.replace(
+            old.ctx, **open_views(name, old.ctx.evidence.store, self.obs))
         node = OrganisationNode(
-            old.ctx, self.runtime,
+            ctx, self.runtime,
             certificate_resolver=old.party.certificate_resolver,
             certificate=old.certificate,
             retransmit_interval=self._retransmit_interval,

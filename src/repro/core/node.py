@@ -663,7 +663,7 @@ class OrganisationNode:
             # serves; the shard lock serialises it with the engine.
             with shard.lock:
                 self.readcache.publish(event.object_name, event.state,
-                                       event.state_id)
+                                       event.state_id, event.encoded)
         controller = self.controllers.get(object_name or "")
         if controller is not None:
             with shard.lock:

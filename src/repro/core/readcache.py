@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.util.encoding import freeze
+from repro.util.encoding import Fragment, freeze, from_canonical_bytes
 
 #: Consistency-mode kinds (see the module docstring for the contract).
 SETTLED = "settled"
@@ -181,9 +181,11 @@ class ReadCache:
     # publication (called under the owning shard's lock)
     # ------------------------------------------------------------------
 
-    def publish(self, object_name: str, state: Any,
-                state_id: dict) -> Snapshot:
-        """Publish a settled state as the object's latest snapshot.
+    def publish(self, object_name: str, state: Any, state_id: dict,
+                encoded: "Fragment | None" = None) -> Snapshot:
+        """Publish a settled state as the object's latest snapshot: a
+        private copy, decoded from *encoded* — the fragment *state* was
+        frozen from — when the caller has it.
 
         Callers hold the object's shard lock (settlement dispatch,
         registration, recovery all do), so publications for one object
@@ -198,7 +200,8 @@ class ReadCache:
             return current
         snapshot = Snapshot(
             object_name=object_name,
-            state=freeze(state),
+            state=(freeze(state) if encoded is None
+                   else from_canonical_bytes(encoded.data)),
             version=version,
             state_id=dict(state_id),
             settle_seq=(current.settle_seq + 1) if current is not None else 1,

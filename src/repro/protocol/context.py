@@ -12,13 +12,36 @@ from repro.crypto.timestamp import TimestampService
 from repro.errors import ConfigurationError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.obs.trace import PartyTraceContext
-from repro.storage.backends import MemoryRecordStore
+from repro.storage.backends import MemoryRecordStore, RecordStore
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.journal import MessageJournal
 from repro.storage.log import NonRepudiationLog
 from repro.util.clocks import Clock, SystemClock
 
 VerifierResolver = Callable[[str], Verifier]
+
+
+def open_views(owner: str, store: RecordStore,
+               obs: Instrumentation = NULL_INSTRUMENTATION) -> dict:
+    """The evidence log, journal and checkpoints of the party whose
+    records *store* holds, as :class:`PartyContext` keywords, filled by
+    one pass that decodes each record once.
+
+    A store whose journal records embed whole messages (written before
+    records referred to evidence entries) is refused, and closed: it
+    stays readable through the views (``repro audit``), but appending
+    would mix formats.
+    """
+    with store.opening():
+        views = {"evidence": NonRepudiationLog(owner, store, obs=obs),
+                 "journal": MessageJournal(owner, store, obs=obs),
+                 "checkpoints": CheckpointStore(store)}
+    if views["journal"].embeds_messages:
+        store.close()
+        raise ConfigurationError(
+            f"{owner}: the party's log holds journal records that embed "
+            f"whole messages: readable (repro audit), not appendable")
+    return views
 
 
 @dataclass

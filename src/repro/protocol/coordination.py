@@ -207,8 +207,9 @@ class StateCoordinationEngine(EngineBase):
             update_hash=body_hash if mode in UPDATE_MODES else None,
         ))
         run = self._new_run(
-            ROLE_PROPOSER, proposal, new_sid, new_state=new_state, mode=mode,
-            body=body, body_hash=body_hash, auth=auth)
+            ROLE_PROPOSER, proposal, new_sid, new_state=new_state,
+            state_encoded=state_encoded, mode=mode, body=body,
+            body_hash=body_hash, auth=auth)
         if mode == MODE_UPDATE_BATCH and self.ctx.obs.enabled:
             self.ctx.obs.batch_proposed(self.party_id, self.object_name,
                                         run.run_id, len(body))
@@ -265,17 +266,18 @@ class StateCoordinationEngine(EngineBase):
         self.agreed_state = self.current_state = run.new_state
         self.agreed_sid = self.current_sid = run.new_id
         self.ctx.checkpoints.save(
-            self.object_name, self.agreed_sid.to_dict(), self.agreed_state
+            self.object_name, self.agreed_sid.to_dict(), self.agreed_state,
+            run.state_encoded,
         )
 
     def _announce(self, run: Run, valid: bool, output: Output) -> None:
         if valid:
-            event = StateInstalled
+            event, encoded = StateInstalled, run.state_encoded
         elif run.role == ROLE_PROPOSER:
             # Roll back the pre-applied state to the last agreed state.
             self.current_state = self.agreed_state
             self.current_sid = self.agreed_sid
-            event = StateRolledBack
+            event, encoded = StateRolledBack, None
         else:
             return
         output.emit(event(
@@ -283,6 +285,7 @@ class StateCoordinationEngine(EngineBase):
             state_id=self.agreed_sid.to_dict(),
             state=self.agreed_state,
             run_id=run.run_id,
+            encoded=encoded,
         ))
 
     def _evaluate(self, run: Run) -> Decision:
@@ -338,6 +341,7 @@ class StateCoordinationEngine(EngineBase):
         )
 
         new_state: Any = None
+        encoded = None  # the fragment a computed new_state came from
         # For batches: the recomputed (pre_state, update, post_state) of
         # every step, so application validation can judge each step
         # against the state it actually transforms.
@@ -346,7 +350,7 @@ class StateCoordinationEngine(EngineBase):
             if new_sid.state_hash != body_hash:
                 diagnostics.append("body hash does not match proposed state identifier")
             else:
-                new_state = freeze(body)
+                new_state, encoded = _frozen(body)
         elif mode == MODE_UPDATE_BATCH:
             update_hash = payload.get("update_hash")
             if not isinstance(body, list) or not body:
@@ -394,6 +398,7 @@ class StateCoordinationEngine(EngineBase):
         else:
             diagnostics.append(f"unknown proposal mode {mode!r}")
         run.new_state = new_state
+        run.state_encoded = encoded if new_state is not None else None
 
         # Null transition check (section 4.4): S_new == S_current.
         if (self.reject_null_transitions
@@ -486,17 +491,20 @@ class StateCoordinationEngine(EngineBase):
             self.highest_seq_seen = sid.seq
 
     def _recover_seen(self) -> None:
-        for kind in ("proposal-sent", "proposal-received"):
-            for entry in self.ctx.evidence.entries(kind):
-                if self.ctx.journal.is_open(str(entry.payload.get("run_id"))):
-                    continue
-                proposal = entry.payload.get("proposal", {})
-                payload = proposal.get("payload", {}) if isinstance(
-                    proposal, dict) else {}
-                if payload.get("object") != self.object_name:
-                    continue
-                try:
-                    sid = StateId.from_dict(payload["new_sid"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-                self._note_seen(sid)
+        # Only closed runs: a proposal logged by a handler whose journal
+        # record a crash cut off was never taken up, and may come again.
+        for entry in self.ctx.evidence.entries():
+            if (entry.kind not in ("proposal-sent", "proposal-received")
+                    or self.ctx.journal.outcome(
+                        str(entry.payload.get("run_id"))) is None):
+                continue
+            proposal = entry.payload.get("proposal", {})
+            payload = proposal.get("payload", {}) if isinstance(
+                proposal, dict) else {}
+            if payload.get("object") != self.object_name:
+                continue
+            try:
+                sid = StateId.from_dict(payload["new_sid"])
+            except (KeyError, TypeError, ValueError):
+                continue
+            self._note_seen(sid)

@@ -55,6 +55,7 @@ from repro.protocol.messages import (
 )
 from repro.protocol.validation import Decision
 from repro.storage.journal import RECEIVED, SENT
+from repro.storage.log import LogEntry
 from repro.util.encoding import Fragment, from_canonical_bytes
 
 AUTH_BYTES = 32
@@ -77,6 +78,9 @@ class Run:
     proposal: "Optional[SignedPart]"  # None at a responder once retired
     new_id: Any  # StateId of the proposed state / GroupId of the new group
     new_state: Any = None  # what new_id names: the state / the member list
+    # State runs: the fragment new_state was frozen from, which its
+    # checkpoint line and read snapshot reuse.
+    state_encoded: "Optional[Fragment]" = None
     recipients: "list[str]" = field(default_factory=list)
     mode: str = ""  # state runs: overwrite | update | update_batch
     body: Any = None  # state runs: the m1 body, and H(body) as sent or
@@ -178,17 +182,24 @@ class EnginePlumbing:
     # evidence and journal
     # ------------------------------------------------------------------
 
-    def _log_evidence(self, kind: str, payload: dict) -> None:
+    def _log_evidence(self, kind: str, payload: dict) -> LogEntry:
         record = dict(payload)
         record.setdefault("object", self.object_name)
         record.setdefault("at_ms", int(self.ctx.clock.now() * 1000))
-        self.ctx.evidence.record(kind, record)
+        return self.ctx.evidence.record(kind, record)
 
-    def _journal_sent(self, run_id: str, peer: str, message: dict) -> None:
-        self.ctx.journal.record_message(run_id, SENT, peer, message)
-
-    def _journal_received(self, run_id: str, peer: str, message: dict) -> None:
-        self.ctx.journal.record_message(run_id, RECEIVED, peer, message)
+    def _log_and_journal(self, kind: str, payload: dict, run_id: str,
+                         direction: str, peer: str, message: dict,
+                         **refs: str) -> None:
+        """Log *payload* as evidence, then journal *message* with each
+        signed part (``message key="payload key"``) replaced by a
+        reference into that entry.  One hold of the append lock keeps the
+        two records adjacent, the entry first."""
+        with self.ctx.evidence.store.lock:
+            entry = self._log_evidence(kind, payload)
+            self.ctx.journal.record_message(
+                run_id, direction, peer, message,
+                refs={key: [entry.index, at] for key, at in refs.items()})
 
     def _close_journal(self, run_id: str, outcome: str) -> None:
         if self.ctx.journal.is_open(run_id):
@@ -196,13 +207,13 @@ class EnginePlumbing:
 
     def _send_request(self, kind: str, msg_type: str, sponsor: str,
                       request: SignedPart, output: Output) -> dict:
-        """Journal, log and queue a signed request to a sponsor; the
+        """Log, journal and queue a signed request to a sponsor; the
         journal entry is open until :meth:`_close_request`."""
         message = membership_message(msg_type, request)
-        self._journal_sent(f"{kind}-request:{request.digest().hex()}",
-                           sponsor, spliced(message, part=request))
-        self._log_evidence(f"{kind}-request-sent",
-                           {"request": request.encoded})
+        self._log_and_journal(
+            f"{kind}-request-sent", {"request": request.encoded},
+            f"{kind}-request:{request.digest().hex()}", SENT, sponsor,
+            message, part="request")
         output.send(sponsor, message)
         return message
 
@@ -420,7 +431,7 @@ class EngineBase(EnginePlumbing):
         the final message) at the initiator, our ``m2`` at a responder —
         evicting the oldest.  The window holds thousands of runs per
         engine; everything else is in the evidence log."""
-        run.body = run.new_state = None
+        run.body = run.new_state = run.state_encoded = None
         if run.role == self._RESPONDER:
             run.proposal = run.request = run.commit = None
         self._settled.append(run.run_id)
@@ -434,16 +445,15 @@ class EngineBase(EnginePlumbing):
     # ------------------------------------------------------------------
 
     def _send(self, run: Run, phase: str, message: dict,
-              recipients: "list[str]", output: Output,
-              **journal: Any) -> None:
-        """Queue one broadcast, journalled per recipient (splicing the
-        *journal* parts) when it is a first transmission.
+              recipients: "list[str]", output: Output) -> None:
+        """Queue one broadcast.  Its signed parts are in the evidence
+        log already; nothing of it is journalled.
 
         One broadcast is one Lamport event: every recipient receives the
-        same causal context, and the message dict (shared by journal and
-        all sends) gains exactly one unsigned ``trace_ctx`` field.
-        Re-sends re-enter here and stamp a fresh context — each
-        transmission is a new event on the timeline.
+        same causal context, and the message dict (shared by all sends)
+        gains exactly one unsigned ``trace_ctx`` field.  Re-sends
+        re-enter here and stamp a fresh context — each transmission is a
+        new event on the timeline.
         """
         obs = self.ctx.obs
         if obs.enabled:
@@ -457,11 +467,7 @@ class EngineBase(EnginePlumbing):
                 )
                 obs.protocol_message(self.party_id, self.object_name,
                                      run.run_id, phase, OBS_SENT, size)
-        stored = spliced(message, **journal) if journal else None
-        for recipient in recipients:
-            if stored is not None:
-                self._journal_sent(run.run_id, recipient, stored)
-            output.send(recipient, message)
+        output.broadcast(recipients, message)
 
     def _trace_receive(self, run_id: str, phase: str, sender: str,
                        message: dict) -> None:
@@ -503,26 +509,26 @@ class EngineBase(EnginePlumbing):
 
     def _start_run(self, run: Run, keys: dict,
                    body: "Fragment | None" = None) -> Output:
-        """Register *run*, journal its private material, log and
-        broadcast ``m1``.
+        """Register *run*, log and journal it, and broadcast ``m1``.
 
         The ``run-keys`` record (notably the authenticator preimage, plus
-        the policy's *keys*) is what lets a full process restart resume
-        the run; see :meth:`recover_runs`.  *body* is the encoding of
-        ``run.body``, if the run has one.
+        the policy's *keys*, beside a reference to the proposal in the
+        ``proposal-sent`` entry) is what lets a full process restart
+        resume the run; see :meth:`recover_runs`.  *body* is the
+        encoding of ``run.body``, if the run has one.
         """
         output = Output()
         carried = {} if body is None else {"body": body}
         self._open_as_initiator(run)
-        self._journal_sent(run.run_id, self.party_id, {
-            "msg_type": "run-keys", "object": self.object_name,
-            "auth": run.auth, "proposal": run.proposal.encoded,
-            **keys, **carried,
-        })
-        self._log_evidence(self._tag(run, "proposal-sent"),
-                           self._proposal_record(run))
+        self._log_and_journal(
+            self._tag(run, "proposal-sent"), self._proposal_record(run),
+            run.run_id, SENT, self.party_id,
+            {"msg_type": "run-keys", "object": self.object_name,
+             "auth": run.auth, "proposal": run.proposal.to_dict(),
+             **keys, **carried},
+            proposal="proposal")
         self._send(run, PHASE_M1, self._m1_message(run), run.recipients,
-                   output, **{self._M1_KEY: run.proposal}, **carried)
+                   output)
         if not run.recipients:
             # Nobody to ask: trivially unanimous.
             self._complete(run, output)
@@ -593,10 +599,11 @@ class EngineBase(EnginePlumbing):
         # One local encode of a received body serves its journal record,
         # its hash and the private copy the run keeps.
         body = Fragment(message.get("body"))
-        self._journal_received(run.run_id, sender, spliced(
-            message, **{self._M1_KEY: proposal}, body=body))
-        self._log_evidence(self._tag(run, "proposal-received"),
-                           self._proposal_record(run))
+        self._log_and_journal(
+            self._tag(run, "proposal-received"), self._proposal_record(run),
+            run.run_id, RECEIVED, sender,
+            dict(message, body=body) if "body" in message else message,
+            **{self._M1_KEY: "proposal"})
         self._keep_body(run, message, body)
 
         decision = run.own_decision = self._evaluate(run)
@@ -619,8 +626,7 @@ class EngineBase(EnginePlumbing):
 
         self._log_evidence(self._tag(run, "response-sent"),
                            {"run_id": run.run_id, "response": response.encoded})
-        self._send(run, PHASE_M2, self._m2_message(run), [initiator], output,
-                   **{self._M2_KEY: response})
+        self._send(run, PHASE_M2, self._m2_message(run), [initiator], output)
         return output
 
     # ------------------------------------------------------------------
@@ -696,8 +702,6 @@ class EngineBase(EnginePlumbing):
                 )
             return output
 
-        self._journal_received(run_id, responder, spliced(
-            message, **{self._M2_KEY: response}))
         self._log_evidence(self._tag(run, "response-received"),
                            {"run_id": run_id, "response": response.encoded})
         run.responses[responder] = response
@@ -728,8 +732,7 @@ class EngineBase(EnginePlumbing):
                     f"{part.signer}: body integrity assertion mismatch")
 
         run.commit = self._m3_message(run, responses)
-        self._send(run, PHASE_M3, run.commit, run.recipients, output,
-                   proposal=run.proposal, responses=responses)
+        self._send(run, PHASE_M3, run.commit, run.recipients, output)
         self._log_evidence(
             self._tag(run, "commit-sent"),
             {"run_id": run.run_id, "valid": valid, "diagnostics": diagnostics},
@@ -786,14 +789,10 @@ class EngineBase(EnginePlumbing):
             return output
 
         # Checking the bundle encodes each bundled part once, locally (a
-        # part this run already holds not at all); the journal record
-        # splices those encodings.  It is still written before the commit
-        # is acted on (nothing settles above this line), and a bundle
-        # that failed its checks is journalled as received.
+        # part this run already holds not at all).  Nothing of m3 is
+        # journalled: the decision evidence holds its parts.
         valid, diagnostics, responses = self._check_commit_bundle(
             run, message, proposal, output)
-        self._journal_received(run_id, sender, spliced(
-            message, proposal=run.proposal, responses=responses))
         run.commit = message
         self._log_evidence(
             self._tag(run, "commit-received"),
@@ -1023,26 +1022,20 @@ class EngineBase(EnginePlumbing):
         """Rebuild in-flight run state after a full process restart.
 
         The engine is expected to have been constructed from the latest
-        checkpoint.  This method then
+        checkpoint.  This method rebuilds the replay-protection window
+        from the evidence log, resumes every open *initiator* run from its
+        run-keys record (the authenticator preimage, and the proposal it
+        names) and the responses logged before the crash, and re-drives
+        every open *responder* run by re-handling its journalled ``m1``
+        (deterministic validators yield byte-identical responses, which
+        peers de-duplicate).
 
-        * rebuilds the replay-protection window from the evidence log;
-        * resumes every open *initiator* run from the journalled run-keys
-          record (which preserves the authenticator preimage), re-ingests
-          the responses received before the crash and re-sends ``m1`` to
-          the parties still owing one;
-        * re-drives every open *responder* run by re-handling the
-          journalled proposal (decisions are recomputed; deterministic
-          validators yield byte-identical responses, which peers
-          de-duplicate).
-
-        A crash leaves a byte prefix of the party's one record file.  A
-        handler journals a message before logging the evidence of it
-        and settles in the order decision evidence, checkpoint, journal
-        close, so an open run whose evidence line was cut off is
-        re-driven like any other, and an open run whose proposal the
-        checkpoint already holds lost only its close: it is closed from
-        the decision evidence (the initiator delivers ``m3`` and its
-        epilogue first — they never left).
+        A crash leaves a byte prefix of the party's one record file, and
+        a run settles in the order decision evidence, checkpoint, journal
+        close: an open run whose proposal the checkpoint holds lost only
+        its close, and is closed from the decision evidence (the
+        initiator delivers ``m3`` and its epilogue first — they never
+        left).
         """
         output = Output()
         self._recover_seen()
@@ -1050,11 +1043,10 @@ class EngineBase(EnginePlumbing):
             if run_id in self._runs:
                 continue
             records = self.ctx.journal.messages(run_id)
-            keys = next((r["message"] for r in reversed(records)
+            keys = next((r["message"] for r in records
                          if r["message"].get("msg_type") == "run-keys"), None)
-            m1 = next((r for r in records if r["direction"] == RECEIVED
-                       and self._PHASES.get(
-                           r["message"].get("msg_type")) == PHASE_M1), None)
+            m1 = next((r for r in records if self._PHASES.get(
+                r["message"].get("msg_type")) == PHASE_M1), None)
             if keys is not None:
                 source = keys.get("proposal")
             elif m1 is not None:
@@ -1083,26 +1075,20 @@ class EngineBase(EnginePlumbing):
                 # The group moved on without this run; it can never win.
                 self._close_journal(run_id, "stale")
             else:
-                self._resume(run, records, output)
+                self._resume(run, output)
         return output
 
-    def _resume(self, run: Run, records: "list[dict]", output: Output) -> None:
-        """Pick an initiated run up where its journal ends."""
+    def _resume(self, run: Run, output: Output) -> None:
+        """Pick an initiated run up where its evidence ends: a logged
+        response was verified before it was logged."""
         self._open_as_initiator(run)
-        for record in records:
-            message = record["message"]
-            if (record["direction"] != RECEIVED or self._PHASES.get(
-                    message.get("msg_type")) != PHASE_M2):
-                continue
-            response = self._parse_part(message, self._M2_KEY)
-            if response is None:
-                continue
-            responder = str(response.payload.get("responder", ""))
-            if (responder in run.recipients and responder not in run.responses
-                    and self._verify_part(response, responder,
-                                          "recovered response", output,
-                                          run.run_id)):
-                run.responses[responder] = response
+        for entry in self.ctx.evidence.entries(
+                self._tag(run, "response-received")):
+            if entry.payload.get("run_id") == run.run_id:
+                response = self._parse_part(entry.payload, "response")
+                responder = response and str(response.payload.get("responder"))
+                if responder in run.recipients:
+                    run.responses.setdefault(responder, response)
         if set(run.responses) == set(run.recipients):
             self._complete(run, output)
         else:
@@ -1117,9 +1103,7 @@ class EngineBase(EnginePlumbing):
             # precedes the checkpoint); leave the run to the operator.
             return
         if run.role == self._INITIATOR:
-            self._send(run, PHASE_M3, run.commit, run.recipients, output,
-                       proposal=run.proposal,
-                       responses=list(run.responses.values()))
+            self._send(run, PHASE_M3, run.commit, run.recipients, output)
             self._epilogue(run, True, output)
         self._close_journal(run_id, OUTCOME_VALID)
 

@@ -54,12 +54,16 @@ class RunCompleted(Event):
 
 @dataclass
 class StateInstalled(Event):
-    """A newly validated state was installed on the local replica."""
+    """A newly validated state was installed on the local replica.
+
+    ``encoded``, when the engine has it, is the fragment ``state`` was
+    frozen from: the read snapshot decodes it instead of copying."""
 
     object_name: str
     state_id: dict
     state: Any
     run_id: str
+    encoded: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -70,6 +74,7 @@ class StateRolledBack(Event):
     state_id: dict
     state: Any
     run_id: str
+    encoded: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass

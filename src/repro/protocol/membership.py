@@ -426,8 +426,8 @@ class MembershipEngine(EngineBase):
         run = self._new_run(
             ROLE_SPONSOR, proposal, new_gid, kind=kind, new_state=new_members,
             subjects=subjects, request=request, auth=auth)
-        # The request itself travels (and is journalled) inside the
-        # signed proposal.
+        # The request itself travels (and is logged) inside the signed
+        # proposal.
         return self._start_run(run, {"kind": kind, "subjects": subjects})
 
     # ------------------------------------------------------------------

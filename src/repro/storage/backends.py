@@ -10,6 +10,7 @@ deployments and recovery tests.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import threading
@@ -39,6 +40,39 @@ class RecordStore:
     #: becomes visible, so ``append`` need not.
     deferred = False
 
+    def __init__(self) -> None:
+        #: The one append lock of the party's views: an entry's index, a
+        #: reference to it and the size reported for it move together,
+        #: and two appends under one hold are adjacent.
+        self.lock = threading.RLock()
+        self._opening: "list[RecordView] | None" = None
+
+    def load(self, view: "RecordView") -> None:
+        """Fold the stored records into *view* (inside :meth:`opening`,
+        when it ends)."""
+        if self._opening is None:
+            self._fold([view])
+        else:
+            self._opening.append(view)
+
+    @contextlib.contextmanager
+    def opening(self) -> "Iterator[None]":
+        """Views constructed in the block share one pass, decoding each
+        record once."""
+        self._opening = views = []
+        try:
+            yield
+        finally:
+            self._opening = None
+        self._fold(views)
+
+    def _fold(self, views: "list[RecordView]") -> None:
+        previous = None
+        for record in self.scan():
+            for view in views:
+                view._take(record, previous)
+            previous = record
+
     def append(self, record: dict) -> int:
         """Persist *record*, returning its zero-based index."""
         raise NotImplementedError
@@ -67,10 +101,24 @@ class RecordStore:
         """Release any underlying resources (idempotent)."""
 
 
+class RecordView:
+    """One kind of record in a party's store, folded into memory as the
+    store is read by ``_take(record, previous record)``."""
+
+    def __init__(self, store: "RecordStore | None") -> None:
+        self._store = store if store is not None else MemoryRecordStore()
+
+    @property
+    def store(self) -> RecordStore:
+        """The party's one record store (all three views append to it)."""
+        return self._store
+
+
 class MemoryRecordStore(RecordStore):
     """Volatile in-process store used by the simulation runtime."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._records: "list[bytes]" = []
 
     def append(self, record: dict) -> int:
@@ -105,6 +153,7 @@ class FileRecordStore(RecordStore):
     """
 
     def __init__(self, path: str, fsync: bool = True) -> None:
+        super().__init__()
         self._path = path
         self._fsync = fsync
         directory = os.path.dirname(path)

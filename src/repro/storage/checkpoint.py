@@ -12,13 +12,13 @@ participation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.hashing import hash_value
 from repro.errors import CheckpointError
-from repro.storage.backends import MemoryRecordStore, RecordStore
+from repro.storage.backends import RecordStore, RecordView
+from repro.util.encoding import Fragment
 
 
 @dataclass(frozen=True)
@@ -48,29 +48,28 @@ class Checkpoint:
         )
 
 
-class CheckpointStore:
+class CheckpointStore(RecordView):
     """Append-only checkpoint history with fast latest-lookup per object."""
 
     def __init__(self, store: "RecordStore | None" = None) -> None:
-        self._store = store if store is not None else MemoryRecordStore()
+        super().__init__(store)
         self._latest: "dict[str, Checkpoint]" = {}
         self._history_len: "dict[str, int]" = {}
-        # Objects on different shards checkpoint into this one store.
-        self._lock = threading.Lock()
-        for record in self._store.records("state_id"):
-            checkpoint = Checkpoint.from_dict(record)
-            self._latest[checkpoint.object_name] = checkpoint
-            self._history_len[checkpoint.object_name] = (
-                self._history_len.get(checkpoint.object_name, 0) + 1
-            )
+        self._store.load(self)
 
-    @property
-    def store(self) -> RecordStore:
-        """The party's one record store (all three views append to it)."""
-        return self._store
+    def _take(self, record: dict, previous: "dict | None") -> None:
+        if "state_id" in record:
+            self._note(Checkpoint.from_dict(record))
 
-    def save(self, object_name: str, state_id: dict, state: Any) -> Checkpoint:
-        """Checkpoint a newly agreed state."""
+    def _note(self, checkpoint: Checkpoint) -> None:
+        name = checkpoint.object_name
+        self._latest[name] = checkpoint
+        self._history_len[name] = self._history_len.get(name, 0) + 1
+
+    def save(self, object_name: str, state_id: dict, state: Any,
+             encoded: "Fragment | None" = None) -> Checkpoint:
+        """Checkpoint a newly agreed state; *encoded* is the fragment
+        the caller froze *state* from, which the stored line splices."""
         sequence = int(state_id.get("seq", -1))
         checkpoint = Checkpoint(
             object_name=object_name,
@@ -78,16 +77,17 @@ class CheckpointStore:
             state=state,
             sequence=sequence,
         )
-        with self._lock:
+        record = dict(checkpoint.to_dict(), state=encoded or state)
+        # Objects on different shards checkpoint into this one store.
+        with self._store.lock:
             previous = self._latest.get(object_name)
             if previous is not None and sequence <= previous.sequence:
                 raise CheckpointError(
                     f"checkpoint for {object_name!r} does not advance the sequence "
                     f"({sequence} <= {previous.sequence})"
                 )
-            self._store.append(checkpoint.to_dict())
-            self._latest[object_name] = checkpoint
-            self._history_len[object_name] = self._history_len.get(object_name, 0) + 1
+            self._store.append(record)
+            self._note(checkpoint)
         return checkpoint
 
     def latest(self, object_name: str) -> "Optional[Checkpoint]":

@@ -10,7 +10,6 @@ it to an arbiter.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
@@ -18,7 +17,7 @@ from typing import Any, Iterator, Optional
 from repro.crypto.hashing import hash_value
 from repro.errors import LogCorruptionError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
-from repro.storage.backends import MemoryRecordStore, RecordStore
+from repro.storage.backends import RecordStore, RecordView
 from repro.util.encoding import Fragment
 
 GENESIS_HASH = b"\x00" * 32
@@ -59,42 +58,37 @@ def _chain_hash(index: int, prev_hash: bytes, kind: str,
     return hash_value(["log-entry", index, prev_hash, kind, payload])
 
 
-class NonRepudiationLog:
+class NonRepudiationLog(RecordView):
     """Hash-chained append-only evidence log for one party."""
 
     def __init__(self, owner: str, store: "RecordStore | None" = None,
                  obs: "Instrumentation | None" = None) -> None:
+        super().__init__(store)
         self.owner = owner
-        self._store = store if store is not None else MemoryRecordStore()
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
-        self._lock = threading.Lock()
+        self._head, self._count = GENESIS_HASH, 0
         # Recovery path: a pre-existing store is verified as it is read.
-        self._head, self._count = self._walk()
+        self._store.load(self)
 
-    def _walk(self) -> "tuple[bytes, int]":
-        """Verify every link from genesis; returns (head, entry count)."""
-        head, count = GENESIS_HASH, 0
-        for entry in self.entries():
-            if entry.index != count:
-                raise LogCorruptionError(
-                    f"{self.owner}: entry index {entry.index} != expected {count}"
-                )
-            if entry.prev_hash != head:
-                raise LogCorruptionError(
-                    f"{self.owner}: broken prev-hash link at index {entry.index}"
-                )
-            expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
-            if entry.entry_hash != expected:
-                raise LogCorruptionError(
-                    f"{self.owner}: entry hash mismatch at index {entry.index}"
-                )
-            head, count = entry.entry_hash, count + 1
-        return head, count
-
-    @property
-    def store(self) -> RecordStore:
-        """The party's one record store (all three views append to it)."""
-        return self._store
+    def _take(self, record: dict, previous: "dict | None") -> None:
+        """Verify one more link of the chain."""
+        if "entry_hash" not in record:
+            return
+        entry = LogEntry.from_dict(record)
+        if entry.index != self._count:
+            raise LogCorruptionError(
+                f"{self.owner}: entry index {entry.index} != expected {self._count}"
+            )
+        if entry.prev_hash != self._head:
+            raise LogCorruptionError(
+                f"{self.owner}: broken prev-hash link at index {entry.index}"
+            )
+        expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
+        if entry.entry_hash != expected:
+            raise LogCorruptionError(
+                f"{self.owner}: entry hash mismatch at index {entry.index}"
+            )
+        self._head, self._count = entry.entry_hash, self._count + 1
 
     @property
     def head(self) -> bytes:
@@ -108,12 +102,12 @@ class NonRepudiationLog:
         """Append an evidence record and return the chained entry.
 
         The payload is encoded once: the chain hash fills the fragment
-        and the stored line splices it.  The whole step holds the lock,
-        because shard workers of one party share this log and the chain
+        and the stored line splices it.  The whole step holds the append
+        lock: shard workers of one party share this log, and the chain
         only verifies if index, head and append move together.
         """
         encoded = Fragment(payload)
-        with self._lock:
+        with self._store.lock:
             entry = LogEntry(
                 index=self._count,
                 prev_hash=self._head,
@@ -155,8 +149,8 @@ class NonRepudiationLog:
         Raises :class:`LogCorruptionError` on the first broken link.  An
         arbiter runs this before trusting any evidence a party presents.
         """
-        with self._lock:  # a concurrent append must not look like tampering
-            head, count = self._walk()
-            if count != self._count or head != self._head:
+        with self._store.lock:  # a concurrent append must not look like tampering
+            walked = NonRepudiationLog(self.owner, self._store)
+            if (walked.head, len(walked)) != (self._head, self._count):
                 raise LogCorruptionError(f"{self.owner}: in-memory head disagrees with store")
-            return count
+            return self._count

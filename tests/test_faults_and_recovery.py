@@ -92,10 +92,13 @@ class TestByzantineSafety:
         engine3 = community.node("Org3").party.session("shared").state
         assert engine3.busy and engine3.agreed_state == {}
         # Any honest party that received m3 can relay it (section 4.4),
-        # from its journal: a settled run keeps only what it may re-send.
-        (commit,) = [record["message"] for record in
-                     community.node("Org2").ctx.journal.all_records()
-                     if record.get("message", {}).get("msg_type") == "commit"]
+        # from its evidence log: the decision holds every part of m3 and
+        # the authenticator.
+        (decision,) = [entry.payload for entry in community.node(
+            "Org2").ctx.evidence.entries("authenticated-decision")]
+        commit = {"msg_type": "commit", "object": "shared",
+                  **{key: decision[key] for key in
+                     ("new_sid", "auth", "proposal", "responses")}}
         output = community.node("Org3").party.handle("Org2", commit)
         community.node("Org3")._process_output(output)
         community.settle(0.5)

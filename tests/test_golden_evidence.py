@@ -38,7 +38,8 @@ from repro.protocol.messages import (
     respond_message,
 )
 from repro.protocol.validation import CallbackValidator, Decision
-from repro.storage.backends import FileRecordStore
+from repro.storage.backends import VIEW_NAMES, FileRecordStore
+from repro.storage.checkpoint import CheckpointStore
 from repro.storage.journal import MessageJournal
 from repro.storage.log import NonRepudiationLog
 from repro.transport.inmemory import LinkProfile
@@ -48,11 +49,16 @@ from repro.util.encoding import canonical_bytes
 DATA = os.path.join(os.path.dirname(__file__), "data")
 #: Chain head of ``data/parent_evidence_OrgA.jsonl`` as the parent printed it.
 PARENT_FILE_HEAD = "1ded0e5bc7b46f6d060536d4dd9558eb55e8e527858c84ad6314ae23f21cbca4"
+#: OrgA's one file from :func:`durable_two_party_run`, written by the
+#: commit before journal records named evidence entries: its journal
+#: records embed whole messages.
+EMBEDDED_LOG = os.path.join(DATA, "embedded_messages_log_OrgA.jsonl")
 
-#: PR 16 re-pinned the ``journal`` digests of OrgC and OrgD, and nothing
-#: else: sponsor runs now journal a ``run-keys`` record (so a restarted
-#: sponsor can resume them); with those records left out, both journals
-#: still hash to the values the parent of PR 12 printed.
+#: Only the ``journal`` digests have ever been re-pinned: journal records
+#: are recovery state, not evidence.  They were last re-pinned when a
+#: journal record began to keep only what the evidence log does not
+#: hold — the message with each signed part replaced by a reference to
+#: the evidence entry holding it — and nothing else moved.
 GOLDEN = {
     "value": (
         b'{"bytes":{"__b64__":"AAH/"},"empty":[{},[],"",{"__b64__":""}],'
@@ -70,28 +76,28 @@ GOLDEN = {
             "entries": 35,
             "evidence": "3e6b287e03b04c8a9bcf4b36e9cd4c4bc2409afb1d7dfdccd5794e2ee1ed0623",
             "head": "048018363f023295f2b0b792c40be600f1e2410e2c376da7b217f2fe85e08d3c",
-            "journal": "1998f5182ddf64ab084a07232db1a69309c9007df68214a3b171395a4e567915"
+            "journal": "9b4f2e51eecb03656151779c7d28140975906cf48931924c70fe3d8ecc5ab282"
         },
         "OrgB": {
             "checkpoints": "f8e5429289cffd25a67cbb8c2ba2149fd7d2355a272fd63378153f98dd9338d1",
             "entries": 25,
             "evidence": "0458fd320bc4142adfbb5b205a6c1ce4a2db4ef97702125e09ee7a13420e6345",
             "head": "34aa34d5fa4842ea3e6e85501be4bd41842f572428781a7005ca0e6f815fd46f",
-            "journal": "370fa117cdd469f6e6b212db2eb8a743decf106f876e22a9180f1920e07c4099"
+            "journal": "2bc146ed1b8ce1329357f7d4b88d1a88d06cf9daa2493556582b403bbc7d17ee"
         },
         "OrgC": {
             "checkpoints": "f8e5429289cffd25a67cbb8c2ba2149fd7d2355a272fd63378153f98dd9338d1",
             "entries": 37,
             "evidence": "a22547bdd18e76db88b6404eda8f193700ae8e2561031a0ff944a22d5b230cd1",
             "head": "50d5f6cc2e0c9d07d338dbd92ec2f43c329c609b2e921e862b1b43dff1755333",
-            "journal": "d561c0281dd734d63e012ba0dba905a585f653957a0ef8b93a18f39b4865f92d"
+            "journal": "b400db993d77c94e6541c937fdbe894c48ecbe57103ab01c4c7ab18135db4bbe"
         },
         "OrgD": {
             "checkpoints": "d4fd0cfa1a8f4b535da571d967218c618eeb33a046b6a6f5f0b3a80bff01b0f7",
             "entries": 10,
             "evidence": "e5f065727402148ccbd4b28ca2a242c0c4a3fc5a564ae6fe35fa5bf3728d076a",
             "head": "9f59408b52e9e053948fe10b95a9f444ac305c51f7a604adc5160c4607f40a2d",
-            "journal": "d6d7b546f068525e2315e5d7d6fb1b2c87d54bc7f01718486aa8d84900df0572"
+            "journal": "2de8b35265f826f0ebc0686228adce7f033861499b074d53806def5dff131d20"
         }
     },
 }
@@ -218,13 +224,8 @@ def deterministic_run(monkeypatch) -> "dict[str, dict]":
             "head": ctx.evidence.head.hex(),
             "evidence": _sha(b"\n".join(
                 canonical_bytes(e.to_dict()) for e in ctx.evidence.entries())),
-            # PR 24 closes a request's journal entry once the request is
-            # decided (OrgD's join and departure, OrgA's eviction): new
-            # records, left out here so the journal pins stay the ones
-            # the parent printed for everything else.
             "journal": _sha(b"\n".join(
-                canonical_bytes(r) for r in ctx.journal.all_records()
-                if not (r["event"] == "close" and "-request:" in r["run_id"]))),
+                canonical_bytes(r) for r in ctx.journal.all_records())),
             "checkpoints": _sha(b"\n".join(
                 canonical_bytes(c.to_dict())
                 for c in ctx.checkpoints.history("doc"))),
@@ -278,22 +279,71 @@ def test_parent_written_evidence_file_replays_and_extends(tmp_path):
     assert reopened.verify_chain() == 9
 
 
+def _lines(data: bytes, key: str) -> "list[bytes]":
+    """The lines of one record kind in a party's file, in file order."""
+    return [line for line in data.splitlines(keepends=True)
+            if key in json.loads(line)]
+
+
 def test_files_written_now_are_byte_identical_to_the_parents(monkeypatch, tmp_path):
-    """The other direction: what this code stores is exactly what the
-    parent commit stored, so the parent replays it too."""
+    """The other direction: the evidence and checkpoint lines this code
+    stores are exactly the ones the parent commits stored, so the parent
+    replays them too.  Journal lines are recovery state, not evidence:
+    they name evidence entries instead of embedding signed parts."""
     durable_two_party_run(monkeypatch, str(tmp_path))
     written = (tmp_path / "OrgA" / "log.jsonl").read_bytes()
-    lines = written.splitlines(keepends=True)
-    # The party's one file holds the lines of each parent file, in the
-    # parent's order, under the parent's names.
-    for kind, key in (("evidence", "entry_hash"), ("journal", "event")):
-        with open(os.path.join(DATA, f"parent_{kind}_OrgA.jsonl"), "rb") as handle:
-            expected = handle.read()
-        assert b"".join(line for line in lines
-                        if key in json.loads(line)) == expected
+    with open(EMBEDDED_LOG, "rb") as handle:
+        parents = handle.read()
+    for key in ("entry_hash", "state_id"):
+        assert _lines(written, key) == _lines(parents, key)
+    with open(os.path.join(DATA, "parent_evidence_OrgA.jsonl"), "rb") as handle:
+        assert b"".join(_lines(written, "entry_hash")) == handle.read()
+    # The three-file layout's names open the party's one file.
+    for kind in ("evidence", "journal", "checkpoints"):
         assert (tmp_path / "OrgA" / f"{kind}.jsonl").read_bytes() == written
+    journal = _lines(written, "event")
+    assert len(journal) == 4 < len(_lines(parents, "event")) == 9
+    assert not any(b'"signature"' in line for line in journal)
     assert all(len({"entry_hash", "event", "state_id"} & set(json.loads(line)))
-               == 1 for line in lines)
+               == 1 for line in written.splitlines())
+
+
+def test_a_log_whose_journal_embeds_messages_reads_but_is_not_written(
+        monkeypatch, tmp_path, capsys):
+    """A party's one file written while journal records embedded whole
+    messages is recognised by looking at it: it verifies through the
+    same views (``repro audit`` included), and no party opens it for
+    appending."""
+    monkeypatch.setattr(community_module, "generate_party_keypair",
+                        generate_party_keypair)
+    keys = tmp_path / "keys.json"
+    keys.write_text(json.dumps(
+        Community(["OrgA", "OrgB"], seed="fixture").public_keys()))
+    directory = tmp_path / "stores" / "OrgA"
+    directory.mkdir(parents=True)
+    shutil.copy(EMBEDDED_LOG, directory / "log.jsonl")
+    for name in VIEW_NAMES:
+        os.symlink("log.jsonl", directory / name)
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    store = FileRecordStore(str(directory / "log.jsonl"))
+    log = NonRepudiationLog("OrgA", store)
+    journal = MessageJournal("OrgA", store)
+    assert log.verify_chain() == 8 and log.head.hex() == PARENT_FILE_HEAD
+    assert journal.embeds_messages and journal.open_runs() == set()
+    assert CheckpointStore(store).require_latest("doc").state == {
+        "rev": 1, "blob": b"\x00\xff", "note": "é", "n": [1, 2]}
+    store.close()
+    assert cli_main(["audit", "--keys", str(keys), "--log",
+                     f"OrgA={directory / 'evidence.jsonl'}"]) == 0
+    report = capsys.readouterr().out
+    assert "log intact" in report and "MISBEHAVING" not in report
+
+    with pytest.raises(ConfigurationError, match="embed whole messages"):
+        Community(["OrgA", "OrgB"], seed="fixture",
+                  storage_dir=str(tmp_path / "stores"))
+    assert {path.name: path.read_bytes()
+            for path in directory.iterdir()} == before
 
 
 def test_the_parents_three_file_directory_reads_but_is_not_written(
