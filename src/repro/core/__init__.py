@@ -54,7 +54,6 @@ from repro.core.readcache import (
     settled,
 )
 from repro.core.runtime import Runtime, SimRuntime, ThreadedRuntime
-from repro.core.shards import Shard, ShardMap, ShardScheduler
 from repro.core.wrapper import CoordinatedProxy, WrappedB2BObject, wrap_object
 
 __all__ = [
@@ -90,9 +89,6 @@ __all__ = [
     "Runtime",
     "SimRuntime",
     "ThreadedRuntime",
-    "Shard",
-    "ShardMap",
-    "ShardScheduler",
     "CoordinatedProxy",
     "WrappedB2BObject",
     "wrap_object",

@@ -73,9 +73,12 @@ class Community:
         flight = getattr(self.obs, "flight", None)
         if flight is not None and hasattr(flight, "bind_clock"):
             flight.bind_clock(self.clock)
-        # Every node runs the same shard topology so composite
-        # transactions and tests can reason about placement globally.
-        self._num_shards = num_shards
+        # Kept for benchmarks/e2e/workloads.py, which passes
+        # num_shards=1; the benchmark follow-up that stops passing it
+        # deletes the argument.  A node has one engine lock.
+        if num_shards != 1:
+            raise ConfigurationError(
+                "num_shards must be 1: a node has one engine lock")
         self._rng = DeterministicRandomSource(f"community:{seed}")
         self._key_bits = key_bits
         self.ca = CertificateAuthority(
@@ -162,7 +165,6 @@ class Community:
             certificate_resolver=certificate_resolver,
             certificate=certificate.to_dict(),
             retransmit_interval=self._retransmit_interval,
-            num_shards=self._num_shards,
         )
         self.nodes[name] = node
         return node
@@ -276,7 +278,6 @@ class Community:
         if old is None:
             raise ConfigurationError(f"unknown organisation {name!r}")
         old.endpoint.stop()
-        old.shards.stop()
         old.ctx.commit()
         ctx = dataclasses.replace(
             old.ctx, **open_views(name, old.ctx.evidence.store, self.obs))
@@ -285,7 +286,6 @@ class Community:
             certificate_resolver=old.party.certificate_resolver,
             certificate=old.certificate,
             retransmit_interval=self._retransmit_interval,
-            num_shards=self._num_shards,
         )
         self.nodes[name] = node
         return node
@@ -294,8 +294,6 @@ class Community:
         self.runtime.settle(duration)
 
     def close(self) -> None:
-        for node in self.nodes.values():
-            node.shards.stop()
         self.runtime.close()
         for node in self.nodes.values():
             node.ctx.commit()

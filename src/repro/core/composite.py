@@ -1,4 +1,4 @@
-"""Composite objects and cross-shard composite transactions.
+"""Composite objects and composite transactions.
 
 Section 4 notes the protocol "applies just as well to the use of a
 composite object to coordinate the states of multiple objects".  A
@@ -6,16 +6,14 @@ composite object to coordinate the states of multiple objects".  A
 coordinated state, so one protocol run atomically validates and installs
 changes across all of them.
 
-With the shard scheduler (:mod:`repro.core.shards`) the children of a
-logical transaction may instead be *independent* shared objects living
-on different shards.  :func:`submit_transaction` keeps such a
-transaction all-or-nothing at admission: every involved shard's lock is
-acquired in canonical order, every child update is validated against the
-locked agreed state (one rejection aborts the whole transaction before
-anything is queued), and only then is each accepted child queued in its
-object's pipeline — still under the held locks, so no concurrent
-submission can slip between the checks and the queueing; the node then
-turns them into runs by its one rule
+The children of a logical transaction may instead be *independent*
+shared objects.  :func:`submit_transaction` keeps such a transaction
+all-or-nothing at admission: under the node's engine lock every child
+update is validated against its agreed state (one rejection aborts the
+whole transaction before anything is queued), and only then is each
+accepted child queued in its object's pipeline — still under the lock,
+so no concurrent submission can slip between the checks and the
+queueing; the node then turns them into runs by its one rule
 (:meth:`~repro.core.node.OrganisationNode._start_runs`).  Benign busy
 vetoes from concurrent per-child traffic are retried by the pipelines;
 a genuine remote policy veto after admission surfaces through
@@ -24,7 +22,6 @@ a genuine remote policy veto after admission surfaces through
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -124,7 +121,7 @@ class CompositeB2BObject(B2BObject):
 
 @dataclass
 class CompositeTicket:
-    """Handle on one cross-shard transaction.
+    """Handle on one composite transaction.
 
     ``done`` once every child ticket settled (or the transaction was
     aborted at admission); ``valid`` only when *all* children settled
@@ -172,45 +169,40 @@ def submit_transaction(node: Any, updates: "dict[str, Any]",
                        pre_validate: bool = True) -> CompositeTicket:
     """Propose *updates* (object name → update) as one transaction.
 
-    Children are admitted all-or-nothing: shard locks are taken in
-    canonical (shard index, then name) order, each update is validated
-    against the locked agreed state, and any rejection aborts the whole
-    transaction with nothing queued.  Accepted children enter their
-    objects' pipelines while the locks are still held, then settle as
-    ordinary (busy-retried) runs.
+    Children are admitted all-or-nothing, in name order, under the
+    node's engine lock: each update is validated against its agreed
+    state, and any rejection aborts the whole transaction with nothing
+    queued.  Accepted children enter their objects' pipelines while the
+    lock is still held, then settle as ordinary (busy-retried) runs.
     """
     if not updates:
         raise ConfigurationError("a transaction requires at least one update")
-    names = sorted(
-        updates, key=lambda name: (node.shards.shard_for(name).index, name))
-    shards = node.shards.shards_for(names)
+    names = sorted(updates)
     ticket = CompositeTicket(object_names=names)
-    acquired: "list[threading.RLock]" = []
     try:
-        for shard in shards:
-            shard.lock.acquire()
-            acquired.append(shard.lock)
-        if pre_validate:
-            diagnostics: "list[str]" = []
+        with node.engine_lock:
+            if pre_validate:
+                diagnostics: "list[str]" = []
+                for name in names:
+                    diagnostics.extend(
+                        _validate_child(node, name, updates[name]))
+                if diagnostics:
+                    ticket.aborted = True
+                    ticket.diagnostics = diagnostics
+                    return ticket
             for name in names:
-                diagnostics.extend(_validate_child(node, name, updates[name]))
-            if diagnostics:
-                ticket.aborted = True
-                ticket.diagnostics = diagnostics
-                return ticket
-        for name in names:
-            ticket.children[name] = node.pipeline(name).enqueue(updates[name])
+                ticket.children[name] = node.pipeline(name).enqueue(
+                    updates[name])
     finally:
-        for lock in reversed(acquired):
-            lock.release()
-        # Propose only after every shard lock is released — the node's
+        # Propose only after the engine lock is released — the node's
         # lock-order contract for _process_output.
         node._wake_pipelines(*ticket.children)
     return ticket
 
 
 def _validate_child(node: Any, name: str, update: Any) -> "list[str]":
-    """Validate one child update against its locked agreed state."""
+    """Validate one child update against its agreed state (the caller
+    holds the engine lock)."""
     try:
         session = node.party.session(name)
     except Exception:

@@ -23,7 +23,6 @@ from repro.core.modes import SYNCHRONOUS
 from repro.core.object import B2BObject
 from repro.core.readcache import ReadCache, ReadMode, ReadResult
 from repro.core.runtime import Runtime, SimRuntime, ThreadedRuntime
-from repro.core.shards import ShardScheduler
 from repro.errors import NotConnectedError, ProtocolBlocked
 from repro.protocol.context import PartyContext
 from repro.protocol.events import (
@@ -39,7 +38,7 @@ from repro.protocol.events import (
 )
 from repro.protocol.group import ROTATING
 from repro.protocol.membership import CertificateResolver
-from repro.protocol.party import ProtocolParty, extract_object_name
+from repro.protocol.party import ProtocolParty
 from repro.protocol.pipeline import Overwrite, ProposalPipeline, Ticket
 from repro.transport.base import TimerHandle
 from repro.transport.reliable import ReliableEndpoint
@@ -54,8 +53,7 @@ class OrganisationNode:
                  certificate_resolver: "CertificateResolver | None" = None,
                  certificate: "dict | None" = None,
                  retransmit_interval: float = 0.05,
-                 default_timeout: "float | None" = None,
-                 num_shards: int = 1) -> None:
+                 default_timeout: "float | None" = None) -> None:
         self.ctx = ctx
         # This node is where a record's consequences leave the party
         # (_process_output), so it owes the commit barrier there and may
@@ -77,17 +75,10 @@ class OrganisationNode:
                                if isinstance(runtime, SimRuntime)
                                else ThreadedRuntime.DEFAULT_TIMEOUT)
         self.default_timeout = default_timeout
-        # The simulation runtime is single-threaded virtual time: shard
-        # worker threads would race its event queue, so routing stays
-        # inline there and workers run only on real (threaded) runtimes
-        # that actually shard.
-        self.shards = ShardScheduler(
-            num_shards=num_shards,
-            workers=num_shards > 1 and not isinstance(runtime, SimRuntime),
-            name=ctx.party_id,
-            on_error=lambda: ctx.obs.handler_error(ctx.party_id, "shard"),
-        )
         self.readcache = ReadCache(self)
+        #: Object name → its write pipeline (the object's one write
+        #: queue), created on first use by :meth:`pipeline`.
+        self.pipelines: "dict[str, ProposalPipeline]" = {}
         #: Unresolved tickets of the membership requests this node
         #: tracks by key; an entry leaves when it resolves.
         self._tickets: "dict[str, Ticket]" = {}
@@ -102,10 +93,12 @@ class OrganisationNode:
         self._gateway: "Optional[Any]" = None
         self._live: "Optional[Any]" = None
         # Control-plane lock (object registration, joins, lazy gateway/
-        # live construction).  Engine access is guarded per shard; the
-        # registry lock below is the leaf for tickets/timers/reports.
-        # Lock order: node lock -> shard lock(s) -> registry lock.
+        # live construction).  The engine lock guards every engine and
+        # pipeline of the node; the registry lock below is the leaf for
+        # tickets/timers/reports.
+        # Lock order: node lock -> engine lock -> registry lock.
         self._lock = threading.RLock()
+        self.engine_lock = threading.RLock()
         self._registry_lock = threading.Lock()
         self._join_objects: "dict[str, B2BObject]" = {}
         self._join_modes: "dict[str, str]" = {}
@@ -118,6 +111,13 @@ class OrganisationNode:
     @property
     def party_id(self) -> str:
         return self.ctx.party_id
+
+    @property
+    def shards(self) -> "OrganisationNode":
+        """Read-only alias kept for ``benchmarks/e2e/workloads.py``, which
+        calls ``node.shards.pipeline_for(obj)``; the benchmark follow-up
+        that stops passing ``Community(num_shards=...)`` deletes it."""
+        return self
 
     def add_listener(self, listener: EventListener) -> None:
         """Observe every protocol event this node surfaces."""
@@ -143,8 +143,7 @@ class OrganisationNode:
             extra: dict = {}
             if engine_cls is not None:
                 extra["engine_cls"] = engine_cls
-            shard = self.shards.shard_for(object_name)
-            with shard.lock:
+            with self.engine_lock:
                 self.party.create_object(
                     object_name,
                     members,
@@ -182,8 +181,7 @@ class OrganisationNode:
             extra: dict = {}
             if engine_cls is not None:
                 extra["engine_cls"] = engine_cls
-            shard = self.shards.shard_for(object_name)
-            with shard.lock:
+            with self.engine_lock:
                 session, output = self.party.restore_object(
                     object_name,
                     validator=ObjectValidatorAdapter(b2b_object),
@@ -237,13 +235,16 @@ class OrganisationNode:
         *options* (``max_batch``, ``max_busy_retries``, ...) configure the
         pipeline on creation and are ignored once it exists.
         """
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
-            pipe = shard.pipelines.get(object_name)
+        with self.engine_lock:
+            pipe = self.pipelines.get(object_name)
             if pipe is None:
-                pipe = shard.pipelines[object_name] = ProposalPipeline(
+                pipe = self.pipelines[object_name] = ProposalPipeline(
                     self.party.session(object_name).state, **options)
             return pipe
+
+    def pipeline_for(self, object_name: str) -> "Optional[ProposalPipeline]":
+        """The object's write pipeline, or None before its first write."""
+        return self.pipelines.get(object_name)
 
     def submit_update(self, object_name: str, update: Any,
                       ticket: "Optional[Ticket]" = None) -> Ticket:
@@ -263,8 +264,7 @@ class OrganisationNode:
         does not share and
         :class:`~repro.errors.PipelineSaturatedError` at the queue bound.
         """
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
+        with self.engine_lock:
             ticket = self.pipeline(object_name).enqueue(update, ticket)
         self._wake_pipelines(object_name)
         return ticket
@@ -280,12 +280,12 @@ class OrganisationNode:
     def submit_composite(self, updates: "dict[str, Any]") -> "Any":
         """Submit one all-or-nothing transaction across several objects.
 
-        See :func:`repro.core.composite.submit_transaction`: child
-        shards are locked in canonical order, every child update is
-        validated against the locked agreed states (any rejection aborts
-        the whole transaction before anything is proposed), and the
-        accepted children are submitted to their pipelines under the
-        held locks so no concurrent submission can interleave.
+        See :func:`repro.core.composite.submit_transaction`: under the
+        engine lock every child update is validated against its agreed
+        state (any rejection aborts the whole transaction before anything
+        is proposed), and the accepted children are queued in their
+        pipelines before the lock is released, so no concurrent
+        submission can interleave.
         """
         from repro.core.composite import submit_transaction
 
@@ -348,8 +348,7 @@ class OrganisationNode:
         polled oldest first, on the caller's thread, until one proposes
         — the floor, which alone drains every queue.  Beyond that one
         run the rest wait until the node has nothing inbound left to
-        handle (*idle*: :meth:`~repro.transport.base.Network.when_idle`,
-        or with shard workers the end of the oldest one's shard queue),
+        handle (*idle*: :meth:`~repro.transport.base.Network.when_idle`),
         and what is queued for them meanwhile rides in their next batch.
         """
         while True:
@@ -366,7 +365,6 @@ class OrganisationNode:
                 else:
                     # At most one idle callback is out at a time.
                     self._idle_requested = True
-                    oldest = next(iter(self._ready))
                     break
                 for name in names:
                     del self._ready[name]
@@ -381,10 +379,7 @@ class OrganisationNode:
             finally:
                 with self._registry_lock:
                     self._own_runs -= len(names) - started
-        if self.shards.workers:
-            self.shards.shard_for(oldest).submit(self._on_idle)
-        else:
-            self.runtime.network.when_idle(self._on_idle)
+        self.runtime.network.when_idle(self._on_idle)
 
     def _on_idle(self) -> None:
         self._start_runs(idle=True)
@@ -393,9 +388,8 @@ class OrganisationNode:
         """Let the object's pipeline propose if it can, and say whether
         it did; if only its backoff stands in the way, arm the timer
         that wakes it again."""
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
-            pipe = shard.pipelines[object_name]
+        with self.engine_lock:
+            pipe = self.pipelines[object_name]
             was_free = pipe.inflight_run_id is None
             output = pipe.poll()
             started = was_free and pipe.inflight_run_id is not None
@@ -410,12 +404,11 @@ class OrganisationNode:
 
     def _schedule_pipeline_retry(self, object_name: str) -> None:
         """Arm a timer for the pipeline's next backoff wake-up, if any."""
-        shard = self.shards.shard_for(object_name)
         with self._registry_lock:
             if object_name in self._pipeline_timers:
                 return
-        with shard.lock:
-            delay = shard.pipelines[object_name].retry_delay()
+        with self.engine_lock:
+            delay = self.pipelines[object_name].retry_delay()
         if delay is None:
             return
 
@@ -437,9 +430,8 @@ class OrganisationNode:
                           mode: str = SYNCHRONOUS,
                           sponsor_mode: str = ROTATING,
                           via: "str | None" = None) -> Ticket:
-        shard = self.shards.shard_for(object_name)
         with self._lock:
-            with shard.lock:
+            with self.engine_lock:
                 output = self.party.join_object(
                     object_name, sponsor,
                     certificate=self.certificate,
@@ -456,8 +448,7 @@ class OrganisationNode:
 
     def propagate_disconnect(self, object_name: str) -> Ticket:
         self._await_quiescent(object_name)
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
+        with self.engine_lock:
             session = self.party.session(object_name)
             _digest, output = session.membership.request_disconnect()
             ticket = self._track(f"leave:{object_name}", object_name, "disconnect")
@@ -467,8 +458,7 @@ class OrganisationNode:
     def propagate_eviction(self, object_name: str,
                            subjects: "list[str]") -> Ticket:
         self._await_quiescent(object_name)
-        shard = self.shards.shard_for(object_name)
-        with shard.lock:
+        with self.engine_lock:
             session = self.party.session(object_name)
             _digest, output = session.membership.request_eviction(subjects)
             ticket = self._track(f"evict:{object_name}", object_name, "evict")
@@ -561,7 +551,7 @@ class OrganisationNode:
             recover(self.party_id)
         self.endpoint.restart()
         self._crashed = False
-        with self.shards.lock_all():
+        with self.engine_lock:
             output = self.party.resend_outstanding()
             # Republish from the recovered engines: anything published
             # before the crash is stale by definition.
@@ -577,13 +567,12 @@ class OrganisationNode:
         # crash() cancelled the backoff timers and emptied the ready
         # FIFO, and no event will name a pipeline that was waiting on
         # either, so wake each one here.
-        self._wake_pipelines(*(object_name for shard in self.shards.shards
-                               for object_name in list(shard.pipelines)))
+        self._wake_pipelines(*list(self.pipelines))
 
     def check_progress(self, timeout: "float | None" = None) -> "list[Event]":
         """Surface blocked runs (evidence for dispute resolution)."""
         timeout = timeout if timeout is not None else self.default_timeout
-        with self.shards.lock_all():
+        with self.engine_lock:
             output = self.party.check_progress(timeout)
         self._process_output(output)
         return output.events
@@ -599,35 +588,21 @@ class OrganisationNode:
         return ticket
 
     def _on_message(self, sender: str, payload: dict) -> None:
+        """Run the protocol handler under the engine lock, on the
+        transport's thread.  The returned output is transmitted and
+        dispatched *after* the lock is released (see
+        :meth:`_process_output`)."""
         if self._crashed:
             return
-        shard = self.shards.shard_for(extract_object_name(payload))
-        obs = self.ctx.obs
-        if obs.enabled and self.shards.workers:
-            obs.shard_dispatch(self.party_id, shard.index, shard.queue_depth)
-        shard.submit(lambda: self._handle_on_shard(shard, sender, payload))
-
-    def _handle_on_shard(self, shard: Any, sender: str,
-                         payload: dict) -> None:
-        """Run the protocol handler under one shard's lock.
-
-        With shard workers on, this executes on the shard's thread —
-        independent objects' m1/m2/m3 handling proceeds concurrently.
-        The returned output is transmitted and dispatched *after* the
-        shard lock is released (see :meth:`_dispatch_event`'s lock-order
-        contract).
-        """
-        if self._crashed:
-            return
-        with shard.lock:
+        with self.engine_lock:
             output = self.party.handle(sender, payload)
         self._process_output(output)
 
     def _process_output(self, output: Output) -> None:
-        # Never called while holding a shard lock: event dispatch takes
-        # shard locks transiently and listener callbacks (the gateway)
-        # take the node lock, so arriving here with one held would
-        # invert the node -> shard order.
+        # Never called while holding the engine lock: event dispatch
+        # takes it transiently and listener callbacks (the gateway) take
+        # the node lock, so arriving here with it held would invert the
+        # node -> engine order.
         #
         # The write-ahead rule: every record the handlers appended is on
         # disk before a message leaves, a ticket resolves or a snapshot
@@ -656,24 +631,23 @@ class OrganisationNode:
             with self._lock:
                 self._finish_join(event)
         self._resolve_tickets(event)
-        shard = self.shards.shard_for(object_name)
         if isinstance(event, (StateInstalled, StateRolledBack)):
             # Every settlement (a rollback re-settles on the prior agreed
             # state) publishes the validated snapshot the read path
-            # serves; the shard lock serialises it with the engine.
-            with shard.lock:
+            # serves; the engine lock serialises it with the engine.
+            with self.engine_lock:
                 self.readcache.publish(event.object_name, event.state,
                                        event.state_id, event.encoded)
         controller = self.controllers.get(object_name or "")
         if controller is not None:
-            with shard.lock:
+            with self.engine_lock:
                 controller.on_event(event)
-        pipe = shard.pipelines.get(object_name)
+        pipe = self.pipelines.get(object_name)
         if pipe is not None:
             # Every event that can free this object's engine — its own
             # run, another proposer's, a membership change — names the
             # object, so its one pipeline is the only one to wake.
-            with shard.lock:
+            with self.engine_lock:
                 was_inflight = pipe.inflight_run_id is not None
                 settled = pipe.settle(event)
                 closed = was_inflight and pipe.inflight_run_id is None
@@ -687,16 +661,12 @@ class OrganisationNode:
                 self._start_runs()
             if settled:
                 # on_done callbacks run here: one at a time under the
-                # node lock, on the settling thread, no shard lock held
-                # — they may submit again.
+                # node lock, on the settling thread, the engine lock not
+                # held — they may submit again.
                 with self._lock:
                     for ticket in settled:
                         ticket.resolve(event.valid, event.diagnostics,
                                        run_id=event.run_id)
-        if (object_name and isinstance(event, RunCompleted)
-                and event.kind == "state" and self.ctx.obs.enabled):
-            self.ctx.obs.shard_settled(self.party_id, shard.index,
-                                       object_name, event.valid)
         for listener in self.listeners:
             listener(event)
 
@@ -711,8 +681,7 @@ class OrganisationNode:
         )
         b2b_object.apply_state(event.state)
         self.controllers[event.object_name] = controller
-        shard = self.shards.shard_for(event.object_name)
-        with shard.lock:
+        with self.engine_lock:
             try:
                 engine = self.party.session(event.object_name).state
             except NotConnectedError:

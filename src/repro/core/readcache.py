@@ -4,10 +4,9 @@ The paper's access-scoping model (section 5) makes every read scope wait
 for in-flight coordination to settle (``Controller.enter`` →
 ``OrganisationNode._await_quiescent``), so read-heavy workloads pay
 coordination-round prices even though *agreed* state only changes at
-settlement boundaries.  This module is the read-side complement of the
-shard scheduler: every settlement publishes an immutable
+settlement boundaries.  Here every settlement publishes an immutable
 :class:`Snapshot` — ``(state, version, settle_seq, stamp)`` — under the
-owning shard's engine lock, and read scopes pick a snapshot **lock-free**
+node's engine lock, and read scopes pick a snapshot **lock-free**
 according to an explicit consistency mode:
 
 * :func:`settled` — today's default semantics: quiesce, refresh the
@@ -27,8 +26,8 @@ copy of a state that passed the full non-repudiable coordination round
 in-flight proposal's pre-applied state is never published, so no cached
 read can observe it.  The cache trades *freshness*, never *validity*.
 
-Concurrency contract: publications for one object are serialised by its
-shard lock and carry a monotonically non-decreasing ``version`` (the
+Concurrency contract: publications for one object are serialised by the
+engine lock and carry a monotonically non-decreasing ``version`` (the
 agreed ``T.seq``), so concurrent readers — which read one attribute of
 one cell, an atomic operation — observe non-decreasing versions.
 Invalidations (crash, recovery, restart) empty the cell; the next read
@@ -158,7 +157,7 @@ class _Cell:
 
     Readers do ``cell.snapshot`` — a single attribute load of an
     immutable object, atomic under CPython — so the read path takes no
-    lock.  Writers replace the whole snapshot under the shard lock.
+    lock.  Writers replace the whole snapshot under the engine lock.
     """
 
     __slots__ = ("snapshot",)
@@ -174,11 +173,11 @@ class ReadCache:
         self._node = node
         self._cells: "dict[str, _Cell]" = {}
         # Guards cell *creation* only; snapshot swaps are serialised by
-        # the owning shard's lock and snapshot reads are lock-free.
+        # the node's engine lock and snapshot reads are lock-free.
         self._cells_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # publication (called under the owning shard's lock)
+    # publication (called under the node's engine lock)
     # ------------------------------------------------------------------
 
     def publish(self, object_name: str, state: Any, state_id: dict,
@@ -187,7 +186,7 @@ class ReadCache:
         private copy, decoded from *encoded* — the fragment *state* was
         frozen from — when the caller has it.
 
-        Callers hold the object's shard lock (settlement dispatch,
+        Callers hold the node's engine lock (settlement dispatch,
         registration, recovery all do), so publications for one object
         are serialised.  A publication whose version is *lower* than the
         current snapshot's is ignored — a late event replayed after a
@@ -271,15 +270,14 @@ class ReadCache:
 
         This is the settled path (and the miss/stale fallback): wait for
         in-flight coordination at this replica to settle, then publish a
-        fresh snapshot of the agreed state under the shard lock.  The
+        fresh snapshot of the agreed state under the engine lock.  The
         refreshed ``stamp`` records that the state was verified current
         at this moment, which is what a later ``bounded`` read measures
         against.
         """
         node = self._node
         node._await_quiescent(object_name)
-        shard = node.shards.shard_for(object_name)
-        with shard.lock:
+        with node.engine_lock:
             engine = node.party.session(object_name).state
             return self.publish(object_name, engine.agreed_state,
                                 engine.agreed_sid.to_dict())

@@ -29,7 +29,7 @@ waits in, under the one ticket the client holds:
   via half-open probe requests.
 
 Threading: the gateway shares the node's re-entrant lock.  The node
-resolves settled tickets with that lock held (and no shard lock), and
+resolves settled tickets with that lock held (and not its engine lock), and
 the gateway's admission path takes it too — sharing one lock makes the
 lock order trivially consistent (no gateway-then-node vs
 node-then-gateway deadlock) and keeps admission atomic with respect to
@@ -273,7 +273,7 @@ class Gateway:
 
     def queue_depth(self, object_name: str) -> int:
         """Writes waiting in the object's pipeline queue."""
-        pipe = self.node.shards.pipeline_for(object_name)
+        pipe = self.node.pipeline_for(object_name)
         return pipe.depth if pipe is not None else 0
 
     def stats(self) -> dict:

@@ -163,16 +163,6 @@ _event("pipeline_saturated", "pipeline", "party object depth",
        "a bounded pipeline rejected a submit at `depth` queued updates",
        count("pipeline.saturated"), flight=True)
 
-_event("shard_dispatch", "shards", "party shard depth",
-       "an inbound message was routed to a shard worker queue, `depth` "
-       "deep at routing time (how far the shard is behind its traffic)",
-       count("shards.dispatched.s{shard}"),
-       level("shards.queue_depth.s{shard}", "depth"))
-_event("shard_settled", "shards", "party shard object valid",
-       "a state run settled on this shard (per-shard throughput)",
-       count("shards.settled.s{shard}"), count("shards.settled"),
-       count("shards.settled.invalid", when="not valid"))
-
 _event("read_served", "readcache", "party object mode hit staleness",
        "one validated read served (`mode` = settled/bounded/cached; "
        "`hit` = answered by the published snapshot without a refresh; "
@@ -294,8 +284,7 @@ _event("malformed_frame", "transport", "party reason",
 _event("handler_error", "transport", "party site",
        "a transport-driven callback raised and was contained (`site` = "
        "`command` closure / `timer` callback / inbound `dispatch` / "
-       "`idle`: a `when_idle` callback, all on the reactor thread / "
-       "`shard`: the same handler on a shard worker): a "
+       "`idle`: a `when_idle` callback, all on the reactor thread): a "
        "silently dying handler is how a node wedges with no trace",
        count("transport.tcp.handler_errors"),
        count("transport.tcp.handler_errors.{site}"), flight=True)

@@ -94,7 +94,6 @@ def render_snapshot(snapshot: dict, health: "dict | None" = None) -> str:
         _storage_section(snapshot),
         _run_section(snapshot),
         _pipeline_section(snapshot),
-        _shard_section(snapshot),
         _readcache_section(snapshot),
         _gateway_section(snapshot),
         _health_section(health),
@@ -170,8 +169,6 @@ def _transport_section(snapshot: dict) -> str:
          _c(snapshot, "transport.tcp.handler_errors.dispatch")],
         ["handler errors (idle)",
          _c(snapshot, "transport.tcp.handler_errors.idle")],
-        ["handler errors (shard)",
-         _c(snapshot, "transport.tcp.handler_errors.shard")],
     ]
     text = "== reliable transport ==\n" + format_table(["counter", "value"], rows)
     if any(value for _, value in pool_rows):
@@ -270,47 +267,6 @@ def _pipeline_section(snapshot: dict) -> str:
         ["max pipeline depth", depth["high_water"]],
     ]
     return "== proposal pipeline ==\n" + format_table(["metric", "value"], rows)
-
-
-def _shard_section(snapshot: dict) -> str:
-    settled = _c(snapshot, "shards.settled")
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    indices = set()
-    for name in counters:
-        for prefix in ("shards.settled.s", "shards.dispatched.s"):
-            if name.startswith(prefix):
-                suffix = name[len(prefix):]
-                if suffix.isdigit():
-                    indices.add(int(suffix))
-    for name in gauges:
-        if name.startswith("shards.queue_depth.s"):
-            suffix = name[len("shards.queue_depth.s"):]
-            if suffix.isdigit():
-                indices.add(int(suffix))
-    if settled == 0 and not indices:
-        return ""
-    rows = []
-    for index in sorted(indices):
-        depth = _g(snapshot, f"shards.queue_depth.s{index}")
-        rows.append([
-            f"s{index}",
-            _c(snapshot, f"shards.dispatched.s{index}"),
-            _c(snapshot, f"shards.settled.s{index}"),
-            depth["high_water"],
-        ])
-    rows.append([
-        "total", sum(row[1] for row in rows), settled,
-        max((row[3] for row in rows), default=0.0),
-    ])
-    table = format_table(
-        ["shard", "dispatched", "settled", "max queue depth"], rows
-    )
-    text = "== shard scheduler ==\n" + table
-    invalid = _c(snapshot, "shards.settled.invalid")
-    if invalid:
-        text += f"\ninvalid settlements: {invalid}"
-    return text
 
 
 def _readcache_section(snapshot: dict) -> str:

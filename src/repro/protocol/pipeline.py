@@ -40,8 +40,8 @@ and must transmit the returned :class:`Output`.  Backoff wake-ups are
 the caller's job too — :meth:`retry_delay` says when to call
 :meth:`poll` again.  A caller that guards the pipeline with a lock and
 decides for itself *when* a queued write becomes a run (the
-:class:`~repro.core.node.OrganisationNode` holds the object's shard
-lock) uses the three halves instead — :meth:`enqueue` queues without
+:class:`~repro.core.node.OrganisationNode` holds its engine lock)
+uses the three halves instead — :meth:`enqueue` queues without
 proposing, :meth:`poll` proposes, :meth:`settle` closes a batch — and
 resolves the tickets :meth:`settle` and :meth:`take_failed` return
 after releasing the lock, because resolving a ticket runs its

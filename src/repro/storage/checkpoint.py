@@ -78,7 +78,8 @@ class CheckpointStore(RecordView):
             sequence=sequence,
         )
         record = dict(checkpoint.to_dict(), state=encoded or state)
-        # Objects on different shards checkpoint into this one store.
+        # The party's views append under the store's one lock, whichever
+        # thread saves: the sequence check and the append move together.
         with self._store.lock:
             previous = self._latest.get(object_name)
             if previous is not None and sequence <= previous.sequence:

@@ -103,8 +103,9 @@ class NonRepudiationLog(RecordView):
 
         The payload is encoded once: the chain hash fills the fragment
         and the stored line splices it.  The whole step holds the append
-        lock: shard workers of one party share this log, and the chain
-        only verifies if index, head and append move together.
+        lock: the thread that submits writes and the transport thread
+        both append to and commit the party's store, and the chain only
+        verifies if index, head and append move together.
         """
         encoded = Fragment(payload)
         with self._store.lock:

@@ -74,7 +74,7 @@ class TestStateRelay:
         def mark(event):
             if (isinstance(event, RunCompleted)
                     and event.object_name == "left"):
-                pipe = hub.shards.pipeline_for("right")
+                pipe = hub.pipeline_for("right")
                 marks.append((relay.relayed, pipe.depth if pipe else 0,
                               target.busy, len(scheduled)))
 

@@ -321,7 +321,7 @@ class TestOneWritePath:
         session = node.gateway(queue_capacity=2).session("client")
         for index in range(3):  # one in flight, two queued: at the bound
             session.submit("shared", {f"g{index}": index})
-        pipe = node.shards.pipeline_for("shared")
+        pipe = node.pipeline_for("shared")
         assert pipe.depth == pipe.max_depth == 2
         with pytest.raises(PipelineSaturatedError):
             controller.leave()
@@ -347,7 +347,7 @@ class TestOneWritePath:
         assert excinfo.value.diagnostics[0] == (
             "Org2: busy: concurrent coordination run active")
         assert is_transient_rejection(excinfo.value.diagnostics)
-        pipe = community3.node("Org3").shards.pipeline_for("shared")
+        pipe = community3.node("Org3").pipeline_for("shared")
         assert pipe.busy_retries == pipe.max_busy_retries == 20
         assert pipe.depth == 0 and pipe.inflight_run_id is None
         assert community3.node("Org3")._own_runs == 0
@@ -573,14 +573,10 @@ class TestOptionRatchet:
             "max_retry_delay", "max_depth"),
         "repro.core.node:OrganisationNode": (
             "ctx", "runtime", "certificate_resolver", "certificate",
-            "retransmit_interval", "default_timeout", "num_shards"),
+            "retransmit_interval", "default_timeout"),
         "repro.core.community:Community": (
             "names", "runtime", "seed", "key_bits", "retransmit_interval",
             "clock", "storage_dir", "obs", "num_shards"),
-        # workers is derived by the node; name and on_error are wiring.
-        "repro.core.shards:ShardScheduler": (
-            "num_shards", "workers", "name", "on_error"),
-        "repro.core.shards:ShardMap": ("num_shards",),
         # No retry settings: a write is retried by the queue it waits in.
         "repro.core.controller:B2BObjectController": (
             "node", "object_name", "b2b_object", "mode", "timeout"),
@@ -591,6 +587,9 @@ class TestOptionRatchet:
         "repro.agents.ttp:ValidatingTTP": ("node", "side_objects"),
     }
 
+    #: Bytes of ``src/repro/**/*.py``.
+    SOURCE_BYTES = 815_695
+
     @pytest.mark.parametrize("target", sorted(PINNED))
     def test_constructor_parameters(self, target):
         module_name, _, class_name = target.partition(":")
@@ -598,6 +597,24 @@ class TestOptionRatchet:
                       class_name)
         parameters = tuple(inspect.signature(cls.__init__).parameters)[1:]
         assert parameters == self.PINNED[target]
+
+    def test_a_node_has_one_engine_lock(self):
+        """``num_shards`` and ``node.shards`` stay only for the end-to-end
+        benchmark, which passes 1 and asks ``node.shards.pipeline_for``."""
+        community = Community(["A"], num_shards=1)
+        found_dict(community)
+        node = community.node("A")
+        node.submit_update("shared", {"k": 1})
+        assert node.shards.pipeline_for("shared") is node.pipelines["shared"]
+        with pytest.raises(ConfigurationError, match="one engine lock"):
+            Community(["A"], num_shards=2)
+
+    def test_source_bytes_are_pinned(self):
+        """``src/repro``'s size, exactly: a change that shrinks it lowers
+        the constant, one that grows it says by how much and why."""
+        root = pathlib.Path(repro.__file__).parent
+        size = sum(len(path.read_bytes()) for path in root.rglob("*.py"))
+        assert size == self.SOURCE_BYTES
 
     def test_the_controller_has_no_retry_policy_of_its_own(self):
         assert not hasattr(B2BObjectController, "max_transient_retries")

@@ -24,6 +24,7 @@ def test_repo_docs_are_clean(check_docs):
     assert check_docs.check_links() == []
     assert check_docs.check_examples() == []
     assert check_docs.check_artefact_references() == []
+    assert check_docs.check_artefact_writers() == []
     assert check_docs.check_catalogue_sections() == []
 
 
@@ -93,6 +94,24 @@ def test_missing_artefact_reported(check_docs, tmp_path, monkeypatch):
     assert "results/C99.txt" in problems[1]
 
 
+def test_artefact_no_bench_writes_reported(check_docs, tmp_path,
+                                           monkeypatch):
+    """A result file is kept only while a bench still writes it."""
+    results = tmp_path / "benchmarks" / "results"
+    results.mkdir(parents=True)
+    (tmp_path / "benchmarks" / "bench_kept.py").write_text(
+        'report("C1", "title", body)\n'
+        'JSON = "BENCH_kept.json"\n')
+    for name in ("C1.txt", "C12.txt", "BENCH_kept.json",
+                 "BENCH_retired.json"):
+        (results / name).write_text("")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    problems = check_docs.check_artefact_writers()
+    assert len(problems) == 2
+    assert "benchmarks/results/BENCH_retired.json" in problems[0]
+    assert "benchmarks/results/C12.txt" in problems[1]
+
+
 def test_drifted_catalogue_sections_reported(check_docs, tmp_path,
                                              monkeypatch):
     """A hand-edited row, a missing row and a lost marker all fail."""
@@ -106,14 +125,14 @@ def test_drifted_catalogue_sections_reported(check_docs, tmp_path,
     target.write_text(committed, encoding="utf-8")
     assert check_docs.check_catalogue_sections() == []
 
-    edited = committed.replace("| `shards.settled` | counter | 1 |",
-                               "| `shards.dispatched` | counter | 1 |")
+    edited = committed.replace("| `pipeline.batches` | counter | 1 |",
+                               "| `pipeline.batched` | counter | 1 |")
     assert edited != committed
     target.write_text(edited, encoding="utf-8")
     (problem,) = check_docs.check_catalogue_sections()
     assert "render_obs_docs.py" in problem
-    assert "-| `shards.dispatched` | counter" in problem
-    assert "+| `shards.settled` | counter" in problem
+    assert "-| `pipeline.batched` | counter" in problem
+    assert "+| `pipeline.batches` | counter" in problem
 
     dropped = "".join(line for line in committed.splitlines(keepends=True)
                       if "`handler_error(party, site)`" not in line)

@@ -359,7 +359,7 @@ class TestGatewayIntegration:
         session = gateway.session("alice")
         tickets = [session.submit(name, {"client": "alice", "n": 1})
                    for _ in range(3)]
-        pipe = community.node("Org1").shards.pipeline_for(name)
+        pipe = community.node("Org1").pipeline_for(name)
         run_id, inflight = pipe._inflight
         assert [t for _, t in inflight] == [tickets[0]]
         assert inflight[0][1] is tickets[0]
@@ -408,7 +408,7 @@ class TestGatewayIntegration:
             "shared", {org: CounterObject() for org in community.names()})
         node = community.node("Org1")
         node.submit_update("shared", {"n": 1})  # in flight, unbounded pipe
-        assert node.shards.pipeline_for("shared").max_depth is None
+        assert node.pipeline_for("shared").max_depth is None
         session = node.gateway(queue_capacity=2).session("alice")
         session.submit("shared", {"n": 1})
         session.submit("shared", {"n": 1})

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
-import functools
 import os
 import stat
 import sys
@@ -20,7 +19,6 @@ import threading
 
 import pytest
 
-import tests.test_shards as shard_tests
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.core.runtime import ThreadedRuntime
 from repro.errors import ConfigurationError
@@ -38,7 +36,7 @@ from repro.storage import (
     backends,
 )
 from repro.transport.inmemory import LinkProfile
-from tests.test_shards import PickyObject
+from tests.test_composite import PickyObject
 
 KINDS = ("evidence", "checkpoints", "journal")
 
@@ -126,7 +124,7 @@ def test_nothing_becomes_visible_ahead_of_its_records(runtime_kind):
     names = ["Org1", "Org2", "Org3", "Org4"]
     founders = names[:3]
     community = RecordingCommunity(names, runtime=_runtime(runtime_kind),
-                                   retransmit_interval=2.0, num_shards=2)
+                                   retransmit_interval=2.0)
     try:
         probe = BarrierProbe(community)
         for object_name in ("alpha", "beta"):
@@ -238,19 +236,20 @@ class TestCommitOrder:
 
     def test_a_close_appended_beside_a_commit_waits_for_its_own_barrier(
             self, tmp_path):
-        """Another shard worker settles a run while this worker's commit
-        is writing: nothing of that run gets into this barrier, and its
-        close reaches the file behind its own decision evidence."""
+        """The transport thread settles a run while the submitting
+        thread's commit is writing: nothing of that run gets into this
+        barrier, and its close reaches the file behind its own decision
+        evidence."""
         store = FileRecordStore(str(tmp_path / "log.jsonl"), fsync=False)
         ctx = self._context(store)
         self._one_settlement(ctx, 1)
         write = store._write
 
-        def write_while_another_worker_settles(data: bytes) -> None:
+        def write_while_another_thread_settles(data: bytes) -> None:
             self._one_settlement(ctx, 2)
             write(data)
 
-        store._write = write_while_another_worker_settles
+        store._write = write_while_another_thread_settles
         ctx.commit()
         del store._write
 
@@ -594,17 +593,96 @@ def test_every_crash_state_of_a_membership_run_recovers(
 
 
 # ---------------------------------------------------------------------------
-# (c) shard workers of one party commit the same file stores concurrently
+# (c) two threads of one party commit its one file store
 # ---------------------------------------------------------------------------
 
-def test_shard_workers_share_one_partys_file_stores(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        shard_tests, "Community",
-        functools.partial(Community, storage_dir=str(tmp_path)))
-    shard_tests.TestShardWorkersShareOnePartyStores() \
-        .test_evidence_chain_survives_concurrent_shards_over_sockets()
-    expected = {f"k{i}": i for i in range(12)}
-    for name in ("Org1", "Org2", "Org3"):
+TWO_THREAD_NAMES = ["Org1", "Org2", "Org3"]
+TWO_THREAD_OBJECTS = [f"obj-{i}" for i in range(6)]
+TWO_THREAD_STATE = {f"k{i}": i for i in range(12)}
+
+
+def settle_from_two_threads(community: Community) -> None:
+    """Settle 72 updates so that every party's store is appended to and
+    committed by two threads: the one that submits writes
+    (``_start_runs`` proposes on it) and the transport's, which handles
+    inbound messages and settles runs (``_process_output``).  Every
+    party proposes on some objects and responds on the others at once."""
+    names, objects = TWO_THREAD_NAMES, TWO_THREAD_OBJECTS
+    for object_name in objects:
+        community.found_object(
+            object_name, {name: DictB2BObject() for name in names})
+    submitted = threading.get_ident()
+    committers = {name: set() for name in names}
+    for name in names:
+        node = community.node(name)
+        commit = node.ctx.commit
+
+        def recording_commit(commit=commit, seen=committers[name]):
+            seen.add(threading.get_ident())
+            return commit()
+
+        node.ctx.commit = recording_commit
+    # Each object has one proposer (no busy vetoes) and proposers
+    # differ between objects.
+    tickets = []
+    for round_index in range(12):
+        for index, object_name in enumerate(objects):
+            proposer = community.node(names[index % len(names)])
+            tickets.append(proposer.submit_update(
+                object_name, {f"k{round_index}": round_index}))
+    for ticket in tickets:
+        assert ticket.wait_signal(30.0), "update did not settle"
+        assert ticket.valid
+
+    def converged() -> bool:
+        return all(
+            community.node(name).party.session(obj).state.agreed_state
+            == TWO_THREAD_STATE for name in names for obj in objects)
+
+    assert community.runtime.wait_until(converged, timeout=30.0)
+    for name in names:
+        assert submitted in committers[name]
+        assert len(committers[name]) == 2, committers[name]
+
+
+def run_two_thread_community(**kwargs) -> Community:
+    """A closed community after :func:`settle_from_two_threads`, run
+    over sockets with the two threads made to interleave for real."""
+    community = Community(TWO_THREAD_NAMES, runtime=ThreadedRuntime(),
+                          retransmit_interval=2.0, **kwargs)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        settle_from_two_threads(community)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        community.close()
+    return community
+
+
+def test_evidence_chain_survives_submitting_and_transport_threads():
+    """The live evidence log, journal and checkpoints that both threads
+    append to stay whole: the chain verifies, no run is left open and
+    every object's latest checkpoint is the agreed state."""
+    community = run_two_thread_community()
+    for name in TWO_THREAD_NAMES:
+        ctx = community.node(name).ctx
+        assert ctx.evidence.verify_chain() == len(ctx.evidence) > 0
+        assert ctx.journal.open_runs() == set()
+        for object_name in TWO_THREAD_OBJECTS:
+            latest = ctx.checkpoints.latest(object_name)
+            assert latest is not None and latest.state == TWO_THREAD_STATE
+
+
+def test_submitting_and_transport_threads_share_one_partys_file_store(
+        tmp_path):
+    """The same two threads commit one party's file: reopened from disk,
+    the chain verifies and no journal record is split from the evidence
+    it names."""
+    run_two_thread_community(storage_dir=str(tmp_path))
+    names, objects = TWO_THREAD_NAMES, TWO_THREAD_OBJECTS
+    expected = TWO_THREAD_STATE
+    for name in names:
         # Each of the three-file layout's names opens the party's file.
         assert os.listdir(tmp_path / name).count("log.jsonl") == 1
         stores = {kind: FileRecordStore(str(tmp_path / name / f"{kind}.jsonl"))
@@ -614,7 +692,7 @@ def test_shard_workers_share_one_partys_file_stores(tmp_path, monkeypatch):
             assert log.verify_chain() == len(log) > 0
             assert len(stores["evidence"]) > len(log)
             assert MessageJournal(name, stores["journal"]).open_runs() == set()
-            # Two workers appending at once never split a journal record
+            # Two threads appending at once never split a journal record
             # from the evidence entry it names, just before it.
             previous, named = {}, 0
             for record in stores["journal"].scan():
@@ -624,8 +702,8 @@ def test_shard_workers_share_one_partys_file_stores(tmp_path, monkeypatch):
                 previous = record
             assert named >= 6  # a run-keys or m1 record per run, each object ran
             checkpoints = CheckpointStore(stores["checkpoints"])
-            for index in range(6):
-                assert checkpoints.require_latest(f"obj-{index}").state \
+            for object_name in objects:
+                assert checkpoints.require_latest(object_name).state \
                     == expected
         finally:
             for store in stores.values():

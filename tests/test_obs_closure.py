@@ -1,8 +1,8 @@
 """Catalogue closure: nothing recorded is uncatalogued, nothing
 catalogued is unemitted, and nothing read is unproducible.
 
-(a) One instrumented community is driven through pipeline batches, two
-    shards, a gateway session with a rejection and a replay, cached
+(a) One instrumented community is driven through pipeline batches over
+    four objects, a gateway session with a rejection and a replay, cached
     reads, a lossy link and an arbiter ruling; every instrument name in
     the registry, every trace record name and every flight kind it
     leaves must match a :mod:`repro.obs.catalogue` entry.
@@ -54,13 +54,12 @@ def test_templates_match_what_they_format():
         for metric in event.metrics:
             assert producible(metric.name_for(values), metric.kind)
     assert not producible("readcache.maybe")
-    assert not producible("shards.dispatched")
 
 
 def test_interface_is_exactly_the_catalogue():
     from repro.obs import NULL_INSTRUMENTATION
 
-    assert len({event.hook for event in CATALOGUE}) == len(CATALOGUE) == 50
+    assert len({event.hook for event in CATALOGUE}) == len(CATALOGUE) == 48
     for obs in (NULL_INSTRUMENTATION, RecordingInstrumentation()):
         for event in CATALOGUE:
             assert callable(getattr(obs, event.hook))
@@ -74,9 +73,9 @@ def test_instruments_appear_only_once_selected():
     obs = RecordingInstrumentation()
     assert obs.registry.snapshot()["counters"] == {}
     obs.verify_timing("rsa-sha256", 10, 0.001, True)
-    obs.shard_dispatch("Org1", 0, 2)
+    obs.pipeline_busy_retry("Org1", "doc", 1)
     assert set(obs.registry.snapshot()["counters"]) == {
-        "crypto.verify.count", "shards.dispatched.s0"}
+        "crypto.verify.count", "pipeline.busy_retries"}
     obs.verify_timing("rsa-sha256", 10, 0.001, False)
     assert obs.registry.counter_value("crypto.verify.failures") == 1
     assert obs.registry.counter_value("crypto.verify.count") == 2
@@ -90,13 +89,12 @@ def recorded():
                         duplicate_probability=0.1)
     names = ["Org1", "Org2", "Org3"]
     community = Community(names, runtime=SimRuntime(seed=15, profile=lossy),
-                          obs=obs, num_shards=2)
+                          obs=obs)
     objects = [f"obj-{i}" for i in range(4)]
     for object_name in objects:
         community.found_object(
             object_name, {name: DictB2BObject() for name in names})
     node = community.node("Org1")
-    assert len(node.shards.map.spread(objects)) == 2
     # Pipelined bursts: several updates per object ride batched runs.
     for object_name in objects:
         for index in range(4):
@@ -139,8 +137,7 @@ def test_everything_recorded_is_catalogued(recorded):
     assert flights <= {event.flight for event in CATALOGUE}
     # The workload really went where the docstring says it did.
     counters = snapshot["counters"]
-    for name in ("pipeline.batches", "shards.settled.s0",
-                 "shards.settled.s1", "gateway.rejected.rate_limited",
+    for name in ("pipeline.batches", "gateway.rejected.rate_limited",
                  "gateway.replays", "readcache.hits", "readcache.misses",
                  "transport.retransmissions",
                  "transport.duplicates_suppressed",

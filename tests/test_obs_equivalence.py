@@ -1,4 +1,4 @@
-"""Recorder equivalence: what each of the 50 hooks records is pinned.
+"""Recorder equivalence: what each of the 48 hooks records is pinned.
 
 ``data/obs_equivalence.json`` was written on the commit *before* the
 hand-written :class:`RecordingInstrumentation` methods were replaced by
@@ -53,10 +53,6 @@ CALLS = [
     ("pipeline_depth", ("OrgA", "doc", 2)),
     ("pipeline_busy_retry", ("OrgA", "doc", 2)),
     ("pipeline_saturated", ("OrgA", "doc", 64)),
-    ("shard_dispatch", ("OrgA", 0, 3)),
-    ("shard_dispatch", ("OrgA", 1, 1)),
-    ("shard_settled", ("OrgA", 0, "doc", True)),
-    ("shard_settled", ("OrgA", 1, "doc2", False)),
     ("read_served", ("OrgA", "doc", "settled", False, 0.0)),
     ("read_served", ("OrgA", "doc", "bounded", True, 0.125)),
     ("read_served", ("OrgA", "doc", "cached", True, 2.0)),
@@ -134,7 +130,7 @@ def test_every_hook_is_exercised():
 
     hooks = {name for name, value in vars(Instrumentation).items()
              if callable(value) and not name.startswith("_")}
-    assert len(hooks) == 50
+    assert len(hooks) == 48
     assert {hook for hook, _ in CALLS} == hooks
 
 

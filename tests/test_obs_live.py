@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from repro.core import DictB2BObject
 from repro.obs.hooks import Instrumentation
 from repro.obs.live import (
     DEGRADED,
@@ -29,6 +30,7 @@ from repro.obs.live import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recording import RecordingInstrumentation
 from repro.obs.report import render_snapshot
+from tests.test_composite import sim_community
 
 
 class ManualClock:
@@ -573,3 +575,87 @@ class TestReportRendering:
         assert "== node health ==" in text
         assert "degraded" in text
         assert "breaker_flap" in text
+
+
+class TestFlightClockBinding:
+    def test_preattached_recorder_uses_virtual_time(self):
+        # The CLI builds RecordingInstrumentation(flight=...) before the
+        # community (and its clock) exists; the community must bind its
+        # clock so sim runs never stamp wall-clock times into the ring.
+        flight = FlightRecorder(capacity=256)
+        obs = RecordingInstrumentation(flight=flight)
+        community = sim_community(2, seed=31, obs=obs)
+        names = community.names()
+        community.found_object(
+            "obj", {name: DictB2BObject() for name in names})
+        community.node("Org1").submit_update("obj", {"k": 1})
+        community.settle()
+        events = flight.events()
+        assert events, "protocol activity must reach the flight ring"
+        stamps = [event["t"] for event in events]
+        # Virtual timestamps: small and monotone, never ~1.7e9 wall time.
+        assert all(stamp < 1e6 for stamp in stamps), stamps[:5]
+        assert stamps == sorted(stamps)
+
+    def test_bind_clock_does_not_replace_existing(self):
+        class FixedClock:
+            def now(self) -> float:
+                return 42.0
+
+        flight = FlightRecorder(capacity=4, clock=FixedClock())
+        flight.bind_clock(None)
+
+        class OtherClock:
+            def now(self) -> float:
+                return 7.0
+
+        flight.bind_clock(OtherClock())
+        flight.record("probe")
+        assert flight.events()[0]["t"] == 42.0
+
+    def test_node_live_reuses_preattached_recorder(self):
+        flight = FlightRecorder(capacity=64)
+        obs = RecordingInstrumentation(flight=flight)
+        community = sim_community(2, seed=32, obs=obs)
+        live = community.node("Org1").live()
+        assert live.flight is flight
+
+
+class TestHandlerErrorAccounting:
+    def test_reactor_counts_command_and_timer_errors(self):
+        from repro.transport.tcp import TcpNetwork
+
+        obs = RecordingInstrumentation()
+        network = TcpNetwork(obs=obs)
+        try:
+            reactor = network._reactor
+            fired = threading.Event()
+
+            def boom():
+                fired.set()
+                raise RuntimeError("bug")
+
+            reactor._post(boom)
+            reactor.schedule(0.0, boom)
+            for _ in range(40):
+                counters = obs.registry.snapshot()["counters"]
+                if (counters.get("transport.tcp.handler_errors.command")
+                        and counters.get(
+                            "transport.tcp.handler_errors.timer")):
+                    break
+                threading.Event().wait(0.05)
+            counters = obs.registry.snapshot()["counters"]
+            assert counters.get("transport.tcp.handler_errors.command") == 1
+            assert counters.get("transport.tcp.handler_errors.timer") == 1
+            assert counters.get("transport.tcp.handler_errors") == 2
+        finally:
+            network.close()
+
+    def test_handler_errors_reach_flight_ring_and_report(self):
+        flight = FlightRecorder(capacity=16)
+        obs = RecordingInstrumentation(flight=flight)
+        obs.handler_error("OrgX", "dispatch")
+        kinds = [event["kind"] for event in flight.events()]
+        assert "handler_error" in kinds
+        report = render_snapshot(obs.registry.snapshot())
+        assert "handler errors (dispatch)" in report

@@ -159,9 +159,9 @@ class _HandshakeStore(MemoryRecordStore):
 
 
 def test_each_reported_size_is_the_size_of_its_own_record():
-    """Shard workers of one party append evidence and journal records at
-    once: the size the obs hook reports for a record is that record's,
-    never the other view's last append."""
+    """Two threads of one party (the submitter and the transport) append
+    evidence and journal records at once: the size the obs hook reports
+    for a record is that record's, never the other view's last append."""
     store, obs = _HandshakeStore(), _Sizes()
     log = NonRepudiationLog("P", store, obs=obs)
     journal = MessageJournal("P", store, obs=obs)

@@ -7,7 +7,7 @@ Pins the consistency contract documented in ``docs/READS.md``:
   state — only states that passed the full coordination round publish;
 * snapshots invalidate on crash/recovery and full process restart, and
   republish from the recovered engines;
-* a cross-shard composite settlement republishes every child;
+* a composite settlement republishes every child;
 * concurrent readers during a settlement storm observe monotonically
   non-decreasing versions.
 """
@@ -242,7 +242,7 @@ class TestInvalidation:
     def test_composite_settlement_republishes_every_child(self):
         names = ["A", "B"]
         runtime = SimRuntime(seed=9, profile=LinkProfile(latency=0.005))
-        community = Community(names, runtime=runtime, num_shards=4)
+        community = Community(names, runtime=runtime)
         children = ["tx-alpha", "tx-beta", "tx-gamma"]
         for child in children:
             community.found_object(

@@ -10,7 +10,9 @@ the reactor's idle signal run over real sockets.
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 import threading
 import time
 
@@ -27,7 +29,7 @@ from repro.transport.inmemory import LinkProfile, SimNetwork
 from repro.transport.tcp import TcpNetwork
 from repro.util.encoding import canonical_bytes
 
-from tests.test_shards import CounterObject
+from tests.test_composite import CounterObject, sim_community
 
 
 class HeldIdleNetwork(SimNetwork):
@@ -65,8 +67,7 @@ def held_community(parties, objects, seed, founders=None, **kwargs):
 def own_runs(node):
     """Runs the node's pipelines have in flight, counted the slow way."""
     return sum(pipe.inflight_run_id is not None
-               for shard in node.shards.shards
-               for pipe in shard.pipelines.values())
+               for pipe in node.pipelines.values())
 
 
 def applied(node, object_name):
@@ -129,7 +130,7 @@ class TestTheRule:
                   node.submit_update("B", {"n": 30})]
         assert [name for name, _ in proposals] == ["A"]
         assert own_runs(node) == 1 and list(node._ready) == ["B", "C"]
-        assert node.shards.pipeline_for("B").depth == 2
+        assert node.pipeline_for("B").depth == 2
         assert network.idle_calls == 1  # asked once, not per write
         network.release()
         assert proposals[1:] == [("B", [{"n": 10}, {"n": 30}]),
@@ -167,7 +168,7 @@ class TestTheRule:
         assert [name for name, _ in proposals] == ["A"]
         assert own_runs(node) == node._own_runs == 1
         assert list(node._ready) == ["B"]
-        assert node.shards.pipeline_for("B").depth == 2
+        assert node.pipeline_for("B").depth == 2
 
         def watch():
             assert node._own_runs == own_runs(node)
@@ -180,8 +181,7 @@ class TestTheRule:
         assert applied(node, "B") == 2 and node._own_runs == 0
 
     def test_composite_children_enter_by_the_same_door(self):
-        community, network = held_community(2, ["A", "B", "C"], seed=55,
-                                            num_shards=4)
+        community, network = held_community(2, ["A", "B", "C"], seed=55)
         node = community.node("Org1")
         node.submit_update("A", {"n": 1})
         ticket = node.submit_composite({"B": {"n": 2}, "C": {"n": 3}})
@@ -192,10 +192,74 @@ class TestTheRule:
         assert network.held
 
 
+class TestNoLostWakeUp:
+    """A settlement wakes only the pipeline it names, so every reason a
+    pipeline can sit queued-but-idle must bring its own wake-up."""
+
+    @pytest.mark.parametrize("reason", [
+        "own-run", "responder", "membership", "backoff", "crash-recover"])
+    def test_queued_but_idle_pipeline_always_wakes(self, reason):
+        community = sim_community(3, seed=41)
+        names = community.names()
+        objects = [f"obj-{i}" for i in range(4)]
+        founders = names[:2] if reason == "membership" else names
+        for object_name in objects:
+            community.found_object(
+                object_name, {name: CounterObject() for name in founders})
+        node, peer = community.node("Org1"), community.node("Org2")
+        hot = objects[0]
+        engine = node.party.session(hot).state
+        wait = community.runtime.wait_until
+        # Sibling traffic; nothing below leans on it.
+        tickets = [node.submit_update(name, {"n": 1}) for name in objects[1:]]
+        if reason == "own-run":
+            tickets.append(node.submit_update(hot, {"n": 1}))
+        elif reason == "responder":
+            tickets.append(peer.submit_update(hot, {"n": 1}))
+            assert wait(lambda: engine.busy, 5.0)
+        elif reason == "membership":
+            tickets.append(community.node("Org3").propagate_connect(
+                hot, CounterObject(), "Org2"))
+            assert wait(lambda: engine.membership_change_active, 5.0)
+        else:
+            # Simultaneous proposals veto each other as busy.  The peer
+            # retries within 50 ms and settles; this node's backoff is
+            # made long enough to still be pending once all is quiet.
+            pipe = node.pipeline(hot, base_retry_delay=4.0,
+                                 max_retry_delay=4.0)
+            tickets.append(peer.submit_update(hot, {"n": 1}))
+            tickets.append(node.submit_update(hot, {"n": 1}))
+            assert wait(lambda: all(t.done for t in tickets[:-1])
+                        and not engine.busy, 1.0)  # peer's commit is in
+            assert pipe.busy_retries == 1 and pipe.retry_delay() > 1.0
+        tickets.append(node.submit_update(hot, {"n": 1}))
+        pipe = node.pipeline_for(hot)
+        assert pipe.depth >= 1  # queued ...
+        if reason != "own-run":
+            assert pipe.inflight_run_id is None  # ... but idle
+        if reason == "crash-recover":
+            node.crash()  # cancels the pending backoff timer
+            community.settle(5.0)  # the backoff runs out meanwhile
+            node.recover()
+        community.settle()  # nothing else drives it
+        assert all(ticket.done and ticket.valid for ticket in tickets)
+        for name in founders:
+            member = community.node(name)
+            for object_name in objects:
+                queue = member.pipeline_for(object_name)
+                assert queue is None or (
+                    queue.depth == 0 and queue.inflight_run_id is None)
+        assert node._pipeline_timers == {}
+        expected = {"applied": 3 if reason in ("backoff", "crash-recover")
+                    else 2 if reason != "membership" else 1}
+        state = node.controllers[hot].b2b_object.get_state()
+        assert state["applied"] == expected["applied"]
+
+
 class TestNoLostWakeUpWhileBusy:
-    """``tests/test_shards.py::TestNoLostWakeUp``'s five reasons a queue
-    sits queued-but-idle, each while the node is busy with other runs:
-    the queue drains whether idle is reported or never is."""
+    """:class:`TestNoLostWakeUp`'s five reasons a queue sits
+    queued-but-idle, each while the node is busy with other runs: the
+    queue drains whether idle is reported or never is."""
 
     @pytest.mark.parametrize("idle", ["reported", "never"])
     @pytest.mark.parametrize("reason", [
@@ -205,7 +269,7 @@ class TestNoLostWakeUpWhileBusy:
         names = ["Org1", "Org2", "Org3"]
         founders = names[:2] if reason == "membership" else names
         community, network = held_community(
-            3, objects, seed=41, founders=founders, num_shards=2)
+            3, objects, seed=41, founders=founders)
         node, peer = community.node("Org1"), community.node("Org2")
         hot, siblings = objects[0], objects[1:]
         engine = node.party.session(hot).state
@@ -236,7 +300,7 @@ class TestNoLostWakeUpWhileBusy:
         assert own_runs(node) >= 1
         # ... and the hot object's write can only queue.
         tickets.append(node.submit_update(hot, {"n": 1}))
-        pipe = node.shards.pipeline_for(hot)
+        pipe = node.pipeline_for(hot)
         assert pipe.depth >= 1
         if reason != "own-run":
             assert pipe.inflight_run_id is None
@@ -257,12 +321,62 @@ class TestNoLostWakeUpWhileBusy:
             assert member._own_runs == own_runs(member) == 0
             assert member._ready == {} and member._pipeline_timers == {}
             for object_name in objects:
-                queue = member.shards.pipeline_for(object_name)
+                queue = member.pipeline_for(object_name)
                 assert queue is None or queue.depth == 0
         expected = {"own-run": 2, "responder": 2, "membership": 1,
                     "backoff": 3, "crash-recover": 3}[reason]
         assert applied(node, hot) == expected
         assert [applied(node, name) for name in siblings] == [1, 1, 1]
+
+
+class TestNodeTablesDoNotGrow:
+    """Past warm-up a settled update leaves nothing behind in the node's
+    own tables: the ready FIFO, the backoff timers, the membership
+    ticket registry and the pipeline table."""
+
+    @staticmethod
+    def _sizes(community, names):
+        nodes = {name: community.node(name) for name in names}
+        return {name: (len(node._ready), len(node._pipeline_timers),
+                       len(node._tickets), len(node.pipelines))
+                for name, node in nodes.items()}
+
+    @pytest.mark.parametrize("objects", [1, 8])
+    def test_same_size_after_n_and_2n_updates(self, objects):
+        community = sim_community(3, seed=61)
+        names = community.names()
+        object_names = [f"obj-{i}" for i in range(objects)]
+        for object_name in object_names:
+            community.found_object(
+                object_name, {name: CounterObject() for name in names})
+        rounds = itertools.count()
+
+        def settle(updates):
+            tickets = []
+            for index in range(updates // 2):
+                # Two proposers on one object: busy vetoes arm backoffs.
+                object_name = object_names[next(rounds) % objects]
+                tickets += [community.node(name).submit_update(
+                    object_name, {"n": 1}) for name in names[:2]]
+                if index % 4 == 3:
+                    community.settle()
+            # A newcomer joins one object and Org1 evicts it: a tracked
+            # ticket at each end.
+            joiner = community.add_organisation(f"Join{len(community.nodes)}")
+            tickets.append(joiner.propagate_connect(
+                object_names[0], CounterObject(), via="Org1"))
+            community.settle()
+            tickets.append(community.node("Org1").propagate_eviction(
+                object_names[0], [joiner.party_id]))
+            community.settle()
+            assert all(ticket.done and ticket.valid for ticket in tickets)
+            assert joiner._tickets == {}
+            return self._sizes(community, names)
+
+        settle(16)  # warm-up: every object written by both proposers
+        after_n = settle(16)
+        assert settle(16) == after_n
+        assert after_n["Org1"][3] == objects
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +465,67 @@ class TestTheRuleAdapts:
             community.close()
 
 
-    def test_with_shard_workers_idle_is_the_end_of_the_shard_queue(self):
-        """The deferred step queues behind the shard's backlog."""
+class TestCallbackDiscipline:
+    def test_on_done_callbacks_are_serial_and_outside_the_engine_lock(self):
+        """A closed-loop client that resubmits from inside ``on_done``:
+        callbacks run one at a time under the node lock, never under the
+        engine lock, and nothing deadlocks."""
         community = Community(["Org1", "Org2"], runtime=ThreadedRuntime(),
-                              retransmit_interval=2.0, num_shards=2)
+                              retransmit_interval=2.0)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for object_name in ("A", "B"):
+            objects = [f"obj-{i}" for i in range(8)]
+            for object_name in objects:
                 community.found_object(
                     object_name,
                     {name: CounterObject() for name in community.names()})
             node = community.node("Org1")
-            assert node.shards.workers
-            gate = threading.Event()
-            for shard in node.shards.shards:
-                shard.submit(lambda: gate.wait(10.0))  # the backlog
-            tickets = [node.submit_update("A", {"n": 1}),  # the floor
-                       node.submit_update("B", {"n": 1})]
-            time.sleep(0.05)
-            pipe = node.shards.pipeline_for("B")
-            assert pipe.inflight_run_id is None and pipe.depth == 1
-            tickets.append(node.submit_update("B", {"n": 1}))
-            gate.set()
-            assert community.runtime.wait_until(
-                lambda: all(ticket.done for ticket in tickets), 10.0)
-            assert all(ticket.valid for ticket in tickets)
-            assert tickets[1].run_id == tickets[2].run_id  # rode together
+            session = node.gateway().session("loop")
+            total, window = 200, 16
+            loop = {"submitted": 0, "settled": 0, "active": False}
+            errors: "list[BaseException]" = []
+            finished = threading.Event()
+
+            def submit_next():
+                index = loop["submitted"]
+                loop["submitted"] = index + 1
+                session.submit(objects[index % len(objects)],
+                               {"n": 1}).on_done(on_done)
+
+            def on_done(ticket):
+                try:
+                    assert not loop["active"], "callbacks overlapped"
+                    loop["active"] = True
+                    assert node._lock._is_owned()
+                    assert not node.engine_lock._is_owned()
+                    assert ticket.valid
+                    settled = loop["settled"]  # read ... (not atomic)
+                    threading.Event().wait(0.0002)
+                    loop["settled"] = settled + 1  # ... modify-write
+                    if loop["submitted"] < total:
+                        submit_next()
+                    loop["active"] = False
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                if errors or loop["settled"] == total:
+                    finished.set()
+
+            with node._lock:  # serialise the first window with callbacks
+                for _ in range(window):
+                    submit_next()
+            assert finished.wait(120.0), loop
+            assert not errors, errors
+            assert loop == {"submitted": total, "settled": total,
+                            "active": False}
+            applied = sum(
+                node.controllers[name].b2b_object.get_state()["applied"]
+                for name in objects)
+            assert applied == total
+            assert node.gateway().stats()["rejected"] == {
+                "rate_limited": 0, "overloaded": 0, "circuit_open": 0}
         finally:
+            sys.setswitchinterval(switch_interval)
             community.close()
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Five checks, all stdlib-only:
+Six checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -24,7 +24,11 @@ Five checks, all stdlib-only:
    ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or ``docs/*.md``
    must exist, so deleting a bench or a result cannot leave a pointer
    behind.
-5. **Event catalogue sections** — the hook and metric tables of
+5. **Artefact writers** — every file in ``benchmarks/results/`` must be
+   written by a ``benchmarks/bench_*.py`` that still exists (its file
+   name, or for ``<id>.txt`` the quoted ``"<id>"``, appears in the
+   bench's source), so a retired bench cannot leave its results behind.
+6. **Event catalogue sections** — the hook and metric tables of
    ``docs/OBSERVABILITY.md`` must be exactly what
    ``repro.obs.catalogue`` renders now, so an event added, changed or
    removed without re-running ``tools/render_obs_docs.py`` (or a table
@@ -216,6 +220,27 @@ def check_artefact_references() -> "list[str]":
     return problems
 
 
+def check_artefact_writers() -> "list[str]":
+    """Every file in benchmarks/results/ must have a bench that writes it."""
+    bench_dir = os.path.join(REPO_ROOT, "benchmarks")
+    results_dir = os.path.join(bench_dir, "results")
+    if not os.path.isdir(results_dir):
+        return []
+    sources = ""
+    for name in sorted(os.listdir(bench_dir)):
+        if name.startswith("bench_") and name.endswith(".py"):
+            with open(os.path.join(bench_dir, name), encoding="utf-8") as handle:
+                sources += handle.read()
+    problems = []
+    for name in sorted(os.listdir(results_dir)):
+        stem, ext = os.path.splitext(name)
+        if name in sources or (ext == ".txt" and f'"{stem}"' in sources):
+            continue
+        problems.append(f"benchmarks/results/{name}: no benchmarks/bench_*.py "
+                        f"writes it — delete it or the stale reference")
+    return problems
+
+
 def check_catalogue_sections() -> "list[str]":
     """docs/OBSERVABILITY.md's rendered tables must match the catalogue."""
     _src_on_path()
@@ -250,6 +275,7 @@ def main() -> int:
     problems += check_examples()
     problems += check_experiment_count()
     problems += check_artefact_references()
+    problems += check_artefact_writers()
     problems += check_catalogue_sections()
     if problems:
         for problem in problems:
