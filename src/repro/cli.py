@@ -219,7 +219,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _run_forensic_game(seed: int, latency: float, drop: float,
                        duplicate: float, transport: str = "sim",
-                       wire_codec: str = "binary",
                        export_dir: "str | None" = None,
                        trace_out: "str | None" = None):
     """Instrumented 3-party Tic-Tac-Toe run with the Figure 5 cheat.
@@ -263,7 +262,6 @@ def _run_forensic_game(seed: int, latency: float, drop: float,
     if transport == "tcp":
         runtime = ThreadedRuntime(network=TcpNetwork(
             obs=obs, drop_probability=drop, drop_seed=seed,
-            codec=wire_codec,
         ))
         retransmit_interval = 0.03
     else:
@@ -481,7 +479,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     community, objects, rejected, obs, trace_paths = _run_forensic_game(
         seed=args.seed, latency=args.latency, drop=args.drop,
         duplicate=args.duplicate, transport=args.transport,
-        wire_codec=args.wire_codec,
         export_dir=args.export_dir, trace_out=args.trace_out,
     )
     if args.pipeline_updates > 0:
@@ -503,10 +500,8 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
     game = objects["Witness"]
     board = game.board
-    transport_label = (f"tcp/{args.wire_codec}"
-                       if args.transport == "tcp" else args.transport)
     print(f"3-party Tic-Tac-Toe over lossy links "
-          f"(transport={transport_label} seed={args.seed} "
+          f"(transport={args.transport} seed={args.seed} "
           f"drop={args.drop} duplicate={args.duplicate})")
     for row in range(3):
         print("  " + " ".join(cell or "." for cell in board[row * 3:row * 3 + 3]))
@@ -863,12 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="sim",
                             help="sim: deterministic virtual time; "
                                  "tcp: real sockets with injected loss")
-    obs_report.add_argument("--wire-codec", choices=["json", "binary"],
-                            default="binary",
-                            help="frame codec for --transport tcp: binary "
-                                 "(length-prefixed tag codec; signatures "
-                                 "stay canonical JSON) or json (canonical "
-                                 "JSON lines, the format a seed peer reads)")
     obs_report.add_argument("--export-dir", default=None,
                             help="write per-party traces, evidence logs and "
                                  "keys.json under this directory "

@@ -263,18 +263,18 @@ _event("frames_coalesced", "transport", "party peer frames",
        "`frames` (> 1) back-to-back frames left in one socket write",
        count("transport.tcp.batches"),
        count("transport.tcp.frames_coalesced", by="frames"))
-_event("frame_encoded", "transport", "codec size seconds",
-       "one outbound envelope framed (`codec` json/binary, `size` "
-       "on-wire bytes); `seconds` includes an encode-once memo hit, so "
-       "the histogram shows the amortised cost",
-       count("wire.{codec}.frames_out"),
-       count("wire.{codec}.bytes_out", by="size"),
-       observe("wire.{codec}.encode_seconds", "seconds"))
-_event("frame_decoded", "transport", "codec size seconds",
+_event("frame_encoded", "transport", "size seconds",
+       "one outbound envelope framed (`size` on-wire bytes); `seconds` "
+       "includes an encode-once memo hit, so the histogram shows the "
+       "amortised cost",
+       count("wire.frames_out"),
+       count("wire.bytes_out", by="size"),
+       observe("wire.encode_seconds", "seconds"))
+_event("frame_decoded", "transport", "size seconds",
        "one inbound frame of `size` bytes decoded into an envelope",
-       count("wire.{codec}.frames_in"),
-       count("wire.{codec}.bytes_in", by="size"),
-       observe("wire.{codec}.decode_seconds", "seconds"))
+       count("wire.frames_in"),
+       count("wire.bytes_in", by="size"),
+       observe("wire.decode_seconds", "seconds"))
 _event("malformed_frame", "transport", "party reason",
        "an inbound frame failed framing or decoding and was dropped "
        "(`framing` / `oversized` / `decode` / `bad-envelope`): garbage "

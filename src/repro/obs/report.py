@@ -178,26 +178,18 @@ def _transport_section(snapshot: dict) -> str:
 
 
 def _wire_section(snapshot: dict) -> str:
-    rows = []
-    for codec in ("json", "binary"):
-        frames_out = _c(snapshot, f"wire.{codec}.frames_out")
-        frames_in = _c(snapshot, f"wire.{codec}.frames_in")
-        if frames_out == 0 and frames_in == 0:
-            continue
-        encode = _h(snapshot, f"wire.{codec}.encode_seconds")
-        decode = _h(snapshot, f"wire.{codec}.decode_seconds")
-        rows.append([
-            codec,
-            frames_out, _c(snapshot, f"wire.{codec}.bytes_out"),
-            frames_in, _c(snapshot, f"wire.{codec}.bytes_in"),
-            _ms(encode["p50"]) * 1000.0, _ms(decode["p50"]) * 1000.0,
-        ])
-    if not rows:
+    frames_out = _c(snapshot, "wire.frames_out")
+    frames_in = _c(snapshot, "wire.frames_in")
+    if frames_out == 0 and frames_in == 0:
         return ""
+    encode = _h(snapshot, "wire.encode_seconds")
+    decode = _h(snapshot, "wire.decode_seconds")
     table = format_table(
-        ["codec", "frames out", "bytes out", "frames in", "bytes in",
+        ["frames out", "bytes out", "frames in", "bytes in",
          "encode p50 us", "decode p50 us"],
-        rows,
+        [[frames_out, _c(snapshot, "wire.bytes_out"),
+          frames_in, _c(snapshot, "wire.bytes_in"),
+          _ms(encode["p50"]) * 1000.0, _ms(decode["p50"]) * 1000.0]],
     )
     return "== wire codec ==\n" + table
 

@@ -19,7 +19,7 @@ constant however many peers one process fronts:
 
 Delivery is best-effort: frames queued to a dead peer are dropped (the
 reliable layer retransmits), reconnects back off briefly, and a
-connection opens with the codec preamble of :mod:`repro.wire`.  Inbound
+connection opens with the preamble of :mod:`repro.wire`.  Inbound
 envelopes are dispatched to the party handler *inline* on the loop
 thread — protocol handlers are sans-IO and non-blocking by
 construction, and any send they trigger is itself just a queue append.
@@ -40,7 +40,13 @@ from typing import Callable, Optional
 from repro.errors import TransportError
 from repro.obs.hooks import Instrumentation
 from repro.transport.base import Envelope, TimerHandle
-from repro.wire import FrameDecoder, FrameError, FrameTooLargeError, WireError
+from repro.wire import (
+    PREAMBLE,
+    FrameDecoder,
+    FrameError,
+    FrameTooLargeError,
+    WireError,
+)
 
 #: Frames coalesced into one outbound buffer per channel visit; bounds
 #: the memory copied around by ``del out[:sent]`` on partial writes.
@@ -111,11 +117,10 @@ class _Reactor:
     """The event loop.  Owned by a :class:`~repro.transport.tcp.TcpNetwork`;
     the thread starts lazily on the first listener, frame or timer."""
 
-    def __init__(self, obs: Instrumentation, preamble: bytes,
+    def __init__(self, obs: Instrumentation,
                  connect_timeout: float, max_frame: int,
                  address_of: "Callable[[str], tuple[str, int]]") -> None:
         self._obs = obs
-        self._preamble = preamble
         self._connect_timeout = connect_timeout
         self._max_frame = max_frame
         self._address_of = address_of
@@ -358,16 +363,14 @@ class _Reactor:
 
     def _dispatch(self, inbound: _Inbound, frame: bytes) -> None:
         obs = self._obs
-        decoder = inbound.decoder
         started = time.perf_counter() if obs.enabled else 0.0
         try:
-            data = decoder.decode(frame)
+            data = inbound.decoder.decode(frame)
         except WireError:
             obs.malformed_frame(inbound.party, "decode")
             return
         if obs.enabled:
-            obs.frame_decoded(decoder.codec or "json", len(frame),
-                              time.perf_counter() - started)
+            obs.frame_decoded(len(frame), time.perf_counter() - started)
         try:
             envelope = Envelope.from_dict(data)
         except (KeyError, TypeError, ValueError, AttributeError):
@@ -460,8 +463,8 @@ class _Reactor:
                 self._obs.connection_opened(
                     sender, channel.recipient, channel.ever_connected)
             channel.ever_connected = True
-            # The codec preamble leads every connection.
-            channel.out += self._preamble
+            # The preamble leads every connection.
+            channel.out += PREAMBLE
         self._flush_channel(channel)
 
     def _flush_channel(self, channel: _Channel) -> None:

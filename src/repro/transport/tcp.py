@@ -2,11 +2,9 @@
 
 The original prototype used Java RMI between organisations; this module is
 the real-network counterpart of the simulated substrate: one listener
-socket per registered party.  Frames are produced by :mod:`repro.wire` —
-the length-prefixed binary codec by default, or canonical-JSON lines when
-constructed with ``codec="json"``, the one framing a seed peer can read
-(signatures and evidence stay on canonical JSON either way; the codec is
-framing only, and the inbound codec is detected per connection).
+socket per registered party.  Frames are produced by :mod:`repro.wire`:
+length-prefixed binary frames behind a one-line preamble (signatures and
+evidence stay on canonical JSON; the frame codec is framing only).
 
 There is one socket engine: a :mod:`selectors` event-loop thread
 (:mod:`repro.transport.reactor`) owns every listener, inbound connection,
@@ -33,13 +31,7 @@ from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.transport.base import Envelope, MessageHandler, Network, TimerHandle
 from repro.transport.reactor import _Reactor
 from repro.util.clocks import MonotonicClock
-from repro.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    CODECS,
-    MAX_FRAME,
-    EnvelopeEncoder,
-)
+from repro.wire import MAX_FRAME, EnvelopeEncoder
 
 
 class TcpNetwork(Network):
@@ -56,20 +48,20 @@ class TcpNetwork(Network):
                  obs: "Instrumentation | None" = None,
                  drop_probability: float = 0.0,
                  drop_seed: "int | None" = None,
-                 codec: str = CODEC_BINARY,
+                 codec: str = "binary",
                  reactor: bool = True,
                  max_frame: int = MAX_FRAME) -> None:
-        if codec not in CODECS:
-            raise ValueError(f"unknown wire codec {codec!r}")
-        # `reactor` selects nothing: it is accepted only because
-        # benchmarks/e2e/workloads.py (frozen by BENCHMARK.json) passes
-        # reactor=True; a benchmark-only follow-up deletes it.
+        # `codec` and `reactor` select nothing: they are accepted only
+        # because benchmarks/e2e/workloads.py (frozen by BENCHMARK.json)
+        # passes codec="binary", reactor=True; a benchmark-only
+        # follow-up deletes them.
+        if codec != "binary":
+            raise ValueError("binary frames are the only wire codec")
         if reactor is not True:
             raise ValueError("the selector reactor is the only TCP transport")
         self._host = host
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
-        self._codec = codec
-        self._encoder = EnvelopeEncoder(codec)
+        self._encoder = EnvelopeEncoder()
         self._max_frame = max_frame
         # Optional fault injection: drop outbound data frames before they
         # reach the socket, so demos and tests can exercise the reliable
@@ -88,16 +80,10 @@ class TcpNetwork(Network):
         # the network clock must not step backwards under NTP corrections.
         self._clock = MonotonicClock()
         self._reactor = _Reactor(
-            obs=self._obs, preamble=self._encoder.preamble,
-            connect_timeout=connect_timeout, max_frame=max_frame,
-            address_of=self.address_of,
+            obs=self._obs, connect_timeout=connect_timeout,
+            max_frame=max_frame, address_of=self.address_of,
         )
         self._closed = False
-
-    @property
-    def codec(self) -> str:
-        """Wire codec frames leave this network in ("json" / "binary")."""
-        return self._codec
 
     @property
     def max_frame(self) -> int:
@@ -157,9 +143,7 @@ class TcpNetwork(Network):
             return None  # injected loss: the reliable layer retransmits
         frame = self._encode_frame(envelope)
         self._reactor.enqueue(envelope.sender, envelope.recipient, frame)
-        # Reported size excludes the newline terminator for JSON (the
-        # historical accounting) and is the whole frame for binary.
-        return len(frame) - 1 if self._codec == CODEC_JSON else len(frame)
+        return len(frame)
 
     def _encode_frame(self, envelope: Envelope) -> bytes:
         obs = self._obs
@@ -167,8 +151,7 @@ class TcpNetwork(Network):
             return self._encoder.encode(envelope)
         started = time.perf_counter()
         frame = self._encoder.encode(envelope)
-        obs.frame_encoded(self._codec, len(frame),
-                          time.perf_counter() - started)
+        obs.frame_encoded(len(frame), time.perf_counter() - started)
         return frame
 
     def _should_drop(self, envelope: Envelope) -> bool:

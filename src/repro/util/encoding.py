@@ -70,8 +70,8 @@ def _write(value: Any, kind: "type | None" = None) -> str:
         for key in keys:
             if type(key) is not str and not isinstance(key, str):
                 raise TypeError(f"canonical encoding requires str keys, got {key!r}")
-            if key == _BYTES_TAG:
-                raise ValueError(f"dict key {_BYTES_TAG!r} is reserved")
+            if key == _BYTES_TAG or key == _FLOAT_TAG:
+                raise ValueError(f"dict key {key!r} is reserved")
             parts.append(_escape(key) + ":" + _write(value[key]))
         return "{" + ",".join(parts) + "}"
     if kind is int:

@@ -7,41 +7,27 @@ identifiers, golden evidence — keeps hashing through
 :func:`repro.util.encoding.canonical_bytes`; the frame codec can change
 without perturbing a single signed byte.
 
-Two codecs share one connection-level negotiation:
-
-* **json** — the original canonical-JSON-lines framing (one envelope
-  per ``\\n``-terminated line).  No preamble: a JSON frame always
-  starts with ``{``, which is how legacy peers are recognised.
-* **binary** — a compact tag-based, length-prefixed encoding (no
-  base64 inflation for ``bytes``, no recursive dict re-copies).  A
-  sender announces it with a one-line magic/version header when the
-  connection opens, so a receiver that never saw the header keeps
-  speaking JSON lines and mixed-codec communities interoperate.
+A connection opens with the line ``REPRO-WIRE/1 binary\\n`` and then
+carries length-prefixed frames of a compact tag-based encoding (no
+base64 inflation for ``bytes``, no recursive dict re-copies).
 
 See ``docs/PROTOCOL.md`` ("Wire format") for the byte-level layout.
 """
 
 from repro.wire.binary import decode_value, encode_value
 from repro.wire.framing import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    CODECS,
-    MAGIC_PREFIX,
     MAX_FRAME,
+    PREAMBLE,
     EnvelopeEncoder,
     FrameDecoder,
     FrameError,
     FrameTooLargeError,
     WireError,
-    magic_line,
 )
 
 __all__ = [
-    "CODEC_BINARY",
-    "CODEC_JSON",
-    "CODECS",
-    "MAGIC_PREFIX",
     "MAX_FRAME",
+    "PREAMBLE",
     "EnvelopeEncoder",
     "FrameDecoder",
     "FrameError",
@@ -49,5 +35,4 @@ __all__ = [
     "WireError",
     "decode_value",
     "encode_value",
-    "magic_line",
 ]

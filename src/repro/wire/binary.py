@@ -29,7 +29,7 @@ Unlike the canonical JSON form this is *not* unique (dict pairs keep
 insertion order rather than sorting), which is fine: the binary codec
 frames transport envelopes only, it never feeds a hash or a signature.
 ``decode_value(encode_value(x)) == x`` for every canonically encodable
-``x`` (tuples come back as lists, exactly as JSON framing returns them).
+``x`` (tuples come back as lists, as canonical JSON returns them).
 
 Both walkers inline the str/bytes/int/bool leaf cases inside the dict
 loop — protocol envelopes are overwhelmingly dicts of those leaves, and
@@ -399,6 +399,8 @@ def decode_value(data: bytes) -> Any:
         raise BinaryCodecError("truncated value") from exc
     except UnicodeDecodeError as exc:
         raise BinaryCodecError(f"invalid UTF-8: {exc}") from exc
+    except RecursionError as exc:  # a few KB of nested 'l'/'d' tags
+        raise BinaryCodecError("containers nested too deep") from exc
     finally:
         # The closures name each other: empty the cells, or each frame
         # (buffer included) waits for the cycle collector.

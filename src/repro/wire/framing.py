@@ -1,18 +1,11 @@
-"""Connection framing: codec negotiation, frame assembly, frame parsing.
+"""Connection framing: the preamble, frame assembly, frame parsing.
 
-One TCP connection carries one codec, announced once:
-
-* A **binary** sender opens the connection with a single ASCII magic
-  line — ``REPRO-WIRE/1 binary\\n`` — then ships frames as a u32
-  big-endian length prefix followed by that many bytes of
-  :mod:`repro.wire.binary`-encoded envelope.
-* A **json** sender sends no preamble at all; its first byte is the
-  ``{`` of a canonical-JSON line, exactly the original wire format.
-
-A receiver therefore never needs configuration: the first bytes of the
-connection either name a codec or are a JSON frame, and a community can
-mix binary and JSON senders freely.  The magic line carries a version
-number so a future frame layout can coexist on the same port.
+A sender opens every connection with the ASCII line
+``REPRO-WIRE/1 binary\\n``, then ships frames as a u32 big-endian
+length prefix followed by that many bytes of
+:mod:`repro.wire.binary`-encoded envelope.  A receiver accepts exactly
+that preamble and nothing else; the version in it lets a future frame
+layout be told apart on the same port.
 
 :class:`EnvelopeEncoder` also implements the encode-once broadcast
 path: an m1/m2/m3 fan-out sends the *same* ``payload`` dict to every
@@ -23,32 +16,18 @@ assembled around the cached bytes.
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Optional
 
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
-from repro.wire.binary import (
-    BinaryCodecError,
-    WireError,
-    decode_value,
-    encode_value,
-)
+from repro.wire.binary import WireError, decode_value, encode_value
 
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-CODECS = (CODEC_JSON, CODEC_BINARY)
-
-WIRE_VERSION = 1
-MAGIC_PREFIX = b"REPRO-WIRE/"
+#: The bytes every connection opens with.
+PREAMBLE = b"REPRO-WIRE/1 binary\n"
 
 #: Upper bound on one decoded frame.  Inbound frames declaring more are
 #: rejected before any allocation, bounding what garbage or an intruder
-#: can make a listener buffer (satellite of ISSUE 8).
+#: can make a listener buffer.
 MAX_FRAME = 16 * 1024 * 1024
-
-#: A preamble line is tiny; anything longer without a newline is noise.
-_MAX_PREAMBLE = 64
 
 _U32 = struct.Struct(">I")
 
@@ -58,102 +37,54 @@ class FrameError(WireError):
 
 
 class FrameTooLargeError(FrameError):
-    """A frame declared or accumulated more than ``max_frame`` bytes."""
-
-
-def magic_line(codec: str, version: int = WIRE_VERSION) -> bytes:
-    """The connection preamble announcing *codec* (empty for JSON)."""
-    if codec == CODEC_JSON:
-        return b""
-    return MAGIC_PREFIX + f"{version} {codec}\n".encode("ascii")
-
-
-def _parse_magic(line: bytes) -> str:
-    """Validate a preamble line and return the codec it names."""
-    body = line[len(MAGIC_PREFIX):]
-    try:
-        version_text, codec = body.decode("ascii").split(" ", 1)
-        version = int(version_text)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FrameError(f"malformed wire preamble {line!r}") from exc
-    if version != WIRE_VERSION:
-        raise FrameError(f"unsupported wire version {version}")
-    if codec not in CODECS:
-        raise FrameError(f"unknown wire codec {codec!r}")
-    return codec
+    """A frame declared more than ``max_frame`` bytes."""
 
 
 class EnvelopeEncoder:
-    """Turns envelopes into on-the-wire frames for one codec.
+    """Turns envelopes into on-the-wire frames.
 
-    ``encode`` returns the complete frame (length prefix included for
-    binary, trailing newline included for JSON).  The payload bytes are
-    memoised by object identity in a single slot: a broadcast enqueues
-    n-1 envelopes sharing one payload dict back to back, so each hits
-    the memo and only the thin envelope header is re-encoded per peer.
-    Payload dicts are treated as frozen once handed to the transport
-    (the protocol layer never mutates a message after sending it).
+    ``encode`` returns the complete frame, length prefix included.  The
+    payload bytes are memoised by object identity in a single slot: a
+    broadcast enqueues n-1 envelopes sharing one payload dict back to
+    back, so each hits the memo and only the thin envelope header is
+    re-encoded per peer.  Payload dicts are treated as frozen once
+    handed to the transport (the protocol layer never mutates a message
+    after sending it).
     """
 
-    __slots__ = ("codec", "_memo")
+    __slots__ = ("_memo",)
 
-    def __init__(self, codec: str = CODEC_JSON) -> None:
-        if codec not in CODECS:
-            raise ValueError(f"unknown wire codec {codec!r}")
-        self.codec = codec
+    def __init__(self) -> None:
         self._memo: "Optional[tuple]" = None
 
-    @property
-    def preamble(self) -> bytes:
-        """Bytes to send once when a connection opens."""
-        return magic_line(self.codec)
-
     def payload_bytes(self, payload: dict) -> bytes:
-        """Codec encoding of *payload*, memoised by identity."""
+        """Binary encoding of *payload*, memoised by identity."""
         memo = self._memo
         if memo is not None and memo[0] is payload:
             return memo[1]
-        if self.codec == CODEC_BINARY:
-            raw = encode_value(payload)
-        else:
-            raw = canonical_bytes(payload)
+        raw = encode_value(payload)
         self._memo = (payload, raw)
         return raw
 
     def encode(self, envelope) -> bytes:
         """One complete frame for *envelope* (header + cached payload)."""
         payload_raw = self.payload_bytes(envelope.payload)
-        if self.codec == CODEC_BINARY:
-            # The envelope header is assembled inline around the cached
-            # payload: four zero placeholder bytes for the u32 length
-            # prefix, then the dict tag, pair count 4, and each key as
-            # a pre-encoded ``varint-length + UTF-8`` literal.  Built in
-            # one buffer and copied out once — this header is the only
-            # per-peer work on a broadcast, so it stays call-free.
-            body = bytearray(b"\x00\x00\x00\x00d\x04\x06msg_id")
-            _bstr(body, envelope.msg_id)
-            body += b"\x07payload"
-            body += payload_raw
-            body += b"\x09recipient"
-            _bstr(body, envelope.recipient)
-            body += b"\x06sender"
-            _bstr(body, envelope.sender)
-            _U32.pack_into(body, 0, len(body) - 4)
-            return bytes(body)
-        # Canonical JSON sorts keys, so assembling the envelope around
-        # the cached payload bytes in sorted key order reproduces
-        # canonical_bytes(envelope.to_dict()) byte for byte.
-        return b"".join((
-            b'{"msg_id":', _jstr(envelope.msg_id),
-            b',"payload":', payload_raw,
-            b',"recipient":', _jstr(envelope.recipient),
-            b',"sender":', _jstr(envelope.sender),
-            b"}\n",
-        ))
-
-
-def _jstr(text: str) -> bytes:
-    return json.dumps(text, ensure_ascii=True).encode("ascii")
+        # The envelope header is assembled inline around the cached
+        # payload: four zero placeholder bytes for the u32 length
+        # prefix, then the dict tag, pair count 4, and each key as a
+        # pre-encoded ``varint-length + UTF-8`` literal.  Built in one
+        # buffer and copied out once — this header is the only per-peer
+        # work on a broadcast, so it stays call-free.
+        body = bytearray(b"\x00\x00\x00\x00d\x04\x06msg_id")
+        _bstr(body, envelope.msg_id)
+        body += b"\x07payload"
+        body += payload_raw
+        body += b"\x09recipient"
+        _bstr(body, envelope.recipient)
+        body += b"\x06sender"
+        _bstr(body, envelope.sender)
+        _U32.pack_into(body, 0, len(body) - 4)
+        return bytes(body)
 
 
 def _bstr(buf: bytearray, text: str) -> None:
@@ -175,96 +106,53 @@ def _bvarint(buf: bytearray, n: int) -> None:
 
 
 class FrameDecoder:
-    """Incremental per-connection frame parser with codec auto-detect.
+    """Incremental per-connection frame parser.
 
     Feed raw socket chunks with :meth:`feed`; pull complete frames with
     :meth:`next_frame` and decode them with :meth:`decode`.  Framing
-    violations (unrecognised preamble, oversized frame, a JSON line
-    that never terminates) raise :class:`FrameError` and poison the
-    connection — the caller should close it.  A frame that *parses* at
-    the framing layer but whose body fails to decode raises
+    violations (opening bytes other than :data:`PREAMBLE`, an oversized
+    frame) raise :class:`FrameError` and poison the connection — the
+    caller should close it.  A frame whose body fails to decode raises
     :class:`~repro.wire.binary.WireError` from :meth:`decode` only, so
     one malformed frame need not kill an otherwise healthy connection.
     """
 
-    __slots__ = ("codec", "max_frame", "_buffer")
+    __slots__ = ("max_frame", "_buffer", "_opened")
 
     def __init__(self, max_frame: int = MAX_FRAME) -> None:
-        self.codec: "Optional[str]" = None
         self.max_frame = max_frame
         self._buffer = bytearray()
+        self._opened = False
 
     def feed(self, chunk: bytes) -> None:
         self._buffer += chunk
 
     def next_frame(self) -> "Optional[bytes]":
         """The next complete frame body, or None until more bytes arrive."""
-        if self.codec is None and not self._detect():
-            return None
         buffer = self._buffer
-        if self.codec == CODEC_BINARY:
-            if len(buffer) < 4:
-                return None
-            length = _U32.unpack_from(buffer)[0]
-            if length > self.max_frame:
-                raise FrameTooLargeError(
-                    f"binary frame declares {length} bytes "
-                    f"(cap {self.max_frame})"
+        if not self._opened:
+            size = len(PREAMBLE)
+            if buffer[:size] != PREAMBLE[:len(buffer)]:
+                raise FrameError(
+                    f"unrecognised connection preamble {bytes(buffer[:size])!r}"
                 )
-            if len(buffer) < 4 + length:
+            if len(buffer) < size:
                 return None
-            frame = bytes(buffer[4:4 + length])
-            del buffer[:4 + length]
-            return frame
-        newline = buffer.find(b"\n")
-        if newline < 0:
-            if len(buffer) > self.max_frame:
-                raise FrameTooLargeError(
-                    f"JSON line exceeds {self.max_frame} bytes "
-                    f"without terminating"
-                )
+            del buffer[:size]
+            self._opened = True
+        if len(buffer) < 4:
             return None
-        frame = bytes(buffer[:newline])
-        del buffer[:newline + 1]
-        if not frame:
-            return self.next_frame()  # tolerate blank keep-alive lines
+        length = _U32.unpack_from(buffer)[0]
+        if length > self.max_frame:
+            raise FrameTooLargeError(
+                f"frame declares {length} bytes (cap {self.max_frame})"
+            )
+        if len(buffer) < 4 + length:
+            return None
+        frame = bytes(buffer[4:4 + length])
+        del buffer[:4 + length]
         return frame
 
     def decode(self, frame: bytes):
         """Decode one frame body into the envelope dict it carries."""
-        if self.codec == CODEC_BINARY:
-            return decode_value(frame)
-        try:
-            return from_canonical_bytes(frame)
-        except BinaryCodecError:
-            raise
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise WireError(f"malformed JSON frame: {exc}") from exc
-
-    # ------------------------------------------------------------------
-
-    def _detect(self) -> bool:
-        """Resolve the connection codec from its first bytes."""
-        buffer = self._buffer
-        while buffer[0:1] == b"\n":  # ignore blank keep-alive lines
-            del buffer[0]
-        if not buffer:
-            return False
-        if buffer[0:1] == b"{":
-            # Legacy / JSON peer: no preamble, straight into frames.
-            self.codec = CODEC_JSON
-            return True
-        if not buffer.startswith(MAGIC_PREFIX):
-            if MAGIC_PREFIX.startswith(bytes(buffer)):
-                return False  # plausible partial preamble: wait
-            raise FrameError(
-                f"unrecognised connection preamble {bytes(buffer[:16])!r}"
-            )
-        newline = buffer.find(b"\n")
-        if newline < 0:
-            if len(buffer) > _MAX_PREAMBLE:
-                raise FrameError("unterminated wire preamble")
-            return False
-        self.codec = _parse_magic(bytes(buffer[:newline]))
-        del buffer[:newline + 1]
-        return True
+        return decode_value(frame)

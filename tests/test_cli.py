@@ -210,7 +210,7 @@ class TestObsReportJson:
                 "--seed", "3"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "transport=tcp/binary" in out.splitlines()[0]
+        assert "transport=tcp " in out.splitlines()[0]
         assert "winner: X" in out
         assert main(argv + ["--json"]) == 0
         counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]

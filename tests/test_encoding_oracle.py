@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.encoding import Fragment, canonical_bytes, freeze, from_canonical_bytes
+from repro.util.encoding import (
+    _BYTES_TAG,
+    _FLOAT_TAG,
+    Fragment,
+    canonical_bytes,
+    freeze,
+    from_canonical_bytes,
+)
 from tests.reference_encoder import (
     reference_canonical_bytes,
     reference_from_canonical_bytes,
@@ -41,8 +48,11 @@ Point = collections.namedtuple("Point", "x y")
 
 text = st.text(max_size=12) | st.sampled_from(
     ["", "\x00\x1f", " é\U0001F600", '"\\/', "__float__", "\x7f\x80"])
-keys = text.filter(lambda s: s != "__b64__") | st.builds(
-    Tag, st.text(min_size=1, max_size=4).filter(lambda s: s != "__b64__"))
+# The writer rejects both wrapper tags as keys; the reference, only the
+# bytes tag.  Values may still be the tag strings.
+RESERVED = (_BYTES_TAG, _FLOAT_TAG)
+keys = text.filter(lambda s: s not in RESERVED) | st.builds(
+    Tag, st.text(min_size=1, max_size=4).filter(lambda s: s not in RESERVED))
 leaves = (
     st.none() | st.booleans()
     | st.integers(min_value=-(2 ** 130), max_value=2 ** 130)
@@ -104,8 +114,6 @@ class TestWriterMatchesReference:
     @settings(max_examples=300)
     @given(values)
     def test_decoding_is_value_identical(self, value):
-        # (A ``__float__`` key is not reserved on encode, so the encoders
-        # can emit wrappers neither decoder accepts: both reject then.)
         blob = reference_canonical_bytes(value)
         expected = _outcome(reference_from_canonical_bytes, blob)
         assert _outcome(from_canonical_bytes, blob) == expected
@@ -183,7 +191,15 @@ class TestErrorCases:
         with pytest.raises(TypeError, match="not canonically encodable"):
             canonical_bytes(value)
 
-    def test_float_tag_is_not_reserved_on_encode(self):
-        # Seed behaviour, kept: only the bytes tag is rejected as a key.
-        value = {"__float__": "1.5"}
-        assert canonical_bytes(value) == reference_canonical_bytes(value)
+    @given(st.sampled_from(RESERVED), st.lists(st.booleans(), max_size=6),
+           values)
+    def test_reserved_keys_raise_at_any_depth(self, tag, path, inner):
+        # Unrejected, {"__float__": "1.5"} would decode as the float 1.5:
+        # a dict that reads back as a different value than was signed.
+        value = {tag: inner}
+        for in_list in path:
+            value = [value] if in_list else {"k": value}
+        with pytest.raises(ValueError, match="reserved"):
+            canonical_bytes(value)
+        with pytest.raises(ValueError, match="reserved"):
+            canonical_bytes(Fragment(value))

@@ -85,10 +85,10 @@ CALLS = [
     ("connection_reused", ("OrgA", "OrgB")),
     ("connection_failed", ("OrgA", "OrgC")),
     ("frames_coalesced", ("OrgA", "OrgB", 3)),
-    ("frame_encoded", ("binary", 480, 0.0001)),
-    ("frame_encoded", ("json", 700, 0.0002)),
-    ("frame_decoded", ("binary", 480, 0.0001)),
-    ("frame_decoded", ("json", 700, 0.0003)),
+    ("frame_encoded", (480, 0.0001)),
+    ("frame_encoded", (700, 0.0002)),
+    ("frame_decoded", (480, 0.0001)),
+    ("frame_decoded", (700, 0.0003)),
     ("malformed_frame", ("OrgB", "oversized")),
     ("malformed_frame", ("OrgB", "decode")),
     ("handler_error", ("OrgB", "timer")),

@@ -27,7 +27,7 @@ from repro.protocol.party import extract_object_name
 from repro.transport.base import Envelope
 from repro.transport.inmemory import LinkProfile, SimNetwork
 from repro.transport.tcp import TcpNetwork
-from repro.util.encoding import canonical_bytes
+from repro.wire import PREAMBLE, EnvelopeEncoder
 
 from tests.test_composite import CounterObject, sim_community
 
@@ -546,11 +546,10 @@ class TestReactorIdle:
 
             network.register("A", on_frame)
             import socket
-            line = canonical_bytes(
-                Envelope("B", "A", {"x": 1}).to_dict()) + b"\n"
+            frame = EnvelopeEncoder().encode(Envelope("B", "A", {"x": 1}))
             with socket.create_connection(network.address_of("A"),
                                           timeout=2.0) as conn:
-                conn.sendall(line)  # warm-up: accepted, codec detected
+                conn.sendall(PREAMBLE + frame)  # warm-up: accepted
                 assert arrived.wait(5.0)
                 order.clear()
                 arrived.clear()
@@ -573,7 +572,7 @@ class TestReactorIdle:
                 network.when_idle(on_idle)
                 reactor._post(lambda: order.append("command"))
                 network.schedule(0.0, lambda: order.append("timer"))
-                conn.sendall(line)
+                conn.sendall(frame)
                 time.sleep(0.05)  # the bytes are in A's socket buffer
                 go.set()
                 assert idle.wait(5.0) and arrived.wait(5.0)

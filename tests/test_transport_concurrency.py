@@ -11,7 +11,7 @@ and retransmit timers drive the endpoints concurrently:
   retransmission storm while still suppressing every duplicate;
 * an open connection must survive a peer restart (transparent
   reconnect);
-* a seed peer's connection-per-line JSON traffic must still be read.
+* a JSON-lines peer must be refused, never half-read.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import pytest
 
 from repro.obs import RecordingInstrumentation
 from repro.transport.base import Envelope, Network, TimerHandle
-from repro.transport.reliable import ACK, DATA, ReliableEndpoint, _DedupWindow
+from repro.transport.reliable import DATA, ReliableEndpoint, _DedupWindow
 from repro.transport.tcp import TcpNetwork
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import canonical_bytes
 
 
 def _drop_pattern(network: TcpNetwork, link: "tuple[str, str]",
@@ -294,49 +294,30 @@ class TestTcpConcurrency:
             sender_net.close()
             receiver_net.close()
 
-    def test_seed_peer_connection_per_json_line_is_delivered_and_acked(self):
-        """The seed's sender opened one short-lived connection per
-        canonical-JSON line and sent no preamble; such a peer must still
-        be read, acked in the only framing it understands, and counted
-        under ``wire.json.*``."""
+    def test_json_peer_is_refused_not_misread(self):
+        """A peer that speaks canonical-JSON lines (no preamble) is cut
+        off at its first byte: counted as a framing violation, its
+        connection closed, nothing handed to the party."""
         obs = RecordingInstrumentation()
-        network = TcpNetwork(obs=obs, codec="json")
+        network = TcpNetwork(obs=obs)
         try:
-            with socket.create_server(("127.0.0.1", 0)) as seed_listener:
-                seed_listener.settimeout(5.0)
-                inbox = []
-                receiver = ReliableEndpoint("B", network,
-                                            retransmit_interval=0.2)
-                receiver.on_message(
-                    lambda peer, payload: inbox.append((peer, payload)))
-                network.add_remote_party("A", *seed_listener.getsockname())
-                msg_ids = [f"A/seed/{i}" for i in range(3)]
-                for i, msg_id in enumerate(msg_ids):
-                    envelope = Envelope("A", "B",
-                                        {"type": DATA, "data": {"i": i}},
-                                        msg_id=msg_id)
-                    with socket.create_connection(network.address_of("B"),
-                                                  timeout=2.0) as conn:
-                        conn.sendall(canonical_bytes(envelope.to_dict())
-                                     + b"\n")
-                acks = b""
-                conn, _ = seed_listener.accept()
-                with conn:
-                    conn.settimeout(5.0)
-                    while acks.count(b"\n") < len(msg_ids):
-                        chunk = conn.recv(65536)
-                        assert chunk, "ack connection closed early"
-                        acks += chunk
-            assert sorted(inbox, key=lambda item: item[1]["i"]) == [
-                ("A", {"i": i}) for i in range(3)]
-            assert acks.startswith(b"{")  # no preamble in front of JSON
-            acked = [Envelope.from_dict(from_canonical_bytes(line))
-                     for line in acks.splitlines()]
-            assert all(e.payload["type"] == ACK for e in acked)
-            assert sorted(e.payload["ack_of"] for e in acked) == msg_ids
+            inbox = []
+            network.register("B", inbox.append)
+            envelope = Envelope("A", "B", {"type": DATA, "data": {"i": 0}},
+                                msg_id="A/json/0")
+            with socket.create_connection(network.address_of("B"),
+                                          timeout=5.0) as conn:
+                conn.sendall(canonical_bytes(envelope.to_dict()) + b"\n")
+                # The listener closes its end: recv sees EOF (or a
+                # reset, if it closed with our bytes unread).
+                try:
+                    assert conn.recv(1) == b""
+                except ConnectionResetError:
+                    pass
             counters = obs.registry.snapshot()["counters"]
-            assert counters["wire.json.frames_in"] == 3
-            assert counters["wire.json.frames_out"] == 3
+            assert counters["transport.tcp.malformed_frames.framing"] == 1
+            assert counters.get("wire.frames_in", 0) == 0
+            assert inbox == []
         finally:
             network.close()
 

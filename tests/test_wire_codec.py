@@ -1,4 +1,4 @@
-"""The wire layer: binary codec, framing, interop, socket transport."""
+"""The wire layer: binary codec, framing, socket transport."""
 
 from __future__ import annotations
 
@@ -14,10 +14,14 @@ from repro.obs import RecordingInstrumentation
 from repro.transport.base import Envelope
 from repro.transport.reliable import ReliableEndpoint
 from repro.transport.tcp import TcpNetwork
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import (
+    _BYTES_TAG,
+    _FLOAT_TAG,
+    canonical_bytes,
+    from_canonical_bytes,
+)
 from repro.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
+    PREAMBLE,
     EnvelopeEncoder,
     FrameDecoder,
     FrameError,
@@ -25,7 +29,6 @@ from repro.wire import (
     WireError,
     decode_value,
     encode_value,
-    magic_line,
 )
 
 # Values the protocol actually ships: JSON-ish trees plus raw bytes.
@@ -41,7 +44,10 @@ _values = st.recursive(
     _scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
-        st.dictionaries(st.text(max_size=20), children, max_size=6),
+        st.dictionaries(
+            st.text(max_size=20).filter(
+                lambda key: key not in (_BYTES_TAG, _FLOAT_TAG)),
+            children, max_size=6),
     ),
     max_leaves=25,
 )
@@ -113,64 +119,87 @@ class TestBinaryCodec:
         with pytest.raises(WireError):
             decode_value(b"s\xff\xff\xff\xffab")
 
+    @pytest.mark.parametrize("opener", [b"l\x01", b"d\x01\x01k"])
+    def test_deep_nesting_rejected(self, opener):
+        # A 10 KB frame of nested containers must not escape as a
+        # RecursionError into the reactor loop.
+        with pytest.raises(WireError):
+            decode_value(opener * 5000 + b"N")
+
     def test_unencodable_type_rejected(self):
         with pytest.raises(WireError):
             encode_value({"bad": object()})
+
+
+#: ``PREAMBLE + EnvelopeEncoder().encode(_GOLDEN)`` as running peers
+#: read it: one moved byte breaks interop with them.
+_GOLDEN = Envelope(
+    "\u00d3rg-A", "Org-B",
+    {"blob": b"\x00\x01\xfe\xff", "note": "caf\u00e9 \u20ac \U0001f600",
+     "n": 2 ** 70 + 1, "small": -3, "ok": True, "none": None,
+     "list": [1.5, "x"]},
+    msg_id="\u00d3rg-A:7",
+)
+_GOLDEN_HEX = (
+    "524550524f2d574952452f312062696e6172790a0000008f6404066d73675f69"
+    "647308c39372672d413a37077061796c6f6164640704626c6f6262040001feff"
+    "046e6f7465730e636166c3a920e282ac20f09f9880016e690940000000000000"
+    "000105736d616c6c6a05026f6b54046e6f6e654e046c6973746c02663ff80000"
+    "0000000073017809726563697069656e7473054f72672d420673656e64657273"
+    "06c39372672d41"
+)
+
+
+def _drain(decoder):
+    frames = []
+    while True:
+        frame = decoder.next_frame()
+        if frame is None:
+            return frames
+        frames.append(frame)
+
+
+def _chunked(stream, cuts):
+    """*stream* split at the (sorted, in-range) offsets *cuts*."""
+    bounds = [0] + sorted(c % (len(stream) + 1) for c in cuts) + [len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+_envelopes = st.builds(
+    Envelope,
+    st.text(min_size=1, max_size=8), st.text(min_size=1, max_size=8),
+    st.dictionaries(st.text(max_size=8), _values, max_size=4),
+    st.text(max_size=12),
+)
 
 
 class TestFraming:
     def _envelope(self):
         return Envelope("A", "B", {"data": b"\x01\x02", "n": 7}, msg_id="A:1")
 
-    def test_json_frame_is_byte_identical_to_canonical_line(self):
-        envelope = self._envelope()
-        line = canonical_bytes(envelope.to_dict()) + b"\n"
-        assert EnvelopeEncoder(CODEC_JSON).encode(envelope) == line
-        # ... and that line, with nothing in front of it, is what
-        # TcpNetwork(codec="json") writes to a seed peer's socket.
-        network = TcpNetwork(codec="json")
-        try:
-            with socket.create_server(("127.0.0.1", 0)) as seed_listener:
-                seed_listener.settimeout(5.0)
-                network.add_remote_party("B", *seed_listener.getsockname())
-                assert network.send(envelope) == len(line) - 1
-                conn, _ = seed_listener.accept()
-                with conn:
-                    conn.settimeout(5.0)
-                    received = b""
-                    while len(received) < len(line):
-                        chunk = conn.recv(65536)
-                        assert chunk, "connection closed early"
-                        received += chunk
-            assert received == line
-        finally:
-            network.close()
-
-    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
-    def test_encode_decode_round_trip(self, codec):
-        envelope = self._envelope()
-        encoder = EnvelopeEncoder(codec)
+    def test_golden_frame_bytes(self):
+        wire = PREAMBLE + EnvelopeEncoder().encode(_GOLDEN)
+        assert wire.hex() == _GOLDEN_HEX
         decoder = FrameDecoder()
-        decoder.feed(encoder.preamble + encoder.encode(envelope))
+        decoder.feed(wire)
+        assert Envelope.from_dict(decoder.decode(decoder.next_frame())) == _GOLDEN
+
+    def test_encode_decode_round_trip(self):
+        envelope = self._envelope()
+        decoder = FrameDecoder()
+        decoder.feed(PREAMBLE + EnvelopeEncoder().encode(envelope))
         frame = decoder.next_frame()
-        assert decoder.codec == codec
         assert Envelope.from_dict(decoder.decode(frame)) == envelope
         assert decoder.next_frame() is None
 
-    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
-    def test_byte_at_a_time_feed(self, codec):
+    def test_byte_at_a_time_feed(self):
         envelope = self._envelope()
-        encoder = EnvelopeEncoder(codec)
-        stream = encoder.preamble + encoder.encode(envelope) * 2
+        stream = PREAMBLE + EnvelopeEncoder().encode(envelope) * 2
         decoder = FrameDecoder()
         frames = []
         for index in range(len(stream)):
             decoder.feed(stream[index:index + 1])
-            while True:
-                frame = decoder.next_frame()
-                if frame is None:
-                    break
-                frames.append(frame)
+            frames += _drain(decoder)
         assert len(frames) == 2
         assert all(Envelope.from_dict(decoder.decode(f)) == envelope
                    for f in frames)
@@ -179,7 +208,7 @@ class TestFraming:
         # The encode-once broadcast path: same payload dict object ->
         # the cached payload bytes object is reused across envelopes.
         payload = {"big": b"\x42" * 1000}
-        encoder = EnvelopeEncoder(CODEC_BINARY)
+        encoder = EnvelopeEncoder()
         first = encoder.payload_bytes(payload)
         for recipient in ("B", "C", "D"):
             encoder.encode(Envelope("A", recipient, payload))
@@ -187,14 +216,15 @@ class TestFraming:
 
     def test_oversized_binary_frame_rejected(self):
         decoder = FrameDecoder(max_frame=64)
-        decoder.feed(magic_line(CODEC_BINARY) + b"\x00\x01\x00\x00")
+        decoder.feed(PREAMBLE + b"\x00\x01\x00\x00")
         with pytest.raises(FrameTooLargeError):
             decoder.next_frame()
 
     def test_unterminated_json_line_rejected(self):
-        decoder = FrameDecoder(max_frame=32)
-        decoder.feed(b"{" + b"x" * 64)
-        with pytest.raises(FrameTooLargeError):
+        # A JSON-lines peer is refused on its first byte, not buffered.
+        decoder = FrameDecoder()
+        decoder.feed(b"{")
+        with pytest.raises(FrameError):
             decoder.next_frame()
 
     def test_unrecognised_preamble_rejected(self):
@@ -209,13 +239,43 @@ class TestFraming:
         with pytest.raises(FrameError):
             decoder.next_frame()
 
-    def test_blank_lines_tolerated(self):
-        envelope = self._envelope()
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.binary(max_size=300),
+           st.lists(st.integers(min_value=0), max_size=8),
+           st.integers(min_value=16, max_value=256))
+    def test_hostile_bytes_raise_only_wire_errors(self, preamble, noise,
+                                                  cuts, max_frame):
+        stream = (PREAMBLE if preamble else b"") + noise
+        decoder = FrameDecoder(max_frame=max_frame)
+        for chunk in _chunked(stream, cuts):
+            decoder.feed(chunk)
+            try:
+                frames = _drain(decoder)
+            except FrameError:
+                return  # the connection is poisoned: the caller closes it
+            for frame in frames:
+                try:
+                    decoder.decode(frame)
+                except WireError:
+                    pass
+            # Drained: at most a partial preamble or frame is held.
+            assert len(decoder._buffer) <= max_frame + 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_envelopes, max_size=4),
+           st.lists(st.integers(min_value=0), max_size=8))
+    def test_valid_streams_decode_to_their_envelopes(self, envelopes, cuts):
+        encoder = EnvelopeEncoder()
+        stream = PREAMBLE + b"".join(encoder.encode(e) for e in envelopes)
         decoder = FrameDecoder()
-        decoder.feed(b"\n" + EnvelopeEncoder(CODEC_JSON).encode(envelope)
-                     + b"\n")
-        frame = decoder.next_frame()
-        assert Envelope.from_dict(decoder.decode(frame)) == envelope
+        frames = []
+        for chunk in _chunked(stream, cuts):
+            decoder.feed(chunk)
+            frames += _drain(decoder)
+        assert [Envelope.from_dict(decoder.decode(f)) for f in frames] == [
+            Envelope(e.sender, e.recipient, _normalise(e.payload), e.msg_id)
+            for e in envelopes]
+        assert not decoder._buffer
 
 
 def _endpoint(name, network, inbox, interval=0.05):
@@ -233,35 +293,9 @@ def _await(predicate, timeout=5.0):
     return predicate()
 
 
-class TestMixedCodecInterop:
-    def test_binary_sender_json_receiver(self):
-        # Two independent processes in miniature: the sender ships
-        # binary frames, the receiver was configured for JSON — codec
-        # auto-detection on accept makes the pairing just work, and the
-        # acks flow back as JSON lines into the binary node's listener.
-        sender_net = TcpNetwork(codec="binary")
-        receiver_net = TcpNetwork(codec="json")
-        inbox = []
-        try:
-            a = _endpoint("A", sender_net, [])
-            b = _endpoint("B", receiver_net, inbox)
-            sender_net.add_remote_party("B", *receiver_net.address_of("B"))
-            receiver_net.add_remote_party("A", *sender_net.address_of("A"))
-            payload = {"move": 4, "blob": b"\x00\x01\x02"}
-            a.send("B", payload)
-            assert _await(lambda: inbox == [("A", payload)])
-            assert _await(lambda: a.outstanding_count() == 0)
-            a.stop()
-            b.stop()
-        finally:
-            sender_net.close()
-            receiver_net.close()
-
-
 class TestReactorTransport:
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_round_trip_and_acks(self, codec):
-        network = TcpNetwork(codec=codec)
+    def test_round_trip_and_acks(self):
+        network = TcpNetwork()
         inbox = []
         try:
             a = _endpoint("A", network, [])
@@ -327,6 +361,11 @@ class TestReactorTransport:
         finally:
             network.close()
 
+    def test_binary_is_the_only_codec(self):
+        with pytest.raises(ValueError):
+            TcpNetwork(codec="json")
+        TcpNetwork(reactor=True, codec="binary").close()
+
     def test_send_to_unknown_party_is_dropped(self):
         network = TcpNetwork()
         try:
@@ -347,14 +386,9 @@ class TestMalformedFrameAccounting:
             # process what it read before EOF tears it down.
             time.sleep(0.05)
 
-    # Inbound accounting does not depend on the codec the network sends.
-    @pytest.mark.parametrize("factory", [
-        lambda obs: TcpNetwork(obs=obs, codec="json"),
-        lambda obs: TcpNetwork(obs=obs, codec="binary"),
-    ])
-    def test_garbage_is_counted_not_swallowed(self, factory):
+    def test_garbage_is_counted_not_swallowed(self):
         obs = RecordingInstrumentation()
-        network = factory(obs)
+        network = TcpNetwork(obs=obs)
         inbox = []
         try:
             network.register("B", inbox.append)
@@ -362,13 +396,15 @@ class TestMalformedFrameAccounting:
             self._inject(network, "B", b"NOISE NOISE NOISE\n")
             assert _await(lambda: self._counters(obs).get(
                 "transport.tcp.malformed_frames.framing", 0) >= 1)
-            # A well-framed JSON line that is not an envelope.
-            self._inject(network, "B", b'{"not": "an envelope"}\n')
+            # A well-framed frame that is not an envelope.
+            body = encode_value({"not": "an envelope"})
+            self._inject(network, "B", PREAMBLE
+                         + len(body).to_bytes(4, "big") + body)
             assert _await(lambda: self._counters(obs).get(
                 "transport.tcp.malformed_frames.bad-envelope", 0) >= 1)
             # A well-framed binary frame whose body does not decode.
             self._inject(network, "B",
-                         magic_line(CODEC_BINARY) + b"\x00\x00\x00\x01Z")
+                         PREAMBLE + b"\x00\x00\x00\x01Z")
             assert _await(lambda: self._counters(obs).get(
                 "transport.tcp.malformed_frames.decode", 0) >= 1)
             counters = self._counters(obs)
@@ -383,7 +419,7 @@ class TestMalformedFrameAccounting:
         try:
             network.register("B", lambda e: None)
             self._inject(network, "B",
-                         magic_line(CODEC_BINARY) + b"\x7f\xff\xff\xff")
+                         PREAMBLE + b"\x7f\xff\xff\xff")
             assert _await(lambda: self._counters(obs).get(
                 "transport.tcp.malformed_frames.oversized", 0) >= 1)
         finally:
@@ -391,7 +427,7 @@ class TestMalformedFrameAccounting:
 
     def test_valid_traffic_still_flows_with_obs(self):
         obs = RecordingInstrumentation()
-        network = TcpNetwork(obs=obs, codec="binary")
+        network = TcpNetwork(obs=obs)
         inbox = []
         try:
             a = _endpoint("A", network, [])
@@ -399,8 +435,8 @@ class TestMalformedFrameAccounting:
             a.send("B", {"ok": True})
             assert _await(lambda: len(inbox) == 1)
             counters = self._counters(obs)
-            assert counters.get("wire.binary.frames_out", 0) >= 1
-            assert counters.get("wire.binary.frames_in", 0) >= 1
+            assert counters.get("wire.frames_out", 0) >= 1
+            assert counters.get("wire.frames_in", 0) >= 1
             assert counters.get("transport.tcp.malformed_frames", 0) == 0
             a.stop()
             b.stop()
