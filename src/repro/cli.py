@@ -6,7 +6,7 @@ Usage::
     python -m repro show-log PATH          # list evidence entries
     python -m repro keygen --id OrgA       # generate a signing key pair
     python -m repro simulate [options]     # run a coordination workload
-    python -m repro obs-report [options]   # instrumented run + breakdown
+    python -m repro obs-report [options]   # instrumented run + metrics
     python -m repro serve-metrics [opts]   # HTTP telemetry endpoint
     python -m repro top --url URL          # live polling terminal view
     python -m repro flight-dump --url URL  # fetch the flight recorder ring
@@ -89,15 +89,13 @@ def _cmd_export_decisions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_bundle(args: argparse.Namespace) -> int:
-    """Independently verify an exported authenticated-decision bundle."""
+def _load_keys(path: str):
+    """``(resolver, tsa_verifier)`` from a ``keys.json`` of public keys."""
     from repro.crypto.rsa import RsaPublicKey
     from repro.crypto.signature import RsaVerifier
     from repro.errors import SignatureError
-    from repro.protocol.evidence import verify_authenticated_decision
-    from repro.util.encoding import from_canonical_bytes
 
-    with open(args.keys, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         key_data = json.load(handle)
     verifiers = {
         party: RsaVerifier(RsaPublicKey.from_dict(key))
@@ -113,6 +111,15 @@ def _cmd_verify_bundle(args: argparse.Namespace) -> int:
             raise SignatureError(f"no public key on file for {party_id!r}")
         return verifier
 
+    return resolver, tsa_verifier
+
+
+def _cmd_verify_bundle(args: argparse.Namespace) -> int:
+    """Independently verify an exported authenticated-decision bundle."""
+    from repro.protocol.evidence import verify_authenticated_decision
+    from repro.util.encoding import from_canonical_bytes
+
+    resolver, tsa_verifier = _load_keys(args.keys)
     with open(args.bundle, "rb") as handle:
         bundle = from_canonical_bytes(handle.read())
     verdict = verify_authenticated_decision(
@@ -328,7 +335,7 @@ def _run_forensic_game(seed: int, latency: float, drop: float,
 
 def _run_pipeline_burst(seed: int, updates: int, registry,
                         flight=None, read_ops: int = 0) -> None:
-    """Contended pipelined writes: feeds the pipeline report section.
+    """Contended pipelined writes for the report's ``pipeline`` section.
 
     Two proposers submit *updates* each through their write pipelines
     against a shared ledger object, so the report shows batch sizes,
@@ -337,7 +344,7 @@ def _run_pipeline_burst(seed: int, updates: int, registry,
 
     With *read_ops* > 0 the third organisation also issues that many
     validated reads against the ledger — cycling cached, bounded and
-    settled consistency modes — to feed the read-cache report section.
+    settled consistency modes — recorded under ``readcache``.
     """
     from repro.core.community import Community
     from repro.core.object import DictB2BObject
@@ -475,7 +482,7 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    """Instrumented 3-party Tic-Tac-Toe run + per-phase breakdown report."""
+    """Instrumented 3-party Tic-Tac-Toe run + its metrics report."""
     community, objects, rejected, obs, trace_paths = _run_forensic_game(
         seed=args.seed, latency=args.latency, drop=args.drop,
         duplicate=args.duplicate, transport=args.transport,
@@ -641,28 +648,10 @@ def _cmd_flight_dump(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     """Forensic audit: evidence re-verification + merged causal timeline."""
-    from repro.crypto.rsa import RsaPublicKey
-    from repro.crypto.signature import RsaVerifier
-    from repro.errors import SignatureError
     from repro.obs.audit import audit_evidence, load_evidence_log
     from repro.obs.merge import merge_trace_files, render_timeline
 
-    with open(args.keys, encoding="utf-8") as handle:
-        key_data = json.load(handle)
-    verifiers = {
-        party: RsaVerifier(RsaPublicKey.from_dict(key))
-        for party, key in key_data.get("parties", {}).items()
-    }
-    tsa_verifier = None
-    if key_data.get("tsa"):
-        tsa_verifier = RsaVerifier(RsaPublicKey.from_dict(key_data["tsa"]))
-
-    def resolver(party_id: str):
-        verifier = verifiers.get(party_id)
-        if verifier is None:
-            raise SignatureError(f"no public key on file for {party_id!r}")
-        return verifier
-
+    resolver, tsa_verifier = _load_keys(args.keys)
     logs = {}
     for spec in args.log:
         party, sep, path = spec.partition("=")
@@ -700,36 +689,28 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Demo name -> its module under ``examples/``.
 _DEMOS = {
-    "quickstart": "examples/quickstart.py",
-    "tictactoe": "examples/tictactoe_demo.py",
-    "ttp": "examples/ttp_tictactoe_demo.py",
-    "orders": "examples/order_processing_demo.py",
-    "auction": "examples/auction_demo.py",
-    "dependability": "examples/dependability_demo.py",
+    "quickstart": "quickstart",
+    "tictactoe": "tictactoe_demo",
+    "ttp": "ttp_tictactoe_demo",
+    "orders": "order_processing_demo",
+    "auction": "auction_demo",
+    "dependability": "dependability_demo",
 }
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     import importlib
-
-    module_name = {
-        "quickstart": "quickstart",
-        "tictactoe": "tictactoe_demo",
-        "ttp": "ttp_tictactoe_demo",
-        "orders": "order_processing_demo",
-        "auction": "auction_demo",
-        "dependability": "dependability_demo",
-    }[args.name]
     import os
+
     examples_dir = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__)))), "examples",
     )
     if examples_dir not in sys.path:
         sys.path.insert(0, examples_dir)
-    module = importlib.import_module(module_name)
-    module.main()
+    importlib.import_module(_DEMOS[args.name]).main()
     return 0
 
 
@@ -846,7 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_report = sub.add_parser(
         "obs-report",
-        help="instrumented Tic-Tac-Toe run with a per-phase breakdown",
+        help="instrumented Tic-Tac-Toe run, then every recorded metric "
+             "grouped by prefix",
     )
     obs_report.add_argument("--seed", type=int, default=0)
     obs_report.add_argument("--latency", type=float, default=0.005)
@@ -865,13 +847,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("--pipeline-updates", type=int, default=8,
                             help="updates per proposer in the contended "
                                  "pipeline burst that follows the game "
-                                 "(feeds the proposal-pipeline section; "
-                                 "0 disables)")
+                                 "(recorded under pipeline.*; 0 disables)")
     obs_report.add_argument("--read-ops", type=int, default=0,
                             help="validated reads issued against the burst "
                                  "ledger, cycling cached/bounded/settled "
-                                 "consistency modes (feeds the read-cache "
-                                 "section; 0 disables)")
+                                 "consistency modes (recorded under "
+                                 "readcache.*; 0 disables)")
     obs_report.add_argument("--json", action="store_true",
                             help="emit the registry snapshot as JSON "
                                  "instead of the text report")

@@ -24,6 +24,7 @@ from repro.core.community import Community
 from repro.core.object import B2BObject
 from repro.crypto.prng import DeterministicRandomSource
 from repro.errors import GatewayError
+from repro.obs.metrics import exact_quantile
 
 DEFAULT_OBJECT = "shared-counter"
 
@@ -108,8 +109,8 @@ class LoadSimStats:
         return self.settled_valid / self.elapsed if self.elapsed > 0 else 0.0
 
     def latency_percentiles(self) -> "dict[str, float]":
-        ordered = sorted(self.latencies)
-        return {f"p{q}": _percentile(ordered, q) for q in (50, 95, 99)}
+        return {f"p{q}": exact_quantile(self.latencies, q / 100)
+                for q in (50, 95, 99)}
 
     def summary(self) -> dict:
         return {
@@ -124,13 +125,6 @@ class LoadSimStats:
             "updates_per_virtual_s": self.throughput,
             "latency_s": self.latency_percentiles(),
         }
-
-
-def _percentile(ordered: "list[float]", q: int) -> float:
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(round((q / 100.0) * (len(ordered) - 1))))
-    return ordered[index]
 
 
 class _SimClient:

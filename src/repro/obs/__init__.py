@@ -1,12 +1,14 @@
 """``repro.obs`` — structured tracing and metrics for the middleware.
 
-The subsystem has seven parts:
+The subsystem's parts:
 
 * :mod:`repro.obs.catalogue` — every observable event described once
   as data (hook, layer, parameters, metrics, trace record, flight
-  kind); the hook interface, the recorder and the tables in
-  ``docs/OBSERVABILITY.md`` are all derived from it, so adding an event
-  is one entry plus one call site;
+  kind); the hook interface, the recorder, the tables in
+  ``docs/OBSERVABILITY.md`` and the report's section order are all
+  derived from it, so adding an event is one entry plus one call site;
+* :mod:`repro.obs.report` — the ``obs-report`` text: every recorded
+  instrument, one section per metric-name prefix;
 * :mod:`repro.obs.metrics` — counters, gauges and streaming histograms
   in a :class:`MetricsRegistry` (the one statistics implementation);
 * :mod:`repro.obs.trace` — a :class:`Tracer` emitting typed span/event
@@ -65,7 +67,7 @@ from repro.obs.live import (
     render_prometheus,
 )
 from repro.obs.recording import RecordingInstrumentation
-from repro.obs.report import format_table, render_report, render_snapshot
+from repro.obs.report import format_table, render_snapshot
 from repro.obs.trace import (
     InMemoryCollector,
     JsonLinesExporter,
@@ -119,7 +121,6 @@ __all__ = [
     "render_prometheus",
     "RecordingInstrumentation",
     "format_table",
-    "render_report",
     "render_snapshot",
     "InMemoryCollector",
     "JsonLinesExporter",

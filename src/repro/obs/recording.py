@@ -21,6 +21,7 @@ from typing import Optional
 from repro.obs.catalogue import CATALOGUE, Event
 from repro.obs.hooks import Instrumentation
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import render_snapshot
 from repro.obs.trace import InMemoryCollector, Tracer
 
 _UPDATE = {"counter": "inc", "histogram": "observe", "gauge": "set"}
@@ -61,9 +62,7 @@ class RecordingInstrumentation(Instrumentation):
         return updates
 
     def report(self) -> str:
-        from repro.obs.report import render_report
-
-        return render_report(self.registry)
+        return render_snapshot(self.registry.snapshot())
 
 
 def _recorder(event: Event):

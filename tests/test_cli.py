@@ -203,7 +203,7 @@ class TestObsReportJson:
     def test_text_output_unchanged(self, capsys):
         assert main(["obs-report", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "== protocol phases" in out
+        assert "== protocol ==" in out
 
     def test_tcp_transport_over_lossy_sockets(self, capsys):
         argv = ["obs-report", "--transport", "tcp", "--drop", "0.1",

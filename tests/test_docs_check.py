@@ -26,6 +26,7 @@ def test_repo_docs_are_clean(check_docs):
     assert check_docs.check_artefact_references() == []
     assert check_docs.check_artefact_writers() == []
     assert check_docs.check_catalogue_sections() == []
+    assert check_docs.check_report_samples() == []
 
 
 def test_broken_link_reported(check_docs, tmp_path, monkeypatch):
@@ -144,3 +145,16 @@ def test_drifted_catalogue_sections_reported(check_docs, tmp_path,
                       encoding="utf-8")
     (problem,) = check_docs.check_catalogue_sections()
     assert "catalogue:metrics" in problem
+
+
+def test_drifted_report_sample_reported(check_docs, tmp_path, monkeypatch):
+    """A quoted obs-report section the renderer cannot print fails; a
+    header outside an obs-report block or before its command does not."""
+    (tmp_path / "README.md").write_text(
+        "```\n== before ==\n$ PYTHONPATH=src python -m repro obs-report\n"
+        "== protocol ==\n...\n== proposal pipeline ==\n```\n"
+        "== gone ==\n```\n== unrelated ==\n```\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    (problem,) = check_docs.check_report_samples()
+    assert problem.startswith("README.md:6: ")
+    assert "'== proposal pipeline =='" in problem

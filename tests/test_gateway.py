@@ -510,8 +510,8 @@ class TestGatewayIntegration:
         session.retry(ticket)
         report = obs.report()
         assert "== gateway ==" in report
-        assert "idempotent replays" in report
-        assert "settle latency p99 ms" in report
+        assert "gateway.replays " in report
+        assert "gateway.settle_seconds " in report
         community.close()
 
 

@@ -296,7 +296,7 @@ class TestCommitOrder:
         assert grew("storage.evidence.appends") + 6 + 3 == 22
         assert snapshot["histograms"]["storage.records_per_sync"]["count"] \
             == counters["storage.syncs"]
-        assert "commit barriers" in render_snapshot(snapshot)
+        assert "storage.syncs " in render_snapshot(snapshot)
 
 
 # ---------------------------------------------------------------------------

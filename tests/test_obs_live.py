@@ -531,50 +531,59 @@ class TestCrashScenario:
 
 class TestReportRendering:
     def test_empty_snapshot_renders_without_errors(self):
-        text = render_snapshot({})
-        assert "== protocol phases" in text
-        assert "== signature operations" in text
-        # Sections gated on activity stay silent on an empty registry.
-        assert "== gateway ==" not in text
-        assert "== coordination runs ==" not in text
-
-    def test_empty_registry_via_render_report(self):
-        from repro.obs.report import render_report
-
-        assert "== storage ==" in render_report(MetricsRegistry())
+        assert render_snapshot({}) == ""
+        assert render_snapshot(MetricsRegistry().snapshot()) == ""
 
     def test_partial_gateway_section(self):
         # A gateway that only ever rejected: no settle histogram, no
-        # queue gauge — the section must still render with zeros.
+        # queue gauge — its section is the counters it has.
         snapshot = {"counters": {"gateway.rejected": 3,
                                  "gateway.rejected.overloaded": 3}}
         text = render_snapshot(snapshot)
-        assert "shed (overloaded)" in text
-        assert "retry-after p99 s" in text
+        assert text.splitlines() == [
+            "== gateway ==",
+            "instrument                   value",
+            "---------------------------  -----",
+            "gateway.rejected             3",
+            "gateway.rejected.overloaded  3",
+        ]
 
     def test_gateway_retry_after_percentiles(self):
         obs = RecordingInstrumentation()
         obs.gateway_rejected("A", "obj", "c", "rate_limited", 0.25)
         obs.gateway_admitted("A", "obj", "c")
-        text = render_snapshot(obs.registry.snapshot())
-        assert "rate limited" in text
-        assert "retry-after p50 s" in text
-        assert "0.25" in text
+        obs.gateway_queue_depth("A", "obj", 4)
+        obs.gateway_queue_depth("A", "obj", 1)
+        rows = {line.split()[0]: line.split()[1:]
+                for line in render_snapshot(
+                    obs.registry.snapshot()).splitlines()[3:]}
+        assert rows["gateway.rejected.rate_limited"] == ["1"]
+        # A histogram: count, then p50/p95/p99 in its own unit (seconds).
+        assert rows["gateway.retry_after_seconds"] == ["1", "0.25", "0.25",
+                                                      "0.25"]
+        # A gauge: value, then its high-water mark.
+        assert rows["gateway.queue_depth"] == ["1", "4"]
 
     def test_partial_run_section(self):
-        snapshot = {"counters": {"protocol.runs.started": 2}}
+        snapshot = {"counters": {"protocol.runs.started": 2},
+                    "histograms": {"protocol.run_seconds": {"count": 2}}}
         text = render_snapshot(snapshot)
-        assert "runs started" in text
-        assert "run time p95 (s)" in text
+        assert text.startswith("== protocol ==\n")
+        assert "protocol.runs.started  2" in text
+        assert "protocol.run_seconds   2      0    0    0" in text
 
-    def test_health_section(self):
-        text = render_snapshot({}, health={"health": "degraded",
-                                           "firing": ["breaker_flap"],
-                                           "alerts": [{"rule": "x"}],
-                                           "transitions": []})
-        assert "== node health ==" in text
-        assert "degraded" in text
-        assert "breaker_flap" in text
+    def test_sections_follow_the_catalogue(self):
+        snapshot = {"counters": {"storage.syncs": 1, "zeta.custom": 1,
+                                 "crypto.sign.count": 2,
+                                 "protocol.runs.valid": 1},
+                    "gauges": {"transport.queue_depth": {"value": 0.0,
+                                                         "high_water": 3.0}}}
+        headers = [line for line in render_snapshot(snapshot).splitlines()
+                   if line.startswith("== ")]
+        # Catalogue order (protocol, transport, crypto, storage); a prefix
+        # the catalogue never produces comes last.
+        assert headers == ["== protocol ==", "== transport ==",
+                           "== crypto ==", "== storage ==", "== zeta =="]
 
 
 class TestFlightClockBinding:
@@ -658,4 +667,4 @@ class TestHandlerErrorAccounting:
         kinds = [event["kind"] for event in flight.events()]
         assert "handler_error" in kinds
         report = render_snapshot(obs.registry.snapshot())
-        assert "handler errors (dispatch)" in report
+        assert "transport.tcp.handler_errors.dispatch  1" in report

@@ -13,7 +13,7 @@ from repro.bench.harness import (
 from repro.bench.workload import counter_states
 from repro.obs.hooks import NULL_INSTRUMENTATION
 from repro.obs.recording import RecordingInstrumentation
-from repro.obs.report import render_report
+from repro.obs.report import render_snapshot
 
 
 def _run_instrumented(n_parties: int, updates: int = 1, seed: int = 21):
@@ -95,10 +95,12 @@ class TestRunMetrics:
 
     def test_report_renders_phase_breakdown(self):
         obs, _community = _run_instrumented(3)
-        report = render_report(obs.registry)
-        assert "m1" in report and "m2" in report and "m3" in report
-        assert "signature operations" in report
-        assert "reliable transport" in report
+        report = render_snapshot(obs.registry.snapshot())
+        for phase in ("m1", "m2", "m3"):
+            assert f"protocol.{phase}.handle_seconds" in report
+        assert "== crypto ==" in report and "crypto.sign_seconds" in report
+        assert "== transport ==" in report
+        assert "transport.acks_received" in report
 
 
 class TestMembershipRunsAreObserved:

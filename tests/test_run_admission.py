@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.core import DEFERRED_SYNCHRONOUS, Community
+from repro.core.readcache import cached
 from repro.core.runtime import SimRuntime, ThreadedRuntime
 from repro.obs.recording import RecordingInstrumentation
 from repro.protocol.events import RunCompleted
@@ -377,6 +378,46 @@ class TestNodeTablesDoNotGrow:
         after_n = settle(16)
         assert settle(16) == after_n
         assert after_n["Org1"][3] == objects
+
+
+class TestInstrumentsDoNotGrow:
+    """Past warm-up a settled update binds no new instrument: the
+    recorder's bound-instrument cache and the registry behind it are
+    keyed by label values, never by run or ticket."""
+
+    @pytest.mark.parametrize("objects", [1, 8])
+    def test_same_size_after_n_and_2n_updates(self, objects):
+        obs = RecordingInstrumentation()
+        community = sim_community(3, seed=62, obs=obs)
+        names = community.names()
+        object_names = [f"obj-{i}" for i in range(objects)]
+        for object_name in object_names:
+            community.found_object(
+                object_name, {name: CounterObject() for name in names})
+        rounds = itertools.count()
+
+        def settle(updates):
+            tickets = []
+            for index in range(updates // 2):
+                # Two proposers on one object: busy vetoes and retries.
+                object_name = object_names[next(rounds) % objects]
+                tickets += [community.node(name).submit_update(
+                    object_name, {"n": 1}) for name in names[:2]]
+                if index % 4 == 3:
+                    community.settle()
+                    community.examine(names[2], object_name, cached())
+            community.settle()
+            assert all(ticket.done and ticket.valid for ticket in tickets)
+            snapshot = obs.registry.snapshot()
+            return len(obs._bound), sum(map(len, snapshot.values()))
+
+        settle(16)  # warm-up
+        after_n = settle(16)
+        assert settle(16) == after_n
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["pipeline.busy_retries"] > 0
+        assert counters["readcache.reads.cached"] > 0
+        community.close()
 
 
 # ---------------------------------------------------------------------------

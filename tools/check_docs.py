@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Six checks, all stdlib-only:
+Seven checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -33,6 +33,11 @@ Six checks, all stdlib-only:
    ``repro.obs.catalogue`` renders now, so an event added, changed or
    removed without re-running ``tools/render_obs_docs.py`` (or a table
    edited by hand) fails the build.
+7. **Report samples** — in ``README.md`` and ``docs/OBSERVABILITY.md``,
+   every ``== name ==`` header in a code block after its
+   ``repro obs-report`` line must be a metric prefix the catalogue
+   produces (``repro.obs.report.SECTIONS``), so a quoted report cannot
+   keep a section the renderer no longer prints.
 
 Run from the repository root (CI's ``docs-check`` job does):
 
@@ -64,6 +69,10 @@ EXECUTABLE_DOCS = ("README.md", os.path.join("docs", "API.md"),
 #: README phrasing that must track the EXPERIMENTS.md table.
 EXPERIMENT_COUNT_RE = re.compile(r"(\d+) experiments")
 EXPERIMENT_ROW_RE = re.compile(r"^\| [FC]\d")
+
+#: Files quoting ``repro obs-report`` output, and a report section header.
+REPORT_DOCS = ("README.md", os.path.join("docs", "OBSERVABILITY.md"))
+SECTION_RE = re.compile(r"^== (.+) ==$")
 
 #: Back-ticked repo paths that must exist (``results/`` is shorthand for
 #: ``benchmarks/results/``); ``<id>``, ``*`` and ``{a,b}`` patterns are
@@ -262,6 +271,33 @@ def check_catalogue_sections() -> "list[str]":
             f"tools/render_obs_docs.py\n{diff}"]
 
 
+def check_report_samples() -> "list[str]":
+    """Quoted obs-report sections must be prefixes the catalogue produces."""
+    _src_on_path()
+    from repro.obs.report import SECTIONS
+
+    problems = []
+    for rel in REPORT_DOCS:
+        path = os.path.join(REPO_ROOT, rel)
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        in_fence = after_command = False
+        for number, line in enumerate(lines, start=1):
+            if FENCE_RE.match(line.strip()):
+                in_fence, after_command = not in_fence, False
+                continue
+            after_command |= in_fence and "repro obs-report" in line
+            header = SECTION_RE.match(line.strip())
+            if after_command and header and header[1] not in SECTIONS:
+                problems.append(
+                    f"{rel}:{number}: obs-report sample has section "
+                    f"'== {header[1]} ==', which is no metric prefix of "
+                    f"repro.obs.catalogue — re-run obs-report for the sample")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -277,13 +313,15 @@ def main() -> int:
     problems += check_artefact_references()
     problems += check_artefact_writers()
     problems += check_catalogue_sections()
+    problems += check_report_samples()
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"\ndocs-check: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("docs-check: all markdown links and artefact references resolve, "
-          "all examples run and the event catalogue sections are current")
+          "all examples run and the event catalogue sections and report "
+          "samples are current")
     return 0
 
 
