@@ -177,7 +177,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     obs = None
     if args.obs:
-        from repro.obs import RecordingInstrumentation
+        from repro.obs.recording import RecordingInstrumentation
 
         obs = RecordingInstrumentation()
     profile = LinkProfile(
@@ -246,11 +246,10 @@ def _run_forensic_game(seed: int, latency: float, drop: float,
     from repro.core.community import Community
     from repro.core.runtime import SimRuntime, ThreadedRuntime
     from repro.errors import ValidationFailed
-    from repro.obs import PartyFilesExporter, RecordingInstrumentation, Tracer
+    from repro.obs.recording import RecordingInstrumentation
+    from repro.obs.trace import JsonLinesExporter, PartyFilesExporter, Tracer
     from repro.transport.inmemory import LinkProfile
     from repro.transport.tcp import TcpNetwork
-
-    from repro.obs import JsonLinesExporter
 
     tracer = Tracer()
     party_exporter = None
@@ -349,7 +348,7 @@ def _run_pipeline_burst(seed: int, updates: int, registry,
     from repro.core.community import Community
     from repro.core.object import DictB2BObject
     from repro.crypto.prng import DeterministicRandomSource
-    from repro.obs import RecordingInstrumentation
+    from repro.obs.recording import RecordingInstrumentation
 
     obs = RecordingInstrumentation(registry=registry, flight=flight)
     names = ["Cross", "Nought", "Witness"]
@@ -402,7 +401,7 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
 
     obs = None
     if args.obs or args.crash_org:
-        from repro.obs import RecordingInstrumentation
+        from repro.obs.recording import RecordingInstrumentation
 
         obs = RecordingInstrumentation()
     breaker_options = None
@@ -536,7 +535,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     """Run an instrumented workload and serve its registry over HTTP."""
     import time as _time
 
-    from repro.obs import RecordingInstrumentation
+    from repro.obs.recording import RecordingInstrumentation
     from repro.obs.live import FlightRecorder, HealthMonitor, TelemetryServer
 
     obs = RecordingInstrumentation()

@@ -27,7 +27,7 @@ from repro.crypto.rsa import (
 )
 from repro.errors import SignatureError
 from repro.obs.hooks import Instrumentation
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import as_bytes, canonical_bytes
 
 # DigestInfo prefix for SHA-256 (DER), as in PKCS#1 v1.5 signatures.
 _SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
@@ -54,7 +54,7 @@ class Signature:
         return Signature(
             scheme=str(data["scheme"]),
             signer=str(data["signer"]),
-            value=bytes(data["value"]),
+            value=as_bytes(data["value"]),
         )
 
 

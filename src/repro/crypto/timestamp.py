@@ -19,6 +19,7 @@ from repro.crypto.hashing import hash_value, secure_hash
 from repro.crypto.signature import KeyPair, Signature, Verifier, generate_party_keypair
 from repro.errors import TimestampError
 from repro.util.clocks import Clock, SystemClock
+from repro.util.encoding import as_bytes
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class TimestampToken:
     def from_dict(data: dict) -> "TimestampToken":
         return TimestampToken(
             service=str(data["service"]),
-            digest=bytes(data["digest"]),
+            digest=as_bytes(data["digest"]),
             time_ms=int(data["time_ms"]),
             signature=Signature.from_dict(data["signature"]),
         )

@@ -22,6 +22,7 @@ from typing import Optional
 from repro.crypto.hashing import hash_members
 from repro.crypto.signature import KeyPair, Verifier, generate_party_keypair
 from repro.errors import DisputeError, SignatureError
+from repro.obs.hooks import PHASE_M3
 from repro.protocol.coordination import (
     ROLE_PROPOSER,
     StateCoordinationEngine,
@@ -75,7 +76,7 @@ class TerminationTTP:
             proposal.payload, proposal.signature, "TTP: proposal"
         )
         gid = proposal.payload.get("gid", {})
-        if bytes(gid.get("mh", b"")) != hash_members(list(claimed_members)):
+        if gid.get("mh") != hash_members(list(claimed_members)):
             raise DisputeError("claimed membership does not match the group identifier")
 
         expected = {m for m in claimed_members if m != proposer}
@@ -124,6 +125,11 @@ def gather_run_evidence(engine: StateCoordinationEngine,
     run = engine.run(run_id)
     if run is None or run.role != ROLE_PROPOSER:
         return None
+    if run.outcome is not None:  # settled here: the m3 it sent, if any
+        sent = engine._again(run, PHASE_M3)
+        return sent and dict(object=engine.object_name, run_id=run.run_id,
+                             proposal=sent["proposal"],
+                             responses=sent["responses"])
     return {
         "object": engine.object_name,
         "run_id": run.run_id,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.runtime import SimRuntime
 from repro.obs.live.exporter import TelemetryServer, render_prometheus
 from repro.obs.live.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.live.health import (
@@ -111,10 +112,6 @@ class LiveTelemetry:
         if self._started:
             return self
         self._started = True
-        # Imported here, not at module scope: repro.obs must stay
-        # importable from the transport/runtime layers without a cycle.
-        from repro.core.runtime import SimRuntime
-
         if isinstance(self.node.runtime, SimRuntime):
             self._timer = self.monitor.schedule_on(
                 self.node.runtime.network, self.monitor.interval)

@@ -56,7 +56,12 @@ from repro.protocol.messages import (
 from repro.protocol.validation import Decision
 from repro.storage.journal import RECEIVED, SENT
 from repro.storage.log import LogEntry
-from repro.util.encoding import Fragment, from_canonical_bytes
+from repro.util.encoding import (
+    Fragment,
+    as_bytes,
+    canonical_bytes,
+    from_canonical_bytes,
+)
 
 AUTH_BYTES = 32
 
@@ -75,7 +80,7 @@ class Run:
     run_id: str
     role: str
     kind: str  # "state" | "connect" | "disconnect" | "evict"
-    proposal: "Optional[SignedPart]"  # None at a responder once retired
+    proposal: "Optional[SignedPart]"  # None once retired
     new_id: Any  # StateId of the proposed state / GroupId of the new group
     new_state: Any = None  # what new_id names: the state / the member list
     # State runs: the fragment new_state was frozen from, which its
@@ -92,6 +97,7 @@ class Run:
     own_response: "Optional[SignedPart]" = None  # responder only
     own_decision: "Optional[Decision]" = None
     commit: "Optional[dict]" = None
+    kept: "Optional[dict]" = None  # settled: m3 / our m2, spliced
     outcome: "Optional[str]" = None
     final_message: "Optional[tuple[str, dict]]" = None  # welcome/reject/notice
     diagnostics: "list[str]" = field(default_factory=list)
@@ -369,9 +375,10 @@ class EngineBase(EnginePlumbing):
 
     def __init__(self, ctx: PartyContext, object_name: str) -> None:
         super().__init__(ctx, object_name)
-        # Open runs plus the last ``seen_window`` settled ones.
+        # Open runs plus the last ``seen_window`` settled ones (queued
+        # with the digests they are indexed under).
         self._runs: "dict[str, Run]" = {}
-        self._settled: "deque[str]" = deque()
+        self._settled: "deque[tuple[str, list[bytes]]]" = deque()
         self._active_run_id: "Optional[str]" = None
         # The run whose responses the decision-rule hooks are judging.
         self._deciding: "Optional[Run]" = None
@@ -427,18 +434,33 @@ class EngineBase(EnginePlumbing):
 
     def _retire(self, run: Run) -> None:
         """Keep of a settled run what a duplicate may ask for — its
-        identity and outcome, and the message to send again: ``m3`` (and
-        the final message) at the initiator, our ``m2`` at a responder —
-        evicting the oldest.  The window holds thousands of runs per
+        identity and outcome, ``run.kept`` and the final message — and
+        evict the oldest.  The window holds thousands of runs per
         engine; everything else is in the evidence log."""
-        run.body = run.new_state = run.state_encoded = None
-        if run.role == self._RESPONDER:
-            run.proposal = run.request = run.commit = None
-        self._settled.append(run.run_id)
+        digests = self._digests(run) if run.role == self._INITIATOR else []
+        run.proposal = run.request = run.commit = run.own_response = None
+        run.own_decision = run.body = run.new_state = run.state_encoded = None
+        run.responses.clear()
+        self._settled.append((run.run_id, digests))
         while len(self._settled) > self.seen_window:
-            old = self._runs.pop(self._settled.popleft(), None)
-            for digest in self._digests(old) if old else ():
+            run_id, digests = self._settled.popleft()
+            self._runs.pop(run_id, None)
+            for digest in digests:
                 self._by_digest.pop(digest, None)
+
+    def _again(self, run: Run, phase: str) -> "Optional[dict]":
+        """The ``m3`` (*phase* M3) or our ``m2`` that *run* sent, which
+        a duplicate asks for again; rebuilt from ``run.kept`` once
+        retired."""
+        if run.kept is not None:
+            return from_canonical_bytes(canonical_bytes(run.kept))
+        return run.commit if phase == PHASE_M3 else self._m2_message(run)
+
+    def _send_again(self, run: Run, phase: str, peer: str,
+                    output: Output) -> None:
+        message = self._again(run, phase)
+        if message is not None:
+            self._send(run, phase, message, [peer], output)
 
     # ------------------------------------------------------------------
     # sending
@@ -591,9 +613,8 @@ class EngineBase(EnginePlumbing):
         existing = self._runs.get(run.run_id)
         if existing is not None:
             # Idempotent re-handling of a duplicated / recovered m1.
-            if existing.own_response is not None:
-                self._send(existing, PHASE_M2, self._m2_message(existing),
-                           [initiator], output)
+            if existing.role == self._RESPONDER:
+                self._send_again(existing, PHASE_M2, initiator, output)
             return output
 
         # One local encode of a received body serves its journal record,
@@ -651,7 +672,7 @@ class EngineBase(EnginePlumbing):
             return output
         try:
             run_id = self._response_run_id(payload)
-            digest = bytes(payload.get("proposal_digest", b""))
+            digest = as_bytes(payload.get("proposal_digest", b""))
         except _MALFORMED:
             self._misbehaviour(output, responder, "malformed-message",
                                "response does not identify its run")
@@ -681,8 +702,7 @@ class EngineBase(EnginePlumbing):
         if run.outcome is not None:
             # Settled: the responder missed m3 (e.g. it crashed and
             # recovered) — re-send it.
-            if run.commit is not None:
-                self._send(run, PHASE_M3, run.commit, [responder], output)
+            self._send_again(run, PHASE_M3, responder, output)
             return output
         if responder not in run.recipients:
             self._misbehaviour(
@@ -721,12 +741,11 @@ class EngineBase(EnginePlumbing):
         # proposal and assert the body hash the initiator actually sent.
         expected_digest = run.proposal.digest()
         for part in responses:
-            if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
+            if part.payload.get("proposal_digest") != expected_digest:
                 valid = False
                 diagnostics.append(
                     f"{part.signer}: response references a different proposal")
-            if run.body_hash and bytes(
-                    part.payload.get("body_hash", b"")) != run.body_hash:
+            if run.body_hash and part.payload.get("body_hash") != run.body_hash:
                 valid = False
                 diagnostics.append(
                     f"{part.signer}: body integrity assertion mismatch")
@@ -748,9 +767,10 @@ class EngineBase(EnginePlumbing):
         try:
             run_id = self._run_id_of(
                 self._ID_TYPE.from_dict(message[self._ID_KEY]))
+            as_bytes(message.get("auth", b""))
         except _MALFORMED:
             self._misbehaviour(output, sender, "malformed-message",
-                               f"commit missing {self._ID_KEY}")
+                               f"commit without {self._ID_KEY} or auth")
             return output
         self._trace_receive(run_id, PHASE_M3, sender, message)
         run = self._runs.get(run_id)
@@ -822,9 +842,8 @@ class EngineBase(EnginePlumbing):
                                "commit/proposal mismatch", run.run_id)
             return False, diagnostics, []
 
-        auth = bytes(message.get("auth", b""))
-        commitment = bytes(run.proposal.payload.get("auth_commitment", b""))
-        if not verify_auth_preimage(auth, commitment):
+        if not verify_auth_preimage(message.get("auth", b""),
+                                    run.proposal.payload.get("auth_commitment")):
             diagnostics.append("authenticator does not match the committed hash")
             self._misbehaviour(output, initiator, "forged-commit",
                                "invalid authenticator preimage", run.run_id)
@@ -855,7 +874,7 @@ class EngineBase(EnginePlumbing):
                     part, responder, "bundled response", output, run.run_id):
                 diagnostics.append(f"invalid signature on response by {responder!r}")
                 return False, diagnostics, responses
-            if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
+            if part.payload.get("proposal_digest") != expected_digest:
                 diagnostics.append(f"{responder}: response references a different proposal")
             seen_responders.add(responder)
 
@@ -880,8 +899,7 @@ class EngineBase(EnginePlumbing):
         # Cross-responder integrity: everyone must have received the same
         # body we did, or the initiator selectively sent different content.
         for part in responses:
-            if run.body_hash and bytes(
-                    part.payload.get("body_hash", b"")) != run.body_hash:
+            if run.body_hash and part.payload.get("body_hash") != run.body_hash:
                 valid = False
                 detail = (
                     f"{part.signer} asserts a different body hash: "
@@ -936,9 +954,8 @@ class EngineBase(EnginePlumbing):
             "run_id": run.run_id,
             "kind": run.kind,
             self._ID_KEY: run.new_id.to_dict(),
-            "auth": run.auth if run.auth is not None else bytes(
-                (run.commit or {}).get("auth", b"")
-            ),
+            "auth": run.auth if run.auth is not None else (
+                run.commit or {}).get("auth", b""),
             "proposal": run.proposal.to_dict(),
             "responses": [part.to_dict() for part in responses],
             "valid": valid,
@@ -947,8 +964,14 @@ class EngineBase(EnginePlumbing):
         # The event keeps plain data; the log entry splices the parts.
         self._log_evidence("authenticated-decision", spliced(
             evidence, proposal=run.proposal, responses=responses))
-        # The evidence is logged and the run table keeps the parts for
-        # bookkeeping only: drop the encodings they retain.
+        # What the run keeps for a duplicate splices the fragments just
+        # logged; then the parts drop the encodings they retain.
+        if run.role == self._RESPONDER:
+            run.kept = spliced(self._m2_message(run),
+                               **{self._M2_KEY: run.own_response})
+        elif run.commit is not None:
+            run.kept = spliced(self._m3_message(run, responses),
+                               proposal=run.proposal, responses=responses)
         for part in (run.proposal, run.request, run.own_response,
                      *run.responses.values()):
             if part is not None:
@@ -1059,7 +1082,7 @@ class EngineBase(EnginePlumbing):
                     self._INITIATOR, proposal,
                     self._ID_TYPE.from_dict(proposal.payload[self._ID_KEY]))
                 if keys is not None:
-                    run.auth = bytes(keys.get("auth", b""))
+                    run.auth = as_bytes(keys.get("auth", b""))
                     self._describe(run, keys)
                     self._keep_body(run, keys, Fragment(keys.get("body")))
             except _MALFORMED:
@@ -1125,7 +1148,7 @@ class EngineBase(EnginePlumbing):
                 proposal, self._ID_TYPE.from_dict(logged[self._ID_KEY]),
                 recipients=[part.signer for part in responses],
                 responses={part.signer: part for part in responses},
-                auth=bytes(logged["auth"]),
+                auth=as_bytes(logged["auth"]),
                 outcome=OUTCOME_VALID if logged["valid"] else OUTCOME_INVALID,
             )
             self._describe(run, {})

@@ -93,11 +93,11 @@ def verify_authenticated_decision(bundle: dict, resolver: VerifierResolver,
                           context=f"evidence response by {responder}")
         except (SignatureError, InconsistentMessageError, TimestampError) as exc:
             problems.append(f"response signature ({responder}): {exc}")
-        if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
+        if part.payload.get("proposal_digest") != expected_digest:
             problems.append(f"response by {responder} references a different proposal")
 
-    auth = bytes(bundle.get("auth", b""))
-    commitment = bytes(proposal.payload.get("auth_commitment", b""))
+    auth = bundle.get("auth", b"")
+    commitment = proposal.payload.get("auth_commitment")
     claimed_valid = bool(bundle.get("valid", False))
     # The authenticator only exists once the proposer has issued m3.  A
     # bundle recording an *invalid* local outcome (e.g. an aborted run)
@@ -140,7 +140,9 @@ def find_equivocation(parts: "list[SignedPart]") -> "Optional[tuple[str, dict, d
     seen: "dict[tuple[str, bytes], dict]" = {}
     for part in parts:
         responder = str(part.payload.get("responder", ""))
-        digest = bytes(part.payload.get("proposal_digest", b""))
+        digest = part.payload.get("proposal_digest", b"")
+        if type(digest) is not bytes:
+            continue  # links to no proposal
         key = (responder, digest)
         previous = seen.get(key)
         if previous is not None and previous != part.payload:

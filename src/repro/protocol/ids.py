@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.crypto.hashing import hash_members, hash_value
 from repro.crypto.prng import RandomSource
+from repro.util.encoding import as_bytes
 
 NONCE_BYTES = 32
 
@@ -37,8 +38,8 @@ class StateId:
     def from_dict(data: dict) -> "StateId":
         return StateId(
             seq=int(data["seq"]),
-            rand_hash=bytes(data["rh"]),
-            state_hash=bytes(data["sh"]),
+            rand_hash=as_bytes(data["rh"]),
+            state_hash=as_bytes(data["sh"]),
         )
 
     def matches_state(self, state: Any) -> bool:
@@ -64,8 +65,8 @@ class GroupId:
     def from_dict(data: dict) -> "GroupId":
         return GroupId(
             seq=int(data["seq"]),
-            rand_hash=bytes(data["rh"]),
-            members_hash=bytes(data["mh"]),
+            rand_hash=as_bytes(data["rh"]),
+            members_hash=as_bytes(data["mh"]),
         )
 
     def matches_members(self, members: "list[str]") -> bool:

@@ -78,7 +78,7 @@ from repro.protocol.messages import (
     welcome_message,
 )
 from repro.protocol.validation import Decision, Validator
-from repro.util.encoding import freeze
+from repro.util.encoding import as_bytes, freeze
 
 KIND_CONNECT = "connect"
 KIND_DISCONNECT = "disconnect"
@@ -465,7 +465,7 @@ class MembershipEngine(EngineBase):
 
     def _response_run_id(self, payload: dict) -> str:
         # A membership response names its proposal only by digest.
-        return self._by_digest.get(bytes(payload.get("proposal_digest", b"")), "")
+        return self._by_digest.get(as_bytes(payload.get("proposal_digest", b"")), "")
 
     @staticmethod
     def _types(run: Run) -> "tuple[str, str, str]":
@@ -704,11 +704,11 @@ class MembershipEngine(EngineBase):
             return output
         if not self._verify_part(part, sender, "eviction reject", output):
             return output
-        if part.payload.get("type") != "evict-reject":
+        digest = part.payload.get("request_digest")
+        if part.payload.get("type") != "evict-reject" or type(digest) is not bytes:
             return output
         self._log_evidence("evict-request-rejected-notice",
                            {"reject": part.encoded})
-        digest = bytes(part.payload.get("request_digest", b""))
         self._close_request(KIND_EVICT, digest, OUTCOME_INVALID)
         output.emit(RunCompleted(
             run_id=digest.hex(),

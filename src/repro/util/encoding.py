@@ -119,6 +119,14 @@ def canonical_bytes(value: Any) -> bytes:
     return _write(value).encode("ascii")
 
 
+def as_bytes(value: Any) -> bytes:
+    """*value* if it is ``bytes``: a peer's byte field is checked, never
+    coerced (``bytes(n)`` is n zero bytes)."""
+    if type(value) is not bytes:
+        raise ValueError(f"not bytes: {type(value).__name__}")
+    return value
+
+
 def from_canonical_bytes(data: bytes) -> Any:
     """Inverse of :func:`canonical_bytes`."""
     return json.loads(data.decode("ascii"), object_hook=_decode_wrapper)

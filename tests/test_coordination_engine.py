@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConcurrencyError
+from repro.obs.hooks import PHASE_M3
 from repro.protocol.coordination import OUTCOME_INVALID, OUTCOME_VALID
 from repro.protocol.events import (
     MisbehaviourEvent,
@@ -13,6 +14,7 @@ from repro.protocol.events import (
     StateInstalled,
     StateRolledBack,
 )
+from repro.protocol.messages import SignedPart
 from repro.protocol.validation import CallbackValidator, Decision
 
 from tests.engine_helpers import EngineHarness, found
@@ -354,9 +356,11 @@ class TestMisbehaviourDetection:
         run_id, output = engine(harness, "P1").propose_overwrite({"v": 1})
         harness.pump("P1", output)
         # P2 sends its (now stale) response for a non-existent run at P3
-        response = engine(harness, "P2").run(run_id).own_response
+        logged = harness.party("P2").ctx.evidence.find("response-sent",
+                                                       run_id=run_id)
         from repro.protocol.messages import respond_message
-        harness.deliver("P2", "P3", respond_message(response))
+        harness.deliver("P2", "P3", respond_message(
+            SignedPart.from_dict(logged.payload["response"])))
         events = harness.events_of("P3", MisbehaviourEvent)
         assert any(e.kind == "unsolicited-response" for e in events)
 
@@ -387,10 +391,11 @@ class TestMisbehaviourDetection:
         run_id, output = engine(twin, "P1").propose_overwrite({"v": 1})
         twin.pump("P1", output)
         run = engine(twin, "P1").run(run_id)
-        assert run.commit is not None
+        commit = engine(twin, "P1")._again(run, PHASE_M3)
+        assert commit is not None
         victim_harness = make_harness(2, seed=2)
         harness = victim_harness
-        harness.deliver("P1", "P2", run.commit)
+        harness.deliver("P1", "P2", commit)
         events = harness.events_of("P2", MisbehaviourEvent)
         assert any(e.kind == "selective-send" for e in events)
         assert engine(harness, "P2").agreed_state == {"v": 0}

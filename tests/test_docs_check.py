@@ -27,6 +27,7 @@ def test_repo_docs_are_clean(check_docs):
     assert check_docs.check_artefact_writers() == []
     assert check_docs.check_catalogue_sections() == []
     assert check_docs.check_report_samples() == []
+    assert check_docs.check_imports() == []
 
 
 def test_broken_link_reported(check_docs, tmp_path, monkeypatch):
@@ -158,3 +159,26 @@ def test_drifted_report_sample_reported(check_docs, tmp_path, monkeypatch):
     (problem,) = check_docs.check_report_samples()
     assert problem.startswith("README.md:6: ")
     assert "'== proposal pipeline =='" in problem
+
+
+def test_drifted_sample_import_reported(check_docs, tmp_path, monkeypatch):
+    """A code-block import of a name its module does not hold fails,
+    wrapped in parentheses or not; submodules, prose and other packages
+    are fine."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "GUIDE.md").write_text(
+        "`from repro.obs import Tracer` in prose is not checked\n"
+        "```python\n"
+        "from repro.obs import NULL_INSTRUMENTATION\n"
+        "from repro.obs import RecordingInstrumentation\n"
+        "from repro.obs.live import (FlightRecorder,\n"
+        "                            NoSuchMonitor)\n"
+        "from repro.obs import recording  # a submodule\n"
+        "from json import nothing_here\n"
+        "```\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    first, second = check_docs.check_imports()
+    assert first.startswith("docs/GUIDE.md:4: ")
+    assert "RecordingInstrumentation" in first
+    assert second.startswith("docs/GUIDE.md:5: ")
+    assert "NoSuchMonitor" in second

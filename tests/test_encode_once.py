@@ -208,11 +208,18 @@ class TestStoredRecordsIgnoreLaterMutation:
         (run,) = [r for r in engine.runs() if r.role == "proposer"]
         journal = community.node("A").ctx.journal
         before = list(journal.all_records())
-        stamped = dict(run.commit[TRACE_CTX])
+        decision = community.node("A").ctx.evidence.find(
+            "authenticated-decision", run_id=run.run_id)
+        (late,) = [raw for raw in decision.payload["responses"]
+                   if raw["payload"]["responder"] == "B"]
         # A late duplicate m2 makes the proposer re-send the commit it
-        # sent, with a fresh trace context attached to that dict.
-        engine.handle("B", respond_message(run.responses["B"]))
-        assert run.commit[TRACE_CTX] != stamped
+        # sent, each time with a fresh trace context attached.
+        stamps = []
+        for _ in range(2):
+            ((_, resent),) = engine.handle(
+                "B", respond_message(SignedPart.from_dict(late))).messages
+            stamps.append(resent[TRACE_CTX])
+        assert stamps[0] != stamps[1]
         assert list(journal.all_records()) == before
         assert [record["run_id"] for record in before] == [run.run_id] * 2
         for name in "ABC":

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.hashing import hash_value
-from repro.protocol.coordination import freeze
+from repro.protocol.coordination import OUTCOME_INVALID, freeze
 from repro.protocol.events import MisbehaviourEvent, RunCompleted
 from repro.protocol.messages import (
     MODE_UPDATE,
+    SignedPart,
     build_proposal,
     make_signed,
     propose_message,
@@ -95,9 +96,9 @@ class TestUpdateModeEdges:
         run_id, output = engine(harness, "P1").propose_update({"b": 1})
         harness.pump("P1", output)
         run = engine(harness, "P2").run(run_id)
-        assert not run.own_decision.accepted
-        assert any("update could not be applied" in d
-                   for d in run.own_decision.diagnostics)
+        assert run.outcome == OUTCOME_INVALID
+        assert any("P2: update could not be applied" in d
+                   for d in run.diagnostics)
         # the proposer rolled back and both replicas stay consistent
         assert engine(harness, "P1").current_state == {"v": 0}
         assert engine(harness, "P2").agreed_state == {"v": 0}
@@ -201,8 +202,10 @@ class TestMiscHandling:
         # P3 crafts a proposal for the P1/P2 object and sends it to P2.
         rogue = outsider.party("P3").session("obj").state
         run_id, output = rogue.propose_overwrite({"v": 666})
-        message = propose_message(rogue.run(run_id).proposal,
-                                  rogue.run(run_id).body)
+        logged = outsider.party("P3").ctx.evidence.find("proposal-sent",
+                                                        run_id=run_id)
+        message = propose_message(
+            SignedPart.from_dict(logged.payload["proposal"]), {"v": 666})
         harness.deliver("P3", "P2", message)
         run = [r for r in engine(harness, "P2").runs()
                if r.proposer == "P3"]

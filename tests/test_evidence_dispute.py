@@ -30,6 +30,12 @@ def run_and_get_bundle(harness, proposer="P1", state=None, expect_valid=True):
     return run_id, completed[0].evidence
 
 
+def response_of(bundle, responder):
+    (raw,) = [raw for raw in bundle["responses"]
+              if raw["payload"]["responder"] == responder]
+    return SignedPart.from_dict(raw)
+
+
 def make_harness(names=("P1", "P2", "P3"), seed=0):
     harness = EngineHarness(list(names), seed=seed)
     found(harness, "obj", list(names), {"v": 0})
@@ -231,13 +237,11 @@ class TestArbiterEquivocationProof:
         """Two different orgs hold two *different* signed responses by the
         accused to the same proposal: irrefutable equivocation."""
         harness = make_harness()
-        run_id, _ = run_and_get_bundle(harness)
+        run_id, bundle = run_and_get_bundle(harness)
         # Fabricate the conflict: take P2's genuine response from the run
         # and forge a second, different response signed with P2's real key
         # (the accused is the key-holder, so it *can* produce this).
-        engine1 = harness.party("P1").session("obj").state
-        run = engine1.run(run_id)
-        genuine = run.responses["P2"]
+        genuine = response_of(bundle, "P2")
         conflicting_payload = dict(genuine.payload)
         conflicting_payload["decision"] = {"verdict": "reject",
                                            "diagnostics": ["changed my mind"]}
@@ -260,9 +264,8 @@ class TestArbiterEquivocationProof:
     def test_unverifiable_conflict_carries_no_weight(self):
         """A 'conflicting response' with a bad signature cannot convict."""
         harness = make_harness()
-        run_id, _ = run_and_get_bundle(harness)
-        engine1 = harness.party("P1").session("obj").state
-        genuine = engine1.run(run_id).responses["P2"]
+        run_id, bundle = run_and_get_bundle(harness)
+        genuine = response_of(bundle, "P2")
         forged_payload = dict(genuine.payload)
         forged_payload["decision"] = {"verdict": "reject", "diagnostics": []}
         # signed by P3 but claiming to be P2's response

@@ -35,7 +35,7 @@ from repro.gateway import (
     build_gateway_community,
     run_load_sim,
 )
-from repro.obs import RecordingInstrumentation
+from repro.obs.recording import RecordingInstrumentation
 
 
 class FakeClock:

@@ -26,7 +26,7 @@ import repro
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.core.readcache import bounded
 from repro.errors import RateLimitedError
-from repro.obs import RecordingInstrumentation
+from repro.obs.recording import RecordingInstrumentation
 from repro.obs.catalogue import CATALOGUE
 from repro.obs.live import FlightRecorder
 from repro.obs.report import SECTIONS, render_snapshot

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import os
 
-from repro.obs import RecordingInstrumentation, Tracer
 from repro.obs.live import FlightRecorder
+from repro.obs.recording import RecordingInstrumentation
+from repro.obs.trace import Tracer
 from repro.util.clocks import VirtualClock
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",

@@ -101,10 +101,10 @@ class TestBatchedProposals:
         harness.deliver("P1", "P2", replay)
         rejected = [run for run in engine(harness, "P2").runs()
                     if run.outcome == OUTCOME_INVALID]
+        *_, veto = harness.party("P2").ctx.evidence.entries("response-sent")
+        decision = veto.payload["response"]["payload"]["decision"]
         assert rejected and any(
-            "invariant-4" in diag
-            for run in rejected for diag in run.own_decision.diagnostics
-        )
+            "invariant-4" in diag for diag in decision["diagnostics"])
 
 
 class TestSeenWindow:

@@ -10,6 +10,7 @@ the reactor's idle signal run over real sockets.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
@@ -19,7 +20,7 @@ import time
 import pytest
 
 from repro.core import DEFERRED_SYNCHRONOUS, Community
-from repro.core.readcache import cached
+from repro.core.readcache import bounded, cached
 from repro.core.runtime import SimRuntime, ThreadedRuntime
 from repro.obs.recording import RecordingInstrumentation
 from repro.protocol.events import RunCompleted
@@ -417,6 +418,81 @@ class TestInstrumentsDoNotGrow:
         counters = obs.registry.snapshot()["counters"]
         assert counters["pipeline.busy_retries"] > 0
         assert counters["readcache.reads.cached"] > 0
+        community.close()
+
+
+class TestContainersDoNotGrow:
+    """Past warm-up (and past each window, made small here) a settled
+    update leaves the per-node containers outside the run table as they
+    were: the reliable layer's dedup windows and outstanding map, the
+    gateway's idempotency store, the read snapshots and the journal's
+    open-run memory.  The journal's closed-run index grows by one entry
+    per run by design, as the evidence log does."""
+
+    WINDOW = 8
+
+    @staticmethod
+    def _reachable(root) -> int:
+        """Objects reachable from *root*, numbers aside (whether two
+        equal counts share one small-int object is not growth)."""
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for child in gc.get_referents(stack.pop()):
+                if (id(child) not in seen
+                        and not isinstance(child, (type, int, float))):
+                    seen.add(id(child))
+                    stack.append(child)
+        return len(seen)
+
+    def _sizes(self, node):
+        delivered = node.endpoint._delivered
+        idempotency = node.gateway().idempotency
+        return {
+            "dedup": (len(delivered), delivered.source_count,
+                      len(node.endpoint._outstanding)),
+            "idempotency": (idempotency.pending_count,
+                            idempotency.completed_count),
+            "snapshots": self._reachable(node.readcache._cells),
+            "journal": self._reachable(node.ctx.journal._open),
+        }
+
+    @pytest.mark.parametrize("objects", [1, 4])
+    def test_same_size_after_n_and_2n_updates(self, objects):
+        from repro.transport.reliable import _DedupWindow
+
+        community = sim_community(3, seed=63)
+        names = community.names()
+        object_names = [f"obj-{i}" for i in range(objects)]
+        for object_name in object_names:
+            community.found_object(
+                object_name, {name: CounterObject() for name in names})
+        for name in names:
+            node = community.node(name)
+            node.endpoint._delivered = _DedupWindow(window=self.WINDOW)
+            node.gateway(idempotency_capacity=self.WINDOW)
+        sessions = [community.node(name).gateway().session(f"client-{name}")
+                    for name in names[:2]]
+        rounds = itertools.count()
+
+        def settle(updates):
+            tickets = []
+            for index in range(updates // 2):
+                object_name = object_names[next(rounds) % objects]
+                tickets += [session.submit(object_name, {"n": 1})
+                            for session in sessions]
+                if index % 4 == 3:
+                    community.settle()
+                    community.examine(names[2], object_name, cached())
+                    community.examine(names[0], object_name, bounded(0.0))
+            community.settle()
+            assert all(ticket.done and ticket.valid for ticket in tickets)
+            return {name: self._sizes(community.node(name)) for name in names}
+
+        settle(32)  # warm-up: past every window
+        after_n = settle(32)
+        assert settle(32) == after_n
+        assert after_n["Org1"]["idempotency"] == (0, self.WINDOW)
+        assert after_n["Org3"]["dedup"][0] > self.WINDOW  # a window a peer
         community.close()
 
 

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.obs import RecordingInstrumentation
+from repro.obs.recording import RecordingInstrumentation
 from repro.transport.base import Envelope, Network, TimerHandle
 from repro.transport.reliable import DATA, ReliableEndpoint, _DedupWindow
 from repro.transport.tcp import TcpNetwork

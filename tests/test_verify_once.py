@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import tracemalloc
 
 import pytest
 
@@ -210,16 +211,26 @@ class TestSplicedByIdentity:
         harness.pump("A", proposed)
         assert state(harness, "C").agreed_state == {"v": 0, "k": 1}
         # The proposal of the decision record at each of the three
-        # parties, built from the part.  Nothing parsed from the wire is
-        # spliced any more: the journal refers to the evidence instead.
-        assert taken == [True] * 3
+        # parties, built from the part, then the m3 (proposer) or m2
+        # (responders) each keeps for a duplicate.  Nothing parsed from
+        # the wire is spliced: the journal refers to the evidence instead.
+        assert taken == [True] * 6
 
-    def test_one_dict_per_part(self):
-        harness, m3, _own = bundle_for_b()
-        run = state(harness, "A").runs()[0]
-        assert run.commit["proposal"] is run.proposal.to_dict()
-        assert all(raw is run.responses[raw["payload"]["responder"]].to_dict()
-                   for raw in run.commit["responses"])
+    def test_one_dict_per_part(self, monkeypatch):
+        built = []
+        real = engine_base.EngineBase._retire
+
+        def retire(self, run):
+            if run.role == "proposer":
+                built.append((run.proposal, dict(run.responses), run.commit))
+            real(self, run)
+
+        monkeypatch.setattr(engine_base.EngineBase, "_retire", retire)
+        bundle_for_b()
+        ((proposal, responses, commit),) = built
+        assert commit["proposal"] is proposal.to_dict()
+        assert all(raw is responses[raw["payload"]["responder"]].to_dict()
+                   for raw in commit["responses"])
 
 
 class TestRunTableDoesNotGrow:
@@ -253,6 +264,41 @@ class TestRunTableDoesNotGrow:
         assert settle(8) == after_n
         assert all(len(state(harness, name)._runs) == 4 for name in MEMBERS)
 
+    @pytest.mark.parametrize("name, bound", [("A", 6000), ("B", 2800)])
+    def test_bytes_held_per_retired_run(self, name, bound):
+        """Traced bytes a full run table of settled runs gives back when
+        it is emptied, per run: A's are proposer runs, B's responder
+        runs.  It was ~6.8 KB and ~3.5 KB while retired runs kept their
+        decoded parts; now a run record plus the fragments it kept."""
+        harness = EngineHarness(MEMBERS, seed=47)
+        found(harness, "obj", MEMBERS, {"v": 0})
+
+        def settle(count):
+            for index in range(count):
+                _, proposed = state(harness, "A").propose_update({"k": index})
+                harness.pump("A", proposed)
+
+        settle(4)
+        runs = 50
+        tracemalloc.start()
+        try:
+            settle(runs)
+            # The harness keeps every event; a RunCompleted shares its
+            # evidence dicts with the parts the run once held.
+            for events in harness.events.values():
+                events.clear()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            engine = state(harness, name)
+            engine._runs.clear()
+            engine._settled.clear()
+            engine._by_digest.clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held / runs <= bound
+
     def test_retired_run_keeps_what_a_duplicate_asks_for(self):
         harness = EngineHarness(MEMBERS, seed=37)
         found(harness, "obj", MEMBERS, {"v": 0})
@@ -260,12 +306,26 @@ class TestRunTableDoesNotGrow:
         m1 = dict(proposed.messages)["B"]
         harness.pump("A", proposed)
         (kept,) = state(harness, "B").runs()
-        assert kept.outcome == "valid" and kept.own_response is not None
-        assert (kept.proposal, kept.commit, kept.body, kept.new_state) == (
-            None, None, None, None)
+        (sent,) = state(harness, "A").runs()
+        for run in (kept, sent):
+            assert run.outcome == "valid"
+            assert (run.proposal, run.commit, run.own_response,
+                    run.own_decision, run.body, run.new_state,
+                    run.responses) == (None,) * 6 + ({},)
+        # Only fragments the evidence log already encoded, no decoded part.
+        assert isinstance(kept.kept["response"], Fragment)
+        assert isinstance(sent.kept["proposal"], Fragment)
+        assert all(isinstance(part, Fragment)
+                   for part in sent.kept["responses"])
         # A duplicate m1 still gets our m2; a late m2 still gets A's m3.
         (_, again), = harness.party("B").handle("A", m1).messages
-        assert again["response"] is kept.own_response.to_dict()
+        logged = harness.party("B").ctx.evidence.find("response-sent")
+        assert again == {"msg_type": "respond",
+                         "response": logged.payload["response"]}
         (_, m3), = harness.party("A").handle("B", again).messages
-        assert m3 is state(harness, "A").runs()[0].commit
+        decision = harness.party("A").ctx.evidence.find(
+            "authenticated-decision")
+        assert (m3["proposal"], m3["responses"], m3["auth"]) == (
+            decision.payload["proposal"], decision.payload["responses"],
+            decision.payload["auth"])
         assert harness.party("B").handle("A", m3).messages == []

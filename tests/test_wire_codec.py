@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import RecordingInstrumentation
+from repro.obs.recording import RecordingInstrumentation
 from repro.transport.base import Envelope
 from repro.transport.reliable import ReliableEndpoint
 from repro.transport.tcp import TcpNetwork

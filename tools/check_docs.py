@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Seven checks, all stdlib-only:
+Eight checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -38,6 +38,10 @@ Seven checks, all stdlib-only:
    ``repro obs-report`` line must be a metric prefix the catalogue
    produces (``repro.obs.report.SECTIONS``), so a quoted report cannot
    keep a section the renderer no longer prints.
+8. **Imports in samples** — every ``from repro... import ...`` line in a
+   fenced code block of a ``README.md`` or ``docs/*.md`` must import:
+   the module loads and each name is in it (or is a submodule), so a
+   sample cannot keep importing a name its package stopped exporting.
 
 Run from the repository root (CI's ``docs-check`` job does):
 
@@ -48,7 +52,9 @@ Run from the repository root (CI's ``docs-check`` job does):
 from __future__ import annotations
 
 import argparse
+import ast
 import difflib
+import importlib
 import os
 import re
 import sys
@@ -73,6 +79,9 @@ EXPERIMENT_ROW_RE = re.compile(r"^\| [FC]\d")
 #: Files quoting ``repro obs-report`` output, and a report section header.
 REPORT_DOCS = ("README.md", os.path.join("docs", "OBSERVABILITY.md"))
 SECTION_RE = re.compile(r"^== (.+) ==$")
+
+#: A code-block line importing names from the package.
+IMPORT_RE = re.compile(r"^from repro(\.\w+)* import ")
 
 #: Back-ticked repo paths that must exist (``results/`` is shorthand for
 #: ``benchmarks/results/``); ``<id>``, ``*`` and ``{a,b}`` patterns are
@@ -298,6 +307,51 @@ def check_report_samples() -> "list[str]":
     return problems
 
 
+def import_lines(text: str) -> "list[tuple[int, str]]":
+    """(line_number, statement) for every ``from repro... import`` in a
+    fenced code block, a parenthesised name list joined into one line."""
+    found, pending, in_fence = [], None, False
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if FENCE_RE.match(stripped):
+            in_fence, pending = not in_fence, None
+        elif pending is not None:
+            pending[1] += " " + stripped
+            if ")" in stripped:
+                found.append(tuple(pending))
+                pending = None
+        elif in_fence and IMPORT_RE.match(stripped):
+            if "(" in stripped and ")" not in stripped:
+                pending = [number, stripped]
+            else:
+                found.append((number, stripped))
+    return found
+
+
+def check_imports() -> "list[str]":
+    """Sample imports of repro names must resolve."""
+    _src_on_path()
+    paths = [path for path in markdown_files()
+             if os.path.basename(path) == "README.md"
+             or os.path.dirname(path) == os.path.join(REPO_ROOT, "docs")]
+    problems = []
+    for path in paths:
+        rel_path = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for number, statement in import_lines(text):
+            node = ast.parse(statement.split("#", 1)[0]).body[0]
+            try:
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        importlib.import_module(f"{node.module}.{alias.name}")
+            except ImportError as exc:
+                problems.append(f"{rel_path}:{number}: {statement!r} "
+                                f"does not import: {exc}")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -314,14 +368,15 @@ def main() -> int:
     problems += check_artefact_writers()
     problems += check_catalogue_sections()
     problems += check_report_samples()
+    problems += check_imports()
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"\ndocs-check: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("docs-check: all markdown links and artefact references resolve, "
-          "all examples run and the event catalogue sections and report "
-          "samples are current")
+    print("docs-check: all markdown links, artefact references and sample "
+          "imports resolve, all examples run and the event catalogue "
+          "sections and report samples are current")
     return 0
 
 
