@@ -7,12 +7,16 @@ so the protocol-level numbers elsewhere can be decomposed.
 
 Expected shape: signing grows roughly cubically with modulus size,
 verification stays cheap (small public exponent), hashing is negligible.
+Key generation is Miller-Rabin exponentiations; their count per key is
+a function of the seeded stream alone, so that column does not move
+with the machine's speed.
 """
 
 from __future__ import annotations
 
 import time
 
+import repro.crypto.numbers as numbers
 from repro.bench.metrics import format_table
 from repro.crypto import (
     DeterministicRandomSource,
@@ -32,28 +36,39 @@ def _time_it(fn, count):
     return (time.perf_counter() - start) / count
 
 
-def measure_key_size(bits):
+def measure_key_size(bits, exponentiations):
     keypair = generate_party_keypair(f"bench{bits}", bits=bits, rng=RNG)
     signer, verifier = keypair.signer(), keypair.verifier()
     signature = signer.sign(PAYLOAD)
+    before = len(exponentiations)
     keygen_time = _time_it(
         lambda: generate_party_keypair(f"k{bits}", bits=bits, rng=RNG), 3
     )
+    per_key = (len(exponentiations) - before) / 3
     sign_time = _time_it(lambda: signer.sign(PAYLOAD), 30)
     verify_time = _time_it(lambda: verifier.verify(PAYLOAD, signature), 30)
-    return keygen_time, sign_time, verify_time
+    return keygen_time, per_key, sign_time, verify_time
 
 
-def test_c8_crypto_primitives(benchmark, report):
+def test_c8_crypto_primitives(benchmark, report, monkeypatch):
+    exponentiations = []
+    witness = numbers._miller_rabin_witness
+
+    def counting(n, a):
+        exponentiations.append(a)
+        return witness(n, a)
+
+    monkeypatch.setattr(numbers, "_miller_rabin_witness", counting)
     rows = []
     sign_times = {}
     # 512 bits is the smallest modulus that fits a SHA-256 PKCS#1
     # signature payload (62 bytes + padding).
-    for bits in (512, 768, 1024):
-        keygen_time, sign_time, verify_time = measure_key_size(bits)
+    for bits in (512, 768, 1024, 2048):
+        keygen_time, per_key, sign_time, verify_time = measure_key_size(
+            bits, exponentiations)
         sign_times[bits] = sign_time
-        rows.append([bits, keygen_time * 1e3, sign_time * 1e6,
-                     verify_time * 1e6])
+        rows.append([bits, keygen_time * 1e3, per_key,
+                     round(sign_time * 1e6), verify_time * 1e6])
 
     hash_time = _time_it(lambda: hash_value(PAYLOAD), 2000)
     tsa = TimestampService(keypair=generate_party_keypair("TSA", bits=512,
@@ -70,7 +85,8 @@ def test_c8_crypto_primitives(benchmark, report):
     benchmark(lambda: signer.sign(PAYLOAD))
 
     body = format_table(
-        ["RSA bits", "keygen (ms)", "sign (us)", "verify (us)"], rows
+        ["RSA bits", "keygen (ms)", "Miller-Rabin exps/key", "sign (us)",
+         "verify (us)"], rows
     ) + (
         f"\n\nSHA-256 structured hash: {hash_time * 1e6:.1f} us\n"
         f"TSA time-stamp token (512-bit): {stamp_time * 1e6:.1f} us\n"

@@ -10,6 +10,8 @@ a faithful functional substrate for the middleware's evidence chain.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 # Small primes used for fast trial division before Miller-Rabin.
@@ -37,6 +39,18 @@ _DETERMINISTIC_WITNESSES = [
     (3825123056546413051, [2, 3, 5, 7, 11, 13, 17, 19, 23]),
     (318665857834031151167461, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
 ]
+
+
+@functools.cache
+def _small_prime_product() -> int:
+    """The product of the primes below 2**14, sieved on first use."""
+    bound = 1 << 14
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return math.prod(i for i, prime in enumerate(sieve) if prime)
 
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
@@ -77,8 +91,12 @@ def is_probable_prime(n: int, rand_below: "Callable[[int], int] | None" = None,
             return not any(_miller_rabin_witness(n, a) for a in witnesses)
     if rand_below is None:
         raise ValueError("rand_below is required for candidates above the deterministic bound")
-    for _ in range(rounds):
+    for i in range(rounds):
         a = 2 + rand_below(n - 3)
+        # A factor below 2**14 proves n composite for the price of one
+        # gcd.  The witness is drawn first so a seed names the same key.
+        if i == 0 and math.gcd(n, _small_prime_product()) != 1:
+            return False
         if _miller_rabin_witness(n, a):
             return False
     return True

@@ -107,8 +107,7 @@ def load_evidence_log(party_id: str, path: str) -> NonRepudiationLog:
     store = FileRecordStore(path, fsync=False)
     try:
         return NonRepudiationLog(party_id, store)
-    except (LogCorruptionError, StorageError, ValueError, KeyError,
-            TypeError) as exc:
+    except (LogCorruptionError, StorageError) as exc:
         store.close()
         return CorruptEvidenceLog(party_id, f"{path}: {exc}")
 

@@ -417,21 +417,6 @@ def build_connect_reject(sponsor: str, object_name: str,
     }
 
 
-def build_agreed_state_attestation(party: str, object_name: str,
-                                   agreed_sid: StateId) -> dict:
-    """A member's signed assertion of the current agreed state tuple.
-
-    The welcome message carries one per member so P_new can verify the
-    state it receives against every member's signed view (section 4.5.3).
-    """
-    return {
-        "type": "agreed-state-attestation",
-        "party": party,
-        "object": object_name,
-        "agreed_sid": agreed_sid.to_dict(),
-    }
-
-
 def membership_message(msg_type: str, part: SignedPart,
                        extra: "dict | None" = None) -> dict:
     """Generic wire wrapper for a single signed membership part."""

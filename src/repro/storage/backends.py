@@ -231,9 +231,12 @@ class FileRecordStore(RecordStore):
             if not line:
                 continue
             try:
-                yield from_canonical_bytes(line)
-            except ValueError as exc:
+                record = from_canonical_bytes(line)
+            except (ValueError, RecursionError) as exc:
                 raise StorageError(f"corrupt record in {self._path}: {exc}") from exc
+            if type(record) is not dict:
+                raise StorageError(f"corrupt record in {self._path}: not an object")
+            yield record
 
     def __len__(self) -> int:
         with self._lock:

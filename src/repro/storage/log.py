@@ -18,7 +18,7 @@ from repro.crypto.hashing import hash_value
 from repro.errors import LogCorruptionError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.storage.backends import RecordStore, RecordView
-from repro.util.encoding import Fragment
+from repro.util.encoding import Fragment, as_bytes
 
 GENESIS_HASH = b"\x00" * 32
 
@@ -44,13 +44,18 @@ class LogEntry:
 
     @staticmethod
     def from_dict(data: dict) -> "LogEntry":
-        return LogEntry(
-            index=int(data["index"]),
-            prev_hash=bytes(data["prev_hash"]),
-            entry_hash=bytes(data["entry_hash"]),
-            kind=str(data["kind"]),
-            payload=dict(data["payload"]),
-        )
+        """The entry a stored record holds: fields are checked, never
+        coerced, and a malformed one is a :class:`LogCorruptionError`."""
+        try:
+            entry = LogEntry(data["index"], as_bytes(data["prev_hash"]),
+                             as_bytes(data["entry_hash"]), data["kind"],
+                             data["payload"])
+        except (KeyError, ValueError) as exc:
+            raise LogCorruptionError(f"malformed log entry: {exc!r}") from None
+        if (type(entry.index), type(entry.kind), type(entry.payload)) \
+                != (int, str, dict):
+            raise LogCorruptionError("malformed log entry: field types")
+        return entry
 
 
 def _chain_hash(index: int, prev_hash: bytes, kind: str,

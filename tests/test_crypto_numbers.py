@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.core.community as community_module
+import repro.crypto.numbers as numbers
+from repro.core.community import Community
 from repro.crypto.numbers import (
     bytes_to_int,
     extended_gcd,
@@ -15,6 +20,7 @@ from repro.crypto.numbers import (
     mod_inverse,
 )
 from repro.crypto.prng import DeterministicRandomSource
+from repro.crypto.signature import generate_party_keypair
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 13, 97, 7919, 104729, 2**31 - 1]
 KNOWN_COMPOSITES = [0, 1, 4, 9, 15, 561, 1105, 1729, 2465, 6601,  # Carmichael
@@ -47,6 +53,89 @@ class TestMillerRabin:
     def test_agrees_with_trial_division(self, n):
         by_division = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_probable_prime(n) == by_division
+
+
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """Every Miller-Rabin exponentiation, as the list of its witnesses."""
+    calls = []
+    real = numbers._miller_rabin_witness
+
+    def counting(n, a):
+        calls.append(a)
+        return real(n, a)
+
+    monkeypatch.setattr(numbers, "_miller_rabin_witness", counting)
+    return calls
+
+
+def _sha256(*values: int) -> str:
+    return hashlib.sha256(b"".join(int_to_bytes(v) for v in values)).hexdigest()
+
+
+class TestSmallFactorGcd:
+    @pytest.mark.parametrize("p", [307, 7919, 16381])
+    def test_small_factor_is_found_without_exponentiating(self, p, witness_calls):
+        rng = DeterministicRandomSource(5)
+        draws = []
+
+        def rand_below(bound):
+            draws.append(bound)
+            return rng.random_below(bound)
+
+        assert not is_probable_prime(p * (2**521 - 1), rand_below)
+        assert len(draws) == 1
+        assert witness_calls == []
+
+    @pytest.mark.parametrize("exponent", [127, 521, 607])
+    def test_mersenne_primes_pass_every_round(self, exponent, witness_calls):
+        rng = DeterministicRandomSource(6)
+        assert is_probable_prime(2**exponent - 1, rng.random_below)
+        assert len(witness_calls) == 40
+
+    def test_exponentiations_of_a_seeded_1024_bit_search(self, witness_calls):
+        rng = DeterministicRandomSource("prime-search:2")
+        prime = generate_prime(1024, rng.random_below)
+        assert _sha256(prime) == (
+            "3a81683124c2115c8a1524216cf49bf9867028277d9e49bb8e79dd98042f7775")
+        assert len(witness_calls) == 143  # 210 before the gcd
+
+
+class TestSeededKeys:
+    """A seed names the same primes: golden runs and stored evidence
+    depend on the keys that ``Community(seed=...)`` derives."""
+
+    E2E_512 = {
+        "CA": "c83404e0297c4c661521af63216e70c8cee011c06ff99bbb592d69cc6834653b",
+        "TSA": "305b8f9e640e49135c530dac44822f5851949e2b8045021ac4e446bbeb088221",
+        "Org1": "6997c34b79c27bb335631d9bc7cc9589a20475adb6dc9b8a5cd8576afe8c6951",
+        "Org2": "9adfb88d7f6190f7cd9d307e2b008493b825d6d66053a3595a0280a3aac0ea72",
+        "Org3": "d33bd3ef25d50ad7ca18825bd89275a9480c3ed27d4fd319e61a4f7b996fa9e4",
+    }
+    ORG1_2048 = "37dc41c332c91659428a566dfced0ba4da4246568a1d2f36a2d2cad10710c2c5"
+
+    @staticmethod
+    def _fingerprint(keypair) -> str:
+        key = keypair.private_key
+        return _sha256(key.prime_p, key.prime_q)
+
+    def test_e2e_community_keys_at_512_bits(self, monkeypatch):
+        keys = {}
+
+        def recording(name, **kwargs):
+            keys[name] = generate_party_keypair(name, **kwargs)
+            return keys[name]
+
+        monkeypatch.setattr(community_module, "generate_party_keypair", recording)
+        Community(["Org1", "Org2", "Org3"], seed="e2e")
+        assert {name: self._fingerprint(kp) for name, kp in keys.items()} \
+            == self.E2E_512
+
+    def test_org1_key_at_2048_bits(self):
+        # The stream Community(seed="e2e") forks for Org1's key.
+        rng = DeterministicRandomSource("community:e2e").fork("key:Org1")
+        keypair = generate_party_keypair("Org1", bits=2048, rng=rng)
+        assert self._fingerprint(keypair) == self.ORG1_2048
 
 
 class TestGeneratePrime:

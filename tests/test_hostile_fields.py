@@ -5,7 +5,8 @@ were coerced that way, a frame of ~100 bytes carrying 2**27 as a
 signature value cost 128 MB, and 179 MB more once ``verify_signed``
 base64-encoded it, on the reactor thread every party shares; 2**63
 raised an ``OverflowError`` that no handler expected.  Each such field
-is now checked, never coerced.
+is now checked, never coerced: in a peer's message and in a stored
+evidence line alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import tracemalloc
 
 import pytest
 
+from repro.cli import main
+from repro.errors import LogCorruptionError, StorageError
+from repro.obs.audit import CorruptEvidenceLog, load_evidence_log
 from repro.protocol.events import MisbehaviourEvent
+from repro.storage.backends import FileRecordStore
+from repro.storage.log import NonRepudiationLog
+from repro.util.encoding import canonical_bytes
 from repro.wire.binary import decode_value, encode_value
 from tests.engine_helpers import EngineHarness, found
 
@@ -71,3 +78,59 @@ def test_int_byte_field_is_malformed_and_costs_nothing(field, value):
     assert [e.kind for e in output.events
             if isinstance(e, MisbehaviourEvent)] == ["malformed-message"]
     assert output.messages == []
+
+
+# A stored evidence line is hostile input too: whoever hands a log.jsonl
+# to an arbiter or to ``repro verify-log`` chooses its bytes.
+# (field, value); None drops the field.  A line without an entry hash
+# is no evidence record, so only the other fields may go missing.
+STORED_FIELDS = [
+    (field, value) for field in ("prev_hash", "entry_hash")
+    for value in (2 ** 27, 2 ** 63, "abc", [1, 2, 3])
+] + [("prev_hash", None), ("kind", None), ("index", "0"), ("payload", [])]
+
+
+def _one_line_log(tmp_path, field, value):
+    record = {"index": 0, "prev_hash": b"\0" * 32, "entry_hash": b"\0" * 32,
+              "kind": "proposal-sent", "payload": {}}
+    if value is None:
+        del record[field]
+    else:
+        record[field] = value
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(canonical_bytes(record) + b"\n")
+    return str(path)
+
+
+def _refusal(path, error):
+    """Open *path* as an evidence log, which must raise *error*; return
+    the peak traced allocation."""
+    store = FileRecordStore(path, fsync=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            NonRepudiationLog("OrgA", store)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        store.close()
+
+
+@pytest.mark.parametrize("field, value", STORED_FIELDS)
+def test_malformed_stored_field_is_corruption_and_costs_nothing(
+        tmp_path, capsys, field, value):
+    path = _one_line_log(tmp_path, field, value)
+    assert _refusal(path, LogCorruptionError) < 1 << 20
+    assert isinstance(load_evidence_log("OrgA", path), CorruptEvidenceLog)
+    assert main(["verify-log", path]) == 1
+    assert capsys.readouterr().out.startswith("FAILED")
+
+
+@pytest.mark.parametrize("line", [b"5", b'"entry_hash"', b"[" * 100_000])
+def test_a_stored_line_that_is_no_record_is_refused(tmp_path, capsys, line):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(line + b"\n")
+    assert _refusal(str(path), StorageError) < 1 << 20
+    assert isinstance(load_evidence_log("OrgA", str(path)), CorruptEvidenceLog)
+    assert main(["verify-log", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("FAILED")
