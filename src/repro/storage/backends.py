@@ -232,7 +232,7 @@ class FileRecordStore(RecordStore):
                 continue
             try:
                 record = from_canonical_bytes(line)
-            except (ValueError, RecursionError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise StorageError(f"corrupt record in {self._path}: {exc}") from exc
             if type(record) is not dict:
                 raise StorageError(f"corrupt record in {self._path}: not an object")

@@ -126,7 +126,18 @@ def test_malformed_stored_field_is_corruption_and_costs_nothing(
     assert capsys.readouterr().out.startswith("FAILED")
 
 
-@pytest.mark.parametrize("line", [b"5", b'"entry_hash"', b"[" * 100_000])
+# A tagged wrapper holding no string (a number, a list, another
+# wrapper) makes its line no record either.
+_NESTED_PREV_HASH = (
+    b'{"entry_hash":{"__b64__":"' + b"A" * 43 + b'="},"index":0,'
+    b'"kind":"proposal-sent","payload":{},'
+    b'"prev_hash":{"__b64__":{"__b64__":"AA=="}}}')
+
+
+@pytest.mark.parametrize("line", [
+    b"5", b'"entry_hash"', b"[" * 100_000, b'{"__b64__":5}',
+    b'{"__float__":[1]}',
+    pytest.param(_NESTED_PREV_HASH, id="nested-prev-hash")])
 def test_a_stored_line_that_is_no_record_is_refused(tmp_path, capsys, line):
     path = tmp_path / "log.jsonl"
     path.write_bytes(line + b"\n")
