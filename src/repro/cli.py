@@ -89,21 +89,42 @@ def _cmd_export_decisions(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Refused(Exception):
+    """An input file that is not what the command reads: ``main`` prints
+    one line and exits 2 (1 keeps meaning "not authentic")."""
+
+
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object stored in *path*, else :class:`_Refused`."""
+    from repro.util.encoding import from_canonical_bytes
+
+    try:
+        with open(path, "rb") as handle:
+            value = from_canonical_bytes(handle.read())
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        raise _Refused(f"{what} {path!r}: {type(exc).__name__}") from None
+    if type(value) is not dict:
+        raise _Refused(f"{what} {path!r} holds no JSON object")
+    return value
+
+
 def _load_keys(path: str):
     """``(resolver, tsa_verifier)`` from a ``keys.json`` of public keys."""
     from repro.crypto.rsa import RsaPublicKey
     from repro.crypto.signature import RsaVerifier
     from repro.errors import SignatureError
 
-    with open(path, encoding="utf-8") as handle:
-        key_data = json.load(handle)
-    verifiers = {
-        party: RsaVerifier(RsaPublicKey.from_dict(key))
-        for party, key in key_data.get("parties", {}).items()
-    }
-    tsa_verifier = None
-    if key_data.get("tsa"):
-        tsa_verifier = RsaVerifier(RsaPublicKey.from_dict(key_data["tsa"]))
+    key_data = _read_object(path, "keys file")
+    try:  # a key or key table of the wrong shape fails in here
+        verifiers = {
+            party: RsaVerifier(RsaPublicKey.from_dict(key))
+            for party, key in key_data.get("parties", {}).items()
+        }
+        tsa_verifier = None
+        if key_data.get("tsa"):
+            tsa_verifier = RsaVerifier(RsaPublicKey.from_dict(key_data["tsa"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise _Refused(f"keys file {path!r}: {exc!r}") from None
 
     def resolver(party_id: str):
         verifier = verifiers.get(party_id)
@@ -117,11 +138,9 @@ def _load_keys(path: str):
 def _cmd_verify_bundle(args: argparse.Namespace) -> int:
     """Independently verify an exported authenticated-decision bundle."""
     from repro.protocol.evidence import verify_authenticated_decision
-    from repro.util.encoding import from_canonical_bytes
 
     resolver, tsa_verifier = _load_keys(args.keys)
-    with open(args.bundle, "rb") as handle:
-        bundle = from_canonical_bytes(handle.read())
+    bundle = _read_object(args.bundle, "bundle")
     verdict = verify_authenticated_decision(
         bundle, resolver, tsa_verifier=tsa_verifier,
     )
@@ -944,7 +963,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Optional[list[str]]" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -477,9 +477,9 @@ class OrganisationNode:
         ``bounded(max_staleness)`` and ``cached`` serve the latest
         published snapshot lock-free without entering the coordination
         critical section.  Returns a
-        :class:`~repro.core.readcache.ReadResult` whose ``state`` is an
-        immutable validated snapshot — never a pre-applied or vetoed
-        proposal's state.
+        :class:`~repro.core.readcache.ReadResult` whose ``state`` is a
+        private copy of a validated snapshot — never a pre-applied or
+        vetoed proposal's state.
         """
         return self.readcache.read(object_name, read_mode)
 

@@ -5,9 +5,10 @@ for in-flight coordination to settle (``Controller.enter`` →
 ``OrganisationNode._await_quiescent``), so read-heavy workloads pay
 coordination-round prices even though *agreed* state only changes at
 settlement boundaries.  Here every settlement publishes an immutable
-:class:`Snapshot` — ``(state, version, settle_seq, stamp)`` — under the
-node's engine lock, and read scopes pick a snapshot **lock-free**
-according to an explicit consistency mode:
+:class:`Snapshot` — the agreed state's canonical bytes, its version,
+``settle_seq`` and ``stamp`` — under the node's engine lock, and read
+scopes pick a snapshot **lock-free** according to an explicit
+consistency mode:
 
 * :func:`settled` — today's default semantics: quiesce, refresh the
   snapshot from the engine's agreed state, serve that.  The read
@@ -20,28 +21,32 @@ according to an explicit consistency mode:
 * :func:`cached` — always serve the latest published snapshot, with no
   waiting and no locks; staleness is whatever the write rate makes it.
 
-Whatever the mode, a served snapshot is **validated**: it is a frozen
-copy of a state that passed the full non-repudiable coordination round
+Whatever the mode, a served snapshot is **validated**: it holds the
+bytes of a state that passed the full non-repudiable coordination round
 (invariants 1–3, unanimous signed acceptance) — a vetoed or still
 in-flight proposal's pre-applied state is never published, so no cached
 read can observe it.  The cache trades *freshness*, never *validity*.
 
+Staleness is measured on the runtime network's clock (monotonic over
+sockets, virtual in the simulator), never on the wall clock the
+evidence is stamped with: a wall clock that steps back must not make an
+old snapshot look fresh.
+
 Concurrency contract: publications for one object are serialised by the
 engine lock and carry a monotonically non-decreasing ``version`` (the
-agreed ``T.seq``), so concurrent readers — which read one attribute of
-one cell, an atomic operation — observe non-decreasing versions.
+agreed ``T.seq``), so concurrent readers — which do one lookup in the
+cell dict, an atomic operation — observe non-decreasing versions.
 Invalidations (crash, recovery, restart) empty the cell; the next read
 of any mode counts a miss and refreshes from the recovered engine.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
-from repro.util.encoding import Fragment, freeze, from_canonical_bytes
+from repro.util.encoding import Fragment, canonical_bytes, from_canonical_bytes
 
 #: Consistency-mode kinds (see the module docstring for the contract).
 SETTLED = "settled"
@@ -55,11 +60,29 @@ class ReadMode:
 
     Construct via :func:`settled`, :func:`bounded` or :func:`cached`
     (or pass the strings ``"settled"`` / ``"cached"`` anywhere a mode is
-    accepted).  ``max_staleness`` is only meaningful for ``bounded``.
+    accepted).  A mode is checked when it is built: ``bounded`` needs a
+    ``max_staleness`` of at least 0 seconds, the other kinds none.
     """
 
     kind: str
     max_staleness: "Optional[float]" = None
+
+    def __post_init__(self) -> None:
+        bound = self.max_staleness
+        if self.kind == BOUNDED:
+            # ``not bound >= 0`` also refuses NaN, which compares false.
+            if type(bound) not in (int, float) or not bound >= 0:
+                raise ConfigurationError(
+                    f"bounded mode needs max_staleness >= 0 seconds, "
+                    f"not {bound!r}")
+            object.__setattr__(self, "max_staleness", float(bound))
+        elif self.kind not in (SETTLED, CACHED):
+            raise ConfigurationError(
+                f"unknown read mode {self.kind!r} (use 'settled', "
+                f"'cached', or bounded(max_staleness))")
+        elif bound is not None:
+            raise ConfigurationError(
+                f"{self.kind} mode takes no max_staleness")
 
     def describe(self) -> str:
         if self.kind == BOUNDED:
@@ -79,55 +102,54 @@ def cached() -> ReadMode:
 
 def bounded(max_staleness: float) -> ReadMode:
     """Serve the cached snapshot if published within *max_staleness* s."""
-    max_staleness = float(max_staleness)
-    if max_staleness < 0:
-        raise ConfigurationError("max_staleness must be >= 0 seconds")
     return ReadMode(BOUNDED, max_staleness)
 
 
 def parse_read_mode(value: "ReadMode | str | None") -> ReadMode:
     """Normalise a user-supplied mode; ``None`` means :func:`settled`."""
+    if isinstance(value, ReadMode):
+        return value  # checked when it was built
     if value is None:
         return ReadMode(SETTLED)
-    if isinstance(value, ReadMode):
-        if value.kind == BOUNDED and value.max_staleness is None:
-            raise ConfigurationError("bounded mode requires max_staleness")
-        if value.kind not in (SETTLED, BOUNDED, CACHED):
-            raise ConfigurationError(f"unknown read mode {value.kind!r}")
-        return value
-    if isinstance(value, str):
-        if value in (SETTLED, CACHED):
-            return ReadMode(value)
-        raise ConfigurationError(
-            f"unknown read mode {value!r} (use 'settled', 'cached', or "
-            f"bounded(max_staleness))"
-        )
-    raise ConfigurationError(f"not a read mode: {value!r}")
+    if isinstance(value, str) and value in (SETTLED, CACHED):
+        return ReadMode(value)
+    raise ConfigurationError(
+        f"not a read mode: {value!r} (use 'settled', 'cached', or "
+        f"bounded(max_staleness))")
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """One immutable published view of an object's agreed state.
 
-    ``version`` is the agreed state identifier's sequence number — it
-    increases with every settled change and never decreases across
-    publications.  ``settle_seq`` is this node's monotonic publication
-    counter for the object (settlements *and* explicit refreshes bump
-    it; it restarts with the process).  ``stamp`` is the publication
-    time on the community clock: the moment the state was last known
-    agreed at this replica, which is what staleness bounds measure.
+    ``encoded`` is the state's canonical bytes — the bytes the signed
+    coordination round agreed on — and :attr:`state` decodes them into a
+    private copy on every access.  ``version`` is the agreed state
+    identifier's sequence number — it increases with every settled
+    change and never decreases across publications.  ``settle_seq`` is
+    this node's monotonic publication counter for the object
+    (settlements *and* explicit refreshes bump it; it restarts with the
+    process).  ``stamp`` is the publication time on the runtime
+    network's clock: the moment the state was last known agreed at this
+    replica, which is what staleness bounds measure.
     """
 
     object_name: str
-    state: Any
+    encoded: bytes
     version: int
     state_id: dict
     settle_seq: int
     stamp: float
 
+    @property
+    def state(self) -> Any:
+        # Every access decodes a private copy: the snapshot is shared by
+        # every concurrent reader, so a caller mutating what it got must
+        # not change what the next read is served.
+        return from_canonical_bytes(self.encoded)
 
-@dataclass(frozen=True)
-class ReadResult:
+
+class ReadResult(NamedTuple):
     """One served read: the snapshot plus how it was served.
 
     ``hit`` is True when the read was answered from the published
@@ -142,28 +164,12 @@ class ReadResult:
 
     @property
     def state(self) -> Any:
-        # Each access hands out a private copy: the cached snapshot is
-        # shared by every concurrent reader, so a caller mutating its
-        # result must not corrupt what other readers are served.
-        return freeze(self.snapshot.state)
+        """A private copy of the served state (see :attr:`Snapshot.state`)."""
+        return self.snapshot.state
 
     @property
     def version(self) -> int:
         return self.snapshot.version
-
-
-class _Cell:
-    """Mutable holder for one object's latest snapshot.
-
-    Readers do ``cell.snapshot`` — a single attribute load of an
-    immutable object, atomic under CPython — so the read path takes no
-    lock.  Writers replace the whole snapshot under the engine lock.
-    """
-
-    __slots__ = ("snapshot",)
-
-    def __init__(self) -> None:
-        self.snapshot: "Optional[Snapshot]" = None
 
 
 class ReadCache:
@@ -171,10 +177,12 @@ class ReadCache:
 
     def __init__(self, node: Any) -> None:
         self._node = node
-        self._cells: "dict[str, _Cell]" = {}
-        # Guards cell *creation* only; snapshot swaps are serialised by
-        # the node's engine lock and snapshot reads are lock-free.
-        self._cells_lock = threading.Lock()
+        #: object name -> latest snapshot.  Readers do one ``get`` and
+        #: writers one store, each atomic under CPython, so the read
+        #: path takes no lock; publications are serialised by the
+        #: node's engine lock.
+        self._cells: "dict[str, Snapshot]" = {}
+        self._now = node.runtime.network.now
 
     # ------------------------------------------------------------------
     # publication (called under the node's engine lock)
@@ -182,9 +190,9 @@ class ReadCache:
 
     def publish(self, object_name: str, state: Any, state_id: dict,
                 encoded: "Fragment | None" = None) -> Snapshot:
-        """Publish a settled state as the object's latest snapshot: a
-        private copy, decoded from *encoded* — the fragment *state* was
-        frozen from — when the caller has it.
+        """Publish a settled state as the object's latest snapshot: the
+        bytes of *encoded* — the fragment *state* was frozen from — when
+        the caller has it, else *state* encoded once.
 
         Callers hold the node's engine lock (settlement dispatch,
         registration, recovery all do), so publications for one object
@@ -192,21 +200,20 @@ class ReadCache:
         current snapshot's is ignored — a late event replayed after a
         recovery republish must not roll the visible version back.
         """
-        cell = self._cell(object_name)
         version = int(state_id["seq"])
-        current = cell.snapshot
+        current = self._cells.get(object_name)
         if current is not None and version < current.version:
             return current
         snapshot = Snapshot(
             object_name=object_name,
-            state=(freeze(state) if encoded is None
-                   else from_canonical_bytes(encoded.data)),
+            encoded=(canonical_bytes(state) if encoded is None
+                     else encoded.data),
             version=version,
             state_id=dict(state_id),
             settle_seq=(current.settle_seq + 1) if current is not None else 1,
-            stamp=self._node.ctx.clock.now(),
+            stamp=self._now(),
         )
-        cell.snapshot = snapshot
+        self._cells[object_name] = snapshot
         obs = self._node.ctx.obs
         if obs.enabled:
             obs.snapshot_published(self._node.party_id, object_name,
@@ -221,18 +228,12 @@ class ReadCache:
         (recovered) agreed state — a crash or restart must never let a
         pre-crash snapshot masquerade as current.
         """
-        with self._cells_lock:
-            cells = ([self._cells[object_name]]
-                     if object_name is not None and object_name in self._cells
-                     else list(self._cells.values())
-                     if object_name is None else [])
+        names = list(self._cells) if object_name is None else [object_name]
         obs = self._node.ctx.obs
-        for cell in cells:
-            snapshot = cell.snapshot
-            cell.snapshot = None
+        for name in names:
+            snapshot = self._cells.pop(name, None)
             if snapshot is not None and obs.enabled:
-                obs.snapshot_invalidated(self._node.party_id,
-                                        snapshot.object_name, reason)
+                obs.snapshot_invalidated(self._node.party_id, name, reason)
 
     # ------------------------------------------------------------------
     # reading
@@ -240,26 +241,25 @@ class ReadCache:
 
     def latest(self, object_name: str) -> "Optional[Snapshot]":
         """The latest published snapshot, lock-free (None when empty)."""
-        cell = self._cells.get(object_name)
-        return cell.snapshot if cell is not None else None
+        return self._cells.get(object_name)
 
     def read(self, object_name: str,
              mode: "ReadMode | str | None" = None) -> ReadResult:
         """Serve one validated read in the given consistency mode."""
-        mode = parse_read_mode(mode)
-        obs = self._node.ctx.obs
+        if not isinstance(mode, ReadMode):
+            mode = parse_read_mode(mode)
         if mode.kind != SETTLED:
-            snapshot = self.latest(object_name)
+            snapshot = self._cells.get(object_name)
             if snapshot is not None:
-                staleness = self._node.ctx.clock.now() - snapshot.stamp
-                if (mode.kind == CACHED
-                        or staleness <= mode.max_staleness):
+                staleness = self._now() - snapshot.stamp
+                if mode.kind == CACHED or staleness <= mode.max_staleness:
+                    obs = self._node.ctx.obs
                     if obs.enabled:
                         obs.read_served(self._node.party_id, object_name,
-                                        mode.kind, True, max(0.0, staleness))
-                    return ReadResult(snapshot, mode, True,
-                                      max(0.0, staleness))
+                                        mode.kind, True, staleness)
+                    return ReadResult(snapshot, mode, True, staleness)
         snapshot = self.refresh(object_name)
+        obs = self._node.ctx.obs
         if obs.enabled:
             obs.read_served(self._node.party_id, object_name, mode.kind,
                             False, 0.0)
@@ -281,14 +281,3 @@ class ReadCache:
             engine = node.party.session(object_name).state
             return self.publish(object_name, engine.agreed_state,
                                 engine.agreed_sid.to_dict())
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _cell(self, object_name: str) -> _Cell:
-        cell = self._cells.get(object_name)
-        if cell is None:
-            with self._cells_lock:
-                cell = self._cells.setdefault(object_name, _Cell())
-        return cell

@@ -232,29 +232,20 @@ class Gateway:
         :class:`~repro.errors.RateLimitedError` when the client's token
         bucket is empty.
         """
-        obs = self.node.ctx.obs
-        party = self.node.party_id
         if self.limiter is not None:
             with self._lock:
                 ok, retry_after = self.limiter.admit(client_id)
-            if not ok:
-                self._reject_read(obs, party, object_name, client_id,
-                                  retry_after)
-                raise RateLimitedError(
-                    f"client {client_id!r} exceeded its rate limit",
-                    retry_after=retry_after,
-                )
-        result = self.node.examine(object_name, read_mode)
+                if not ok:
+                    self._reject(self.node.ctx.obs, self.node.party_id,
+                                 object_name, client_id, "rate_limited",
+                                 retry_after)
+                    raise RateLimitedError(
+                        f"client {client_id!r} exceeded its rate limit",
+                        retry_after=retry_after,
+                    )
+        result = self.node.readcache.read(object_name, read_mode)
         self.stats_reads += 1
         return result
-
-    def _reject_read(self, obs: Any, party: str, object_name: str,
-                     client_id: str, retry_after: float) -> None:
-        with self._lock:
-            self.stats_rejected["rate_limited"] += 1
-        if obs.enabled:
-            obs.gateway_rejected(party, object_name, client_id,
-                                 "rate_limited", retry_after)
 
     def wait(self, ticket: GatewayTicket,
              timeout: "float | None" = None) -> bool:

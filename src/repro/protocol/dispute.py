@@ -165,11 +165,9 @@ class Arbiter:
             for kind in ("response-received", "connect-response-received",
                          "disconnect-response-received", "evict-response-received"):
                 for entry in submission.log.entries(kind):
-                    raw = entry.payload.get("response")
-                    if not isinstance(raw, dict):
-                        continue
                     try:
-                        part = SignedPart.from_dict(raw)
+                        part = SignedPart.from_dict(
+                            entry.payload.get("response"))
                     except (KeyError, TypeError, ValueError):
                         continue
                     if part.signer != accused:

@@ -229,11 +229,8 @@ class EnginePlumbing:
 
     @staticmethod
     def _parse_part(message: dict, key: str) -> "Optional[SignedPart]":
-        raw = message.get(key)
-        if not isinstance(raw, dict):
-            return None
         try:
-            return SignedPart.from_dict(raw)
+            return SignedPart.from_dict(message.get(key))
         except _MALFORMED:
             return None
 

@@ -76,7 +76,10 @@ def verify_authenticated_decision(bundle: dict, resolver: VerifierResolver,
         problems.append(f"proposal signature: {exc}")
 
     responses: "list[SignedPart]" = []
-    for raw in bundle.get("responses", []):
+    raw_responses = bundle.get("responses", [])
+    if not isinstance(raw_responses, list):
+        raw_responses = [raw_responses]  # one malformed response
+    for raw in raw_responses:
         try:
             responses.append(SignedPart.from_dict(raw))
         except (KeyError, TypeError, ValueError):

@@ -121,6 +121,9 @@ class SignedPart:
 
     @staticmethod
     def from_dict(data: dict) -> "SignedPart":
+        if not isinstance(data, dict):
+            raise TypeError(f"a signed part is an object, not a "
+                            f"{type(data).__name__}")
         timestamp = data.get("timestamp")
         return SignedPart(
             payload=dict(data["payload"]),

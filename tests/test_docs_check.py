@@ -28,6 +28,7 @@ def test_repo_docs_are_clean(check_docs):
     assert check_docs.check_catalogue_sections() == []
     assert check_docs.check_report_samples() == []
     assert check_docs.check_imports() == []
+    assert check_docs.check_read_fields() == []
 
 
 def test_broken_link_reported(check_docs, tmp_path, monkeypatch):
@@ -182,3 +183,15 @@ def test_drifted_sample_import_reported(check_docs, tmp_path, monkeypatch):
     assert "RecordingInstrumentation" in first
     assert second.startswith("docs/GUIDE.md:5: ")
     assert "NoSuchMonitor" in second
+
+
+def test_read_type_field_drift_reported(check_docs, tmp_path, monkeypatch):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "READS.md").write_text(
+        "| type | fields |\n|---|---|\n"
+        "| `ReadResult` | `snapshot`, `mode`, `hit` |\n")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    problems = check_docs.check_read_fields()
+    assert len(problems) == 2
+    assert "`ReadResult`" in problems[0] and "'staleness'" in problems[0]
+    assert "`Snapshot`" in problems[1] and "None" in problems[1]

@@ -145,3 +145,61 @@ def test_a_stored_line_that_is_no_record_is_refused(tmp_path, capsys, line):
     assert isinstance(load_evidence_log("OrgA", str(path)), CorruptEvidenceLog)
     assert main(["verify-log", str(path)]) == 1
     assert capsys.readouterr().out.startswith("FAILED")
+
+
+# What an operator hands ``repro verify-bundle``: a bundle or keys file
+# that is no JSON object is refused with one line on stderr and exit
+# status 2, apart from 1 ("not authentic").  Each of these printed a
+# traceback once.
+_NO_KEYS = b'{"parties": {}}'
+
+
+@pytest.mark.parametrize("bundle, keys", [
+    pytest.param(b"garbage", _NO_KEYS, id="bundle-garbage"),
+    pytest.param(b"[1,2]", _NO_KEYS, id="bundle-list"),
+    pytest.param(b"[" * 100_000, _NO_KEYS, id="bundle-deep"),
+    pytest.param(b'{"__b64__":5}', _NO_KEYS, id="bundle-wrapper"),
+    pytest.param(b"{}", b"[", id="keys-torn"),
+    pytest.param(b"{}", b'{"parties":[1]}', id="keys-parties-list"),
+    pytest.param(b"{}", b'{"parties":{"A":5}}', id="keys-party-number"),
+    pytest.param(b"{}", b'{"parties":{"A":{"kind":"rsa-public"}}}',
+                 id="keys-party-no-modulus"),
+    pytest.param(b"{}", b'{"tsa":[1]}', id="keys-tsa-list"),
+])
+def test_verify_bundle_refuses_a_file_that_is_no_object(
+        tmp_path, capsys, monkeypatch, bundle, keys):
+    (tmp_path / "bundle").write_bytes(bundle)
+    (tmp_path / "keys.json").write_bytes(keys)
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify-bundle", "bundle", "--keys", "keys.json"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (status, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert peak < 1 << 20
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "bundle", "keys.json"]
+
+
+_PARSED_PROPOSAL = (b'{"payload":{},"signature":{"scheme":"rsa",'
+                    b'"signer":"A","value":{"__b64__":"AA=="}}}')
+
+
+@pytest.mark.parametrize("bundle", [
+    b'{"proposal":5}', b'{"proposal":[1]}', b'{"proposal":null}',
+    b'{"proposal":' + _PARSED_PROPOSAL + b',"responses":5}',
+    b'{"proposal":' + _PARSED_PROPOSAL + b',"responses":[1,"x"]}'])
+def test_verify_bundle_calls_a_misshapen_bundle_not_authentic(
+        tmp_path, capsys, bundle):
+    """An object whose parts are of the wrong shape is a bundle that
+    does not verify (exit 1), not a crash."""
+    (tmp_path / "bundle").write_bytes(bundle)
+    (tmp_path / "keys.json").write_bytes(_NO_KEYS)
+    assert main(["verify-bundle", str(tmp_path / "bundle"),
+                 "--keys", str(tmp_path / "keys.json")]) == 1
+    assert "authentic:  False" in capsys.readouterr().out

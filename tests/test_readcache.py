@@ -9,12 +9,19 @@ Pins the consistency contract documented in ``docs/READS.md``:
   republish from the recovered engines;
 * a composite settlement republishes every child;
 * concurrent readers during a settlement storm observe monotonically
-  non-decreasing versions.
+  non-decreasing versions;
+* staleness is measured on the network's clock, not the wall clock;
+* a bounded hit is a lookup, a clock read and a tuple (a call-count
+  gate, counted rather than timed).
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -30,7 +37,14 @@ from repro.core import (
     wrap_object,
 )
 from repro.core.object import B2BObject
-from repro.core.readcache import BOUNDED, CACHED, SETTLED, ReadMode
+from repro.core.readcache import (
+    BOUNDED,
+    CACHED,
+    SETTLED,
+    ReadCache,
+    ReadMode,
+    ReadResult,
+)
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -41,6 +55,8 @@ from repro.obs.report import render_snapshot
 from repro.protocol.validation import Decision
 from repro.transport.inmemory import LinkProfile
 from repro.transport.tcp import TcpNetwork
+from repro.util.clocks import Clock
+from repro.util.encoding import canonical_bytes, freeze, from_canonical_bytes
 
 
 class CounterObject(B2BObject):
@@ -114,6 +130,20 @@ class TestReadModes:
         assert cached().describe() == "cached"
         assert bounded(0.25).describe() == "bounded(0.25s)"
 
+    @pytest.mark.parametrize("kind, bound", [
+        (BOUNDED, float("nan")), (BOUNDED, -1.0), (BOUNDED, -1),
+        (BOUNDED, None), (BOUNDED, "0.5"), (BOUNDED, True),
+        (CACHED, 1.0), (SETTLED, 0.0), ("eventually", None)])
+    def test_a_mode_is_checked_at_both_doors(self, kind, bound):
+        """``bounded(nan)`` once built a mode that refreshed on every read
+        and described itself as ``bounded(nans)``, and a hand-built
+        ``ReadMode(BOUNDED, -1.0)`` passed ``parse_read_mode``."""
+        if kind == BOUNDED:
+            with pytest.raises(ConfigurationError):
+                bounded(bound)
+        with pytest.raises(ConfigurationError):
+            parse_read_mode(ReadMode(kind, bound))
+
 
 # ---------------------------------------------------------------------------
 # core semantics
@@ -176,6 +206,132 @@ class TestReadSemantics:
         first.state["k"] = "tampered"
         again = community.examine("B", "ledger", cached())
         assert again.state == {"k": 1}
+        community.close()
+
+
+class TestReadContract:
+    def test_a_result_is_an_immutable_tuple_of_four_fields(self):
+        community, controllers, objects = build(seed=20)
+        write(community, controllers, objects, "A", k=1)
+        assert ReadResult._fields == ("snapshot", "mode", "hit", "staleness")
+        result = community.examine("B", "ledger", cached())
+        assert tuple(result) == (result.snapshot, cached(), True,
+                                 result.staleness)
+        with pytest.raises(AttributeError):
+            result.hit = False
+        with pytest.raises(AttributeError):
+            result.snapshot.encoded = b"{}"
+        community.close()
+
+    def test_state_is_a_private_copy_of_the_agreed_bytes(self):
+        community, controllers, objects = build(seed=21)
+        write(community, controllers, objects, "A", k=1, nested={"n": [1]})
+        first = community.examine("B", "ledger", cached())
+        snapshot = first.snapshot
+        assert snapshot.encoded == canonical_bytes({"k": 1,
+                                                    "nested": {"n": [1]}})
+        first.state["nested"]["n"].append(2)
+        snapshot.state["k"] = "tampered"
+        again = community.examine("B", "ledger", cached())
+        assert again.state == snapshot.state == {"k": 1, "nested": {"n": [1]}}
+        assert again == first  # one snapshot, served twice at one instant
+        community.close()
+
+    def test_a_wall_clock_step_back_does_not_make_a_snapshot_fresh(self):
+        """Staleness on the wall clock: 0.6 s after a settled read the
+        clock stepped back 5 s, and a ``bounded(0.25)`` read was served
+        as a hit with staleness 0.0."""
+        class SteppableClock(Clock):
+            offset = 0.0
+
+            def now(self) -> float:
+                return time.time() + self.offset
+
+        clock = SteppableClock()
+        community = Community(["A", "B"], runtime=ThreadedRuntime(TcpNetwork()),
+                              clock=clock, retransmit_interval=0.5)
+        try:
+            community.found_object("ledger", {name: DictB2BObject()
+                                              for name in ("A", "B")})
+            node = community.node("A")
+            assert not node.examine("ledger", settled()).hit
+            time.sleep(0.6)
+            clock.offset -= 5.0
+            result = node.examine("ledger", bounded(0.25))
+            assert result.hit is False and result.staleness == 0.0
+        finally:
+            community.close()
+
+
+def _calls(call):
+    """``call()``'s result and the code objects of every Python-level
+    function it enters."""
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, entered
+
+
+#: What a served copy or a refresh costs, and a hit must not call.
+_COPYING = {freeze.__code__, canonical_bytes.__code__,
+            from_canonical_bytes.__code__, ReadCache.refresh.__code__}
+_DECODING = {from_canonical_bytes.__code__, freeze.__code__,
+             json.loads.__code__, json.JSONDecoder.decode.__code__}
+
+
+class TestHitPathCounts:
+    """Counted, not timed.  With a frozen-dataclass result and the mode
+    parsed on every read, a gateway hit entered 11 functions and a
+    ``node.examine`` hit 8: ``party_id``, ``parse_read_mode``,
+    ``latest``, three clock layers and the dataclass's ``__init__``."""
+
+    GATEWAY_CALLS = 6  # session, gateway, cache, 2 clock layers, tuple
+    EXAMINE_CALLS = 5  # node, cache, 2 clock layers, tuple
+
+    def test_a_bounded_hit_is_a_lookup_a_clock_read_and_a_tuple(self):
+        community, controllers, objects = build(seed=19)
+        write(community, controllers, objects, "A", k=1)
+        node = community.node("A")
+        session = node.gateway().session("reader")
+        mode = bounded(10.0)
+        for read, most in (
+                (functools.partial(session.read, "ledger", mode),
+                 self.GATEWAY_CALLS),
+                (functools.partial(node.examine, "ledger", mode),
+                 self.EXAMINE_CALLS)):
+            assert read().hit
+            _, entered = _calls(read)
+            assert len(entered) <= most, [c.co_qualname for c in entered]
+            assert not _COPYING & set(entered)
+        community.close()
+
+    def test_a_settlement_publishes_without_decoding(self):
+        community, controllers, objects = build(seed=22)
+        published = []
+        for name in community.names():
+            cache = community.node(name).readcache
+            original = cache.publish
+
+            def publish(*args, _original=original):
+                snapshot, entered = _calls(lambda: _original(*args))
+                published.append((len(args) == 4 and args[3] is not None,
+                                  _DECODING & set(entered)))
+                return snapshot
+
+            cache.publish = publish
+        write(community, controllers, objects, "A", k=1)
+        with_bytes = [decoders for carried, decoders in published if carried]
+        assert len(with_bytes) == 3  # every party's settlement
+        assert with_bytes == [set()] * 3
+        assert community.examine("C", "ledger", cached()).state == {"k": 1}
         community.close()
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Eight checks, all stdlib-only:
+Nine checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -42,6 +42,10 @@ Eight checks, all stdlib-only:
    fenced code block of a ``README.md`` or ``docs/*.md`` must import:
    the module loads and each name is in it (or is a submodule), so a
    sample cannot keep importing a name its package stopped exporting.
+9. **Read types** — the field rows ``| `Type` | `a`, `b` |`` that
+   ``docs/READS.md`` gives for ``ReadResult`` and ``Snapshot`` must name
+   the types' fields in order, so the documented read contract cannot
+   drift from ``repro.core.readcache``.
 
 Run from the repository root (CI's ``docs-check`` job does):
 
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import difflib
 import importlib
 import os
@@ -75,6 +80,11 @@ EXECUTABLE_DOCS = ("README.md", os.path.join("docs", "API.md"),
 #: README phrasing that must track the EXPERIMENTS.md table.
 EXPERIMENT_COUNT_RE = re.compile(r"(\d+) experiments")
 EXPERIMENT_ROW_RE = re.compile(r"^\| [FC]\d")
+
+#: The read types whose fields ``docs/READS.md`` lists, and a field row.
+READ_TYPES = ("ReadResult", "Snapshot")
+READS_DOC = os.path.join("docs", "READS.md")
+FIELD_ROW_RE = re.compile(r"^\| `(\w+)` \| (.*) \|$")
 
 #: Files quoting ``repro obs-report`` output, and a report section header.
 REPORT_DOCS = ("README.md", os.path.join("docs", "OBSERVABILITY.md"))
@@ -352,6 +362,26 @@ def check_imports() -> "list[str]":
     return problems
 
 
+def check_read_fields() -> "list[str]":
+    """The field rows of docs/READS.md must be the read types' fields."""
+    _src_on_path()
+    from repro.core import readcache
+
+    with open(os.path.join(REPO_ROOT, READS_DOC), encoding="utf-8") as handle:
+        rows = {match[1]: re.findall(r"`(\w+)`", match[2])
+                for match in map(FIELD_ROW_RE.match, handle.read().splitlines())
+                if match}
+    problems = []
+    for name in READ_TYPES:
+        cls = getattr(readcache, name)
+        fields = list(getattr(cls, "_fields", None)
+                      or (field.name for field in dataclasses.fields(cls)))
+        if rows.get(name) != fields:
+            problems.append(f"{READS_DOC}: the field row of `{name}` lists "
+                            f"{rows.get(name)}, the type has {fields}")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -369,6 +399,7 @@ def main() -> int:
     problems += check_catalogue_sections()
     problems += check_report_samples()
     problems += check_imports()
+    problems += check_read_fields()
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -376,7 +407,7 @@ def main() -> int:
         return 1
     print("docs-check: all markdown links, artefact references and sample "
           "imports resolve, all examples run and the event catalogue "
-          "sections and report samples are current")
+          "sections, report samples and read-type fields are current")
     return 0
 
 
