@@ -9,7 +9,8 @@ coordination runs, 3 parties over the in-memory simulator) three times:
 * ``recording`` — :class:`RecordingInstrumentation` feeding the
   :class:`MetricsRegistry`;
 * ``live`` — the full telemetry plane: recording *plus* the flight
-  recorder ring, the health watchdog evaluating its SLO rules on
+  recorder ring (a tracer exporter, so every trace record is built and
+  kept), the health watchdog evaluating its SLO rules on
   virtual time, and a real :class:`TelemetryServer` being scraped
   over HTTP by a background thread for the whole run.
 
@@ -109,20 +110,20 @@ def _run_burst(seed: int, obs=None, live: bool = False) -> "tuple[float, float]"
     community.found_object("ledger", objects)
     node = community.node(names[0])
 
-    timer = server = None
+    timer = server = flight = None
     stop_scraper = threading.Event()
     scraper = None
     scrapes = [0]
     if live:
-        obs.flight = FlightRecorder(capacity=2048,
-                                    clock=community.clock)
+        flight = FlightRecorder(capacity=2048)
+        obs.tracer.add_exporter(flight)
         monitor = HealthMonitor(obs.registry, rules=default_rules(),
                                 obs=obs, party=names[0],
                                 clock=community.clock.now,
-                                flight=obs.flight)
+                                flight=flight)
         timer = monitor.schedule_on(community.runtime.network, 1.0)
         server = TelemetryServer(obs.registry, monitor=monitor,
-                                 flight=obs.flight).start()
+                                 flight=flight).start()
 
         def scrape() -> None:
             # Minimal keep-alive client: in production the scraper is the
@@ -178,7 +179,7 @@ def _run_burst(seed: int, obs=None, live: bool = False) -> "tuple[float, float]"
         for name in names[1:]:
             assert objects[name].get_state() == reference, name
         if live:
-            assert obs.flight.recorded > 0, "flight ring never fed"
+            assert flight.recorded > 0, "flight ring never fed"
             assert scrapes[0] > 0, "exporter never scraped"
         return wall, cpu
     finally:
@@ -286,7 +287,7 @@ def test_c14_obs_overhead(report):
          f"cpu overhead (per-mode best of {ROUNDS} palindrome rounds)",
          "(median)"], rows,
     ) + (f"\n\nbudget: live overhead < {MAX_OVERHEAD:.0%}"
-         f"\ncomparison JSON: {json_path}")
+         "\ncomparison JSON: benchmarks/results/BENCH_obs_overhead.json")
     report("C14", "live telemetry plane overhead", body)
 
     assert overhead_live < MAX_OVERHEAD, (

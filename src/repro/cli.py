@@ -352,7 +352,7 @@ def _run_forensic_game(seed: int, latency: float, drop: float,
 
 
 def _run_pipeline_burst(seed: int, updates: int, registry,
-                        flight=None, read_ops: int = 0) -> None:
+                        tracer=None, read_ops: int = 0) -> None:
     """Contended pipelined writes for the report's ``pipeline`` section.
 
     Two proposers submit *updates* each through their write pipelines
@@ -369,7 +369,7 @@ def _run_pipeline_burst(seed: int, updates: int, registry,
     from repro.crypto.prng import DeterministicRandomSource
     from repro.obs.recording import RecordingInstrumentation
 
-    obs = RecordingInstrumentation(registry=registry, flight=flight)
+    obs = RecordingInstrumentation(registry=registry, tracer=tracer)
     names = ["Cross", "Nought", "Witness"]
     community = Community(names, seed=seed, obs=obs)
     replicas = {name: DictB2BObject() for name in names}
@@ -489,7 +489,7 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
                  or "-"))
         print(f"  node health: {community.node('Org1').health()}")
         if args.flight_dump:
-            print(f"  flight recorder dump ({live.flight.recorded} events "
+            print(f"  flight recorder dump ({live.flight.recorded} records "
                   f"recorded, last {len(live.flight.events())} retained) "
                   f"written to {args.flight_dump}")
     if obs is not None and args.obs:
@@ -559,10 +559,10 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
 
     obs = RecordingInstrumentation()
     flight = FlightRecorder(args.flight_capacity)
-    obs.flight = flight
+    obs.tracer.add_exporter(flight)
     for index in range(args.rounds):
         _run_pipeline_burst(seed=args.seed + index, updates=args.updates,
-                            registry=obs.registry, flight=flight)
+                            registry=obs.registry, tracer=obs.tracer)
     monitor = HealthMonitor(obs.registry, obs=obs, party="serve-metrics",
                             interval=args.watchdog, flight=flight)
     server = TelemetryServer(obs.registry, monitor=monitor, flight=flight,
@@ -571,7 +571,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     print(f"serving telemetry at {server.url}")
     print(f"  routes: /metrics /metrics.json /health /flight")
     print(f"  workload: {args.rounds} pipeline burst round(s), "
-          f"{flight.recorded} flight events recorded")
+          f"{flight.recorded} flight records")
     if args.probe:
         import urllib.request
 
@@ -668,8 +668,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     """Forensic audit: evidence re-verification + merged causal timeline."""
     from repro.obs.audit import audit_evidence, load_evidence_log
     from repro.obs.merge import merge_trace_files, render_timeline
+    from repro.obs.trace import TraceFormatError
 
     resolver, tsa_verifier = _load_keys(args.keys)
+    merged = None
+    if args.trace:
+        try:
+            merged = merge_trace_files(args.trace)
+        except (OSError, TraceFormatError) as exc:
+            raise _Refused(f"trace file {exc}") from None
     logs = {}
     for spec in args.log:
         party, sep, path = spec.partition("=")
@@ -678,9 +685,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             return 2
         logs[party] = load_evidence_log(party, path)
 
-    merged = None
-    if args.trace:
-        merged = merge_trace_files(args.trace)
+    if merged is not None:
         if args.merged_out:
             with open(args.merged_out, "w", encoding="utf-8") as handle:
                 for record in merged.events:

@@ -66,13 +66,12 @@ class Community:
             self.clock = _SimNetworkClock(self.runtime)
         else:
             self.clock = SystemClock()
-        # A flight recorder attached before the community existed (the
-        # CLI builds RecordingInstrumentation(flight=...) up front) has
-        # no clock yet; bind it to the community clock so simulated runs
-        # dump virtual timestamps, never a wall-clock/virtual mix.
-        flight = getattr(self.obs, "flight", None)
-        if flight is not None and hasattr(flight, "bind_clock"):
-            flight.bind_clock(self.clock)
+        # Instrumentation built before the community (the CLI's) stamps
+        # its trace records by the community clock from here on, so a
+        # simulated run records virtual time, never a wall/virtual mix.
+        tracer = getattr(self.obs, "tracer", None)
+        if tracer is not None:
+            tracer.bind_clock(self.clock)
         # Kept for benchmarks/e2e/workloads.py, which passes
         # num_shards=1; the benchmark follow-up that stops passing it
         # deletes the argument.  A node has one engine lock.

@@ -283,7 +283,7 @@ def run_crash_scenario(community: Community, gateway: Any,
     the closed-loop load, then lets *settle_after* more virtual seconds
     elapse so the watchdog observes the return to health.  Returns
     ``(stats, live)`` — ``live.monitor`` holds the alerts and health
-    transitions, ``live.flight`` the recorded events.
+    transitions, ``live.flight`` the most recent trace records.
 
     The node must carry a recording instrumentation, and the gateway
     should be built with :data:`CRASH_BREAKER_OPTIONS` (or an equivalent

@@ -6,8 +6,8 @@ leaves behind:
 * the *evidence* — per-party hash-chained non-repudiation logs holding
   signed proposals, signed responses and authenticated-decision bundles,
   independently re-verifiable by any third party;
-* the *traces* — per-party causal records ordered by Lamport clock,
-  merged into one timeline by :mod:`repro.obs.merge`.
+* the *traces* — per-party trace records (or flight-ring dumps) ordered
+  by Lamport clock, merged into one timeline by :mod:`repro.obs.merge`.
 
 The evidence is what convicts (signatures cannot be forged); the merged
 timeline is what explains (when the veto happened relative to everything
@@ -23,9 +23,12 @@ from dataclasses import dataclass, field
 from repro.crypto.signature import Verifier
 from repro.errors import LogCorruptionError, StorageError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
-from repro.obs.merge import MergedTrace
+from repro.obs.merge import DECISION, MergedTrace, joined
 from repro.protocol.dispute import Arbiter, Ruling
-from repro.protocol.evidence import verify_authenticated_decision
+from repro.protocol.evidence import (
+    bundle_responses,
+    verify_authenticated_decision,
+)
 from repro.protocol.messages import SignedPart, VerifierResolver
 from repro.protocol.validation import Decision
 from repro.storage.log import NonRepudiationLog
@@ -174,8 +177,8 @@ def audit_evidence(logs: "dict[str, NonRepudiationLog]",
             existing = bundles.get(run_id)
             # Prefer the bundle with the most responses: the proposer's
             # copy is complete even when a responder's run was aborted.
-            if existing is None or len(entry.payload.get("responses", [])) \
-                    > len(existing.get("responses", [])):
+            if existing is None or len(bundle_responses(entry.payload)) \
+                    > len(bundle_responses(existing)):
                 bundles[run_id] = entry.payload
 
     for run_id in sorted(bundles):
@@ -215,7 +218,7 @@ def _examine_run(run_id: str, bundle: dict, held_by: "list[str]",
         valid=verdict.valid,
         problems=list(verdict.problems),
     )
-    for raw in bundle.get("responses", []):
+    for raw in bundle_responses(bundle):
         try:
             part = SignedPart.from_dict(raw)
         except (KeyError, TypeError, ValueError):
@@ -287,20 +290,19 @@ def _cross_reference(finding: RunFinding, merged: "MergedTrace | None") -> None:
         f"trace {run.trace_id[:12]}…: {len(run.events)} causal events "
         f"across {run.participants}"
     )
-    for record in run.events:
-        if record.get("name") == "causal.decision" \
-                and not record.get("accepted", True):
-            finding.trace_notes.append(
-                f"L{record.get('lamport')}: {record.get('party')} vetoed "
-                f"({record.get('diagnostics', '')})"
-            )
+    vetoes = [record for record in run.events
+              if record.get("name") == DECISION
+              and not record.get("accepted", True)]
+    for record in vetoes:
+        finding.trace_notes.append(
+            f"L{record.get('lamport')}: {record.get('party')} vetoed "
+            f"({joined(record.get('diagnostics', ''))})"
+        )
     for party, outcome in sorted(run.outcomes.items()):
         finding.trace_notes.append(
             f"settled {outcome} at {party}"
         )
-    traced_vetoers = {str(r.get("party", "")) for r in run.events
-                      if r.get("name") == "causal.decision"
-                      and not r.get("accepted", True)}
+    traced_vetoers = {str(record.get("party", "")) for record in vetoes}
     evidence_vetoers = set(finding.vetoes)
     if traced_vetoers and evidence_vetoers \
             and traced_vetoers != evidence_vetoers:

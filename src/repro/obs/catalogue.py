@@ -2,8 +2,8 @@
 
 One :class:`Event` per hook says who fires it (``layer``), with which
 positional parameters, when, and what recording it means: the counters,
-histograms and gauges it updates, the trace record it emits and whether
-it reaches the flight ring.  Everything else is derived:
+histograms and gauges it updates and the trace record it emits.
+Everything else is derived:
 :class:`~repro.obs.hooks.Instrumentation` takes its no-op methods from
 :data:`CATALOGUE`, :class:`~repro.obs.recording.RecordingInstrumentation`
 interprets the entries, and :func:`render_docs` writes the hook and
@@ -11,8 +11,9 @@ metric tables of ``docs/OBSERVABILITY.md``.  To add an event: one
 entry here, one call site.
 
 Parameter names double as field names: a trace record carries every
-parameter except ``seconds`` (a span's duration; events drop it), a
-flight event carries them all.  Metric names are templates over the
+parameter except ``seconds`` (a span's duration; events drop it), its
+value as passed, and every consumer (trace files, the flight ring, the
+merge, the audit) reads those records.  Metric names are templates over the
 parameters: ``{role}`` is the argument's value, ``{ok:failed|passed}``
 picks a label by its truth.
 """
@@ -20,7 +21,7 @@ picks a label by its truth.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _LABEL = re.compile(r"\{(\w+)(?::(\w+)\|(\w+))?\}")
 
@@ -74,9 +75,6 @@ class Event:
     trace: str = ""  # trace record name; none when empty
     span: bool = False  # the record is a span lasting ``seconds``
     trace_when: str = ""  # record only if this parameter is true (and omit it)
-    trace_as: dict = field(default_factory=dict)  # parameter -> rendering
-    flight: str = ""  # flight-ring kind; stays out of the ring when empty
-    flight_as: dict = field(default_factory=dict)
 
     @property
     def signature(self) -> str:
@@ -93,9 +91,6 @@ CATALOGUE: "list[Event]" = []
 
 def _event(hook: str, layer: str, params: str, when: str,
            *metrics: Metric, **recording) -> None:
-    """Add one entry; ``flight=True`` means "under the hook's own name"."""
-    if recording.get("flight") is True:
-        recording["flight"] = hook
     CATALOGUE.append(Event(hook, layer, tuple(params.split()), when,
                            metrics, **recording))
 
@@ -104,64 +99,51 @@ _event("run_started", "protocol", "party object run_id role mode",
        "a coordination run begins at a party (as proposer or responder)",
        count("protocol.runs.started"),
        count("protocol.runs.started.{role}"),
-       trace="run.started", flight=True)
+       trace="run.started")
 _event("run_settled", "protocol",
-       "party object run_id role outcome seconds",
-       "a run reaches valid/invalid; `seconds` is protocol-clock elapsed",
+       "party object run_id role outcome seconds trace_id lamport",
+       "a run reaches valid/invalid; `seconds` is protocol-clock elapsed, "
+       "`lamport` places the settlement on the run's causal timeline",
        count("protocol.runs.{outcome}"),
        observe("protocol.run_seconds", "seconds"),
        observe("protocol.run_seconds.{role}", "seconds"),
-       trace="run.settled", span=True, flight=True)
+       trace="run.settled", span=True)
 _event("protocol_message", "protocol",
-       "party object run_id phase direction size",
-       "one m1/m2/m3 message sent or received (`size` in bytes)",
+       "party object run_id phase direction size peer trace_id span_id "
+       "parent_span_id lamport",
+       "one m1/m2/m3 message sent to or received from `peer` (`size` in "
+       "bytes), with its causal context: `parent_span_id` links a "
+       "receive to its send",
        count("protocol.{phase}.{direction}"),
        count("protocol.{phase}.bytes_{direction}", by="size"),
-       count("protocol.messages.{direction}"), flight=True)
+       count("protocol.messages.{direction}"), trace="protocol.message")
 _event("phase_handled", "protocol", "party object phase seconds",
        "one inbound phase message processed (verify + decide)",
        observe("protocol.{phase}.handle_seconds", "seconds"),
        trace="phase.handle", span=True)
 _event("validation_decision", "protocol",
-       "party object run_id accepted diagnostics",
+       "party object run_id accepted diagnostics trace_id lamport",
        "a responder decided on a proposal (systematic + application "
-       "checks); the trace record carries the diagnostics count, the "
-       "flight event their text",
+       "checks), as a Lamport-stamped local event",
        count("protocol.validation.{accepted:rejected|accepted}"),
-       trace="validation.decision", trace_as={"diagnostics": len},
-       flight="validation", flight_as={"diagnostics": list})
-
-_event("causal_message", "tracing",
-       "party object run_id phase direction peer trace_id span_id "
-       "parent_span_id lamport",
-       "one m1/m2/m3 sent to or received from a peer, with its causal "
-       "context (`parent_span_id` links a receive to its send)",
-       count("trace.causal.messages"), trace="causal.message")
-_event("causal_decision", "tracing",
-       "party object run_id trace_id lamport accepted diagnostics",
-       "a responder's accept/veto as a Lamport-stamped local event",
-       trace="causal.decision", trace_as={"diagnostics": "; ".join})
-_event("causal_outcome", "tracing",
-       "party object run_id trace_id lamport role outcome",
-       "a run settling valid/invalid at one party, on the causal "
-       "timeline", trace="causal.outcome")
+       trace="validation.decision")
 
 _event("batch_proposed", "pipeline", "party object run_id size",
        "a batched proposal left with `size` updates in one run",
        count("pipeline.batches"),
        count("pipeline.batched_updates", by="size"),
        observe("pipeline.batch_size", "size"),
-       trace="pipeline.batch", flight=True)
+       trace="pipeline.batch")
 _event("pipeline_depth", "pipeline", "party object depth",
        "the number of queued pipeline updates changed",
        level("pipeline.depth", "depth"))
 _event("pipeline_busy_retry", "pipeline", "party object attempt",
        "a batch vetoed for benign contention was re-queued",
        count("pipeline.busy_retries"),
-       trace="pipeline.retry", flight=True)
+       trace="pipeline.retry")
 _event("pipeline_saturated", "pipeline", "party object depth",
        "a bounded pipeline rejected a submit at `depth` queued updates",
-       count("pipeline.saturated"), flight=True)
+       count("pipeline.saturated"), trace="pipeline.saturated")
 
 _event("read_served", "readcache", "party object mode hit staleness",
        "one validated read served (`mode` = settled/bounded/cached; "
@@ -174,15 +156,16 @@ _event("snapshot_published", "readcache",
        "party object version settle_seq",
        "a settlement or refresh published a new validated snapshot",
        count("readcache.published"),
-       level("readcache.version", "version"), flight=True)
+       level("readcache.version", "version"), trace="readcache.published")
 _event("snapshot_invalidated", "readcache", "party object reason",
        "a published snapshot was dropped (`crash` / `recovery`)",
        count("readcache.invalidated"),
-       count("readcache.invalidated.{reason}"), flight=True)
+       count("readcache.invalidated.{reason}"),
+       trace="readcache.invalidated")
 
 _event("gateway_admitted", "gateway", "party object client",
        "a client request passed all admission guards",
-       count("gateway.admitted"), flight=True)
+       count("gateway.admitted"), trace="gateway.admitted")
 _event("gateway_rejected", "gateway",
        "party object client reason retry_after",
        "a request refused before coordination (`rate_limited` / "
@@ -190,10 +173,10 @@ _event("gateway_rejected", "gateway",
        "the client was told to observe",
        count("gateway.rejected"), count("gateway.rejected.{reason}"),
        observe("gateway.retry_after_seconds", "retry_after"),
-       flight=True)
+       trace="gateway.rejected")
 _event("gateway_replayed", "gateway", "party object client",
        "an idempotent retry served from the replay cache",
-       count("gateway.replays"), flight=True)
+       count("gateway.replays"), trace="gateway.replayed")
 _event("gateway_queue_depth", "gateway", "party object depth",
        "the admission queue depth changed",
        level("gateway.queue_depth", "depth"))
@@ -201,24 +184,25 @@ _event("gateway_settled", "gateway", "party object valid seconds",
        "a gateway request settled (`seconds` = admission to outcome, "
        "protocol clock)",
        count("gateway.settled.{valid:invalid|valid}"),
-       observe("gateway.settle_seconds", "seconds"), flight=True)
+       observe("gateway.settle_seconds", "seconds"),
+       trace="gateway.settled", span=True)
 _event("breaker_transition", "gateway", "party object old new",
        "a circuit breaker changed state (closed/open/half_open)",
        count("gateway.breaker.transitions"),
        count("gateway.breaker.{old}->{new}"),
-       trace="gateway.breaker", flight=True)
+       trace="gateway.breaker")
 
 _event("health_alert", "health",
        "party rule severity message value threshold",
        "an SLO watchdog rule started firing (once per firing episode, "
        "not per evaluation); `value` crossed `threshold`",
        count("health.alerts"), count("health.alerts.{rule}"),
-       trace="health.alert", flight=True)
+       trace="health.alert")
 _event("health_changed", "health", "party old new",
        "a node's aggregate health moved between "
        "`healthy`/`degraded`/`unhealthy`",
        count("health.transitions"), count("health.{old}->{new}"),
-       trace="health.changed", flight=True)
+       trace="health.changed")
 
 _event("message_sent", "transport", "party peer size",
        "the reliable layer accepted a payload for delivery",
@@ -227,15 +211,15 @@ _event("message_sent", "transport", "party peer size",
 _event("retransmission", "transport", "party peer msg_id attempt",
        "an unacknowledged message was sent again",
        count("transport.retransmissions"),
-       trace="transport.retransmission", flight=True)
+       trace="transport.retransmission")
 _event("retry_exhausted", "transport", "party peer msg_id attempts",
        "a bounded-retry send was abandoned",
        count("transport.retry_exhausted"),
-       trace="transport.retry_exhausted", flight=True)
+       trace="transport.retry_exhausted")
 _event("duplicate_suppressed", "transport", "party peer msg_id",
        "a data message arrived again and was dropped before the engine",
        count("transport.duplicates_suppressed"),
-       trace="transport.duplicate", flight=True)
+       trace="transport.duplicate")
 _event("ack_received", "transport", "party msg_id",
        "an outstanding message was acknowledged",
        count("transport.acks_received"))
@@ -252,13 +236,14 @@ _event("connection_opened", "transport", "party peer reconnect",
        "to the same peer broke, so this is a transparent recovery)",
        count("transport.tcp.connections_opened"),
        count("transport.tcp.reconnects", when="reconnect"),
-       trace="transport.reconnect", trace_when="reconnect", flight=True)
+       trace="transport.reconnect", trace_when="reconnect")
 _event("connection_reused", "transport", "party peer",
        "a frame batch rode an already-open connection",
        count("transport.tcp.connections_reused"))
 _event("connection_failed", "transport", "party peer",
        "a connect attempt failed; queued frames were dropped",
-       count("transport.tcp.connect_failures"), flight=True)
+       count("transport.tcp.connect_failures"),
+       trace="transport.connect_failed")
 _event("frames_coalesced", "transport", "party peer frames",
        "`frames` (> 1) back-to-back frames left in one socket write",
        count("transport.tcp.batches"),
@@ -280,14 +265,16 @@ _event("malformed_frame", "transport", "party reason",
        "(`framing` / `oversized` / `decode` / `bad-envelope`): garbage "
        "on the wire is an intruder signal, counted, never swallowed",
        count("transport.tcp.malformed_frames"),
-       count("transport.tcp.malformed_frames.{reason}"), flight=True)
+       count("transport.tcp.malformed_frames.{reason}"),
+       trace="transport.malformed_frame")
 _event("handler_error", "transport", "party site",
        "a transport-driven callback raised and was contained (`site` = "
        "`command` closure / `timer` callback / inbound `dispatch` / "
        "`idle`: a `when_idle` callback, all on the reactor thread): a "
        "silently dying handler is how a node wedges with no trace",
        count("transport.tcp.handler_errors"),
-       count("transport.tcp.handler_errors.{site}"), flight=True)
+       count("transport.tcp.handler_errors.{site}"),
+       trace="transport.handler_error")
 _event("send_traced", "transport", "party peer msg_id trace_id",
        "the reliable layer bound a `msg_id` to the trace it carries, so "
        "retransmission storms and duplicate floods (which only know "
@@ -345,22 +332,21 @@ _event("claim_checked", "dispute", "claim outcome culprits seconds",
        count("dispute.claims_checked"),
        count("dispute.rulings.{outcome}"),
        observe("dispute.claim_seconds", "seconds"),
-       trace="dispute.ruling", trace_as={"culprits": ", ".join})
+       trace="dispute.ruling")
 
 # -- docs/OBSERVABILITY.md ---------------------------------------------------
 
 
 def _hook_table() -> str:
-    rows = ["| Layer | Hook | Fired when | Trace record | Flight kind |",
-            "|---|---|---|---|---|"]
+    rows = ["| Layer | Hook | Fired when | Trace record |",
+            "|---|---|---|---|"]
     for e in CATALOGUE:
         trace = "—"
         if e.trace:
             trace = f"`{e.trace}` " + ("span" if e.span else "event")
         if e.trace_when:
             trace += f" when `{e.trace_when}`"
-        rows.append(f"| {e.layer} | `{e.signature}` | {e.when} | {trace} | "
-                    + (f"`{e.flight}` |" if e.flight else "— |"))
+        rows.append(f"| {e.layer} | `{e.signature}` | {e.when} | {trace} |")
     return "\n".join(rows)
 
 

@@ -4,8 +4,8 @@ Turns the post-hoc observability of :mod:`repro.obs` into an operational
 loop: a Prometheus/JSON export endpoint per node
 (:mod:`~repro.obs.live.exporter`), online SLO watchdogs driving an
 aggregate node health state (:mod:`~repro.obs.live.health`), and a
-bounded flight recorder capturing recent protocol/transport/gateway
-events for crash-time dumps (:mod:`~repro.obs.live.flight`).
+bounded flight recorder keeping the most recent trace records for
+crash-time dumps (:mod:`~repro.obs.live.flight`).
 
 :class:`LiveTelemetry` bundles the three against one
 :class:`~repro.core.node.OrganisationNode`; nodes expose it lazily via
@@ -61,9 +61,10 @@ class LiveTelemetry:
     """One node's live telemetry plane: recorder + watchdog + endpoint.
 
     Requires the node to carry a recording instrumentation (anything
-    with a ``registry``); attaches a :class:`FlightRecorder` to it,
-    builds a :class:`HealthMonitor` over the registry, and can serve
-    both over HTTP via :meth:`serve`.  :meth:`start` picks the right
+    with a ``registry`` and a ``tracer``); attaches a
+    :class:`FlightRecorder` to its tracer, builds a
+    :class:`HealthMonitor` over the registry, and can serve both over
+    HTTP via :meth:`serve`.  :meth:`start` picks the right
     watchdog driver for the node's runtime — a recurring virtual-time
     timer under :class:`~repro.core.runtime.SimRuntime`, a daemon thread
     otherwise.
@@ -83,17 +84,16 @@ class LiveTelemetry:
         self.node = node
         self.obs = obs
         self.registry = registry
-        # Reuse a recorder already attached to the instrumentation (its
-        # ring may hold history worth keeping) rather than replacing it;
-        # either way the node's clock drives the timestamps.
-        existing = getattr(obs, "flight", None)
-        if existing is not None:
-            existing.bind_clock(node.ctx.clock)
-            self.flight = existing
-        else:
-            self.flight = FlightRecorder(flight_capacity,
-                                         clock=node.ctx.clock)
-            obs.flight = self.flight
+        # Reuse a ring the tracer already exports to (its history is
+        # worth keeping) rather than adding a second one; either way the
+        # node's clock stamps the records.
+        tracer = obs.tracer
+        self.flight = next((exporter for exporter in tracer.exporters
+                            if isinstance(exporter, FlightRecorder)), None)
+        if self.flight is None:
+            self.flight = FlightRecorder(flight_capacity)
+            tracer.add_exporter(self.flight)
+        tracer.bind_clock(node.ctx.clock)
         self.monitor = HealthMonitor(
             registry, rules=rules, obs=obs, party=node.party_id,
             interval=interval, clock=node.ctx.clock.now,
@@ -143,7 +143,3 @@ class LiveTelemetry:
             self.server.stop()
             self.server = None
         self._started = False
-
-    def dump_flight(self, target) -> int:
-        """Dump the flight ring to *target* (path or file object)."""
-        return self.flight.dump(target)

@@ -15,7 +15,8 @@ One tiny stdlib :mod:`http.server` endpoint per node.  Routes:
     Tiny probe body; responds 503 when the node is ``unhealthy`` so the
     endpoint slots straight under a load-balancer health check.
 ``/flight``
-    The flight-recorder ring as JSONL (404 when no recorder attached).
+    The flight-recorder ring as JSONL trace records, a valid ``repro
+    audit --trace`` input (404 when no recorder attached).
 
 Reads are snapshot-consistent: every request takes one
 :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` and renders from the

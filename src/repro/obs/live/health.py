@@ -269,7 +269,12 @@ def default_rules(retransmission_rate: float = 25.0,
 
 
 class HealthMonitor:
-    """Periodic rule evaluation driving aggregate node health."""
+    """Periodic rule evaluation driving aggregate node health.
+
+    With a *flight* ring and a *dump_path*, every evaluation that opens
+    an alert dumps the ring there: trace records, which ``repro audit
+    --trace`` merges like any party's trace file.
+    """
 
     def __init__(self, registry: MetricsRegistry,
                  rules: "Optional[list[HealthRule]]" = None,

@@ -2,15 +2,19 @@
 
 Every organisation exports its *own* trace file (wall clocks are not
 comparable across administrative domains), and an auditor merges them
-offline.  Ordering is purely logical: records are sorted by Lamport
-clock value with the party id as the tie-break, which respects causality
-by construction — a receive always carries a larger Lamport value than
-the send that caused it.
+offline; a flight-ring dump is such a file too.  Ordering is purely
+logical: records are sorted by Lamport clock value with the party id as
+the tie-break, which respects causality by construction — a receive
+always carries a larger Lamport value than the send that caused it.
 
-The merge also reconstructs the per-run causal DAG (``parent_span_id``
-edges) and flags anomalies worth a human's attention: vetoed proposals,
-runs that never settled at some party, retransmission storms, duplicate
-floods, recipients that never answered, and deadline-style aborts.
+The timeline is built from the protocol's own records:
+``protocol.message`` (one per message and peer, at each side),
+``validation.decision`` and ``run.settled``, each carrying its run's
+``trace_id`` and a ``lamport`` value.  The merge also reconstructs the
+per-run causal DAG (``parent_span_id`` edges) and flags anomalies worth
+a human's attention: vetoed proposals, runs that never settled at some
+party, retransmission storms, duplicate floods, recipients that never
+answered, and deadline-style aborts.
 """
 
 from __future__ import annotations
@@ -19,15 +23,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.obs.hooks import PHASE_M1, PHASE_M2, PHASE_M3, RECEIVED, SENT
-from repro.obs.trace import read_jsonl
+from repro.obs.hooks import PHASE_M1, PHASE_M3, SENT
+from repro.obs.trace import check_record, read_jsonl
 
-# Record names produced by RecordingInstrumentation that the merge
-# understands.  Everything else passes through untouched in the total
-# order (if it carries a lamport value) or is ignored.
-CAUSAL_MESSAGE = "causal.message"
-CAUSAL_DECISION = "causal.decision"
-CAUSAL_OUTCOME = "causal.outcome"
+# The record names the merge reads; every other record is ignored.
+MESSAGE = "protocol.message"
+DECISION = "validation.decision"
+SETTLED = "run.settled"
+TIMELINE = (MESSAGE, DECISION, SETTLED)
 TRANSPORT_SEND = "transport.send"
 TRANSPORT_RETRANSMISSION = "transport.retransmission"
 TRANSPORT_DUPLICATE = "transport.duplicate"
@@ -113,21 +116,25 @@ def _order_key(record: dict) -> tuple:
 def merge_traces(record_lists: "Iterable[list[dict]]",
                  retransmission_threshold: int = 3,
                  duplicate_threshold: int = 3) -> MergedTrace:
-    """Merge per-party record lists into one causal timeline."""
-    causal: "list[dict]" = []
+    """Merge per-party record lists into one causal timeline.
+
+    Raises :class:`~repro.obs.trace.TraceFormatError` for a record that
+    is no trace record (see :func:`~repro.obs.trace.check_record`).
+    """
+    timeline: "list[dict]" = []
     transport: "list[dict]" = []
     for records in record_lists:
         for record in records:
-            name = str(record.get("name", ""))
-            if name.startswith("causal."):
-                causal.append(record)
+            name = check_record(record, "trace record").get("name")
+            if name in TIMELINE:
+                timeline.append(record)
             elif name in (TRANSPORT_SEND, TRANSPORT_RETRANSMISSION,
                           TRANSPORT_DUPLICATE):
                 transport.append(record)
-    causal.sort(key=_order_key)
+    timeline.sort(key=_order_key)
 
-    merged = MergedTrace(events=causal)
-    for record in causal:
+    merged = MergedTrace(events=timeline)
+    for record in timeline:
         trace_id = str(record.get("trace_id", ""))
         if not trace_id:
             continue
@@ -150,8 +157,16 @@ def merge_traces(record_lists: "Iterable[list[dict]]",
 
 
 def merge_trace_files(paths: "Iterable[str]", **kwargs) -> MergedTrace:
-    """Merge JSONL trace files exported by each party."""
+    """Merge JSONL trace files exported by each party (or flight-ring
+    dumps); :func:`~repro.obs.trace.read_jsonl`'s errors pass through."""
     return merge_traces([read_jsonl(path) for path in paths], **kwargs)
+
+
+def joined(value) -> str:
+    """A record's list field (a decision's diagnostics) as one string."""
+    if isinstance(value, list):
+        return "; ".join(map(str, value))
+    return str(value)
 
 
 def _analyse_run(run: RunTrace) -> None:
@@ -165,7 +180,7 @@ def _analyse_run(run: RunTrace) -> None:
         party = str(record.get("party", ""))
         parties.add(party)
         name = record.get("name")
-        if name == CAUSAL_MESSAGE:
+        if name == MESSAGE:
             span = str(record.get("span_id", ""))
             if span:
                 span_ids.add(span)
@@ -179,11 +194,11 @@ def _analyse_run(run: RunTrace) -> None:
                 m1_recipients.add(str(record.get("peer", "")))
             elif phase == PHASE_M3 and direction == SENT:
                 m3_senders.add(party)
-        elif name == CAUSAL_DECISION:
+        elif name == DECISION:
             deciders.add(party)
             if not record.get("accepted", True):
                 run.vetoes.append(record)
-        elif name == CAUSAL_OUTCOME:
+        elif name == SETTLED:
             run.outcomes[party] = str(record.get("outcome", ""))
     run.participants = sorted(p for p in parties if p)
     run.unresolved_parents = sorted(
@@ -194,7 +209,7 @@ def _analyse_run(run: RunTrace) -> None:
         run.anomalies.append(Anomaly(
             kind=ANOMALY_VETO, trace_id=run.trace_id, run_id=run.run_id,
             party=str(veto.get("party", "")),
-            detail=str(veto.get("diagnostics", "")) or "proposal vetoed",
+            detail=joined(veto.get("diagnostics", "")) or "proposal vetoed",
         ))
     stalled = sorted(p for p in parties if p and p not in run.outcomes)
     if stalled:
@@ -227,58 +242,38 @@ def _attribute_transport(merged: MergedTrace, transport: "list[dict]",
                          duplicate_threshold: int) -> None:
     """Fold transport noise onto runs via the msg_id -> trace binding."""
     msg_trace: "dict[str, str]" = {}
+    noise: "dict[str, dict[str, list[dict]]]" = {
+        TRANSPORT_RETRANSMISSION: {}, TRANSPORT_DUPLICATE: {}}
     for record in transport:
+        msg_id = str(record.get("msg_id", ""))
         if record.get("name") == TRANSPORT_SEND:
-            msg_id = str(record.get("msg_id", ""))
             trace_id = str(record.get("trace_id", ""))
             if msg_id and trace_id:
                 msg_trace[msg_id] = trace_id
-
-    retransmissions: "dict[str, list[dict]]" = {}
-    duplicates: "dict[str, list[dict]]" = {}
-    for record in transport:
-        msg_id = str(record.get("msg_id", ""))
-        if record.get("name") == TRANSPORT_RETRANSMISSION:
-            retransmissions.setdefault(msg_id, []).append(record)
-        elif record.get("name") == TRANSPORT_DUPLICATE:
-            duplicates.setdefault(msg_id, []).append(record)
-
-    def _target(msg_id: str) -> "RunTrace | None":
-        trace_id = msg_trace.get(msg_id, "")
-        return merged.runs.get(trace_id)
-
-    for msg_id, records in sorted(retransmissions.items()):
-        if len(records) < retransmission_threshold:
-            continue
-        run = _target(msg_id)
-        anomaly = Anomaly(
-            kind=ANOMALY_RETRANSMISSION_STORM,
-            trace_id=run.trace_id if run else msg_trace.get(msg_id, ""),
-            run_id=run.run_id if run else "",
-            party=str(records[0].get("party", "")),
-            detail=f"{len(records)} retransmissions of {msg_id} "
-                   f"to {records[0].get('peer', '?')}",
-        )
-        if run is not None:
-            run.anomalies.append(anomaly)
         else:
-            merged.anomalies.append(anomaly)
-    for msg_id, records in sorted(duplicates.items()):
-        if len(records) < duplicate_threshold:
-            continue
-        run = _target(msg_id)
-        anomaly = Anomaly(
-            kind=ANOMALY_DUPLICATE_FLOOD,
-            trace_id=run.trace_id if run else msg_trace.get(msg_id, ""),
-            run_id=run.run_id if run else "",
-            party=str(records[0].get("party", "")),
-            detail=f"{len(records)} duplicate deliveries of {msg_id} "
-                   f"from {records[0].get('peer', '?')}",
-        )
-        if run is not None:
-            run.anomalies.append(anomaly)
-        else:
-            merged.anomalies.append(anomaly)
+            noise[record["name"]].setdefault(msg_id, []).append(record)
+
+    shapes = [
+        (TRANSPORT_RETRANSMISSION, ANOMALY_RETRANSMISSION_STORM,
+         retransmission_threshold, "retransmissions", "to"),
+        (TRANSPORT_DUPLICATE, ANOMALY_DUPLICATE_FLOOD, duplicate_threshold,
+         "duplicate deliveries", "from"),
+    ]
+    for name, kind, threshold, what, direction in shapes:
+        for msg_id, records in sorted(noise[name].items()):
+            if len(records) < threshold:
+                continue
+            run = merged.runs.get(msg_trace.get(msg_id, ""))
+            anomaly = Anomaly(
+                kind=kind,
+                trace_id=run.trace_id if run else msg_trace.get(msg_id, ""),
+                run_id=run.run_id if run else "",
+                party=str(records[0].get("party", "")),
+                detail=f"{len(records)} {what} of {msg_id} "
+                       f"{direction} {records[0].get('peer', '?')}",
+            )
+            (run.anomalies if run is not None else merged.anomalies).append(
+                anomaly)
 
 
 def render_timeline(merged: MergedTrace, max_events: "int | None" = None) -> str:
@@ -297,16 +292,16 @@ def render_timeline(merged: MergedTrace, max_events: "int | None" = None) -> str
         for record in shown:
             name = record.get("name", "")
             piece = f"  L{record.get('lamport', 0):>4} {record.get('party', ''):<10} {name}"
-            if name == CAUSAL_MESSAGE:
+            if name == MESSAGE:
                 piece += (f" {record.get('phase')}/{record.get('direction')}"
                           f" peer={record.get('peer')}")
-            elif name == CAUSAL_DECISION:
+            elif name == DECISION:
                 verdict = "accept" if record.get("accepted") else "VETO"
                 piece += f" {verdict}"
                 diagnostics = record.get("diagnostics")
                 if diagnostics:
-                    piece += f" ({diagnostics})"
-            elif name == CAUSAL_OUTCOME:
+                    piece += f" ({joined(diagnostics)})"
+            elif name == SETTLED:
                 piece += f" {record.get('role')}/{record.get('outcome')}"
             lines.append(piece)
         if max_events is not None and len(run.events) > max_events:

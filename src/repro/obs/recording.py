@@ -6,11 +6,10 @@ says so, emits a trace record.  One instance is shared by all parties of
 a community, so the registry aggregates across the whole deployment;
 per-party attribution lives in the trace records.
 
-When a :class:`~repro.obs.live.flight.FlightRecorder` is attached
-(``flight=`` or the ``flight`` attribute), the entries marked ``flight``
-are also appended to its ring for post-mortem dumps.  Per-message hot
-counters (acks, queue depths, raw sends) are not marked, to keep ring
-churn proportional to interesting activity.
+Every destination of a record is an exporter of the one tracer: a
+trace file, the test collector, or the bounded ring of a
+:class:`~repro.obs.live.flight.FlightRecorder`
+(``obs.tracer.add_exporter(ring)``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.obs.catalogue import CATALOGUE, Event
 from repro.obs.hooks import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_snapshot
-from repro.obs.trace import InMemoryCollector, Tracer
+from repro.obs.trace import EVENT, SPAN, InMemoryCollector, Tracer
 
 _UPDATE = {"counter": "inc", "histogram": "observe", "gauge": "set"}
 
@@ -34,11 +33,9 @@ class RecordingInstrumentation(Instrumentation):
 
     def __init__(self, registry: "MetricsRegistry | None" = None,
                  tracer: "Tracer | None" = None,
-                 collect: bool = False,
-                 flight=None) -> None:
+                 collect: bool = False) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.flight = flight
         self.collector: "Optional[InMemoryCollector]" = None
         if collect:
             self.collector = InMemoryCollector()
@@ -70,9 +67,10 @@ def _recorder(event: Event):
     labels = sorted({params.index(label) for metric in event.metrics
                      for label in metric.labels()})
     select = itemgetter(*labels) if labels else None
-    trace, flight = event.trace, event.flight
-    trace_fields = [(f, params.index(f), event.trace_as.get(f))
-                    for f in event.trace_fields]
+    trace, kind = event.trace, SPAN if event.span else EVENT
+    trace_fields = [(f, params.index(f)) for f in event.trace_fields
+                    if f != "party"]
+    party = params.index("party") if "party" in params else -1
     gate = params.index(event.trace_when) if event.trace_when else -1
     seconds = params.index("seconds") if event.span else -1
 
@@ -89,17 +87,9 @@ def _recorder(event: Event):
             else:
                 update(args[index])
         if trace and self.tracer.exporters and (gate < 0 or args[gate]):
-            attrs = {field: args[i] if render is None else render(args[i])
-                     for field, i, render in trace_fields}
-            if seconds < 0:
-                self.tracer.event(trace, **attrs)
-            else:
-                self.tracer.span_end(trace, args[seconds], **attrs)
-        if flight and self.flight is not None:
-            fields = dict(zip(params, args))
-            for field, render in event.flight_as.items():
-                fields[field] = render(fields[field])
-            self.flight.record(flight, **fields)
+            self.tracer.emit(kind, trace, args[party] if party >= 0 else "",
+                             args[seconds] if seconds >= 0 else None,
+                             {field: args[i] for field, i in trace_fields})
 
     hook.__name__ = name
     return hook

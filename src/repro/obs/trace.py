@@ -169,7 +169,7 @@ class TraceRecord:
     kind: str  # SPAN or EVENT
     name: str
     party: str = ""
-    at: float = 0.0  # wall-clock time of emission (seconds)
+    at: float = 0.0  # time of emission by the tracer's clock (seconds)
     seconds: "Optional[float]" = None  # span duration; None for events
     attrs: dict = field(default_factory=dict)
 
@@ -238,23 +238,57 @@ class JsonLinesExporter:
         self.close()
 
 
+class TraceFormatError(ValueError):
+    """A trace input holding something other than trace records."""
+
+
+#: The fields readers order and print records by, with their types.
+_FIELD_TYPES = (("name", str), ("party", str), ("at", (int, float)),
+                ("lamport", int))
+
+
+def check_record(value, where: str) -> dict:
+    """*value*, if it has a trace record's shape: a JSON object whose
+    ``name``, ``party``, ``at`` and ``lamport`` (where present) have the
+    types a :class:`TraceRecord` exports.  Else :class:`TraceFormatError`
+    naming *where*."""
+    if type(value) is not dict:
+        raise TraceFormatError(f"{where}: not a JSON object")
+    for key, kinds in _FIELD_TYPES:
+        if key in value and not isinstance(value[key], kinds):
+            raise TraceFormatError(f"{where}: {key!r} has the wrong type")
+    return value
+
+
 def read_jsonl(path: str) -> "list[dict]":
-    """Load a JSON-lines trace file back into record dicts."""
+    """Load a JSON-lines trace file back into record dicts.
+
+    A line that is no JSON, nests too deep or is no trace record (see
+    :func:`check_record`) raises :class:`TraceFormatError` naming the
+    file and line; a missing file raises :class:`OSError`.
+    """
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise TraceFormatError(
+                    f"{where}: {type(exc).__name__}") from None
+            records.append(check_record(value, where))
     return records
 
 
 class Tracer:
     """Fan-out point for trace records.
 
-    ``wall_clock`` stamps records (evidence-style wall time);
-    ``perf_clock`` measures span durations (monotonic, high resolution).
-    Both are injectable so tests can assert on deterministic output.
+    ``wall_clock`` stamps records (``time.time`` until
+    :meth:`bind_clock` names the deployment's clock); ``perf_clock``
+    measures span durations (monotonic, high resolution).  Both are
+    injectable so tests can assert on deterministic output.
 
     Export is serialised under a lock: TCP deployments run parties in
     threads, and two parties flushing through one
@@ -262,12 +296,25 @@ class Tracer:
     """
 
     def __init__(self, exporters: "list[Exporter] | None" = None,
-                 wall_clock: "Callable[[], float]" = time.time,
+                 wall_clock: "Callable[[], float] | None" = None,
                  perf_clock: "Callable[[], float]" = time.perf_counter) -> None:
         self.exporters: "list[Exporter]" = list(exporters or [])
-        self._wall = wall_clock
+        self._wall = wall_clock or time.time
+        self._clocked = wall_clock is not None
         self._perf = perf_clock
         self._lock = threading.Lock()
+
+    def bind_clock(self, clock) -> None:
+        """Stamp records with *clock* (a :class:`~repro.util.clocks.Clock`)
+        from now on, unless a wall clock was given or bound before.
+
+        Instrumentation is often built before the community that owns
+        the clock; binding late keeps a simulated run's records, and the
+        flight ring fed from them, on virtual time instead of mixing
+        ~1.7e9 ``time.time()`` values among small simulated times.
+        """
+        if not self._clocked:
+            self._wall, self._clocked = clock.now, True
 
     def add_exporter(self, exporter: Exporter) -> None:
         with self._lock:
@@ -275,21 +322,23 @@ class Tracer:
 
     def event(self, name: str, party: str = "",
               **attrs) -> "TraceRecord | None":
-        if not self.exporters:
-            return None
-        record = TraceRecord(kind=EVENT, name=name, party=party,
-                             at=self._wall(), attrs=attrs)
-        self._export(record)
-        return record
+        return self.emit(EVENT, name, party, None, attrs)
 
     def span_end(self, name: str, seconds: float, party: str = "",
                  **attrs) -> "TraceRecord | None":
-        """Record an already-measured span (the instrumentation hot path)."""
+        """Record an already-measured span."""
+        return self.emit(SPAN, name, party, seconds, attrs)
+
+    def emit(self, kind: str, name: str, party: str,
+             seconds: "Optional[float]", attrs: dict) -> "TraceRecord | None":
+        """Stamp one record and hand it to every exporter (the
+        instrumentation hot path); the record keeps *attrs*, uncopied."""
         if not self.exporters:
             return None
-        record = TraceRecord(kind=SPAN, name=name, party=party,
-                             at=self._wall(), seconds=seconds, attrs=attrs)
-        self._export(record)
+        record = TraceRecord(kind, name, party, self._wall(), seconds, attrs)
+        with self._lock:
+            for exporter in self.exporters:
+                exporter(record)
         return record
 
     @contextmanager
@@ -304,11 +353,6 @@ class Tracer:
             merged = dict(attrs)
             merged.update(extra)
             self.span_end(name, seconds, party=party, **merged)
-
-    def _export(self, record: TraceRecord) -> None:
-        with self._lock:
-            for exporter in self.exporters:
-                exporter(record)
 
 
 class PartyFilesExporter:

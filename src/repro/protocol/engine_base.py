@@ -480,25 +480,24 @@ class EngineBase(EnginePlumbing):
             attach_trace_context(message, ctx.to_dict())
             size = approx_size_cached(message)
             for peer in recipients:
-                obs.causal_message(
+                obs.protocol_message(
                     self.party_id, self.object_name, run.run_id, phase,
-                    OBS_SENT, peer, ctx.trace_id, ctx.span_id, "", ctx.lamport,
-                )
-                obs.protocol_message(self.party_id, self.object_name,
-                                     run.run_id, phase, OBS_SENT, size)
+                    OBS_SENT, size, peer, ctx.trace_id, ctx.span_id, "",
+                    ctx.lamport)
         output.broadcast(recipients, message)
 
     def _trace_receive(self, run_id: str, phase: str, sender: str,
                        message: dict) -> None:
-        """Absorb the carried context of an inbound message and record it."""
-        if not self.ctx.obs.enabled:
+        """Absorb the carried context of an inbound message and record it
+        (a message refused before its run is known is not recorded)."""
+        obs = self.ctx.obs
+        if not obs.enabled:
             return
         ctx = self.ctx.trace.receive(run_id, extract_trace_context(message))
-        self.ctx.obs.causal_message(
-            self.party_id, self.object_name, run_id, phase,
-            OBS_RECEIVED, sender, ctx.trace_id, ctx.span_id,
-            ctx.parent_span_id, ctx.lamport,
-        )
+        obs.protocol_message(
+            self.party_id, self.object_name, run_id, phase, OBS_RECEIVED,
+            approx_size_cached(message), sender, ctx.trace_id, ctx.span_id,
+            ctx.parent_span_id, ctx.lamport)
 
     # ------------------------------------------------------------------
     # starting a run (initiator)
@@ -566,8 +565,6 @@ class EngineBase(EnginePlumbing):
         obs = self.ctx.obs
         if not obs.enabled:
             return handler(sender, message)
-        obs.protocol_message(self.party_id, self.object_name, "",
-                             phase, OBS_RECEIVED, approx_size_cached(message))
         started = time.perf_counter()
         output = handler(sender, message)
         obs.phase_handled(self.party_id, self.object_name, phase,
@@ -629,16 +626,11 @@ class EngineBase(EnginePlumbing):
             self._response_payload(run, decision))
         self._register(run)
         if self.ctx.obs.enabled:
+            decided = self.ctx.trace.local_event(run.run_id)
             self.ctx.obs.validation_decision(
                 self.party_id, self.object_name, run.run_id,
                 decision.accepted, list(decision.diagnostics),
-            )
-            decided = self.ctx.trace.local_event(run.run_id)
-            self.ctx.obs.causal_decision(
-                self.party_id, self.object_name, run.run_id,
-                decided.trace_id, decided.lamport,
-                decision.accepted, list(decision.diagnostics),
-            )
+                decided.trace_id, decided.lamport)
         if self._goes_busy(run):
             self._set_active(run.run_id)
 
@@ -932,15 +924,11 @@ class EngineBase(EnginePlumbing):
         if self._active_run_id == run.run_id:
             self._set_active(None)
         if self.ctx.obs.enabled:
+            settled = self.ctx.trace.local_event(run.run_id)
             self.ctx.obs.run_settled(
                 self.party_id, self.object_name, run.run_id, run.role,
                 run.outcome, self.ctx.clock.now() - run.started_at,
-            )
-            settled = self.ctx.trace.local_event(run.run_id)
-            self.ctx.obs.causal_outcome(
-                self.party_id, self.object_name, run.run_id,
-                settled.trace_id, settled.lamport, run.role, run.outcome,
-            )
+                settled.trace_id, settled.lamport)
 
         if responses is None:
             responses = [run.responses[p] for p in run.recipients

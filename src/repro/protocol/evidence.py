@@ -43,6 +43,13 @@ class VerifiedDecision:
     diagnostics: "list[str]" = field(default_factory=list)
 
 
+def bundle_responses(bundle: dict) -> list:
+    """A bundle's raw ``responses``; anything but a list is one
+    malformed response."""
+    responses = bundle.get("responses", [])
+    return responses if isinstance(responses, list) else [responses]
+
+
 def verify_authenticated_decision(bundle: dict, resolver: VerifierResolver,
                                   tsa_verifier: "Verifier | None" = None,
                                   expected_recipients: "set[str] | None" = None
@@ -76,10 +83,7 @@ def verify_authenticated_decision(bundle: dict, resolver: VerifierResolver,
         problems.append(f"proposal signature: {exc}")
 
     responses: "list[SignedPart]" = []
-    raw_responses = bundle.get("responses", [])
-    if not isinstance(raw_responses, list):
-        raw_responses = [raw_responses]  # one malformed response
-    for raw in raw_responses:
+    for raw in bundle_responses(bundle):
         try:
             responses.append(SignedPart.from_dict(raw))
         except (KeyError, TypeError, ValueError):

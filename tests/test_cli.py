@@ -233,8 +233,8 @@ class TestGatewaySimCrash:
         assert "healthy->degraded" in out
         assert "node health: healthy" in out
         with open(dump, encoding="utf-8") as handle:
-            kinds = {json.loads(line)["kind"] for line in handle}
-        assert "protocol_message" in kinds
+            names = {json.loads(line)["name"] for line in handle}
+        assert "protocol.message" in names
 
 
 class TestServeMetrics:
@@ -254,12 +254,13 @@ class TestTopAndFlightDump:
         from repro.obs.live import (FlightRecorder, HealthMonitor,
                                     TelemetryServer)
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
 
         registry = MetricsRegistry()
         registry.counter("protocol.runs.started").inc(3)
         registry.counter("protocol.runs.valid").inc(3)
         flight = FlightRecorder(capacity=8)
-        flight.record("run_started", run_id="r1")
+        Tracer(exporters=[flight]).event("run.started", run_id="r1")
         monitor = HealthMonitor(registry, rules=[])
         server = TelemetryServer(registry, monitor=monitor,
                                  flight=flight).start()
@@ -278,7 +279,7 @@ class TestTopAndFlightDump:
         assert main(["flight-dump", "--url", telemetry_url,
                      "--out", out_path]) == 0
         with open(out_path, encoding="utf-8") as handle:
-            assert json.loads(handle.readline())["kind"] == "run_started"
+            assert json.loads(handle.readline())["name"] == "run.started"
 
     def test_flight_dump_stdout(self, telemetry_url, capsys):
         assert main(["flight-dump", "--url", telemetry_url]) == 0

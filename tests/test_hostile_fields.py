@@ -203,3 +203,94 @@ def test_verify_bundle_calls_a_misshapen_bundle_not_authentic(
     assert main(["verify-bundle", str(tmp_path / "bundle"),
                  "--keys", str(tmp_path / "keys.json")]) == 1
     assert "authentic:  False" in capsys.readouterr().out
+
+
+# ``repro audit`` reads two more inputs an auditor did not write: the
+# intact evidence logs' bundles and the ``--trace`` files.
+
+
+def _decision_bundle():
+    """(an authentic authenticated-decision payload, resolver, tsa)."""
+    from repro.core import Community, DictB2BObject
+
+    community = Community(["A", "B"], seed=5)
+    community.found_object("obj", {"A": DictB2BObject(),
+                                   "B": DictB2BObject()})
+    ticket = community.node("A").submit_update("obj", {"k": 1})
+    community.settle()
+    assert ticket.valid
+    (entry,) = community.node("A").ctx.evidence.entries(
+        "authenticated-decision")
+    return dict(entry.payload), community.resolver, community.tsa.verifier
+
+
+@pytest.mark.parametrize("holders", [["A"], ["A", "B"]])
+def test_audit_calls_a_bundle_with_non_list_responses_not_authentic(
+        holders):
+    from repro.obs.audit import audit_evidence
+
+    bundle, resolver, tsa = _decision_bundle()
+    bundle["responses"] = 5
+    logs = {}
+    for holder in holders:
+        logs[holder] = NonRepudiationLog(holder)
+        logs[holder].record("authenticated-decision", bundle)
+    report = audit_evidence(logs, resolver, tsa_verifier=tsa)
+    (finding,) = report.runs
+    assert not finding.authentic
+    assert "malformed response in bundle" in finding.problems
+    assert finding.culprits == holders == report.culprits()
+
+
+_DEEP = b'{"name":"run.settled","x":' + b"[" * 100_000 + b"}"
+
+
+@pytest.mark.parametrize("line", [
+    b"[1]", b"nope", b"[" * 100_000, _DEEP, b"\xff\xfe{}",
+    b'{"name": "causal.message", "lamport": "x"}',
+    b'{"name": "protocol.message", "lamport": [1]}',
+    b'{"name": 5}', b'{"name": "run.settled", "party": {}}',
+    b'{"name": "run.settled", "at": "noon"}'])
+def test_audit_refuses_a_trace_file_that_is_no_trace(
+        tmp_path, capsys, monkeypatch, line):
+    from repro.obs.merge import merge_trace_files
+    from repro.obs.trace import TraceFormatError
+
+    (tmp_path / "keys.json").write_bytes(_NO_KEYS)
+    (tmp_path / "trace.jsonl").write_bytes(
+        b'{"name": "run.started", "party": "A", "at": 0.0}\n' + line + b"\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(TraceFormatError, match="trace.jsonl:2"):
+        merge_trace_files(["trace.jsonl"])
+    argv = ["audit", "--keys", "keys.json", "--trace", "trace.jsonl",
+            "--timeline", "--merged-out", "merged.jsonl"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (status, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: trace file trace.jsonl:2: ")
+    assert peak < 1 << 20
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "keys.json", "trace.jsonl"]
+
+
+def test_merge_refuses_a_record_list_that_is_no_trace():
+    from repro.obs.merge import merge_traces
+    from repro.obs.trace import TraceFormatError
+
+    for records in ([1], [{"name": "protocol.message", "lamport": "x"}]):
+        with pytest.raises(TraceFormatError):
+            merge_traces([records])
+
+
+def test_audit_refuses_a_missing_trace_file(tmp_path, capsys):
+    (tmp_path / "keys.json").write_bytes(_NO_KEYS)
+    assert main(["audit", "--keys", str(tmp_path / "keys.json"),
+                 "--trace", str(tmp_path / "absent.jsonl")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: trace file ")

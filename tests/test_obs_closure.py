@@ -4,8 +4,9 @@ catalogued is unemitted, and nothing read is unproducible.
 (a) One instrumented community is driven through pipeline batches over
     four objects, a gateway session with a rejection and a replay, cached
     reads, a lossy link and an arbiter ruling; every instrument name in
-    the registry, every trace record name and every flight kind it
-    leaves must match a :mod:`repro.obs.catalogue` entry.
+    the registry and every trace record name it leaves (in the collector
+    and in the flight ring alike) must match a :mod:`repro.obs.catalogue`
+    entry.
 (b) Every catalogue entry has a call site under ``src/repro`` outside
     ``obs/`` (``health_*`` fire from ``obs/live/health.py``), passing
     exactly the entry's positional parameters.
@@ -62,7 +63,7 @@ def test_templates_match_what_they_format():
 def test_interface_is_exactly_the_catalogue():
     from repro.obs import NULL_INSTRUMENTATION
 
-    assert len({event.hook for event in CATALOGUE}) == len(CATALOGUE) == 48
+    assert len({event.hook for event in CATALOGUE}) == len(CATALOGUE) == 45
     for obs in (NULL_INSTRUMENTATION, RecordingInstrumentation()):
         for event in CATALOGUE:
             assert callable(getattr(obs, event.hook))
@@ -86,8 +87,8 @@ def test_instruments_appear_only_once_selected():
 
 @pytest.fixture(scope="module")
 def recorded():
-    obs = RecordingInstrumentation(collect=True,
-                                   flight=FlightRecorder(capacity=1 << 16))
+    obs = RecordingInstrumentation(collect=True)
+    obs.tracer.add_exporter(FlightRecorder(capacity=1 << 16))
     lossy = LinkProfile(latency=0.005, drop_probability=0.15,
                         duplicate_probability=0.1)
     names = ["Org1", "Org2", "Org3"]
@@ -136,8 +137,8 @@ def test_everything_recorded_is_catalogued(recorded):
             assert producible(name, kind), f"uncatalogued {kind} {name}"
     traces = {record.name for record in recorded.collector.records}
     assert traces <= {event.trace for event in CATALOGUE}
-    flights = {entry["kind"] for entry in recorded.flight.events()}
-    assert flights <= {event.flight for event in CATALOGUE}
+    ring = recorded.tracer.exporters[-1]
+    assert {entry["name"] for entry in ring.events()} == traces
     # The workload really went where the docstring says it did.
     counters = snapshot["counters"]
     for name in ("pipeline.batches", "gateway.rejected.rate_limited",
@@ -146,9 +147,9 @@ def test_everything_recorded_is_catalogued(recorded):
                  "transport.duplicates_suppressed",
                  "dispute.rulings.upheld"):
         assert counters.get(name, 0) > 0, name
-    assert {"run.settled", "dispute.ruling", "causal.message"} <= traces
-    assert {"gateway_rejected", "gateway_replayed", "validation",
-            "snapshot_published", "retransmission"} <= flights
+    assert {"run.settled", "dispute.ruling", "protocol.message",
+            "validation.decision", "gateway.rejected", "gateway.replayed",
+            "readcache.published", "transport.retransmission"} <= traces
 
 
 def _python_sources():

@@ -1,14 +1,41 @@
-"""Recorder equivalence: what each of the 48 hooks records is pinned.
+"""Recorder equivalence: what each of the 45 hooks records is pinned.
 
-``data/obs_equivalence.json`` was written on the commit *before* the
-hand-written :class:`RecordingInstrumentation` methods were replaced by
-the catalogue-driven recorder (run this file as a script on any commit
-to rewrite it).  Every hook is fired with representative arguments —
-both branches of every boolean — and the registry snapshot, the trace
-records and the flight events it leaves must stay what they were.  The
-one sanctioned difference is ``transport.retry_exhausted``'s trace
-attribute ``recipient`` becoming ``peer``, like its flight event and
-every other transport record.
+``data/obs_equivalence.json`` was first written on the commit *before*
+the hand-written :class:`RecordingInstrumentation` methods were replaced
+by the catalogue-driven recorder (run this file as a script on any
+commit to rewrite it).  Every hook is fired with representative
+arguments — both branches of every boolean — and the registry snapshot
+and the trace records it leaves must stay what they were.  The one
+sanctioned difference then was ``transport.retry_exhausted``'s trace
+attribute ``recipient`` becoming ``peer``, like every other transport
+record.
+
+The fixture was re-pinned when each happening became one record (the
+three ``causal_*`` hooks folded into the protocol hooks they shadowed,
+the flight ring turned into a trace exporter).  Every difference from
+the previous fixture, and nothing else:
+
+- the ``causal_message`` / ``causal_decision`` / ``causal_outcome``
+  calls are gone, and with them their ``causal.*`` trace records and
+  the ``trace.causal.messages`` counter (``protocol.messages.{direction}``
+  counts the same messages); no other instrument changed;
+- ``protocol_message`` takes ``peer trace_id span_id parent_span_id
+  lamport`` too and emits a ``protocol.message`` record of all eleven
+  parameters;
+- ``validation_decision`` and ``run_settled`` take ``trace_id lamport``
+  too, and their records carry them; ``validation.decision`` carries
+  ``diagnostics`` as the list (it was the count);
+- ``dispute.ruling`` carries ``culprits`` as the list (it was joined
+  with ", ");
+- the ten events that only the flight ring recorded emit trace records:
+  ``pipeline.saturated``, ``readcache.published``,
+  ``readcache.invalidated``, ``gateway.admitted``, ``gateway.rejected``,
+  ``gateway.replayed``, ``gateway.settled`` (a span of ``seconds``),
+  ``transport.connect_failed``, ``transport.malformed_frame`` and
+  ``transport.handler_error``;
+- the fixture's ``flight`` part is gone: the ring holds the collector's
+  records themselves (``record_all`` asserts it), not events of their
+  own with ``kind``/``seq``/``t`` fields.
 """
 
 from __future__ import annotations
@@ -19,7 +46,6 @@ import os
 from repro.obs.live import FlightRecorder
 from repro.obs.recording import RecordingInstrumentation
 from repro.obs.trace import Tracer
-from repro.util.clocks import VirtualClock
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "obs_equivalence.json")
@@ -29,26 +55,24 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data",
 CALLS = [
     ("run_started", ("OrgA", "doc", "r1", "proposer", "update")),
     ("run_started", ("OrgB", "doc", "r1", "responder", "update")),
-    ("run_settled", ("OrgA", "doc", "r1", "proposer", "valid", 0.25)),
-    ("run_settled", ("OrgB", "doc", "r2", "responder", "invalid", 0.5)),
-    ("protocol_message", ("OrgA", "doc", "r1", "m1", "sent", 700)),
-    ("protocol_message", ("OrgB", "doc", "r1", "m1", "received", 700)),
-    ("protocol_message", ("OrgB", "doc", "r1", "m2", "sent", 900)),
-    ("protocol_message", ("OrgA", "doc", "r1", "m3", "sent", 2100)),
+    ("run_settled", ("OrgA", "doc", "r1", "proposer", "valid", 0.25,
+                     "t" * 32, 5)),
+    ("run_settled", ("OrgB", "doc", "r2", "responder", "invalid", 0.5,
+                     "v" * 32, 6)),
+    ("protocol_message", ("OrgA", "doc", "r1", "m1", "sent", 700, "OrgB",
+                          "t" * 32, "s" * 16, "", 1)),
+    ("protocol_message", ("OrgB", "doc", "r1", "m1", "received", 700,
+                          "OrgA", "t" * 32, "u" * 16, "s" * 16, 2)),
+    ("protocol_message", ("OrgB", "doc", "r1", "m2", "sent", 900, "OrgA",
+                          "t" * 32, "w" * 16, "", 4)),
+    ("protocol_message", ("OrgA", "doc", "r1", "m3", "sent", 2100, "OrgB",
+                          "t" * 32, "x" * 16, "", 5)),
     ("phase_handled", ("OrgB", "doc", "m1", 0.002)),
     ("phase_handled", ("OrgA", "doc", "m2", 0.003)),
-    ("validation_decision", ("OrgB", "doc", "r1", True, [])),
+    ("validation_decision", ("OrgB", "doc", "r1", True, [], "t" * 32, 3)),
     ("validation_decision", ("OrgB", "doc", "r2", False,
-                             ["busy: run in progress", "rule: too big"])),
-    ("causal_message", ("OrgA", "doc", "r1", "m1", "sent", "OrgB",
-                        "t" * 32, "s" * 16, "", 1)),
-    ("causal_message", ("OrgB", "doc", "r1", "m1", "received", "OrgA",
-                        "t" * 32, "u" * 16, "s" * 16, 2)),
-    ("causal_decision", ("OrgB", "doc", "r1", "t" * 32, 3, True, [])),
-    ("causal_decision", ("OrgB", "doc", "r2", "v" * 32, 4, False,
-                         ["busy: run in progress", "rule: too big"])),
-    ("causal_outcome", ("OrgA", "doc", "r1", "t" * 32, 5, "proposer",
-                        "valid")),
+                             ["busy: run in progress", "rule: too big"],
+                             "v" * 32, 4)),
     ("batch_proposed", ("OrgA", "doc", "r3", 4)),
     ("pipeline_depth", ("OrgA", "doc", 7)),
     ("pipeline_depth", ("OrgA", "doc", 2)),
@@ -112,18 +136,18 @@ CALLS = [
 
 
 def record_all() -> dict:
-    """Fire :data:`CALLS` at a fresh recorder; return what it recorded."""
+    """Fire :data:`CALLS` at a fresh recorder; return what it recorded.
+
+    A flight ring rides along as a second exporter and must hold exactly
+    the collector's records."""
+    ring = FlightRecorder(capacity=4 * len(CALLS))
     obs = RecordingInstrumentation(
-        tracer=Tracer(wall_clock=lambda: 0.0), collect=True,
-        flight=FlightRecorder(capacity=4 * len(CALLS),
-                              clock=VirtualClock()))
+        tracer=Tracer([ring], wall_clock=lambda: 0.0), collect=True)
     for hook, args in CALLS:
         getattr(obs, hook)(*args)
-    return {
-        "registry": obs.registry.snapshot(),
-        "traces": [record.to_dict() for record in obs.collector.records],
-        "flight": obs.flight.events(),
-    }
+    traces = [record.to_dict() for record in obs.collector.records]
+    assert ring.events() == traces
+    return {"registry": obs.registry.snapshot(), "traces": traces}
 
 
 def test_every_hook_is_exercised():
@@ -131,7 +155,7 @@ def test_every_hook_is_exercised():
 
     hooks = {name for name, value in vars(Instrumentation).items()
              if callable(value) and not name.startswith("_")}
-    assert len(hooks) == 48
+    assert len(hooks) == 45
     assert {hook for hook, _ in CALLS} == hooks
 
 
@@ -141,7 +165,7 @@ def test_recorder_reproduces_the_parent_fixture():
     # Through JSON so tuples, ints-as-floats and key order compare the
     # way the committed file stores them.
     recorded = json.loads(json.dumps(record_all()))
-    for part in ("registry", "traces", "flight"):
+    for part in ("registry", "traces"):
         assert recorded[part] == expected[part], part
 
 

@@ -30,6 +30,7 @@ from repro.obs.live import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recording import RecordingInstrumentation
 from repro.obs.report import render_snapshot
+from repro.obs.trace import Tracer, read_jsonl
 from tests.test_composite import sim_community
 
 
@@ -49,36 +50,46 @@ class ManualClock:
 # ---------------------------------------------------------------------------
 
 
+def ring_tracer(capacity: int, clock=None):
+    """A tracer exporting only to a new ring: ``(tracer, ring)``."""
+    ring = FlightRecorder(capacity=capacity)
+    tracer = Tracer(exporters=[ring],
+                    wall_clock=clock.now if clock is not None else None)
+    return tracer, ring
+
+
 class TestFlightRecorder:
-    def test_ring_is_bounded_and_seq_monotonic(self):
-        flight = FlightRecorder(capacity=4)
+    def test_ring_is_bounded_and_oldest_first(self):
+        tracer, flight = ring_tracer(4)
         for index in range(10):
-            flight.record("tick", index=index)
+            tracer.event("tick", index=index)
         events = flight.events()
         assert len(events) == 4
         assert flight.recorded == 10
         assert [event["index"] for event in events] == [6, 7, 8, 9]
-        assert [event["seq"] for event in events] == [7, 8, 9, 10]
 
     def test_dump_is_jsonl(self, tmp_path):
-        flight = FlightRecorder(capacity=8)
-        flight.record("a", x=1)
-        flight.record("b", y="two")
+        tracer, flight = ring_tracer(8)
+        tracer.event("a", x=1)
+        tracer.span_end("b", 0.5, party="A", y="two")
         path = tmp_path / "flight.jsonl"
         count = flight.dump(str(path))
         assert count == 2
         lines = path.read_text().splitlines()
         parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["kind"] == "a" and parsed[0]["x"] == 1
-        assert parsed[1]["kind"] == "b" and parsed[1]["y"] == "two"
+        assert parsed[0]["name"] == "a" and parsed[0]["x"] == 1
+        assert parsed[1]["name"] == "b" and parsed[1]["y"] == "two"
+        assert parsed[1]["kind"] == "span" and parsed[1]["seconds"] == 0.5
+        # A dump is a trace file: it reads back as the records themselves.
+        assert read_jsonl(str(path)) == flight.events()
 
     def test_clock_stamps_events(self):
         clock = ManualClock(41.0)
-        flight = FlightRecorder(capacity=2, clock=clock)
-        flight.record("a")
+        tracer, flight = ring_tracer(2, clock)
+        tracer.event("a")
         clock.advance(1.0)
-        flight.record("b")
-        times = [event["t"] for event in flight.events()]
+        tracer.event("b")
+        times = [event["at"] for event in flight.events()]
         assert times == [41.0, 42.0]
 
     def test_capacity_validated(self):
@@ -87,20 +98,25 @@ class TestFlightRecorder:
 
     def test_recording_instrumentation_feeds_ring(self):
         obs = RecordingInstrumentation()
-        obs.flight = FlightRecorder(capacity=16)
+        ring = FlightRecorder(capacity=16)
+        obs.tracer.add_exporter(ring)
         obs.run_started("A", "obj", "r1", "proposer", "sync")
-        obs.protocol_message("A", "obj", "r1", "m1", "sent", 128)
+        obs.protocol_message("A", "obj", "r1", "m1", "sent", 128, "B",
+                             "t" * 32, "s" * 16, "", 1)
         obs.breaker_transition("A", "obj", "closed", "open")
-        kinds = [event["kind"] for event in obs.flight.events()]
-        assert kinds == ["run_started", "protocol_message",
-                        "breaker_transition"]
+        obs.ack_received("A", "msg-1")  # no trace record, so not in the ring
+        names = [event["name"] for event in ring.events()]
+        assert names == ["run.started", "protocol.message",
+                         "gateway.breaker"]
 
     def test_no_flight_means_no_ring_work(self):
-        # The default wiring must not require a recorder.
+        # The default wiring needs no recorder, and with no exporter the
+        # tracer builds no record at all.
         obs = RecordingInstrumentation()
-        assert obs.flight is None
+        assert not hasattr(obs, "flight") and obs.tracer.exporters == []
         obs.run_started("A", "obj", "r1", "proposer", "sync")
         obs.gateway_rejected("A", "obj", "c", "overloaded", 0.05)
+        assert obs.tracer.event("probe") is None
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +319,8 @@ class TestHealthMonitor:
     def test_dump_on_alert(self, tmp_path):
         clock = ManualClock()
         registry = MetricsRegistry()
-        flight = FlightRecorder(capacity=8, clock=clock)
-        flight.record("protocol_message", phase="m1")
+        tracer, flight = ring_tracer(8, clock)
+        tracer.event("protocol.message", phase="m1")
         dump = tmp_path / "dump.jsonl"
         monitor, _ = self._monitor(registry, clock, flight=flight,
                                    dump_path=str(dump))
@@ -312,7 +328,7 @@ class TestHealthMonitor:
         clock.advance(1.0)
         monitor.evaluate_once()
         lines = dump.read_text().splitlines()
-        assert json.loads(lines[0])["kind"] == "protocol_message"
+        assert json.loads(lines[0])["name"] == "protocol.message"
 
     def test_status_shape(self):
         clock = ManualClock()
@@ -386,8 +402,8 @@ class TestTelemetryServer:
     def server(self):
         registry = MetricsRegistry()
         registry.counter("protocol.runs.started").inc(2)
-        flight = FlightRecorder(capacity=8)
-        flight.record("protocol_message", phase="m1")
+        tracer, flight = ring_tracer(8)
+        tracer.event("protocol.message", phase="m1")
         monitor = HealthMonitor(registry, rules=[])
         server = TelemetryServer(registry, monitor=monitor,
                                  flight=flight).start()
@@ -419,7 +435,7 @@ class TestTelemetryServer:
     def test_flight_route(self, server):
         status, body = self._get(server.url + "/flight")
         assert status == 200
-        assert json.loads(body.splitlines()[0])["kind"] == "protocol_message"
+        assert json.loads(body.splitlines()[0])["name"] == "protocol.message"
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -504,11 +520,10 @@ class TestCrashScenario:
         events = [json.loads(line)
                   for line in dump.read_text().splitlines()]
         phases = {event["phase"] for event in events
-                  if event["kind"] == "protocol_message"
-                  and event["t"] <= trip_time}
+                  if event["name"] == "protocol.message"
+                  and event["at"] <= trip_time}
         assert {"m1", "m2", "m3"} <= phases
-        assert any(event["kind"] == "breaker_transition"
-                   for event in events)
+        assert any(event["name"] == "gateway.breaker" for event in events)
 
         # The load still made it through once the victim recovered.
         assert stats.settled_valid > 0
@@ -588,11 +603,12 @@ class TestReportRendering:
 
 class TestFlightClockBinding:
     def test_preattached_recorder_uses_virtual_time(self):
-        # The CLI builds RecordingInstrumentation(flight=...) before the
-        # community (and its clock) exists; the community must bind its
-        # clock so sim runs never stamp wall-clock times into the ring.
+        # The CLI attaches a ring to the tracer before the community (and
+        # its clock) exists; the community must bind its clock so sim
+        # runs never stamp wall-clock times into the ring.
         flight = FlightRecorder(capacity=256)
-        obs = RecordingInstrumentation(flight=flight)
+        obs = RecordingInstrumentation()
+        obs.tracer.add_exporter(flight)
         community = sim_community(2, seed=31, obs=obs)
         names = community.names()
         community.found_object(
@@ -601,7 +617,7 @@ class TestFlightClockBinding:
         community.settle()
         events = flight.events()
         assert events, "protocol activity must reach the flight ring"
-        stamps = [event["t"] for event in events]
+        stamps = [event["at"] for event in events]
         # Virtual timestamps: small and monotone, never ~1.7e9 wall time.
         assert all(stamp < 1e6 for stamp in stamps), stamps[:5]
         assert stamps == sorted(stamps)
@@ -611,23 +627,28 @@ class TestFlightClockBinding:
             def now(self) -> float:
                 return 42.0
 
-        flight = FlightRecorder(capacity=4, clock=FixedClock())
-        flight.bind_clock(None)
-
         class OtherClock:
             def now(self) -> float:
                 return 7.0
 
-        flight.bind_clock(OtherClock())
-        flight.record("probe")
-        assert flight.events()[0]["t"] == 42.0
+        tracer, flight = ring_tracer(4, FixedClock())
+        tracer.bind_clock(OtherClock())
+        tracer.event("probe")
+        # A clock bound late is kept against later bindings too.
+        late = Tracer(exporters=[flight])
+        late.bind_clock(FixedClock())
+        late.bind_clock(OtherClock())
+        late.event("probe")
+        assert [event["at"] for event in flight.events()] == [42.0, 42.0]
 
     def test_node_live_reuses_preattached_recorder(self):
         flight = FlightRecorder(capacity=64)
-        obs = RecordingInstrumentation(flight=flight)
+        obs = RecordingInstrumentation()
+        obs.tracer.add_exporter(flight)
         community = sim_community(2, seed=32, obs=obs)
         live = community.node("Org1").live()
         assert live.flight is flight
+        assert obs.tracer.exporters == [flight]
 
 
 class TestHandlerErrorAccounting:
@@ -662,9 +683,10 @@ class TestHandlerErrorAccounting:
 
     def test_handler_errors_reach_flight_ring_and_report(self):
         flight = FlightRecorder(capacity=16)
-        obs = RecordingInstrumentation(flight=flight)
+        obs = RecordingInstrumentation()
+        obs.tracer.add_exporter(flight)
         obs.handler_error("OrgX", "dispatch")
-        kinds = [event["kind"] for event in flight.events()]
-        assert "handler_error" in kinds
+        names = [event["name"] for event in flight.events()]
+        assert "transport.handler_error" in names
         report = render_snapshot(obs.registry.snapshot())
         assert "transport.tcp.handler_errors.dispatch  1" in report

@@ -221,7 +221,7 @@ class TestLossyLinks:
         per_party, obs, _community = _instrumented_run(
             make_community, seed=11, profile=profile
         )
-        messages = obs.collector.named("causal.message")
+        messages = obs.collector.named("protocol.message")
         trace_ids = {record.attrs["trace_id"] for record in messages}
         run_ids = {record.attrs["run_id"] for record in messages}
         assert len(run_ids) == 1 and len(trace_ids) == 1
