@@ -23,6 +23,7 @@ from repro.crypto.signature import (
 )
 from repro.errors import CertificateError
 from repro.util.clocks import Clock, SystemClock
+from repro.util.encoding import as_int
 from repro.util.identifiers import validate_party_id
 
 
@@ -57,12 +58,12 @@ class Certificate:
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
         return Certificate(
-            serial=int(data["serial"]),
+            serial=as_int(data["serial"]),
             subject=str(data["subject"]),
             issuer=str(data["issuer"]),
             public_key=dict(data["public_key"]),
-            not_before=int(data["not_before"]) / 1000.0,
-            not_after=int(data["not_after"]) / 1000.0,
+            not_before=as_int(data["not_before"]) / 1000.0,
+            not_after=as_int(data["not_after"]) / 1000.0,
             signature=Signature.from_dict(data["signature"]),
         )
 

@@ -14,6 +14,7 @@ from repro.crypto.numbers import generate_prime, mod_inverse
 from repro.crypto.prng import RandomSource, SystemRandomSource
 from repro.errors import KeyGenerationError
 from repro.obs.hooks import Instrumentation
+from repro.util.encoding import as_int
 
 DEFAULT_PUBLIC_EXPONENT = 65537
 DEFAULT_KEY_BITS = 512
@@ -41,7 +42,7 @@ class RsaPublicKey:
     def from_dict(data: dict) -> "RsaPublicKey":
         if data.get("kind") != "rsa-public":
             raise ValueError(f"not an RSA public key: {data.get('kind')!r}")
-        return RsaPublicKey(modulus=int(data["n"]), exponent=int(data["e"]))
+        return RsaPublicKey(modulus=as_int(data["n"]), exponent=as_int(data["e"]))
 
 
 @dataclass(frozen=True)

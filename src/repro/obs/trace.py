@@ -26,6 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from repro.util.encoding import as_int
+
 SPAN = "span"
 EVENT = "event"
 
@@ -109,7 +111,7 @@ class TraceContext:
             return TraceContext(
                 trace_id=str(data.get("trace_id", "")),
                 span_id=str(data.get("span_id", "")),
-                lamport=int(data.get("lamport", 0)),
+                lamport=as_int(data.get("lamport", 0)),
                 parent_span_id=str(data.get("parent_span_id", "")),
             )
         except (TypeError, ValueError):

@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.crypto.hashing import hash_members, hash_value
 from repro.crypto.prng import RandomSource
-from repro.util.encoding import as_bytes
+from repro.util.encoding import as_bytes, as_int
 
 NONCE_BYTES = 32
 
@@ -37,7 +37,7 @@ class StateId:
     @staticmethod
     def from_dict(data: dict) -> "StateId":
         return StateId(
-            seq=int(data["seq"]),
+            seq=as_int(data["seq"]),
             rand_hash=as_bytes(data["rh"]),
             state_hash=as_bytes(data["sh"]),
         )
@@ -64,7 +64,7 @@ class GroupId:
     @staticmethod
     def from_dict(data: dict) -> "GroupId":
         return GroupId(
-            seq=int(data["seq"]),
+            seq=as_int(data["seq"]),
             rand_hash=as_bytes(data["rh"]),
             members_hash=as_bytes(data["mh"]),
         )

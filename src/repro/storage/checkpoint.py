@@ -18,7 +18,7 @@ from typing import Any, Optional
 from repro.crypto.hashing import hash_value
 from repro.errors import CheckpointError
 from repro.storage.backends import RecordStore, RecordView
-from repro.util.encoding import Fragment
+from repro.util.encoding import Fragment, as_int
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Checkpoint:
             object_name=str(data["object_name"]),
             state_id=dict(data["state_id"]),
             state=data["state"],
-            sequence=int(data["sequence"]),
+            sequence=as_int(data["sequence"]),
         )
 
 

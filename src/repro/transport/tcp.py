@@ -3,8 +3,8 @@
 The original prototype used Java RMI between organisations; this module is
 the real-network counterpart of the simulated substrate: one listener
 socket per registered party.  Frames are produced by :mod:`repro.wire`:
-length-prefixed binary frames behind a one-line preamble (signatures and
-evidence stay on canonical JSON; the frame codec is framing only).
+length-prefixed canonical JSON behind a one-line preamble, the same
+encoding signatures and evidence use.
 
 There is one socket engine: a :mod:`selectors` event-loop thread
 (:mod:`repro.transport.reactor`) owns every listener, inbound connection,
@@ -51,12 +51,12 @@ class TcpNetwork(Network):
                  codec: str = "binary",
                  reactor: bool = True,
                  max_frame: int = MAX_FRAME) -> None:
-        # `codec` and `reactor` select nothing: they are accepted only
-        # because benchmarks/e2e/workloads.py (frozen by BENCHMARK.json)
-        # passes codec="binary", reactor=True; a benchmark-only
-        # follow-up deletes them.
+        # `codec` and `reactor` select nothing (frames are canonical
+        # JSON): they are accepted only because benchmarks/e2e/workloads.py
+        # (frozen by BENCHMARK.json) passes codec="binary", reactor=True;
+        # a benchmark-only follow-up deletes them.
         if codec != "binary":
-            raise ValueError("binary frames are the only wire codec")
+            raise ValueError("codec selects nothing: frames are canonical JSON")
         if reactor is not True:
             raise ValueError("the selector reactor is the only TCP transport")
         self._host = host

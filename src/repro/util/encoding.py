@@ -110,7 +110,9 @@ def _decode_wrapper(obj: dict) -> Any:
             # arrives already decoded; the format has no such thing.
             if type(inner) in (bytes, float):
                 raise TypeError(f"{tag!r} wrapper does not hold a string")
-            return base64.b64decode(inner) if tag == _BYTES_TAG else float(inner)
+            # validate: a non-base64 character is an error, not skipped.
+            return (base64.b64decode(inner, validate=True)
+                    if tag == _BYTES_TAG else float(inner))
     return obj
 
 
@@ -124,6 +126,14 @@ def as_bytes(value: Any) -> bytes:
     coerced (``bytes(n)`` is n zero bytes)."""
     if type(value) is not bytes:
         raise ValueError(f"not bytes: {type(value).__name__}")
+    return value
+
+
+def as_int(value: Any) -> int:
+    """*value* if it is an ``int``: a peer's int field is checked, never
+    coerced (``int(1.5)`` is 1, ``int(inf)`` raises ``OverflowError``)."""
+    if type(value) is not int:
+        raise ValueError(f"not an int: {type(value).__name__}")
     return value
 
 

@@ -1,20 +1,17 @@
-"""``repro.wire`` — the wire codec and framing layer.
+"""``repro.wire`` — connection framing.
 
-This package owns *framing only*: how an
-:class:`~repro.transport.base.Envelope` becomes bytes on a socket and
-back.  Everything with protocol authority — signatures, digests, state
-identifiers, golden evidence — keeps hashing through
-:func:`repro.util.encoding.canonical_bytes`; the frame codec can change
-without perturbing a single signed byte.
+This package owns how an :class:`~repro.transport.base.Envelope`
+becomes bytes on a socket and back.  There is one value codec: a frame
+body is :func:`repro.util.encoding.canonical_bytes` of the envelope,
+the same canonical JSON every signature, digest and stored line uses,
+and it is decoded by :func:`repro.util.encoding.from_canonical_bytes`.
 
-A connection opens with the line ``REPRO-WIRE/1 binary\\n`` and then
-carries length-prefixed frames of a compact tag-based encoding (no
-base64 inflation for ``bytes``, no recursive dict re-copies).
+A connection opens with the line ``REPRO-WIRE/2\\n`` and then carries
+u32-length-prefixed frames.
 
 See ``docs/PROTOCOL.md`` ("Wire format") for the byte-level layout.
 """
 
-from repro.wire.binary import decode_value, encode_value
 from repro.wire.framing import (
     MAX_FRAME,
     PREAMBLE,
@@ -33,6 +30,4 @@ __all__ = [
     "FrameError",
     "FrameTooLargeError",
     "WireError",
-    "decode_value",
-    "encode_value",
 ]

@@ -1,11 +1,12 @@
 """Connection framing: the preamble, frame assembly, frame parsing.
 
 A sender opens every connection with the ASCII line
-``REPRO-WIRE/1 binary\\n``, then ships frames as a u32 big-endian
-length prefix followed by that many bytes of
-:mod:`repro.wire.binary`-encoded envelope.  A receiver accepts exactly
-that preamble and nothing else; the version in it lets a future frame
-layout be told apart on the same port.
+``REPRO-WIRE/2\\n``, then ships frames as a u32 big-endian length
+prefix followed by that many bytes of canonical JSON: the body is
+``canonical_bytes(envelope.to_dict())``, the same writer every
+signature, hash and stored line uses.  A receiver accepts exactly that
+preamble and nothing else, so a peer speaking another frame layout
+(the binary frames of ``REPRO-WIRE/1``) is refused as a framing error.
 
 :class:`EnvelopeEncoder` also implements the encode-once broadcast
 path: an m1/m2/m3 fan-out sends the *same* ``payload`` dict to every
@@ -17,12 +18,13 @@ assembled around the cached bytes.
 from __future__ import annotations
 
 import struct
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
-from repro.wire.binary import WireError, decode_value, encode_value
+from repro.util.encoding import canonical_bytes, from_canonical_bytes
 
 #: The bytes every connection opens with.
-PREAMBLE = b"REPRO-WIRE/1 binary\n"
+PREAMBLE = b"REPRO-WIRE/2\n"
 
 #: Upper bound on one decoded frame.  Inbound frames declaring more are
 #: rejected before any allocation, bounding what garbage or an intruder
@@ -30,6 +32,10 @@ PREAMBLE = b"REPRO-WIRE/1 binary\n"
 MAX_FRAME = 16 * 1024 * 1024
 
 _U32 = struct.Struct(">I")
+
+
+class WireError(ValueError):
+    """Base error for framing violations and frames that do not decode."""
 
 
 class FrameError(WireError):
@@ -58,51 +64,27 @@ class EnvelopeEncoder:
         self._memo: "Optional[tuple]" = None
 
     def payload_bytes(self, payload: dict) -> bytes:
-        """Binary encoding of *payload*, memoised by identity."""
+        """Canonical bytes of *payload*, memoised by identity."""
         memo = self._memo
         if memo is not None and memo[0] is payload:
             return memo[1]
-        raw = encode_value(payload)
+        raw = canonical_bytes(payload)
         self._memo = (payload, raw)
         return raw
 
     def encode(self, envelope) -> bytes:
-        """One complete frame for *envelope* (header + cached payload)."""
-        payload_raw = self.payload_bytes(envelope.payload)
-        # The envelope header is assembled inline around the cached
-        # payload: four zero placeholder bytes for the u32 length
-        # prefix, then the dict tag, pair count 4, and each key as a
-        # pre-encoded ``varint-length + UTF-8`` literal.  Built in one
-        # buffer and copied out once — this header is the only per-peer
-        # work on a broadcast, so it stays call-free.
-        body = bytearray(b"\x00\x00\x00\x00d\x04\x06msg_id")
-        _bstr(body, envelope.msg_id)
-        body += b"\x07payload"
-        body += payload_raw
-        body += b"\x09recipient"
-        _bstr(body, envelope.recipient)
-        body += b"\x06sender"
-        _bstr(body, envelope.sender)
-        _U32.pack_into(body, 0, len(body) - 4)
-        return bytes(body)
+        """One complete frame for *envelope* (header + cached payload).
 
-
-def _bstr(buf: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    n = len(raw)
-    buf.append(0x73)  # 's'
-    if n < 0x80:
-        buf.append(n)
-    else:
-        _bvarint(buf, n)
-    buf += raw
-
-
-def _bvarint(buf: bytearray, n: int) -> None:
-    while n >= 0x80:
-        buf.append((n & 0x7F) | 0x80)
-        n >>= 7
-    buf.append(n)
+        The keys are written in sorted order, so the body is exactly
+        ``canonical_bytes(envelope.to_dict())``.
+        """
+        body = b"".join((
+            b'{"msg_id":', _escape(envelope.msg_id).encode("ascii"),
+            b',"payload":', self.payload_bytes(envelope.payload),
+            b',"recipient":', _escape(envelope.recipient).encode("ascii"),
+            b',"sender":', _escape(envelope.sender).encode("ascii"), b"}",
+        ))
+        return _U32.pack(len(body)) + body
 
 
 class FrameDecoder:
@@ -113,8 +95,8 @@ class FrameDecoder:
     violations (opening bytes other than :data:`PREAMBLE`, an oversized
     frame) raise :class:`FrameError` and poison the connection — the
     caller should close it.  A frame whose body fails to decode raises
-    :class:`~repro.wire.binary.WireError` from :meth:`decode` only, so
-    one malformed frame need not kill an otherwise healthy connection.
+    :class:`WireError` from :meth:`decode` only, so one malformed frame
+    need not kill an otherwise healthy connection.
     """
 
     __slots__ = ("max_frame", "_buffer", "_opened")
@@ -154,5 +136,13 @@ class FrameDecoder:
         return frame
 
     def decode(self, frame: bytes):
-        """Decode one frame body into the envelope dict it carries."""
-        return decode_value(frame)
+        """Decode one frame body into the value it carries.
+
+        Non-ASCII bytes, JSON syntax errors, trailing bytes, bad base64,
+        a malformed tagged wrapper and nesting too deep for the parser
+        all raise :class:`WireError`.
+        """
+        try:
+            return from_canonical_bytes(frame)
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise WireError(f"undecodable frame: {type(exc).__name__}") from None

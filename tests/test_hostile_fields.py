@@ -1,4 +1,5 @@
-"""Hostile byte fields: a peer's int where bytes belong is malformed.
+"""Hostile fields: a peer's int where bytes belong, or its float or bool
+where an int belongs, is malformed.
 
 ``bytes(n)`` of an int is n zero bytes.  While byte fields from peers
 were coerced that way, a frame of ~100 bytes carrying 2**27 as a
@@ -22,8 +23,9 @@ from repro.obs.audit import CorruptEvidenceLog, load_evidence_log
 from repro.protocol.events import MisbehaviourEvent
 from repro.storage.backends import FileRecordStore
 from repro.storage.log import NonRepudiationLog
+from repro.transport.base import Envelope
 from repro.util.encoding import canonical_bytes
-from repro.wire.binary import decode_value, encode_value
+from repro.wire import PREAMBLE, EnvelopeEncoder, FrameDecoder
 from tests.engine_helpers import EngineHarness, found
 
 MEMBERS = ["A", "B", "C"]
@@ -46,6 +48,24 @@ def exchange():
     return harness, sent
 
 
+def through_the_wire(sender, recipient, message):
+    """(frame, the message *recipient* reads from it): the one encoder
+    and the one decoder every socket uses."""
+    frame = EnvelopeEncoder().encode(Envelope(sender, recipient, message))
+    decoder = FrameDecoder()
+    decoder.feed(PREAMBLE + frame)
+    return frame, decoder.decode(decoder.next_frame())["payload"]
+
+
+def tamper(message, path, value):
+    hostile = copy.deepcopy(message)
+    holder = hostile
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return hostile
+
+
 # (message, path to the byte field, party it is sent to, from whom)
 FIELDS = {
     "signature value": ("m1", ("proposal", "signature", "value"), "B", "A"),
@@ -61,16 +81,12 @@ FIELDS = {
 def test_int_byte_field_is_malformed_and_costs_nothing(field, value):
     harness, sent = exchange()
     name, path, recipient, sender = FIELDS[field]
-    hostile = copy.deepcopy(sent[name])
-    holder = hostile
-    for key in path[:-1]:
-        holder = holder[key]
-    holder[path[-1]] = value
-    frame = encode_value(hostile)
+    frame, received = through_the_wire(
+        sender, recipient, tamper(sent[name], path, value))
     assert len(frame) < 4096
     tracemalloc.start()
     try:
-        output = harness.party(recipient).handle(sender, decode_value(frame))
+        output = harness.party(recipient).handle(sender, received)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -78,6 +94,35 @@ def test_int_byte_field_is_malformed_and_costs_nothing(field, value):
     assert [e.kind for e in output.events
             if isinstance(e, MisbehaviourEvent)] == ["malformed-message"]
     assert output.messages == []
+
+
+# (message, path to the int field, party it is sent to, from whom)
+INT_FIELDS = {
+    "m1 time_ms": ("m1", ("proposal", "timestamp", "time_ms"), "B", "A"),
+    "m2 time_ms": ("m2", ("response", "timestamp", "time_ms"), "A", "B"),
+    "m2 new_sid.seq": ("m2", ("response", "payload", "new_sid", "seq"),
+                       "A", "B"),
+    "m3 new_sid.seq": ("m3", ("new_sid", "seq"), "B", "A"),
+}
+
+
+@pytest.mark.parametrize("value", [float("inf"), 1.5, True])
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_non_int_int_field_is_malformed_and_changes_nothing(field, value):
+    """A float or bool where an int belongs is malformed: ``int(inf)``
+    would raise ``OverflowError`` out of ``handle``, and ``int(1.5)``
+    would truncate an m3's ``new_sid.seq`` to 1 and install it."""
+    harness, sent = exchange()
+    name, path, recipient, sender = INT_FIELDS[field]
+    _, received = through_the_wire(
+        sender, recipient, tamper(sent[name], path, value))
+    engine = harness.party(recipient).session("obj").state
+    agreed = (engine.agreed_sid, engine.agreed_state)
+    output = harness.party(recipient).handle(sender, received)
+    assert [e.kind for e in output.events
+            if isinstance(e, MisbehaviourEvent)] == ["malformed-message"]
+    assert output.messages == []
+    assert (engine.agreed_sid, engine.agreed_state) == agreed
 
 
 # A stored evidence line is hostile input too: whoever hands a log.jsonl

@@ -100,6 +100,8 @@ class TestTraceContext:
         assert TraceContext.from_dict(None) is None
         assert TraceContext.from_dict("nope") is None
         assert TraceContext.from_dict({"lamport": "NaN-ish"}) is None
+        for lamport in (float("inf"), 1.5, True):  # checked, never coerced
+            assert TraceContext.from_dict({"lamport": lamport}) is None
 
     def test_receive_builds_causal_edge(self):
         run_id = "c" * 64

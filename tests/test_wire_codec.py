@@ -1,4 +1,4 @@
-"""The wire layer: binary codec, framing, socket transport."""
+"""The wire layer: frame codec, framing, socket transport."""
 
 from __future__ import annotations
 
@@ -27,8 +27,6 @@ from repro.wire import (
     FrameError,
     FrameTooLargeError,
     WireError,
-    decode_value,
-    encode_value,
 )
 
 # Values the protocol actually ships: JSON-ish trees plus raw bytes.
@@ -40,16 +38,22 @@ _scalars = st.one_of(
     st.text(max_size=40),
     st.binary(max_size=40),
 )
+_keys = st.text(max_size=20).filter(lambda key: key not in (_BYTES_TAG,
+                                                             _FLOAT_TAG))
 _values = st.recursive(
     _scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
-        st.dictionaries(
-            st.text(max_size=20).filter(
-                lambda key: key not in (_BYTES_TAG, _FLOAT_TAG)),
-            children, max_size=6),
+        st.dictionaries(_keys, children, max_size=6),
     ),
     max_leaves=25,
+)
+
+_envelopes = st.builds(
+    Envelope,
+    st.text(min_size=1, max_size=8), st.text(min_size=1, max_size=8),
+    st.dictionaries(_keys, _values, max_size=4),
+    st.text(max_size=12),
 )
 
 
@@ -62,77 +66,82 @@ def _normalise(value):
     return value
 
 
-class TestBinaryCodec:
+def _carried(value):
+    """*value* as a receiver reads it from a frame that carries it."""
+    frame = EnvelopeEncoder().encode(Envelope("A", "B", {"v": value}, "A:1"))
+    return FrameDecoder().decode(frame[4:])["payload"]["v"]
+
+
+class TestFrameBody:
     @settings(max_examples=200, deadline=None)
     @given(_values)
     def test_round_trip_matches_canonical_encoder(self, value):
-        # The binary codec and the canonical JSON encoder must agree on
-        # what a value *is*: decode(encode(x)) == from_canonical(canonical(x)).
-        expected = from_canonical_bytes(canonical_bytes(value))
-        assert decode_value(encode_value(value)) == expected
+        assert _carried(value) == from_canonical_bytes(canonical_bytes(value))
 
     @pytest.mark.parametrize("value", [
         {},
         [],
         {"": ""},
         "é€\U0001f600́",  # latin-1, BMP, astral, combining
-        "  ",                   # JS line separators
+        "\u2028\u2029",         # JS line separators
         b"",
         b"\x00\xff" * 17,
         {"sig": b"\x00" * 64, "nested": [{"k": [True, False, None]}]},
-        -(2 ** 63), 2 ** 63 - 1,          # i64 boundary (tag j)
-        -(2 ** 63) - 1, 2 ** 63,          # just past it (bigint tag i)
+        -(2 ** 63), 2 ** 63 - 1,
+        -(2 ** 63) - 1, 2 ** 63,
         2 ** 300, -(2 ** 300),
         0, -1, 1.5, -0.0,
     ])
     def test_edge_values_round_trip(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert _carried(value) == value
 
     def test_tuple_encodes_as_list(self):
-        assert decode_value(encode_value((1, 2, (3,)))) == [1, 2, [3]]
-
-    def test_no_base64_inflation_for_bytes(self):
-        blob = {"sig": b"\xaa" * 300}
-        assert len(encode_value(blob)) < len(canonical_bytes(blob))
-
-    def test_trailing_garbage_rejected(self):
-        with pytest.raises(WireError):
-            decode_value(encode_value({"a": 1}) + b"x")
-
-    def test_truncated_rejected(self):
-        encoded = encode_value({"key": "value", "n": [1, 2, 3]})
-        for cut in range(len(encoded)):
-            with pytest.raises(WireError):
-                decode_value(encoded[:cut])
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(WireError):
-            decode_value(b"Z")
-
-    def test_count_bomb_rejected(self):
-        # A 5-byte buffer claiming a 4-billion-entry list must be thrown
-        # out before any allocation happens.
-        with pytest.raises(WireError):
-            decode_value(b"l\xff\xff\xff\xff")
-        with pytest.raises(WireError):
-            decode_value(b"d\xff\xff\xff\xff")
-        with pytest.raises(WireError):
-            decode_value(b"s\xff\xff\xff\xffab")
-
-    @pytest.mark.parametrize("opener", [b"l\x01", b"d\x01\x01k"])
-    def test_deep_nesting_rejected(self, opener):
-        # A 10 KB frame of nested containers must not escape as a
-        # RecursionError into the reactor loop.
-        with pytest.raises(WireError):
-            decode_value(opener * 5000 + b"N")
+        assert _carried((1, 2, (3,))) == [1, 2, [3]]
 
     def test_unencodable_type_rejected(self):
+        with pytest.raises(TypeError):
+            EnvelopeEncoder().encode(Envelope("A", "B", {"bad": object()}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_envelopes)
+    def test_body_is_the_canonical_envelope(self, envelope):
+        frame = EnvelopeEncoder().encode(envelope)
+        assert frame[4:] == canonical_bytes(envelope.to_dict())
+        assert int.from_bytes(frame[:4], "big") == len(frame) - 4
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b'{"a":[1,2', id="truncated"),
+        pytest.param(b'{"a":1}x', id="trailing-garbage"),
+        pytest.param(b'{"a":"\xe9"}', id="non-ascii"),
+        pytest.param(b'{"__b64__":5}', id="b64-number"),
+        pytest.param(b'{"__b64__":"!!"}', id="b64-not-base64"),
+        pytest.param(b"Z", id="not-json"),
+    ])
+    def test_undecodable_body_raises_wire_error(self, body):
         with pytest.raises(WireError):
-            encode_value({"bad": object()})
+            FrameDecoder().decode(body)
+
+    @pytest.mark.parametrize("opener", [
+        pytest.param(b"[", id="array"),
+        pytest.param(b'{"k":', id="object"),
+    ])
+    def test_deep_nesting_rejected(self, opener):
+        # A frame of 10^5 nested containers must not escape as a
+        # RecursionError into the reactor loop.
+        with pytest.raises(WireError):
+            FrameDecoder().decode(opener * 100_000 + b"null")
+
+    def test_every_truncation_rejected(self):
+        body = canonical_bytes({"key": "value", "n": [1, 2, 3],
+                                "b": b"\x01\x02"})
+        for cut in range(len(body)):
+            with pytest.raises(WireError):
+                FrameDecoder().decode(body[:cut])
 
 
 #: ``PREAMBLE + EnvelopeEncoder().encode(_GOLDEN)`` as running peers
-#: read it: one moved byte breaks interop with them.
+#: read it: one moved byte breaks interop with them.  The body is the
+#: envelope's canonical JSON.
 _GOLDEN = Envelope(
     "\u00d3rg-A", "Org-B",
     {"blob": b"\x00\x01\xfe\xff", "note": "caf\u00e9 \u20ac \U0001f600",
@@ -140,13 +149,12 @@ _GOLDEN = Envelope(
      "list": [1.5, "x"]},
     msg_id="\u00d3rg-A:7",
 )
-_GOLDEN_HEX = (
-    "524550524f2d574952452f312062696e6172790a0000008f6404066d73675f69"
-    "647308c39372672d413a37077061796c6f6164640704626c6f6262040001feff"
-    "046e6f7465730e636166c3a920e282ac20f09f9880016e690940000000000000"
-    "000105736d616c6c6a05026f6b54046e6f6e654e046c6973746c02663ff80000"
-    "0000000073017809726563697069656e7473054f72672d420673656e64657273"
-    "06c39372672d41"
+_GOLDEN_WIRE = (
+    b'REPRO-WIRE/2\n\x00\x00\x00\xf1'
+    b'{"msg_id":"\\u00d3rg-A:7","payload":{"blob":{"__b64__":"AAH+/w=="},'
+    b'"list":[{"__float__":"1.5"},"x"],"n":1180591620717411303425,'
+    b'"none":null,"note":"caf\\u00e9 \\u20ac \\ud83d\\ude00","ok":true,'
+    b'"small":-3},"recipient":"Org-B","sender":"\\u00d3rg-A"}'
 )
 
 
@@ -165,21 +173,14 @@ def _chunked(stream, cuts):
     return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-_envelopes = st.builds(
-    Envelope,
-    st.text(min_size=1, max_size=8), st.text(min_size=1, max_size=8),
-    st.dictionaries(st.text(max_size=8), _values, max_size=4),
-    st.text(max_size=12),
-)
-
-
 class TestFraming:
     def _envelope(self):
         return Envelope("A", "B", {"data": b"\x01\x02", "n": 7}, msg_id="A:1")
 
     def test_golden_frame_bytes(self):
         wire = PREAMBLE + EnvelopeEncoder().encode(_GOLDEN)
-        assert wire.hex() == _GOLDEN_HEX
+        assert wire == _GOLDEN_WIRE
+        assert wire[len(PREAMBLE) + 4:] == canonical_bytes(_GOLDEN.to_dict())
         decoder = FrameDecoder()
         decoder.feed(wire)
         assert Envelope.from_dict(decoder.decode(decoder.next_frame())) == _GOLDEN
@@ -235,7 +236,7 @@ class TestFraming:
 
     def test_wrong_version_rejected(self):
         decoder = FrameDecoder()
-        decoder.feed(b"REPRO-WIRE/99 binary\n")
+        decoder.feed(b"REPRO-WIRE/1 binary\n")  # a binary-frame peer
         with pytest.raises(FrameError):
             decoder.next_frame()
 
@@ -361,7 +362,7 @@ class TestReactorTransport:
         finally:
             network.close()
 
-    def test_binary_is_the_only_codec(self):
+    def test_codec_keyword_selects_nothing(self):
         with pytest.raises(ValueError):
             TcpNetwork(codec="json")
         TcpNetwork(reactor=True, codec="binary").close()
@@ -397,12 +398,12 @@ class TestMalformedFrameAccounting:
             assert _await(lambda: self._counters(obs).get(
                 "transport.tcp.malformed_frames.framing", 0) >= 1)
             # A well-framed frame that is not an envelope.
-            body = encode_value({"not": "an envelope"})
+            body = canonical_bytes({"not": "an envelope"})
             self._inject(network, "B", PREAMBLE
                          + len(body).to_bytes(4, "big") + body)
             assert _await(lambda: self._counters(obs).get(
                 "transport.tcp.malformed_frames.bad-envelope", 0) >= 1)
-            # A well-framed binary frame whose body does not decode.
+            # A well-framed frame whose body does not decode.
             self._inject(network, "B",
                          PREAMBLE + b"\x00\x00\x00\x01Z")
             assert _await(lambda: self._counters(obs).get(
@@ -410,6 +411,30 @@ class TestMalformedFrameAccounting:
             counters = self._counters(obs)
             assert counters.get("transport.tcp.malformed_frames", 0) >= 3
             assert inbox == []  # nothing malformed reached the handler
+        finally:
+            network.close()
+
+    @pytest.mark.parametrize("body, reason", [
+        pytest.param(b"5", "bad-envelope", id="number"),
+        pytest.param(b"[]", "bad-envelope", id="list"),
+        pytest.param(b"[" * 100_000, "decode", id="nested-1e5"),
+    ])
+    def test_hostile_json_frame_is_counted_and_serving_goes_on(
+            self, body, reason):
+        obs = RecordingInstrumentation()
+        network = TcpNetwork(obs=obs)
+        inbox = []
+        try:
+            b = _endpoint("B", network, inbox)
+            self._inject(network, "B", PREAMBLE
+                         + len(body).to_bytes(4, "big") + body)
+            assert _await(lambda: self._counters(obs).get(
+                f"transport.tcp.malformed_frames.{reason}", 0) == 1)
+            a = _endpoint("A", network, [])
+            a.send("B", {"after": True})
+            assert _await(lambda: inbox == [("A", {"after": True})])
+            a.stop()
+            b.stop()
         finally:
             network.close()
 
