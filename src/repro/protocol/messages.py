@@ -26,7 +26,7 @@ from repro.crypto.timestamp import TimestampService, TimestampToken, verify_time
 from repro.errors import InconsistentMessageError, TimestampError
 from repro.protocol.ids import GroupId, StateId
 from repro.protocol.validation import Decision
-from repro.util.encoding import Fragment, canonical_bytes
+from repro.util.encoding import Fragment, SealedDict, canonical_bytes
 
 # msg_type discriminators ------------------------------------------------
 
@@ -97,7 +97,7 @@ class SignedPart:
     The part owns the canonical bytes of its payload and of its
     ``to_dict()`` form: produced once, when it is signed or verified,
     and read back by every later use (digest, journal records, evidence
-    entries, the m3 bundle).  See PROTOCOL.md, "encode-once rule".
+    entries, the m1/m2/m3 frames).  See PROTOCOL.md, "encode-once rule".
     """
 
     payload: dict
@@ -105,17 +105,18 @@ class SignedPart:
     timestamp: "Optional[TimestampToken]"
 
     def to_dict(self) -> dict:
-        """The part as plain data — one dict per part, built on first
-        use and shared by every message and record that carries the
-        part (read-only, as the payload inside it always was), so
-        :func:`spliced` can tell by identity an entry built from it."""
+        """The part as plain data — one read-only dict per part, built
+        on first use and shared by every message and record that carries
+        the part, so :func:`spliced` can tell by identity an entry built
+        from it; a frame splices the sealed text it carries."""
         wire = self.__dict__.get("_wire")
         if wire is None:
-            wire = {
+            sealed = self.__dict__.get("_sealed")
+            wire = SealedDict({
                 "payload": self.payload,
                 "signature": self.signature.to_dict(),
                 "timestamp": self.timestamp.to_dict() if self.timestamp else None,
-            }
+            }, sealed[2] if sealed else None)
             object.__setattr__(self, "_wire", wire)
         return wire
 
@@ -157,11 +158,15 @@ class SignedPart:
         sealed = (payload, signature, whole)
         self.__dict__.pop("_digest_cache", None)
         object.__setattr__(self, "_sealed", sealed)
+        wire = self.__dict__.get("_wire")
+        if wire is not None:
+            wire.whole = whole
         return sealed
 
     def release(self) -> None:
         """Forget the retained encodings (a later use re-encodes);
-        engines call this once a run has settled and logged its evidence."""
+        engines call this once a run has settled and logged its evidence.
+        ``to_dict()`` keeps the whole's text for an m3 still to be sent."""
         self.__dict__.pop("_sealed", None)
 
     def _sealed_now(self) -> "tuple[Fragment, ...]":

@@ -8,14 +8,15 @@ mirrors the role DER/XER plays in classical non-repudiation systems while
 remaining dependency-free and human-debuggable.
 
 One single-pass writer produces that form.  A :class:`Fragment` lets a
-layer that embeds one value in several records have it encoded once.
+layer that embeds one value in several records have it encoded once,
+and a :class:`SealedDict` carries its own.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
@@ -53,6 +54,30 @@ class Fragment:
         return self._text.encode("ascii")
 
 
+class SealedDict(dict):
+    """A read-only dict that may carry its own canonical text.
+
+    ``whole`` is this process's :class:`Fragment` of the same data; once
+    it has text, the writer splices that instead of walking the dict.
+    A copy (``dict()``, ``copy``, ``deepcopy``, pickle) is a plain dict.
+    """
+
+    __slots__ = ("whole",)
+
+    def __init__(self, data: dict, whole: "Fragment | None" = None) -> None:
+        dict.__init__(self, data)
+        self.whole = whole
+
+    def __reduce__(self) -> tuple:
+        return dict, (dict(self),)
+
+    def _read_only(self, *args: Any) -> None:
+        raise TypeError("a sealed dict is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 def _write(value: Any, kind: "type | None" = None) -> str:
     """Canonical text of *value*: one pass, dispatching on the exact type."""
     if kind is None:
@@ -88,6 +113,11 @@ def _write(value: Any, kind: "type | None" = None) -> str:
             text = value._text = _write(value._value)
             value._value = None
         return text
+    if kind is SealedDict:
+        whole = value.whole
+        if whole is not None and whole._text is not None:
+            return whole._text
+        return _write(value, dict)
     if kind is float:
         # Floats round-trip exactly through repr in Python 3, but different
         # producers may still format them differently; protocol data should
@@ -110,10 +140,18 @@ def _decode_wrapper(obj: dict) -> Any:
             # arrives already decoded; the format has no such thing.
             if type(inner) in (bytes, float):
                 raise TypeError(f"{tag!r} wrapper does not hold a string")
-            # validate: a non-base64 character is an error, not skipped.
-            return (base64.b64decode(inner, validate=True)
-                    if tag == _BYTES_TAG else float(inner))
+            if tag == _FLOAT_TAG:
+                return float(inner)
+            # Only the writer's spelling: a2b_base64 skips stray
+            # characters and reads padding differently per Python.
+            data = a2b_base64(inner)
+            if b2a_base64(data, newline=False) != inner.encode("ascii"):
+                raise ValueError("bytes wrapper is not canonical base64")
+            return data
     return obj
+
+
+_DECODER = json.JSONDecoder(object_hook=_decode_wrapper)
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -139,7 +177,7 @@ def as_int(value: Any) -> int:
 
 def from_canonical_bytes(data: bytes) -> Any:
     """Inverse of :func:`canonical_bytes`."""
-    return json.loads(data.decode("ascii"), object_hook=_decode_wrapper)
+    return _DECODER.decode(data.decode("ascii"))
 
 
 def freeze(value: Any) -> Any:

@@ -12,7 +12,8 @@ preamble and nothing else, so a peer speaking another frame layout
 path: an m1/m2/m3 fan-out sends the *same* ``payload`` dict to every
 peer (only ``recipient``/``msg_id`` differ), so the payload — virtually
 all of the frame — is serialised once and the per-peer frames are
-assembled around the cached bytes.
+assembled around the cached bytes.  Even then its signed parts are
+not walked: the writer copies the text they were sealed with.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class FrameDecoder:
     def decode(self, frame: bytes):
         """Decode one frame body into the value it carries.
 
-        Non-ASCII bytes, JSON syntax errors, trailing bytes, bad base64,
+        Non-ASCII bytes, JSON syntax errors, trailing bytes, base64 in
+        any but its canonical spelling,
         a malformed tagged wrapper and nesting too deep for the parser
         all raise :class:`WireError`.
         """

@@ -3,8 +3,11 @@
 ``repro.util.encoding`` replaced it with a single-pass writer; the
 property tests in ``test_encoding_oracle.py`` require the two to agree
 byte for byte (and the decoders value for value) over the whole value
-domain.  Do not optimise or "fix" this file: it defines the bytes that
+domain.  Do not optimise or "fix" the encoder: it defines the bytes that
 every signature and evidence chain written so far was computed over.
+The decoder reads a bytes wrapper only in the spelling the encoder
+writes, as production does; the seed's lenient ``b64decode`` read
+``")"`` as ``b""`` and disagreed across Python versions.
 """
 
 from __future__ import annotations
@@ -42,7 +45,11 @@ def _decode_value(value: Any) -> Any:
         return [_decode_value(item) for item in value]
     if isinstance(value, dict):
         if set(value) == {_BYTES_TAG}:
-            return base64.b64decode(value[_BYTES_TAG])
+            text = value[_BYTES_TAG]
+            data = base64.b64decode(text)
+            if base64.b64encode(data).decode("ascii") != text:
+                raise ValueError("bytes wrapper is not canonical base64")
+            return data
         if set(value) == {"__float__"}:
             return float(value["__float__"])
         return {key: _decode_value(item) for key, item in value.items()}

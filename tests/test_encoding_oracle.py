@@ -14,7 +14,7 @@ import enum
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.util.encoding import (
@@ -127,6 +127,9 @@ class TestWriterMatchesReference:
             max_size=2),
         max_leaves=8,
     ))
+    # A lenient reference read both as b"" while production rejected them.
+    @example({"__b64__": ")"})
+    @example({"__b64__": "\x0c"})
     def test_decoding_foreign_json_is_outcome_identical(self, doc):
         """Malformed and nested wrappers included: same value, or both reject.
 
