@@ -17,11 +17,7 @@ Typical usage::
 """
 
 from repro.core.community import Community, two_party_community
-from repro.core.composite import (
-    CompositeB2BObject,
-    CompositeTicket,
-    submit_transaction,
-)
+from repro.core.composite import CompositeB2BObject
 from repro.core.controller import (
     B2BObjectController,
     CoordinationTicket,
@@ -60,8 +56,6 @@ __all__ = [
     "Community",
     "two_party_community",
     "CompositeB2BObject",
-    "CompositeTicket",
-    "submit_transaction",
     "B2BObjectController",
     "CoordinationTicket",
     "ObjectMergerAdapter",

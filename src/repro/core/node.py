@@ -277,20 +277,6 @@ class OrganisationNode:
         place in the FIFO and is proposed alone, never coalesced."""
         return self.submit_update(object_name, Overwrite(new_state))
 
-    def submit_composite(self, updates: "dict[str, Any]") -> "Any":
-        """Submit one all-or-nothing transaction across several objects.
-
-        See :func:`repro.core.composite.submit_transaction`: under the
-        engine lock every child update is validated against its agreed
-        state (any rejection aborts the whole transaction before anything
-        is proposed), and the accepted children are queued in their
-        pipelines before the lock is released, so no concurrent
-        submission can interleave.
-        """
-        from repro.core.composite import submit_transaction
-
-        return submit_transaction(self, updates)
-
     def gateway(self, **options: Any) -> "Any":
         """This node's client gateway, created on first use.
 

@@ -222,9 +222,15 @@ class ProtocolParty:
     def handle(self, sender: str, message: dict) -> Output:
         msg_type = message.get("msg_type")
         object_name = extract_object_name(message)
-        if object_name is None:
+        if object_name is None or msg_type is None:
             return Output()
         session = self.sessions.get(object_name)
+        if not isinstance(msg_type, str):  # a list or dict is unhashable
+            output = Output()
+            if session is not None and not session.detached:
+                session.state._misbehaviour(output, sender, "malformed-message",
+                                            "msg_type is not a string")
+            return output
         if msg_type in _STATE_TYPES:
             if session is None or session.detached:
                 return Output()

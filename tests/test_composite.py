@@ -1,14 +1,12 @@
-"""Composite transactions across a node's objects: all-or-nothing at
-admission under the node's one engine lock, and what survives a restart."""
+"""Agreement across objects is one write to a :class:`CompositeB2BObject`:
+one run settles every child it names, or none of them, at every party,
+and what settled survives a restart."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import Community, DictB2BObject, submit_transaction
+from repro.core import Community, CompositeB2BObject, DictB2BObject
 from repro.core.object import B2BObject
 from repro.core.runtime import SimRuntime
-from repro.errors import ConfigurationError
 from repro.protocol.validation import Decision
 from repro.transport.inmemory import LinkProfile
 
@@ -50,69 +48,110 @@ class PickyObject(CounterObject):
         return Decision.accept()
 
 
+class NoFives(CounterObject):
+    """Counter that vetoes an amount of five."""
+
+    def validate_update(self, update, resulting, current, proposer):
+        if isinstance(update, dict) and update.get("n") == 5:
+            return Decision.reject("no fives")
+        return Decision.accept()
+
+
+def counters(alpha=CounterObject, beta=CounterObject):
+    return CompositeB2BObject({"alpha": alpha(), "beta": beta()})
+
+
+def zero():
+    return {"applied": 0, "total": 0}
+
+
 class TestCompositeTransactions:
-    def _community(self, seed, cls=CounterObject, objects=("alpha", "beta"),
-                   **kwargs):
+    """Two counters, ``alpha`` and ``beta``, as the children of one
+    composite object ``pair`` shared by three organisations."""
+
+    def _community(self, seed, make=counters, **kwargs):
         community = sim_community(3, seed=seed, **kwargs)
-        names = community.names()
-        for object_name in objects:
-            community.found_object(
-                object_name, {name: cls() for name in names})
+        community.found_object(
+            "pair", {name: make() for name in community.names()})
         return community
+
+    @staticmethod
+    def states(community):
+        return [community.node(name).controllers["pair"].b2b_object
+                .get_state() for name in community.names()]
 
     def test_transaction_settles_atomically(self):
         community = self._community(21)
-        node = community.node("Org1")
-        ticket = node.submit_composite({"alpha": {"n": 3}, "beta": {"n": 5}})
-        assert not ticket.aborted
-        assert set(ticket.children) == {"alpha", "beta"}
+        ticket = community.node("Org1").submit_update(
+            "pair", {"alpha": {"n": 3}, "beta": {"n": 5}})
         community.settle()
-        assert ticket.done and ticket.valid and not ticket.partial
-        for name in community.names():
-            controllers = community.node(name).controllers
-            assert controllers["alpha"].b2b_object.get_state() == \
-                {"applied": 1, "total": 3}
-            assert controllers["beta"].b2b_object.get_state() == \
-                {"applied": 1, "total": 5}
+        assert ticket.done and ticket.valid
+        assert self.states(community) == [
+            {"alpha": {"applied": 1, "total": 3},
+             "beta": {"applied": 1, "total": 5}}] * 3
 
     def test_rejected_child_aborts_with_nothing_applied(self):
-        community = self._community(22, cls=PickyObject)
-        node = community.node("Org1")
-        ticket = node.submit_composite({"alpha": {"n": 3}, "beta": {"n": -1}})
-        assert ticket.aborted
+        community = self._community(
+            22, make=lambda: counters(PickyObject, PickyObject))
+        ticket = community.node("Org1").submit_update(
+            "pair", {"alpha": {"n": 3}, "beta": {"n": -1}})
+        community.settle()
         assert ticket.done and ticket.valid is False
-        assert any("beta" in diag and "negative" in diag
-                   for diag in ticket.child_diagnostics())
-        assert ticket.children == {}
-        community.settle()
+        assert any("beta: negative" in diag for diag in ticket.diagnostics)
         # All-or-nothing: the valid sibling was not applied either.
-        for name in community.names():
-            controllers = community.node(name).controllers
-            assert controllers["alpha"].b2b_object.get_state() == \
-                {"applied": 0, "total": 0}
-            assert controllers["beta"].b2b_object.get_state() == \
-                {"applied": 0, "total": 0}
+        assert self.states(community) == [
+            {"alpha": zero(), "beta": zero()}] * 3
 
-    def test_transaction_atomic_under_concurrent_child_traffic(self):
-        community = self._community(23)
+    def test_remote_child_veto_applies_nothing_anywhere(self):
+        """Only Org2's ``beta`` replica refuses a five: the write naming
+        both children is refused as one, at every party."""
+        community = sim_community(3, seed=27)
+        community.found_object("pair", {
+            name: counters(beta=NoFives if name == "Org2" else CounterObject)
+            for name in community.names()})
         node = community.node("Org1")
-        other = community.node("Org2")
-        side = [other.submit_update("alpha", {"n": 1}) for _ in range(3)]
-        side += [other.submit_update("beta", {"n": 1}) for _ in range(3)]
-        ticket = node.submit_composite({"alpha": {"n": 10}, "beta": {"n": 20}})
+        vetoed = node.submit_update(
+            "pair", {"alpha": {"n": 3}, "beta": {"n": 5}})
         community.settle()
-        assert ticket.done and ticket.valid and not ticket.partial
+        assert vetoed.done and vetoed.valid is False
+        assert vetoed.diagnostics == ["Org2: beta: no fives"]
+        assert self.states(community) == [
+            {"alpha": zero(), "beta": zero()}] * 3
+        settled = node.submit_update(
+            "pair", {"alpha": {"n": 3}, "beta": {"n": 4}})
+        community.settle()
+        assert settled.valid
+        assert self.states(community) == [
+            {"alpha": {"applied": 1, "total": 3},
+             "beta": {"applied": 1, "total": 4}}] * 3
+
+    def test_all_children_or_none_under_rival_traffic(self):
+        """Org2 writes each child on its own while Org1's write names
+        both, and so does Org3's, with a ``beta`` every replica refuses."""
+        community = self._community(
+            23, make=lambda: counters(PickyObject, PickyObject))
+        other = community.node("Org2")
+        side = [other.submit_update("pair", {"alpha": {"n": 1}})
+                for _ in range(3)]
+        side += [other.submit_update("pair", {"beta": {"n": 1}})
+                 for _ in range(3)]
+        ticket = community.node("Org1").submit_update(
+            "pair", {"alpha": {"n": 10}, "beta": {"n": 20}})
+        vetoed = community.node("Org3").submit_update(
+            "pair", {"alpha": {"n": 100}, "beta": {"n": -1}})
+        community.settle()
+        assert ticket.done and ticket.valid
+        assert vetoed.done and vetoed.valid is False
+        assert any("beta: negative" in diag for diag in vetoed.diagnostics)
         assert all(t.done and t.valid for t in side)
-        alpha = node.controllers["alpha"].b2b_object.get_state()
-        beta = node.controllers["beta"].b2b_object.get_state()
-        # Each child applied the transaction exactly once plus the side
-        # traffic — no partial or double application anywhere.
-        assert alpha == {"applied": 4, "total": 13}
-        assert beta == {"applied": 4, "total": 23}
+        # Each child applied Org1's write exactly once plus the side
+        # traffic, and nothing of Org3's: no partial or double
+        # application anywhere.
+        assert self.states(community) == [
+            {"alpha": {"applied": 4, "total": 13},
+             "beta": {"applied": 4, "total": 23}}] * 3
 
     def test_composite_object_under_batched_pipeline(self):
-        from repro.core import CompositeB2BObject
-
         community = sim_community(2, seed=26)
         names = community.names()
         composites = {
@@ -141,34 +180,20 @@ class TestCompositeTransactions:
             assert state["left"] == {"applied": 5, "total": 5}
             assert state["right"] == {"applied": 5, "total": 10}
 
-    def test_empty_transaction_rejected(self):
-        community = self._community(24)
-        with pytest.raises(ConfigurationError):
-            submit_transaction(community.node("Org1"), {})
-
-    def test_children_admitted_in_name_order(self):
-        community = self._community(25, objects=tuple(
-            f"obj-{i}" for i in (3, 0, 5, 1, 4, 2)))
-        node = community.node("Org1")
-        updates = {f"obj-{i}": {"n": 1} for i in (5, 2, 0, 4, 1, 3)}
-        ticket = node.submit_composite(updates)
-        assert ticket.object_names == sorted(updates)
-        community.settle()
-        assert ticket.valid
-
     def test_restart_restores_every_child(self, tmp_path):
         community = self._community(14, storage_dir=str(tmp_path))
-        ticket = community.node("Org1").submit_composite(
-            {"alpha": {"n": 3}, "beta": {"n": 5}})
+        ticket = community.node("Org1").submit_update(
+            "pair", {"alpha": {"n": 3}, "beta": {"n": 5}})
         community.settle()
         assert ticket.valid
         replacement = community.restart_node("Org1")
-        restored = {name: CounterObject() for name in ("alpha", "beta")}
-        for name, replica in restored.items():
-            replacement.restore_object(name, replica)
+        restored = counters()
+        replacement.restore_object("pair", restored)
         community.settle()
-        assert restored["alpha"].get_state() == {"applied": 1, "total": 3}
-        assert restored["beta"].get_state() == {"applied": 1, "total": 5}
+        assert restored.child("alpha").get_state() == \
+            {"applied": 1, "total": 3}
+        assert restored.child("beta").get_state() == \
+            {"applied": 1, "total": 5}
 
 
 def test_many_objects_settle_on_one_engine_lock():

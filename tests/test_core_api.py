@@ -18,6 +18,7 @@ from repro.core import (
     Community,
     CompositeB2BObject,
     DictB2BObject,
+    OrganisationNode,
     ThreadedRuntime,
     wrap_object,
 )
@@ -595,7 +596,7 @@ class TestOptionRatchet:
     }
 
     #: Bytes of ``src/repro/**/*.py``.
-    SOURCE_BYTES = 785_733
+    SOURCE_BYTES = 780_610
 
     @pytest.mark.parametrize("target", sorted(PINNED))
     def test_constructor_parameters(self, target):
@@ -626,6 +627,13 @@ class TestOptionRatchet:
     def test_the_controller_has_no_retry_policy_of_its_own(self):
         assert not hasattr(B2BObjectController, "max_transient_retries")
         assert not hasattr(B2BObjectController, "transient_retry_delay")
+
+    def test_one_way_to_agree_across_objects(self):
+        """Atomic multi-object agreement is a ``CompositeB2BObject``
+        settled by one run; there is no per-child transaction path."""
+        assert not hasattr(OrganisationNode, "submit_composite")
+        assert not hasattr(repro.core, "submit_transaction")
+        assert not hasattr(repro.core, "CompositeTicket")
 
     def test_only_the_pipeline_proposes(self):
         """One write path: nothing else under ``src/repro`` starts a

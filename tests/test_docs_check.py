@@ -29,6 +29,7 @@ def test_repo_docs_are_clean(check_docs):
     assert check_docs.check_report_samples() == []
     assert check_docs.check_imports() == []
     assert check_docs.check_read_fields() == []
+    assert check_docs.check_dotted_names() == []
 
 
 def test_broken_link_reported(check_docs, tmp_path, monkeypatch):
@@ -195,3 +196,25 @@ def test_read_type_field_drift_reported(check_docs, tmp_path, monkeypatch):
     assert len(problems) == 2
     assert "`ReadResult`" in problems[0] and "'staleness'" in problems[0]
     assert "`Snapshot`" in problems[1] and "None" in problems[1]
+
+
+def test_stale_dotted_name_reported(check_docs, tmp_path, monkeypatch):
+    """A documented ``repro.*`` name must be a module or an attribute of
+    one; a call's ``()`` is allowed, and other packages are not checked."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "DESIGN.md").write_text(
+        "| detection | `repro.protocol.detection`, `repro.faults` |\n",
+        encoding="utf-8")
+    (tmp_path / "docs" / "GUIDE.md").write_text(
+        "`repro.core.Community.found_object()` and "
+        "`repro.protocol.events.MisbehaviourEvent` resolve, "
+        "`json.nothing_here` is not ours,\n"
+        "`repro.core.node.OrganisationNode.submit_composite()` is gone\n",
+        encoding="utf-8")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(__file__)), "src"))
+    first, second = check_docs.check_dotted_names()
+    assert first == "DESIGN.md:1: `repro.protocol.detection` does not resolve"
+    assert second.startswith("docs/GUIDE.md:2: ")
+    assert "submit_composite" in second

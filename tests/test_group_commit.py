@@ -158,10 +158,11 @@ def test_nothing_becomes_visible_ahead_of_its_records(runtime_kind):
         assert all(ticket.valid for ticket in burst)
         engine = node.party.session("alpha").state
         assert any(run.mode == MODE_UPDATE_BATCH for run in engine.runs())
-        # A composite across both objects.
-        composite = node.submit_composite({"alpha": {"n": 2}, "beta": {"n": 3}})
-        settle(*composite.children.values())
-        assert composite.valid and not composite.partial
+        # Writes to both objects, queued together.
+        pair = [node.submit_update("alpha", {"n": 2}),
+                node.submit_update("beta", {"n": 3})]
+        settle(*pair)
+        assert all(ticket.valid for ticket in pair)
         # A join.
         community.node("Org4").connect("alpha", PickyObject(), via="Org1")
         assert community.node("Org4").party.session("alpha").group.members \

@@ -1,5 +1,6 @@
-"""Hostile fields: a peer's int where bytes belong, or its float or bool
-where an int belongs, is malformed.
+"""Hostile fields: a peer's int where bytes belong, its float or bool
+where an int belongs, or its list or dict where the message type
+belongs, is malformed.
 
 ``bytes(n)`` of an int is n zero bytes.  While byte fields from peers
 were coerced that way, a frame of ~100 bytes carrying 2**27 as a
@@ -112,8 +113,29 @@ def test_non_int_int_field_is_malformed_and_changes_nothing(field, value):
     """A float or bool where an int belongs is malformed: ``int(inf)``
     would raise ``OverflowError`` out of ``handle``, and ``int(1.5)``
     would truncate an m3's ``new_sid.seq`` to 1 and install it."""
+    assert_malformed_and_changes_nothing(*INT_FIELDS[field], value)
+
+
+# (message, party it is sent to, from whom)
+KINDS = {"m1": ("B", "A"), "m2": ("A", "B"), "m3": ("B", "A")}
+
+
+@pytest.mark.parametrize("value", [[], [1], {}, {"a": 1}, [["a", 1]]],
+                         ids=["empty-list", "list", "empty-dict", "dict",
+                              "pairs"])
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_non_string_msg_type_is_malformed_and_changes_nothing(name, value):
+    """A list or dict as ``msg_type`` is unhashable: looking it up in the
+    routing sets raised ``TypeError`` out of ``handle``."""
+    assert_malformed_and_changes_nothing(
+        name, ("msg_type",), *KINDS[name], value)
+
+
+def assert_malformed_and_changes_nothing(name, path, recipient, sender,
+                                         value):
+    """*value* at *path* of the exchange's message *name* is one
+    malformed message: nothing is sent, the agreed state stays."""
     harness, sent = exchange()
-    name, path, recipient, sender = INT_FIELDS[field]
     _, received = through_the_wire(
         sender, recipient, tamper(sent[name], path, value))
     engine = harness.party(recipient).session("obj").state

@@ -7,7 +7,7 @@ Pins the consistency contract documented in ``docs/READS.md``:
   state — only states that passed the full coordination round publish;
 * snapshots invalidate on crash/recovery and full process restart, and
   republish from the recovered engines;
-* a composite settlement republishes every child;
+* settlements on several objects republish each object's snapshot;
 * concurrent readers during a settlement storm observe monotonically
   non-decreasing versions;
 * staleness is measured on the network's clock, not the wall clock;
@@ -365,7 +365,7 @@ class TestVetoedProposalInvisible:
 
 
 # ---------------------------------------------------------------------------
-# invalidation: crash, recovery, restart, composite settlement
+# invalidation: crash, recovery, restart, several objects
 # ---------------------------------------------------------------------------
 
 class TestInvalidation:
@@ -395,26 +395,25 @@ class TestInvalidation:
         assert result.state == {"k": 1, "m": 2}
         community.close()
 
-    def test_composite_settlement_republishes_every_child(self):
+    def test_settlement_republishes_every_object(self):
         names = ["A", "B"]
         runtime = SimRuntime(seed=9, profile=LinkProfile(latency=0.005))
         community = Community(names, runtime=runtime)
-        children = ["tx-alpha", "tx-beta", "tx-gamma"]
-        for child in children:
+        objects = ["tx-alpha", "tx-beta", "tx-gamma"]
+        for object_name in objects:
             community.found_object(
-                child, {name: CounterObject() for name in names})
+                object_name, {name: CounterObject() for name in names})
         node = community.node("A")
-        before = {child: node.examine(child, cached()).version
-                  for child in children}
-        assert before == {child: 0 for child in children}
-        ticket = node.submit_composite({child: {"n": 7}
-                                        for child in children})
-        assert not ticket.aborted
+        before = {object_name: node.examine(object_name, cached()).version
+                  for object_name in objects}
+        assert before == {object_name: 0 for object_name in objects}
+        tickets = [node.submit_update(object_name, {"n": 7})
+                   for object_name in objects]
         community.settle(5.0)
-        assert ticket.done and ticket.valid
-        for child in children:
-            result = node.examine(child, cached())
-            assert result.version == 1, child
+        assert all(ticket.done and ticket.valid for ticket in tickets)
+        for object_name in objects:
+            result = node.examine(object_name, cached())
+            assert result.version == 1, object_name
             assert result.state["total"] == 7
         community.close()
 

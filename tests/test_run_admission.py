@@ -182,15 +182,16 @@ class TestTheRule:
         assert queued[0].run_id == queued[1].run_id
         assert applied(node, "B") == 2 and node._own_runs == 0
 
-    def test_composite_children_enter_by_the_same_door(self):
+    def test_writes_to_several_objects_enter_by_the_same_door(self):
         community, network = held_community(2, ["A", "B", "C"], seed=55)
         node = community.node("Org1")
         node.submit_update("A", {"n": 1})
-        ticket = node.submit_composite({"B": {"n": 2}, "C": {"n": 3}})
-        assert not ticket.aborted and own_runs(node) == 1
+        tickets = [node.submit_update("B", {"n": 2}),
+                   node.submit_update("C", {"n": 3})]
+        assert own_runs(node) == 1
         assert sorted(node._ready) == ["B", "C"]
         community.settle()  # the floor: no idle report ever comes
-        assert ticket.done and ticket.valid
+        assert all(ticket.done and ticket.valid for ticket in tickets)
         assert network.held
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: broken links and stale examples fail the build.
 
-Nine checks, all stdlib-only:
+Ten checks, all stdlib-only:
 
 1. **Intra-repo markdown links** — every ``[text](target)`` in every
    tracked ``*.md`` file whose target is not an external URL or pure
@@ -46,6 +46,11 @@ Nine checks, all stdlib-only:
    ``docs/READS.md`` gives for ``ReadResult`` and ``Snapshot`` must name
    the types' fields in order, so the documented read contract cannot
    drift from ``repro.core.readcache``.
+10. **Dotted names** — every back-ticked ``repro.<dotted.name>``
+    (optionally followed by ``()``) in ``README.md``, ``DESIGN.md``,
+    ``EXPERIMENTS.md`` or ``docs/*.md`` must import as a module or
+    resolve as an attribute of one, so deleting a module, class or
+    function cannot leave a documented name behind.
 
 Run from the repository root (CI's ``docs-check`` job does):
 
@@ -99,6 +104,9 @@ IMPORT_RE = re.compile(r"^from repro(\.\w+)* import ")
 ARTEFACT_RE = re.compile(
     r"`((?:benchmarks|results|tools|examples|tests|src)/"
     r"[^`\s<>*{}]*\.(?:py|json|txt|md))`")
+
+#: A back-ticked dotted name under the package, e.g. ``repro.core.Community``.
+DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
@@ -221,8 +229,9 @@ def check_experiment_count() -> "list[str]":
     return problems
 
 
-def check_artefact_references() -> "list[str]":
-    """Back-ticked repo paths in the top-level docs must exist."""
+def top_level_doc_lines():
+    """(relative path, line number, line) over ``README.md``,
+    ``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md``."""
     docs_dir = os.path.join(REPO_ROOT, "docs")
     paths = [os.path.join(REPO_ROOT, name)
              for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
@@ -230,21 +239,25 @@ def check_artefact_references() -> "list[str]":
         paths += [os.path.join(docs_dir, name)
                   for name in sorted(os.listdir(docs_dir))
                   if name.endswith(".md")]
-    problems = []
     for path in paths:
         if not os.path.exists(path):
             continue
         rel_path = os.path.relpath(path, REPO_ROOT)
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
-                for target in ARTEFACT_RE.findall(line):
-                    resolved = (os.path.join("benchmarks", target)
-                                if target.startswith("results/") else target)
-                    if not os.path.exists(os.path.join(REPO_ROOT, resolved)):
-                        problems.append(
-                            f"{rel_path}:{number}: missing artefact -> "
-                            f"{target}"
-                        )
+                yield rel_path, number, line
+
+
+def check_artefact_references() -> "list[str]":
+    """Back-ticked repo paths in the top-level docs must exist."""
+    problems = []
+    for rel_path, number, line in top_level_doc_lines():
+        for target in ARTEFACT_RE.findall(line):
+            resolved = (os.path.join("benchmarks", target)
+                        if target.startswith("results/") else target)
+            if not os.path.exists(os.path.join(REPO_ROOT, resolved)):
+                problems.append(
+                    f"{rel_path}:{number}: missing artefact -> {target}")
     return problems
 
 
@@ -362,6 +375,31 @@ def check_imports() -> "list[str]":
     return problems
 
 
+def resolves(dotted: str) -> bool:
+    """Whether *dotted* imports as a module or is an attribute chain
+    under the longest prefix of it that imports."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def check_dotted_names() -> "list[str]":
+    """Back-ticked ``repro.*`` names in the top-level docs must resolve."""
+    _src_on_path()
+    return [f"{rel_path}:{number}: `{name}` does not resolve"
+            for rel_path, number, line in top_level_doc_lines()
+            for name in DOTTED_RE.findall(line) if not resolves(name)]
+
+
 def check_read_fields() -> "list[str]":
     """The field rows of docs/READS.md must be the read types' fields."""
     _src_on_path()
@@ -400,14 +438,16 @@ def main() -> int:
     problems += check_report_samples()
     problems += check_imports()
     problems += check_read_fields()
+    problems += check_dotted_names()
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"\ndocs-check: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("docs-check: all markdown links, artefact references and sample "
-          "imports resolve, all examples run and the event catalogue "
-          "sections, report samples and read-type fields are current")
+    print("docs-check: all markdown links, artefact references, sample "
+          "imports and dotted names resolve, all examples run and the "
+          "event catalogue sections, report samples and read-type fields "
+          "are current")
     return 0
 
 
