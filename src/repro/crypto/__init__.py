@@ -1,21 +1,20 @@
 """Cryptographic substrate: hashing, PRNG, RSA signatures, PKI, TSA.
 
-Everything here is implemented from scratch on the standard library, per
-the reproduction's no-external-dependency rule.  The primitives match the
-assumptions in section 4.2 of the paper: a verifiable/unforgeable
-signature scheme, a one-way collision-resistant hash, a secure PRNG, and
-a trusted time-stamping service.
+Everything here is the reproduction's own, on the standard library; only
+SHA-256 and modular exponentiation run natively, on the OpenSSL that
+CPython's ``_hashlib`` links (builtin ``pow`` is the fallback).  The
+primitives match the assumptions in section 4.2 of the paper: a
+verifiable/unforgeable signature scheme, a one-way collision-resistant
+hash, a secure PRNG, and a trusted time-stamping service.
 """
 
 from repro.crypto.certificates import Certificate, CertificateAuthority, CertificateStore
 from repro.crypto.hashing import (
     DIGEST_SIZE,
     HASH_ALGORITHM,
-    constant_time_equal,
     hash_hex,
     hash_members,
     hash_value,
-    hmac_digest,
     secure_hash,
 )
 from repro.crypto.prng import DeterministicRandomSource, RandomSource, SystemRandomSource
@@ -26,8 +25,6 @@ from repro.crypto.rsa import (
     generate_keypair,
 )
 from repro.crypto.signature import (
-    HmacSigner,
-    HmacVerifier,
     KeyPair,
     RsaSigner,
     RsaVerifier,
@@ -45,11 +42,9 @@ __all__ = [
     "CertificateStore",
     "DIGEST_SIZE",
     "HASH_ALGORITHM",
-    "constant_time_equal",
     "hash_hex",
     "hash_members",
     "hash_value",
-    "hmac_digest",
     "secure_hash",
     "DeterministicRandomSource",
     "RandomSource",
@@ -58,8 +53,6 @@ __all__ = [
     "RsaPrivateKey",
     "RsaPublicKey",
     "generate_keypair",
-    "HmacSigner",
-    "HmacVerifier",
     "KeyPair",
     "RsaSigner",
     "RsaVerifier",

@@ -8,7 +8,6 @@ this module so the algorithm can be swapped in one place.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 from typing import Any
 
 from repro.util.encoding import Fragment, canonical_bytes
@@ -51,13 +50,3 @@ def hash_members(members: "list[str]") -> bytes:
     parties with different orderings hold genuinely different views.
     """
     return hash_value(["members", list(members)])
-
-
-def hmac_digest(key: bytes, data: bytes) -> bytes:
-    """Keyed MAC used by the symmetric signature scheme variant."""
-    return _hmac.new(key, data, HASH_ALGORITHM).digest()
-
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Timing-safe comparison for authenticators and MACs."""
-    return _hmac.compare_digest(a, b)

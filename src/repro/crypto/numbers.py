@@ -1,11 +1,13 @@
-"""Number-theoretic primitives for the from-scratch RSA implementation.
+"""Number-theoretic primitives for the repository's own RSA.
 
 The paper (section 4.2) assumes each party has a signature scheme that is
-verifiable and unforgeable.  We build RSA from first principles on top of
-Python's arbitrary-precision integers: Miller-Rabin primality testing,
-prime generation, and modular inverses via the extended Euclidean
-algorithm.  Nothing here is intended to resist side-channel attacks; it is
-a faithful functional substrate for the middleware's evidence chain.
+verifiable and unforgeable.  We build RSA on Python's arbitrary-precision
+integers: Miller-Rabin primality testing, prime generation, and modular
+inverses via the extended Euclidean algorithm.  Modular exponentiation
+(:func:`mod_pow`) runs on the OpenSSL that CPython's ``_hashlib`` links,
+as SHA-256 does, with builtin ``pow`` as fallback and reference.  Nothing
+here is intended to resist side-channel attacks; it is a faithful
+functional substrate for the middleware's evidence chain.
 """
 
 from __future__ import annotations
@@ -13,6 +15,81 @@ from __future__ import annotations
 import functools
 import math
 from typing import Callable
+
+try:
+    import ctypes
+except ImportError:  # an interpreter built without _ctypes
+    ctypes = None
+
+
+def _load_libcrypto() -> "ctypes.CDLL | None":
+    """``_hashlib``'s OpenSSL with its BN prototypes set, or None.
+
+    A plain ``CDLL`` releases the GIL for each call.
+    """
+    if ctypes is None:
+        return None
+    ptr, buf, num = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+    prototypes = {
+        "BN_CTX_new": (ptr, []), "BN_CTX_start": (None, [ptr]),
+        "BN_CTX_get": (ptr, [ptr]), "BN_CTX_end": (None, [ptr]),
+        "BN_CTX_free": (None, [ptr]), "BN_bin2bn": (ptr, [buf, num, ptr]),
+        "BN_bn2binpad": (num, [ptr, ptr, num]),
+        "BN_mod_exp_mont_consttime": (num, [ptr] * 6),
+        "ERR_clear_error": (None, []),
+    }
+    try:
+        import _hashlib
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name, (restype, argtypes) in prototypes.items():
+            function = getattr(lib, name)
+            function.restype, function.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+_libcrypto = _load_libcrypto()
+#: Whether :func:`mod_pow` runs on OpenSSL in this interpreter.
+NATIVE_MOD_POW = _libcrypto is not None
+
+
+def mod_pow(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)``: OpenSSL's constant-time
+    Montgomery exponentiation for an odd modulus, builtin ``pow`` for
+    anything else or when a BN call fails.  The BIGNUMs live in a
+    per-call ``BN_CTX``, so threads share nothing.  A short exponent on
+    a small modulus (65537 up to 768 bits) goes to ``pow`` too: its few
+    squarings cost less than the native call's fixed set-up."""
+    lib = _libcrypto
+    if (lib is None or exponent < 0 or modulus < 1 or not modulus & 1
+            or exponent.bit_length() * modulus.bit_length() < 1 << 14):
+        return pow(base, exponent, modulus)
+    size = (modulus.bit_length() + 7) // 8
+    a_bytes = (base % modulus).to_bytes(size, "big")
+    p_bytes = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+    m_bytes = modulus.to_bytes(size, "big")
+    # A bytearray, not ``create_string_buffer``: that builds a ``c_char *
+    # size`` type, which the cycle collector has to reclaim.
+    out = bytearray(size)
+    out_address = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    ctx = lib.BN_CTX_new()
+    if ctx:
+        lib.BN_CTX_start(ctx)
+        try:
+            r, a, p, m = [lib.BN_CTX_get(ctx) for _ in range(4)]
+            if (m and lib.BN_bin2bn(a_bytes, size, a)
+                    and lib.BN_bin2bn(p_bytes, len(p_bytes), p)
+                    and lib.BN_bin2bn(m_bytes, size, m)
+                    and lib.BN_mod_exp_mont_consttime(r, a, p, m, ctx, None)
+                    and lib.BN_bn2binpad(r, out_address, size) == size):
+                return int.from_bytes(out, "big")
+        finally:
+            lib.BN_CTX_end(ctx)
+            lib.BN_CTX_free(ctx)
+    lib.ERR_clear_error()
+    return pow(base, exponent, modulus)
+
 
 # Small primes used for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = [
@@ -60,7 +137,7 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    x = pow(a, d, n)
+    x = mod_pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
     for _ in range(r - 1):

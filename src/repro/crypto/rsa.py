@@ -1,6 +1,7 @@
-"""From-scratch RSA key generation and raw operations.
+"""RSA key generation and raw operations, the repository's own.
 
-This is the public-key substrate behind :mod:`repro.crypto.signature`.
+This is the public-key substrate behind :mod:`repro.crypto.signature`;
+its exponentiations run on :func:`repro.crypto.numbers.mod_pow`.
 Key sizes are configurable; tests default to small moduli (fast, still
 exercising every code path) while deployments can request 2048-bit keys.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.crypto.numbers import generate_prime, mod_inverse
+from repro.crypto.numbers import generate_prime, mod_inverse, mod_pow
 from repro.crypto.prng import RandomSource, SystemRandomSource
 from repro.errors import KeyGenerationError
 from repro.obs.hooks import Instrumentation
@@ -80,8 +81,8 @@ class RsaPrivateKey:
     def _crt_power(self, base: int) -> int:
         # Chinese-remainder exponentiation: ~4x faster than pow(base, d, n).
         p, q = self.prime_p, self.prime_q
-        m1 = pow(base % p, self.crt_dp, p)
-        m2 = pow(base % q, self.crt_dq, q)
+        m1 = mod_pow(base, self.crt_dp, p)
+        m2 = mod_pow(base, self.crt_dq, q)
         h = (self.crt_q_inv * (m1 - m2)) % p
         return m2 + h * q
 
@@ -136,4 +137,4 @@ def rsa_verify_int(key: RsaPublicKey, signature: int) -> int:
     """Raw RSA verification: recover the message representative."""
     if not 0 <= signature < key.modulus:
         raise ValueError("signature representative out of range")
-    return pow(signature, key.exponent, key.modulus)
+    return mod_pow(signature, key.exponent, key.modulus)

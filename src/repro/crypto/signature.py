@@ -1,11 +1,8 @@
 """Signature schemes binding evidence to key-holders.
 
 Protocol messages carry ``sig_i(x)`` values — party ``P_i``'s signature on
-a canonically encoded value ``x``.  The default scheme is RSA with
-PKCS#1 v1.5-style deterministic padding over SHA-256.  An HMAC-based
-scheme is provided for benchmarks that isolate protocol cost from
-public-key cost (it is *not* non-repudiable, since verification requires
-the shared key, and is flagged as such).
+a canonically encoded value ``x``.  The scheme is RSA with PKCS#1
+v1.5-style deterministic padding over SHA-256.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.hashing import constant_time_equal, hmac_digest, secure_hash
+from repro.crypto.hashing import secure_hash
 from repro.crypto.numbers import bytes_to_int, int_to_bytes
 from repro.crypto.prng import RandomSource
 from repro.crypto.rsa import (
@@ -148,41 +145,6 @@ class RsaVerifier(Verifier):
             return False
         expected = _pkcs1_encode(secure_hash(data), self._public_key.byte_length)
         return int_to_bytes(recovered, self._public_key.byte_length) == expected
-
-
-class HmacSigner(Signer):
-    """Shared-key MAC 'signer' for protocol benchmarking only.
-
-    Unlike RSA signatures, a MAC does not provide non-repudiation: any
-    holder of the key can produce it.  The scheme name makes this explicit
-    so evidence verification can refuse MACs where true signatures are
-    required.
-    """
-
-    scheme = "hmac-sha256"
-
-    def __init__(self, party_id: str, key: bytes) -> None:
-        super().__init__(party_id)
-        self._key = key
-
-    def sign_bytes(self, data: bytes) -> Signature:
-        return Signature(
-            scheme=self.scheme,
-            signer=self.party_id,
-            value=hmac_digest(self._key, data),
-        )
-
-
-class HmacVerifier(Verifier):
-    scheme = "hmac-sha256"
-
-    def __init__(self, key: bytes) -> None:
-        self._key = key
-
-    def verify_bytes(self, data: bytes, signature: Signature) -> bool:
-        if signature.scheme != self.scheme:
-            return False
-        return constant_time_equal(signature.value, hmac_digest(self._key, data))
 
 
 class InstrumentedSigner(Signer):

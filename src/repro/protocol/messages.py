@@ -125,9 +125,12 @@ class SignedPart:
         if not isinstance(data, dict):
             raise TypeError(f"a signed part is an object, not a "
                             f"{type(data).__name__}")
-        timestamp = data.get("timestamp")
+        timestamp, payload = data.get("timestamp"), data["payload"]
+        if not isinstance(payload, dict):
+            raise TypeError(f"a signed payload is an object, not a "
+                            f"{type(payload).__name__}")
         return SignedPart(
-            payload=dict(data["payload"]),
+            payload=dict(payload),
             signature=Signature.from_dict(data["signature"]),
             timestamp=TimestampToken.from_dict(timestamp) if timestamp else None,
         )

@@ -37,16 +37,19 @@ _JOIN_TYPES = {CONNECT_WELCOME, CONNECT_REJECT, SPONSOR_INFO}
 
 
 def extract_object_name(message: dict) -> "Optional[str]":
-    """Pull the target object name out of any protocol message."""
-    if "object" in message:
-        return str(message["object"])
-    for key in ("proposal", "response", "part"):
-        part = message.get(key)
-        if isinstance(part, dict):
-            payload = part.get("payload", {})
+    """Pull the target object name out of any protocol message.
+
+    A name that is not a string is no name: the message routes nowhere.
+    """
+    name = message.get("object")
+    if "object" not in message:
+        for key in ("proposal", "response", "part"):
+            part = message.get(key)
+            payload = part.get("payload") if isinstance(part, dict) else None
             if isinstance(payload, dict) and "object" in payload:
-                return str(payload["object"])
-    return None
+                name = payload["object"]
+                break
+    return name if isinstance(name, str) else None
 
 
 @dataclass

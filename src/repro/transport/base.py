@@ -59,12 +59,16 @@ class Envelope:
 
     @staticmethod
     def from_dict(data: dict) -> "Envelope":
-        return Envelope(
-            sender=str(data["sender"]),
-            recipient=str(data["recipient"]),
-            payload=dict(data["payload"]),
-            msg_id=str(data["msg_id"]),
-        )
+        """A peer's frame as an envelope: three strings and an object.
+
+        Fields are checked, not coerced; a mismatch raises ``TypeError``.
+        """
+        sender, recipient, payload, msg_id = (
+            data["sender"], data["recipient"], data["payload"], data["msg_id"])
+        if not (type(sender) is type(recipient) is type(msg_id) is str
+                and isinstance(payload, dict)):
+            raise TypeError("an envelope is three strings and an object")
+        return Envelope(sender, recipient, payload, msg_id)
 
 
 MessageHandler = Callable[[Envelope], None]

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.community as community_module
@@ -18,6 +23,7 @@ from repro.crypto.numbers import (
     int_to_bytes,
     is_probable_prime,
     mod_inverse,
+    mod_pow,
 )
 from repro.crypto.prng import DeterministicRandomSource
 from repro.crypto.signature import generate_party_keypair
@@ -191,3 +197,134 @@ class TestByteConversion:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             int_to_bytes(-1)
+
+
+@st.composite
+def _odd_power(draw):
+    """(base, exponent, modulus): an odd modulus of 1 to 4096 bits, a base
+    in ``[0, 3 * modulus)`` and an exponent from 0 to ``2**bits``."""
+    bits = draw(st.integers(min_value=1, max_value=4096))
+    modulus = draw(st.integers(min_value=1 << (bits - 1),
+                               max_value=(1 << bits) - 1)) | 1
+    base = draw(st.integers(min_value=0, max_value=3 * modulus - 1))
+    exponent = draw(st.integers(min_value=0, max_value=1 << bits))
+    return base, exponent, modulus
+
+
+class TestModPow:
+    """``mod_pow`` is builtin ``pow``, run on OpenSSL for odd moduli."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_odd_power())
+    @example((0, 0, 1))
+    @example((5, 7, 1))
+    @example((2, 0, 3))
+    @example((8, 5, 3))
+    @example((2**64, 2**64 + 1, 2**61 - 1))
+    def test_equals_builtin_pow_for_odd_moduli(self, power):
+        assert mod_pow(*power) == pow(*power)
+
+    @pytest.mark.parametrize("base, exponent, modulus", [
+        (3, 5, 2), (7, 100, 2**64), (12345, 65537, 2**255 + 2),
+        (3, -1, 7), (3, -1, 2**127 - 1), (5, -3, 2**61 - 1), (3, -1, 10),
+        (4, 3, -7), (4, 0, -7),
+    ])
+    def test_even_modulus_and_negative_exponent_are_pow(
+            self, base, exponent, modulus):
+        assert mod_pow(base, exponent, modulus) == pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("base, exponent, modulus", [
+        (6, -1, 9), (0, -1, 7), (3, 2, 0)])
+    def test_raises_what_pow_raises(self, base, exponent, modulus):
+        with pytest.raises(ValueError):
+            pow(base, exponent, modulus)
+        with pytest.raises(ValueError):
+            mod_pow(base, exponent, modulus)
+
+    def test_builtin_fallback_signs_the_same_bytes(self, monkeypatch):
+        def sign_and_verify():
+            rng = DeterministicRandomSource("mod-pow-fallback")
+            keypair = generate_party_keypair("A", bits=512, rng=rng)
+            signature = keypair.signer().sign({"x": 1})
+            key = keypair.private_key
+            return (key.prime_p, key.prime_q, signature.value,
+                    keypair.verifier().verify({"x": 1}, signature))
+
+        native = sign_and_verify()
+        monkeypatch.setattr(numbers, "_libcrypto", None)
+        fallback = sign_and_verify()
+        assert fallback == native
+        assert native[3] is True
+
+    def test_a_short_exponent_on_a_small_modulus_stays_on_pow(
+            self, monkeypatch):
+        # A handle with no BN functions: touching it raises AttributeError.
+        monkeypatch.setattr(numbers, "_libcrypto", object())
+        modulus = (1 << 767) + 1155
+        assert mod_pow(3, 65537, modulus) == pow(3, 65537, modulus)
+        with pytest.raises(AttributeError):
+            mod_pow(3, 65537, (1 << 1023) + 1155)
+        with pytest.raises(AttributeError):
+            mod_pow(3, 1 << 64, modulus)
+
+    def test_an_interpreter_without_ctypes_falls_back_to_pow(self):
+        probe = (
+            "import sys\n"
+            "sys.modules['ctypes'] = None\n"
+            "from repro.crypto.numbers import NATIVE_MOD_POW, mod_pow\n"
+            "modulus = 2**255 - 19\n"
+            "assert mod_pow(7, modulus - 2, modulus) == pow(7, modulus - 2,"
+            " modulus)\n"
+            "print(NATIVE_MOD_POW)\n")
+        src = str(pathlib.Path(numbers.__file__).parents[2])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
+    def test_threads_on_distinct_moduli(self):
+        failures = []
+
+        def worker(seed):
+            rng = DeterministicRandomSource(f"mod-pow-thread:{seed}")
+            for _ in range(500):
+                modulus = rng.random_below(1 << 256) | 1 << 255 | 1
+                base = rng.random_below(modulus)
+                exponent = rng.random_below(1 << 256)
+                if mod_pow(base, exponent, modulus) != pow(base, exponent,
+                                                           modulus):
+                    failures.append((base, exponent, modulus))
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_no_memory_grows_per_call(self):
+        probe = (
+            "import resource\n"
+            "from repro.crypto.numbers import mod_pow\n"
+            "modulus = 2**255 - 19\n"
+            "def run(calls):\n"
+            "    for base in range(calls):\n"
+            "        mod_pow(base, modulus - 2, modulus)\n"
+            "run(1000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run(100_000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
+            " - before)\n")
+        src = str(pathlib.Path(numbers.__file__).parents[2])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=300, check=True)
+        assert int(done.stdout) < 2048  # KB: ru_maxrss counts kilobytes

@@ -1,4 +1,4 @@
-"""RSA and HMAC signature schemes, certificates, and time-stamps."""
+"""The RSA signature scheme, certificates, and time-stamps."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from repro.crypto.certificates import Certificate, CertificateAuthority, Certifi
 from repro.crypto.prng import DeterministicRandomSource
 from repro.crypto.rsa import RsaPublicKey, generate_keypair, rsa_sign_int, rsa_verify_int
 from repro.crypto.signature import (
-    HmacSigner,
-    HmacVerifier,
     Signature,
     generate_party_keypair,
     verifier_for_public_key,
@@ -128,21 +126,6 @@ class TestRsaSignatures:
                            max_size=4))
     def test_round_trip_property(self, value):
         assert KEYPAIR.verifier().verify(value, KEYPAIR.signer().sign(value))
-
-
-class TestHmacScheme:
-    def test_round_trip(self):
-        signer = HmacSigner("A", b"shared-key")
-        verifier = HmacVerifier(b"shared-key")
-        assert verifier.verify({"x": 1}, signer.sign({"x": 1}))
-
-    def test_wrong_key_fails(self):
-        signer = HmacSigner("A", b"key1")
-        assert not HmacVerifier(b"key2").verify({"x": 1}, signer.sign({"x": 1}))
-
-    def test_scheme_is_tagged_non_repudiable(self):
-        # evidence verification distinguishes MACs from true signatures
-        assert HmacSigner("A", b"k").sign({}).scheme == "hmac-sha256"
 
 
 class TestCertificates:

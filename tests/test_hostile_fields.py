@@ -21,7 +21,8 @@ import pytest
 from repro.cli import main
 from repro.errors import LogCorruptionError, StorageError
 from repro.obs.audit import CorruptEvidenceLog, load_evidence_log
-from repro.protocol.events import MisbehaviourEvent
+from repro.protocol.events import MisbehaviourEvent, RunCompleted, StateInstalled
+from repro.protocol.party import extract_object_name
 from repro.storage.backends import FileRecordStore
 from repro.storage.log import NonRepudiationLog
 from repro.transport.base import Envelope
@@ -145,6 +146,37 @@ def assert_malformed_and_changes_nothing(name, path, recipient, sender,
             if isinstance(e, MisbehaviourEvent)] == ["malformed-message"]
     assert output.messages == []
     assert (engine.agreed_sid, engine.agreed_state) == agreed
+
+
+def test_a_bundled_payload_of_pairs_installs_nothing():
+    """An m3 whose bundled response from C carries its payload as
+    ``[[key, value], ...]`` is malformed: ``dict()`` of the pairs once
+    rebuilt the signed payload, and B installed the state (sid 0 -> 1)."""
+    harness, sent = exchange()
+    m3 = copy.deepcopy(sent["m3"])
+    (response,) = [r for r in m3["responses"]
+                   if r["signature"]["signer"] == "C"]
+    response["payload"] = [[key, value]
+                           for key, value in response["payload"].items()]
+    _, received = through_the_wire("A", "B", m3)
+    engine = harness.party("B").session("obj").state
+    agreed = (engine.agreed_sid, engine.agreed_state)
+    output = harness.party("B").handle("A", received)
+    assert [(e.valid, e.diagnostics) for e in output.events
+            if isinstance(e, RunCompleted)] == [
+        (False, ["malformed response in commit bundle"])]
+    assert not [e for e in output.events if isinstance(e, StateInstalled)]
+    assert (engine.agreed_sid, engine.agreed_state) == agreed
+
+
+@pytest.mark.parametrize("message", [
+    {"object": 5}, {"object": ["obj"]}, {"object": None},
+    {"proposal": {"payload": {"object": 5}}},
+    {"response": {"payload": {"object": {"a": 1}}}},
+])
+def test_a_non_string_object_name_routes_nowhere(message):
+    """``{"object": 5}`` once routed to the object named ``'5'``."""
+    assert extract_object_name(message) is None
 
 
 # A stored evidence line is hostile input too: whoever hands a log.jsonl

@@ -438,6 +438,32 @@ class TestMalformedFrameAccounting:
         finally:
             network.close()
 
+    @pytest.mark.parametrize("hostile", [
+        pytest.param({"sender": 5}, id="numeric-sender"),
+        pytest.param({"payload": [["type", "data"]]}, id="payload-pairs"),
+    ])
+    def test_a_mistyped_envelope_field_is_a_bad_envelope(self, hostile):
+        """Envelope fields are checked, not coerced: a numeric sender was
+        read as ``'5'``, and a list of pairs as a payload dict."""
+        obs = RecordingInstrumentation()
+        network = TcpNetwork(obs=obs)
+        inbox = []
+        fields = {"sender": "A", "recipient": "B", "payload": {},
+                  "msg_id": "hostile"}
+        frames = b"".join(
+            len(body).to_bytes(4, "big") + body for body in (
+                canonical_bytes({**fields, **hostile}),
+                canonical_bytes({**fields, "msg_id": "after"})))
+        try:
+            network.register("B", inbox.append)
+            self._inject(network, "B", PREAMBLE + frames)
+            assert _await(lambda: inbox)
+            assert [envelope.msg_id for envelope in inbox] == ["after"]
+            assert self._counters(obs).get(
+                "transport.tcp.malformed_frames.bad-envelope", 0) == 1
+        finally:
+            network.close()
+
     def test_oversized_frame_counted_and_connection_dropped(self):
         obs = RecordingInstrumentation()
         network = TcpNetwork(obs=obs, max_frame=1024)
