@@ -21,7 +21,7 @@ Package map:
 ``repro.storage``    non-repudiation logs, checkpoints, message journal
 ``repro.agents``     trusted agents and TTP relays (indirect interaction)
 ``repro.apps``       Tic-Tac-Toe, order processing, auction, whiteboard
-``repro.gateway``    client front door: rate limit, idempotency, breaker
+``repro.gateway``    client front door: rate limit, queue bound, idempotency
 ``repro.faults``     crash/partition injection, byzantine parties, intruder
 ``repro.extensions`` majority-vote and deadline/TTP termination (sec. 7)
 ``repro.bench``      benchmark harness helpers

@@ -319,7 +319,7 @@ class OrderClient:
 
         The returned client routes operations through the node's
         :class:`~repro.gateway.gateway.Gateway` — rate limited, load
-        leveled, idempotent and circuit-protected.  *gateway_options*
+        leveled and idempotent.  *gateway_options*
         configure the gateway on first use (ignored once it exists).
         """
         gateway = self.controller.node.gateway(**gateway_options)

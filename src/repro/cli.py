@@ -410,7 +410,6 @@ def _run_pipeline_burst(seed: int, updates: int, registry,
 def _cmd_gateway_sim(args: argparse.Namespace) -> int:
     """Closed-loop client load through the gateway on virtual time."""
     from repro.gateway import (
-        CRASH_BREAKER_OPTIONS,
         CrashInjection,
         LoadSimConfig,
         build_gateway_community,
@@ -423,17 +422,10 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
         from repro.obs.recording import RecordingInstrumentation
 
         obs = RecordingInstrumentation()
-    breaker_options = None
-    if args.crash_org:
-        # A crash only trips the breaker through late settlements, so
-        # the injected-crash run needs a latency threshold on it.
-        breaker_options = dict(CRASH_BREAKER_OPTIONS)
-        breaker_options["latency_threshold"] = args.breaker_latency
     community, gateway, object_name = build_gateway_community(
         orgs=args.parties, seed=args.seed, obs=obs,
         rate=args.rate, burst=args.burst,
         queue_capacity=args.queue_capacity,
-        breaker=breaker_options,
         pipeline_options={"max_batch": args.max_batch},
     )
     config = LoadSimConfig(
@@ -472,14 +464,9 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
           f"p95={latency['p95']:.4f}s p99={latency['p99']:.4f}s")
     print(f"  agreed state: applied={state['applied']} "
           f"total={state['total']}")
-    print(f"  breakers: {gateway.stats()['breakers']}")
     if live is not None:
-        breaker = gateway.breaker(object_name)
         print(f"  crash injected: {args.crash_org} down "
               f"{args.crash_at:.2f}s-{args.recover_at:.2f}s (virtual)")
-        print(f"  breaker transitions: "
-              + (", ".join(f"{old}->{new}@{t:.2f}s"
-                           for t, old, new in breaker.transitions) or "-"))
         print(f"  health alerts: "
               + (", ".join(f"{a.rule}[{a.severity}]@{a.time:.2f}s"
                            for a in live.monitor.alerts) or "-"))
@@ -840,9 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway_sim.add_argument("--watchdog", type=float, default=0.5,
                              help="health watchdog evaluation interval "
                                   "(virtual seconds)")
-    gateway_sim.add_argument("--breaker-latency", type=float, default=1.0,
-                             help="settle-latency threshold (s) that trips "
-                                  "the breaker during the crash run")
     gateway_sim.add_argument("--flight-dump", default=None,
                              help="dump the flight-recorder ring to this "
                                   "JSONL file when a health alert fires")

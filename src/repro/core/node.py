@@ -280,7 +280,7 @@ class OrganisationNode:
     def gateway(self, **options: Any) -> "Any":
         """This node's client gateway, created on first use.
 
-        *options* (``rate``, ``queue_capacity``, ``breaker``, ...)
+        *options* (``rate``, ``queue_capacity``, ``burst``, ...)
         configure the :class:`~repro.gateway.gateway.Gateway` on
         creation and are ignored once it exists.
         """

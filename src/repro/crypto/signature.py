@@ -24,7 +24,7 @@ from repro.crypto.rsa import (
 )
 from repro.errors import SignatureError
 from repro.obs.hooks import Instrumentation
-from repro.util.encoding import as_bytes, canonical_bytes
+from repro.util.encoding import as_bytes, as_str, canonical_bytes
 
 # DigestInfo prefix for SHA-256 (DER), as in PKCS#1 v1.5 signatures.
 _SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
@@ -49,8 +49,8 @@ class Signature:
     @staticmethod
     def from_dict(data: dict) -> "Signature":
         return Signature(
-            scheme=str(data["scheme"]),
-            signer=str(data["signer"]),
+            scheme=as_str(data["scheme"]),
+            signer=as_str(data["signer"]),
             value=as_bytes(data["value"]),
         )
 

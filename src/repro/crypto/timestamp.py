@@ -19,7 +19,7 @@ from repro.crypto.hashing import hash_value, secure_hash
 from repro.crypto.signature import KeyPair, Signature, Verifier, generate_party_keypair
 from repro.errors import TimestampError
 from repro.util.clocks import Clock, SystemClock
-from repro.util.encoding import as_bytes, as_int
+from repro.util.encoding import as_bytes, as_int, as_str
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class TimestampToken:
     @staticmethod
     def from_dict(data: dict) -> "TimestampToken":
         return TimestampToken(
-            service=str(data["service"]),
+            service=as_str(data["service"]),
             digest=as_bytes(data["digest"]),
             time_ms=as_int(data["time_ms"]),
             signature=Signature.from_dict(data["signature"]),

@@ -170,10 +170,6 @@ class GatewayOverloadedError(GatewayError):
     """The object's write queue is full; the request was shed."""
 
 
-class CircuitOpenError(GatewayError):
-    """The community's circuit breaker is open; the gateway fails fast."""
-
-
 class ApplicationError(B2BError):
     """Base class for errors raised by the bundled example applications."""
 

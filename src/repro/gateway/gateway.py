@@ -5,7 +5,7 @@ in *organisations* — a handful of mutually suspicious parties running a
 unanimous protocol.  The population pushing updates at one organisation
 is a different animal: many clients, bursty, retry-happy, and unaware of
 each other.  :class:`Gateway` is the boundary between the two worlds.
-It decides *whether* a client write is admitted — four guards — and
+It decides *whether* a client write is admitted — three guards — and
 hands an admitted write straight to the object's
 :class:`~repro.protocol.pipeline.ProposalPipeline`, the one queue it
 waits in, under the one ticket the client holds:
@@ -22,11 +22,10 @@ waits in, under the one ticket the client holds:
   (:mod:`repro.gateway.idempotency`); a retry of a pending request
   joins the original ticket, and a retry of a settled one replays the
   original outcome.  The update is applied exactly once.
-* **Circuit breaking** — a per-object
-  :class:`~repro.gateway.breaker.CircuitBreaker` watches settlement
-  latency and veto rates; when the community is unhealthy the gateway
-  fails fast with :class:`~repro.errors.CircuitOpenError` and recovers
-  via half-open probe requests.
+
+The full queue is the gateway's one back-pressure signal.  A community
+stalled by a crashed party fills it and sheds; once the party is back
+the protocol's own retries drain it.
 
 Threading: the gateway shares the node's re-entrant lock.  The node
 resolves settled tickets with that lock held (and not its engine lock), and
@@ -42,12 +41,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import (
-    CircuitOpenError,
     GatewayOverloadedError,
     PipelineSaturatedError,
     RateLimitedError,
 )
-from repro.gateway.breaker import CircuitBreaker
 from repro.gateway.idempotency import IdempotencyCache
 from repro.gateway.ratelimit import RateLimiter
 from repro.gateway.session import ClientSession
@@ -71,14 +68,13 @@ class GatewayTicket(Ticket):
     latency: "Optional[float]" = None
     #: True when this handle was served from the idempotency cache.
     replayed: bool = False
-    _probe: bool = field(default=False, repr=False)
     #: The admitting gateway; None on a replayed view.
     _gateway: Any = field(default=None, repr=False)
 
     def resolve(self, valid: bool, diagnostics: "list[str]",
                 event: "Optional[Event]" = None,
                 run_id: "Optional[str]" = None) -> None:
-        # The gateway's books (latency, breaker, idempotency window) are
+        # The gateway's books (latency, idempotency window) are
         # closed before the ticket reads done and callbacks run.
         if self._gateway is not None:
             self._gateway._settled(self, valid)
@@ -103,7 +99,6 @@ class Gateway:
                  queue_capacity: int = 1024,
                  rate: "Optional[float]" = None,
                  burst: float = 16.0,
-                 breaker: "Optional[dict]" = None,
                  idempotency_capacity: int = 4096,
                  pipeline_options: "Optional[dict]" = None) -> None:
         if queue_capacity < 1:
@@ -113,13 +108,13 @@ class Gateway:
         #: of every pipeline this gateway fronts (over any ``max_depth``
         #: in *pipeline_options*).
         self.queue_capacity = queue_capacity
-        self.breaker_options = dict(breaker or {})
         self.pipeline_options = dict(pipeline_options or {})
         clock = node.ctx.clock
         self.limiter: "Optional[RateLimiter]" = (
             RateLimiter(rate, burst, clock) if rate is not None else None)
         self.idempotency = IdempotencyCache(idempotency_capacity)
-        self._breakers: "dict[str, CircuitBreaker]" = {}
+        #: Objects whose pipeline this gateway has bounded.
+        self._bounded: "set[str]" = set()
         # Share the node's re-entrant lock (see module docstring).
         self._lock = node._lock
         self._session_serial = 0
@@ -131,8 +126,7 @@ class Gateway:
         self.stats_settled_valid = 0
         self.stats_settled_invalid = 0
         self.stats_rejected: "dict[str, int]" = {
-            "rate_limited": 0, "overloaded": 0, "circuit_open": 0,
-        }
+            "rate_limited": 0, "overloaded": 0}
 
     # ------------------------------------------------------------------
     # client-facing API
@@ -151,12 +145,11 @@ class Gateway:
                key: str) -> GatewayTicket:
         """Admit one client update for *object_name*.
 
-        Raises :class:`~repro.errors.RateLimitedError`,
-        :class:`~repro.errors.GatewayOverloadedError` or
-        :class:`~repro.errors.CircuitOpenError` when a guard rejects;
-        each carries ``retry_after`` seconds.  Returns the original
-        ticket when *key* repeats a pending request, and a settled
-        ``replayed`` view when it repeats a completed one.
+        Raises :class:`~repro.errors.RateLimitedError` or
+        :class:`~repro.errors.GatewayOverloadedError` when a guard
+        rejects; each carries ``retry_after`` seconds.  Returns the
+        original ticket when *key* repeats a pending request, and a
+        settled ``replayed`` view when it repeats a completed one.
         """
         obs = self.node.ctx.obs
         party = self.node.party_id
@@ -167,21 +160,15 @@ class Gateway:
                 if obs.enabled:
                     obs.gateway_replayed(party, object_name, client_id)
                 return existing.replay_view() if existing.done else existing
-            breaker = self._breaker(object_name)
-            admitted, probe = breaker.allow()
-            if not admitted:
-                self._reject(obs, party, object_name, client_id,
-                             "circuit_open", breaker.retry_after())
-                raise CircuitOpenError(
-                    f"circuit for {object_name!r} is "
-                    f"{breaker.state}; failing fast",
-                    retry_after=breaker.retry_after(),
-                )
+            if object_name not in self._bounded:
+                # The gateway's first sight of the object: bound its queue
+                # (NotConnectedError here if this node does not share it).
+                self.node.pipeline(object_name, **self.pipeline_options) \
+                    .max_depth = self.queue_capacity
+                self._bounded.add(object_name)
             if self.limiter is not None:
                 ok, retry_after = self.limiter.admit(client_id)
                 if not ok:
-                    if probe:
-                        breaker.release_probe()
                     self._reject(obs, party, object_name, client_id,
                                  "rate_limited", retry_after)
                     raise RateLimitedError(
@@ -191,13 +178,13 @@ class Gateway:
             ticket = GatewayTicket(
                 object_name=object_name, key=key, client_id=client_id,
                 update=update, submitted_at=self.node.ctx.clock.now(),
-                _probe=probe, _gateway=self,
+                _gateway=self,
             )
+            # A refused hand-off records nothing, so the key stays free
+            # and the caller's retry meets the same error.
             try:
                 self.node.submit_update(object_name, update, ticket)
             except PipelineSaturatedError as exc:
-                if probe:
-                    breaker.release_probe()
                 self._reject(obs, party, object_name, client_id,
                              "overloaded", SHED_RETRY_AFTER)
                 raise GatewayOverloadedError(
@@ -205,17 +192,9 @@ class Gateway:
                     f"({self.queue_capacity} waiting)",
                     retry_after=SHED_RETRY_AFTER,
                 ) from exc
-            except Exception:
-                # Not admitted: nothing is recorded, so the key stays
-                # free and the caller's retry meets the same error.
-                if probe:
-                    breaker.release_probe()
-                raise
             self.stats_admitted += 1
             if obs.enabled:
                 obs.gateway_admitted(party, object_name, client_id)
-                obs.gateway_queue_depth(party, object_name,
-                                        self.queue_depth(object_name))
             if not ticket.done:
                 self.idempotency.note_pending(client_id, key, ticket)
             return ticket
@@ -225,9 +204,9 @@ class Gateway:
         """Serve one client read from the validated snapshot cache.
 
         Reads go through the per-client rate limiter but never occupy a
-        queue slot, pipeline slot, or breaker budget — a read storm
-        cannot displace write admission, and with ``cached``/``bounded``
-        modes it never even enters the coordination critical section.
+        queue slot or pipeline slot — a read storm cannot displace write
+        admission, and with ``cached``/``bounded`` modes it never even
+        enters the coordination critical section.
         Returns a :class:`~repro.core.readcache.ReadResult`; raises
         :class:`~repro.errors.RateLimitedError` when the client's token
         bucket is empty.
@@ -258,10 +237,6 @@ class Gateway:
     # introspection
     # ------------------------------------------------------------------
 
-    def breaker(self, object_name: str) -> CircuitBreaker:
-        with self._lock:
-            return self._breaker(object_name)
-
     def queue_depth(self, object_name: str) -> int:
         """Writes waiting in the object's pipeline queue."""
         pipe = self.node.pipeline_for(object_name)
@@ -277,33 +252,11 @@ class Gateway:
                 "settled_valid": self.stats_settled_valid,
                 "settled_invalid": self.stats_settled_invalid,
                 "rejected": dict(self.stats_rejected),
-                "breakers": {name: breaker.state
-                             for name, breaker in self._breakers.items()},
             }
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _breaker(self, object_name: str) -> CircuitBreaker:
-        breaker = self._breakers.get(object_name)
-        if breaker is None:
-            # The gateway's first sight of the object: bound its queue
-            # (NotConnectedError here if this node does not share it).
-            pipe = self.node.pipeline(object_name, **self.pipeline_options)
-            pipe.max_depth = self.queue_capacity
-            obs = self.node.ctx.obs
-            party = self.node.party_id
-
-            def announce(old_state: str, new_state: str) -> None:
-                if obs.enabled:
-                    obs.breaker_transition(party, object_name,
-                                           old_state, new_state)
-
-            breaker = self._breakers[object_name] = CircuitBreaker(
-                self.node.ctx.clock, on_transition=announce,
-                **self.breaker_options)
-        return breaker
 
     def _reject(self, obs: Any, party: str, object_name: str,
                 client_id: str, reason: str, retry_after: float) -> None:
@@ -316,8 +269,6 @@ class Gateway:
         """Close the books on *ticket* as it resolves (node lock held)."""
         ticket.latency = latency = (self.node.ctx.clock.now()
                                     - ticket.submitted_at)
-        self._breakers[ticket.object_name].record(valid, latency,
-                                                  probe=ticket._probe)
         self.idempotency.complete(ticket.client_id, ticket.key, ticket)
         if valid:
             self.stats_settled_valid += 1

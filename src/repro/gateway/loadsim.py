@@ -255,18 +255,6 @@ class CrashInjection:
             raise ValueError("recover_at must follow crash_at")
 
 
-#: Breaker options that make a crash visible to the breaker: stalled
-#: runs settle late after recovery, and with a latency threshold those
-#: late settlements trip the circuit (the breaker only records at
-#: settlement, so a pure stall alone never trips it).
-CRASH_BREAKER_OPTIONS = {
-    "latency_threshold": 1.0,
-    "failure_threshold": 3,
-    "reset_timeout": 1.0,
-    "probes": 1,
-}
-
-
 def run_crash_scenario(community: Community, gateway: Any,
                        object_name: str = DEFAULT_OBJECT,
                        config: "Optional[LoadSimConfig]" = None,
@@ -277,31 +265,24 @@ def run_crash_scenario(community: Community, gateway: Any,
                        ) -> "tuple[LoadSimStats, Any]":
     """A load run with an injected party crash, watched live.
 
-    Arms the gateway node's live telemetry plane (breaker watchdog +
-    flight recorder, dumping to *dump_path* when an alert fires),
-    schedules ``crash.org`` to crash and recover on virtual time, runs
-    the closed-loop load, then lets *settle_after* more virtual seconds
-    elapse so the watchdog observes the return to health.  Returns
-    ``(stats, live)`` — ``live.monitor`` holds the alerts and health
-    transitions, ``live.flight`` the most recent trace records.
-
-    The node must carry a recording instrumentation, and the gateway
-    should be built with :data:`CRASH_BREAKER_OPTIONS` (or an equivalent
-    ``latency_threshold``) for the crash to trip the breaker.
+    Arms the gateway node's live telemetry plane (a stalled-runs
+    watchdog + flight recorder, dumping to *dump_path* when an alert
+    fires), schedules ``crash.org`` to crash and recover on virtual
+    time, runs the closed-loop load, then lets *settle_after* more
+    virtual seconds elapse so the watchdog observes the return to
+    health.  Returns ``(stats, live)`` — ``live.monitor`` holds the
+    alerts and health transitions, ``live.flight`` the most recent
+    trace records.  The node must carry a recording instrumentation.
     """
-    from repro.obs.live import DEGRADED, CounterDeltaRule
+    from repro.obs.live import StalledRunsRule
 
     if crash is None:
         raise ValueError("run_crash_scenario needs a CrashInjection")
     crash.validate()
     node = gateway.node
-    # Watch the breaker alone: the scenario's health story is the trip
-    # and the recovery, not the (expected) stall noise while the victim
-    # is down.
-    rules = [CounterDeltaRule(
-        "breaker_flap", "gateway.breaker.transitions", 0.0,
-        severity=DEGRADED, message="circuit breaker changed state")]
-    live = node.live(rules=rules, interval=watchdog_interval,
+    # Watch the stall alone: the scenario's health story is the
+    # community stalling while the victim is down and draining after.
+    live = node.live(rules=[StalledRunsRule()], interval=watchdog_interval,
                      dump_path=dump_path)
     live.start()
     network = community.runtime.network
@@ -310,8 +291,8 @@ def run_crash_scenario(community: Community, gateway: Any,
     network.schedule(crash.recover_at, victim.recover)
     try:
         stats = run_load_sim(community, gateway, object_name, config)
-        # Let the watchdog see quiet intervals after the last breaker
-        # movement so aggregate health returns to healthy.
+        # Let the watchdog see the drained community so aggregate
+        # health returns to healthy.
         community.runtime.settle(settle_after)
     finally:
         live.stop()

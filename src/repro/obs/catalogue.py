@@ -169,7 +169,7 @@ _event("gateway_admitted", "gateway", "party object client",
 _event("gateway_rejected", "gateway",
        "party object client reason retry_after",
        "a request refused before coordination (`rate_limited` / "
-       "`overloaded` / `circuit_open`), with the back-off in seconds "
+       "`overloaded`), with the back-off in seconds "
        "the client was told to observe",
        count("gateway.rejected"), count("gateway.rejected.{reason}"),
        observe("gateway.retry_after_seconds", "retry_after"),
@@ -177,20 +177,12 @@ _event("gateway_rejected", "gateway",
 _event("gateway_replayed", "gateway", "party object client",
        "an idempotent retry served from the replay cache",
        count("gateway.replays"), trace="gateway.replayed")
-_event("gateway_queue_depth", "gateway", "party object depth",
-       "the admission queue depth changed",
-       level("gateway.queue_depth", "depth"))
 _event("gateway_settled", "gateway", "party object valid seconds",
        "a gateway request settled (`seconds` = admission to outcome, "
        "protocol clock)",
        count("gateway.settled.{valid:invalid|valid}"),
        observe("gateway.settle_seconds", "seconds"),
        trace="gateway.settled", span=True)
-_event("breaker_transition", "gateway", "party object old new",
-       "a circuit breaker changed state (closed/open/half_open)",
-       count("gateway.breaker.transitions"),
-       count("gateway.breaker.{old}->{new}"),
-       trace="gateway.breaker")
 
 _event("health_alert", "health",
        "party rule severity message value threshold",

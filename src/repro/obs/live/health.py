@@ -1,6 +1,6 @@
 """Online SLO watchdogs: declarative health rules over the live registry.
 
-The post-hoc `repro obs-report` tells you a breaker flapped *after* the
+The post-hoc `repro obs-report` tells you runs stalled *after* the
 process exits; production operation needs the answer while the incident
 is still happening.  A :class:`HealthMonitor` periodically snapshots a
 :class:`~repro.obs.metrics.MetricsRegistry` and evaluates declarative
@@ -147,8 +147,8 @@ class CounterRateRule(HealthRule):
 class CounterDeltaRule(HealthRule):
     """Fires when a counter grew by more than *threshold* this interval.
 
-    e.g. breaker flapping: any ``gateway.breaker.transitions`` growth
-    within a watchdog interval is an event worth alerting on.
+    e.g. a veto burst: ``protocol.runs.invalid`` growing by more than
+    a handful within one watchdog interval.
     """
 
     def __init__(self, name: str, counter: str, threshold: float,
@@ -236,29 +236,16 @@ class StalledRunsRule(HealthRule):
 
 
 def default_rules(retransmission_rate: float = 25.0,
-                  breaker_transitions: float = 0.0,
-                  queue_depth: float = 64.0,
                   pipeline_depth: float = 64.0,
                   settle_budget: float = 30.0,
                   stall_strikes: int = 2) -> "list[HealthRule]":
-    """The issue's five watchdogs with overridable thresholds.
-
-    ``breaker_transitions`` is a delta threshold: the default 0 fires on
-    *any* breaker movement within an interval (a trip is always news).
-    """
+    """The four default watchdogs with overridable thresholds."""
     return [
         StalledRunsRule(strikes=stall_strikes),
         CounterRateRule(
             "retransmission_storm", "transport.retransmissions",
             retransmission_rate,
             message="retransmissions exceed storm threshold"),
-        CounterDeltaRule(
-            "breaker_flap", "gateway.breaker.transitions",
-            breaker_transitions, severity=DEGRADED,
-            message="circuit breaker changed state"),
-        GaugeLevelRule(
-            "gateway_queue_saturation", "gateway.queue_depth",
-            queue_depth, message="gateway admission queue saturated"),
         GaugeLevelRule(
             "pipeline_saturation", "pipeline.depth",
             pipeline_depth, message="proposal pipeline saturated"),

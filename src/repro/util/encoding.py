@@ -175,6 +175,14 @@ def as_int(value: Any) -> int:
     return value
 
 
+def as_str(value: Any) -> str:
+    """*value* if it is a ``str``: a peer's name field is checked, never
+    coerced (``str(5)`` is ``'5'``, ``str(["A"])`` is ``"['A']"``)."""
+    if type(value) is not str:
+        raise ValueError(f"not a str: {type(value).__name__}")
+    return value
+
+
 def from_canonical_bytes(data: bytes) -> Any:
     """Inverse of :func:`canonical_bytes`."""
     return _DECODER.decode(data.decode("ascii"))

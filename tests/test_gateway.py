@@ -1,5 +1,5 @@
 """Tests for repro.gateway: rate limiting, load leveling, idempotency,
-circuit breaking and the closed-loop load simulator."""
+back-pressure and the closed-loop load simulator."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.apps.orders import (
 from repro.core.community import Community
 from repro.crypto.prng import DeterministicRandomSource
 from repro.errors import (
-    CircuitOpenError,
     GatewayOverloadedError,
     NotConnectedError,
     PipelineSaturatedError,
@@ -23,10 +22,6 @@ from repro.errors import (
 )
 from repro.faults import FaultSchedule
 from repro.gateway import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
     CounterObject,
     IdempotencyCache,
     LoadSimConfig,
@@ -36,6 +31,7 @@ from repro.gateway import (
     run_load_sim,
 )
 from repro.obs.recording import RecordingInstrumentation
+from repro.protocol.validation import Decision
 
 
 class FakeClock:
@@ -124,86 +120,6 @@ class TestIdempotencyCache:
         assert cache.lookup("alice", "k0") is None  # evicted
         assert cache.lookup("alice", "k1") == 1
         assert cache.lookup("alice", "k2") == 2
-
-
-# ---------------------------------------------------------------------------
-# unit: circuit breaker
-# ---------------------------------------------------------------------------
-
-class TestCircuitBreaker:
-    def make(self, clock, **overrides):
-        options = dict(failure_threshold=2, window=4,
-                       latency_threshold=1.0, reset_timeout=5.0, probes=2)
-        options.update(overrides)
-        return CircuitBreaker(clock, **options)
-
-    def test_opens_on_failure_rate(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        breaker.record(False, 0.1)
-        assert breaker.state == CLOSED
-        breaker.record(False, 0.1)
-        assert breaker.state == OPEN
-        admitted, _ = breaker.allow()
-        assert not admitted
-        assert breaker.retry_after() == pytest.approx(5.0)
-
-    def test_opens_on_latency(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        breaker.record(True, 2.0)  # over the 1.0s latency threshold
-        breaker.record(True, 3.0)
-        assert breaker.state == OPEN
-
-    def test_half_open_probes_close_it(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        breaker.record(False, 0.0)
-        breaker.record(False, 0.0)
-        clock.advance(5.0)
-        assert breaker.state == HALF_OPEN
-        first = breaker.allow()
-        second = breaker.allow()
-        assert first == (True, True) and second == (True, True)
-        assert breaker.allow() == (False, False)  # probe slots exhausted
-        breaker.record(True, 0.1, probe=True)
-        assert breaker.state == HALF_OPEN
-        breaker.record(True, 0.1, probe=True)
-        assert breaker.state == CLOSED
-        states = [(old, new) for _, old, new in breaker.transitions]
-        assert states == [(CLOSED, OPEN), (OPEN, HALF_OPEN),
-                          (HALF_OPEN, CLOSED)]
-
-    def test_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        breaker.record(False, 0.0)
-        breaker.record(False, 0.0)
-        clock.advance(5.0)
-        assert breaker.allow() == (True, True)
-        breaker.record(False, 0.1, probe=True)
-        assert breaker.state == OPEN
-
-    def test_release_probe_frees_the_slot(self):
-        clock = FakeClock()
-        breaker = self.make(clock, probes=1)
-        breaker.record(False, 0.0)
-        breaker.record(False, 0.0)
-        clock.advance(5.0)
-        assert breaker.allow() == (True, True)
-        assert breaker.allow() == (False, False)
-        breaker.release_probe()  # admission failed downstream
-        assert breaker.allow() == (True, True)
-
-    def test_stragglers_do_not_vote_while_open(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        breaker.record(False, 0.0)
-        breaker.record(False, 0.0)
-        # Backlog from before the trip settles fine — must not close.
-        breaker.record(True, 0.1)
-        breaker.record(True, 0.1)
-        assert breaker.state == OPEN
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +348,11 @@ class TestGatewayIntegration:
             session.submit("nope", {"client": "alice", "n": 1}, key="k1")
         community.close()
 
-    def test_failed_hand_off_releases_the_half_open_probe(self):
-        """A write the pipeline refuses for any reason gives back the
-        breaker's probe slot and records nothing."""
-        community, gateway, name = build_gateway_community(
-            seed=24, breaker={"failure_threshold": 1, "window": 2,
-                              "reset_timeout": 1.0, "probes": 1})
+    def test_failed_hand_off_leaves_the_key_free(self):
+        """A write the pipeline refuses for any reason records nothing:
+        no pending key and no admission, so its retry is admitted."""
+        community, gateway, name = build_gateway_community(seed=24)
         session = gateway.session("alice")
-        breaker = gateway.breaker(name)
-        breaker.record(False, 0.0)
-        community.settle(1.5)
-        assert breaker.state == HALF_OPEN
         node = community.node("Org1")
         real_submit = node.submit_update
 
@@ -455,50 +365,38 @@ class TestGatewayIntegration:
         node.submit_update = real_submit
         assert gateway.idempotency.pending_count == 0
         assert gateway.stats()["admitted"] == 0
-        probe = session.submit(name, {"client": "alice", "n": 1}, key="k1")
-        assert gateway.wait(probe, 30.0) and probe.valid
-        assert breaker.state == CLOSED
+        retry = session.submit(name, {"client": "alice", "n": 1}, key="k1")
+        assert not retry.replayed
+        assert gateway.wait(retry, 30.0) and retry.valid
+        assert counter_state(community, name)["applied"] == 1
         community.close()
 
-    def test_breaker_opens_and_recovers_under_crash(self):
-        """closed -> open (induced degradation) -> half_open -> closed."""
+    def test_crash_stalls_then_drains_exactly_once(self):
+        """A crashed party stalls the unanimous community: the full queue
+        sheds, the stalled writes settle once the party is back, and
+        their late settlements refuse nobody afterwards."""
         obs = RecordingInstrumentation()
         community, gateway, name = build_gateway_community(
-            seed=17, obs=obs,
-            breaker={"failure_threshold": 2, "window": 4,
-                     "latency_threshold": 0.5, "reset_timeout": 2.0,
-                     "probes": 1})
+            seed=17, obs=obs, queue_capacity=2)
         FaultSchedule(community).crash("Org2", 0.05, 1.5).arm()
         community.settle(0.1)  # enter the crash window
         session = gateway.session("alice")
         stalled = [session.submit(name, {"client": "alice", "n": 1})
-                   for _ in range(3)]
-        # The community is unanimous: nothing settles until Org2 is back,
-        # so these settle late (over the latency threshold) and trip the
-        # breaker.
-        community.settle()
-        assert all(ticket.done and ticket.valid for ticket in stalled)
-        breaker = gateway.breaker(name)
-        assert breaker.state == OPEN
-        with pytest.raises(CircuitOpenError) as excinfo:
+                   for _ in range(3)]  # one in flight, two waiting
+        with pytest.raises(GatewayOverloadedError) as excinfo:
             session.submit(name, {"client": "alice", "n": 1})
         assert excinfo.value.retry_after > 0.0
-        # Cool down into half_open; one probe is admitted, a second
-        # request is still rejected while the probe is in flight.
-        community.settle(3.0)
-        assert breaker.state == HALF_OPEN
-        probe = session.submit(name, {"client": "alice", "n": 1})
-        with pytest.raises(CircuitOpenError):
-            session.submit(name, {"client": "alice", "n": 1})
-        assert gateway.wait(probe, 30.0)
-        assert probe.valid
-        assert breaker.state == CLOSED
-        states = [(old, new) for _, old, new in breaker.transitions]
-        assert states == [(CLOSED, OPEN), (OPEN, HALF_OPEN),
-                          (HALF_OPEN, CLOSED)]
-        assert obs.registry.counter_value("gateway.breaker.transitions") == 3
+        community.settle()
+        assert all(ticket.done and ticket.valid for ticket in stalled)
+        assert min(ticket.latency for ticket in stalled) > 1.0
+        after = session.submit(name, {"client": "alice", "n": 1})
+        assert gateway.wait(after, 30.0) and after.valid
+        assert after.latency < 1.0
+        assert counter_state(community, name)["applied"] == 4
+        assert gateway.stats()["rejected"] == {"rate_limited": 0,
+                                               "overloaded": 1}
         assert obs.registry.counter_value(
-            "gateway.rejected.circuit_open") == 2
+            "gateway.rejected.overloaded") == 1
         community.close()
 
     def test_obs_report_has_gateway_section(self):
@@ -512,6 +410,42 @@ class TestGatewayIntegration:
         assert "== gateway ==" in report
         assert "gateway.replays " in report
         assert "gateway.settle_seconds " in report
+        community.close()
+
+
+# ---------------------------------------------------------------------------
+# back-pressure: the full queue is the one refusal for load
+# ---------------------------------------------------------------------------
+
+class NonNegativeCounter(CounterObject):
+    """A responder's replica that vetoes ``n < 0``."""
+
+    def validate_update(self, update, resulting, current, proposer):
+        if update.get("n", 0) < 0:
+            return Decision.reject("n must not be negative")
+        return Decision.accept()
+
+
+class TestBackPressure:
+    def test_vetoed_writes_do_not_refuse_other_clients(self):
+        """One client's vetoed writes are that client's outcome: they do
+        not refuse another client's valid write."""
+        names = ["Org1", "Org2", "Org3"]
+        community = Community(names, seed=7)
+        community.found_object("shared", {
+            "Org1": CounterObject(), "Org2": NonNegativeCounter(),
+            "Org3": NonNegativeCounter()})
+        gateway = community.node("Org1").gateway()
+        mallory, bob = gateway.session("mallory"), gateway.session("bob")
+        for _ in range(5):
+            vetoed = mallory.submit("shared", {"n": -1})
+            assert gateway.wait(vetoed, 30.0) and vetoed.valid is False
+        ticket = bob.submit("shared", {"n": 1})
+        assert gateway.wait(ticket, 30.0) and ticket.valid
+        assert gateway.stats()["rejected"] == {"rate_limited": 0,
+                                               "overloaded": 0}
+        assert counter_state(community, "shared") == {"applied": 1,
+                                                      "total": 1}
         community.close()
 
 

@@ -132,6 +132,28 @@ def test_non_string_msg_type_is_malformed_and_changes_nothing(name, value):
         name, ("msg_type",), *KINDS[name], value)
 
 
+# (message, path to the string field, party it is sent to, from whom)
+STR_FIELDS = {
+    "m1 signature.scheme": ("m1", ("proposal", "signature", "scheme"),
+                            "B", "A"),
+    "m1 signature.signer": ("m1", ("proposal", "signature", "signer"),
+                            "B", "A"),
+    "m1 timestamp.service": ("m1", ("proposal", "timestamp", "service"),
+                             "B", "A"),
+}
+
+
+@pytest.mark.parametrize("value", [5, ["A"], {"a": 1}],
+                         ids=["int", "list", "dict"])
+@pytest.mark.parametrize("field", sorted(STR_FIELDS))
+def test_non_string_name_field_is_malformed_and_changes_nothing(field,
+                                                                value):
+    """A number, list or dict where a name belongs is malformed:
+    ``str()`` once made it a name (``'5'``, ``"['A']"``) that no party
+    holds, and the m1 was recorded as an ``invalid-signature``."""
+    assert_malformed_and_changes_nothing(*STR_FIELDS[field], value)
+
+
 def assert_malformed_and_changes_nothing(name, path, recipient, sender,
                                          value):
     """*value* at *path* of the exchange's message *name* is one

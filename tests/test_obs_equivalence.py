@@ -1,4 +1,4 @@
-"""Recorder equivalence: what each of the 45 hooks records is pinned.
+"""Recorder equivalence: what each of the 43 hooks records is pinned.
 
 ``data/obs_equivalence.json`` was first written on the commit *before*
 the hand-written :class:`RecordingInstrumentation` methods were replaced
@@ -36,6 +36,19 @@ the previous fixture, and nothing else:
 - the fixture's ``flight`` part is gone: the ring holds the collector's
   records themselves (``record_all`` asserts it), not events of their
   own with ``kind``/``seq``/``t`` fields.
+
+It was re-pinned again when the gateway's circuit breaker was deleted.
+Every difference from the previous fixture, and nothing else:
+
+- the ``breaker_transition`` and ``gateway_queue_depth`` calls are gone,
+  and with them the ``gateway.breaker.*`` counters, the
+  ``gateway.breaker`` trace records and the ``gateway.queue_depth``
+  gauge;
+- the second ``gateway_rejected`` reason is ``overloaded`` (it was
+  ``circuit_open``), and the ``health_alert`` rule is ``stalled_runs``
+  with the message ``runs stalled`` (it was ``breaker_flap``, ``breaker
+  moved``), so those two labelled counters and records carry the new
+  names.
 """
 
 from __future__ import annotations
@@ -86,15 +99,12 @@ CALLS = [
     ("snapshot_invalidated", ("OrgA", "doc", "recovery")),
     ("gateway_admitted", ("OrgA", "doc", "client-1")),
     ("gateway_rejected", ("OrgA", "doc", "client-2", "rate_limited", 0.5)),
-    ("gateway_rejected", ("OrgA", "doc", "client-3", "circuit_open", 2.0)),
+    ("gateway_rejected", ("OrgA", "doc", "client-3", "overloaded", 2.0)),
     ("gateway_replayed", ("OrgA", "doc", "client-1")),
-    ("gateway_queue_depth", ("OrgA", "doc", 12)),
     ("gateway_settled", ("OrgA", "doc", True, 0.04)),
     ("gateway_settled", ("OrgA", "doc", False, 0.08)),
-    ("breaker_transition", ("OrgA", "doc", "closed", "open")),
-    ("breaker_transition", ("OrgA", "doc", "open", "half_open")),
-    ("health_alert", ("OrgA", "breaker_flap", "degraded",
-                      "breaker moved", 2.0, 0.0)),
+    ("health_alert", ("OrgA", "stalled_runs", "degraded",
+                      "runs stalled", 2.0, 0.0)),
     ("health_changed", ("OrgA", "healthy", "degraded")),
     ("message_sent", ("OrgA", "OrgB", 512)),
     ("retransmission", ("OrgA", "OrgB", "msg-1", 2)),
@@ -155,7 +165,7 @@ def test_every_hook_is_exercised():
 
     hooks = {name for name, value in vars(Instrumentation).items()
              if callable(value) and not name.startswith("_")}
-    assert len(hooks) == 45
+    assert len(hooks) == 43
     assert {hook for hook, _ in CALLS} == hooks
 
 

@@ -103,11 +103,11 @@ class TestFlightRecorder:
         obs.run_started("A", "obj", "r1", "proposer", "sync")
         obs.protocol_message("A", "obj", "r1", "m1", "sent", 128, "B",
                              "t" * 32, "s" * 16, "", 1)
-        obs.breaker_transition("A", "obj", "closed", "open")
+        obs.gateway_rejected("A", "obj", "c", "overloaded", 0.05)
         obs.ack_received("A", "msg-1")  # no trace record, so not in the ring
         names = [event["name"] for event in ring.events()]
         assert names == ["run.started", "protocol.message",
-                         "gateway.breaker"]
+                         "gateway.rejected"]
 
     def test_no_flight_means_no_ring_work(self):
         # The default wiring needs no recorder, and with no exporter the
@@ -260,7 +260,7 @@ class _AlertCapture(Instrumentation):
 class TestHealthMonitor:
     def _monitor(self, registry, clock, **kwargs):
         capture = _AlertCapture()
-        rules = [CounterDeltaRule("flap", "gateway.breaker.transitions",
+        rules = [CounterDeltaRule("vetoes", "protocol.runs.invalid",
                                   0.0, severity=DEGRADED)]
         monitor = HealthMonitor(registry, rules=rules, obs=capture,
                                 party="OrgA", clock=clock.now, **kwargs)
@@ -274,17 +274,17 @@ class TestHealthMonitor:
         assert monitor.evaluate_once() == []
         assert monitor.health == HEALTHY
 
-        registry.counter("gateway.breaker.transitions").inc()
+        registry.counter("protocol.runs.invalid").inc()
         clock.advance(1.0)
         alerts = monitor.evaluate_once()
-        assert [alert.rule for alert in alerts] == ["flap"]
+        assert [alert.rule for alert in alerts] == ["vetoes"]
         assert monitor.health == DEGRADED
-        assert capture.alerts == [("OrgA", "flap", DEGRADED, 1.0, 0.0)]
+        assert capture.alerts == [("OrgA", "vetoes", DEGRADED, 1.0, 0.0)]
         assert capture.changes == [("OrgA", HEALTHY, DEGRADED)]
 
         # Counter keeps growing: the rule stays red but the episode is
         # already open, so no second alert.
-        registry.counter("gateway.breaker.transitions").inc()
+        registry.counter("protocol.runs.invalid").inc()
         clock.advance(1.0)
         assert monitor.evaluate_once() == []
         assert monitor.health == DEGRADED
@@ -297,10 +297,10 @@ class TestHealthMonitor:
         assert [(old, new) for _, old, new in monitor.transitions] == [
             (HEALTHY, DEGRADED), (DEGRADED, HEALTHY)]
 
-        # A fresh trip opens a new episode: a second alert is emitted.
-        registry.counter("gateway.breaker.transitions").inc()
+        # A fresh veto opens a new episode: a second alert is emitted.
+        registry.counter("protocol.runs.invalid").inc()
         clock.advance(1.0)
-        assert [a.rule for a in monitor.evaluate_once()] == ["flap"]
+        assert [a.rule for a in monitor.evaluate_once()] == ["vetoes"]
 
     def test_worst_severity_wins(self):
         clock = ManualClock()
@@ -324,7 +324,7 @@ class TestHealthMonitor:
         dump = tmp_path / "dump.jsonl"
         monitor, _ = self._monitor(registry, clock, flight=flight,
                                    dump_path=str(dump))
-        registry.counter("gateway.breaker.transitions").inc()
+        registry.counter("protocol.runs.invalid").inc()
         clock.advance(1.0)
         monitor.evaluate_once()
         lines = dump.read_text().splitlines()
@@ -341,14 +341,14 @@ class TestHealthMonitor:
 
     def test_watchdog_thread_evaluates(self):
         registry = MetricsRegistry()
-        registry.counter("gateway.breaker.transitions").inc()
+        registry.counter("protocol.runs.invalid").inc()
         capture = _AlertCapture()
-        rules = [CounterDeltaRule("flap", "gateway.breaker.transitions",
+        rules = [CounterDeltaRule("vetoes", "protocol.runs.invalid",
                                   0.0, severity=DEGRADED)]
         # Baseline is taken at construction, so inc() again afterwards.
         monitor = HealthMonitor(registry, rules=rules, obs=capture,
                                 party="OrgA", interval=0.01)
-        registry.counter("gateway.breaker.transitions").inc()
+        registry.counter("protocol.runs.invalid").inc()
         monitor.start()
         try:
             deadline = threading.Event()
@@ -383,15 +383,16 @@ class TestPrometheusRendering:
 
     def test_name_sanitisation(self):
         registry = MetricsRegistry()
-        registry.counter("gateway.breaker.closed->open").inc()
+        registry.counter("zeta.closed->open").inc()
         text = render_prometheus(registry.snapshot())
-        assert "repro_gateway_breaker_closed__open_total 1" in text
+        assert "repro_zeta_closed__open_total 1" in text
 
     def test_health_gauge(self):
         text = render_prometheus({}, {"health": "degraded",
-                                      "firing": ["breaker_flap"]})
+                                      "firing": ["pipeline_saturation"]})
         assert "repro_node_health 1" in text
-        assert 'repro_health_rule_firing{rule="breaker_flap"} 1' in text
+        assert ('repro_health_rule_firing{rule="pipeline_saturation"} 1'
+                in text)
 
     def test_empty_snapshot_renders(self):
         assert render_prometheus({}) == "\n"
@@ -472,9 +473,8 @@ class TestTelemetryServer:
 
 
 class TestCrashScenario:
-    def test_crash_trips_breaker_alert_and_recovers(self, tmp_path):
+    def test_crash_fires_stall_alert_and_recovers(self, tmp_path):
         from repro.gateway import (
-            CRASH_BREAKER_OPTIONS,
             CrashInjection,
             LoadSimConfig,
             build_gateway_community,
@@ -483,60 +483,56 @@ class TestCrashScenario:
 
         dump = tmp_path / "flight.jsonl"
         watchdog = 0.5
+        crash = CrashInjection(org="Org2", crash_at=1.0, recover_at=4.0)
         community, gateway, object_name = build_gateway_community(
             orgs=2, seed=7, obs=RecordingInstrumentation(),
-            queue_capacity=256,
-            breaker=dict(CRASH_BREAKER_OPTIONS),
-            pipeline_options={"max_batch": 64})
+            queue_capacity=256, pipeline_options={"max_batch": 64})
         stats, live = run_crash_scenario(
             community, gateway, object_name,
             config=LoadSimConfig(clients=60, requests_per_client=2,
                                  arrival_window=3.0, seed=7),
-            crash=CrashInjection(org="Org2", crash_at=1.0, recover_at=4.0),
-            watchdog_interval=watchdog, dump_path=str(dump))
+            crash=crash, watchdog_interval=watchdog, dump_path=str(dump))
 
-        # The crash tripped the breaker...
-        transitions = gateway.breaker(object_name).transitions
-        assert transitions, "crash never tripped the breaker"
-        trip_time = transitions[0][0]
-        assert trip_time > 1.0
-
-        # ...and the watchdog alerted within one interval of the trip,
-        # with no post-processing: the alert is already in the monitor.
+        # The watchdog alerted while the victim was down, with no
+        # post-processing: the alert is already in the monitor.
         monitor = live.monitor
-        alerts = [a for a in monitor.alerts if a.rule == "breaker_flap"]
-        assert alerts, "no breaker HealthAlert fired"
-        assert alerts[0].time - trip_time <= watchdog + 1e-9
-        assert alerts[0].severity == DEGRADED
+        alerts = [a for a in monitor.alerts if a.rule == "stalled_runs"]
+        assert alerts, "no stall HealthAlert fired"
+        assert crash.crash_at < alerts[0].time < crash.recover_at
+        assert alerts[0].severity == UNHEALTHY
 
-        # Node health went healthy -> degraded and ended healthy again.
-        moves = [(old, new) for _, old, new in monitor.transitions]
-        assert moves[0] == (HEALTHY, DEGRADED)
-        assert moves[-1][1] == HEALTHY
+        # Node health went healthy -> unhealthy during the outage and
+        # ended healthy again.
+        moved_at, old, new = monitor.transitions[0]
+        assert (old, new) == (HEALTHY, UNHEALTHY)
+        assert moved_at < crash.recover_at
+        assert monitor.transitions[-1][2] == HEALTHY
         assert live.node.health() == HEALTHY
 
         # The flight dump was written on alert and holds the m1/m2/m3
-        # protocol traffic that preceded the trip.
+        # protocol traffic that preceded the crash.
         events = [json.loads(line)
                   for line in dump.read_text().splitlines()]
         phases = {event["phase"] for event in events
                   if event["name"] == "protocol.message"
-                  and event["at"] <= trip_time}
+                  and event["at"] <= crash.crash_at}
         assert {"m1", "m2", "m3"} <= phases
-        assert any(event["name"] == "gateway.breaker" for event in events)
 
-        # The load still made it through once the victim recovered.
-        assert stats.settled_valid > 0
+        # Every write settled, exactly once, after the victim recovered.
+        state = community.node("Org1").controllers[object_name] \
+            .b2b_object.get_state()
+        assert stats.settled_valid == state["applied"] == 120
+        assert stats.gave_up == 0
 
         # Satellite: rejections are labelled by reason and retry-after
         # hints land in the histogram.
         snapshot = live.registry.snapshot()
         rejected = gateway.stats()["rejected"]
-        assert set(rejected) == {"rate_limited", "overloaded",
-                                 "circuit_open"}
+        assert set(rejected) == {"rate_limited", "overloaded"}
         if sum(rejected.values()):
             assert snapshot["histograms"][
                 "gateway.retry_after_seconds"]["count"] > 0
+        community.close()
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +563,18 @@ class TestReportRendering:
         obs = RecordingInstrumentation()
         obs.gateway_rejected("A", "obj", "c", "rate_limited", 0.25)
         obs.gateway_admitted("A", "obj", "c")
-        obs.gateway_queue_depth("A", "obj", 4)
-        obs.gateway_queue_depth("A", "obj", 1)
+        obs.pipeline_depth("A", "obj", 4)
+        obs.pipeline_depth("A", "obj", 1)
         rows = {line.split()[0]: line.split()[1:]
                 for line in render_snapshot(
-                    obs.registry.snapshot()).splitlines()[3:]}
+                    obs.registry.snapshot()).splitlines()
+                if line.startswith(("gateway.", "pipeline."))}
         assert rows["gateway.rejected.rate_limited"] == ["1"]
         # A histogram: count, then p50/p95/p99 in its own unit (seconds).
         assert rows["gateway.retry_after_seconds"] == ["1", "0.25", "0.25",
                                                       "0.25"]
         # A gauge: value, then its high-water mark.
-        assert rows["gateway.queue_depth"] == ["1", "4"]
+        assert rows["pipeline.depth"] == ["1", "4"]
 
     def test_partial_run_section(self):
         snapshot = {"counters": {"protocol.runs.started": 2},

@@ -641,7 +641,7 @@ class TestCallbackDiscipline:
                 for name in objects)
             assert applied == total
             assert node.gateway().stats()["rejected"] == {
-                "rate_limited": 0, "overloaded": 0, "circuit_open": 0}
+                "rate_limited": 0, "overloaded": 0}
         finally:
             sys.setswitchinterval(switch_interval)
             community.close()
