@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 
 from repro.bench.harness import build_community, found_dict_object
-from repro.bench.metrics import format_table
+from repro.obs.report import format_table
 from repro.protocol.baseline import PlainTwoPhaseEngine
 
 PARTIES = 3

@@ -15,7 +15,6 @@ roughly one round-trip of virtual time instead of K.
 
 from __future__ import annotations
 
-from repro.bench.metrics import format_table
 from repro.core import (
     ASYNCHRONOUS,
     DEFERRED_SYNCHRONOUS,
@@ -24,6 +23,7 @@ from repro.core import (
     DictB2BObject,
     SimRuntime,
 )
+from repro.obs.report import format_table
 from repro.protocol.events import RunCompleted
 
 K = 5

@@ -21,13 +21,13 @@ from __future__ import annotations
 import time
 
 import repro.crypto.numbers as numbers
-from repro.bench.metrics import format_table
 from repro.crypto import (
     DeterministicRandomSource,
     TimestampService,
     generate_party_keypair,
     hash_value,
 )
+from repro.obs.report import format_table
 
 RNG = DeterministicRandomSource("bench-crypto")
 PAYLOAD = {"object": "order", "seq": 42, "state": {"widget1": 2, "note": "x" * 64}}

@@ -15,7 +15,6 @@ Scenario: 5 parties, one of which silently never responds.  We compare:
 
 from __future__ import annotations
 
-from repro.bench.metrics import format_table
 from repro.core import DEFERRED_SYNCHRONOUS, Community, DictB2BObject, SimRuntime
 from repro.extensions import (
     DeadlineMonitor,
@@ -23,6 +22,7 @@ from repro.extensions import (
     TerminationTTP,
 )
 from repro.faults import SuppressResponses
+from repro.obs.report import format_table
 
 PARTIES = 5
 DEADLINE = 2.0

@@ -12,9 +12,9 @@ completion time grows roughly with injected downtime.
 from __future__ import annotations
 
 from repro.bench.harness import assert_replicas_converged
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.faults import bounded_failure_schedule
+from repro.obs.report import format_table
 
 UPDATES = 6
 

@@ -16,8 +16,9 @@ the price of conditional disclosure.
 from __future__ import annotations
 
 from repro.agents import TrustedAgent
-from repro.bench.metrics import MessageCounter, format_table
+from repro.bench.metrics import MessageCounter
 from repro.core import Community, DictB2BObject, SimRuntime
+from repro.obs.report import format_table
 
 
 def build_direct(seed=0):

@@ -10,8 +10,8 @@ the per-invocation cost does not depend on which replica is invoked.
 from __future__ import annotations
 
 from repro.bench.harness import assert_replicas_converged
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime
+from repro.obs.report import format_table
 
 
 def build(seed=0):

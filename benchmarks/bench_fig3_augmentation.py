@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import time
 
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime, wrap_object
+from repro.obs.report import format_table
 
 
 class PlainOrder:

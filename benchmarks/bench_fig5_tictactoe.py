@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.tictactoe import CROSS, EMPTY, NOUGHT, TicTacToeObject, TicTacToePlayer
-from repro.bench.metrics import format_table
 from repro.core import Community, SimRuntime
 from repro.errors import ValidationFailed
 

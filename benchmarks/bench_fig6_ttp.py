@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.agents import ValidatingTTP
 from repro.apps.tictactoe import CROSS, EMPTY, NOUGHT, TicTacToeObject, TicTacToePlayer
-from repro.bench.metrics import format_table
 from repro.core import Community, SimRuntime
 from repro.errors import ValidationFailed
+from repro.obs.report import format_table
 
 PLAYERS = {"Cross": CROSS, "Nought": NOUGHT}
 

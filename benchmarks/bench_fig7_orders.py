@@ -19,9 +19,9 @@ from repro.apps.orders import (
     OrderClient,
     OrderObject,
 )
-from repro.bench.metrics import format_table
 from repro.core import Community, SimRuntime
 from repro.errors import ValidationFailed
+from repro.obs.report import format_table
 
 ROLES = {"Customer": ROLE_CUSTOMER, "Supplier": ROLE_SUPPLIER}
 

@@ -30,7 +30,6 @@ import json
 import os
 import time
 
-from repro.bench.metrics import format_table
 from repro.faults import FaultSchedule
 from repro.gateway import (
     LoadSimConfig,
@@ -38,6 +37,7 @@ from repro.gateway import (
     run_load_sim,
 )
 from repro.obs.recording import RecordingInstrumentation
+from repro.obs.report import format_table
 
 #: ``REPRO_BENCH_SMOKE=1`` shrinks the population so CI can run this
 #: bench on every push and still produce the JSON artifact.

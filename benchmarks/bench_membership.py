@@ -9,8 +9,8 @@ welcome), and every run leaves all members with identical group views.
 
 from __future__ import annotations
 
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime
+from repro.obs.report import format_table
 
 
 def build(n, seed=0):

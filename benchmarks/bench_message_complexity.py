@@ -17,7 +17,8 @@ from repro.bench.harness import (
     found_dict_object,
     protocol_message_count,
 )
-from repro.bench.metrics import MessageCounter, format_table
+from repro.bench.metrics import MessageCounter
+from repro.obs.report import format_table
 
 
 def messages_per_run(n_parties, runs=3, seed=0):

@@ -51,7 +51,6 @@ import socket
 import threading
 import time
 
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime
 from repro.obs.live import (
     FlightRecorder,
@@ -60,6 +59,7 @@ from repro.obs.live import (
     default_rules,
 )
 from repro.obs.recording import RecordingInstrumentation
+from repro.obs.report import format_table
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 

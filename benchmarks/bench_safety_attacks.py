@@ -10,7 +10,6 @@ detection).
 
 from __future__ import annotations
 
-from repro.bench.metrics import format_table
 from repro.core import DEFERRED_SYNCHRONOUS, Community, DictB2BObject, SimRuntime
 from repro.errors import ValidationFailed
 from repro.faults import (
@@ -25,6 +24,7 @@ from repro.faults import (
     TamperedCommitResponses,
     tamper_body,
 )
+from repro.obs.report import format_table
 from repro.protocol.validation import CallbackValidator, Decision
 
 

@@ -13,8 +13,8 @@ sponsor the founding member does all of it (max-share = 100%).
 
 from __future__ import annotations
 
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime
+from repro.obs.report import format_table
 from repro.protocol.group import FIXED, ROTATING
 
 JOINS = 5

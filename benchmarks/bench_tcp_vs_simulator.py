@@ -16,8 +16,8 @@ from __future__ import annotations
 import os
 import time
 
-from repro.bench.metrics import format_table
 from repro.core import Community, DictB2BObject, SimRuntime, ThreadedRuntime
+from repro.obs.report import format_table
 
 #: ``REPRO_BENCH_SMOKE=1`` shrinks the workload.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")

@@ -13,10 +13,10 @@ identical state.
 from __future__ import annotations
 
 from repro.bench.harness import build_community
-from repro.bench.metrics import format_table
 from repro.bench.workload import large_state
 from repro.core import DictB2BObject
 from repro.obs.hooks import approx_size
+from repro.obs.report import format_table
 from repro.transport.base import NetworkFilter
 
 

@@ -24,7 +24,7 @@ Package map:
 ``repro.gateway``    client front door: rate limit, queue bound, idempotency
 ``repro.faults``     crash/partition injection, byzantine parties, intruder
 ``repro.extensions`` majority-vote and deadline/TTP termination (sec. 7)
-``repro.bench``      benchmark harness helpers
+``repro.bench``      workload driver for ``repro simulate`` and the benches
 """
 
 from repro import errors
@@ -40,7 +40,6 @@ from repro.core import (
     SYNCHRONOUS,
     SimRuntime,
     ThreadedRuntime,
-    two_party_community,
     wrap_object,
 )
 from repro.errors import ValidationFailed
@@ -61,7 +60,6 @@ __all__ = [
     "SYNCHRONOUS",
     "SimRuntime",
     "ThreadedRuntime",
-    "two_party_community",
     "wrap_object",
     "Decision",
     "PipelineTicket",

@@ -97,15 +97,3 @@ class TrustedAgent:
             merged.update(delivered)
             return merged
         return delivered
-
-    @property
-    def relayed_out(self) -> int:
-        return self._out_relay.relayed
-
-    @property
-    def relayed_in(self) -> int:
-        return self._in_relay.relayed
-
-    @property
-    def withheld(self) -> int:
-        return self._out_relay.withheld + self._in_relay.withheld

@@ -300,12 +300,6 @@ class OrderClient:
     def submit_price_item(self, name: str, price: int):
         return self.submit({"op": "price_item", "name": name, "price": price})
 
-    def submit_approve_item(self, name: str):
-        return self.submit({"op": "approve_item", "name": name})
-
-    def submit_commit_delivery(self, terms: str):
-        return self.submit({"op": "commit_delivery", "terms": terms})
-
     def wait(self, ticket, timeout: "float | None" = None) -> bool:
         """Block until a submitted operation settles; True iff agreed."""
         self.controller.node.wait_for_pipeline(ticket, timeout)
@@ -340,10 +334,6 @@ class GatewayOrderClient:
         self.session = session
         self.object_name = object_name
 
-    @property
-    def client_id(self) -> str:
-        return self.session.client_id
-
     def submit(self, op: dict, key: "str | None" = None):
         return self.session.submit(self.object_name, op, key=key)
 
@@ -351,17 +341,9 @@ class GatewayOrderClient:
         return self.submit({"op": "add_item", "name": name,
                             "quantity": quantity}, key=key)
 
-    def change_quantity(self, name: str, quantity: int,
-                        key: "str | None" = None):
-        return self.submit({"op": "change_quantity", "name": name,
-                            "quantity": quantity}, key=key)
-
     def price_item(self, name: str, price: int, key: "str | None" = None):
         return self.submit({"op": "price_item", "name": name,
                             "price": price}, key=key)
-
-    def approve_item(self, name: str, key: "str | None" = None):
-        return self.submit({"op": "approve_item", "name": name}, key=key)
 
     def commit_delivery(self, terms: str, key: "str | None" = None):
         return self.submit({"op": "commit_delivery", "terms": terms}, key=key)

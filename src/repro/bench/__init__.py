@@ -7,13 +7,8 @@ from repro.bench.harness import (
     protocol_message_count,
     run_state_workload,
 )
-from repro.bench.metrics import LatencyRecorder, MessageCounter, format_table
-from repro.bench.workload import (
-    counter_states,
-    large_state,
-    order_edit_sequence,
-    random_updates,
-)
+from repro.bench.metrics import LatencyRecorder, MessageCounter
+from repro.bench.workload import counter_states, large_state
 
 __all__ = [
     "assert_replicas_converged",
@@ -23,9 +18,6 @@ __all__ = [
     "run_state_workload",
     "LatencyRecorder",
     "MessageCounter",
-    "format_table",
     "counter_states",
     "large_state",
-    "order_edit_sequence",
-    "random_updates",
 ]

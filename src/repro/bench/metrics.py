@@ -2,7 +2,7 @@
 
 The statistics themselves live in :mod:`repro.obs.metrics` — the single
 implementation shared by the observability registry and the benchmarks —
-so quantiles reported by ``repro bench`` and ``repro obs-report`` can
+so quantiles reported by ``repro simulate`` and ``repro obs-report`` can
 never disagree.  This module keeps the benchmark-friendly recorder API
 as a thin adapter.
 """
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import exact_quantile, summarise
-from repro.obs.report import format_table
+from repro.obs.metrics import summarise
 
-__all__ = ["LatencyRecorder", "MessageCounter", "format_table"]
+__all__ = ["LatencyRecorder", "MessageCounter"]
 
 
 @dataclass
@@ -25,28 +24,6 @@ class LatencyRecorder:
 
     def record(self, value: float) -> None:
         self.samples.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        return exact_quantile(self.samples, fraction)
-
-    def stddev(self) -> float:
-        return summarise(self.samples)["stddev"]
 
     def summary(self) -> dict:
         return summarise(self.samples)

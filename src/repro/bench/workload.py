@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.crypto.prng import DeterministicRandomSource
 
@@ -38,15 +38,6 @@ def random_states(count: int, seed: "int | str" = 0,
         }
 
 
-def random_updates(count: int, seed: "int | str" = 0,
-                   key_space: int = 8) -> "Iterator[dict]":
-    """Random small key/value updates over a bounded key space."""
-    rng = DeterministicRandomSource(f"workload:{seed}")
-    for index in range(count):
-        key = f"k{rng.random_below(key_space)}"
-        yield {key: index + 1, "stamp": index}
-
-
 def large_state(size_bytes: int, chunk: int = 64) -> dict:
     """A dict state of at least *size_bytes* canonical bytes."""
     from repro.util.encoding import canonical_bytes
@@ -57,16 +48,3 @@ def large_state(size_bytes: int, chunk: int = 64) -> dict:
         state[f"blob{index}"] = "v" * chunk
         index += 1
     return state
-
-
-def order_edit_sequence(items: int) -> "Iterator[tuple[str, str, Any]]":
-    """Alternating customer-add / supplier-price edits for an order.
-
-    Yields ``(role, item_name, value)`` tuples: the customer orders item
-    ``i`` then the supplier prices it, mirroring the Figure 7 workflow at
-    scale.
-    """
-    for index in range(items):
-        name = f"widget{index + 1}"
-        yield ("customer", name, (index % 9) + 1)
-        yield ("supplier", name, (index + 1) * 10)

@@ -16,7 +16,7 @@ Typical usage::
     controller.leave()          # coordinates; raises ValidationFailed on veto
 """
 
-from repro.core.community import Community, two_party_community
+from repro.core.community import Community
 from repro.core.composite import CompositeB2BObject
 from repro.core.controller import (
     B2BObjectController,
@@ -54,7 +54,6 @@ from repro.core.wrapper import CoordinatedProxy, WrappedB2BObject, wrap_object
 
 __all__ = [
     "Community",
-    "two_party_community",
     "CompositeB2BObject",
     "B2BObjectController",
     "CoordinationTicket",

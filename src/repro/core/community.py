@@ -306,9 +306,3 @@ class _SimNetworkClock(Clock):
 
     def now(self) -> float:
         return self._runtime.network.now()
-
-
-def two_party_community(org_a: str = "OrgA", org_b: str = "OrgB",
-                        seed: "int | str" = 0) -> Community:
-    """The paper's most common configuration: two organisations."""
-    return Community([org_a, org_b], seed=seed)

@@ -34,12 +34,6 @@ class B2BObject:
         """Called by the middleware when the object is registered."""
         self._controller = controller
 
-    @property
-    def controller(self) -> "B2BObjectController":
-        if self._controller is None:
-            raise RuntimeError("object is not registered with a controller")
-        return self._controller
-
     # -- state capture and installation ---------------------------------
 
     def get_state(self) -> Any:
@@ -60,10 +54,6 @@ class B2BObject:
         raise NotImplementedError(
             "get_update must be implemented for update-mode coordination"
         )
-
-    def apply_update(self, update: Any) -> None:
-        """Apply a validated update to this replica (default: merge)."""
-        self.apply_state(self.merge_update(self.get_state(), update))
 
     def merge_update(self, state: Any, update: Any) -> Any:
         """Pure computation of ``state after update`` (section 4.3.1).

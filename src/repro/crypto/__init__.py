@@ -12,7 +12,6 @@ from repro.crypto.certificates import Certificate, CertificateAuthority, Certifi
 from repro.crypto.hashing import (
     DIGEST_SIZE,
     HASH_ALGORITHM,
-    hash_hex,
     hash_members,
     hash_value,
     secure_hash,
@@ -42,7 +41,6 @@ __all__ = [
     "CertificateStore",
     "DIGEST_SIZE",
     "HASH_ALGORITHM",
-    "hash_hex",
     "hash_members",
     "hash_value",
     "secure_hash",

@@ -129,9 +129,6 @@ class CertificateAuthority:
     def revoke(self, serial: int) -> None:
         self._revoked.add(serial)
 
-    def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked
-
     def revocation_list(self) -> "set[int]":
         """A snapshot of revoked serials, distributable to stores."""
         return set(self._revoked)
@@ -220,6 +217,3 @@ class CertificateStore:
             self._root_for(certificate)
         self._check_validity(certificate)
         return verifier
-
-    def known_parties(self) -> "list[str]":
-        return sorted(self._certificates)

@@ -37,11 +37,6 @@ def hash_value(value: Any) -> bytes:
     return secure_hash(canonical_bytes(value))
 
 
-def hash_hex(value: Any) -> str:
-    """Hex digest of :func:`hash_value`, for logs and diagnostics."""
-    return hash_value(value).hex()
-
-
 def hash_members(members: "list[str]") -> bytes:
     """``H(P_0 .. P_n)`` over a membership list (section 4.5.2).
 

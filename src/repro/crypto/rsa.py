@@ -29,10 +29,6 @@ class RsaPublicKey:
     exponent: int
 
     @property
-    def bits(self) -> int:
-        return self.modulus.bit_length()
-
-    @property
     def byte_length(self) -> int:
         return (self.modulus.bit_length() + 7) // 8
 

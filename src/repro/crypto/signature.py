@@ -114,10 +114,6 @@ class RsaSigner(Signer):
         super().__init__(party_id)
         self._private_key = private_key
 
-    @property
-    def public_key(self) -> RsaPublicKey:
-        return self._private_key.public_key
-
     def sign_bytes(self, data: bytes) -> Signature:
         digest = secure_hash(data)
         encoded = _pkcs1_encode(digest, self._private_key.byte_length)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.hashing import hash_value, secure_hash
+from repro.crypto.hashing import hash_value
 from repro.crypto.signature import KeyPair, Signature, Verifier, generate_party_keypair
 from repro.errors import TimestampError
 from repro.util.clocks import Clock, SystemClock
@@ -47,10 +47,6 @@ class TimestampToken:
             time_ms=as_int(data["time_ms"]),
             signature=Signature.from_dict(data["signature"]),
         )
-
-    @property
-    def time(self) -> float:
-        return self.time_ms / 1000.0
 
 
 class TimestampService:
@@ -92,9 +88,6 @@ class TimestampService:
         return TimestampToken(
             service=self.name, digest=digest, time_ms=time_ms, signature=signature
         )
-
-    def stamp_bytes(self, message: bytes) -> TimestampToken:
-        return self.stamp_digest(secure_hash(message))
 
     def stamp(self, value: Any) -> TimestampToken:
         """Time-stamp any canonically encodable value.

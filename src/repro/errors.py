@@ -66,20 +66,6 @@ class ProtocolError(B2BError):
     """Base class for coordination-protocol failures."""
 
 
-class InvariantViolation(ProtocolError):
-    """One of the ordered-state-transition invariants (section 4.2) failed.
-
-    Invariant breaches are detected during a protocol run and lead to the
-    invalidation of the proposed state transition, never to the
-    installation of invalid state.
-    """
-
-    def __init__(self, invariant: int, detail: str) -> None:
-        super().__init__(f"invariant {invariant} violated: {detail}")
-        self.invariant = invariant
-        self.detail = detail
-
-
 class InconsistentMessageError(ProtocolError):
     """Signed and unsigned parts of a protocol message disagree (section 4.4)."""
 
@@ -130,19 +116,6 @@ class MembershipError(ProtocolError):
 
 class NotConnectedError(ProtocolError):
     """An operation requires the controller to be connected to a group."""
-
-
-class MisbehaviourDetected(ProtocolError):
-    """Provable misbehaviour by a named party was detected (section 4.4)."""
-
-    def __init__(self, party: str, kind: str, detail: str = "") -> None:
-        message = f"misbehaviour by {party}: {kind}"
-        if detail:
-            message = f"{message} ({detail})"
-        super().__init__(message)
-        self.party = party
-        self.kind = kind
-        self.detail = detail
 
 
 class DisputeError(B2BError):

@@ -29,21 +29,17 @@ class DolevYaoIntruder(NetworkFilter):
     def __init__(self, network: SimNetwork, secure_channels: bool = False) -> None:
         self.network = network
         # With secure (encrypted/authenticated) channels the intruder can
-        # still remove, delay and replay, but cannot read or rewrite.
+        # still remove and delay, but cannot read or rewrite.
         self.secure_channels = secure_channels
         self.observed: "list[Envelope]" = []
         self.dropped = 0
         self.delayed = 0
-        self.replayed = 0
         self.modified = 0
         self.injected = 0
         self._drop_predicate: "Optional[Callable[[Envelope], bool]]" = None
         self._delay_predicate: "Optional[Callable[[Envelope], float]]" = None
         self._rewrite: "Optional[Callable[[dict], Optional[dict]]]" = None
         network.add_filter(self)
-
-    def uninstall(self) -> None:
-        self.network.remove_filter(self)
 
     # -- attack configuration -------------------------------------------
 
@@ -65,14 +61,6 @@ class DolevYaoIntruder(NetworkFilter):
         self._rewrite = rewrite
 
     # -- active attacks ---------------------------------------------------
-
-    def replay(self, index: int = -1) -> None:
-        """Re-inject a previously observed envelope."""
-        envelope = self.observed[index]
-        self.replayed += 1
-        self.injected += 1
-        # Bypass our own filter so the replay is not re-processed.
-        self.network._transmit(copy.deepcopy(envelope))
 
     def inject(self, sender: str, recipient: str, payload: dict) -> None:
         """Forge a raw message claiming to be from *sender*."""

@@ -237,11 +237,6 @@ class Gateway:
     # introspection
     # ------------------------------------------------------------------
 
-    def queue_depth(self, object_name: str) -> int:
-        """Writes waiting in the object's pipeline queue."""
-        pipe = self.node.pipeline_for(object_name)
-        return pipe.depth if pipe is not None else 0
-
     def stats(self) -> dict:
         """Cumulative admission tallies (also available via repro.obs)."""
         with self._lock:

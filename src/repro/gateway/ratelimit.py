@@ -41,10 +41,6 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
         self._stamp = now
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
     def try_acquire(self, now: float, tokens: float = 1.0) -> bool:
         """Take *tokens* if available; refills first."""
         self._refill(now)

@@ -23,7 +23,6 @@ from repro.obs.live.health import (
     DEGRADED,
     HEALTHY,
     UNHEALTHY,
-    CounterDeltaRule,
     CounterRateRule,
     GaugeLevelRule,
     HealthAlert,
@@ -36,7 +35,6 @@ from repro.obs.live.health import (
 )
 
 __all__ = [
-    "CounterDeltaRule",
     "CounterRateRule",
     "DEFAULT_CAPACITY",
     "DEGRADED",
@@ -58,13 +56,12 @@ __all__ = [
 
 
 class LiveTelemetry:
-    """One node's live telemetry plane: recorder + watchdog + endpoint.
+    """One node's live telemetry plane: flight recorder + health watchdog.
 
     Requires the node to carry a recording instrumentation (anything
     with a ``registry`` and a ``tracer``); attaches a
-    :class:`FlightRecorder` to its tracer, builds a
-    :class:`HealthMonitor` over the registry, and can serve both over
-    HTTP via :meth:`serve`.  :meth:`start` picks the right
+    :class:`FlightRecorder` to its tracer and builds a
+    :class:`HealthMonitor` over the registry.  :meth:`start` picks the right
     watchdog driver for the node's runtime — a recurring virtual-time
     timer under :class:`~repro.core.runtime.SimRuntime`, a daemon thread
     otherwise.
@@ -99,7 +96,6 @@ class LiveTelemetry:
             interval=interval, clock=node.ctx.clock.now,
             flight=self.flight, dump_path=dump_path,
         )
-        self.server: "Optional[TelemetryServer]" = None
         self._timer = None
         self._started = False
 
@@ -119,17 +115,8 @@ class LiveTelemetry:
             self.monitor.start()
         return self
 
-    def serve(self, host: str = "127.0.0.1", port: int = 0) -> TelemetryServer:
-        """Start (or return) the node's HTTP telemetry endpoint."""
-        if self.server is None:
-            self.server = TelemetryServer(
-                self.registry, monitor=self.monitor, flight=self.flight,
-                host=host, port=port,
-            ).start()
-        return self.server
-
     def stop(self) -> None:
-        """Stop watchdog and endpoint; the flight ring stays readable.
+        """Stop the watchdog; the flight ring stays readable.
 
         Under a sim runtime this cancels the recurring timer — required
         before ``community.settle(None)``, which runs the virtual event
@@ -139,7 +126,4 @@ class LiveTelemetry:
             self._timer.cancel()
             self._timer = None
         self.monitor.stop()
-        if self.server is not None:
-            self.server.stop()
-            self.server = None
         self._started = False

@@ -51,11 +51,6 @@ class HealthAlert:
     threshold: float
     time: float
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "severity": self.severity,
-                "message": self.message, "value": self.value,
-                "threshold": self.threshold, "time": self.time}
-
 
 class RuleView:
     """What a rule may look at: two registry snapshots and the gap between.
@@ -87,10 +82,6 @@ class RuleView:
     def gauge(self, name: str) -> float:
         entry = self.current.get("gauges", {}).get(name)
         return entry["value"] if entry else 0.0
-
-    def gauge_high_water(self, name: str) -> float:
-        entry = self.current.get("gauges", {}).get(name)
-        return entry["high_water"] if entry else 0.0
 
     def histogram(self, name: str) -> dict:
         return self.current.get("histograms", {}).get(name, {})
@@ -142,22 +133,6 @@ class CounterRateRule(HealthRule):
 
     def reading(self, view: RuleView) -> float:
         return view.rate(self.counter_name)
-
-
-class CounterDeltaRule(HealthRule):
-    """Fires when a counter grew by more than *threshold* this interval.
-
-    e.g. a veto burst: ``protocol.runs.invalid`` growing by more than
-    a handful within one watchdog interval.
-    """
-
-    def __init__(self, name: str, counter: str, threshold: float,
-                 severity: str = DEGRADED, message: str = "") -> None:
-        super().__init__(name, threshold, severity, message)
-        self.counter_name = counter
-
-    def reading(self, view: RuleView) -> float:
-        return float(view.counter_delta(self.counter_name))
 
 
 class GaugeLevelRule(HealthRule):

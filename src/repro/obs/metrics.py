@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def exact_quantile(samples: "Sequence[float]", fraction: float) -> float:
     """Quantile of *samples* with linear interpolation between ranks.
 
     ``fraction`` is clamped to [0, 1]; an empty sequence yields 0.0.
-    This is the repository's single exact-quantile implementation (the
-    former ``LatencyRecorder.percentile`` nearest-rank variant returned
-    the lower sample for even-count medians and is retired).
+    This is the repository's single exact-quantile implementation.
     """
     if not samples:
         return 0.0
@@ -162,22 +160,6 @@ class StreamingHistogram:
             else:
                 index = int(math.floor(math.log(value) / self._log_growth))
                 self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def observe_many(self, values: "Iterable[float]") -> None:
-        for value in values:
-            self.observe(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self.count else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return self._max if self.count else 0.0
 
     def _state(self) -> "tuple[int, float, float, float, int, dict]":
         """One lock-consistent copy of the mutable fields.

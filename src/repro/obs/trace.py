@@ -205,9 +205,6 @@ class InMemoryCollector:
     def events(self) -> "list[TraceRecord]":
         return [r for r in self.records if r.kind == EVENT]
 
-    def clear(self) -> None:
-        self.records.clear()
-
 
 class JsonLinesExporter:
     """Exporter writing one JSON object per record to a file.
@@ -224,9 +221,6 @@ class JsonLinesExporter:
     def __call__(self, record: TraceRecord) -> None:
         line = json.dumps(record.to_dict(), default=str, sort_keys=True)
         self._handle.write(line + "\n")
-
-    def flush(self) -> None:
-        self._handle.flush()
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -72,9 +72,6 @@ class GroupId:
     def matches_members(self, members: "list[str]") -> bool:
         return self.members_hash == hash_members(members)
 
-    def short(self) -> str:
-        return f"G(seq={self.seq},r={self.rand_hash.hex()[:8]},m={self.members_hash.hex()[:8]})"
-
 
 def initial_state_id(state: Any) -> StateId:
     """The genesis identifier for an object's configured initial state.

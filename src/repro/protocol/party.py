@@ -61,10 +61,6 @@ class ObjectSession:
     detached: bool = False
 
     @property
-    def object_name(self) -> str:
-        return self.state.object_name
-
-    @property
     def group(self) -> GroupView:
         return self.state.group
 

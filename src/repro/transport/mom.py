@@ -57,9 +57,6 @@ class BrokeredSimNetwork(SimNetwork):
         self._detached.discard(party_id)
         self._arm_drain(party_id)
 
-    def is_attached(self, party_id: str) -> bool:
-        return party_id not in self._detached
-
     def mailbox_depth(self, party_id: str) -> int:
         return len(self._mailboxes.get(party_id, []))
 

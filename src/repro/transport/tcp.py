@@ -62,7 +62,6 @@ class TcpNetwork(Network):
         self._host = host
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._encoder = EnvelopeEncoder()
-        self._max_frame = max_frame
         # Optional fault injection: drop outbound data frames before they
         # reach the socket, so demos and tests can exercise the reliable
         # layer's retransmission over real sockets deterministically.
@@ -84,11 +83,6 @@ class TcpNetwork(Network):
             max_frame=max_frame, address_of=self.address_of,
         )
         self._closed = False
-
-    @property
-    def max_frame(self) -> int:
-        """Upper bound accepted for one inbound frame, in bytes."""
-        return self._max_frame
 
     def add_remote_party(self, party_id: str, host: str, port: int) -> None:
         """Record the address of a party hosted by another process."""

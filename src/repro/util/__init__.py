@@ -1,19 +1,15 @@
 """Shared utilities: canonical encoding, clocks and identifiers."""
 
-from repro.util.clocks import Clock, OffsetClock, SystemClock, VirtualClock
-from repro.util.encoding import b64, canonical_bytes, from_canonical_bytes, unb64
-from repro.util.identifiers import SequenceAllocator, qualified_name, validate_party_id
+from repro.util.clocks import Clock, SystemClock, VirtualClock
+from repro.util.encoding import b64, canonical_bytes, from_canonical_bytes
+from repro.util.identifiers import validate_party_id
 
 __all__ = [
     "Clock",
-    "OffsetClock",
     "SystemClock",
     "VirtualClock",
     "b64",
     "canonical_bytes",
     "from_canonical_bytes",
-    "unb64",
-    "SequenceAllocator",
-    "qualified_name",
     "validate_party_id",
 ]

@@ -75,18 +75,3 @@ class VirtualClock(Clock):
             if instant > self._now:
                 self._now = float(instant)
             return self._now
-
-
-class OffsetClock(Clock):
-    """A clock skewed from another clock by a fixed offset.
-
-    Used in tests to model per-organisation clock skew and to check that
-    evidence time-stamps come from the *trusted* service, not local clocks.
-    """
-
-    def __init__(self, base: Clock, offset: float) -> None:
-        self._base = base
-        self._offset = float(offset)
-
-    def now(self) -> float:
-        return self._base.now() + self._offset

@@ -200,8 +200,3 @@ def freeze(value: Any) -> Any:
 def b64(data: bytes) -> str:
     """Compact base64 helper used in logs and debug output."""
     return base64.b64encode(data).decode("ascii")
-
-
-def unb64(text: str) -> bytes:
-    """Inverse of :func:`b64`."""
-    return base64.b64decode(text.encode("ascii"))

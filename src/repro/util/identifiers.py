@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 import re
-import threading
 
 _PARTY_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 
@@ -21,23 +19,3 @@ def validate_party_id(party_id: str) -> str:
     if not _PARTY_ID_RE.match(party_id):
         raise ValueError(f"invalid party id: {party_id!r}")
     return party_id
-
-
-class SequenceAllocator:
-    """Thread-safe monotonically increasing integer allocator."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._counter = itertools.count(start)
-        self._lock = threading.Lock()
-
-    def next(self) -> int:
-        with self._lock:
-            return next(self._counter)
-
-
-def qualified_name(org: str, name: str) -> str:
-    """Return the conventional ``org/name`` qualified object alias."""
-    validate_party_id(org)
-    if "/" in name:
-        raise ValueError(f"object name may not contain '/': {name!r}")
-    return f"{org}/{name}"

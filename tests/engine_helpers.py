@@ -14,7 +14,7 @@ from repro.crypto.timestamp import TimestampService
 from repro.protocol.context import PartyContext
 from repro.protocol.events import Output
 from repro.protocol.party import ProtocolParty
-from repro.util.clocks import VirtualClock
+from repro.util.clocks import Clock, VirtualClock
 
 _KEY_RNG = DeterministicRandomSource("engine-helpers")
 _KEY_CACHE: "dict[str, KeyPair]" = {}
@@ -142,3 +142,18 @@ def found(harness: EngineHarness, object_name: str, members: "list[str]",
         harness.party(name).create_object(
             object_name, members, initial_state, **kwargs
         )
+
+
+class OffsetClock(Clock):
+    """A clock skewed from another clock by a fixed offset.
+
+    Used in tests to model per-organisation clock skew and to check that
+    evidence time-stamps come from the *trusted* service, not local clocks.
+    """
+
+    def __init__(self, base: Clock, offset: float) -> None:
+        self._base = base
+        self._offset = float(offset)
+
+    def now(self) -> float:
+        return self._base.now() + self._offset

@@ -11,13 +11,10 @@ from repro.bench.harness import (
     protocol_message_count,
     run_state_workload,
 )
-from repro.bench.metrics import LatencyRecorder, MessageCounter, format_table
-from repro.bench.workload import (
-    counter_states,
-    large_state,
-    order_edit_sequence,
-    random_updates,
-)
+from repro.bench.metrics import LatencyRecorder, MessageCounter
+from repro.bench.workload import counter_states, large_state
+from repro.obs.metrics import exact_quantile
+from repro.obs.report import format_table
 from repro.util.encoding import canonical_bytes
 
 
@@ -41,9 +38,9 @@ class TestMetrics:
         assert summary["count"] == 0 and summary["mean"] == 0.0
 
     def test_percentile_bounds(self):
-        recorder = LatencyRecorder([1.0, 2.0, 3.0])
-        assert recorder.percentile(0.0) == 1.0
-        assert recorder.percentile(1.0) == 3.0
+        samples = LatencyRecorder([1.0, 2.0, 3.0]).samples
+        assert exact_quantile(samples, 0.0) == 1.0
+        assert exact_quantile(samples, 1.0) == 3.0
 
     def test_message_counter_delta(self):
         community = build_community(2, seed=1)
@@ -68,19 +65,9 @@ class TestWorkloads:
         assert len(states) == 5
         assert len({canonical_bytes(s) for s in states}) == 5
 
-    def test_random_updates_deterministic(self):
-        assert list(random_updates(5, seed=3)) == list(random_updates(5, seed=3))
-        assert list(random_updates(5, seed=3)) != list(random_updates(5, seed=4))
-
     def test_large_state_size(self):
         state = large_state(4096)
         assert len(canonical_bytes(state)) >= 4096
-
-    def test_order_edit_sequence(self):
-        edits = list(order_edit_sequence(2))
-        assert edits[0] == ("customer", "widget1", 1)
-        assert edits[1][0] == "supplier"
-        assert len(edits) == 4
 
 
 class TestHarness:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -95,6 +96,12 @@ class TestParser:
     def test_unknown_demo_rejected(self):
         with pytest.raises(SystemExit):
             main(["demo", "nonexistent"])
+
+    def test_demo_runs_an_example(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        assert main(["demo", "quickstart"]) == 0
+        assert "OrgB sees: {'widget1': {'quantity': 2}}" in (
+            capsys.readouterr().out)
 
 
 class TestBundleWorkflow:

@@ -4,9 +4,10 @@ and what settled survives a restart."""
 
 from __future__ import annotations
 
-from repro.core import Community, CompositeB2BObject, DictB2BObject
+from repro.core import ASYNCHRONOUS, Community, CompositeB2BObject, DictB2BObject
 from repro.core.object import B2BObject
 from repro.core.runtime import SimRuntime
+from repro.protocol.events import RunCompleted
 from repro.protocol.validation import Decision
 from repro.transport.inmemory import LinkProfile
 
@@ -194,6 +195,40 @@ class TestCompositeTransactions:
             {"applied": 1, "total": 3}
         assert restored.child("beta").get_state() == \
             {"applied": 1, "total": 5}
+
+
+class NotifiedDict(DictB2BObject):
+    """Dict child that records the completion callbacks it is passed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.events: list = []
+
+    def coord_callback(self, event) -> None:
+        self.events.append(event)
+
+
+def test_controller_update_collects_child_updates_and_notifies_children():
+    """An ``update``-scoped leave proposes what the children changed (the
+    composite's ``get_update``), and in asynchronous mode the completion
+    reaches every child through the composite's ``coord_callback``."""
+    community = sim_community(2, seed=12)
+    composites = {name: CompositeB2BObject(
+        {"alpha": NotifiedDict(), "beta": NotifiedDict()})
+        for name in community.names()}
+    controller = community.found_object(
+        "pair", composites, mode=ASYNCHRONOUS)["Org1"]
+    composite = composites["Org1"]
+    controller.enter()
+    controller.update()
+    composite.child("alpha").set_attribute("k", 1)
+    controller.leave()
+    community.settle()
+    for name in community.names():
+        assert composites[name].get_state() == {"alpha": {"k": 1}, "beta": {}}
+    for child in ("alpha", "beta"):
+        events = composite.child(child).events
+        assert [(type(e), e.valid) for e in events] == [(RunCompleted, True)]
 
 
 def test_many_objects_settle_on_one_engine_lock():

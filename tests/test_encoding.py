@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import base64
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.encoding import b64, canonical_bytes, from_canonical_bytes, unb64
+from repro.util.encoding import b64, canonical_bytes, from_canonical_bytes
 
 
 class TestCanonicalBytes:
@@ -74,4 +76,4 @@ class TestCanonicalProperties:
 
     @given(st.binary(max_size=64))
     def test_b64_round_trip(self, data):
-        assert unb64(b64(data)) == data
+        assert base64.b64decode(b64(data)) == data

@@ -8,6 +8,7 @@ import pytest
 from repro.apps.auction import AuctionObject
 from repro.apps.orders import (
     ROLE_CUSTOMER,
+    ROLE_DISPATCHER,
     ROLE_SUPPLIER,
     OrderClient,
     OrderObject,
@@ -282,7 +283,7 @@ class TestGatewayIntegration:
         assert [t for _, t in pipe._queue] == tickets[1:]
         assert all(queued is held for (_, queued), held
                    in zip(pipe._queue, tickets[1:]))
-        assert gateway.queue_depth(name) == pipe.depth == 2
+        assert pipe.depth == 2
         community.settle()
         assert all(t.done and t.valid for t in tickets)
         assert tickets[0].run_id == run_id
@@ -455,7 +456,8 @@ class TestBackPressure:
 
 class TestAppGatewayClients:
     def test_order_gateway_client_is_idempotent(self):
-        roles = {"Customer": ROLE_CUSTOMER, "Supplier": ROLE_SUPPLIER}
+        roles = {"Customer": ROLE_CUSTOMER, "Supplier": ROLE_SUPPLIER,
+                 "Dispatcher": ROLE_DISPATCHER}
         community = Community(list(roles), seed=20)
         controllers = community.found_object(
             "order", {org: OrderObject(roles) for org in roles})
@@ -465,11 +467,20 @@ class TestAppGatewayClients:
         assert client.wait(ticket, 30.0)
         replay = client.retry(ticket)
         assert replay.replayed and replay.valid
+        supplier = OrderClient(controllers["Supplier"]).gateway_client("erp")
+        priced = supplier.price_item("widget", 7, key="price-widget")
+        assert supplier.wait(priced, 30.0)
+        dispatcher = OrderClient(
+            controllers["Dispatcher"]).gateway_client("dock")
+        committed = dispatcher.commit_delivery("FOB", key="ship")
+        assert dispatcher.wait(committed, 30.0)
         community.settle()
         for org in roles:
             items = controllers[org].b2b_object.items()
-            assert items == {"widget": {"quantity": 3, "price": None,
+            assert items == {"widget": {"quantity": 3, "price": 7,
                                         "approved": False}}
+            assert controllers[org].b2b_object.get_state()["delivery"] == {
+                "terms": "FOB", "committed": True}
         community.close()
 
     def test_auction_gateway_bidder_never_bids_twice(self):

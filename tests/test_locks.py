@@ -123,6 +123,18 @@ class TestLockingController:
         community.settle()
         assert objects["Org2"].get_attribute("k") == 1
 
+    def test_update_scope_upgrades_and_releases(self, make_community):
+        community, controller, objects, manager = make_locked_pair(make_community)
+        lock = manager.lock_for("shared")
+        controller.enter()
+        controller.update()
+        assert lock.write_held
+        objects["Org1"].set_attribute("k", 2)
+        controller.leave()
+        assert not lock.write_held
+        community.settle()
+        assert objects["Org2"].get_attribute("k") == 2
+
     def test_nested_scopes_release_once(self, make_community):
         community, controller, objects, manager = make_locked_pair(make_community)
         lock = manager.lock_for("shared")

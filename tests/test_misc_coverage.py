@@ -8,7 +8,7 @@ from repro.core import Community, DictB2BObject, SimRuntime
 from repro.protocol.events import RunBlocked
 from repro.transport.base import Envelope, NetworkFilter, normalise_filter_result
 from repro.transport.inmemory import SimNetwork
-from repro.util.clocks import OffsetClock
+from tests.engine_helpers import OffsetClock
 
 
 class TestNetworkFilters:

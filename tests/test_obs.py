@@ -71,7 +71,8 @@ class TestInstruments:
     def test_histogram_quantiles_within_relative_error(self):
         histogram = StreamingHistogram(growth=1.05)
         values = [0.001 * i for i in range(1, 1001)]
-        histogram.observe_many(values)
+        for value in values:
+            histogram.observe(value)
         assert histogram.count == 1000
         for fraction in (0.5, 0.95, 0.99):
             exact = exact_quantile(values, fraction)
@@ -87,9 +88,10 @@ class TestInstruments:
 
     def test_histogram_nonpositive_values(self):
         histogram = StreamingHistogram()
-        histogram.observe_many([0.0, -1.0, 2.0])
+        for value in (0.0, -1.0, 2.0):
+            histogram.observe(value)
         assert histogram.count == 3
-        assert histogram.minimum == -1.0
+        assert histogram.snapshot()["min"] == -1.0
         assert histogram.quantile(0.5) == 0.0
 
     def test_histogram_empty_summary(self):

@@ -15,7 +15,6 @@ from repro.obs.live import (
     DEGRADED,
     HEALTHY,
     UNHEALTHY,
-    CounterDeltaRule,
     CounterRateRule,
     FlightRecorder,
     GaugeLevelRule,
@@ -204,13 +203,6 @@ class TestHealthRules:
                      {"counters": {"retrans": 50}}, elapsed=2.0)
         assert rule.evaluate(calm) is None
 
-    def test_counter_delta_rule_fires_on_any_growth(self):
-        rule = CounterDeltaRule("flap", "transitions", 0.0)
-        assert rule.evaluate(_view({"counters": {"transitions": 1}},
-                                   {"counters": {}})) == 1.0
-        assert rule.evaluate(_view({"counters": {"transitions": 1}},
-                                   {"counters": {"transitions": 1}})) is None
-
     def test_gauge_level_rule(self):
         rule = GaugeLevelRule("sat", "depth", 8.0)
         hot = _view({"gauges": {"depth": {"value": 9.0, "high_water": 9.0}}})
@@ -260,8 +252,8 @@ class _AlertCapture(Instrumentation):
 class TestHealthMonitor:
     def _monitor(self, registry, clock, **kwargs):
         capture = _AlertCapture()
-        rules = [CounterDeltaRule("vetoes", "protocol.runs.invalid",
-                                  0.0, severity=DEGRADED)]
+        rules = [GaugeLevelRule("saturation", "pipeline.depth",
+                                0.0, severity=DEGRADED)]
         monitor = HealthMonitor(registry, rules=rules, obs=capture,
                                 party="OrgA", clock=clock.now, **kwargs)
         return monitor, capture
@@ -274,22 +266,23 @@ class TestHealthMonitor:
         assert monitor.evaluate_once() == []
         assert monitor.health == HEALTHY
 
-        registry.counter("protocol.runs.invalid").inc()
+        registry.gauge("pipeline.depth").set(1)
         clock.advance(1.0)
         alerts = monitor.evaluate_once()
-        assert [alert.rule for alert in alerts] == ["vetoes"]
+        assert [alert.rule for alert in alerts] == ["saturation"]
         assert monitor.health == DEGRADED
-        assert capture.alerts == [("OrgA", "vetoes", DEGRADED, 1.0, 0.0)]
+        assert capture.alerts == [("OrgA", "saturation", DEGRADED, 1.0, 0.0)]
         assert capture.changes == [("OrgA", HEALTHY, DEGRADED)]
 
-        # Counter keeps growing: the rule stays red but the episode is
+        # The level keeps rising: the rule stays red but the episode is
         # already open, so no second alert.
-        registry.counter("protocol.runs.invalid").inc()
+        registry.gauge("pipeline.depth").set(2)
         clock.advance(1.0)
         assert monitor.evaluate_once() == []
         assert monitor.health == DEGRADED
 
-        # Quiet interval closes the episode and health recovers.
+        # A drained queue closes the episode and health recovers.
+        registry.gauge("pipeline.depth").set(0)
         clock.advance(1.0)
         assert monitor.evaluate_once() == []
         assert monitor.health == HEALTHY
@@ -297,10 +290,10 @@ class TestHealthMonitor:
         assert [(old, new) for _, old, new in monitor.transitions] == [
             (HEALTHY, DEGRADED), (DEGRADED, HEALTHY)]
 
-        # A fresh veto opens a new episode: a second alert is emitted.
-        registry.counter("protocol.runs.invalid").inc()
+        # A fresh backlog opens a new episode: a second alert is emitted.
+        registry.gauge("pipeline.depth").set(1)
         clock.advance(1.0)
-        assert [a.rule for a in monitor.evaluate_once()] == ["vetoes"]
+        assert [a.rule for a in monitor.evaluate_once()] == ["saturation"]
 
     def test_worst_severity_wins(self):
         clock = ManualClock()
@@ -324,7 +317,7 @@ class TestHealthMonitor:
         dump = tmp_path / "dump.jsonl"
         monitor, _ = self._monitor(registry, clock, flight=flight,
                                    dump_path=str(dump))
-        registry.counter("protocol.runs.invalid").inc()
+        registry.gauge("pipeline.depth").set(1)
         clock.advance(1.0)
         monitor.evaluate_once()
         lines = dump.read_text().splitlines()
@@ -341,14 +334,12 @@ class TestHealthMonitor:
 
     def test_watchdog_thread_evaluates(self):
         registry = MetricsRegistry()
-        registry.counter("protocol.runs.invalid").inc()
         capture = _AlertCapture()
-        rules = [CounterDeltaRule("vetoes", "protocol.runs.invalid",
-                                  0.0, severity=DEGRADED)]
-        # Baseline is taken at construction, so inc() again afterwards.
+        rules = [GaugeLevelRule("saturation", "pipeline.depth",
+                                0.0, severity=DEGRADED)]
         monitor = HealthMonitor(registry, rules=rules, obs=capture,
                                 party="OrgA", interval=0.01)
-        registry.counter("protocol.runs.invalid").inc()
+        registry.gauge("pipeline.depth").set(1)
         monitor.start()
         try:
             deadline = threading.Event()

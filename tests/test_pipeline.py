@@ -14,9 +14,8 @@ from repro.protocol.pipeline import (
     is_transient_rejection,
 )
 from repro.protocol.validation import CallbackValidator, Decision
-from repro.util.clocks import OffsetClock
 
-from tests.engine_helpers import EngineHarness, found
+from tests.engine_helpers import EngineHarness, OffsetClock, found
 
 
 def make_harness(n=3, initial=None, seed=0, **kwargs):

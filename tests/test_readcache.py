@@ -272,11 +272,12 @@ def _calls(call):
         if event == "call":
             entered.append(frame.f_code)
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         result = call()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return result, entered
 
 
@@ -490,9 +491,9 @@ class _Board:
 
 
 class TestWrapperReadModes:
-    def test_cached_reads_served_from_replica(self):
+    def _board_community(self, seed):
         names = ["A", "B"]
-        runtime = SimRuntime(seed=14, profile=LinkProfile(latency=0.005))
+        runtime = SimRuntime(seed=seed, profile=LinkProfile(latency=0.005))
         community = Community(names, runtime=runtime)
         boards = {name: _Board() for name in names}
         from repro.core import WrappedB2BObject
@@ -500,17 +501,50 @@ class TestWrapperReadModes:
         controllers = community.found_object(
             "board", {name: WrappedB2BObject(boards[name])
                       for name in names})
+        return community, controllers, boards
+
+    def test_cached_reads_served_from_replica(self, monkeypatch):
+        """The replica gets the snapshot at the version A installed; the
+        live object's unsettled write is not seen and no scope opens."""
+        community, controllers, boards = self._board_community(seed=14)
+        replica = _Board()
         proxy = wrap_object(
             boards["A"], controllers["A"],
             write_methods=("place",), read_methods=("look",),
-            read_mode=cached(), read_replica=_Board(),
+            read_mode=cached(), read_replica=replica,
         )
         proxy.place("corner", "X")
+        proxy.place("edge", "O")
         community.settle(1.0)
+        installed = community.node("A").party.session("board").state.agreed_sid
+        boards["A"].cells["corner"] = "unsettled"
+        scopes = []
+        monkeypatch.setattr(controllers["A"], "examine",
+                            lambda *args: scopes.append(args))
         assert proxy.look("corner") == "X"
-        # The replica holds the snapshot; the live object is untouched
-        # by reads and still serves writes.
-        assert boards["A"].look("corner") == "X"
+        assert replica.cells == {"corner": "X", "edge": "O"}
+        served = community.examine("A", "board", cached())
+        assert served.version == installed.seq == 2
+        assert served.state == replica.cells
+        assert scopes == []
+        community.close()
+
+    def test_settled_read_goes_through_examine(self, monkeypatch):
+        community, controllers, boards = self._board_community(seed=19)
+        proxy = wrap_object(boards["A"], controllers["A"],
+                            write_methods=("place",), read_methods=("look",))
+        proxy.place("corner", "X")
+        community.settle(1.0)
+        examine = controllers["A"].examine
+        scopes = []
+
+        def counting(*args):
+            scopes.append(args)
+            examine(*args)
+
+        monkeypatch.setattr(controllers["A"], "examine", counting)
+        assert proxy.look("corner") == "X"
+        assert scopes == [()]
         community.close()
 
     def test_cached_mode_requires_replica(self):
@@ -536,7 +570,7 @@ class TestGatewayReads:
         stats = gateway.stats()
         assert stats["reads"] == 1
         assert stats["admitted"] == 0  # no admission slot consumed
-        assert gateway.queue_depth("ledger") == 0
+        assert community.node("A").pipeline_for("ledger").depth == 0
         community.close()
 
     def test_reads_are_rate_limited(self):

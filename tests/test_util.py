@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.clocks import OffsetClock, SystemClock, VirtualClock
-from repro.util.identifiers import SequenceAllocator, qualified_name, validate_party_id
+from repro.util.clocks import SystemClock, VirtualClock
+from repro.util.identifiers import validate_party_id
+from tests.engine_helpers import OffsetClock
 
 
 class TestVirtualClock:
@@ -62,20 +63,3 @@ class TestPartyIds:
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):
             validate_party_id(42)  # type: ignore[arg-type]
-
-    def test_qualified_name(self):
-        assert qualified_name("OrgA", "order") == "OrgA/order"
-
-    def test_qualified_name_rejects_slash(self):
-        with pytest.raises(ValueError):
-            qualified_name("OrgA", "a/b")
-
-
-class TestSequenceAllocator:
-    def test_monotonic(self):
-        alloc = SequenceAllocator()
-        values = [alloc.next() for _ in range(5)]
-        assert values == [0, 1, 2, 3, 4]
-
-    def test_custom_start(self):
-        assert SequenceAllocator(10).next() == 10
