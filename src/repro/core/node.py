@@ -252,11 +252,13 @@ class OrganisationNode:
 
         The paper's ``propagateUpdate`` (a controller's updating
         ``leave()`` calls it under that name): it never blocks and never
-        raises for concurrency: the update queues, and is proposed here
-        and now only if none of this node's runs is in flight —
-        otherwise once the node has finished what it started
-        (:meth:`_start_runs`), coalesced with everything queued for the
-        object meanwhile into one batched proposal.  Benign busy vetoes
+        raises for concurrency: the update queues, and is proposed at
+        once only if none of this node's runs is in flight — otherwise
+        once the node has finished what it started (:meth:`_start_runs`),
+        coalesced with everything queued for the object meanwhile into
+        one batched proposal.  Either way the proposal is made on the
+        network's own thread (on a simulator, inside this call), never
+        on the caller's when that is another.  Benign busy vetoes
         retry automatically; the ticket (*ticket* itself when the caller
         brings one) resolves invalid only for genuine policy vetoes (or
         retry exhaustion).  Raises
@@ -326,17 +328,21 @@ class OrganisationNode:
                 self._ready.setdefault(object_name)
         self._start_runs()
 
-    def _start_runs(self, idle: bool = False) -> None:
+    def _start_runs(self, idle: bool = False,
+                    in_loop: bool = False) -> None:
         """Finish before you start: the rule for *when* a queued write
         becomes a run.
 
         While none of this node's runs is in flight, ready pipelines are
-        polled oldest first, on the caller's thread, until one proposes
-        — the floor, which alone drains every queue.  Beyond that one
-        run the rest wait until the node has nothing inbound left to
-        handle (*idle*: :meth:`~repro.transport.base.Network.when_idle`),
-        and what is queued for them meanwhile rides in their next batch.
+        polled oldest first, on the network's own thread (*in_loop*:
+        :meth:`~repro.transport.base.Network.call_in_loop`), until one
+        proposes — the floor, which alone drains every queue.  Beyond
+        that one run the rest wait until the node has nothing inbound
+        left to handle (*idle*:
+        :meth:`~repro.transport.base.Network.when_idle`), and what is
+        queued for them meanwhile rides in their next batch.
         """
+        hand_off = False
         while True:
             with self._registry_lock:
                 if idle:
@@ -345,6 +351,12 @@ class OrganisationNode:
                 elif not self._ready:
                     return
                 elif not self._own_runs:
+                    if not in_loop:
+                        # Nothing is reserved across the hand-off: the
+                        # loop decides afresh (a crash meanwhile empties
+                        # the ready FIFO, and nothing starts).
+                        hand_off = True
+                        break
                     names = [next(iter(self._ready))]
                 elif self._idle_requested:
                     return
@@ -365,10 +377,16 @@ class OrganisationNode:
             finally:
                 with self._registry_lock:
                     self._own_runs -= len(names) - started
-        self.runtime.network.when_idle(self._on_idle)
+        if hand_off:
+            self.runtime.network.call_in_loop(self._start_in_loop)
+        else:
+            self.runtime.network.when_idle(self._on_idle)
+
+    def _start_in_loop(self) -> None:
+        self._start_runs(in_loop=True)
 
     def _on_idle(self) -> None:
-        self._start_runs(idle=True)
+        self._start_runs(idle=True, in_loop=True)
 
     def _poll_pipeline(self, object_name: str) -> bool:
         """Let the object's pipeline propose if it can, and say whether
@@ -500,6 +518,16 @@ class OrganisationNode:
         except NotConnectedError:
             return
         engine = session.state
+        pipe = self.pipelines.get(object_name)
+        with self.engine_lock:
+            queued = pipe is not None and pipe.depth > 0
+        if queued:
+            # A queued write starts on the transport's thread
+            # (call_in_loop): let every start handed over before this
+            # wait run first, so the wait covers the run it proposes.
+            handed_over = threading.Event()
+            self.runtime.network.call_in_loop(handed_over.set)
+            handed_over.wait(self.default_timeout)
         self.runtime.wait_until(
             lambda: not engine.busy and not engine.membership_change_active
             and not session.membership.busy,

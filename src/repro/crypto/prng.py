@@ -39,12 +39,6 @@ class RandomSource:
             if candidate < bound:
                 return candidate
 
-    def random_int(self, bits: int) -> int:
-        """Uniform integer with at most *bits* bits."""
-        if bits <= 0:
-            raise ValueError("bits must be positive")
-        return self.random_below(1 << bits)
-
 
 class SystemRandomSource(RandomSource):
     """Operating-system CSPRNG."""

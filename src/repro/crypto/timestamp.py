@@ -58,7 +58,6 @@ class TimestampService:
         self._clock = clock or SystemClock()
         self._keypair = keypair or generate_party_keypair(name, bits=key_bits)
         self._signer = self._keypair.signer()
-        self._issued = 0
 
     @property
     def verifier(self) -> Verifier:
@@ -68,11 +67,6 @@ class TimestampService:
     def public_key(self) -> dict:
         """The service's public key, for offline token verification."""
         return self._keypair.public_key.to_dict()
-
-    @property
-    def issued_count(self) -> int:
-        """Number of tokens issued; used by benchmarks as a cost counter."""
-        return self._issued
 
     def stamp_digest(self, digest: bytes) -> TimestampToken:
         """Issue a token over a precomputed message digest."""
@@ -84,7 +78,6 @@ class TimestampService:
             signature=Signature("pending", self.name, b""),
         )
         signature = self._signer.sign(token.signed_payload())
-        self._issued += 1
         return TimestampToken(
             service=self.name, digest=digest, time_ms=time_ms, signature=signature
         )

@@ -52,10 +52,6 @@ class GroupView:
     def __len__(self) -> int:
         return len(self.members)
 
-    def others(self, party_id: str) -> "list[str]":
-        """``R`` — every member except *party_id*."""
-        return [member for member in self.members if member != party_id]
-
     def recipients_excluding(self, *excluded: str) -> "list[str]":
         exclude_set = set(excluded)
         return [member for member in self.members if member not in exclude_set]
@@ -115,8 +111,3 @@ class GroupView:
             raise MembershipError("group identifier does not match the new membership")
         self.members = list(new_members)
         self.group_id = new_group_id
-
-    def clone(self) -> "GroupView":
-        return GroupView(
-            self.object_name, list(self.members), self.group_id, self.sponsor_mode
-        )

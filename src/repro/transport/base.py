@@ -92,7 +92,8 @@ class Network:
 
     Implementations: :class:`repro.transport.inmemory.SimNetwork` (virtual
     time, fault injection) and :class:`repro.transport.tcp.TcpNetwork`
-    (real sockets, real time).
+    (real sockets, real time, one loop thread that handles inbound
+    messages and starts runs).
     """
 
     def register(self, party_id: str, handler: MessageHandler) -> None:
@@ -124,6 +125,13 @@ class Network:
         what it started then rides in that run's batch.  A network whose
         parties spend none of its time computing (virtual time) is never
         busy, so the base implementation runs the callback at once.
+        """
+        callback()
+
+    def call_in_loop(self, callback: Callable[[], None]) -> None:
+        """Run *callback* on the thread that handles inbound messages:
+        at once when the caller is that thread or, as here, when the
+        network has none of its own.  A node starts its runs through it.
         """
         callback()
 

@@ -9,11 +9,11 @@ constant however many peers one process fronts:
   nothing until the next frame is queued;
 * the retransmission timer heap is folded into the loop's ``select``
   timeout, so timers need no thread of their own;
-* cross-thread entry points (``enqueue``, ``schedule``, listener
-  registration) post closures to a command queue and tap a self-pipe,
-  never touching socket state from outside the loop (a post made *on*
-  the loop thread skips the tap: the loop re-checks the queue before it
-  blocks);
+* cross-thread entry points (``enqueue``, ``schedule``,
+  ``call_in_loop``, listener registration) post closures to a command
+  queue and tap a self-pipe, never touching socket state from outside
+  the loop (a post made *on* the loop thread skips the tap: the loop
+  re-checks the queue before it blocks);
 * ``when_idle`` callbacks run once a turn of the loop found nothing to
   do — no posted command, no due timer, no ready socket.
 
@@ -180,6 +180,14 @@ class _Reactor:
         loop that found no posted command, no due timer and no ready
         socket (its own wake pipe aside)."""
         self._post(callback, idle=True)
+
+    def call_in_loop(self, callback: Callable[[], None]) -> None:
+        """Run *callback* on the loop thread: now if this is it, or if
+        the loop is stopped (there is none), else as a posted command."""
+        if threading.get_ident() == self._loop_ident or self._stopped:
+            callback()
+        else:
+            self._post(callback)
 
     def stop(self) -> None:
         with self._lock:

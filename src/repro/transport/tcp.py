@@ -183,6 +183,9 @@ class TcpNetwork(Network):
         # been handled.
         self._reactor.when_idle(callback)
 
+    def call_in_loop(self, callback: Callable[[], None]) -> None:
+        self._reactor.call_in_loop(callback)
+
     def close(self) -> None:
         with self._lock:
             self._closed = True

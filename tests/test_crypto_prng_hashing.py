@@ -71,10 +71,6 @@ class TestSystemRandomSource:
     def test_length(self):
         assert len(SystemRandomSource().random_bytes(33)) == 33
 
-    def test_random_int_bits(self):
-        value = SystemRandomSource().random_int(64)
-        assert 0 <= value < 2**64
-
 
 class TestHashing:
     def test_digest_size(self):

@@ -327,14 +327,6 @@ class TestTimestamps:
         with pytest.raises(TimestampError, match="signature"):
             verify_timestamp(token, {"deal": "x"}, OTHER.verifier())
 
-    def test_issued_counter(self):
-        tsa = TimestampService(
-            keypair=generate_party_keypair("TSA", bits=512, rng=RNG)
-        )
-        tsa.stamp({"a": 1})
-        tsa.stamp({"b": 2})
-        assert tsa.issued_count == 2
-
     def test_token_serialisation(self):
         from repro.crypto.timestamp import TimestampToken
         tsa = TimestampService(

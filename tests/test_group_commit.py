@@ -594,7 +594,8 @@ def test_every_crash_state_of_a_membership_run_recovers(
 
 
 # ---------------------------------------------------------------------------
-# (c) two threads of one party commit its one file store
+# (c) a submitting thread and the transport's share one party's file
+# store: set-up commits on the first, every run on the second
 # ---------------------------------------------------------------------------
 
 TWO_THREAD_NAMES = ["Org1", "Org2", "Org3"]
@@ -603,11 +604,12 @@ TWO_THREAD_STATE = {f"k{i}": i for i in range(12)}
 
 
 def settle_from_two_threads(community: Community) -> None:
-    """Settle 72 updates so that every party's store is appended to and
-    committed by two threads: the one that submits writes
-    (``_start_runs`` proposes on it) and the transport's, which handles
-    inbound messages and settles runs (``_process_output``).  Every
-    party proposes on some objects and responds on the others at once."""
+    """Settle 72 updates submitted from this thread while the
+    transport's thread handles inbound messages and settles runs.  The
+    submitting thread only queues: only the transport's thread proposes
+    and commits the write phase (``_start_runs`` hands the floor to it).
+    Every party proposes on some objects and responds on the others at
+    once."""
     names, objects = TWO_THREAD_NAMES, TWO_THREAD_OBJECTS
     for object_name in objects:
         community.found_object(
@@ -641,14 +643,16 @@ def settle_from_two_threads(community: Community) -> None:
             == TWO_THREAD_STATE for name in names for obj in objects)
 
     assert community.runtime.wait_until(converged, timeout=30.0)
+    loop = community.runtime.network._reactor._loop_ident
     for name in names:
-        assert submitted in committers[name]
-        assert len(committers[name]) == 2, committers[name]
+        assert committers[name] == {loop}, committers[name]
+        assert submitted not in committers[name]
 
 
 def run_two_thread_community(**kwargs) -> Community:
     """A closed community after :func:`settle_from_two_threads`, run
-    over sockets with the two threads made to interleave for real."""
+    over sockets with the submitting and transport threads made to
+    interleave for real."""
     community = Community(TWO_THREAD_NAMES, runtime=ThreadedRuntime(),
                           retransmit_interval=2.0, **kwargs)
     switch_interval = sys.getswitchinterval()
@@ -662,9 +666,10 @@ def run_two_thread_community(**kwargs) -> Community:
 
 
 def test_evidence_chain_survives_submitting_and_transport_threads():
-    """The live evidence log, journal and checkpoints that both threads
-    append to stay whole: the chain verifies, no run is left open and
-    every object's latest checkpoint is the agreed state."""
+    """The live evidence log, journal and checkpoints stay whole while
+    writes are submitted from another thread: the chain verifies, no run
+    is left open and every object's latest checkpoint is the agreed
+    state."""
     community = run_two_thread_community()
     for name in TWO_THREAD_NAMES:
         ctx = community.node(name).ctx
@@ -677,9 +682,10 @@ def test_evidence_chain_survives_submitting_and_transport_threads():
 
 def test_submitting_and_transport_threads_share_one_partys_file_store(
         tmp_path):
-    """The same two threads commit one party's file: reopened from disk,
-    the chain verifies and no journal record is split from the evidence
-    it names."""
+    """The same two threads share one party's file (set-up on the
+    submitting thread, every run on the transport's): reopened from
+    disk, the chain verifies and no journal record is split from the
+    evidence it names."""
     run_two_thread_community(storage_dir=str(tmp_path))
     names, objects = TWO_THREAD_NAMES, TWO_THREAD_OBJECTS
     expected = TWO_THREAD_STATE
@@ -693,8 +699,8 @@ def test_submitting_and_transport_threads_share_one_partys_file_store(
             assert log.verify_chain() == len(log) > 0
             assert len(stores["evidence"]) > len(log)
             assert MessageJournal(name, stores["journal"]).open_runs() == set()
-            # Two threads appending at once never split a journal record
-            # from the evidence entry it names, just before it.
+            # No journal record is split from the evidence entry it
+            # names, just before it.
             previous, named = {}, 0
             for record in stores["journal"].scan():
                 for index, *_ in record.get("refs", {}).values():

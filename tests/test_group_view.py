@@ -38,10 +38,6 @@ class TestQueries:
         assert "B" in group and "Z" not in group
         assert len(group) == 3
 
-    def test_others(self):
-        group = make_group(["A", "B", "C"])
-        assert group.others("B") == ["A", "C"]
-
     def test_recipients_excluding(self):
         group = make_group(["A", "B", "C", "D"])
         assert group.recipients_excluding("B", "D") == ["A", "C"]
@@ -119,11 +115,3 @@ class TestMutation:
         bad_gid, _ = new_group_id(1, ["X"], rng)
         with pytest.raises(MembershipError):
             group.apply_change(["A", "B"], bad_gid)
-
-    def test_clone_is_independent(self):
-        group = make_group(["A", "B"])
-        clone = group.clone()
-        rng = DeterministicRandomSource(2)
-        gid, _ = new_group_id(0, ["A", "B", "C"], rng)
-        clone.apply_change(["A", "B", "C"], gid)
-        assert group.members == ["A", "B"]

@@ -4,8 +4,9 @@ A node with queued writes keeps one run of its own in flight (the
 floor) and starts further runs only when its transport reports nothing
 inbound waiting (``Network.when_idle``), oldest-waiting pipeline first.
 The deterministic half runs on a ``SimNetwork`` whose ``when_idle``
-holds its callbacks until the test releases them; the adaptive half and
-the reactor's idle signal run over real sockets.
+holds its callbacks until the test releases them; the adaptive half,
+the reactor's idle signal and the rule that every run starts on the
+reactor thread (``Network.call_in_loop``) run over real sockets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from repro.core import DEFERRED_SYNCHRONOUS, Community
 from repro.core.readcache import bounded, cached
 from repro.core.runtime import SimRuntime, ThreadedRuntime
+from repro.crypto.signature import RsaSigner
 from repro.obs.recording import RecordingInstrumentation
 from repro.protocol.events import RunCompleted
 from repro.protocol.messages import PROPOSE
@@ -645,6 +647,169 @@ class TestCallbackDiscipline:
         finally:
             sys.setswitchinterval(switch_interval)
             community.close()
+
+
+# ---------------------------------------------------------------------------
+# one protocol thread: runs start on the network's thread
+# ---------------------------------------------------------------------------
+
+def tcp_community(parties, objects):
+    names = [f"Org{i + 1}" for i in range(parties)]
+    community = Community(names, runtime=ThreadedRuntime(TcpNetwork()),
+                          retransmit_interval=2.0)
+    for object_name in objects:
+        community.found_object(
+            object_name, {name: CounterObject() for name in names})
+    return community
+
+
+def hold_the_loop(network):
+    """Post a command that keeps the reactor busy; returns the event
+    that lets it go once the loop is inside it."""
+    holding, go = threading.Event(), threading.Event()
+
+    def hold():
+        holding.set()
+        go.wait(5.0)
+
+    network._reactor._post(hold)
+    assert holding.wait(5.0)
+    return go
+
+
+def signing_threads(monkeypatch):
+    """The set of threads that make an RSA signature from now on."""
+    threads = set()
+    sign_bytes = RsaSigner.sign_bytes
+
+    def recording_sign(signer, data):
+        threads.add(threading.get_ident())
+        return sign_bytes(signer, data)
+
+    monkeypatch.setattr(RsaSigner, "sign_bytes", recording_sign)
+    return threads
+
+
+def drain_the_loop(network):
+    """Return once the loop has run every command posted before."""
+    done = threading.Event()
+    network._reactor._post(done.set)
+    assert done.wait(5.0)
+
+
+class TestOneProtocolThread:
+    def test_serial_writes_are_signed_and_committed_on_the_reactor(
+            self, monkeypatch):
+        """The submitting thread only queues: every signature (party and
+        TSA) and every commit barrier of a write runs on the reactor."""
+        community = tcp_community(3, ["doc"])
+        try:
+            signers, committers = signing_threads(monkeypatch), set()
+            for name in community.names():
+                ctx = community.node(name).ctx
+
+                def recording_commit(commit=ctx.commit):
+                    committers.add(threading.get_ident())
+                    return commit()
+
+                ctx.commit = recording_commit
+            node = community.node("Org1")
+            for _ in range(6):
+                ticket = node.submit_update("doc", {"n": 1})
+                assert ticket.wait_signal(10.0) and ticket.valid
+            assert community.runtime.wait_until(lambda: all(
+                applied(community.node(name), "doc") == 6
+                for name in community.names()), 10.0)
+            loop = community.runtime.network._reactor._loop_ident
+            assert signers == committers == {loop}
+        finally:
+            community.close()
+
+    def test_a_write_handed_off_before_a_crash_proposes_nothing(self):
+        """Nothing is reserved across the hand-off: a crash between the
+        submit and the loop's turn empties the ready FIFO, so the posted
+        start sends no m1 and appends no evidence; after recovery the
+        write settles exactly once."""
+        community = tcp_community(3, ["doc"])
+        network = community.runtime.network
+        try:
+            node = community.node("Org1")
+            proposals = spy_on_proposals(node)
+            evidence = len(node.ctx.evidence)
+            go = hold_the_loop(network)
+            ticket = node.submit_update("doc", {"n": 1})
+            node.crash()
+            go.set()
+            drain_the_loop(network)
+            assert proposals == [] and len(node.ctx.evidence) == evidence
+            assert node._own_runs == 0 and not ticket.done
+            node.recover()
+            assert ticket.wait_signal(10.0) and ticket.valid
+            assert community.runtime.wait_until(lambda: all(
+                applied(community.node(name), "doc") == 1
+                for name in community.names()), 10.0)
+            assert len(proposals) == 1
+        finally:
+            community.close()
+
+    def test_concurrent_submitters_lose_no_write(self, monkeypatch):
+        """More submitting threads than cores, switching often: every
+        write is applied once at every party, every signature is made on
+        the reactor, and the floor is given back."""
+        community = tcp_community(3, ["A", "B"])
+        signers = signing_threads(monkeypatch)
+        node = community.node("Org1")
+        tickets, errors = [], []
+
+        def submit(index):
+            try:
+                for n in range(25):
+                    tickets.append(node.submit_update("AB"[(index + n) % 2],
+                                                      {"n": 1}))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert all(ticket.wait_signal(20.0) and ticket.valid
+                       for ticket in tickets)
+            assert community.runtime.wait_until(lambda: all(
+                applied(community.node(name), "A")
+                + applied(community.node(name), "B") == 100
+                for name in community.names()), 10.0)
+            assert node._own_runs == 0 and node._ready == {}
+            assert signers == {community.runtime.network._reactor._loop_ident}
+        finally:
+            sys.setswitchinterval(switch_interval)
+            community.close()
+
+    def test_a_settled_read_waits_for_the_write_handed_over(self):
+        """A write submitted just before a settled read starts on the
+        reactor; the read still waits for its run, as it did when the
+        write was proposed inside ``submit_update``."""
+        community = tcp_community(3, ["doc"])
+        try:
+            node = community.node("Org1")
+            for n in range(1, 31):
+                ticket = node.submit_update("doc", {"n": 1})
+                assert node.examine("doc").state["applied"] == n
+                assert ticket.wait_signal(10.0) and ticket.valid
+        finally:
+            community.close()
+
+    def test_base_network_runs_the_callback_at_once(self):
+        ran = []
+        SimNetwork().call_in_loop(lambda: ran.append(threading.get_ident()))
+        assert ran == [threading.get_ident()]
 
 
 # ---------------------------------------------------------------------------

@@ -148,3 +148,21 @@ def test_every_keep_entry_names_a_function(unreached):
              for f in unreached.functions(os.path.join(ROOT, "src", "repro"))}
     assert sorted(set(unreached.KEEP) - names) == []
     assert all(reason.strip() for reason in unreached.KEEP.values())
+
+
+def test_exit_code_gates_on_list_one_only(unreached, tmp_path, monkeypatch,
+                                          capsys):
+    """The sweep fails on a never-entered function KEEP does not explain,
+    and not on a tests-only one."""
+    (tmp_path / "benchmarks" / "results").mkdir(parents=True)
+    dead = unreached.Function("m", "dead", "m.py", 1, 10, False)
+    tested = unreached.Function("m", "tested", "m.py", 5, 10, False)
+    monkeypatch.setattr(unreached, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setattr(unreached, "functions", lambda package: [dead, tested])
+    monkeypatch.setattr(unreached, "collect", lambda runs, package, cwd: {
+        "entered": {unreached.TESTS: {("m.py", 5)}}, "exit": [],
+        "unseen": []})
+    assert unreached.main() == 1
+    monkeypatch.setitem(unreached.KEEP, "m:dead", "a reason")
+    assert unreached.main() == 0
+    assert "1 not in KEEP" in capsys.readouterr().out  # list 2, not gated
